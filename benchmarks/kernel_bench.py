@@ -14,6 +14,7 @@ Usage:
 import argparse
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
@@ -46,10 +47,25 @@ def make_cases(seed: int) -> dict:
             ),
         ),
         "softmax": (kernels.softmax_rows, (rng.child(8).normal((384, 384)),)),
+        # the U32 reference site of a default forward pass: 4 frames, 256
+        # queries, 256 token and 256 reference keys, head dim 8
+        "attention_batch": (
+            partial(kernels.attention_batch, keep_probs=True),
+            (
+                rng.child(9).normal((4, 256, 8)),
+                rng.child(10).normal((4, 512, 8)),
+                rng.child(11).normal((4, 512, 8)),
+            ),
+        ),
     }
 
 
-def time_call(fn, args, repeat: int) -> tuple[np.ndarray, int]:
+def as_bytes(out) -> bytes:
+    """Bytes of a kernel's output array, or of every array of a tuple output."""
+    return b"".join(x.tobytes() for x in (out if isinstance(out, tuple) else (out,)))
+
+
+def time_call(fn, args, repeat: int) -> tuple[object, int]:
     out = fn(*args)
     best = None
     for _ in range(repeat):
@@ -86,7 +102,7 @@ def main(argv=None) -> int:
                 kernels.set_backend(backend)
                 outs[backend], times[backend] = time_call(fn, call, args.repeat)
             if len(backends) == 2:
-                same = outs["compiled"].tobytes() == outs["numpy"].tobytes()
+                same = as_bytes(outs["compiled"]) == as_bytes(outs["numpy"])
                 equal = "yes" if same else "NO"
                 ratio = f"{times['numpy'] / times['compiled']:.1f}"
                 compiled_us = f"{times['compiled'] / 1e3:.1f}"

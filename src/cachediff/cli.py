@@ -13,6 +13,7 @@ violation.  Errors print a single machine-parsable line starting with
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -79,12 +80,8 @@ def _load(args: argparse.Namespace) -> RunConfig:
         sets.append(f"run.total_frames={args.frames}")
     rc = load_config(args.config, sets)
     if getattr(args, "mask", None):
-        import dataclasses
-
         rc = dataclasses.replace(rc, mask=args.mask)
     if args.out:
-        import dataclasses
-
         rc = dataclasses.replace(rc, run=dataclasses.replace(rc.run, out_dir=args.out))
     return rc
 

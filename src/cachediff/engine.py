@@ -5,14 +5,18 @@ the full network, caches the U31 feature, the predicted noise, and (for
 restricted-attention variants) background attention rows.  Non-key steps
 run the truncated subnet only.  Their inputs are either reused from the
 post-key latent or estimated by unrolling the deterministic update with
-the key noise; the subnet evaluations are then independent and are
-dispatched as one parallel phase.  A second, cheap sequential phase
+the key noise (:func:`estimate_input_latents`); the subnet evaluations
+are then independent and run as one parallel phase.  The phase splits the
+non-key steps into one contiguous chunk per worker, and each chunk is one
+stacked :meth:`ToyUNet.subnet` call with the chunk's latents along the
+frame axis and one timestep per step.  A second, cheap sequential phase
 applies the sampler updates using the true latents.
 
-Worker parallelism never changes results: tasks are merged in submission
-order and all kernels are deterministic, so worker count only affects
-the modeled latency.  On hosts where threads serialize, the modeled
-latency still reflects the dispatch overhead plus the longest worker bin.
+Worker parallelism never changes results: a stacked call gives each step
+the bytes of a one-step call, chunks are merged in submission order and
+all kernels are deterministic, so worker count only affects the modeled
+latency: the dispatch overhead plus the longest chunk.  Each step is
+charged its own FLOPs and an equal share of its chunk's wall time.
 """
 
 from __future__ import annotations
@@ -310,62 +314,65 @@ def _run_block(
 
     # Subnet inputs: the first non-key step always sees its true latent;
     # later steps see estimates (if eligible) or the same post-key latent.
-    estimating = strategy.estimation and block.estimation_eligible
-    est_walls = [0] * len(block.nonkeys)
-    est_logs: list[FlopLog] = [FlopLog() for _ in block.nonkeys]
-    inputs = [entry.z_after_key]
-    if estimating and len(block.nonkeys) > 1:
-        prev = entry.z_after_key
-        for j in range(len(block.nonkeys) - 1):
-            e0 = time.perf_counter_ns()
-            prev = ddim_step_skipping(
-                prev, entry.eps_key, block.nonkeys[j], block.nonkeys[j + 1], sched
-            )
-            est_walls[j + 1] = time.perf_counter_ns() - e0
-            est_logs[j + 1].add("elementwise", "scheduler", (3 * n_update,))
-            inputs.append(prev)
+    n = len(block.nonkeys)
+    estimating = strategy.estimation and block.estimation_eligible and n > 1
+    e0 = time.perf_counter_ns()
+    if estimating:
+        inputs = [entry.z_after_key] + estimate_input_latents(
+            entry.z_after_key, entry.eps_key, block.nonkeys, sched
+        )
     else:
-        inputs.extend([entry.z_after_key] * (len(block.nonkeys) - 1))
+        inputs = [entry.z_after_key] * n
+    est_wall = time.perf_counter_ns() - e0 if estimating else 0
 
-    def make_task(j: int):
-        t_j = block.nonkeys[j]
-        z_j = inputs[j]
-
+    def make_task(steps: range):
         def task():
-            tlog = FlopLog()
+            clog = FlopLog()
             eps = model.subnet(
-                entry.f_u31, z_j, t_j, cond,
-                log=tlog, dfa=dfa, removal_active=strategy.uses_removal,
+                entry.f_u31, np.concatenate([inputs[j] for j in steps]),
+                [block.nonkeys[j] for j in steps], cond,
+                log=clog, dfa=dfa, removal_active=strategy.uses_removal,
             )
-            return eps, tlog
+            return eps, clog.per_sample(len(steps))
 
         return task
 
-    results, walls, modeled_phase1 = runner.run([make_task(j) for j in range(len(block.nonkeys))])
+    # One stacked subnet call per worker, over a contiguous run of steps.
+    w = min(strategy.workers, n)
+    chunks = [range(i * n // w, (i + 1) * n // w) for i in range(w)]
+    results, walls, modeled_phase1 = runner.run([make_task(c) for c in chunks])
+    step_eps, step_logs, step_walls = [], [], []
+    for steps, (eps, sample_log), wall in zip(chunks, results, walls):
+        for i in range(len(steps)):
+            step_eps.append(eps[i : i + 1])
+            step_logs.append(sample_log.events)
+            step_walls.append(wall // len(steps))
 
     cur = entry.z_after_key
     phase2_walls = []
     for j, t_j in enumerate(block.nonkeys):
         if hooks is not None:
             hooks.begin_step(t_j, "nonkey")
-        t_to = block.nonkeys[j + 1] if j + 1 < len(block.nonkeys) else boundary
-        eps_j, tlog = results[j]
+        t_to = block.nonkeys[j + 1] if j + 1 < n else boundary
         p0 = time.perf_counter_ns()
-        cur = ddim_step_skipping(cur, eps_j, t_j, t_to, sched)
+        cur = ddim_step_skipping(cur, step_eps[j], t_j, t_to, sched)
         _check_finite(cur, f"non-key step t={t_j}")
         phase2_walls.append(time.perf_counter_ns() - p0)
+        tlog = FlopLog()
+        tlog.events.extend(step_logs[j])
         tlog.add("elementwise", "scheduler", (3 * n_update,))
-        tlog.events.extend(est_logs[j].events)
+        if estimating and j > 0:
+            tlog.add("elementwise", "scheduler", (3 * n_update,))
         ledger.extend(tlog, t_j)
         per_step.append(
             {
                 "t": t_j,
                 "kind": "nonkey",
                 "flops": tlog.total(),
-                "wall_ns": walls[j] + est_walls[j] + phase2_walls[j],
+                "wall_ns": step_walls[j] + (est_wall // (n - 1) if j else 0) + phase2_walls[j],
             }
         )
-    modeled = key_wall + modeled_phase1 + sum(est_walls) + sum(phase2_walls)
+    modeled = key_wall + modeled_phase1 + est_wall + sum(phase2_walls)
     return cur, modeled
 
 

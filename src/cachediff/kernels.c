@@ -14,11 +14,18 @@
  * The convolution reads its patches from a zero-padded copy of the input
  * and multiplies the padding zeros like any other element, so inf or NaN
  * weights give NaN where the reference does (which NaN's bits survive a
- * sum of two NaNs is not fixed, see kernels.py).  Scratch memory is
- * allocated per call: the kernels are safe to call from several threads.
- * Each entry point returns 0, or -1 when an allocation fails.
+ * sum of two NaNs is not fixed, see kernels.py).
+ *
+ * Attention is two entry points with numpy's exp applied in place between
+ * them, so both backends share one libm exp: cd_attn_logits writes the
+ * scaled scores minus their row max, cd_attn_apply turns exp(logits) into
+ * probabilities (ascending row sum from +0.0, then a correctly rounded
+ * divide) and multiplies them with V.  Scratch memory is allocated per
+ * call: the kernels are safe to call from several threads.  Each entry
+ * point returns 0, or -1 when an allocation fails.
  */
 
+#include <math.h>
 #include <stdlib.h>
 #include <string.h>
 
@@ -283,4 +290,100 @@ done:
     free(pix);
     free(opix);
     return rc;
+}
+
+typedef float vwf __attribute__((vector_size(VW * 4)));
+typedef int vwi __attribute__((vector_size(VW * 4)));
+
+/* Multiply a row by scale in place; return its max, or NaN when it holds a
+ * NaN.  The lanes keep partial maxima, which are combined at the end: max
+ * is exact, so the order does not matter (a tie of -0.0 and +0.0 may keep
+ * either, which the exp that follows maps to the same 1). */
+static float scale_row_max(float *row, long n, float scale)
+{
+    vwf vm;
+    vwi vnan = {0};
+    for (int l = 0; l < VW; l++)
+        vm[l] = -INFINITY;
+    long j = 0;
+    for (; j + VW <= n; j += VW) {
+        vwf s;
+        memcpy(&s, row + j, sizeof s);
+        s = s * scale;
+        memcpy(row + j, &s, sizeof s);
+        vnan |= s != s;
+        const vwi gt = s > vm;
+        vm = (vwf)(((vwi)s & gt) | ((vwi)vm & ~gt));
+    }
+    float m = -INFINITY;
+    int nan = 0;
+    for (int l = 0; l < VW; l++) {
+        nan |= vnan[l];
+        m = vm[l] > m ? vm[l] : m;
+    }
+    for (; j < n; j++) {
+        const float s = row[j] * scale;
+        row[j] = s;
+        nan |= s != s;
+        m = s > m ? s : m;
+    }
+    return nan ? NAN : m;
+}
+
+/* Attention logits of bn items: with q (bn, lq, d) and k (bn, lk, d),
+ * out[b][i][j] = s[i][j] - max_j s[i][j] where s[i][j] = (q[i] . k[j]) * scale;
+ * the dot product is a plain ascending sum, and the max is NaN when the
+ * row holds a NaN, like numpy's. */
+int cd_attn_logits(const float *q, const float *k, float *out, long bn, long lq, long lk, long d,
+                   float scale)
+{
+    if (bn == 0 || lq == 0 || lk == 0)
+        return 0;
+    float *kt = xmalloc(sizeof(float) * bn * d * lk);
+    if (!kt)
+        return -1;
+    for (long bi = 0; bi < bn; bi++) /* kt[b][p][j] = k[b][j][p] */
+        transpose(k + bi * lk * d, d, lk, d, kt + bi * d * lk, lk);
+    const int rc = cd_matmul_batch(q, kt, out, bn, lq, d, lk);
+    free(kt);
+    if (rc)
+        return rc;
+    for (long i = 0; i < bn * lq; i++) {
+        float *row = out + i * lk;
+        const float m = scale_row_max(row, lk, scale);
+        for (long j = 0; j < lk; j++)
+            row[j] = row[j] - m;
+    }
+    return 0;
+}
+
+/* Softmax rows from exponentials, then out (bn, lq, dv) = p @ v with v
+ * (bn, lk, dv).  p (bn, lq, lk) holds exp(logits) on entry and the
+ * probabilities on return: each row is divided by its sum, taken in
+ * ascending order from +0.0.  The sums of CHAINS rows run interleaved,
+ * one independent chain per row, which keeps each row's order. */
+int cd_attn_apply(float *p, const float *v, float *out, long bn, long lq, long lk, long dv)
+{
+    enum { CHAINS = 12 };
+    const long rows = bn * lq;
+    for (long i0 = 0; i0 < rows; i0 += CHAINS) {
+        const long nr = rows - i0 < CHAINS ? rows - i0 : CHAINS;
+        float *pr = p + i0 * lk;
+        float sum[CHAINS];
+        for (long r = 0; r < CHAINS; r++)
+            sum[r] = 0.0f;
+        if (nr == CHAINS) {
+            for (long j = 0; j < lk; j++)
+                for (long r = 0; r < CHAINS; r++)
+                    sum[r] = sum[r] + pr[r * lk + j];
+        } else {
+            for (long r = 0; r < nr; r++)
+                for (long j = 0; j < lk; j++)
+                    sum[r] = sum[r] + pr[r * lk + j];
+        }
+        for (long r = 0; r < nr; r++)
+            for (long j = 0; j < lk; j++)
+                pr[r * lk + j] = pr[r * lk + j] / sum[r];
+    }
+    return cd_matmul_batch(p, v, out, bn, lq, lk, dv);
 }

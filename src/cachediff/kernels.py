@@ -1,13 +1,15 @@
 """Float32 compute kernels with a compiled backend and a numpy reference.
 
-Every reduction kernel (matmul, batched matmul, 3x3 conv) sums over its
-reduction axis in ascending order from ``+0.0``, rounding each product and
-each partial sum to float32 separately.  For identical inputs the compiled
-backend, the numpy reference and a naive sequential loop therefore give
-the same bytes.  The one exception is the payload of a NaN when the
-inputs hold NaNs: NaN is produced at the same positions, but which input's
-NaN bits survive an addition of two NaNs is not fixed (numpy's own choice
-varies with the array length).
+Every reduction kernel (matmul, batched matmul, 3x3 conv, attention) sums
+over its reduction axis in ascending order from ``+0.0``, rounding each
+product and each partial sum to float32 separately.  Attention subtracts
+the NaN-propagating row max from its scaled scores, exponentiates, and
+divides by the ascending row sum with a correctly rounded division.  For
+identical inputs the compiled backend, the numpy reference and a naive
+sequential loop therefore give the same bytes.  The one exception is the
+payload of a NaN: NaN is produced at the same positions, but which NaN's
+bits survive an addition of two NaNs or a row max is not fixed (numpy's
+own choice varies with the array length).
 
 The compiled backend is ``kernels.c``, built at first use with the system
 C compiler (see :mod:`cachediff.native` for the flags and the cache
@@ -19,7 +21,8 @@ about twenty times slower.
 The backend is chosen from the ``CACHEDIFF_BACKEND`` environment variable
 at import (``compiled``, the default, or ``numpy``) and can be switched at
 runtime with :func:`set_backend`.  Nonlinear elementwise math (exp,
-sigmoid) always runs through numpy, so both backends share one libm.
+sigmoid) always runs through numpy, so both backends share one libm: the
+compiled attention is two kernel calls with numpy's exp in between.
 """
 
 from __future__ import annotations
@@ -85,6 +88,25 @@ def _conv2d_frames_np(x: np.ndarray, w: np.ndarray, bias: np.ndarray, stride: in
     return np.ascontiguousarray(out.reshape(f, ho, wo, c_out).transpose(0, 3, 1, 2))
 
 
+def _attention_np(
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: np.float32
+) -> tuple[np.ndarray, np.ndarray]:
+    """(probs @ v, probs) with probs = softmax(q @ k^T * scale) per row.
+
+    The row sums are a matmul with a ones column, so they run in ascending
+    order from +0.0 like every other sum here.
+    """
+    bn, lq, lk = q.shape[0], q.shape[1], k.shape[1]
+    e = _matmul_batch_np(q, np.ascontiguousarray(k.transpose(0, 2, 1)))
+    e *= scale
+    if lk:
+        e -= e.max(axis=2, keepdims=True)
+    np.exp(e, out=e)
+    rows = e.reshape(bn * lq, lk)
+    np.divide(rows, _matmul_np(rows, np.ones((lk, 1), dtype=np.float32)), out=rows)
+    return _matmul_batch_np(e, v), e
+
+
 # ---------------------------------------------------------------------------
 # compiled backend
 
@@ -140,11 +162,25 @@ def _conv2d_frames_c(
     return out
 
 
+def _attention_c(
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: np.float32, lib=None
+) -> tuple[np.ndarray, np.ndarray]:
+    lib = lib or _lib
+    (bn, lq, d), (lk, dv) = q.shape, v.shape[1:]
+    probs = np.empty((bn, lq, lk), dtype=np.float32)
+    _check(lib.cd_attn_logits(_ptr(q), _ptr(k), _ptr(probs), bn, lq, lk, d, scale))
+    np.exp(probs, out=probs)
+    out = np.empty((bn, lq, dv), dtype=np.float32)
+    _check(lib.cd_attn_apply(_ptr(probs), _ptr(v), _ptr(out), bn, lq, lk, dv))
+    return out, probs
+
+
 def _self_check(lib) -> str | None:
     """Compare the compiled kernels with the reference on small cases; None if equal.
 
-    Sums of 37 normal products expose any change of summation order or
-    rounding; the cases also hold a row of -0.0 and a subnormal.
+    Sums of 37 normal products (and the attention row sums of 37
+    exponentials) expose any change of summation order or rounding; the
+    cases also hold a row of -0.0 and a subnormal.
     """
     rng = np.random.default_rng(0)
     a = rng.standard_normal((13, 37), dtype=np.float32)
@@ -155,6 +191,10 @@ def _self_check(lib) -> str | None:
     w = rng.standard_normal((6, 5, 3, 3), dtype=np.float32)
     bias = rng.standard_normal(6, dtype=np.float32)
     b16, b21 = (rng.standard_normal((37, n), dtype=np.float32) for n in (16, 21))
+    q = rng.standard_normal((2, 13, 5), dtype=np.float32)
+    q[1, 4] = -0.0
+    kv = rng.standard_normal((2, 37, 5), dtype=np.float32)
+    scale = np.float32(0.75)
     cases = [
         ("matmul n=16", _matmul_c(a, b16, lib), _matmul_np(a, b16)),
         ("matmul n=21", _matmul_c(a, b21, lib), _matmul_np(a, b21)),
@@ -164,6 +204,9 @@ def _self_check(lib) -> str | None:
         (f"conv2d_frames stride {s}", _conv2d_frames_c(x, w, bias, s, lib),
          _conv2d_frames_np(x, w, bias, s))
         for s in (1, 2)
+    ] + [
+        ("attention", np.concatenate([x.ravel() for x in _attention_c(q, kv, kv, scale, lib)]),
+         np.concatenate([x.ravel() for x in _attention_np(q, kv, kv, scale)])),
     ]
     for name, got, want in cases:
         if got.tobytes() != want.tobytes():
@@ -190,8 +233,8 @@ def _compiled():
 
 
 _IMPLS = {
-    "compiled": (_matmul_c, _matmul_batch_c, _conv2d_frames_c),
-    "numpy": (_matmul_np, _matmul_batch_np, _conv2d_frames_np),
+    "compiled": (_matmul_c, _matmul_batch_c, _conv2d_frames_c, _attention_c),
+    "numpy": (_matmul_np, _matmul_batch_np, _conv2d_frames_np, _attention_np),
 }
 
 _active = os.environ.get(ENV_BACKEND, "compiled")
@@ -341,11 +384,22 @@ def scaled_dot_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndar
     return matmul(attention_probs(q, k), v)
 
 
-def attention_batch(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Batched single-head attention over a leading axis.
+# Attention scores per compiled-kernel call: one 256 x 512 frame (512 KB),
+# which stays in cache from the scores to the probabilities and bounds the
+# scratch memory of a large stack.
+_ATTN_SLAB = 1 << 17
 
-    Per-item results are bit-identical to :func:`scaled_dot_attention` on
-    each slice; the batch runs as three batched kernel invocations.
+
+def attention_batch(
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, *, keep_probs: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Batched single-head attention over a leading axis: softmax(q k^T / sqrt(d)) @ v.
+
+    Returns the output and, with ``keep_probs``, the (n, lq, lk)
+    probabilities (else None).  Per-item results are bit-identical to
+    :func:`scaled_dot_attention` and :func:`attention_probs` on each slice.
+    Items run in slabs of about ``_ATTN_SLAB`` scores; the compiled backend
+    runs a slab as two kernel calls with numpy's exp in between.
     """
     q = _f32(q, "q", 3)
     k = _f32(k, "k", 3)
@@ -354,9 +408,15 @@ def attention_batch(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise ValueError("attention_batch batch mismatch")
     if q.shape[2] != k.shape[2] or k.shape[1] != v.shape[1]:
         raise ValueError(f"attention_batch shape mismatch: {q.shape}, {k.shape}, {v.shape}")
+    if k.shape[1] == 0 or q.shape[2] == 0:
+        raise ValueError(f"attention_batch needs at least one key and one dim, got k {k.shape}")
+    impl = _IMPLS[active_backend()][3]
     scale = np.float32(1.0 / math.sqrt(q.shape[2]))
-    kt = np.ascontiguousarray(k.transpose(0, 2, 1))
-    scores = matmul_batch(q, kt) * scale
-    bn, lq, lk = scores.shape
-    probs = softmax_rows(np.ascontiguousarray(scores.reshape(bn * lq, lk)))
-    return matmul_batch(np.ascontiguousarray(probs.reshape(bn, lq, lk)), v)
+    step = max(1, _ATTN_SLAB // (q.shape[1] * k.shape[1] or 1))
+    outs, probs = [], []
+    for i in range(0, max(q.shape[0], 1), step):
+        out, p = impl(q[i : i + step], k[i : i + step], v[i : i + step], scale)
+        outs.append(out)
+        if keep_probs:
+            probs.append(p)
+    return np.concatenate(outs), np.concatenate(probs) if keep_probs else None

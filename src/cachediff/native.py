@@ -39,6 +39,8 @@ _SIGNATURES = {
     "cd_matmul": (_P, _P, _P, _L, _L, _L),
     "cd_matmul_batch": (_P, _P, _P, _L, _L, _L, _L),
     "cd_conv2d_frames": (_P, _P, _P, _P, _L, _L, _L, _L, _L, _L),
+    "cd_attn_logits": (_P, _P, _P, _L, _L, _L, _L, ctypes.c_float),
+    "cd_attn_apply": (_P, _P, _P, _L, _L, _L, _L),
 }
 
 

@@ -59,6 +59,15 @@ class FlopLog:
     def total(self) -> int:
         return sum(e[2] for e in self.events)
 
+    def per_sample(self, samples: int) -> "FlopLog":
+        """One sample's log of a stacked call whose every event covers ``samples`` equal samples."""
+        out = FlopLog()
+        for tag, layer, n in self.events:
+            if n % samples:
+                raise InvariantError(f"{tag} at {layer}: {n} FLOPs do not split into {samples}")
+            out.events.append((tag, layer, n // samples))
+        return out
+
 
 @dataclass
 class FlopLedger:

@@ -16,7 +16,8 @@ the network exactly from that feature plus a fresh latent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from .masks import ForegroundMask
 from .profiler import FlopLog
 from .rng import Rng
 
-ATTN_SITES = {"reference": "ref", "audio": "aud", "temporal": "tmp"}
 ATTN_LAYERS = ("M", "U2", "U32")
 
 
@@ -120,7 +120,6 @@ class ForwardTrace:
 
     eps: np.ndarray
     f_u31: np.ndarray
-    bg_outputs: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -246,24 +245,30 @@ class ToyUNet:
             log.add("elementwise", layer, (4 * x.size,))
         return out
 
-    def _norm(self, x: np.ndarray, layer: str, log: FlopLog | None, axis: int = 1) -> np.ndarray:
+    def _norm(
+        self, x: np.ndarray, layer: str, log: FlopLog | None, axis: int = 1, copies: int = 1
+    ) -> np.ndarray:
         """RMS normalization over the channel axis.
 
         Per-token (per-pixel) normalization: every spatial location is
-        scaled independently, so it commutes with token selection.
+        scaled independently, so it commutes with token selection.  An
+        input shared by ``copies`` samples of a stack is normalized once
+        and logged once per sample.
         """
         ms = np.mean(np.square(x), axis=axis, keepdims=True, dtype=np.float32)
         out = x / np.sqrt(ms + np.float32(1e-5))
         if log is not None:
-            log.add("elementwise", layer, (3 * x.size,))
+            log.add("elementwise", layer, (3 * copies * x.size,))
         return out
 
-    def _time_features(self, t: int, log: FlopLog | None) -> np.ndarray:
-        emb = time_embedding(t, self.cfg.time_dim)
-        h = matmul(emb[None, :], self.w["time.affine.w"])[0] + self.w["time.affine.b"]
+    def _time_features(self, ts: list[int], log: FlopLog | None) -> np.ndarray:
+        """(samples, time_dim) features, one row per sample's timestep."""
+        td = self.cfg.time_dim
+        emb = np.stack([time_embedding(t, td) for t in ts])
+        h = matmul(emb, self.w["time.affine.w"]) + self.w["time.affine.b"]
         if log is not None:
-            log.add("matmul", "time", (1, self.cfg.time_dim, self.cfg.time_dim))
-            log.add("elementwise", "time", (self.cfg.time_dim,))
+            log.add("matmul", "time", (len(ts), td, td))
+            log.add("elementwise", "time", (len(ts) * td,))
         return self._silu(h, "time", log)
 
     def _conv(self, x: np.ndarray, name: str, log: FlopLog | None, stride: int = 1) -> np.ndarray:
@@ -284,16 +289,17 @@ class ToyUNet:
         return np.ascontiguousarray(out.reshape(f, h, w, wmat.shape[1]).transpose(0, 3, 1, 2))
 
     def _res_unit(self, x: np.ndarray, temb: np.ndarray, prefix: str, log: FlopLog | None) -> np.ndarray:
+        """Residual unit on a stack of samples' frames; temb holds one row per sample."""
         h1 = self._conv(self._silu(self._norm(x, prefix, log), prefix, log), f"{prefix}.conv1", log)
-        tproj = matmul(temb[None, :], self.w[f"{prefix}.temb.w"])[0] + self.w[f"{prefix}.temb.b"]
-        h1 = h1 + tproj[None, :, None, None]
+        tproj = matmul(temb, self.w[f"{prefix}.temb.w"]) + self.w[f"{prefix}.temb.b"]
+        h1 = h1 + np.repeat(tproj, x.shape[0] // temb.shape[0], axis=0)[:, :, None, None]
         h2 = self._conv(self._silu(self._norm(h1, prefix, log), prefix, log), f"{prefix}.conv2", log)
         if f"{prefix}.skip.w" in self.w:
             base = self._channel_mix(x, f"{prefix}.skip.w", log)
         else:
             base = x
         if log is not None:
-            log.add("matmul", prefix, (1, self.cfg.time_dim, h1.shape[1]))
+            log.add("matmul", prefix, (temb.shape[0], self.cfg.time_dim, h1.shape[1]))
             log.add("elementwise", prefix, (h1.size + 2 * h2.size,))
         return base + np.float32(0.5) * h2
 
@@ -313,70 +319,70 @@ class ToyUNet:
         hooks=None,
         removal_active: bool = False,
     ) -> np.ndarray:
-        f, c, h, w = x.shape
+        """Reference, audio and temporal sites on a stack of samples' frames.
+
+        Each site runs once for the whole stack; temporal attention stays
+        inside each sample's frames.  ``bg_sink`` receives the full-path
+        attention output of each frame (spatial sites) or of the sample
+        (temporal site) of a one-sample stack.
+        """
+        n, c, h, w = x.shape
+        f = self.cfg.frames
+        k = n // f
         L = h * w
         half = np.float32(0.5)
         layer_dfa = None if dfa is None else dfa.get(layer)
         removal = removal_active and layer in self.cfg.removal_set
-        x = x.copy()
 
         def ctx(site: str) -> attn.DfaContext | None:
             if layer_dfa is None:
                 return None
             return attn.DfaContext(layer_dfa.mask, getattr(layer_dfa, site))
 
-        ref_tok = self._norm(cond.ref[layer], f"{layer}.ref", log)
-        for fi in range(f):
-            tok = self._norm(
-                np.ascontiguousarray(x[fi].reshape(c, L).T), f"{layer}.ref", log
-            )
-            site_ctx = ctx("reference")
-            dctx = None if site_ctx is None else attn.DfaContext(
-                site_ctx.mask, None if site_ctx.bg is None else site_ctx.bg[fi]
-            )
-            delta, a_full = attn.reference_site(
-                tok, ref_tok, self.w, f"{layer}.ref",
-                removal=removal, dfa=dctx, log=log, hooks=hooks, frame=fi,
-            )
-            if bg_sink is not None and a_full is not None:
-                bg_sink(layer, "reference", fi, a_full)
-            x[fi] += half * np.ascontiguousarray(delta.T).reshape(c, h, w)
-            if log is not None:
-                log.add("elementwise", f"{layer}.ref", (2 * c * L,))
+        def tokens(x: np.ndarray, name: str) -> np.ndarray:
+            tok = np.ascontiguousarray(x.reshape(k, f, c, L).transpose(0, 1, 3, 2))
+            return self._norm(tok, name, log, axis=-1)
 
-        for fi in range(f):
-            tok = self._norm(
-                np.ascontiguousarray(x[fi].reshape(c, L).T), f"{layer}.aud", log
-            )
-            site_ctx = ctx("audio")
-            dctx = None if site_ctx is None else attn.DfaContext(
-                site_ctx.mask, None if site_ctx.bg is None else site_ctx.bg[fi]
-            )
-            delta, a_full = attn.audio_site(
-                tok, self._norm(cond.audio[fi], f"{layer}.aud", log), self.w,
-                f"{layer}.aud", dfa=dctx, log=log, hooks=hooks, frame=fi,
-            )
-            if bg_sink is not None and a_full is not None:
-                bg_sink(layer, "audio", fi, a_full)
-            x[fi] += half * np.ascontiguousarray(delta.T).reshape(c, h, w)
+        def add_spatial(x: np.ndarray, delta: np.ndarray, name: str) -> np.ndarray:
             if log is not None:
-                log.add("elementwise", f"{layer}.aud", (2 * c * L,))
+                log.add("elementwise", name, (2 * x.size,))
+            return x + half * delta.transpose(0, 1, 3, 2).reshape(n, c, h, w)
 
-        x_loc = self._norm(
-            np.ascontiguousarray(x.transpose(2, 3, 0, 1).reshape(L, f, c)),
-            f"{layer}.tmp", log, axis=2,
+        def sink(site: str, a_full: np.ndarray | None) -> None:
+            if bg_sink is None or a_full is None:
+                return
+            if site == "temporal":
+                bg_sink(layer, site, None, a_full.reshape(a_full.shape[-3:]))
+                return
+            for fi, a in enumerate(a_full.reshape((-1,) + a_full.shape[-2:])):
+                bg_sink(layer, site, fi, a)
+
+        name = f"{layer}.ref"
+        delta, a_full = attn.reference_site(
+            tokens(x, name), self._norm(cond.ref[layer], name, log, copies=k), self.w, name,
+            removal=removal, dfa=ctx("reference"), log=log, hooks=hooks,
         )
+        sink("reference", a_full)
+        x = add_spatial(x, delta, name)
+
+        name = f"{layer}.aud"
+        delta, a_full = attn.audio_site(
+            tokens(x, name), self._norm(cond.audio, name, log, axis=-1, copies=k), self.w, name,
+            dfa=ctx("audio"), log=log, hooks=hooks,
+        )
+        sink("audio", a_full)
+        x = add_spatial(x, delta, name)
+
+        name = f"{layer}.tmp"
+        x_loc = np.ascontiguousarray(x.reshape(k, f, c, L).transpose(0, 3, 1, 2))
         delta, a_full = attn.temporal_site(
-            x_loc, self.w, f"{layer}.tmp", dfa=ctx("temporal"), log=log, hooks=hooks
+            self._norm(x_loc, name, log, axis=-1), self.w, name,
+            dfa=ctx("temporal"), log=log, hooks=hooks,
         )
-        if bg_sink is not None and a_full is not None:
-            bg_sink(layer, "temporal", None, a_full)
-        x = x + half * np.ascontiguousarray(
-            delta.reshape(h, w, f, c).transpose(2, 3, 0, 1)
-        )
+        sink("temporal", a_full)
         if log is not None:
-            log.add("elementwise", f"{layer}.tmp", (2 * x.size,))
-        return x
+            log.add("elementwise", name, (2 * x.size,))
+        return x + half * delta.transpose(0, 2, 3, 1).reshape(n, c, h, w)
 
     # -- tail shared between the full forward and the truncated subnet
 
@@ -396,9 +402,16 @@ class ToyUNet:
         # accumulates the trunk's magnitude while the fresh conv_in branch
         # does not, and a joint scale would crush whichever branch is
         # smaller, leaving the truncated pass insensitive to its latent.
-        f_u31 = self._norm(f_u31, "U32.f", log)
+        # A feature shared by every sample of the stack is broadcast.
+        copies = s_in.shape[0] // f_u31.shape[0]
+        f_u31 = self._norm(f_u31, "U32.f", log, copies=copies)
         s_in = self._norm(s_in, "U32.in", log)
-        x = self._res_unit(np.concatenate([f_u31, s_in], axis=1), temb, "U32.res", log)
+        fused = np.concatenate(
+            [np.broadcast_to(f_u31, (copies,) + f_u31.shape),
+             s_in.reshape((copies,) + f_u31.shape)],
+            axis=2,
+        ).reshape((s_in.shape[0], -1) + s_in.shape[2:])
+        x = self._res_unit(fused, temb, "U32.res", log)
         if "U32" in self.cfg.attention_layers:
             x = self._attn_module(
                 x, "U32", cond, log, dfa, bg_sink, hooks, removal_active
@@ -429,7 +442,7 @@ class ToyUNet:
         )
         for ib in range(z.shape[0]):
             x = np.ascontiguousarray(z[ib].transpose(1, 0, 2, 3))
-            temb = self._time_features(t, log)
+            temb = self._time_features([t], log)
             x = self._conv(x, "conv_in", log)
             s_in = x
             skips = []
@@ -463,29 +476,43 @@ class ToyUNet:
         self,
         f_u31: np.ndarray,
         z: np.ndarray,
-        t: int,
+        t: int | Sequence[int],
         cond: Conditioning,
         *,
         log: FlopLog | None = None,
         dfa: dict[str, LayerDfa] | None = None,
         removal_active: bool = False,
     ) -> np.ndarray:
-        """Truncated pass: conv_in on a fresh latent plus the cached-feature tail."""
+        """Truncated pass: conv_in on fresh latents plus the cached-feature tail.
+
+        The b samples of ``z`` run as one stack along the frame axis, each
+        with its own timestep: ``t`` is one int for all or one per sample.
+        ``f_u31`` holds one cached feature per sample, or one shared by all;
+        a shared feature and the ``dfa`` caches are broadcast, not copied.
+        Each sample's result is the bytes of a one-sample call.  ``log``
+        receives the costs of b one-sample calls, with every event covering
+        the b samples equally (see :meth:`FlopLog.per_sample`).
+        """
         cfg = self.cfg
         self._check_latent(z)
-        want = (z.shape[0], cfg.frames, cfg.base_channels[0], cfg.height, cfg.width)
-        if f_u31.shape != want:
-            raise ConfigError(f"cached feature must be {want}, got {f_u31.shape}")
-        eps_out = np.empty_like(z)
-        for ib in range(z.shape[0]):
-            x = np.ascontiguousarray(z[ib].transpose(1, 0, 2, 3))
-            temb = self._time_features(t, log)
-            s_in = self._conv(x, "conv_in", log)
-            eps = self._u32_head(
-                f_u31[ib], s_in, temb, cond, log, dfa, removal_active=removal_active
+        b = z.shape[0]
+        ts = [int(t)] * b if np.ndim(t) == 0 else [int(v) for v in t]
+        if len(ts) != b:
+            raise ConfigError(f"need one timestep per sample: {len(ts)} for {b} samples")
+        feat = (cfg.frames, cfg.base_channels[0], cfg.height, cfg.width)
+        if f_u31.shape not in ((b,) + feat, (1,) + feat):
+            raise ConfigError(
+                f"cached feature must be {(b,) + feat} or {(1,) + feat}, got {f_u31.shape}"
             )
-            eps_out[ib] = eps.transpose(1, 0, 2, 3)
-        return eps_out
+        frames = np.ascontiguousarray(z.transpose(0, 2, 1, 3, 4))
+        temb = self._time_features(ts, log)
+        s_in = self._conv(frames.reshape((-1,) + frames.shape[2:]), "conv_in", log)
+        eps = self._u32_head(
+            f_u31.reshape((-1,) + feat[1:]), s_in, temb, cond, log, dfa,
+            removal_active=removal_active,
+        )
+        eps = eps.reshape((b, cfg.frames) + eps.shape[1:])
+        return np.ascontiguousarray(eps.transpose(0, 2, 1, 3, 4))
 
     def _check_latent(self, z: np.ndarray) -> None:
         cfg = self.cfg

@@ -6,7 +6,7 @@ import pytest
 from cachediff import attention as attn
 from cachediff.errors import CacheMissError, InvariantError
 from cachediff.kernels import matmul, scaled_dot_attention
-from cachediff.masks import ForegroundMask, rect_mask
+from cachediff.masks import ForegroundMask, mask_from_spec, rect_mask
 from cachediff.profiler import FlopLog, rel_l2
 from cachediff.rng import Rng
 
@@ -282,3 +282,76 @@ def test_temporal_mask_paths_are_location_exact():
     delta0, _ = attn.temporal_site(x_loc, weights, "T.tmp",
                                    dfa=attn.DfaContext(zeros, a_full))
     assert np.array_equal(delta0, full)
+
+
+def flop_totals(log):
+    out = {}
+    for tag, layer, n in log.events:
+        out[(tag, layer)] = out.get((tag, layer), 0) + n
+    return out
+
+
+STACK_MASKS = {
+    "full": None,
+    "no_fg": ForegroundMask(np.zeros((H, W), dtype=np.uint8)),
+    "all_fg": ForegroundMask(np.ones((H, W), dtype=np.uint8)),
+    "frac:0.4": mask_from_spec("frac:0.4", H, W),
+}
+
+
+@pytest.mark.parametrize("site", ["reference", "audio"])
+@pytest.mark.parametrize("removal", [False, True])
+@pytest.mark.parametrize("mask_name", list(STACK_MASKS))
+def test_stacked_spatial_sites_match_per_frame_calls(mask_name, removal, site):
+    """A (samples, frames, L, c) stack gives the bytes and FLOPs of one call per frame.
+
+    The restricted path broadcasts one (frames, n_bg, d) cache over the
+    samples, as a stacked non-key phase does.
+    """
+    f, samples = 3, 2
+    mask = STACK_MASKS[mask_name]
+    ref_w, aud_w = site_weights("T.ref"), site_weights("T.aud", kdim=5)
+    x = Rng(40).normal((samples, f, L, C))
+    ref = Rng(41).normal((L, C))
+    audio = Rng(42).normal((f, 3, 5))
+
+    def run(tokens, audio_tok, bg, log=None):
+        dfa = None if bg is None else attn.DfaContext(mask, bg)
+        if site == "reference":
+            return attn.reference_site(tokens, ref, ref_w, "T.ref", removal=removal, dfa=dfa,
+                                       log=log)
+        return attn.audio_site(tokens, audio_tok, aud_w, "T.aud", dfa=dfa, log=log)
+
+    bg = None
+    if mask is not None:
+        bg = attn.select_tokens(run(x[0], audio, None)[1], mask.bg_index, axis=1)
+    stacked_log, frame_log = FlopLog(), FlopLog()
+    delta, a = run(x, audio, bg, stacked_log)
+    assert delta.shape == (samples, f, L, C)
+    assert (a is None) == (mask is not None)
+    for s in range(samples):
+        for fi in range(f):
+            want_delta, want_a = run(x[s, fi], audio[fi], None if bg is None else bg[fi],
+                                     frame_log)
+            assert delta[s, fi].tobytes() == want_delta.tobytes(), (s, fi)
+            if a is not None:
+                assert a[s, fi].tobytes() == want_a.tobytes(), (s, fi)
+    assert flop_totals(stacked_log) == flop_totals(frame_log)
+
+
+@pytest.mark.parametrize("mask_name", list(STACK_MASKS))
+def test_stacked_temporal_site_matches_per_sample_calls(mask_name):
+    f, samples = 3, 2
+    mask = STACK_MASKS[mask_name]
+    weights = site_weights("T.tmp")
+    x = Rng(43).normal((samples, L, f, C))
+    bg = None
+    if mask is not None:
+        bg = attn.select_tokens(attn.temporal_site(x[0], weights, "T.tmp")[1], mask.bg_index)
+    dfa = None if mask is None else attn.DfaContext(mask, bg)
+    stacked_log, sample_log = FlopLog(), FlopLog()
+    delta, _ = attn.temporal_site(x, weights, "T.tmp", dfa=dfa, log=stacked_log)
+    for s in range(samples):
+        want, _ = attn.temporal_site(x[s], weights, "T.tmp", dfa=dfa, log=sample_log)
+        assert delta[s].tobytes() == want.tobytes()
+    assert flop_totals(stacked_log) == flop_totals(sample_log)

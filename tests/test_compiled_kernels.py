@@ -4,7 +4,9 @@ Inputs mix ordinary values with signed zeros, subnormals, infinities and
 NaNs, and shapes include empty and unit dimensions.  Outputs must be the
 same bytes; when an input holds a NaN, only the NaN positions must agree,
 because which NaN's bits survive the sum of two NaNs is not fixed (numpy
-itself picks differently for different array lengths).
+itself picks differently for different array lengths).  Attention applies
+the same rule wherever the reference output holds a NaN, since it also
+makes NaNs from infinities in its row max.
 """
 
 import shutil
@@ -103,6 +105,87 @@ def test_conv2d_frames_matches_reference(data, f, ci, h, w, co, stride, special)
     assert_same(kernels._conv2d_frames_c(x, wt, bias, stride), want, x, wt, bias)
 
 
+keys = st.sampled_from([0, 1, 2, 3, 5, 8, 9, 15, 16, 17, 31, 33, 64, 65, 70])
+
+
+def assert_same_nan_rule(got: np.ndarray, want: np.ndarray) -> None:
+    """Bytes must match; where the reference has NaN, only the NaN positions must.
+
+    Attention can make a NaN from NaN-free inputs (inf - inf in the row
+    max subtraction, inf * 0 in a score), and its bits are not fixed either.
+    """
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.data(), st.integers(0, 3), st.integers(0, 13), keys, st.integers(0, 9), st.integers(0, 9),
+    st.booleans(),
+)
+def test_attention_matches_reference(data, bn, lq, lk, d, dv, special):
+    q = data.draw(tensor((bn, lq, d), special))
+    k = data.draw(tensor((bn, lk, d), special))
+    v = data.draw(tensor((bn, lk, dv), special))
+    if bn and lq and data.draw(st.booleans()):
+        q[data.draw(st.integers(0, bn - 1)), data.draw(st.integers(0, lq - 1))] = -0.0
+    if bn and lk and data.draw(st.booleans()):
+        k[data.draw(st.integers(0, bn - 1)), data.draw(st.integers(0, lk - 1))] = -0.0
+    scale = np.float32(1.0 / np.sqrt(d)) if d else np.float32(1.0)
+    with np.errstate(all="ignore"):
+        want = kernels._attention_np(q, k, v, scale)
+        got = kernels._attention_c(q, k, v, scale)
+    for g, w in zip(got, want):
+        assert_same_nan_rule(g, w)
+
+
+def test_attention_special_score_rows_match_reference():
+    """-0.0 queries, rows of +-inf and NaN scores, and single +-inf scores among finite ones."""
+    d, lk = 3, 17
+    rng = np.random.default_rng(5)
+    q = np.abs(rng.standard_normal((3, 5, d), dtype=np.float32)) + np.float32(0.5)
+    k = rng.standard_normal((3, lk, d), dtype=np.float32)
+    v = rng.standard_normal((3, lk, 4), dtype=np.float32)
+    k[:, :, 0] = np.abs(k[:, :, 0]) + np.float32(1.0)
+    q[0, 0] = -0.0               # every score +0.0: uniform probabilities
+    q[0, 1] = [np.inf, 0, 0]     # every score +inf: inf - inf gives a NaN row
+    q[0, 2] = [-np.inf, 0, 0]    # every score -inf: NaN row
+    q[0, 3] = [np.nan, 0, 0]     # NaN scores
+    k[1, 6] = [-np.inf, 0, 0]    # one -inf score per row: weight exactly 0
+    k[2, 5] = [np.inf, 0, 0]     # one +inf score per row: NaN row
+    scale = np.float32(1.0 / np.sqrt(d))
+    with np.errstate(all="ignore"):
+        want = kernels._attention_np(q, k, v, scale)
+        got = kernels._attention_c(q, k, v, scale)
+    for g, w in zip(got, want):
+        assert_same_nan_rule(g, w)
+    probs = got[1]
+    assert np.all(probs[0, 0] == np.float32(1.0) / np.float32(lk))
+    assert np.isnan(probs[0, 1:4]).all() and not np.isnan(probs[0, 4]).any()
+    assert not np.isnan(probs[1]).any() and np.all(probs[1, :, 6] == 0.0)
+    assert np.isnan(probs[2]).all()
+
+
+def test_attention_batch_slabs_give_the_bytes_of_one_call(monkeypatch):
+    rng = np.random.default_rng(6)
+    q = rng.standard_normal((5, 7, 4), dtype=np.float32)
+    k = rng.standard_normal((5, 9, 4), dtype=np.float32)
+    v = rng.standard_normal((5, 9, 3), dtype=np.float32)
+    want = kernels._attention_np(q, k, v, np.float32(0.5))
+    before = kernels.active_backend()
+    monkeypatch.setattr(kernels, "_ATTN_SLAB", 2 * 7 * 9)
+    try:
+        for backend in ("compiled", "numpy"):
+            kernels.set_backend(backend)
+            out, probs = kernels.attention_batch(q, k, v, keep_probs=True)
+            assert out.tobytes() == want[0].tobytes()
+            assert probs.tobytes() == want[1].tobytes()
+    finally:
+        kernels.set_backend(before)
+
+
 def test_conv_border_inf_weight_gives_nan_like_reference():
     x = np.ones((1, 1, 3, 3), np.float32)
     w = np.zeros((1, 1, 3, 3), np.float32)
@@ -134,11 +217,14 @@ def test_default_forward_pass_kernel_calls_match_reference():
     z = Rng(0).child(2).normal((1, cfg.latent_channels, cfg.frames, cfg.height, cfg.width))
     calls = []
 
+    def as_bytes(out):
+        return b"".join(x.tobytes() for x in (out if isinstance(out, tuple) else (out,)))
+
     def record(name, fn):
         def wrapped(*args):
             out = fn(*args)
             copies = tuple(x.copy() if isinstance(x, np.ndarray) else x for x in args)
-            calls.append((name, copies, out.copy()))
+            calls.append((name, copies, as_bytes(out)))
             return out
         return wrapped
 
@@ -153,9 +239,9 @@ def test_default_forward_pass_kernel_calls_match_reference():
     finally:
         kernels._IMPLS.update(saved)
         kernels.set_backend(before)
-    assert {name for name, _, _ in calls} == {0, 1, 2}
+    assert {name for name, _, _ in calls} == {0, 2, 3}  # matmul, conv, attention
     for name, args, out in calls:
-        assert out.tobytes() == saved["numpy"][name](*args).tobytes()
+        assert out == as_bytes(saved["numpy"][name](*args))
 
 
 def test_concurrent_calls_from_more_threads_than_cores_give_reference_bytes():
@@ -168,15 +254,20 @@ def test_concurrent_calls_from_more_threads_than_cores_give_reference_bytes():
         bias = rng.standard_normal(16 + 4 * i, dtype=np.float32)
         a = rng.standard_normal((40 + i, 30), dtype=np.float32)
         b = rng.standard_normal((30, 17 + i), dtype=np.float32)
-        want = (kernels._conv2d_frames_np(x, w, bias, 1 + i % 2), kernels._matmul_np(a, b))
-        jobs.append(((x, w, bias, 1 + i % 2), (a, b), want))
+        qkv = (rng.standard_normal((2, 30 + i, 8), dtype=np.float32),
+               rng.standard_normal((2, 40 + 3 * i, 8), dtype=np.float32),
+               rng.standard_normal((2, 40 + 3 * i, 8), dtype=np.float32), np.float32(0.25))
+        want = (kernels._conv2d_frames_np(x, w, bias, 1 + i % 2), kernels._matmul_np(a, b),
+                kernels._attention_np(*qkv)[1])
+        jobs.append(((x, w, bias, 1 + i % 2), (a, b), qkv, want))
     bad = []
 
     def work(job):
-        conv_args, mm_args, (want_conv, want_mm) = job
+        conv_args, mm_args, attn_args, (want_conv, want_mm, want_probs) = job
         for _ in range(30):
             if (kernels._conv2d_frames_c(*conv_args).tobytes() != want_conv.tobytes()
-                    or kernels._matmul_c(*mm_args).tobytes() != want_mm.tobytes()):
+                    or kernels._matmul_c(*mm_args).tobytes() != want_mm.tobytes()
+                    or kernels._attention_c(*attn_args)[1].tobytes() != want_probs.tobytes()):
                 bad.append(job)
 
     interval = sys.getswitchinterval()

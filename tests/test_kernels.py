@@ -117,6 +117,7 @@ def test_backends_agree_bitwise():
     x = rng.normal((3, 6, 6))
     w = rng.normal((4, 3, 3, 3))
     bias = rng.normal((4,))
+    qkv = (rng.normal((2, 5, 8)), rng.normal((2, 21, 8)), rng.normal((2, 21, 8)))
     before = kernels.active_backend()
     try:
         kernels.set_backend("numpy")
@@ -124,12 +125,15 @@ def test_backends_agree_bitwise():
         mb_np = kernels.matmul_batch(ab, bb)
         cv_np = kernels.conv2d(x, w, bias)
         cv2_np = kernels.conv2d(x, w, bias, stride=2)
+        at_np, pr_np = kernels.attention_batch(*qkv, keep_probs=True)
         kernels.set_backend("compiled")
         assert kernels.active_backend() == "compiled"
         assert kernels.matmul(a, b).tobytes() == mm_np.tobytes()
         assert kernels.matmul_batch(ab, bb).tobytes() == mb_np.tobytes()
         assert kernels.conv2d(x, w, bias).tobytes() == cv_np.tobytes()
         assert kernels.conv2d(x, w, bias, stride=2).tobytes() == cv2_np.tobytes()
+        at_c, pr_c = kernels.attention_batch(*qkv, keep_probs=True)
+        assert at_c.tobytes() == at_np.tobytes() and pr_c.tobytes() == pr_np.tobytes()
     finally:
         kernels.set_backend(before)
 
@@ -317,9 +321,11 @@ def test_attention_batch_matches_per_slice():
     q = rng.normal((4, 5, 3))
     k = rng.normal((4, 6, 3))
     v = rng.normal((4, 6, 3))
-    got = kernels.attention_batch(q, k, v)
+    got, probs = kernels.attention_batch(q, k, v, keep_probs=True)
+    assert kernels.attention_batch(q, k, v)[1] is None
     for i in range(4):
-        assert np.array_equal(got[i], kernels.scaled_dot_attention(q[i], k[i], v[i]))
+        assert got[i].tobytes() == kernels.scaled_dot_attention(q[i], k[i], v[i]).tobytes()
+        assert probs[i].tobytes() == kernels.attention_probs(q[i], k[i]).tobytes()
 
 
 def test_attention_batch_rejects_mismatch():

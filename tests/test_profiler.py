@@ -39,6 +39,16 @@ def test_flop_log_accumulates_events():
     assert log.total() == 58
 
 
+def test_flop_log_per_sample_splits_every_event_exactly():
+    log = profiler.FlopLog()
+    log.add("matmul", "proj", (3 * 2, 3, 4))
+    log.add("elementwise", "act", (3 * 10,))
+    assert log.per_sample(3).events == [("matmul", "proj", 48), ("elementwise", "act", 10)]
+    log.add("elementwise", "once", (10,))
+    with pytest.raises(InvariantError):
+        log.per_sample(3)
+
+
 def test_ledger_views():
     ledger = profiler.FlopLedger()
     ledger.add("matmul", "a", 5, (1, 1, 1))

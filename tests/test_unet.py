@@ -215,3 +215,65 @@ def test_functional_wrappers_match_methods(small_cfg, small_model, small_cond, s
     assert np.array_equal(tr.eps, direct.eps)
     eps = un.subnet_forward(tr.f_u31, small_latent, 21, small_cond, small_model.w, small_cfg)
     assert np.array_equal(eps, direct.eps)
+
+
+def _flop_totals(log):
+    out = {}
+    for tag, layer, n in log.events:
+        out[(tag, layer)] = out.get((tag, layer), 0) + n
+    return out
+
+
+def _dfa_caches(model, z, t, cond):
+    """Background rows of a full pass, in the layout a non-key phase reads."""
+    from cachediff import engine
+
+    masks = engine._layer_masks(model.cfg, cond.mask)
+    rows: dict = {}
+
+    def sink(layer, site, frame, a):
+        got = a[masks[layer].bg_index]
+        if site == "temporal":
+            rows[(layer, site)] = got
+        else:
+            rows.setdefault((layer, site), []).append(got)
+
+    tr = model.forward(z, t, cond, bg_sink=sink)
+    bg = {key: v if isinstance(v, np.ndarray) else np.stack(v) for key, v in rows.items()}
+    entry = engine.BlockCache(key_t=t, f_u31=tr.f_u31, eps_key=tr.eps, z_after_key=z, bg=bg)
+    return tr, engine._dfa_from_cache(masks, entry)
+
+
+@pytest.mark.parametrize("restricted", [False, True])
+@pytest.mark.parametrize("shared_feature", [True, False])
+def test_stacked_subnet_matches_single_calls(small_cfg, small_model, small_cond, restricted,
+                                             shared_feature):
+    """k samples in one subnet call give the bytes and per-sample FLOPs of k single calls."""
+    ts = [41, 29, 17]
+    zs = [latent_for(small_cfg, seed=s) for s in range(3)]
+    tr, dfa = _dfa_caches(small_model, zs[0], 47, small_cond)
+    if not restricted:
+        dfa = None
+    feats = [tr.f_u31] if shared_feature else [
+        small_model.forward(z, 47, small_cond).f_u31 for z in zs
+    ]
+    log = FlopLog()
+    eps = small_model.subnet(
+        np.concatenate(feats), np.concatenate(zs), ts, small_cond,
+        log=log, dfa=dfa, removal_active=restricted,
+    )
+    per_sample = log.per_sample(len(ts))
+    for i, (z, t) in enumerate(zip(zs, ts)):
+        one = FlopLog()
+        want = small_model.subnet(
+            feats[0 if shared_feature else i], z, t, small_cond,
+            log=one, dfa=dfa, removal_active=restricted,
+        )
+        assert eps[i : i + 1].tobytes() == want.tobytes()
+        assert _flop_totals(per_sample) == _flop_totals(one)
+
+
+def test_subnet_rejects_timestep_count_mismatch(small_model, small_cond, small_latent):
+    tr = small_model.forward(small_latent, 29, small_cond)
+    with pytest.raises(ConfigError):
+        small_model.subnet(tr.f_u31, small_latent, [29, 21], small_cond)
