@@ -1,9 +1,11 @@
 """Denoising orchestration: caching, estimation, parallel prediction.
 
 A run walks a timestep plan block by block.  The block's key step runs
-the full network, caches the U31 feature, the predicted noise, and (for
-restricted-attention variants) background attention rows.  Non-key steps
-run the truncated subnet only.  Their inputs are either reused from the
+the full network; its trace holds the block's cache: the U31 feature, the
+predicted noise and, for restricted-attention variants, the background
+attention rows as ``ForwardTrace.dfa``, which the subnet reads as is.
+The cache lives only as long as its block.  Non-key steps run the
+truncated subnet only.  Their inputs are either reused from the
 post-key latent or estimated by unrolling the deterministic update with
 the key noise (:func:`estimate_input_latents`); the subnet evaluations
 are then independent and run as one parallel phase.  The phase splits the
@@ -23,11 +25,11 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CacheMissError, ConfigError, InvariantError
+from .errors import ConfigError, InvariantError
 from .masks import ForegroundMask, downsample_mask
 from .profiler import FlopLedger, FlopLog
 from .schedule import (
@@ -37,7 +39,7 @@ from .schedule import (
     ddim_step_skipping,
 )
 from .tensor_io import checksum
-from .unet import Conditioning, LayerDfa, ToyUNet, UNetConfig
+from .unet import Conditioning, ToyUNet, UNetConfig
 
 VARIANTS = ("baseline", "lcp", "lcp_dfa", "lcp_dfa_rm")
 
@@ -70,37 +72,6 @@ class Strategy:
     @property
     def uses_removal(self) -> bool:
         return self.variant == "lcp_dfa_rm"
-
-
-@dataclass
-class BlockCache:
-    """Features cached at one key step."""
-
-    key_t: int
-    f_u31: np.ndarray
-    eps_key: np.ndarray
-    z_after_key: np.ndarray
-    bg: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
-
-
-class CacheStore:
-    """Write-once per-clip cache keyed by key timestep."""
-
-    def __init__(self):
-        self._entries: dict[int, BlockCache] = {}
-
-    def put(self, entry: BlockCache) -> None:
-        if entry.key_t in self._entries:
-            raise InvariantError(f"cache overwrite at key timestep {entry.key_t}")
-        self._entries[entry.key_t] = entry
-
-    def get(self, key_t: int) -> BlockCache:
-        if key_t not in self._entries:
-            raise CacheMissError(f"no cache entry for key timestep {key_t}")
-        return self._entries[key_t]
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 def estimate_input_latents(
@@ -175,20 +146,6 @@ def _layer_masks(cfg: UNetConfig, mask: ForegroundMask) -> dict[str, ForegroundM
     }
 
 
-def _dfa_from_cache(
-    masks: dict[str, ForegroundMask], entry: BlockCache
-) -> dict[str, LayerDfa]:
-    out = {}
-    for layer, m in masks.items():
-        out[layer] = LayerDfa(
-            mask=m,
-            reference=entry.bg.get((layer, "reference")),
-            audio=entry.bg.get((layer, "audio")),
-            temporal=entry.bg.get((layer, "temporal")),
-        )
-    return out
-
-
 def denoise_clip(
     model: ToyUNet,
     sched: NoiseSchedule,
@@ -208,7 +165,6 @@ def denoise_clip(
     _check_finite(z_T, "initialization")
     eff_plan = plan if strategy.uses_cache else plan.singleton()
     masks = _layer_masks(cfg, cond.mask) if strategy.uses_dfa else None
-    store = CacheStore()
     own_runner = runner is None
     if own_runner:
         runner = ParallelRunner(strategy.workers, strategy.dispatch_overhead_ns)
@@ -223,7 +179,7 @@ def denoise_clip(
             boundary = blocks[bi + 1].key if bi + 1 < len(blocks) else 0
             z, modeled = _run_block(
                 model, sched, block, boundary, strategy, z, cond,
-                store, masks, ledger, per_step, hooks, runner, n_update,
+                masks, ledger, per_step, hooks, runner, n_update,
             )
             modeled_total += modeled
     finally:
@@ -258,33 +214,18 @@ def denoise_clip(
 
 def _run_block(
     model, sched, block: Block, boundary: int, strategy: Strategy, z, cond,
-    store: CacheStore, masks, ledger: FlopLedger, per_step: list, hooks, runner,
-    n_update: int,
+    masks, ledger: FlopLedger, per_step: list, hooks, runner, n_update: int,
 ):
     """Execute one block (key step plus optional non-key phase)."""
     if hooks is not None:
         hooks.begin_step(block.key, "key")
     want_bg = strategy.uses_dfa and bool(block.nonkeys)
-    bg_data: dict[tuple[str, str], np.ndarray] = {}
-
-    def bg_sink(layer, site, frame, a_full):
-        m = masks[layer]
-        rows = a_full[m.bg_index]
-        if site == "temporal":
-            bg_data[(layer, site)] = rows
-        else:
-            slot = bg_data.get((layer, site))
-            if slot is None:
-                slot = np.empty((model.cfg.frames,) + rows.shape, dtype=np.float32)
-                bg_data[(layer, site)] = slot
-            slot[frame] = rows
-
     log = FlopLog()
     t0 = time.perf_counter_ns()
     trace = model.forward(
         z, block.key, cond,
         log=log,
-        bg_sink=bg_sink if want_bg else None,
+        bg_masks=masks if want_bg else None,
         hooks=hooks,
         removal_active=strategy.uses_removal,
     )
@@ -302,36 +243,24 @@ def _run_block(
     if not block.nonkeys:
         return z_next, key_wall
 
-    entry = BlockCache(
-        key_t=block.key,
-        f_u31=trace.f_u31,
-        eps_key=trace.eps,
-        z_after_key=z_next,
-        bg=bg_data,
-    )
-    store.put(entry)
-    dfa = _dfa_from_cache(masks, entry) if strategy.uses_dfa else None
-
     # Subnet inputs: the first non-key step always sees its true latent;
     # later steps see estimates (if eligible) or the same post-key latent.
     n = len(block.nonkeys)
     estimating = strategy.estimation and block.estimation_eligible and n > 1
     e0 = time.perf_counter_ns()
     if estimating:
-        inputs = [entry.z_after_key] + estimate_input_latents(
-            entry.z_after_key, entry.eps_key, block.nonkeys, sched
-        )
+        inputs = [z_next] + estimate_input_latents(z_next, trace.eps, block.nonkeys, sched)
     else:
-        inputs = [entry.z_after_key] * n
+        inputs = [z_next] * n
     est_wall = time.perf_counter_ns() - e0 if estimating else 0
 
     def make_task(steps: range):
         def task():
             clog = FlopLog()
             eps = model.subnet(
-                entry.f_u31, np.concatenate([inputs[j] for j in steps]),
+                trace.f_u31, np.concatenate([inputs[j] for j in steps]),
                 [block.nonkeys[j] for j in steps], cond,
-                log=clog, dfa=dfa, removal_active=strategy.uses_removal,
+                log=clog, dfa=trace.dfa, removal_active=strategy.uses_removal,
             )
             return eps, clog.per_sample(len(steps))
 
@@ -348,7 +277,7 @@ def _run_block(
             step_logs.append(sample_log.events)
             step_walls.append(wall // len(steps))
 
-    cur = entry.z_after_key
+    cur = z_next
     phase2_walls = []
     for j, t_j in enumerate(block.nonkeys):
         if hooks is not None:

@@ -344,9 +344,11 @@ def silu(x: np.ndarray) -> np.ndarray:
 
 
 def upsample_nearest(x: np.ndarray) -> np.ndarray:
-    """Nearest-neighbour 2x spatial upsampling of a (c,h,w) array."""
-    x = _f32(x, "x", 3)
-    return np.repeat(np.repeat(x, 2, axis=1), 2, axis=2)
+    """Nearest-neighbour 2x upsampling of the last two axes of a (..., h, w) stack."""
+    x = _f32(x, "x", np.ndim(x))
+    if x.ndim < 2:
+        raise ValueError(f"x needs at least 2 dims, got shape {x.shape}")
+    return np.repeat(np.repeat(x, 2, axis=-2), 2, axis=-1)
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:

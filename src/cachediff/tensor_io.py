@@ -1,15 +1,12 @@
 """Tensor file format and checksums.
 
 A ``.tns`` file is a single text header line ``shape: d0,d1,...`` followed
-by the row-major float32 payload in little-endian byte order.  Model
-weights are stored as one ``.tns`` per layer next to a ``manifest.json``
-listing layer names in canonical order.
+by the row-major float32 payload in little-endian byte order.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from pathlib import Path
 
 import numpy as np
@@ -64,28 +61,3 @@ def read_tns(path: str | Path, check_finite: bool = True) -> np.ndarray:
     if check_finite and not np.isfinite(arr).all():
         raise InvariantError(f"{path}: non-finite values in tensor")
     return arr
-
-
-def save_weights(dirpath: str | Path, weights: dict[str, np.ndarray], order: list[str]) -> None:
-    """Write one ``.tns`` per layer plus a manifest of layer names."""
-    d = Path(dirpath)
-    d.mkdir(parents=True, exist_ok=True)
-    if set(order) != set(weights):
-        raise ValueError("manifest order does not cover the weight dict")
-    for name in order:
-        write_tns(d / f"{name}.tns", weights[name])
-    (d / "manifest.json").write_text(json.dumps({"layers": order}, indent=2) + "\n")
-
-
-def load_weights(dirpath: str | Path) -> tuple[dict[str, np.ndarray], list[str]]:
-    """Read a weights directory back; validates manifest and finiteness."""
-    d = Path(dirpath)
-    mpath = d / "manifest.json"
-    if not mpath.exists():
-        raise ConfigError(f"{mpath}: manifest not found")
-    try:
-        order = json.loads(mpath.read_text())["layers"]
-    except (json.JSONDecodeError, KeyError) as exc:
-        raise ConfigError(f"{mpath}: malformed manifest") from exc
-    weights = {name: read_tns(d / f"{name}.tns") for name in order}
-    return weights, list(order)

@@ -11,6 +11,11 @@ the first encoder skip, ``U31`` refines, and ``U32`` consumes the
 ``conv_in`` feature.  The output of ``U31`` is the cacheable feature: a
 truncated forward pass (:meth:`ToyUNet.subnet`) reproduces the tail of
 the network exactly from that feature plus a fresh latent.
+
+Given one foreground mask per attention layer, the full pass also returns
+the background rows of every attention site's output as the
+:class:`attention.DfaContext` the truncated pass reads
+(:attr:`ForwardTrace.dfa`).
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 
 from . import attention as attn
 from .errors import ConfigError
-from .kernels import conv2d, conv2d_frames, matmul, silu, upsample_nearest
+from .kernels import conv2d_frames, matmul, silu, upsample_nearest
 from .masks import ForegroundMask
 from .profiler import FlopLog
 from .rng import Rng
@@ -104,22 +109,17 @@ class Conditioning:
             raise ConfigError(f"valid_frames must be in [1, {cfg.frames}], got {self.valid_frames}")
 
 
-@dataclass
-class LayerDfa:
-    """Restriction state for one attention layer (mask at layer resolution)."""
-
-    mask: ForegroundMask
-    reference: np.ndarray | None = None
-    audio: np.ndarray | None = None
-    temporal: np.ndarray | None = None
+# Restriction contexts keyed by (attention layer, site).
+DfaCache = dict[tuple[str, str], attn.DfaContext]
 
 
 @dataclass
 class ForwardTrace:
-    """Outputs of a full forward pass."""
+    """Outputs of a full forward pass; ``dfa`` only when background masks were given."""
 
     eps: np.ndarray
     f_u31: np.ndarray
+    dfa: DfaCache | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +303,6 @@ class ToyUNet:
             log.add("elementwise", prefix, (h1.size + 2 * h2.size,))
         return base + np.float32(0.5) * h2
 
-    def _upsample(self, x: np.ndarray) -> np.ndarray:
-        return np.stack([upsample_nearest(x[i]) for i in range(x.shape[0])])
-
     # -- attention module (three sites in order)
 
     def _attn_module(
@@ -314,75 +311,73 @@ class ToyUNet:
         layer: str,
         cond: Conditioning,
         log: FlopLog | None,
-        dfa: dict[str, LayerDfa] | None,
-        bg_sink=None,
+        dfa: DfaCache | None,
         hooks=None,
         removal_active: bool = False,
-    ) -> np.ndarray:
+        bg_mask: ForegroundMask | None = None,
+    ) -> tuple[np.ndarray, DfaCache]:
         """Reference, audio and temporal sites on a stack of samples' frames.
 
         Each site runs once for the whole stack; temporal attention stays
-        inside each sample's frames.  ``bg_sink`` receives the full-path
-        attention output of each frame (spatial sites) or of the sample
-        (temporal site) of a one-sample stack.
+        inside each sample's frames.  Returns the updated stack and, given
+        ``bg_mask`` on the full path of a one-sample stack, each site's
+        background rows with the mask, as the restricted path reads them.
         """
         n, c, h, w = x.shape
         f = self.cfg.frames
         k = n // f
         L = h * w
         half = np.float32(0.5)
-        layer_dfa = None if dfa is None else dfa.get(layer)
         removal = removal_active and layer in self.cfg.removal_set
+        rows: DfaCache = {}
 
         def ctx(site: str) -> attn.DfaContext | None:
-            if layer_dfa is None:
-                return None
-            return attn.DfaContext(layer_dfa.mask, getattr(layer_dfa, site))
+            return None if dfa is None else dfa.get((layer, site))
 
         def tokens(x: np.ndarray, name: str) -> np.ndarray:
             tok = np.ascontiguousarray(x.reshape(k, f, c, L).transpose(0, 1, 3, 2))
             return self._norm(tok, name, log, axis=-1)
+
+        def keep(site: str, a: np.ndarray) -> None:
+            # Gathered at once, so no site output outlives its site: spatial
+            # outputs are (1, f, L, d) and temporal ones (1, L, f, d).
+            if bg_mask is not None:
+                bg = bg_mask.bg_index
+                rows[(layer, site)] = attn.DfaContext(
+                    bg_mask, a[0][bg] if site == "temporal" else a[0][:, bg]
+                )
 
         def add_spatial(x: np.ndarray, delta: np.ndarray, name: str) -> np.ndarray:
             if log is not None:
                 log.add("elementwise", name, (2 * x.size,))
             return x + half * delta.transpose(0, 1, 3, 2).reshape(n, c, h, w)
 
-        def sink(site: str, a_full: np.ndarray | None) -> None:
-            if bg_sink is None or a_full is None:
-                return
-            if site == "temporal":
-                bg_sink(layer, site, None, a_full.reshape(a_full.shape[-3:]))
-                return
-            for fi, a in enumerate(a_full.reshape((-1,) + a_full.shape[-2:])):
-                bg_sink(layer, site, fi, a)
-
         name = f"{layer}.ref"
-        delta, a_full = attn.reference_site(
+        delta, a = attn.reference_site(
             tokens(x, name), self._norm(cond.ref[layer], name, log, copies=k), self.w, name,
             removal=removal, dfa=ctx("reference"), log=log, hooks=hooks,
         )
-        sink("reference", a_full)
+        keep("reference", a)
         x = add_spatial(x, delta, name)
 
         name = f"{layer}.aud"
-        delta, a_full = attn.audio_site(
+        delta, a = attn.audio_site(
             tokens(x, name), self._norm(cond.audio, name, log, axis=-1, copies=k), self.w, name,
             dfa=ctx("audio"), log=log, hooks=hooks,
         )
-        sink("audio", a_full)
+        keep("audio", a)
         x = add_spatial(x, delta, name)
 
         name = f"{layer}.tmp"
         x_loc = np.ascontiguousarray(x.reshape(k, f, c, L).transpose(0, 3, 1, 2))
-        delta, a_full = attn.temporal_site(
+        delta, a = attn.temporal_site(
             self._norm(x_loc, name, log, axis=-1), self.w, name,
             dfa=ctx("temporal"), log=log, hooks=hooks,
         )
-        sink("temporal", a_full)
+        keep("temporal", a)
         if log is not None:
             log.add("elementwise", name, (2 * x.size,))
-        return x + half * delta.transpose(0, 2, 3, 1).reshape(n, c, h, w)
+        return x + half * delta.transpose(0, 2, 3, 1).reshape(n, c, h, w), rows
 
     # -- tail shared between the full forward and the truncated subnet
 
@@ -393,11 +388,12 @@ class ToyUNet:
         temb: np.ndarray,
         cond: Conditioning,
         log: FlopLog | None,
-        dfa: dict[str, LayerDfa] | None,
-        bg_sink=None,
+        dfa: DfaCache | None,
         hooks=None,
         removal_active: bool = False,
-    ) -> np.ndarray:
+        bg_mask: ForegroundMask | None = None,
+    ) -> tuple[np.ndarray, DfaCache]:
+        """Noise prediction from the U31 feature and conv_in branch, plus U32's background rows."""
         # Each fusion branch is normalized on its own: the cached feature
         # accumulates the trunk's magnitude while the fresh conv_in branch
         # does not, and a joint scale would crush whichever branch is
@@ -412,11 +408,11 @@ class ToyUNet:
             axis=2,
         ).reshape((s_in.shape[0], -1) + s_in.shape[2:])
         x = self._res_unit(fused, temb, "U32.res", log)
+        rows = {}
         if "U32" in self.cfg.attention_layers:
-            x = self._attn_module(
-                x, "U32", cond, log, dfa, bg_sink, hooks, removal_active
-            )
-        return self._conv(self._silu(self._norm(x, "head", log), "head", log), "head", log)
+            x, rows = self._attn_module(x, "U32", cond, log, dfa, hooks, removal_active, bg_mask)
+        eps = self._conv(self._silu(self._norm(x, "head", log), "head", log), "head", log)
+        return eps, rows
 
     # -- public passes
 
@@ -427,50 +423,65 @@ class ToyUNet:
         cond: Conditioning,
         *,
         log: FlopLog | None = None,
-        dfa: dict[str, LayerDfa] | None = None,
-        bg_sink=None,
+        bg_masks: dict[str, ForegroundMask] | None = None,
         hooks=None,
         removal_active: bool = False,
     ) -> ForwardTrace:
-        """Full noise prediction; returns eps and the cacheable U31 feature."""
+        """Full noise prediction of one sample; returns eps and the cacheable U31 feature.
+
+        Given ``bg_masks``, one mask per attention layer at that layer's
+        resolution, the trace's ``dfa`` holds for every (layer, site) the
+        mask and the background rows of the site's full-path output: the
+        ``dfa`` argument of :meth:`subnet`.
+        """
         cfg = self.cfg
         self._check_latent(z)
+        if z.shape[0] != 1:
+            raise ConfigError(f"forward takes one sample, got {z.shape[0]}")
         cond.validate(cfg)
-        eps_out = np.empty_like(z)
-        f_u31_out = np.empty(
-            (z.shape[0], cfg.frames, cfg.base_channels[0], cfg.height, cfg.width), np.float32
-        )
-        for ib in range(z.shape[0]):
-            x = np.ascontiguousarray(z[ib].transpose(1, 0, 2, 3))
-            temb = self._time_features([t], log)
-            x = self._conv(x, "conv_in", log)
-            s_in = x
-            skips = []
-            for i, blk in enumerate(("D0", "D1", "D2", "D3")):
-                x = self._res_unit(x, temb, f"{blk}.res0", log)
-                x = self._res_unit(x, temb, f"{blk}.res1", log)
-                skips.append(x)
-                if i < 3:
-                    x = self._conv(x, f"down{i}", log, stride=2)
-            x = self._res_unit(x, temb, "M.res0", log)
-            if "M" in cfg.attention_layers:
-                x = self._attn_module(x, "M", cond, log, dfa, bg_sink, hooks, removal_active)
-            x = self._res_unit(x, temb, "M.res1", log)
-            for i, blk in enumerate(("U0", "U1", "U2")):
-                x = np.concatenate([x, skips[3 - i]], axis=1)
-                x = self._res_unit(x, temb, f"{blk}.res0", log)
-                x = self._res_unit(x, temb, f"{blk}.res1", log)
-                if blk == "U2" and "U2" in cfg.attention_layers:
-                    x = self._attn_module(x, "U2", cond, log, dfa, bg_sink, hooks, removal_active)
-                x = self._conv(self._upsample(x), f"up{i}", log)
-            x = self._res_unit(np.concatenate([x, skips[0]], axis=1), temb, "U30.res", log)
-            f_u31 = self._res_unit(x, temb, "U31.res", log)
-            eps = self._u32_head(
-                f_u31, s_in, temb, cond, log, dfa, bg_sink, hooks, removal_active
+        masks = dict.fromkeys(cfg.attention_layers) if bg_masks is None else bg_masks
+        dfa: DfaCache = {}
+
+        def attend(x: np.ndarray, layer: str) -> np.ndarray:
+            x, rows = self._attn_module(
+                x, layer, cond, log, None, hooks, removal_active, masks[layer]
             )
-            eps_out[ib] = eps.transpose(1, 0, 2, 3)
-            f_u31_out[ib] = f_u31
-        return ForwardTrace(eps=eps_out, f_u31=f_u31_out)
+            dfa.update(rows)
+            return x
+
+        x = np.ascontiguousarray(z[0].transpose(1, 0, 2, 3))
+        temb = self._time_features([t], log)
+        x = self._conv(x, "conv_in", log)
+        s_in = x
+        skips = []
+        for i, blk in enumerate(("D0", "D1", "D2", "D3")):
+            x = self._res_unit(x, temb, f"{blk}.res0", log)
+            x = self._res_unit(x, temb, f"{blk}.res1", log)
+            skips.append(x)
+            if i < 3:
+                x = self._conv(x, f"down{i}", log, stride=2)
+        x = self._res_unit(x, temb, "M.res0", log)
+        if "M" in cfg.attention_layers:
+            x = attend(x, "M")
+        x = self._res_unit(x, temb, "M.res1", log)
+        for i, blk in enumerate(("U0", "U1", "U2")):
+            x = np.concatenate([x, skips[3 - i]], axis=1)
+            x = self._res_unit(x, temb, f"{blk}.res0", log)
+            x = self._res_unit(x, temb, f"{blk}.res1", log)
+            if blk == "U2" and "U2" in cfg.attention_layers:
+                x = attend(x, "U2")
+            x = self._conv(upsample_nearest(x), f"up{i}", log)
+        x = self._res_unit(np.concatenate([x, skips[0]], axis=1), temb, "U30.res", log)
+        f_u31 = self._res_unit(x, temb, "U31.res", log)
+        eps, rows = self._u32_head(
+            f_u31, s_in, temb, cond, log, None, hooks, removal_active, masks.get("U32")
+        )
+        dfa.update(rows)
+        return ForwardTrace(
+            eps=np.ascontiguousarray(eps.transpose(1, 0, 2, 3))[None],
+            f_u31=f_u31[None],
+            dfa=None if bg_masks is None else dfa,
+        )
 
     def subnet(
         self,
@@ -480,7 +491,7 @@ class ToyUNet:
         cond: Conditioning,
         *,
         log: FlopLog | None = None,
-        dfa: dict[str, LayerDfa] | None = None,
+        dfa: DfaCache | None = None,
         removal_active: bool = False,
     ) -> np.ndarray:
         """Truncated pass: conv_in on fresh latents plus the cached-feature tail.
@@ -507,7 +518,7 @@ class ToyUNet:
         frames = np.ascontiguousarray(z.transpose(0, 2, 1, 3, 4))
         temb = self._time_features(ts, log)
         s_in = self._conv(frames.reshape((-1,) + frames.shape[2:]), "conv_in", log)
-        eps = self._u32_head(
+        eps, _ = self._u32_head(
             f_u31.reshape((-1,) + feat[1:]), s_in, temb, cond, log, dfa,
             removal_active=removal_active,
         )
@@ -521,13 +532,3 @@ class ToyUNet:
             raise ConfigError(f"latent must be (b,) + {want}, got {z.shape}")
         if z.dtype != np.float32:
             raise ConfigError(f"latent must be float32, got {z.dtype}")
-
-
-def unet_forward(z, t, cond, weights, cfg, **kw) -> ForwardTrace:
-    """Functional wrapper over :meth:`ToyUNet.forward`."""
-    return ToyUNet(cfg, weights).forward(z, t, cond, **kw)
-
-
-def subnet_forward(f_u31, z, t, cond, weights, cfg, **kw) -> np.ndarray:
-    """Functional wrapper over :meth:`ToyUNet.subnet`."""
-    return ToyUNet(cfg, weights).subnet(f_u31, z, t, cond, **kw)

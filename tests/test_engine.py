@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cachediff import engine as eng
-from cachediff.errors import CacheMissError, ConfigError, InvariantError
+from cachediff.errors import ConfigError, InvariantError
 from cachediff.masks import ellipse_mask
 from cachediff.schedule import build_timestep_plan, ddim_step_skipping
 from cachediff.tensor_io import checksum, tensor_bytes
@@ -34,19 +34,6 @@ def test_strategy_rejects_bad_fields():
         eng.Strategy(workers=0)
     with pytest.raises(ConfigError):
         eng.Strategy(dispatch_overhead_ns=-1)
-
-
-def test_cache_store_is_write_once():
-    store = eng.CacheStore()
-    z = np.zeros((1, 1, 1, 8, 8), dtype=np.float32)
-    entry = eng.BlockCache(key_t=50, f_u31=z, eps_key=z, z_after_key=z)
-    store.put(entry)
-    assert len(store) == 1
-    assert store.get(50) is entry
-    with pytest.raises(InvariantError):
-        store.put(eng.BlockCache(key_t=50, f_u31=z, eps_key=z, z_after_key=z))
-    with pytest.raises(CacheMissError):
-        store.get(49)
 
 
 def test_estimate_input_latents_matches_unrolled_updates(small_rc):

@@ -247,6 +247,14 @@ def test_upsample_nearest_replicates_blocks():
         for xx in range(6):
             assert np.array_equal(up[:, yy, xx], y[:, yy // 2, xx // 2])
     assert np.array_equal(up[:, ::2, ::2], y)
+    stack = Rng(11).normal((3, 2, 3, 3))
+    want = np.stack([kernels.upsample_nearest(s) for s in stack])
+    assert kernels.upsample_nearest(stack).tobytes() == want.tobytes()
+    assert np.array_equal(kernels.upsample_nearest(y[0]), up[0])
+    with pytest.raises(ValueError):
+        kernels.upsample_nearest(np.zeros(3, np.float32))
+    with pytest.raises(ValueError):
+        kernels.upsample_nearest(y.astype(np.float64))
 
 
 def test_softmax_rows_closed_forms():

@@ -68,33 +68,3 @@ def test_read_checks_finiteness(tmp_path):
         tensor_io.read_tns(path)
     back = tensor_io.read_tns(path, check_finite=False)
     assert np.isinf(back[1])
-
-
-def test_weights_roundtrip(tmp_path):
-    rng = Rng(2)
-    weights = {"a.w": rng.normal((2, 3)), "a.b": rng.normal((3,))}
-    order = ["a.w", "a.b"]
-    tensor_io.save_weights(tmp_path / "w", weights, order)
-    back, back_order = tensor_io.load_weights(tmp_path / "w")
-    assert back_order == order
-    for name in order:
-        assert np.array_equal(back[name], weights[name])
-
-
-def test_save_weights_rejects_incomplete_order(tmp_path):
-    weights = {"a": np.zeros(2, dtype=np.float32)}
-    with pytest.raises(ValueError):
-        tensor_io.save_weights(tmp_path / "w", weights, ["a", "b"])
-
-
-def test_load_weights_rejects_bad_manifests(tmp_path):
-    with pytest.raises(ConfigError):
-        tensor_io.load_weights(tmp_path / "missing")
-    d = tmp_path / "w"
-    d.mkdir()
-    (d / "manifest.json").write_text("not json")
-    with pytest.raises(ConfigError):
-        tensor_io.load_weights(d)
-    (d / "manifest.json").write_text("{\"wrong\": []}")
-    with pytest.raises(ConfigError):
-        tensor_io.load_weights(d)

@@ -4,9 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cachediff import engine
 from cachediff import unet as un
 from cachediff.errors import ConfigError
-from cachediff.masks import ellipse_mask
+from cachediff.masks import ellipse_mask, rect_mask
 from cachediff.profiler import FlopLog
 from cachediff.tensor_io import tensor_bytes
 
@@ -209,14 +210,6 @@ def test_subnet_costs_under_a_third_of_full_pass():
     assert 0 < sub_log.total() < 0.35 * full_log.total()
 
 
-def test_functional_wrappers_match_methods(small_cfg, small_model, small_cond, small_latent):
-    tr = un.unet_forward(small_latent, 21, small_cond, small_model.w, small_cfg)
-    direct = small_model.forward(small_latent, 21, small_cond)
-    assert np.array_equal(tr.eps, direct.eps)
-    eps = un.subnet_forward(tr.f_u31, small_latent, 21, small_cond, small_model.w, small_cfg)
-    assert np.array_equal(eps, direct.eps)
-
-
 def _flop_totals(log):
     out = {}
     for tag, layer, n in log.events:
@@ -224,24 +217,50 @@ def _flop_totals(log):
     return out
 
 
-def _dfa_caches(model, z, t, cond):
-    """Background rows of a full pass, in the layout a non-key phase reads."""
-    from cachediff import engine
+class _AttentionRecorder:
+    """Hooks that keep every full-path attention output, per (layer, site), in call order."""
 
-    masks = engine._layer_masks(model.cfg, cond.mask)
-    rows: dict = {}
+    def __init__(self):
+        self.outputs: dict = {}
 
-    def sink(layer, site, frame, a):
-        got = a[masks[layer].bg_index]
+    def on_attention(self, prefix, site, frame, probs, a, L):
+        self.outputs.setdefault((prefix.split(".")[0], site), []).append(a.copy())
+
+
+def test_forward_background_rows_match_full_path_outputs():
+    cfg = un.UNetConfig(
+        latent_channels=2, base_channels=(4, 5, 6, 7), height=16, width=16, frames=2,
+        audio_tokens=3, audio_dim=4, head_dim=4, time_dim=8,
+    )
+    model = un.ToyUNet(cfg, un.init_weights(cfg, 0)[0])
+    cond = build_conditioning_for(cfg, mask=rect_mask(16, 16, 0, 0, 8, 16))
+    z = latent_for(cfg)
+    masks = engine._layer_masks(cfg, cond.mask)
+    assert all(0 < m.num_fg < m.grid.size for m in masks.values())
+    hooks = _AttentionRecorder()
+    tr = model.forward(z, 23, cond, bg_masks=masks, hooks=hooks)
+    plain = model.forward(z, 23, cond)
+    assert plain.dfa is None
+    assert tr.eps.tobytes() == plain.eps.tobytes()
+    assert tr.f_u31.tobytes() == plain.f_u31.tobytes()
+    assert set(tr.dfa) == set(hooks.outputs) == {
+        (layer, site) for layer in cfg.attention_layers
+        for site in ("reference", "audio", "temporal")
+    }
+    for (layer, site), ctx in tr.dfa.items():
+        bg = masks[layer].bg_index
+        seen = hooks.outputs[(layer, site)]
         if site == "temporal":
-            rows[(layer, site)] = got
+            assert len(seen) == 1
+            want = seen[0][bg]
         else:
-            rows.setdefault((layer, site), []).append(got)
-
-    tr = model.forward(z, t, cond, bg_sink=sink)
-    bg = {key: v if isinstance(v, np.ndarray) else np.stack(v) for key, v in rows.items()}
-    entry = engine.BlockCache(key_t=t, f_u31=tr.f_u31, eps_key=tr.eps, z_after_key=z, bg=bg)
-    return tr, engine._dfa_from_cache(masks, entry)
+            assert len(seen) == cfg.frames
+            want = np.stack([a[bg] for a in seen])
+        assert ctx.mask is masks[layer]
+        assert ctx.bg.shape == want.shape and ctx.bg.dtype == np.float32
+        assert ctx.bg.tobytes() == want.tobytes()
+    with pytest.raises(ConfigError):
+        model.forward(np.concatenate([z, z]), 23, cond, bg_masks=masks)
 
 
 @pytest.mark.parametrize("restricted", [False, True])
@@ -251,9 +270,10 @@ def test_stacked_subnet_matches_single_calls(small_cfg, small_model, small_cond,
     """k samples in one subnet call give the bytes and per-sample FLOPs of k single calls."""
     ts = [41, 29, 17]
     zs = [latent_for(small_cfg, seed=s) for s in range(3)]
-    tr, dfa = _dfa_caches(small_model, zs[0], 47, small_cond)
-    if not restricted:
-        dfa = None
+    tr = small_model.forward(
+        zs[0], 47, small_cond, bg_masks=engine._layer_masks(small_cfg, small_cond.mask)
+    )
+    dfa = tr.dfa if restricted else None
     feats = [tr.f_u31] if shared_feature else [
         small_model.forward(z, 47, small_cond).f_u31 for z in zs
     ]
