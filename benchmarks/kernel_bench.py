@@ -22,6 +22,12 @@ from cachediff import kernels
 from cachediff.rng import Rng
 
 
+def preact_conv(x: np.ndarray, conv: kernels.PackedConv) -> np.ndarray:
+    """A residual unit's pre-activation conv: conv(silu(rms_norm(x)))."""
+    normed, gate = kernels.rms_norm(x, 1, gate=True)
+    return kernels.conv2d_frames(normed, conv, 1, gate)
+
+
 def make_cases(seed: int) -> dict:
     rng = Rng(seed)
     return {
@@ -30,12 +36,23 @@ def make_cases(seed: int) -> dict:
             (rng.child(0).normal((192, 160)), rng.child(1).normal((160, 224))),
         ),
         "conv2d": (
-            kernels.conv2d,
+            kernels.conv2d_frames,
             (
-                rng.child(2).normal((16, 24, 24)),
-                rng.child(3).normal((24, 16, 3, 3)),
-                rng.child(4).normal((24,)),
-                1,
+                rng.child(2).normal((1, 16, 24, 24)),
+                kernels.PackedConv(rng.child(3).normal((24, 16, 3, 3)), rng.child(4).normal((24,))),
+            ),
+        ),
+        # the token norm of the U32 attention sites of a default forward
+        # pass: 4 frames of 256 tokens, 16 channels
+        "rms_norm": (partial(kernels.rms_norm, axis=-1), (rng.child(12).normal((4, 256, 16)),)),
+        # a D0 residual unit's conv(silu(rms_norm(x))) in a default forward
+        # pass: 4 frames, 16 -> 16 channels, 16x16
+        "preact_conv": (
+            preact_conv,
+            (
+                rng.child(13).normal((4, 16, 16, 16)),
+                kernels.PackedConv(rng.child(14).normal((16, 16, 3, 3)),
+                                   rng.child(15).normal((16,))),
             ),
         ),
         "attention": (

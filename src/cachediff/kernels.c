@@ -14,7 +14,15 @@
  * The convolution reads its patches from a zero-padded copy of the input
  * and multiplies the padding zeros like any other element, so inf or NaN
  * weights give NaN where the reference does (which NaN's bits survive a
- * sum of two NaNs is not fixed, see kernels.py).
+ * sum of two NaNs is not fixed, see kernels.py).  Its weights arrive
+ * packed once per model; given a SiLU gate, the padded copy holds the
+ * activated input.
+ *
+ * The RMS norm is the one sum that does not always run in ascending
+ * order: it follows numpy's float32 np.mean, which sums a contiguous axis
+ * pairwise (pairwise_sq) and a strided one in ascending order.  It also
+ * writes the argument of SiLU's exp, so that a residual unit's
+ * conv(silu(rms_norm(x))) is cd_rms_norm, numpy's exp and cd_conv2d_frames.
  *
  * Attention is two entry points with numpy's exp applied in place between
  * them, so both backends share one libm exp: cd_attn_logits writes the
@@ -235,61 +243,153 @@ int cd_matmul(const float *a, const float *b, float *out, long m, long k, long n
     return cd_matmul_batch(a, b, out, 1, m, k, n);
 }
 
-/* 3x3 convolution, zero padding 1, of every frame of x (f, ci, h, w) with
- * w (co, ci, 3, 3) and bias (co); out is (f, co, ho, wo).  The reduction
- * runs over (ci, ky, kx) ascending and the bias is added after the sum.
+/* 3x3 convolution, zero padding 1, of every frame of x (f, ci, h, w); out
+ * is (f, co, ho, wo).  wp holds the packed weights, (ci * 9) rows of ldw
+ * floats, row p the weights of reduction index p = (ci, ky, kx) for every
+ * output channel; ldw is a multiple of 16, the widest vector, and columns
+ * co..ldw-1 are zero.  The reduction runs over p ascending and bias (co) is
+ * added after the sum.  With gate non-NULL (the shape of x), the input is
+ * x * (1 / (1 + gate)): silu(x) when gate = exp(-clip(x, -30, 30)).
  *
- * One GEMM with the output pixels as rows and the channels as columns:
- * row i reads its patch straight from a zero-padded copy of x, and the
- * weights are transposed once so that the channels are contiguous. */
-int cd_conv2d_frames(const float *x, const float *w, const float *bias, float *out,
-                     long f, long ci, long h, long wd, long co, long stride)
+ * One GEMM with the output pixels as rows and the channels as columns: row
+ * i reads its patch straight from a zero-padded copy of the input. */
+int cd_conv2d_frames(const float *x, const float *gate, const float *wp, long ldw,
+                     const float *bias, float *out, long f, long ci, long h, long wd, long co,
+                     long stride)
 {
     const long ph = h + 2, pw = wd + 2, k = ci * 9;
     const long ho = (h - 1) / stride + 1, wo = (wd - 1) / stride + 1, hw = ho * wo;
-    const long npix = f * hw, ldb = padded(co);
+    const long npix = f * hw;
     if (npix == 0 || co == 0)
         return 0;
     float *xp = xmalloc(sizeof(float) * f * ci * ph * pw);
-    float *wt = xmalloc(sizeof(float) * k * ldb);
     long *koff = xmalloc(sizeof(long) * k);   /* patch element p of a pixel */
     long *pix = xmalloc(sizeof(long) * npix); /* patch origin of a pixel in xp */
     long *opix = xmalloc(sizeof(long) * npix);
     int rc = -1;
-    if (!xp || !wt || !koff || !pix || !opix)
+    if (!xp || !koff || !pix || !opix)
         goto done;
     for (long pl = 0; pl < f * ci; pl++) {
         float *dst = xp + pl * ph * pw;
         memset(dst, 0, sizeof(float) * pw);
         for (long y = 0; y < h; y++) {
             float *row = dst + (y + 1) * pw;
+            const float *src = x + (pl * h + y) * wd;
             row[0] = 0.0f;
-            memcpy(row + 1, x + (pl * h + y) * wd, sizeof(float) * wd);
+            if (gate) {
+                const float *g = gate + (pl * h + y) * wd;
+                for (long j = 0; j < wd; j++)
+                    row[j + 1] = src[j] * (1.0f / (1.0f + g[j]));
+            } else {
+                memcpy(row + 1, src, sizeof(float) * wd);
+            }
             row[pw - 1] = 0.0f;
         }
         memset(dst + (ph - 1) * pw, 0, sizeof(float) * pw);
     }
-    transpose(w, k, co, k, wt, ldb); /* wt[p][j] = w[j][p] */
-    for (long p = 0; p < k; p++) {
-        memset(wt + p * ldb + co, 0, sizeof(float) * (ldb - co));
+    for (long p = 0; p < k; p++)
         koff[p] = (p / 9) * ph * pw + (p % 9 / 3) * pw + p % 3;
-    }
     for (long i = 0, fi = 0; fi < f; fi++)
         for (long y = 0; y < ho; y++)
             for (long xo = 0; xo < wo; xo++, i++) {
                 pix[i] = fi * ci * ph * pw + y * stride * pw + xo * stride;
                 opix[i] = fi * co * hw + y * wo + xo;
             }
-    const struct gemm g = {npix, co, k, xp, pix, koff, wt, ldb, out, bias, opix, hw};
+    const struct gemm g = {npix, co, k, xp, pix, koff, wp, ldw, out, bias, opix, hw};
     gemm_run(&g);
     rc = 0;
 done:
     free(xp);
-    free(wt);
     free(koff);
     free(pix);
     free(opix);
     return rc;
+}
+
+/* numpy's float32 sum of the squares of n contiguous floats (the pairwise
+ * sum of add.reduce): below 8 terms a plain sum; up to 128, eight
+ * interleaved sums combined as a tree, then the tail in order; above 128,
+ * the sums of two halves split at a multiple of 8.  Squares are never
+ * -0.0, so the sign of the starting zero does not matter. */
+static float pairwise_sq(const float *a, long n)
+{
+    if (n < 8) {
+        float res = 0.0f;
+        for (long i = 0; i < n; i++)
+            res = res + a[i] * a[i];
+        return res;
+    }
+    if (n <= 128) {
+        v8 r;
+        memcpy(&r, a, sizeof r);
+        r = r * r;
+        long i = 8;
+        for (; i < n - n % 8; i += 8) {
+            v8 v;
+            memcpy(&v, a + i, sizeof v);
+            r = r + v * v;
+        }
+        float res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res = res + a[i] * a[i];
+        return res;
+    }
+    long n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sq(a, n2) + pairwise_sq(a + n2, n - n2);
+}
+
+/* out = x / r[j] for n floats x[j]; with neg, also neg = -clip(out, -30,
+ * 30), NaN kept.  r of stride 0 divides every element by r[0]. */
+static void divide_row(const float *x, const float *r, long rs, float *out, float *neg, long n)
+{
+    for (long j = 0; j < n; j++)
+        out[j] = x[j] / r[j * rs];
+    if (!neg)
+        return;
+    for (long j = 0; j < n; j++) {
+        const float v = out[j];
+        neg[j] = -(v < -30.0f ? -30.0f : v > 30.0f ? 30.0f : v);
+    }
+}
+
+/* RMS norm over the middle axis of x (outer, c, inner), as numpy computes
+ *     out = x / sqrt(mean(x * x, axis) + 1e-5)
+ * in float32: the sum of squares is 0.0f + pairwise_sq over a contiguous
+ * axis (inner == 1) and an ascending sum from +0.0 over a strided one; the
+ * mean divides it by c.  With neg non-NULL, also neg = -clip(out, -30, 30),
+ * the argument of the exp in silu(out). */
+int cd_rms_norm(const float *x, float *out, float *neg, long outer, long c, long inner)
+{
+    enum { CHUNK = 256 };
+    float r[CHUNK];
+    if (inner == 1) {
+        for (long o = 0; o < outer; o++) {
+            r[0] = sqrtf((0.0f + pairwise_sq(x + o * c, c)) / (float)c + 1e-5f);
+            divide_row(x + o * c, r, 0, out + o * c, neg ? neg + o * c : NULL, c);
+        }
+        return 0;
+    }
+    for (long o = 0; o < outer; o++) {
+        for (long j0 = 0; j0 < inner; j0 += CHUNK) {
+            const long nj = inner - j0 < CHUNK ? inner - j0 : CHUNK;
+            const long base = o * c * inner + j0;
+            for (long j = 0; j < nj; j++)
+                r[j] = 0.0f;
+            for (long ch = 0; ch < c; ch++) {
+                const float *xs = x + base + ch * inner;
+                for (long j = 0; j < nj; j++)
+                    r[j] = r[j] + xs[j] * xs[j];
+            }
+            for (long j = 0; j < nj; j++)
+                r[j] = sqrtf(r[j] / (float)c + 1e-5f);
+            for (long ch = 0; ch < c; ch++) {
+                const long at = base + ch * inner;
+                divide_row(x + at, r, 1, out + at, neg ? neg + at : NULL, nj);
+            }
+        }
+    }
+    return 0;
 }
 
 typedef float vwf __attribute__((vector_size(VW * 4)));

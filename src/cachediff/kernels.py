@@ -6,7 +6,11 @@ product and each partial sum to float32 separately.  Attention subtracts
 the NaN-propagating row max from its scaled scores, exponentiates, and
 divides by the ascending row sum with a correctly rounded division.  For
 identical inputs the compiled backend, the numpy reference and a naive
-sequential loop therefore give the same bytes.  The one exception is the
+sequential loop therefore give the same bytes.  The RMS norm is the one
+sum in numpy's own order instead: its reference is ``np.mean``, a pairwise
+sum over a contiguous axis and an ascending one over a strided axis, which
+the compiled kernel reproduces for C-contiguous inputs (any other layout
+runs the reference under both backends).  The one exception is the
 payload of a NaN: NaN is produced at the same positions, but which NaN's
 bits survive an addition of two NaNs or a row max is not fixed (numpy's
 own choice varies with the array length).
@@ -20,9 +24,15 @@ about twenty times slower.
 
 The backend is chosen from the ``CACHEDIFF_BACKEND`` environment variable
 at import (``compiled``, the default, or ``numpy``) and can be switched at
-runtime with :func:`set_backend`.  Nonlinear elementwise math (exp,
-sigmoid) always runs through numpy, so both backends share one libm: the
-compiled attention is two kernel calls with numpy's exp in between.
+runtime with :func:`set_backend`.  Only ``exp`` runs through numpy under
+both backends, so they share one libm: the compiled attention is two
+kernel calls with numpy's exp in between, and a residual unit's
+pre-activation ``conv(silu(rms_norm(x)))`` is the norm kernel, numpy's exp
+of the SiLU gate it writes, and the conv kernel reading that gate.
+
+Conv weights are packed once (:class:`PackedConv`), in one layout that
+both backends read, so a model built under one backend runs under the
+other.
 """
 
 from __future__ import annotations
@@ -51,8 +61,49 @@ def _f32(x: np.ndarray, name: str, ndim: int) -> np.ndarray:
     return np.ascontiguousarray(x)
 
 
+# Packed conv weights have a multiple of this many columns: the widest
+# vector of any build of the compiled GEMM, so one packing serves both
+# backends and every build.
+_PACK_COLS = 16
+
+
+class PackedConv:
+    """3x3 conv weights (co, ci, 3, 3) and bias (co,), checked and packed once.
+
+    ``w`` is the (ci*9, ldw) matrix whose row p holds the weights of the
+    reduction index p = (ci, ky, kx) for every output channel, zero-padded
+    to ``ldw`` columns, the next multiple of 16.  The compiled kernel reads
+    it as is, the numpy reference its first ``co`` columns.
+    """
+
+    __slots__ = ("ci", "co", "w", "bias")
+
+    def __init__(self, w: np.ndarray, bias: np.ndarray):
+        w = _f32(w, "w", 4)
+        bias = _f32(bias, "bias", 1)
+        if w.shape[2:] != (3, 3):
+            raise ValueError(f"conv expects 3x3 kernels, got {w.shape}")
+        if bias.shape[0] != w.shape[0]:
+            raise ValueError(f"conv bias mismatch: {bias.shape} vs {w.shape}")
+        self.co, self.ci = w.shape[:2]
+        ldw = -(-self.co // _PACK_COLS) * _PACK_COLS
+        self.w = np.zeros((self.ci * 9, ldw), dtype=np.float32)
+        self.w[:, : self.co] = w.reshape(self.co, self.ci * 9).T
+        self.bias = bias.copy()
+
+
 # ---------------------------------------------------------------------------
 # numpy reference
+
+
+def _silu_gate(x: np.ndarray) -> np.ndarray:
+    """exp(-clip(x, -30, 30)): sigmoid(x) is 1 / (1 + gate)."""
+    return np.exp(-np.clip(x, np.float32(-30.0), np.float32(30.0)))
+
+
+def _apply_gate(x: np.ndarray, gate: np.ndarray) -> np.ndarray:
+    """silu(x) from x and its gate: the bytes of x * sigmoid(x)."""
+    return x * (np.float32(1.0) / (np.float32(1.0) + gate))
 
 
 def _matmul_np(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -71,10 +122,13 @@ def _matmul_batch_np(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _conv2d_frames_np(x: np.ndarray, w: np.ndarray, bias: np.ndarray, stride: int) -> np.ndarray:
+def _conv2d_frames_np(
+    x: np.ndarray, conv: PackedConv, stride: int, gate: np.ndarray | None = None
+) -> np.ndarray:
     """Patch matrix with columns ordered (ci, ky, kx), one matmul, bias, (f,co,ho,wo) layout."""
+    if gate is not None:
+        x = _apply_gate(x, gate)
     f, c_in, h, wid = x.shape
-    c_out = w.shape[0]
     pad = np.zeros((f, c_in, h + 2, wid + 2), dtype=np.float32)
     pad[:, :, 1 : h + 1, 1 : wid + 1] = x
     win = np.lib.stride_tricks.sliding_window_view(pad, (3, 3), axis=(2, 3))
@@ -83,9 +137,14 @@ def _conv2d_frames_np(x: np.ndarray, w: np.ndarray, bias: np.ndarray, stride: in
     patches = np.ascontiguousarray(
         win.transpose(0, 2, 3, 1, 4, 5).reshape(f * ho * wo, c_in * 9)
     )
-    wmat = np.ascontiguousarray(w.reshape(c_out, c_in * 9).T)
-    out = _matmul_np(patches, wmat) + bias[None, :]
-    return np.ascontiguousarray(out.reshape(f, ho, wo, c_out).transpose(0, 3, 1, 2))
+    out = _matmul_np(patches, conv.w[:, : conv.co]) + conv.bias[None, :]
+    return np.ascontiguousarray(out.reshape(f, ho, wo, conv.co).transpose(0, 3, 1, 2))
+
+
+def _rms_norm_np(x: np.ndarray, axis: int, gate: bool = False):
+    ms = np.mean(np.square(x), axis=axis, keepdims=True, dtype=np.float32)
+    out = x / np.sqrt(ms + np.float32(1e-5))
+    return (out, _silu_gate(out)) if gate else out
 
 
 def _attention_np(
@@ -151,15 +210,29 @@ def _matmul_batch_c(a: np.ndarray, b: np.ndarray, lib=None) -> np.ndarray:
 
 
 def _conv2d_frames_c(
-    x: np.ndarray, w: np.ndarray, bias: np.ndarray, stride: int, lib=None
+    x: np.ndarray, conv: PackedConv, stride: int, gate: np.ndarray | None = None, lib=None
 ) -> np.ndarray:
     f, c_in, h, wid = x.shape
-    c_out = w.shape[0]
-    out = np.empty((f, c_out, (h - 1) // stride + 1, (wid - 1) // stride + 1), dtype=np.float32)
+    out = np.empty((f, conv.co, (h - 1) // stride + 1, (wid - 1) // stride + 1), dtype=np.float32)
     _check((lib or _lib).cd_conv2d_frames(
-        _ptr(x), _ptr(w), _ptr(bias), _ptr(out), f, c_in, h, wid, c_out, stride
+        _ptr(x), None if gate is None else _ptr(gate), _ptr(conv.w), conv.w.shape[1],
+        _ptr(conv.bias), _ptr(out), f, c_in, h, wid, conv.co, stride,
     ))
     return out
+
+
+def _rms_norm_c(x: np.ndarray, axis: int, gate: bool = False, lib=None):
+    """The kernel writes the norm and -clip(out, -30, 30); numpy's exp makes that the gate."""
+    out = np.empty(x.shape, dtype=np.float32)
+    neg = np.empty(x.shape, dtype=np.float32) if gate else None
+    _check((lib or _lib).cd_rms_norm(
+        _ptr(x), _ptr(out), None if neg is None else _ptr(neg),
+        math.prod(x.shape[:axis]), x.shape[axis], math.prod(x.shape[axis + 1 :]),
+    ))
+    if neg is None:
+        return out
+    np.exp(neg, out=neg)
+    return out, neg
 
 
 def _attention_c(
@@ -180,7 +253,9 @@ def _self_check(lib) -> str | None:
 
     Sums of 37 normal products (and the attention row sums of 37
     exponentials) expose any change of summation order or rounding; the
-    cases also hold a row of -0.0 and a subnormal.
+    cases also hold a row of -0.0 and a subnormal.  The norm's rows of 137
+    terms of a wide range take every branch of numpy's pairwise sum; its
+    channel case sums over a strided axis.
     """
     rng = np.random.default_rng(0)
     a = rng.standard_normal((13, 37), dtype=np.float32)
@@ -189,7 +264,12 @@ def _self_check(lib) -> str | None:
     x = rng.standard_normal((2, 5, 5, 4), dtype=np.float32)
     x[1, 2] = -0.0
     w = rng.standard_normal((6, 5, 3, 3), dtype=np.float32)
-    bias = rng.standard_normal(6, dtype=np.float32)
+    conv = PackedConv(w, rng.standard_normal(6, dtype=np.float32))
+    gate = _silu_gate(x)
+    t = rng.standard_normal((8, 137), dtype=np.float32)
+    t *= np.exp2(rng.integers(-9, 9, 137)).astype(np.float32)
+    t[1] = -0.0
+    t[2, 5] = 3e-39
     b16, b21 = (rng.standard_normal((37, n), dtype=np.float32) for n in (16, 21))
     q = rng.standard_normal((2, 13, 5), dtype=np.float32)
     q[1, 4] = -0.0
@@ -201,10 +281,15 @@ def _self_check(lib) -> str | None:
         ("matmul_batch", _matmul_batch_c(a[None], b21[None], lib),
          _matmul_batch_np(a[None], b21[None])),
     ] + [
-        (f"conv2d_frames stride {s}", _conv2d_frames_c(x, w, bias, s, lib),
-         _conv2d_frames_np(x, w, bias, s))
+        (f"conv2d_frames stride {s}", _conv2d_frames_c(x, conv, s, None, lib),
+         _conv2d_frames_np(x, conv, s))
         for s in (1, 2)
     ] + [
+        ("gated conv2d_frames", _conv2d_frames_c(x, conv, 1, gate, lib),
+         _conv2d_frames_np(x, conv, 1, gate)),
+        ("rms_norm rows", _rms_norm_c(t, 1, False, lib), _rms_norm_np(t, 1)),
+        ("rms_norm channels", np.concatenate([x.ravel() for x in _rms_norm_c(x, 1, True, lib)]),
+         np.concatenate([x.ravel() for x in _rms_norm_np(x, 1, True)])),
         ("attention", np.concatenate([x.ravel() for x in _attention_c(q, kv, kv, scale, lib)]),
          np.concatenate([x.ravel() for x in _attention_np(q, kv, kv, scale)])),
     ]
@@ -233,8 +318,8 @@ def _compiled():
 
 
 _IMPLS = {
-    "compiled": (_matmul_c, _matmul_batch_c, _conv2d_frames_c, _attention_c),
-    "numpy": (_matmul_np, _matmul_batch_np, _conv2d_frames_np, _attention_np),
+    "compiled": (_matmul_c, _matmul_batch_c, _conv2d_frames_c, _attention_c, _rms_norm_c),
+    "numpy": (_matmul_np, _matmul_batch_np, _conv2d_frames_np, _attention_np, _rms_norm_np),
 }
 
 _active = os.environ.get(ENV_BACKEND, "compiled")
@@ -291,36 +376,51 @@ def conv2d(x: np.ndarray, w: np.ndarray, bias: np.ndarray, stride: int = 1) -> n
     (ci, ky, kx); the bias is added after the products.
     """
     x = _f32(x, "x", 3)
-    w = _f32(w, "w", 4)
-    bias = _f32(bias, "bias", 1)
-    if w.shape[2:] != (3, 3):
-        raise ValueError(f"conv2d expects 3x3 kernels, got {w.shape}")
-    if w.shape[1] != x.shape[0]:
-        raise ValueError(f"conv2d channel mismatch: x {x.shape} vs w {w.shape}")
-    if bias.shape[0] != w.shape[0]:
-        raise ValueError(f"conv2d bias mismatch: {bias.shape} vs {w.shape}")
-    if stride not in (1, 2):
-        raise ValueError(f"conv2d stride must be 1 or 2, got {stride}")
-    return conv2d_frames(x[None], w, bias, stride)[0]
+    return conv2d_frames(x[None], PackedConv(w, bias), stride)[0]
 
 
-def conv2d_frames(x: np.ndarray, w: np.ndarray, bias: np.ndarray, stride: int = 1) -> np.ndarray:
+def conv2d_frames(
+    x: np.ndarray, conv: PackedConv, stride: int = 1, gate: np.ndarray | None = None
+) -> np.ndarray:
     """Apply the 3x3 convolution to each frame of a (f,c,h,w) stack.
 
     Per-element results are identical to frame-by-frame :func:`conv2d`
     calls.  Zero padding is multiplied like any input element, so inf
-    weights on the border give NaN exactly as a naive loop does.
+    weights on the border give NaN exactly as a naive loop does.  Given the
+    ``gate`` that :func:`rms_norm` returns for ``x``, the input is
+    ``silu(x)``, with the bytes of :func:`silu`.
     """
     x = _f32(x, "x", 4)
-    w = _f32(w, "w", 4)
-    bias = _f32(bias, "bias", 1)
-    if w.shape[2:] != (3, 3) or w.shape[1] != x.shape[1] or bias.shape[0] != w.shape[0]:
-        raise ValueError(f"conv2d_frames shape mismatch: x {x.shape}, w {w.shape}")
+    if not isinstance(conv, PackedConv):
+        raise ValueError(f"conv2d_frames takes PackedConv weights, got {type(conv).__name__}")
+    if x.shape[1] != conv.ci:
+        raise ValueError(f"conv2d_frames channel mismatch: x {x.shape}, conv {conv.co}x{conv.ci}")
     if stride not in (1, 2):
         raise ValueError(f"conv2d_frames stride must be 1 or 2, got {stride}")
     if x.shape[2] < 1 or x.shape[3] < 1:
         raise ValueError(f"conv2d_frames needs a non-empty image, got x {x.shape}")
-    return _IMPLS[active_backend()][2](x, w, bias, stride)
+    if gate is not None:
+        gate = _f32(gate, "gate", 4)
+        if gate.shape != x.shape:
+            raise ValueError(f"conv2d_frames gate {gate.shape} does not match x {x.shape}")
+    return _IMPLS[active_backend()][2](x, conv, stride, gate)
+
+
+def rms_norm(x: np.ndarray, axis: int, *, gate: bool = False):
+    """Float32 RMS normalization over one axis: x / sqrt(mean(x * x, axis) + 1e-5).
+
+    The mean is ``np.mean``'s, summed in numpy's order for the array's
+    layout.  The compiled kernel reproduces that order for C-contiguous
+    arrays; any other layout runs the reference under both backends.  With
+    ``gate``, returns ``(out, exp(-clip(out, -30, 30)))``: the gate that
+    makes :func:`conv2d_frames` convolve ``silu(out)``.
+    """
+    if not isinstance(x, np.ndarray) or x.dtype != np.float32:
+        raise ValueError(f"rms_norm needs a float32 numpy array, got {type(x).__name__}")
+    if not -x.ndim <= axis < x.ndim:
+        raise ValueError(f"rms_norm axis {axis} out of range for shape {x.shape}")
+    impl = _IMPLS[active_backend()][4] if x.flags.c_contiguous else _rms_norm_np
+    return impl(x, axis % x.ndim, gate)
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +434,7 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     output is within 1e-13 of the true limit, stays a normal float32
     (no subnormals leaking into downstream kernels), and cannot overflow.
     """
-    z = np.clip(x, np.float32(-30.0), np.float32(30.0))
-    return (np.float32(1.0) / (np.float32(1.0) + np.exp(-z))).astype(np.float32, copy=False)
+    return (np.float32(1.0) / (np.float32(1.0) + _silu_gate(x))).astype(np.float32, copy=False)
 
 
 def silu(x: np.ndarray) -> np.ndarray:

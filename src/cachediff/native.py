@@ -38,7 +38,8 @@ _L = ctypes.c_long
 _SIGNATURES = {
     "cd_matmul": (_P, _P, _P, _L, _L, _L),
     "cd_matmul_batch": (_P, _P, _P, _L, _L, _L, _L),
-    "cd_conv2d_frames": (_P, _P, _P, _P, _L, _L, _L, _L, _L, _L),
+    "cd_conv2d_frames": (_P, _P, _P, _L, _P, _P, _L, _L, _L, _L, _L, _L),
+    "cd_rms_norm": (_P, _P, _P, _L, _L, _L),
     "cd_attn_logits": (_P, _P, _P, _L, _L, _L, _L, ctypes.c_float),
     "cd_attn_apply": (_P, _P, _P, _L, _L, _L, _L),
 }

@@ -11,6 +11,7 @@ float64; they feed CSV outputs, not the bit-exact compute path.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -19,32 +20,25 @@ import numpy as np
 
 from .errors import InvariantError
 
+# tag -> (number of dims, FLOPs per unit of the dims' product)
 _COSTS = {
-    "matmul": lambda d: 2 * d[0] * d[1] * d[2],
-    "conv2d": lambda d: 2 * d[0] * d[1] * 9 * d[2] * d[3],
-    "attention_scores": lambda d: 2 * d[0] * d[1] * d[2],
-    "attention_apply": lambda d: 2 * d[0] * d[1] * d[2],
-    "softmax": lambda d: 5 * d[0] * d[1],
-    "elementwise": lambda d: d[0],
-}
-
-_ARITY = {
-    "matmul": 3,
-    "conv2d": 4,
-    "attention_scores": 3,
-    "attention_apply": 3,
-    "softmax": 2,
-    "elementwise": 1,
+    "matmul": (3, 2),
+    "conv2d": (4, 2 * 9),
+    "attention_scores": (3, 2),
+    "attention_apply": (3, 2),
+    "softmax": (2, 5),
+    "elementwise": (1, 1),
 }
 
 
 def count_flops(tag: str, dims: Sequence[int]) -> int:
     """FLOPs for one operator invocation under the package conventions."""
-    if tag not in _COSTS:
+    cost = _COSTS.get(tag)
+    if cost is None:
         raise ValueError(f"unknown operator tag {tag!r}")
-    if len(dims) != _ARITY[tag]:
-        raise ValueError(f"tag {tag!r} takes {_ARITY[tag]} dims, got {tuple(dims)}")
-    return int(_COSTS[tag](tuple(int(d) for d in dims)))
+    if len(dims) != cost[0]:
+        raise ValueError(f"tag {tag!r} takes {cost[0]} dims, got {tuple(dims)}")
+    return int(cost[1] * math.prod(dims))
 
 
 class FlopLog:

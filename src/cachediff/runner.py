@@ -14,12 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import RunConfig
-from .engine import (
-    ParallelRunner,
-    Strategy,
-    denoise_clip,
-    segment_condition,
-)
+from .engine import ParallelRunner, denoise_clip, segment_condition
 from .errors import ConfigError
 from .kernels import active_backend
 from .masks import ForegroundMask, mask_from_spec
@@ -32,7 +27,6 @@ from .profiler import (
     speedup,
 )
 from .rng import Rng
-from .schedule import NoiseSchedule, TimestepPlan
 from .tensor_io import checksum
 from .unet import Conditioning, ToyUNet, UNetConfig, init_weights
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import attention as attn
 from .errors import ConfigError
-from .kernels import conv2d_frames, matmul, silu, upsample_nearest
+from .kernels import PackedConv, conv2d_frames, matmul, rms_norm, silu, upsample_nearest
 from .masks import ForegroundMask
 from .profiler import FlopLog
 from .rng import Rng
@@ -231,19 +231,18 @@ class ToyUNet:
     """Deterministic float32 UNet over (frame, channel, height, width) stacks."""
 
     def __init__(self, cfg: UNetConfig, weights: dict[str, np.ndarray]):
+        """Keeps the 3x3 conv weights only packed (``convs``) and the rest in ``w``."""
         self.cfg = cfg
-        self.w = weights
-        missing = [n for n, _, _ in weight_spec(cfg) if n not in weights]
+        spec = weight_spec(cfg)
+        missing = [n for n, _, _ in spec if n not in weights]
         if missing:
             raise ConfigError(f"missing weights: {missing[:4]}{'...' if len(missing) > 4 else ''}")
+        convs = [n[: -len(".w")] for n, shape, _ in spec if len(shape) == 4]
+        self.convs = {n: PackedConv(weights[f"{n}.w"], weights[f"{n}.b"]) for n in convs}
+        packed = {f"{n}.{p}" for n in convs for p in "wb"}
+        self.w = {n: a for n, a in weights.items() if n not in packed}
 
     # -- small pieces
-
-    def _silu(self, x: np.ndarray, layer: str, log: FlopLog | None) -> np.ndarray:
-        out = silu(x)
-        if log is not None:
-            log.add("elementwise", layer, (4 * x.size,))
-        return out
 
     def _norm(
         self, x: np.ndarray, layer: str, log: FlopLog | None, axis: int = 1, copies: int = 1
@@ -255,11 +254,18 @@ class ToyUNet:
         input shared by ``copies`` samples of a stack is normalized once
         and logged once per sample.
         """
-        ms = np.mean(np.square(x), axis=axis, keepdims=True, dtype=np.float32)
-        out = x / np.sqrt(ms + np.float32(1e-5))
+        out = rms_norm(x, axis)
         if log is not None:
             log.add("elementwise", layer, (3 * copies * x.size,))
         return out
+
+    def _preact_conv(self, x: np.ndarray, layer: str, name: str, log: FlopLog | None) -> np.ndarray:
+        """conv(silu(norm(x))): the norm writes SiLU's gate and the conv applies it."""
+        normed, gate = rms_norm(x, 1, gate=True)
+        if log is not None:
+            log.add("elementwise", layer, (3 * x.size,))  # the norm, as _norm logs it
+            log.add("elementwise", layer, (4 * x.size,))  # the SiLU
+        return self._conv(normed, name, log, gate=gate)
 
     def _time_features(self, ts: list[int], log: FlopLog | None) -> np.ndarray:
         """(samples, time_dim) features, one row per sample's timestep."""
@@ -269,14 +275,18 @@ class ToyUNet:
         if log is not None:
             log.add("matmul", "time", (len(ts), td, td))
             log.add("elementwise", "time", (len(ts) * td,))
-        return self._silu(h, "time", log)
+            log.add("elementwise", "time", (4 * h.size,))  # the SiLU
+        return silu(h)
 
-    def _conv(self, x: np.ndarray, name: str, log: FlopLog | None, stride: int = 1) -> np.ndarray:
-        out = conv2d_frames(x, self.w[f"{name}.w"], self.w[f"{name}.b"], stride)
+    def _conv(
+        self, x: np.ndarray, name: str, log: FlopLog | None, stride: int = 1,
+        gate: np.ndarray | None = None,
+    ) -> np.ndarray:
+        conv = self.convs[name]
+        out = conv2d_frames(x, conv, stride, gate)
         if log is not None:
-            co, ci = self.w[f"{name}.w"].shape[:2]
             f, _, ho, wo = out.shape
-            log.add("conv2d", name, (co, ci, ho, f * wo))
+            log.add("conv2d", name, (conv.co, conv.ci, ho, f * wo))
         return out
 
     def _channel_mix(self, x: np.ndarray, name: str, log: FlopLog | None) -> np.ndarray:
@@ -290,10 +300,10 @@ class ToyUNet:
 
     def _res_unit(self, x: np.ndarray, temb: np.ndarray, prefix: str, log: FlopLog | None) -> np.ndarray:
         """Residual unit on a stack of samples' frames; temb holds one row per sample."""
-        h1 = self._conv(self._silu(self._norm(x, prefix, log), prefix, log), f"{prefix}.conv1", log)
+        h1 = self._preact_conv(x, prefix, f"{prefix}.conv1", log)
         tproj = matmul(temb, self.w[f"{prefix}.temb.w"]) + self.w[f"{prefix}.temb.b"]
         h1 = h1 + np.repeat(tproj, x.shape[0] // temb.shape[0], axis=0)[:, :, None, None]
-        h2 = self._conv(self._silu(self._norm(h1, prefix, log), prefix, log), f"{prefix}.conv2", log)
+        h2 = self._preact_conv(h1, prefix, f"{prefix}.conv2", log)
         if f"{prefix}.skip.w" in self.w:
             base = self._channel_mix(x, f"{prefix}.skip.w", log)
         else:
@@ -411,7 +421,7 @@ class ToyUNet:
         rows = {}
         if "U32" in self.cfg.attention_layers:
             x, rows = self._attn_module(x, "U32", cond, log, dfa, hooks, removal_active, bg_mask)
-        eps = self._conv(self._silu(self._norm(x, "head", log), "head", log), "head", log)
+        eps = self._preact_conv(x, "head", "head", log)
         return eps, rows
 
     # -- public passes

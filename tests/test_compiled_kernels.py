@@ -100,9 +100,56 @@ def test_conv2d_frames_matches_reference(data, f, ci, h, w, co, stride, special)
     x = data.draw(tensor((f, ci, h, w), special))
     wt = data.draw(tensor((co, ci, 3, 3), special))
     bias = data.draw(tensor((co,), special))
+    conv = kernels.PackedConv(wt, bias)
     with np.errstate(all="ignore"):
-        want = kernels._conv2d_frames_np(x, wt, bias, stride)
-    assert_same(kernels._conv2d_frames_c(x, wt, bias, stride), want, x, wt, bias)
+        want = kernels._conv2d_frames_np(x, conv, stride)
+    assert_same(kernels._conv2d_frames_c(x, conv, stride), want, x, wt, bias)
+
+
+# Norm axis lengths: every branch of numpy's pairwise sum (below 8, 8 to
+# 128 with and without a tail, split above 128 once and twice).
+norm_len = st.one_of(st.integers(1, 300), st.sampled_from([7, 8, 9, 127, 128, 129, 257]))
+ROW_FILL = [None, -0.0, 0.0, 1e-40, -3e-39, np.inf, -np.inf, np.nan]
+
+
+def norm_input(data, outer: int, c: int, inner: int, special: bool) -> np.ndarray:
+    """An (outer, c, inner) tensor, maybe with one norm row set to a special value."""
+    x = data.draw(tensor((outer, c, inner), special))
+    fill = data.draw(st.sampled_from(ROW_FILL))
+    if outer and fill is not None:
+        x[data.draw(st.integers(0, outer - 1)), :, data.draw(st.integers(0, inner - 1))] = fill
+    return x
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(0, 3), norm_len, st.integers(1, 5), st.booleans(), st.booleans())
+def test_rms_norm_matches_reference(data, outer, c, inner, special, gate):
+    x = norm_input(data, outer, c, inner, special)
+    axis = 1 if inner > 1 or data.draw(st.booleans()) else -1
+    if axis == -1:
+        x = x.reshape(outer, c)
+    with np.errstate(all="ignore"):
+        want = kernels._rms_norm_np(x, axis % x.ndim, gate)
+        got = kernels._rms_norm_c(x, axis % x.ndim, gate)
+    for g, w in zip(got, want) if gate else [(got, want)]:
+        assert_same_nan_rule(g, w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.data(), st.integers(0, 3), st.sampled_from([1, 2, 7, 8, 9, 16, 33]), st.integers(1, 6),
+    st.integers(1, 6), st.sampled_from([1, 4, 16, 17]), st.sampled_from([1, 2]), st.booleans(),
+)
+def test_preactivation_conv_matches_reference(data, f, ci, h, w, co, stride, special):
+    """conv(silu(rms_norm(x))) as the norm kernel, numpy's exp and the gated conv kernel."""
+    x = norm_input(data, f, ci, h * w, special).reshape(f, ci, h, w)
+    conv = kernels.PackedConv(data.draw(tensor((co, ci, 3, 3), False)),
+                              data.draw(tensor((co,), False)))
+    with np.errstate(all="ignore"):
+        want = kernels._conv2d_frames_np(kernels.silu(kernels._rms_norm_np(x, 1)), conv, stride)
+        normed, gate = kernels._rms_norm_c(x, 1, True)
+        got = kernels._conv2d_frames_c(normed, conv, stride, gate)
+    assert_same_nan_rule(got, want)
 
 
 keys = st.sampled_from([0, 1, 2, 3, 5, 8, 9, 15, 16, 17, 31, 33, 64, 65, 70])
@@ -190,10 +237,10 @@ def test_conv_border_inf_weight_gives_nan_like_reference():
     x = np.ones((1, 1, 3, 3), np.float32)
     w = np.zeros((1, 1, 3, 3), np.float32)
     w[0, 0, 0, 0] = np.inf
-    bias = np.zeros(1, np.float32)
-    got = kernels._conv2d_frames_c(x, w, bias, 1)
+    conv = kernels.PackedConv(w, np.zeros(1, np.float32))
+    got = kernels._conv2d_frames_c(x, conv, 1)
     with np.errstate(invalid="ignore"):
-        want = kernels._conv2d_frames_np(x, w, bias, 1)
+        want = kernels._conv2d_frames_np(x, conv, 1)
     assert got.tobytes() == want.tobytes()
     assert np.isnan(got[0, 0, 0]).all() and np.isnan(got[0, 0, :, 0]).all()
     assert got[0, 0, 1, 1] == np.inf
@@ -239,7 +286,8 @@ def test_default_forward_pass_kernel_calls_match_reference():
     finally:
         kernels._IMPLS.update(saved)
         kernels.set_backend(before)
-    assert {name for name, _, _ in calls} == {0, 2, 3}  # matmul, conv, attention
+    assert {name for name, _, _ in calls} == {0, 2, 3, 4}  # matmul, conv, attention, norm
+    assert any(args[3] is not None for name, args, _ in calls if name == 2)  # a gated conv
     for name, args, out in calls:
         assert out == as_bytes(saved["numpy"][name](*args))
 
@@ -250,24 +298,32 @@ def test_concurrent_calls_from_more_threads_than_cores_give_reference_bytes():
     jobs = []
     for i in range(8):
         x = rng.standard_normal((2, 8 + i, 8, 8), dtype=np.float32)
-        w = rng.standard_normal((16 + 4 * i, 8 + i, 3, 3), dtype=np.float32)
-        bias = rng.standard_normal(16 + 4 * i, dtype=np.float32)
+        conv = kernels.PackedConv(rng.standard_normal((16 + 4 * i, 8 + i, 3, 3), dtype=np.float32),
+                                  rng.standard_normal(16 + 4 * i, dtype=np.float32))
         a = rng.standard_normal((40 + i, 30), dtype=np.float32)
         b = rng.standard_normal((30, 17 + i), dtype=np.float32)
         qkv = (rng.standard_normal((2, 30 + i, 8), dtype=np.float32),
                rng.standard_normal((2, 40 + 3 * i, 8), dtype=np.float32),
                rng.standard_normal((2, 40 + 3 * i, 8), dtype=np.float32), np.float32(0.25))
-        want = (kernels._conv2d_frames_np(x, w, bias, 1 + i % 2), kernels._matmul_np(a, b),
-                kernels._attention_np(*qkv)[1])
-        jobs.append(((x, w, bias, 1 + i % 2), (a, b), qkv, want))
+        normed, gate = kernels._rms_norm_np(x, 1, True)
+        want = (kernels._conv2d_frames_np(x, conv, 1 + i % 2), kernels._matmul_np(a, b),
+                kernels._attention_np(*qkv)[1], normed.tobytes() + gate.tobytes(),
+                kernels._conv2d_frames_np(normed, conv, 1, gate))
+        jobs.append(((x, conv, 1 + i % 2), (a, b), qkv, want))
     bad = []
 
     def work(job):
-        conv_args, mm_args, attn_args, (want_conv, want_mm, want_probs) = job
+        conv_args, mm_args, attn_args, want = job
+        want_conv, want_mm, want_probs, want_norm, want_preact = want
+        x, conv, _ = conv_args
         for _ in range(30):
+            normed, gate = kernels._rms_norm_c(x, 1, True)
             if (kernels._conv2d_frames_c(*conv_args).tobytes() != want_conv.tobytes()
                     or kernels._matmul_c(*mm_args).tobytes() != want_mm.tobytes()
-                    or kernels._attention_c(*attn_args)[1].tobytes() != want_probs.tobytes()):
+                    or kernels._attention_c(*attn_args)[1].tobytes() != want_probs.tobytes()
+                    or normed.tobytes() + gate.tobytes() != want_norm
+                    or kernels._conv2d_frames_c(normed, conv, 1, gate).tobytes()
+                    != want_preact.tobytes()):
                 bad.append(job)
 
     interval = sys.getswitchinterval()
@@ -282,3 +338,24 @@ def test_concurrent_calls_from_more_threads_than_cores_give_reference_bytes():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not bad
+
+
+def test_model_built_under_compiled_runs_under_numpy_with_the_same_bytes():
+    """Conv weights are packed once, in one layout that both backends read."""
+    cfg = UNetConfig()
+    cond = build_conditioning(RunConfig())[0][0]
+    z = Rng(0).child(2).normal((1, cfg.latent_channels, cfg.frames, cfg.height, cfg.width))
+    before = kernels.active_backend()
+    try:
+        kernels.set_backend("compiled")
+        model = ToyUNet(cfg, init_weights(cfg, 0)[0])
+        want = model.forward(z, 500, cond)
+        kernels.set_backend("numpy")
+        got = model.forward(z, 500, cond)
+        rebuilt = ToyUNet(cfg, init_weights(cfg, 0)[0])
+    finally:
+        kernels.set_backend(before)
+    assert got.eps.tobytes() == want.eps.tobytes()
+    assert got.f_u31.tobytes() == want.f_u31.tobytes()
+    for name, conv in model.convs.items():
+        assert conv.w.tobytes() == rebuilt.convs[name].w.tobytes()

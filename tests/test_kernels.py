@@ -118,6 +118,14 @@ def test_backends_agree_bitwise():
     w = rng.normal((4, 3, 3, 3))
     bias = rng.normal((4,))
     qkv = (rng.normal((2, 5, 8)), rng.normal((2, 21, 8)), rng.normal((2, 21, 8)))
+    tokens = rng.normal((3, 20, 137))
+    tokens[1, 4] = -0.0
+    conv = kernels.PackedConv(w, bias)
+
+    def preact(x):
+        normed, gate = kernels.rms_norm(x[None], 1, gate=True)
+        return kernels.conv2d_frames(normed, conv, 1, gate)
+
     before = kernels.active_backend()
     try:
         kernels.set_backend("numpy")
@@ -126,6 +134,8 @@ def test_backends_agree_bitwise():
         cv_np = kernels.conv2d(x, w, bias)
         cv2_np = kernels.conv2d(x, w, bias, stride=2)
         at_np, pr_np = kernels.attention_batch(*qkv, keep_probs=True)
+        rn_np = kernels.rms_norm(tokens, -1)
+        pc_np = preact(x)
         kernels.set_backend("compiled")
         assert kernels.active_backend() == "compiled"
         assert kernels.matmul(a, b).tobytes() == mm_np.tobytes()
@@ -134,6 +144,8 @@ def test_backends_agree_bitwise():
         assert kernels.conv2d(x, w, bias, stride=2).tobytes() == cv2_np.tobytes()
         at_c, pr_c = kernels.attention_batch(*qkv, keep_probs=True)
         assert at_c.tobytes() == at_np.tobytes() and pr_c.tobytes() == pr_np.tobytes()
+        assert kernels.rms_norm(tokens, -1).tobytes() == rn_np.tobytes()
+        assert preact(x).tobytes() == pc_np.tobytes()
     finally:
         kernels.set_backend(before)
 
@@ -217,7 +229,7 @@ def test_conv2d_frames_matches_per_frame():
     x = rng.normal((3, 2, 4, 4))
     w = rng.normal((5, 2, 3, 3))
     bias = rng.normal((5,))
-    got = kernels.conv2d_frames(x, w, bias)
+    got = kernels.conv2d_frames(x, kernels.PackedConv(w, bias))
     for f in range(3):
         assert np.array_equal(got[f], kernels.conv2d(x[f], w, bias))
 
@@ -235,6 +247,61 @@ def test_sigmoid_values_and_clamp():
 def test_silu_matches_definition():
     x = Rng(9).normal((16,))
     assert np.array_equal(kernels.silu(x), x * kernels.sigmoid(x))
+
+
+def naive_rms_norm(x, axis):
+    """The norm as the model wrote it before it became a kernel."""
+    ms = np.mean(np.square(x), axis=axis, keepdims=True, dtype=np.float32)
+    return x / np.sqrt(ms + np.float32(1e-5))
+
+
+@pytest.mark.parametrize("shape,axis", [((4, 16, 8, 8), 1), ((2, 3, 130), -1), ((5, 1, 3), 1)])
+def test_rms_norm_matches_numpy_formula(shape, axis):
+    x = Rng(16).normal(shape)
+    out = kernels.rms_norm(x, axis)
+    assert out.tobytes() == naive_rms_norm(x, axis).tobytes()
+    x64 = x.astype(np.float64)
+    oracle = x64 / np.sqrt(np.mean(x64 * x64, axis=axis, keepdims=True) + 1e-5)
+    assert np.allclose(out, oracle, rtol=1e-5, atol=1e-6)
+
+
+def test_rms_norm_of_a_strided_view_follows_numpy_order_for_that_view():
+    """Only C-contiguous arrays take the compiled kernel; a view runs the reference as given."""
+    x = Rng(17).normal((3, 40, 140))
+    view = x.transpose(0, 2, 1)
+    assert kernels.rms_norm(view, -1).tobytes() == naive_rms_norm(view, -1).tobytes()
+
+
+def test_rms_norm_gate_is_silus_and_gated_conv_convolves_silu():
+    rng = Rng(18)
+    x = rng.normal((2, 3, 5, 5)) * np.float32(20.0)
+    w, bias = rng.normal((4, 3, 3, 3)), rng.normal((4,))
+    normed, gate = kernels.rms_norm(x, 1, gate=True)
+    assert normed.tobytes() == kernels.rms_norm(x, 1).tobytes()
+    assert (normed * (np.float32(1.0) / (np.float32(1.0) + gate))).tobytes() == (
+        kernels.silu(normed).tobytes()
+    )
+    conv = kernels.PackedConv(w, bias)
+    want = kernels.conv2d_frames(kernels.silu(normed), conv)
+    assert kernels.conv2d_frames(normed, conv, 1, gate).tobytes() == want.tobytes()
+
+
+def test_rms_norm_and_packed_conv_reject_bad_inputs():
+    x = np.zeros((2, 3, 4, 4), dtype=np.float32)
+    with pytest.raises(ValueError):
+        kernels.rms_norm(x.astype(np.float64), 1)
+    with pytest.raises(ValueError):
+        kernels.rms_norm(x, 4)
+    with pytest.raises(ValueError):
+        kernels.PackedConv(np.zeros((5, 3, 3, 3), np.float32), np.zeros(4, np.float32))
+    conv = kernels.PackedConv(np.zeros((5, 3, 3, 3), np.float32), np.zeros(5, np.float32))
+    assert conv.w.shape == (27, 16) and (conv.co, conv.ci) == (5, 3)
+    with pytest.raises(ValueError):
+        kernels.conv2d_frames(x[:, :2], conv)
+    with pytest.raises(ValueError):
+        kernels.conv2d_frames(x, conv, 1, np.zeros((2, 3, 4, 5), np.float32))
+    with pytest.raises(ValueError):
+        kernels.conv2d_frames(x, np.zeros((5, 3, 3, 3), np.float32), np.zeros(5, np.float32))
 
 
 def test_upsample_nearest_replicates_blocks():
