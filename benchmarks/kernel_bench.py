@@ -3,15 +3,19 @@
 Runs each kernel on a representative shape with the compiled C backend
 and the numpy reference, checks that the two produce byte-identical
 outputs, and prints per-call best times with the slowdown of the
-reference.  Exits 1 when the outputs differ.  Without a C compiler only
-the reference is timed.
+reference, and the minor page faults per timed call (getrusage).  The
+``forward`` and ``subnet`` cases are whole planned passes of the default
+model: one forward pass, and one subnet call on a stack of two samples.
+Exits 1 when the outputs differ.  Without a C compiler only the reference
+is timed.
 
 Usage:
     python3 benchmarks/kernel_bench.py
-    python3 benchmarks/kernel_bench.py --kernel matmul --repeat 20
+    python3 benchmarks/kernel_bench.py --kernel forward --repeat 20
 """
 
 import argparse
+import resource
 import sys
 import time
 from functools import partial
@@ -19,7 +23,9 @@ from functools import partial
 import numpy as np
 
 from cachediff import kernels
+from cachediff.config import RunConfig
 from cachediff.rng import Rng
+from cachediff.runner import build_conditioning, build_model, initial_latent
 
 
 def preact_conv(x: np.ndarray, conv: kernels.PackedConv) -> np.ndarray:
@@ -28,9 +34,28 @@ def preact_conv(x: np.ndarray, conv: kernels.PackedConv) -> np.ndarray:
     return kernels.conv2d_frames(normed, conv, 1, gate)
 
 
+def pass_cases(seed: int) -> dict:
+    """A default forward pass, and a subnet call on two samples with their own timesteps."""
+    rc = RunConfig()
+    model = build_model(rc)
+    conds, root = build_conditioning(rc)
+    z = initial_latent(root, rc.unet, seed)
+    zs = np.concatenate([z, initial_latent(root, rc.unet, seed + 1)])
+    feature = model.forward(z, 500, conds[0]).f_u31
+
+    def forward():
+        tr = model.forward(z, 500, conds[0])
+        return tr.eps, tr.f_u31
+
+    return {
+        "forward": (forward, ()),
+        "subnet": (partial(model.subnet, feature, zs, [480, 460], conds[0]), ()),
+    }
+
+
 def make_cases(seed: int) -> dict:
     rng = Rng(seed)
-    return {
+    return pass_cases(seed) | {
         "matmul": (
             kernels.matmul,
             (rng.child(0).normal((192, 160)), rng.child(1).normal((160, 224))),
@@ -82,15 +107,18 @@ def as_bytes(out) -> bytes:
     return b"".join(x.tobytes() for x in (out if isinstance(out, tuple) else (out,)))
 
 
-def time_call(fn, args, repeat: int) -> tuple[object, int]:
+def time_call(fn, args, repeat: int) -> tuple[object, int, float]:
+    """Output, best time in ns and minor page faults per call, after one untimed call."""
     out = fn(*args)
     best = None
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(repeat):
         t0 = time.perf_counter_ns()
         out = fn(*args)
         dt = time.perf_counter_ns() - t0
         best = dt if best is None else min(best, dt)
-    return out, best
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return out, best, faults / repeat
 
 
 def main(argv=None) -> int:
@@ -114,23 +142,26 @@ def main(argv=None) -> int:
     try:
         for name in names:
             fn, call = cases[name]
-            outs, times = {}, {}
+            outs, times, faults = {}, {}, {}
             for backend in backends:
                 kernels.set_backend(backend)
-                outs[backend], times[backend] = time_call(fn, call, args.repeat)
+                outs[backend], times[backend], faults[backend] = time_call(fn, call, args.repeat)
             if len(backends) == 2:
                 same = as_bytes(outs["compiled"]) == as_bytes(outs["numpy"])
                 equal = "yes" if same else "NO"
                 ratio = f"{times['numpy'] / times['compiled']:.1f}"
                 compiled_us = f"{times['compiled'] / 1e3:.1f}"
+                compiled_faults = f"{faults['compiled']:.1f}"
             else:
-                equal, ratio, compiled_us = "-", "-", "-"
-            rows.append((name, compiled_us, f"{times['numpy'] / 1e3:.1f}", ratio, equal))
+                equal, ratio, compiled_us, compiled_faults = "-", "-", "-", "-"
+            rows.append((name, compiled_us, f"{times['numpy'] / 1e3:.1f}", ratio, equal,
+                         compiled_faults, f"{faults['numpy']:.1f}"))
     finally:
         kernels.set_backend(previous)
 
-    header = ("kernel", "compiled_us", "numpy_us", "numpy/compiled", "bit_equal")
-    widths = [max(len(header[i]), *(len(r[i]) for r in rows)) for i in range(5)]
+    header = ("kernel", "compiled_us", "numpy_us", "numpy/compiled", "bit_equal",
+              "compiled_faults", "numpy_faults")
+    widths = [max(len(header[i]), *(len(r[i]) for r in rows)) for i in range(len(header))]
     for line in (header, *rows):
         print("  ".join(str(v).rjust(widths[i]) for i, v in enumerate(line)))
     if any(r[4] == "NO" for r in rows):

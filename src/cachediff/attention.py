@@ -24,6 +24,7 @@ sequence on identical inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -32,6 +33,7 @@ import numpy as np
 from .errors import CacheMissError, InvariantError
 from .kernels import attention_batch, matmul
 from .masks import ForegroundMask
+from .plan import Buf, Plan
 from .profiler import FlopLog
 
 
@@ -43,8 +45,14 @@ class DfaContext:
     bg: np.ndarray | None
 
 
-def select_tokens(x: np.ndarray, index: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Gather rows of x along ``axis``; index must be ascending and unique."""
+def select_tokens(
+    x: np.ndarray, index: np.ndarray, axis: int = 0, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Gather rows of x along ``axis``; index must be ascending and unique.
+
+    With ``out`` (C-contiguous, of the result's shape) the rows are written
+    there and ``out`` is returned.
+    """
     idx = np.asarray(index, dtype=np.int64)
     if idx.ndim != 1:
         raise ValueError(f"index must be 1-d, got shape {idx.shape}")
@@ -53,6 +61,9 @@ def select_tokens(x: np.ndarray, index: np.ndarray, axis: int = 0) -> np.ndarray
             raise ValueError(f"index out of range for {x.shape[axis]} rows")
         if (np.diff(idx) <= 0).any():
             raise ValueError("index must be strictly ascending")
+    if out is not None:
+        # in range, so "clip" changes no index; it lets np.take write out unbuffered
+        return np.take(x, idx, axis=axis, out=out, mode="clip")
     return np.ascontiguousarray(np.take(x, idx, axis=axis))
 
 
@@ -242,3 +253,167 @@ def temporal_site(
     else:
         a_f = _site_attn(select_tokens(x_loc, mask.fg_index, axis=-3))
     return _proj(merge_tokens(a_f, dfa.bg, mask, -3), wo, log, layer), None
+
+
+# ---------------------------------------------------------------------------
+# planned sites
+#
+# The three sites as steps of a plan (see :mod:`cachediff.plan`): the same
+# kernel sequence, bytes and FLOP events as the functions above, on the
+# plan's buffers.  Token buffers hold (..., L, c) rows like the functions'
+# inputs.  ``ctx`` is the restriction context the plan is built for, or
+# None on the full path; when the plan runs, ``bg()`` returns the pass's
+# background rows for it and ``hooks()`` the pass's hooks, which receive
+# views of the plan's buffers.
+
+
+def _plan_select(p: Plan, x: Buf, index: np.ndarray, axis: int) -> Buf:
+    """select_tokens into a buffer."""
+    shape = list(x.shape)
+    shape[axis] = len(index)
+    out = p.buf(tuple(shape))
+    # select_tokens is looked up when the step runs, so that a tracer that
+    # wraps this module's functions sees the call
+    p.glue(lambda: [lambda: select_tokens(x.a, index, axis, out=out.a)], x, out)
+    return out
+
+
+def _plan_merge(
+    p: Plan, a_fg: Buf | None, fg_shape: tuple[int, ...], ctx: DfaContext, bg, axis: int
+) -> Buf:
+    """merge_tokens of ``a_fg`` (viewed as ``fg_shape``, None when empty) and the pass's rows."""
+    mask = ctx.mask
+    merge_tokens(np.zeros(fg_shape, np.float32), ctx.bg, mask, axis)  # its checks, once
+    if mask.num_bg == 0:
+        return a_fg
+    axis %= len(fg_shape)
+    out = p.buf(fg_shape[:axis] + (mask.num_fg + mask.num_bg,) + fg_shape[axis + 1 :])
+    rows = (slice(None),) * axis
+    fg, bgi = rows + (mask.fg_index,), rows + (mask.bg_index,)
+
+    def make():
+        o = out.a
+        a = None if a_fg is None else a_fg.a.reshape(fg_shape)
+
+        def run():
+            if a is not None:
+                o[fg] = a
+            o[bgi] = bg()
+
+        return [run]
+
+    p.glue(make, a_fg, out)
+    return out
+
+
+def _plan_hooks(p: Plan, prefix: str, site: str, a: Buf, probs: Buf, hooks) -> None:
+    """hooks().on_attention for each frame of a spatial site's (n, L, d) output."""
+
+    def make():
+        av, pv = a.a, probs.a
+
+        def run():
+            h = hooks()
+            for fi in range(av.shape[0]):
+                h.on_attention(prefix, site, fi, pv[fi], av[fi], av.shape[1])
+
+        return [run]
+
+    p.glue(make, a, probs)
+
+
+def _plan_ref_attend(p: Plan, x: Buf, ref: Buf, w, prefix: str, removal: bool, n: int, keep: bool):
+    wq, wk, wv = w
+    kv = x
+    if not removal:
+        c = x.shape[-1]
+        lx = x.size // (n * c)
+        kv = p.buf((n, lx + ref.shape[0], c))
+        p.copy(lambda: kv.a[:, :lx], lambda: x.a.reshape(n, lx, c), x, kv)
+        p.copy(lambda: kv.a[:, lx:], lambda: ref.a, ref, kv)
+    q = p.matmul(x, wq, prefix)
+    k = p.matmul(kv, wk, prefix)
+    v = p.matmul(kv, wv, prefix)
+    return p.attention(q, k, v, prefix, n, keep)
+
+
+def plan_reference_site(
+    p: Plan, x: Buf, ref: Buf, weights: dict[str, np.ndarray], prefix: str, *,
+    removal: bool = False, ctx: DfaContext | None = None, bg=None, hooks=None,
+) -> tuple[Buf, Buf | None]:
+    """:func:`reference_site` of (..., L, c) tokens and (L_ref, c) reference tokens."""
+    wq, wk, wv, wo = _site_weights(weights, prefix)
+    lead = x.shape[:-2]
+    n = math.prod(lead)
+    if ctx is None:
+        a, probs = _plan_ref_attend(p, x, ref, (wq, wk, wv), prefix, removal, n, hooks is not None)
+        if hooks is not None:
+            _plan_hooks(p, prefix, "reference", a, probs, hooks)
+        return p.matmul(a, wo, prefix), a
+    mask = ctx.mask
+    a_fg = None
+    if mask.num_fg:
+        xs = _plan_select(p, x, mask.fg_index, -2)
+        rs = _plan_select(p, ref, mask.fg_index, 0)
+        a_fg, _ = _plan_ref_attend(p, xs, rs, (wq, wk, wv), prefix, removal, n, False)
+    merged = _plan_merge(p, a_fg, lead + (mask.num_fg, wo.shape[0]), ctx, bg, -2)
+    return p.matmul(merged, wo, prefix), None
+
+
+def plan_audio_site(
+    p: Plan, x: Buf, aud: Buf, weights: dict[str, np.ndarray], prefix: str, *,
+    ctx: DfaContext | None = None, bg=None, hooks=None,
+) -> tuple[Buf, Buf | None]:
+    """:func:`audio_site` of (..., L, c) tokens and (n, A, da) audio tokens, one set per frame."""
+    wq, wk, wv, wo = _site_weights(weights, prefix)
+    lead = x.shape[:-2]
+    n = math.prod(lead)
+    k = p.matmul(aud, wk, prefix)
+    v = p.matmul(aud, wv, prefix)
+    if ctx is None:
+        a, probs = p.attention(p.matmul(x, wq, prefix), k, v, prefix, n, hooks is not None)
+        if hooks is not None:
+            _plan_hooks(p, prefix, "audio", a, probs, hooks)
+        return p.matmul(a, wo, prefix), a
+    mask = ctx.mask
+    a_fg = None
+    if mask.num_fg:
+        q = p.matmul(_plan_select(p, x, mask.fg_index, -2), wq, prefix)
+        a_fg, _ = p.attention(q, k, v, prefix, n)
+    merged = _plan_merge(p, a_fg, lead + (mask.num_fg, wo.shape[0]), ctx, bg, -2)
+    return p.matmul(merged, wo, prefix), None
+
+
+def plan_temporal_site(
+    p: Plan, x_loc: Buf, weights: dict[str, np.ndarray], prefix: str, *,
+    ctx: DfaContext | None = None, bg=None, hooks=None,
+) -> tuple[Buf, Buf | None]:
+    """:func:`temporal_site` of (..., L, f, c) location sequences."""
+    wq, wk, wv, wo = _site_weights(weights, prefix)
+    lead, (L, f, _) = x_loc.shape[:-3], x_loc.shape[-3:]
+    n = math.prod(lead)
+    d = wo.shape[0]
+
+    def site_attn(tokens: Buf, locs: int) -> Buf:
+        q, k, v = (p.matmul(tokens, w, prefix) for w in (wq, wk, wv))
+        return p.attention(q, k, v, prefix, n * locs)[0]
+
+    if ctx is None:
+        a = site_attn(x_loc, L)
+        if hooks is not None:
+            def make():
+                av = a.a.reshape(n, L, f, d)
+
+                def run():
+                    h = hooks()
+                    for a_i in av:
+                        h.on_attention(prefix, "temporal", None, None, a_i, L)
+
+                return [run]
+
+            p.glue(make, a)
+        return p.matmul(a, wo, prefix), a
+    mask = ctx.mask
+    a_f = site_attn(_plan_select(p, x_loc, mask.fg_index, -3), mask.num_fg) if mask.num_fg else None
+    merged = _plan_merge(p, a_f, lead + (mask.num_fg, f, d), ctx, bg, -3)
+    return p.matmul(merged, wo, prefix), None

@@ -8,23 +8,24 @@ The cache lives only as long as its block.  Non-key steps run the
 truncated subnet only.  Their inputs are either reused from the
 post-key latent or estimated by unrolling the deterministic update with
 the key noise (:func:`estimate_input_latents`); the subnet evaluations
-are then independent and run as one parallel phase.  The phase splits the
+are then independent and form one parallel phase.  The phase splits the
 non-key steps into one contiguous chunk per worker, and each chunk is one
 stacked :meth:`ToyUNet.subnet` call with the chunk's latents along the
 frame axis and one timestep per step.  A second, cheap sequential phase
 applies the sampler updates using the true latents.
 
-Worker parallelism never changes results: a stacked call gives each step
-the bytes of a one-step call, chunks are merged in submission order and
-all kernels are deterministic, so worker count only affects the modeled
-latency: the dispatch overhead plus the longest chunk.  Each step is
-charged its own FLOPs and an equal share of its chunk's wall time.
+The chunks run one after another in this process (:class:`ParallelRunner`);
+``workers`` is the number of chunks, and the phase's modeled latency is
+what that many workers would take: the dispatch overhead plus the longest
+chunk.  The worker count never changes results: a stacked call gives each
+step the bytes of a one-step call, chunks are merged in order and all
+kernels are deterministic.  Each step is charged its own FLOPs and an
+equal share of its chunk's wall time.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,41 +99,32 @@ def estimate_input_latents(
 
 
 class ParallelRunner:
-    """Deterministic task pool with an analytic latency model.
+    """Runs the chunks of a parallel phase in order, with an analytic latency model.
 
-    Results are collected in submission order regardless of completion
-    order.  Modeled block latency is the dispatch overhead plus the
-    largest per-worker bin under round-robin assignment of measured task
-    walls.
+    The chunks run one after another on the calling thread: their Python
+    glue holds the interpreter lock, so threads cost wall time without
+    overlapping the work, and a model runs one pass at a time.  The
+    modeled latency is what ``workers`` workers would take: the dispatch
+    overhead plus the largest per-worker bin under round-robin assignment
+    of the measured task walls.  It is a model, not a measurement.
     """
 
     def __init__(self, workers: int, dispatch_overhead_ns: int):
         self.workers = workers
         self.dispatch_overhead_ns = dispatch_overhead_ns
-        self._pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
 
     def run(self, tasks) -> tuple[list, list[int], int]:
-        def timed(fn):
+        """(results in task order, measured wall per task, modeled phase latency), in ns."""
+        results, walls = [], []
+        for fn in tasks:
             t0 = time.perf_counter_ns()
-            out = fn()
-            return out, time.perf_counter_ns() - t0
-
-        if self._pool is None:
-            pairs = [timed(fn) for fn in tasks]
-        else:
-            futures = [self._pool.submit(timed, fn) for fn in tasks]
-            pairs = [f.result() for f in futures]
-        results = [p[0] for p in pairs]
-        walls = [p[1] for p in pairs]
+            results.append(fn())
+            walls.append(time.perf_counter_ns() - t0)
         bins = [0] * self.workers
         for i, w in enumerate(walls):
             bins[i % self.workers] += w
         modeled = self.dispatch_overhead_ns + (max(bins) if walls else 0)
         return results, walls, modeled
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
 
 
 def _check_finite(z: np.ndarray, what: str) -> None:
@@ -165,8 +157,7 @@ def denoise_clip(
     _check_finite(z_T, "initialization")
     eff_plan = plan if strategy.uses_cache else plan.singleton()
     masks = _layer_masks(cfg, cond.mask) if strategy.uses_dfa else None
-    own_runner = runner is None
-    if own_runner:
+    if runner is None:
         runner = ParallelRunner(strategy.workers, strategy.dispatch_overhead_ns)
     ledger = FlopLedger()
     per_step: list[dict] = []
@@ -174,17 +165,13 @@ def denoise_clip(
     z = z_T
     n_update = z.size
     blocks = eff_plan.blocks
-    try:
-        for bi, block in enumerate(blocks):
-            boundary = blocks[bi + 1].key if bi + 1 < len(blocks) else 0
-            z, modeled = _run_block(
-                model, sched, block, boundary, strategy, z, cond,
-                masks, ledger, per_step, hooks, runner, n_update,
-            )
-            modeled_total += modeled
-    finally:
-        if own_runner:
-            runner.close()
+    for bi, block in enumerate(blocks):
+        boundary = blocks[bi + 1].key if bi + 1 < len(blocks) else 0
+        z, modeled = _run_block(
+            model, sched, block, boundary, strategy, z, cond,
+            masks, ledger, per_step, hooks, runner, n_update,
+        )
+        modeled_total += modeled
     report = {
         "clip": clip_id,
         "strategy": {

@@ -28,13 +28,15 @@
  * them, so both backends share one libm exp: cd_attn_logits writes the
  * scaled scores minus their row max, cd_attn_apply turns exp(logits) into
  * probabilities (ascending row sum from +0.0, then a correctly rounded
- * divide) and multiplies them with V.  Scratch memory is allocated per
- * call: the kernels are safe to call from several threads.  Each entry
- * point returns 0, or -1 when an allocation fails.
+ * divide) and multiplies them with V.
+ *
+ * No kernel allocates: each takes its scratch memory as the last argument
+ * (ws), sized by kernels.py, so a planned pass binds one scratch block to
+ * every call.  The kernels share no state: calls with distinct scratch
+ * blocks are safe from several threads.
  */
 
 #include <math.h>
-#include <stdlib.h>
 #include <string.h>
 
 #if defined(__AVX512F__)
@@ -132,13 +134,24 @@ static long lanes_for(long n)
     return lanes;
 }
 
-static void *xmalloc(size_t n) { return malloc(n ? n : 1); }
+/* Scratch memory comes from the caller: each kernel carves the regions it
+ * needs from ws, each rounded up to 64 bytes (kernels.py computes the same
+ * sizes, an upper bound of what is carved here). */
+static void *carve(char **ws, size_t bytes)
+{
+    void *p = *ws;
+    *ws += (bytes + 63) / 64 * 64;
+    return p;
+}
 
 /* C = A @ B for an m x n output.  A(i, p) = abase[arow[i] + koff[p]]; B is
  * k rows of ldb floats, where ldb is a multiple of lanes_for(n) and columns
- * n..ldb-1 exist (their results are discarded).  Without a bias C is
- * stored row-major, out[i * n + j]; with one, out[orow[i] + j * cs] =
- * C[i][j] + bias[j], the (channel, pixel) layout of a convolution. */
+ * n..ldb-1 exist (their results are discarded).  Without orow C is stored
+ * row-major, out[i * n + j] = C[i][j].  With it, C[i][j] goes to
+ * out[orow[i] + j * cs], the (channel, pixel) layout of a convolution, as
+ * the epilogue below makes it: + bias[j] when bias is given, then either
+ * + add[(i / add_rows) * add_ld + j], or base[same index] + 0.5f * that.
+ * Each step is one separately rounded float32 operation. */
 struct gemm {
     long m, n, k;
     const float *abase;
@@ -146,10 +159,38 @@ struct gemm {
     const float *b;
     long ldb;
     float *out;
-    const float *bias;
     const long *orow;
     long cs;
+    const float *bias;
+    const float *add;
+    long add_ld, add_rows;
+    const float *base;
 };
+
+static void store_row(const struct gemm *g, long i, long j0, const float *src, long ncols)
+{
+    if (!g->orow) {
+        memcpy(g->out + i * g->n + j0, src, sizeof(float) * ncols);
+        return;
+    }
+    const long cs = g->cs, at = g->orow[i] + j0 * cs;
+    float *dst = g->out + at;
+    float v[4 * 16]; /* ncols <= 4 vectors of at most 16 lanes */
+    for (long j = 0; j < ncols; j++)
+        v[j] = g->bias ? src[j] + g->bias[j0 + j] : src[j];
+    if (g->base) {
+        const float *bp = g->base + at;
+        for (long j = 0; j < ncols; j++)
+            dst[j * cs] = bp[j * cs] + 0.5f * v[j];
+    } else if (g->add) {
+        const float *ad = g->add + (i / g->add_rows) * g->add_ld + j0;
+        for (long j = 0; j < ncols; j++)
+            dst[j * cs] = v[j] + ad[j];
+    } else {
+        for (long j = 0; j < ncols; j++)
+            dst[j * cs] = v[j];
+    }
+}
 
 static void gemm_run(const struct gemm *g)
 {
@@ -167,21 +208,13 @@ static void gemm_run(const struct gemm *g)
             const float *ar[MAXROWS];
             for (long r = 0; r < rows; r++)
                 ar[r] = g->abase + g->arow[i0 + (r < live ? r : live - 1)];
-            if (!g->bias && live == rows && ncols == tw) {
+            if (!g->orow && live == rows && ncols == tw) {
                 fn(ar, g->koff, g->k, g->b + j0, g->ldb, g->out + i0 * g->n + j0, g->n);
                 continue;
             }
             fn(ar, g->koff, g->k, g->b + j0, g->ldb, tile, tw);
-            for (long r = 0; r < live; r++) {
-                const float *src = tile + r * tw;
-                if (!g->bias) {
-                    memcpy(g->out + (i0 + r) * g->n + j0, src, sizeof(float) * ncols);
-                    continue;
-                }
-                float *dst = g->out + g->orow[i0 + r] + j0 * g->cs;
-                for (long j = 0; j < ncols; j++)
-                    dst[j * g->cs] = src[j] + g->bias[j0 + j];
-            }
+            for (long r = 0; r < live; r++)
+                store_row(g, i0 + r, j0, tile + r * tw, ncols);
         }
     }
 }
@@ -201,46 +234,75 @@ static long padded(long n)
     return (n + lanes - 1) / lanes * lanes;
 }
 
-/* out (bn, m, n) = a (bn, m, k) @ b (bn, k, n), all C-contiguous. */
-int cd_matmul_batch(const float *a, const float *b, float *out, long bn, long m, long k, long n)
+/* B (k rows of ldb floats, n used) as the GEMM reads it: as is when ldb is
+ * a multiple of the vector width, else copied to ws with zero padding. */
+static const float *gemm_b(const float *b, long ldb, long k, long n, char **ws, long *ld)
+{
+    if (ldb % lanes_for(n) == 0) {
+        *ld = ldb;
+        return b;
+    }
+    *ld = padded(n);
+    float *bp = carve(ws, sizeof(float) * k * *ld);
+    for (long p = 0; p < k; p++) {
+        memcpy(bp + p * *ld, b + p * ldb, sizeof(float) * n);
+        memset(bp + p * *ld + n, 0, sizeof(float) * (*ld - n));
+    }
+    return bp;
+}
+
+/* out (bn, m, n) = a (bn, m, k) @ b (bn, k, n), a and out C-contiguous; the
+ * rows of each item of b are ldb floats apart, each item k * ldb. */
+void cd_matmul_batch(const float *a, const float *b, long ldb, float *out, long bn, long m,
+                     long k, long n, char *ws)
 {
     if (m == 0 || n == 0)
-        return 0;
-    const long ldb = padded(n);
-    long *koff = xmalloc(sizeof(long) * k);
-    long *arow = xmalloc(sizeof(long) * m);
-    float *bp = ldb == n ? NULL : xmalloc(sizeof(float) * k * ldb);
-    int rc = -1;
-    if (!koff || !arow || (ldb != n && !bp))
-        goto done;
+        return;
+    long *koff = carve(&ws, sizeof(long) * k);
+    long *arow = carve(&ws, sizeof(long) * m);
     for (long p = 0; p < k; p++)
         koff[p] = p;
     for (long i = 0; i < m; i++)
         arow[i] = i * k;
     for (long bi = 0; bi < bn; bi++) {
-        const float *bb = b + bi * k * n;
-        if (bp) {
-            for (long p = 0; p < k; p++) {
-                memcpy(bp + p * ldb, bb + p * n, sizeof(float) * n);
-                memset(bp + p * ldb + n, 0, sizeof(float) * (ldb - n));
-            }
-            bb = bp;
-        }
-        const struct gemm g = {m, n, k, a + bi * m * k, arow, koff, bb, ldb,
-                               out + bi * m * n, NULL, NULL, 0};
+        char *bws = ws;
+        long ld;
+        const float *bb = gemm_b(b + bi * k * ldb, ldb, k, n, &bws, &ld);
+        const struct gemm g = {m, n, k, a + bi * m * k, arow, koff, bb, ld,
+                               out + bi * m * n, NULL, 0, NULL, NULL, 0, 1, NULL};
         gemm_run(&g);
     }
-    rc = 0;
-done:
-    free(koff);
-    free(arow);
-    free(bp);
-    return rc;
 }
 
-int cd_matmul(const float *a, const float *b, float *out, long m, long k, long n)
+void cd_matmul(const float *a, const float *b, long ldb, float *out, long m, long k, long n,
+               char *ws)
 {
-    return cd_matmul_batch(a, b, out, 1, m, k, n);
+    cd_matmul_batch(a, b, ldb, out, 1, m, k, n, ws);
+}
+
+/* Channel mix of every pixel of x (f, c, hw): out (f, co, hw) with
+ * out[fi][j][q] = sum_p x[fi][p][q] * w[p][j], p ascending from +0.0; w is
+ * c rows of ldw floats.  The matmul of the (f * hw, c) token matrix, read
+ * and written in place of the two transposes around it. */
+void cd_channel_mix(const float *x, const float *w, long ldw, float *out, long f, long c, long hw,
+                    long co, char *ws)
+{
+    const long m = f * hw;
+    if (m == 0 || co == 0)
+        return;
+    long *koff = carve(&ws, sizeof(long) * c);
+    long *arow = carve(&ws, sizeof(long) * m);
+    long *orow = carve(&ws, sizeof(long) * m);
+    for (long p = 0; p < c; p++)
+        koff[p] = p * hw;
+    for (long i = 0; i < m; i++) {
+        arow[i] = i / hw * c * hw + i % hw;
+        orow[i] = i / hw * co * hw + i % hw;
+    }
+    long ld;
+    const float *b = gemm_b(w, ldw, c, co, &ws, &ld);
+    const struct gemm g = {m, co, c, x, arow, koff, b, ld, out, orow, hw, NULL, NULL, 0, 1, NULL};
+    gemm_run(&g);
 }
 
 /* 3x3 convolution, zero padding 1, of every frame of x (f, ci, h, w); out
@@ -251,24 +313,26 @@ int cd_matmul(const float *a, const float *b, float *out, long m, long k, long n
  * added after the sum.  With gate non-NULL (the shape of x), the input is
  * x * (1 / (1 + gate)): silu(x) when gate = exp(-clip(x, -30, 30)).
  *
+ * The store adds one of two epilogues to acc + bias, as the gemm above
+ * describes: add (a residual unit's time projection, row s of add_ld floats
+ * for the frames s * add_frames ..) or base (its residual: base + 0.5f *).
+ *
  * One GEMM with the output pixels as rows and the channels as columns: row
  * i reads its patch straight from a zero-padded copy of the input. */
-int cd_conv2d_frames(const float *x, const float *gate, const float *wp, long ldw,
-                     const float *bias, float *out, long f, long ci, long h, long wd, long co,
-                     long stride)
+void cd_conv2d_frames(const float *x, const float *gate, const float *wp, long ldw,
+                      const float *bias, float *out, long f, long ci, long h, long wd, long co,
+                      long stride, const float *add, long add_ld, long add_frames,
+                      const float *base, char *ws)
 {
     const long ph = h + 2, pw = wd + 2, k = ci * 9;
     const long ho = (h - 1) / stride + 1, wo = (wd - 1) / stride + 1, hw = ho * wo;
     const long npix = f * hw;
     if (npix == 0 || co == 0)
-        return 0;
-    float *xp = xmalloc(sizeof(float) * f * ci * ph * pw);
-    long *koff = xmalloc(sizeof(long) * k);   /* patch element p of a pixel */
-    long *pix = xmalloc(sizeof(long) * npix); /* patch origin of a pixel in xp */
-    long *opix = xmalloc(sizeof(long) * npix);
-    int rc = -1;
-    if (!xp || !koff || !pix || !opix)
-        goto done;
+        return;
+    long *koff = carve(&ws, sizeof(long) * k);   /* patch element p of a pixel */
+    long *pix = carve(&ws, sizeof(long) * npix); /* patch origin of a pixel in xp */
+    long *opix = carve(&ws, sizeof(long) * npix);
+    float *xp = carve(&ws, sizeof(float) * f * ci * ph * pw);
     for (long pl = 0; pl < f * ci; pl++) {
         float *dst = xp + pl * ph * pw;
         memset(dst, 0, sizeof(float) * pw);
@@ -295,15 +359,9 @@ int cd_conv2d_frames(const float *x, const float *gate, const float *wp, long ld
                 pix[i] = fi * ci * ph * pw + y * stride * pw + xo * stride;
                 opix[i] = fi * co * hw + y * wo + xo;
             }
-    const struct gemm g = {npix, co, k, xp, pix, koff, wp, ldw, out, bias, opix, hw};
+    const struct gemm g = {npix, co, k, xp, pix, koff, wp, ldw, out, opix, hw, bias,
+                           add, add_ld, add_frames * hw, base};
     gemm_run(&g);
-    rc = 0;
-done:
-    free(xp);
-    free(koff);
-    free(pix);
-    free(opix);
-    return rc;
 }
 
 /* numpy's float32 sum of the squares of n contiguous floats (the pairwise
@@ -359,7 +417,7 @@ static void divide_row(const float *x, const float *r, long rs, float *out, floa
  * axis (inner == 1) and an ascending sum from +0.0 over a strided one; the
  * mean divides it by c.  With neg non-NULL, also neg = -clip(out, -30, 30),
  * the argument of the exp in silu(out). */
-int cd_rms_norm(const float *x, float *out, float *neg, long outer, long c, long inner)
+void cd_rms_norm(const float *x, float *out, float *neg, long outer, long c, long inner)
 {
     enum { CHUNK = 256 };
     float r[CHUNK];
@@ -368,7 +426,7 @@ int cd_rms_norm(const float *x, float *out, float *neg, long outer, long c, long
             r[0] = sqrtf((0.0f + pairwise_sq(x + o * c, c)) / (float)c + 1e-5f);
             divide_row(x + o * c, r, 0, out + o * c, neg ? neg + o * c : NULL, c);
         }
-        return 0;
+        return;
     }
     for (long o = 0; o < outer; o++) {
         for (long j0 = 0; j0 < inner; j0 += CHUNK) {
@@ -389,7 +447,6 @@ int cd_rms_norm(const float *x, float *out, float *neg, long outer, long c, long
             }
         }
     }
-    return 0;
 }
 
 typedef float vwf __attribute__((vector_size(VW * 4)));
@@ -434,27 +491,26 @@ static float scale_row_max(float *row, long n, float scale)
  * out[b][i][j] = s[i][j] - max_j s[i][j] where s[i][j] = (q[i] . k[j]) * scale;
  * the dot product is a plain ascending sum, and the max is NaN when the
  * row holds a NaN, like numpy's. */
-int cd_attn_logits(const float *q, const float *k, float *out, long bn, long lq, long lk, long d,
-                   float scale)
+void cd_attn_logits(const float *q, const float *k, float *out, long bn, long lq, long lk, long d,
+                    float scale, char *ws)
 {
     if (bn == 0 || lq == 0 || lk == 0)
-        return 0;
-    float *kt = xmalloc(sizeof(float) * bn * d * lk);
-    if (!kt)
-        return -1;
-    for (long bi = 0; bi < bn; bi++) /* kt[b][p][j] = k[b][j][p] */
-        transpose(k + bi * lk * d, d, lk, d, kt + bi * d * lk, lk);
-    const int rc = cd_matmul_batch(q, kt, out, bn, lq, d, lk);
-    free(kt);
-    if (rc)
-        return rc;
+        return;
+    const long ldk = padded(lk);
+    float *kt = carve(&ws, sizeof(float) * bn * d * ldk);
+    for (long bi = 0; bi < bn; bi++) { /* kt[b][p][j] = k[b][j][p], zero beyond lk */
+        float *kb = kt + bi * d * ldk;
+        transpose(k + bi * lk * d, d, lk, d, kb, ldk);
+        for (long p = 0; p < d; p++)
+            memset(kb + p * ldk + lk, 0, sizeof(float) * (ldk - lk));
+    }
+    cd_matmul_batch(q, kt, ldk, out, bn, lq, d, lk, ws);
     for (long i = 0; i < bn * lq; i++) {
         float *row = out + i * lk;
         const float m = scale_row_max(row, lk, scale);
         for (long j = 0; j < lk; j++)
             row[j] = row[j] - m;
     }
-    return 0;
 }
 
 /* Softmax rows from exponentials, then out (bn, lq, dv) = p @ v with v
@@ -462,7 +518,8 @@ int cd_attn_logits(const float *q, const float *k, float *out, long bn, long lq,
  * probabilities on return: each row is divided by its sum, taken in
  * ascending order from +0.0.  The sums of CHAINS rows run interleaved,
  * one independent chain per row, which keeps each row's order. */
-int cd_attn_apply(float *p, const float *v, float *out, long bn, long lq, long lk, long dv)
+void cd_attn_apply(float *p, const float *v, float *out, long bn, long lq, long lk, long dv,
+                   char *ws)
 {
     enum { CHAINS = 12 };
     const long rows = bn * lq;
@@ -485,5 +542,5 @@ int cd_attn_apply(float *p, const float *v, float *out, long bn, long lq, long l
             for (long j = 0; j < lk; j++)
                 pr[r * lk + j] = pr[r * lk + j] / sum[r];
     }
-    return cd_matmul_batch(p, v, out, bn, lq, lk, dv);
+    cd_matmul_batch(p, v, dv, out, bn, lq, lk, dv, ws);
 }

@@ -33,6 +33,15 @@ of the SiLU gate it writes, and the conv kernel reading that gate.
 Conv weights are packed once (:class:`PackedConv`), in one layout that
 both backends read, so a model built under one backend runs under the
 other.
+
+The public functions (:func:`matmul`, :func:`conv2d_frames`,
+:func:`rms_norm`, :func:`attention_batch`, ...) check their arguments and
+allocate their outputs and the compiled kernels' scratch memory per call;
+they are the entry points for tests, benchmarks and other callers, and
+safe to call from several threads.  A planned pass (see
+:mod:`cachediff.plan`) calls none of them: the ``bound_*`` functions at
+the end of this module bind each of its kernel calls once, with its
+buffers, sizes and a scratch block fixed, under either backend.
 """
 
 from __future__ import annotations
@@ -41,6 +50,7 @@ import ctypes
 import math
 import os
 import threading
+from functools import partial
 
 import numpy as np
 
@@ -141,6 +151,30 @@ def _conv2d_frames_np(
     return np.ascontiguousarray(out.reshape(f, ho, wo, conv.co).transpose(0, 3, 1, 2))
 
 
+def _conv_epilogue_np(y: np.ndarray, add: np.ndarray | None, base: np.ndarray | None):
+    """The reference sequence that the compiled conv's store loop fuses.
+
+    ``add`` (samples, co) holds one row per run of ``f // samples`` frames,
+    added to the conv's output (a residual unit's time projection); ``base``
+    gives ``base + 0.5 * y`` (its residual).
+    """
+    if add is not None:
+        lead = (add.shape[0], y.shape[0] // add.shape[0])
+        return (y.reshape(lead + y.shape[1:]) + add[:, None, :, None, None]).reshape(y.shape)
+    if base is not None:
+        return base + np.float32(0.5) * y
+    return y
+
+
+def _channel_mix_np(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w per pixel of an (f, c, h, w) stack: the matmul of its (f*h*w, c) tokens."""
+    f, c, h, wid = x.shape
+    tok = np.ascontiguousarray(x.transpose(0, 2, 3, 1).reshape(f * h * wid, c))
+    return np.ascontiguousarray(
+        _matmul_np(tok, w).reshape(f, h, wid, w.shape[1]).transpose(0, 3, 1, 2)
+    )
+
+
 def _rms_norm_np(x: np.ndarray, axis: int, gate: bool = False):
     ms = np.mean(np.square(x), axis=axis, keepdims=True, dtype=np.float32)
     out = x / np.sqrt(ms + np.float32(1e-5))
@@ -178,8 +212,8 @@ def _ptr(x: np.ndarray) -> int:
 
     The kernels read raw memory and ignore strides, so any other array is
     refused.  Borrowing a writable buffer is about three times cheaper than
-    ``x.ctypes.data``, which matters for the many small kernel calls of a
-    forward pass; read-only and empty arrays take the general route.
+    ``x.ctypes.data``, which matters for the unplanned kernel calls; read-only
+    and empty arrays take the general route.
     """
     if x.dtype != _F32 or not x.flags.c_contiguous:
         raise ValueError(f"compiled kernels need C-contiguous float32 arrays, got {x.dtype} "
@@ -190,34 +224,109 @@ def _ptr(x: np.ndarray) -> int:
         return x.ctypes.data
 
 
-def _check(rc: int) -> None:
-    if rc != 0:
-        raise MemoryError("compiled kernel could not allocate its scratch memory")
+def _rows_ptr(x: np.ndarray) -> tuple[int, int]:
+    """Address and row length, in floats, of a 2-d float32 array with contiguous rows."""
+    if x.dtype != _F32 or x.ndim != 2:
+        raise ValueError(f"need a float32 matrix, got {x.dtype} of shape {x.shape}")
+    if x.size == 0:
+        return x.ctypes.data, x.shape[1]
+    if x.strides[1] != 4 or x.strides[0] % 4:
+        raise ValueError(f"need a float32 matrix with contiguous rows, got strides {x.strides}")
+    return x.ctypes.data, x.strides[0] // 4
+
+
+# Scratch memory of the compiled kernels, in bytes.  Each kernel carves its
+# regions (index tables, padded copies) from one block, every region rounded
+# up to 64 bytes; these are upper bounds of what kernels.c carves.
+
+
+def _r64(nbytes: int) -> int:
+    return -(-nbytes // 64) * 64
+
+
+def _pad16(n: int) -> int:
+    return -(-n // 16) * 16
+
+
+def _matmul_ws(m: int, k: int, n: int, ldb: int) -> int:
+    """koff and arow, plus a padded copy of one B item unless ldb is a multiple of 16."""
+    return _r64(8 * k) + _r64(8 * m) + (_r64(4 * k * _pad16(n)) if ldb % 16 else 0)
+
+
+def _channel_mix_ws(f: int, c: int, hw: int, co: int, ldw: int) -> int:
+    """koff, arow and orow, plus a padded copy of w unless ldw is a multiple of 16."""
+    return _r64(8 * c) + 2 * _r64(8 * f * hw) + (_r64(4 * c * _pad16(co)) if ldw % 16 else 0)
+
+
+def _conv_ws(f: int, ci: int, h: int, w: int, stride: int) -> int:
+    """koff, pix and opix, then the zero-padded input."""
+    npix = f * ((h - 1) // stride + 1) * ((w - 1) // stride + 1)
+    return _r64(8 * 9 * ci) + 2 * _r64(8 * npix) + _r64(4 * f * ci * (h + 2) * (w + 2))
+
+
+def _attention_ws(bn: int, lq: int, lk: int, d: int, dv: int) -> int:
+    """The larger of the logits kernel's (transposed keys, then its GEMM) and the apply kernel's."""
+    logits = _r64(4 * bn * d * _pad16(lk)) + _matmul_ws(lq, d, lk, _pad16(lk))
+    return max(logits, _matmul_ws(lq, lk, dv, dv))
+
+
+def _scratch(nbytes: int) -> tuple[np.ndarray, int]:
+    """A scratch block of one unplanned kernel call and its address."""
+    ws = np.empty(max(nbytes, 1), dtype=np.uint8)
+    return ws, ws.ctypes.data
 
 
 def _matmul_c(a: np.ndarray, b: np.ndarray, lib=None) -> np.ndarray:
     (m, k), n = a.shape, b.shape[1]
     out = np.empty((m, n), dtype=np.float32)
-    _check((lib or _lib).cd_matmul(_ptr(a), _ptr(b), _ptr(out), m, k, n))
+    ws, at = _scratch(_matmul_ws(m, k, n, n))
+    (lib or _lib).cd_matmul(_ptr(a), _ptr(b), n, _ptr(out), m, k, n, at)
     return out
 
 
 def _matmul_batch_c(a: np.ndarray, b: np.ndarray, lib=None) -> np.ndarray:
     (bn, m, k), n = a.shape, b.shape[2]
     out = np.empty((bn, m, n), dtype=np.float32)
-    _check((lib or _lib).cd_matmul_batch(_ptr(a), _ptr(b), _ptr(out), bn, m, k, n))
+    ws, at = _scratch(_matmul_ws(m, k, n, n))
+    (lib or _lib).cd_matmul_batch(_ptr(a), _ptr(b), n, _ptr(out), bn, m, k, n, at)
     return out
 
 
+def _conv_args(x, conv: PackedConv, out, ws: int, stride: int, gate, add, base) -> tuple:
+    """The arguments of cd_conv2d_frames, with the epilogue of :func:`_conv_epilogue_np`."""
+    f, ci, h, wid = x.shape
+    pa, lda = _rows_ptr(add) if add is not None else (None, 0)
+    return (
+        _ptr(x), None if gate is None else _ptr(gate), _ptr(conv.w), conv.w.shape[1],
+        _ptr(conv.bias), _ptr(out), f, ci, h, wid, conv.co, stride,
+        pa, lda, f // add.shape[0] if add is not None else 1,
+        None if base is None else _ptr(base), ws,
+    )
+
+
 def _conv2d_frames_c(
-    x: np.ndarray, conv: PackedConv, stride: int, gate: np.ndarray | None = None, lib=None
+    x: np.ndarray, conv: PackedConv, stride: int, gate: np.ndarray | None = None, lib=None,
+    add: np.ndarray | None = None, base: np.ndarray | None = None,
 ) -> np.ndarray:
+    """The compiled conv, with the epilogue of :func:`_conv_epilogue_np` fused into its store."""
     f, c_in, h, wid = x.shape
     out = np.empty((f, conv.co, (h - 1) // stride + 1, (wid - 1) // stride + 1), dtype=np.float32)
-    _check((lib or _lib).cd_conv2d_frames(
-        _ptr(x), None if gate is None else _ptr(gate), _ptr(conv.w), conv.w.shape[1],
-        _ptr(conv.bias), _ptr(out), f, c_in, h, wid, conv.co, stride,
-    ))
+    ws, at = _scratch(_conv_ws(f, c_in, h, wid, stride))
+    (lib or _lib).cd_conv2d_frames(*_conv_args(x, conv, out, at, stride, gate, add, base))
+    return out
+
+
+def _channel_mix_args(x: np.ndarray, w: np.ndarray, out: np.ndarray, ws: int) -> tuple:
+    f, c, h, wid = x.shape
+    pw, ldw = _rows_ptr(w)
+    return _ptr(x), pw, ldw, _ptr(out), f, c, h * wid, w.shape[1], ws
+
+
+def _channel_mix_c(x: np.ndarray, w: np.ndarray, lib=None) -> np.ndarray:
+    f, c, h, wid = x.shape
+    out = np.empty((f, w.shape[1], h, wid), dtype=np.float32)
+    ws, at = _scratch(_channel_mix_ws(f, c, h * wid, w.shape[1], w.strides[0] // 4))
+    (lib or _lib).cd_channel_mix(*_channel_mix_args(x, w, out, at))
     return out
 
 
@@ -225,10 +334,10 @@ def _rms_norm_c(x: np.ndarray, axis: int, gate: bool = False, lib=None):
     """The kernel writes the norm and -clip(out, -30, 30); numpy's exp makes that the gate."""
     out = np.empty(x.shape, dtype=np.float32)
     neg = np.empty(x.shape, dtype=np.float32) if gate else None
-    _check((lib or _lib).cd_rms_norm(
+    (lib or _lib).cd_rms_norm(
         _ptr(x), _ptr(out), None if neg is None else _ptr(neg),
         math.prod(x.shape[:axis]), x.shape[axis], math.prod(x.shape[axis + 1 :]),
-    ))
+    )
     if neg is None:
         return out
     np.exp(neg, out=neg)
@@ -240,11 +349,12 @@ def _attention_c(
 ) -> tuple[np.ndarray, np.ndarray]:
     lib = lib or _lib
     (bn, lq, d), (lk, dv) = q.shape, v.shape[1:]
+    ws, at = _scratch(_attention_ws(bn, lq, lk, d, dv))
     probs = np.empty((bn, lq, lk), dtype=np.float32)
-    _check(lib.cd_attn_logits(_ptr(q), _ptr(k), _ptr(probs), bn, lq, lk, d, scale))
+    lib.cd_attn_logits(_ptr(q), _ptr(k), _ptr(probs), bn, lq, lk, d, scale, at)
     np.exp(probs, out=probs)
     out = np.empty((bn, lq, dv), dtype=np.float32)
-    _check(lib.cd_attn_apply(_ptr(probs), _ptr(v), _ptr(out), bn, lq, lk, dv))
+    lib.cd_attn_apply(_ptr(probs), _ptr(v), _ptr(out), bn, lq, lk, dv, at)
     return out, probs
 
 
@@ -255,7 +365,8 @@ def _self_check(lib) -> str | None:
     exponentials) expose any change of summation order or rounding; the
     cases also hold a row of -0.0 and a subnormal.  The norm's rows of 137
     terms of a wide range take every branch of numpy's pairwise sum; its
-    channel case sums over a strided axis.
+    channel case sums over a strided axis.  The conv's two store epilogues
+    add rows and a residual holding -0.0 and a subnormal.
     """
     rng = np.random.default_rng(0)
     a = rng.standard_normal((13, 37), dtype=np.float32)
@@ -275,6 +386,11 @@ def _self_check(lib) -> str | None:
     q[1, 4] = -0.0
     kv = rng.standard_normal((2, 37, 5), dtype=np.float32)
     scale = np.float32(0.75)
+    add = rng.standard_normal((2, 6), dtype=np.float32)
+    add[0, 1], add[1, 2] = -0.0, 3e-39
+    base = rng.standard_normal((2, 6, 5, 4), dtype=np.float32)
+    base[1, 3] = -0.0
+    y = _conv2d_frames_np(x, conv, 1, gate)
     cases = [
         ("matmul n=16", _matmul_c(a, b16, lib), _matmul_np(a, b16)),
         ("matmul n=21", _matmul_c(a, b21, lib), _matmul_np(a, b21)),
@@ -285,8 +401,12 @@ def _self_check(lib) -> str | None:
          _conv2d_frames_np(x, conv, s))
         for s in (1, 2)
     ] + [
-        ("gated conv2d_frames", _conv2d_frames_c(x, conv, 1, gate, lib),
-         _conv2d_frames_np(x, conv, 1, gate)),
+        ("gated conv2d_frames", _conv2d_frames_c(x, conv, 1, gate, lib), y),
+        ("conv2d_frames add epilogue", _conv2d_frames_c(x, conv, 1, gate, lib, add=add),
+         _conv_epilogue_np(y, add, None)),
+        ("conv2d_frames residual epilogue", _conv2d_frames_c(x, conv, 1, gate, lib, base=base),
+         _conv_epilogue_np(y, None, base)),
+        ("channel_mix", _channel_mix_c(x, b21[:5], lib), _channel_mix_np(x, b21[:5])),
         ("rms_norm rows", _rms_norm_c(t, 1, False, lib), _rms_norm_np(t, 1)),
         ("rms_norm channels", np.concatenate([x.ravel() for x in _rms_norm_c(x, 1, True, lib)]),
          np.concatenate([x.ravel() for x in _rms_norm_np(x, 1, True)])),
@@ -513,7 +633,7 @@ def attention_batch(
         raise ValueError(f"attention_batch needs at least one key and one dim, got k {k.shape}")
     impl = _IMPLS[active_backend()][3]
     scale = np.float32(1.0 / math.sqrt(q.shape[2]))
-    step = max(1, _ATTN_SLAB // (q.shape[1] * k.shape[1] or 1))
+    step = max(1, attention_slab(q.shape[0], q.shape[1], k.shape[1]))
     outs, probs = [], []
     for i in range(0, max(q.shape[0], 1), step):
         out, p = impl(q[i : i + step], k[i : i + step], v[i : i + step], scale)
@@ -521,3 +641,110 @@ def attention_batch(
         if keep_probs:
             probs.append(p)
     return np.concatenate(outs), np.concatenate(probs) if keep_probs else None
+
+
+def attention_slab(n: int, lq: int, lk: int) -> int:
+    """Items per slab of :func:`attention_batch` over n items of lq x lk scores."""
+    return min(n, max(1, _ATTN_SLAB // (lq * lk or 1)))
+
+
+# ---------------------------------------------------------------------------
+# bound calls of a planned pass
+#
+# Each ``bound_*`` function returns the calls that run one step of a plan
+# (see :mod:`cachediff.plan`) with every argument fixed: the arrays are the
+# plan's buffers, checked and turned into addresses once, and ``ws`` is the
+# address of the plan's scratch block, at least the step's ``_*_ws`` bytes.
+# Under ``numpy`` a call runs the reference and writes its result into the
+# same buffers, so both backends give the same bytes.  The checks of the
+# public functions above are not repeated here: the plan made the shapes.
+
+
+def bound_matmul(backend: str, a: np.ndarray, b: np.ndarray, out: np.ndarray, ws: int) -> list:
+    """out = a @ b; b's rows may be padded (a column slice of a wider matrix)."""
+    (m, k), n = a.shape, b.shape[1]
+    if backend == "numpy":
+        return [lambda: np.copyto(out, _matmul_np(a, b))]
+    pb, ldb = _rows_ptr(b)
+    return [partial(_compiled().cd_matmul, _ptr(a), pb, ldb, _ptr(out), m, k, n, ws)]
+
+
+def bound_channel_mix(backend: str, x: np.ndarray, w: np.ndarray, out: np.ndarray, ws: int) -> list:
+    """out (f, co, h, w) = x @ w per pixel, the matmul of x's (f * h * w, c) tokens."""
+    if backend == "numpy":
+        return [lambda: np.copyto(out, _channel_mix_np(x, w))]
+    return [partial(_compiled().cd_channel_mix, *_channel_mix_args(x, w, out, ws))]
+
+
+def bound_conv2d_frames(
+    backend: str, x: np.ndarray, conv: PackedConv, out: np.ndarray, ws: int, *, stride: int = 1,
+    gate: np.ndarray | None = None, add: np.ndarray | None = None, base: np.ndarray | None = None,
+) -> list:
+    """out = conv2d_frames(x, conv, stride, gate), then at most one epilogue.
+
+    ``add`` (samples, co), one row per run of ``f // samples`` frames, is
+    added to ``acc + bias`` (a residual unit's time projection); ``base``,
+    shaped like ``out``, gives ``base + 0.5 * (acc + bias)`` (its residual).
+    Each is the reference's own sequence of float32 operations.
+    """
+    if add is not None and base is not None:
+        raise ValueError("a conv takes one epilogue")
+    if backend == "numpy":
+        return [lambda: np.copyto(
+            out, _conv_epilogue_np(_conv2d_frames_np(x, conv, stride, gate), add, base))]
+    return [partial(_compiled().cd_conv2d_frames,
+                    *_conv_args(x, conv, out, ws, stride, gate, add, base))]
+
+
+def bound_rms_norm(
+    backend: str, x: np.ndarray, axis: int, out: np.ndarray, gate: np.ndarray | None = None
+) -> list:
+    """out = rms_norm(x, axis), and with ``gate`` its SiLU gate, of a C-contiguous x."""
+    axis %= x.ndim
+    if backend == "numpy":
+        def run():
+            res = _rms_norm_np(x, axis, gate is not None)
+            if gate is None:
+                np.copyto(out, res)
+            else:
+                np.copyto(out, res[0])
+                np.copyto(gate, res[1])
+        return [run]
+    calls = [partial(
+        _compiled().cd_rms_norm, _ptr(x), _ptr(out), None if gate is None else _ptr(gate),
+        math.prod(x.shape[:axis]), x.shape[axis], math.prod(x.shape[axis + 1 :]),
+    )]
+    if gate is not None:
+        calls.append(partial(np.exp, gate, out=gate))
+    return calls
+
+
+def bound_attention(
+    backend: str, q: np.ndarray, k: np.ndarray, v: np.ndarray, out: np.ndarray,
+    probs: np.ndarray, ws: int, *, keep_probs: bool = False,
+) -> list:
+    """out = attention_batch(q, k, v) in its slabs; ``probs`` holds every item's
+    probabilities with ``keep_probs``, else it is one slab's scratch."""
+    (n, lq, d), (lk, dv) = q.shape, v.shape[1:]
+    scale = np.float32(1.0 / math.sqrt(d))
+    step = attention_slab(n, lq, lk)
+    calls = []
+    for i in range(0, n, step):
+        sl = slice(i, i + step)
+        cnt = len(range(n)[sl])
+        p = probs[sl] if keep_probs else probs[:cnt]
+        if backend == "numpy":
+            def run(sl=sl, p=p):
+                o, pr = _attention_np(q[sl], k[sl], v[sl], scale)
+                np.copyto(out[sl], o)
+                np.copyto(p, pr)
+            calls.append(run)
+            continue
+        lib = _compiled()
+        calls += [
+            partial(lib.cd_attn_logits, _ptr(q[sl]), _ptr(k[sl]), _ptr(p), cnt, lq, lk, d,
+                    float(scale), ws),
+            partial(np.exp, p, out=p),
+            partial(lib.cd_attn_apply, _ptr(p), _ptr(v[sl]), _ptr(out[sl]), cnt, lq, lk, dv, ws),
+        ]
+    return calls

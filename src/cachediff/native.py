@@ -36,12 +36,13 @@ BUILD_TIMEOUT_S = 120
 _P = ctypes.c_void_p
 _L = ctypes.c_long
 _SIGNATURES = {
-    "cd_matmul": (_P, _P, _P, _L, _L, _L),
-    "cd_matmul_batch": (_P, _P, _P, _L, _L, _L, _L),
-    "cd_conv2d_frames": (_P, _P, _P, _L, _P, _P, _L, _L, _L, _L, _L, _L),
+    "cd_matmul": (_P, _P, _L, _P, _L, _L, _L, _P),
+    "cd_matmul_batch": (_P, _P, _L, _P, _L, _L, _L, _L, _P),
+    "cd_channel_mix": (_P, _P, _L, _P, _L, _L, _L, _L, _P),
+    "cd_conv2d_frames": (_P, _P, _P, _L, _P, _P, _L, _L, _L, _L, _L, _L, _P, _L, _L, _P, _P),
     "cd_rms_norm": (_P, _P, _P, _L, _L, _L),
-    "cd_attn_logits": (_P, _P, _P, _L, _L, _L, _L, ctypes.c_float),
-    "cd_attn_apply": (_P, _P, _P, _L, _L, _L, _L),
+    "cd_attn_logits": (_P, _P, _P, _L, _L, _L, _L, ctypes.c_float, _P),
+    "cd_attn_apply": (_P, _P, _P, _L, _L, _L, _L, _P),
 }
 
 
@@ -102,5 +103,5 @@ def load() -> tuple[ctypes.CDLL | None, str | None]:
     for name, argtypes in _SIGNATURES.items():
         fn = getattr(lib, name)
         fn.argtypes = argtypes
-        fn.restype = ctypes.c_int
+        fn.restype = None
     return lib, None

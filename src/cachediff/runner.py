@@ -81,18 +81,15 @@ def execute_run(rc: RunConfig, *, hooks=None, model: ToyUNet | None = None) -> R
     ledger = FlopLedger()
     clip_finals: list[np.ndarray] = []
     clip_reports: list[dict] = []
-    try:
-        for ci, cond in enumerate(conds):
-            z_T = initial_latent(root, cfg, ci)
-            z0, rep, led = denoise_clip(
-                model, sched, plan, rc.strategy, z_T, cond,
-                clip_id=ci, hooks=hooks, runner=runner,
-            )
-            clip_finals.append(z0)
-            clip_reports.append(rep)
-            ledger.rows.extend(led.rows)
-    finally:
-        runner.close()
+    for ci, cond in enumerate(conds):
+        z_T = initial_latent(root, cfg, ci)
+        z0, rep, led = denoise_clip(
+            model, sched, plan, rc.strategy, z_T, cond,
+            clip_id=ci, hooks=hooks, runner=runner,
+        )
+        clip_finals.append(z0)
+        clip_reports.append(rep)
+        ledger.rows.extend(led.rows)
     frames = np.concatenate([z[0] for z in clip_finals], axis=1)
     final = np.ascontiguousarray(frames[:, : rc.run.total_frames])
     totals = {

@@ -20,16 +20,21 @@ the background rows of every attention site's output as the
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import attention as attn
 from .errors import ConfigError
-from .kernels import PackedConv, conv2d_frames, matmul, rms_norm, silu, upsample_nearest
+from .kernels import PackedConv, active_backend
+from .kernels import matmul  # noqa: F401  (a name of this module the benchmark's tracer wraps)
 from .masks import ForegroundMask
+from .plan import Buf, Plan, PlanCache
 from .profiler import FlopLog
 from .rng import Rng
 
@@ -227,202 +232,82 @@ def time_embedding(t: int, dim: int) -> np.ndarray:
 # model
 
 
+@functools.lru_cache(maxsize=1024)
+def _time_embedding(t: int, dim: int) -> np.ndarray:
+    """time_embedding, computed once per timestep; the plan copies it, never writes it."""
+    return time_embedding(t, dim)
+
+
+def _silu_calls(h: np.ndarray, bias: np.ndarray, gate: np.ndarray, out: np.ndarray) -> list:
+    """h += bias, then out = silu(h) with gate as scratch: the sequence of kernels.silu."""
+    lo, hi, one = np.float32(-30.0), np.float32(30.0), np.float32(1.0)
+    return [
+        partial(np.add, h, bias, out=h),
+        partial(np.clip, h, lo, hi, out=gate),
+        partial(np.negative, gate, out=gate),
+        partial(np.exp, gate, out=gate),
+        partial(np.add, one, gate, out=gate),
+        partial(np.divide, one, gate, out=gate),
+        partial(np.multiply, h, gate, out=out),
+    ]
+
+
+class _PassIO:
+    """Inputs of the pass in flight, read by its plan's input steps, and the rows it keeps."""
+
+    __slots__ = ("z", "ts", "cond", "f_u31", "dfa", "masks", "hooks", "rows")
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self) -> None:
+        for name in self.__slots__:
+            setattr(self, name, None)
+
+
 class ToyUNet:
-    """Deterministic float32 UNet over (frame, channel, height, width) stacks."""
+    """Deterministic float32 UNet over (frame, channel, height, width) stacks.
+
+    Every pass runs an execution plan (:mod:`cachediff.plan`), built on the
+    first pass of its key and kept by the model: fixed buffers, kernel calls
+    bound once and the pass's FLOP events.  The plans share one arena, so a
+    model runs one pass at a time; a lock makes concurrent callers wait
+    (so a hook must not start a pass of the same model).  Returned arrays
+    are the caller's own.  ``hooks`` receive views of the plan's buffers,
+    valid only during the call: a hook copies what it keeps.
+    """
 
     def __init__(self, cfg: UNetConfig, weights: dict[str, np.ndarray]):
-        """Keeps the 3x3 conv weights only packed (``convs``) and the rest in ``w``."""
+        """Keeps the 3x3 conv weights only packed (``convs``) and the rest in ``w``.
+
+        Each raw conv weight is removed from ``weights`` once it is packed,
+        so the two forms of every weight never exist at once.
+        """
         self.cfg = cfg
         spec = weight_spec(cfg)
         missing = [n for n, _, _ in spec if n not in weights]
         if missing:
             raise ConfigError(f"missing weights: {missing[:4]}{'...' if len(missing) > 4 else ''}")
-        convs = [n[: -len(".w")] for n, shape, _ in spec if len(shape) == 4]
-        self.convs = {n: PackedConv(weights[f"{n}.w"], weights[f"{n}.b"]) for n in convs}
-        packed = {f"{n}.{p}" for n in convs for p in "wb"}
-        self.w = {n: a for n, a in weights.items() if n not in packed}
-
-    # -- small pieces
-
-    def _norm(
-        self, x: np.ndarray, layer: str, log: FlopLog | None, axis: int = 1, copies: int = 1
-    ) -> np.ndarray:
-        """RMS normalization over the channel axis.
-
-        Per-token (per-pixel) normalization: every spatial location is
-        scaled independently, so it commutes with token selection.  An
-        input shared by ``copies`` samples of a stack is normalized once
-        and logged once per sample.
-        """
-        out = rms_norm(x, axis)
-        if log is not None:
-            log.add("elementwise", layer, (3 * copies * x.size,))
-        return out
-
-    def _preact_conv(self, x: np.ndarray, layer: str, name: str, log: FlopLog | None) -> np.ndarray:
-        """conv(silu(norm(x))): the norm writes SiLU's gate and the conv applies it."""
-        normed, gate = rms_norm(x, 1, gate=True)
-        if log is not None:
-            log.add("elementwise", layer, (3 * x.size,))  # the norm, as _norm logs it
-            log.add("elementwise", layer, (4 * x.size,))  # the SiLU
-        return self._conv(normed, name, log, gate=gate)
-
-    def _time_features(self, ts: list[int], log: FlopLog | None) -> np.ndarray:
-        """(samples, time_dim) features, one row per sample's timestep."""
-        td = self.cfg.time_dim
-        emb = np.stack([time_embedding(t, td) for t in ts])
-        h = matmul(emb, self.w["time.affine.w"]) + self.w["time.affine.b"]
-        if log is not None:
-            log.add("matmul", "time", (len(ts), td, td))
-            log.add("elementwise", "time", (len(ts) * td,))
-            log.add("elementwise", "time", (4 * h.size,))  # the SiLU
-        return silu(h)
-
-    def _conv(
-        self, x: np.ndarray, name: str, log: FlopLog | None, stride: int = 1,
-        gate: np.ndarray | None = None,
-    ) -> np.ndarray:
-        conv = self.convs[name]
-        out = conv2d_frames(x, conv, stride, gate)
-        if log is not None:
-            f, _, ho, wo = out.shape
-            log.add("conv2d", name, (conv.co, conv.ci, ho, f * wo))
-        return out
-
-    def _channel_mix(self, x: np.ndarray, name: str, log: FlopLog | None) -> np.ndarray:
-        f, c, h, w = x.shape
-        wmat = self.w[name]
-        tok = np.ascontiguousarray(x.transpose(0, 2, 3, 1).reshape(f * h * w, c))
-        out = matmul(tok, wmat)
-        if log is not None:
-            log.add("matmul", name, (f * h * w, c, wmat.shape[1]))
-        return np.ascontiguousarray(out.reshape(f, h, w, wmat.shape[1]).transpose(0, 3, 1, 2))
-
-    def _res_unit(self, x: np.ndarray, temb: np.ndarray, prefix: str, log: FlopLog | None) -> np.ndarray:
-        """Residual unit on a stack of samples' frames; temb holds one row per sample."""
-        h1 = self._preact_conv(x, prefix, f"{prefix}.conv1", log)
-        tproj = matmul(temb, self.w[f"{prefix}.temb.w"]) + self.w[f"{prefix}.temb.b"]
-        h1 = h1 + np.repeat(tproj, x.shape[0] // temb.shape[0], axis=0)[:, :, None, None]
-        h2 = self._preact_conv(h1, prefix, f"{prefix}.conv2", log)
-        if f"{prefix}.skip.w" in self.w:
-            base = self._channel_mix(x, f"{prefix}.skip.w", log)
-        else:
-            base = x
-        if log is not None:
-            log.add("matmul", prefix, (temb.shape[0], self.cfg.time_dim, h1.shape[1]))
-            log.add("elementwise", prefix, (h1.size + 2 * h2.size,))
-        return base + np.float32(0.5) * h2
-
-    # -- attention module (three sites in order)
-
-    def _attn_module(
-        self,
-        x: np.ndarray,
-        layer: str,
-        cond: Conditioning,
-        log: FlopLog | None,
-        dfa: DfaCache | None,
-        hooks=None,
-        removal_active: bool = False,
-        bg_mask: ForegroundMask | None = None,
-    ) -> tuple[np.ndarray, DfaCache]:
-        """Reference, audio and temporal sites on a stack of samples' frames.
-
-        Each site runs once for the whole stack; temporal attention stays
-        inside each sample's frames.  Returns the updated stack and, given
-        ``bg_mask`` on the full path of a one-sample stack, each site's
-        background rows with the mask, as the restricted path reads them.
-        """
-        n, c, h, w = x.shape
-        f = self.cfg.frames
-        k = n // f
-        L = h * w
-        half = np.float32(0.5)
-        removal = removal_active and layer in self.cfg.removal_set
-        rows: DfaCache = {}
-
-        def ctx(site: str) -> attn.DfaContext | None:
-            return None if dfa is None else dfa.get((layer, site))
-
-        def tokens(x: np.ndarray, name: str) -> np.ndarray:
-            tok = np.ascontiguousarray(x.reshape(k, f, c, L).transpose(0, 1, 3, 2))
-            return self._norm(tok, name, log, axis=-1)
-
-        def keep(site: str, a: np.ndarray) -> None:
-            # Gathered at once, so no site output outlives its site: spatial
-            # outputs are (1, f, L, d) and temporal ones (1, L, f, d).
-            if bg_mask is not None:
-                bg = bg_mask.bg_index
-                rows[(layer, site)] = attn.DfaContext(
-                    bg_mask, a[0][bg] if site == "temporal" else a[0][:, bg]
-                )
-
-        def add_spatial(x: np.ndarray, delta: np.ndarray, name: str) -> np.ndarray:
-            if log is not None:
-                log.add("elementwise", name, (2 * x.size,))
-            return x + half * delta.transpose(0, 1, 3, 2).reshape(n, c, h, w)
-
-        name = f"{layer}.ref"
-        delta, a = attn.reference_site(
-            tokens(x, name), self._norm(cond.ref[layer], name, log, copies=k), self.w, name,
-            removal=removal, dfa=ctx("reference"), log=log, hooks=hooks,
-        )
-        keep("reference", a)
-        x = add_spatial(x, delta, name)
-
-        name = f"{layer}.aud"
-        delta, a = attn.audio_site(
-            tokens(x, name), self._norm(cond.audio, name, log, axis=-1, copies=k), self.w, name,
-            dfa=ctx("audio"), log=log, hooks=hooks,
-        )
-        keep("audio", a)
-        x = add_spatial(x, delta, name)
-
-        name = f"{layer}.tmp"
-        x_loc = np.ascontiguousarray(x.reshape(k, f, c, L).transpose(0, 3, 1, 2))
-        delta, a = attn.temporal_site(
-            self._norm(x_loc, name, log, axis=-1), self.w, name,
-            dfa=ctx("temporal"), log=log, hooks=hooks,
-        )
-        keep("temporal", a)
-        if log is not None:
-            log.add("elementwise", name, (2 * x.size,))
-        return x + half * delta.transpose(0, 2, 3, 1).reshape(n, c, h, w), rows
-
-    # -- tail shared between the full forward and the truncated subnet
-
-    def _u32_head(
-        self,
-        f_u31: np.ndarray,
-        s_in: np.ndarray,
-        temb: np.ndarray,
-        cond: Conditioning,
-        log: FlopLog | None,
-        dfa: DfaCache | None,
-        hooks=None,
-        removal_active: bool = False,
-        bg_mask: ForegroundMask | None = None,
-    ) -> tuple[np.ndarray, DfaCache]:
-        """Noise prediction from the U31 feature and conv_in branch, plus U32's background rows."""
-        # Each fusion branch is normalized on its own: the cached feature
-        # accumulates the trunk's magnitude while the fresh conv_in branch
-        # does not, and a joint scale would crush whichever branch is
-        # smaller, leaving the truncated pass insensitive to its latent.
-        # A feature shared by every sample of the stack is broadcast.
-        copies = s_in.shape[0] // f_u31.shape[0]
-        f_u31 = self._norm(f_u31, "U32.f", log, copies=copies)
-        s_in = self._norm(s_in, "U32.in", log)
-        fused = np.concatenate(
-            [np.broadcast_to(f_u31, (copies,) + f_u31.shape),
-             s_in.reshape((copies,) + f_u31.shape)],
-            axis=2,
-        ).reshape((s_in.shape[0], -1) + s_in.shape[2:])
-        x = self._res_unit(fused, temb, "U32.res", log)
-        rows = {}
-        if "U32" in self.cfg.attention_layers:
-            x, rows = self._attn_module(x, "U32", cond, log, dfa, hooks, removal_active, bg_mask)
-        eps = self._preact_conv(x, "head", "head", log)
-        return eps, rows
+        self.convs = {}
+        for name, shape, _ in spec:
+            if len(shape) == 4:
+                conv = name[: -len(".w")]
+                self.convs[conv] = PackedConv(weights.pop(name), weights.pop(f"{conv}.b"))
+        self.w = {n: weights[n] for n, _, _ in spec if n in weights}
+        # The residual units' time projections, as one matrix: a unit's
+        # columns start at _temb_col[unit]; the width is rounded up to 16.
+        units = [n[: -len(".temb.w")] for n, _, _ in spec if n.endswith(".temb.w")]
+        widths = [self.w[f"{u}.temb.w"].shape[1] for u in units]
+        self._temb_col = dict(zip(units, np.cumsum([0] + widths[:-1]).tolist()))
+        cols = -(-sum(widths) // 16) * 16
+        self._temb_w = np.zeros((cfg.time_dim, cols), dtype=np.float32)
+        self._temb_b = np.zeros(cols, dtype=np.float32)
+        for u, col, width in zip(units, self._temb_col.values(), widths):
+            self._temb_w[:, col : col + width] = self.w[f"{u}.temb.w"]
+            self._temb_b[col : col + width] = self.w[f"{u}.temb.b"]
+        self._plans = PlanCache()
+        self._io = _PassIO()
+        self._lock = threading.Lock()
 
     # -- public passes
 
@@ -449,49 +334,28 @@ class ToyUNet:
         if z.shape[0] != 1:
             raise ConfigError(f"forward takes one sample, got {z.shape[0]}")
         cond.validate(cfg)
-        masks = dict.fromkeys(cfg.attention_layers) if bg_masks is None else bg_masks
-        dfa: DfaCache = {}
-
-        def attend(x: np.ndarray, layer: str) -> np.ndarray:
-            x, rows = self._attn_module(
-                x, layer, cond, log, None, hooks, removal_active, masks[layer]
-            )
-            dfa.update(rows)
-            return x
-
-        x = np.ascontiguousarray(z[0].transpose(1, 0, 2, 3))
-        temb = self._time_features([t], log)
-        x = self._conv(x, "conv_in", log)
-        s_in = x
-        skips = []
-        for i, blk in enumerate(("D0", "D1", "D2", "D3")):
-            x = self._res_unit(x, temb, f"{blk}.res0", log)
-            x = self._res_unit(x, temb, f"{blk}.res1", log)
-            skips.append(x)
-            if i < 3:
-                x = self._conv(x, f"down{i}", log, stride=2)
-        x = self._res_unit(x, temb, "M.res0", log)
-        if "M" in cfg.attention_layers:
-            x = attend(x, "M")
-        x = self._res_unit(x, temb, "M.res1", log)
-        for i, blk in enumerate(("U0", "U1", "U2")):
-            x = np.concatenate([x, skips[3 - i]], axis=1)
-            x = self._res_unit(x, temb, f"{blk}.res0", log)
-            x = self._res_unit(x, temb, f"{blk}.res1", log)
-            if blk == "U2" and "U2" in cfg.attention_layers:
-                x = attend(x, "U2")
-            x = self._conv(upsample_nearest(x), f"up{i}", log)
-        x = self._res_unit(np.concatenate([x, skips[0]], axis=1), temb, "U30.res", log)
-        f_u31 = self._res_unit(x, temb, "U31.res", log)
-        eps, rows = self._u32_head(
-            f_u31, s_in, temb, cond, log, None, hooks, removal_active, masks.get("U32")
-        )
-        dfa.update(rows)
-        return ForwardTrace(
-            eps=np.ascontiguousarray(eps.transpose(1, 0, 2, 3))[None],
-            f_u31=f_u31[None],
-            dfa=None if bg_masks is None else dfa,
-        )
+        masks = {
+            layer: None if bg_masks is None else bg_masks.get(layer)
+            for layer in cfg.attention_layers
+        }
+        key = ("forward", bool(removal_active), hooks is not None,
+               tuple(None if m is None else (m.shape, m.fg_index.tobytes()) for m in masks.values()))
+        with self._lock:
+            io = self._io
+            io.z, io.ts, io.cond, io.masks, io.hooks, io.rows = z, (int(t),), cond, masks, hooks, {}
+            try:
+                plan = self._plans.get(
+                    key, lambda: self._plan_forward(bool(removal_active), masks, hooks is not None)
+                )
+                plan.run(active_backend(), log)
+                eps, f_u31 = plan.outputs
+                return ForwardTrace(
+                    eps=np.ascontiguousarray(eps.a.transpose(1, 0, 2, 3))[None],
+                    f_u31=f_u31.a.copy()[None],
+                    dfa=None if bg_masks is None else io.rows,
+                )
+            finally:
+                io.clear()
 
     def subnet(
         self,
@@ -525,15 +389,23 @@ class ToyUNet:
             raise ConfigError(
                 f"cached feature must be {(b,) + feat} or {(1,) + feat}, got {f_u31.shape}"
             )
-        frames = np.ascontiguousarray(z.transpose(0, 2, 1, 3, 4))
-        temb = self._time_features(ts, log)
-        s_in = self._conv(frames.reshape((-1,) + frames.shape[2:]), "conv_in", log)
-        eps, _ = self._u32_head(
-            f_u31.reshape((-1,) + feat[1:]), s_in, temb, cond, log, dfa,
-            removal_active=removal_active,
-        )
-        eps = eps.reshape((b, cfg.frames) + eps.shape[1:])
-        return np.ascontiguousarray(eps.transpose(0, 2, 1, 3, 4))
+        ctxs = None if dfa is None else tuple(sorted(
+            (k, c.mask.shape, c.mask.fg_index.tobytes(), None if c.bg is None else c.bg.shape)
+            for k, c in dfa.items()
+        ))
+        key = ("subnet", b, f_u31.shape[0], bool(removal_active), ctxs)
+        with self._lock:
+            io = self._io
+            io.z, io.ts, io.cond, io.f_u31, io.dfa = z, ts, cond, f_u31, dfa
+            try:
+                plan = self._plans.get(
+                    key, lambda: self._plan_subnet(b, f_u31.shape[0], bool(removal_active), dfa)
+                )
+                plan.run(active_backend(), log)
+                eps = plan.outputs[0].a.reshape((b, cfg.frames) + plan.outputs[0].shape[1:])
+                return np.ascontiguousarray(eps.transpose(0, 2, 1, 3, 4))
+            finally:
+                io.clear()
 
     def _check_latent(self, z: np.ndarray) -> None:
         cfg = self.cfg
@@ -542,3 +414,243 @@ class ToyUNet:
             raise ConfigError(f"latent must be (b,) + {want}, got {z.shape}")
         if z.dtype != np.float32:
             raise ConfigError(f"latent must be float32, got {z.dtype}")
+
+    # -- plans: each walk mirrors the pass, step by step and event by event
+
+    def _plan_forward(self, removal: bool, masks: dict, hooked: bool) -> Plan:
+        cfg, io = self.cfg, self._io
+        p = Plan()
+        z = _plan_input(p, (cfg.frames, cfg.latent_channels, cfg.height, cfg.width),
+                        lambda: io.z[0].transpose(1, 0, 2, 3))
+        tp = self._plan_time(p, 1)
+        hooks = (lambda: io.hooks) if hooked else None
+
+        def res(x: Buf, prefix: str) -> Buf:
+            return self._plan_res(p, x, tp, 1, prefix)
+
+        def attend(x: Buf, layer: str) -> Buf:
+            return self._plan_attn(p, x, layer, removal, None, hooks, masks[layer])
+
+        x = s_in = p.conv(z, self.convs["conv_in"], "conv_in")
+        skips = []
+        for i, blk in enumerate(("D0", "D1", "D2", "D3")):
+            x = res(x, f"{blk}.res0")
+            x = res(x, f"{blk}.res1")
+            skips.append(x)
+            if i < 3:
+                x = p.conv(x, self.convs[f"down{i}"], f"down{i}", stride=2)
+        x = res(x, "M.res0")
+        if "M" in cfg.attention_layers:
+            x = attend(x, "M")
+        x = res(x, "M.res1")
+        for i, blk in enumerate(("U0", "U1", "U2")):
+            x = res(_plan_concat(p, x, skips[3 - i]), f"{blk}.res0")
+            x = res(x, f"{blk}.res1")
+            if blk == "U2" and "U2" in cfg.attention_layers:
+                x = attend(x, "U2")
+            x = p.conv(_plan_upsample(p, x), self.convs[f"up{i}"], f"up{i}")
+        x = res(_plan_concat(p, x, skips[0]), "U30.res")
+        f_u31 = res(x, "U31.res")
+        eps = self._plan_u32_head(p, f_u31, s_in, tp, 1, removal, None, hooks, masks.get("U32"))
+        return p.finish(eps, f_u31)
+
+    def _plan_subnet(self, b: int, feats: int, removal: bool, dfa: DfaCache | None) -> Plan:
+        cfg, io = self.cfg, self._io
+        f, cl, h, w = cfg.frames, cfg.latent_channels, cfg.height, cfg.width
+        p = Plan()
+        z = _plan_input(p, (b * f, cl, h, w), lambda: io.z.transpose(0, 2, 1, 3, 4),
+                        (b, f, cl, h, w))
+        tp = self._plan_time(p, b)
+        s_in = p.conv(z, self.convs["conv_in"], "conv_in")
+        feat = (feats * f, cfg.base_channels[0], h, w)
+        f_in = _plan_input(p, feat, lambda: io.f_u31.reshape(feat))
+        eps = self._plan_u32_head(p, f_in, s_in, tp, b, removal, dfa, None, None)
+        return p.finish(eps)
+
+    def _plan_time(self, p: Plan, samples: int) -> Buf:
+        """The time features of the pass's timesteps and every unit's time projection of them."""
+        td, io = self.cfg.time_dim, self._io
+        emb = p.buf((samples, td))
+
+        def fill():
+            for row, t in zip(emb.a, io.ts):
+                row[...] = _time_embedding(t, td)
+
+        p.glue(lambda: [fill], emb)
+        h = p.matmul(emb, self.w["time.affine.w"], None)
+        p.flop("matmul", "time", (samples, td, td))
+        p.flop("elementwise", "time", (samples * td,))
+        p.flop("elementwise", "time", (4 * h.size,))  # the SiLU
+        temb, gate = p.buf(h.shape), p.buf(h.shape)
+        p.glue(lambda: _silu_calls(h.a, self.w["time.affine.b"], gate.a, temb.a), h, gate, temb)
+        tproj = p.matmul(temb, self._temb_w, None)
+        p.glue(lambda: [partial(np.add, tproj.a, self._temb_b, out=tproj.a)], tproj)
+        return tproj
+
+    def _plan_preact(self, p: Plan, x: Buf, layer: str, name: str, **epilogue) -> Buf:
+        """conv(silu(norm(x))): the norm writes SiLU's gate and the conv applies it."""
+        normed, gate = p.norm(x, layer, gate=True)
+        p.flop("elementwise", layer, (4 * x.size,))  # the SiLU
+        return p.conv(normed, self.convs[name], name, gate=gate, **epilogue)
+
+    def _plan_res(self, p: Plan, x: Buf, tproj: Buf, samples: int, prefix: str) -> Buf:
+        """Residual unit on a stack of samples' frames, one time projection row per sample.
+
+        conv1's store adds the unit's time projection and conv2's writes
+        ``base + 0.5 * h2``, the unit's output.
+        """
+        f, c, h, w = x.shape
+        h1 = self._plan_preact(p, x, prefix, f"{prefix}.conv1", add=(tproj, self._temb_col[prefix]))
+        skip = self.w.get(f"{prefix}.skip.w")
+        base = x if skip is None else p.channel_mix(x, skip)
+        h2 = self._plan_preact(p, h1, prefix, f"{prefix}.conv2", base=base)
+        if skip is not None:
+            p.flop("matmul", f"{prefix}.skip.w", (f * h * w, c, skip.shape[1]))
+        p.flop("matmul", prefix, (samples, self.cfg.time_dim, h1.shape[1]))
+        p.flop("elementwise", prefix, (h1.size + 2 * h2.size,))
+        return h2
+
+    def _plan_attn(
+        self, p: Plan, x: Buf, layer: str, removal_active: bool, dfa: DfaCache | None,
+        hooks, keep_mask: ForegroundMask | None,
+    ) -> Buf:
+        """Reference, audio and temporal sites on a stack of samples' frames.
+
+        Each site runs once for the whole stack; temporal attention stays
+        inside each sample's frames.  With ``keep_mask``, on the full path of
+        a one-sample stack, each site's background rows are gathered into
+        the pass's ``dfa`` as the restricted path reads them.
+        """
+        cfg, io = self.cfg, self._io
+        n, c, h, w = x.shape
+        f = cfg.frames
+        k, L = n // f, h * w
+        d = cfg.head_dim
+        half = np.float32(0.5)
+        removal = removal_active and layer in cfg.removal_set
+
+        def site(name: str) -> dict:
+            ctx = None if dfa is None else dfa.get((layer, name))
+            return {"ctx": ctx, "bg": lambda: io.dfa[(layer, name)].bg, "hooks": hooks}
+
+        def tokens(src: Buf, name: str) -> Buf:
+            tok = p.buf((k, f, L, c))
+            p.copy(lambda: tok.a, lambda: src.a.reshape(k, f, c, L).transpose(0, 1, 3, 2), src, tok)
+            return p.norm(tok, name, axis=-1)
+
+        def keep(name: str, a: Buf | None, lead: tuple[int, ...]) -> None:
+            # Gathered into new arrays, so no returned row aliases the plan.
+            if keep_mask is None or a is None:
+                return
+            bg = keep_mask.bg_index
+
+            def make():
+                a0 = a.a.reshape(lead + (d,))[0]
+
+                def run():
+                    rows = a0[bg] if name == "temporal" else a0[:, bg]
+                    io.rows[(layer, name)] = attn.DfaContext(io.masks[layer], rows)
+
+                return [run]
+
+            p.glue(make, a)
+
+        def add_half(x: Buf, delta: Buf, name: str, rows: tuple[int, ...], perm) -> Buf:
+            """x + 0.5 * delta, with delta's (rows, c) layout permuted to x's."""
+            p.flop("elementwise", name, (2 * x.size,))
+            out = p.buf(x.shape)
+
+            def make():
+                dt = delta.a.reshape(rows + (c,)).transpose(perm)
+                return [partial(np.multiply, half, dt, out=dt),
+                        partial(np.add, x.a.reshape(dt.shape), dt, out=out.a.reshape(dt.shape))]
+
+            p.glue(make, x, delta, out)
+            return out
+
+        def audio_tokens(name: str) -> Buf:
+            aud = _plan_input(p, (f, cfg.audio_tokens, cfg.audio_dim), lambda: io.cond.audio)
+            normed = p.norm(aud, name, axis=-1, copies=k)
+            if k == 1:
+                return normed
+            stacked = p.buf((k,) + normed.shape)
+            p.copy(lambda: stacked.a, lambda: normed.a, normed, stacked)
+            return stacked
+
+        name = f"{layer}.ref"
+        tok = tokens(x, name)
+        ref = _plan_input(p, (L, c), lambda: io.cond.ref[layer])
+        delta, a = attn.plan_reference_site(
+            p, tok, p.norm(ref, name, copies=k), self.w, name, removal=removal, **site("reference")
+        )
+        keep("reference", a, (k, f, L))
+        x1 = add_half(x, delta, name, (n, h, w), (0, 3, 1, 2))
+
+        name = f"{layer}.aud"
+        tok = tokens(x1, name)
+        delta, a = attn.plan_audio_site(p, tok, audio_tokens(name), self.w, name, **site("audio"))
+        keep("audio", a, (k, f, L))
+        x2 = add_half(x1, delta, name, (n, h, w), (0, 3, 1, 2))
+
+        name = f"{layer}.tmp"
+        loc = p.buf((k, L, f, c))
+        p.copy(lambda: loc.a, lambda: x2.a.reshape(k, f, c, L).transpose(0, 3, 1, 2), x2, loc)
+        delta, a = attn.plan_temporal_site(p, p.norm(loc, name, axis=-1), self.w, name,
+                                           **site("temporal"))
+        keep("temporal", a, (k, L, f))
+        return add_half(x2, delta, name, (k, h, w, f), (0, 3, 4, 1, 2))
+
+    def _plan_u32_head(
+        self, p: Plan, f_u31: Buf, s_in: Buf, tproj: Buf, samples: int, removal: bool,
+        dfa: DfaCache | None, hooks, keep_mask: ForegroundMask | None,
+    ) -> Buf:
+        """Noise prediction from the U31 feature and conv_in branch."""
+        # Each fusion branch is normalized on its own: the cached feature
+        # accumulates the trunk's magnitude while the fresh conv_in branch
+        # does not, and a joint scale would crush whichever branch is
+        # smaller, leaving the truncated pass insensitive to its latent.
+        # A feature shared by every sample of the stack is broadcast.
+        feats, c, h, w = f_u31.shape
+        copies = s_in.shape[0] // feats
+        fn = p.norm(f_u31, "U32.f", copies=copies)
+        sn = p.norm(s_in, "U32.in")
+        fused = p.buf((s_in.shape[0], 2 * c, h, w))
+
+        def half(i: int):
+            return lambda: fused.a.reshape(copies, feats, 2 * c, h * w)[:, :, i * c : (i + 1) * c]
+
+        p.copy(half(0), lambda: fn.a.reshape(1, feats, c, h * w), fn, fused)
+        p.copy(half(1), lambda: sn.a.reshape(copies, feats, c, h * w), sn, fused)
+        x = self._plan_res(p, fused, tproj, samples, "U32.res")
+        if "U32" in self.cfg.attention_layers:
+            x = self._plan_attn(p, x, "U32", removal, dfa, hooks, keep_mask)
+        return self._plan_preact(p, x, "head", "head")
+
+
+def _plan_input(p: Plan, shape: tuple[int, ...], read, view: tuple[int, ...] | None = None) -> Buf:
+    """A buffer that each pass fills with ``read()``, the pass's input, copied as ``view``."""
+    buf = p.buf(shape)
+
+    def make():
+        dst = buf.a if view is None else buf.a.reshape(view)
+        return [lambda: np.copyto(dst, read())]
+
+    p.glue(make, buf)
+    return buf
+
+
+def _plan_concat(p: Plan, a: Buf, b: Buf) -> Buf:
+    """Concatenation along the channel axis."""
+    ca = a.shape[1]
+    out = p.buf((a.shape[0], ca + b.shape[1]) + a.shape[2:])
+    p.copy(lambda: out.a[:, :ca], lambda: a.a, a, out)
+    p.copy(lambda: out.a[:, ca:], lambda: b.a, b, out)
+    return out
+
+
+def _plan_upsample(p: Plan, x: Buf) -> Buf:
+    """Nearest-neighbour 2x upsampling of the last two axes, as upsample_nearest."""
+    n, c, h, w = x.shape
+    out = p.buf((n, c, 2 * h, 2 * w))
+    p.copy(lambda: out.a.reshape(n, c, h, 2, w, 2), lambda: x.a[:, :, :, None, :, None], x, out)
+    return out

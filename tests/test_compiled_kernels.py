@@ -9,9 +9,11 @@ the same rule wherever the reference output holds a NaN, since it also
 makes NaNs from infinities in its row max.
 """
 
+import inspect
 import shutil
 import sys
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cachediff import kernels, native
+from cachediff import engine, kernels, native
 from cachediff.config import RunConfig
 from cachediff.rng import Rng
 from cachediff.runner import build_conditioning
@@ -152,6 +154,48 @@ def test_preactivation_conv_matches_reference(data, f, ci, h, w, co, stride, spe
     assert_same_nan_rule(got, want)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.data(), st.integers(1, 3), st.integers(1, 3), st.sampled_from([1, 2, 7, 16]),
+    st.integers(1, 6), st.integers(1, 6), st.sampled_from([1, 4, 16, 17]), st.booleans(),
+    st.booleans(),
+)
+def test_conv_store_epilogues_match_reference(data, samples, fps, ci, h, w, co, special, residual):
+    """The conv's store loop: + a per-sample row, or base + 0.5 * (acc + bias).
+
+    Specials reach every operand of the additions: the conv output (through
+    x, weights and bias), the added rows and the residual base.
+    """
+    f = samples * fps
+    x = data.draw(tensor((f, ci, h, w), special))
+    conv = kernels.PackedConv(data.draw(tensor((co, ci, 3, 3), special)),
+                              data.draw(tensor((co,), special)))
+    add = base = None
+    if residual:
+        base = data.draw(tensor((f, co, h, w), special))
+    else:
+        # one row per sample, read with a row stride as a column slice
+        wide = data.draw(tensor((samples, co + 5), special))
+        add = wide[:, 3 : 3 + co]
+    with np.errstate(all="ignore"):
+        want = kernels._conv_epilogue_np(kernels._conv2d_frames_np(x, conv, 1), add, base)
+        got = kernels._conv2d_frames_c(x, conv, 1, add=add, base=base)
+    assert_same_nan_rule(got, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.data(), st.integers(1, 3), st.integers(1, 40), st.integers(1, 5), st.integers(1, 5),
+    cols, st.booleans(),
+)
+def test_channel_mix_matches_reference(data, f, c, h, w, co, special):
+    x = data.draw(tensor((f, c, h, w), special))
+    wt = data.draw(tensor((c, co), special))
+    with np.errstate(all="ignore"):
+        want = kernels._channel_mix_np(x, wt)
+    assert_same(kernels._channel_mix_c(x, wt), want, x, wt)
+
+
 keys = st.sampled_from([0, 1, 2, 3, 5, 8, 9, 15, 16, 17, 31, 33, 64, 65, 70])
 
 
@@ -256,40 +300,71 @@ def test_kernels_refuse_strided_and_non_float32_arrays():
         kernels._matmul_c(a[:, :3].astype(np.float64), b)
 
 
-def test_default_forward_pass_kernel_calls_match_reference():
-    """Every kernel call of a default-size forward pass gives the reference bytes."""
+# Bound kernel steps of a plan and the arguments each writes.
+BOUND_OUTPUTS = {
+    "bound_matmul": ("out",),
+    "bound_channel_mix": ("out",),
+    "bound_conv2d_frames": ("out",),
+    "bound_rms_norm": ("out", "gate"),
+    "bound_attention": ("out", "probs"),
+}
+
+
+def test_default_forward_pass_kernel_calls_match_reference(monkeypatch):
+    """Every bound kernel step of a planned default-size forward pass gives the reference bytes.
+
+    Each step's compiled calls run on the plan's buffers while their inputs
+    are recorded; each is then replayed under the numpy backend on copies.
+    """
     cfg = UNetConfig()
     model = ToyUNet(cfg, init_weights(cfg, 0)[0])
     cond = build_conditioning(RunConfig())[0][0]
     z = Rng(0).child(2).normal((1, cfg.latent_channels, cfg.frames, cfg.height, cfg.width))
-    calls = []
+    steps = []
 
-    def as_bytes(out):
-        return b"".join(x.tobytes() for x in (out if isinstance(out, tuple) else (out,)))
+    def recording(name, bound):
+        sig = inspect.signature(bound)
 
-    def record(name, fn):
-        def wrapped(*args):
-            out = fn(*args)
-            copies = tuple(x.copy() if isinstance(x, np.ndarray) else x for x in args)
-            calls.append((name, copies, as_bytes(out)))
-            return out
+        def wrapped(backend, *args, **kwargs):
+            calls = bound(backend, *args, **kwargs)
+            arguments = sig.bind(backend, *args, **kwargs).arguments
+
+            def run():
+                inputs = {k: v.copy() if isinstance(v, np.ndarray) else v
+                          for k, v in arguments.items()}
+                for call in calls:
+                    call()
+                written = {k: arguments[k].tobytes() for k in BOUND_OUTPUTS[name]
+                           if arguments.get(k) is not None}
+                steps.append((name, inputs, written))
+
+            return [run]
+
         return wrapped
 
-    saved = dict(kernels._IMPLS)
-    kernels._IMPLS["compiled"] = tuple(
-        record(i, fn) for i, fn in enumerate(saved["compiled"])
-    )
+    originals = {name: getattr(kernels, name) for name in BOUND_OUTPUTS}
+    for name, bound in originals.items():
+        monkeypatch.setattr(kernels, name, recording(name, bound))
     before = kernels.active_backend()
     try:
         kernels.set_backend("compiled")
         model.forward(z, 500, cond)
     finally:
-        kernels._IMPLS.update(saved)
         kernels.set_backend(before)
-    assert {name for name, _, _ in calls} == {0, 2, 3, 4}  # matmul, conv, attention, norm
-    assert any(args[3] is not None for name, args, _ in calls if name == 2)  # a gated conv
-    for name, args, out in calls:
-        assert out == as_bytes(saved["numpy"][name](*args))
+    assert all(inputs["backend"] == "compiled" for _, inputs, _ in steps)
+    kinds = Counter(name for name, _, _ in steps)
+    assert kinds == {"bound_conv2d_frames": 46, "bound_rms_norm": 56, "bound_matmul": 38,
+                     "bound_channel_mix": 5, "bound_attention": 9}
+    convs = [inputs for name, inputs, _ in steps if name == "bound_conv2d_frames"]
+    assert sum(c["gate"] is not None for c in convs) == 39  # 19 units x 2 and the head
+    assert sum(c["add"] is not None for c in convs) == sum(c["base"] is not None for c in convs) == 19
+    for name, inputs, written in steps:
+        args = dict(inputs, backend="numpy")
+        for k in written:
+            args[k] = np.full_like(inputs[k], np.nan)
+        for call in originals[name](**args):
+            call()
+        assert {k: args[k].tobytes() for k in written} == written, name
 
 
 def test_concurrent_calls_from_more_threads_than_cores_give_reference_bytes():
@@ -359,3 +434,34 @@ def test_model_built_under_compiled_runs_under_numpy_with_the_same_bytes():
     assert got.f_u31.tobytes() == want.f_u31.tobytes()
     for name, conv in model.convs.items():
         assert conv.w.tobytes() == rebuilt.convs[name].w.tobytes()
+
+
+def test_plan_built_under_compiled_runs_under_numpy_with_the_same_bytes():
+    """A pass reads the backend once: a plan bound under one backend runs under the other."""
+    cfg = UNetConfig()
+    model = ToyUNet(cfg, init_weights(cfg, 0)[0])
+    cond = build_conditioning(RunConfig())[0][0]
+    masks = engine._layer_masks(cfg, cond.mask)
+    z = Rng(0).child(2).normal((1, cfg.latent_channels, cfg.frames, cfg.height, cfg.width))
+    zs = np.concatenate([z, np.float32(0.5) * z])
+
+    def passes():
+        tr = model.forward(z, 500, cond, bg_masks=masks, removal_active=True)
+        eps = model.subnet(tr.f_u31, zs, [480, 460], cond, dfa=tr.dfa, removal_active=True)
+        return [tr.eps.tobytes(), tr.f_u31.tobytes(), eps.tobytes()] + [
+            c.bg.tobytes() for c in tr.dfa.values()]
+
+    before = kernels.active_backend()
+    try:
+        kernels.set_backend("compiled")
+        want = passes()
+        plans = len(model._plans)
+        kernels.set_backend("numpy")
+        got = passes()
+        kernels.set_backend("compiled")
+        again = passes()
+    finally:
+        kernels.set_backend(before)
+    assert len(model._plans) == plans == 2
+    assert got == want
+    assert again == want

@@ -51,33 +51,31 @@ def test_estimate_input_latents_matches_unrolled_updates(small_rc):
 
 def test_runner_preserves_submission_order():
     runner = eng.ParallelRunner(workers=4, dispatch_overhead_ns=1000)
-    try:
-        def make(i):
-            def task():
-                time.sleep(0.002 * (6 - i))
-                return i
-            return task
+    order = []
 
-        results, walls, modeled = runner.run([make(i) for i in range(6)])
-    finally:
-        runner.close()
-    assert results == list(range(6))
+    def make(i):
+        def task():
+            order.append(i)
+            time.sleep(0.002 * (6 - i))
+            return i
+        return task
+
+    results, walls, modeled = runner.run([make(i) for i in range(6)])
+    assert results == list(range(6)) and order == list(range(6))
     assert len(walls) == 6 and all(w > 0 for w in walls)
     bins = [0] * 4
     for i, w in enumerate(walls):
         bins[i % 4] += w
     assert modeled == 1000 + max(bins)
+    assert modeled < sum(walls)  # the model of 4 workers, below the measured serial time
 
 
 def test_runner_serial_model_sums_walls():
     runner = eng.ParallelRunner(workers=1, dispatch_overhead_ns=500)
-    try:
-        results, walls, modeled = runner.run([lambda: "a", lambda: "b"])
-        assert results == ["a", "b"]
-        assert modeled == 500 + sum(walls)
-        assert runner.run([]) == ([], [], 500)
-    finally:
-        runner.close()
+    results, walls, modeled = runner.run([lambda: "a", lambda: "b"])
+    assert results == ["a", "b"]
+    assert modeled == 500 + sum(walls)
+    assert runner.run([]) == ([], [], 500)
 
 
 def test_denoise_rejects_batched_or_nonfinite_input(small_model, small_rc, small_cond, small_latent):

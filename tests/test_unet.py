@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cachediff import engine
+from cachediff import engine, kernels
 from cachediff import unet as un
 from cachediff.errors import ConfigError
 from cachediff.masks import ellipse_mask, rect_mask
@@ -297,3 +297,34 @@ def test_subnet_rejects_timestep_count_mismatch(small_model, small_cond, small_l
     tr = small_model.forward(small_latent, 29, small_cond)
     with pytest.raises(ConfigError):
         small_model.subnet(tr.f_u31, small_latent, [29, 21], small_cond)
+
+
+@pytest.mark.parametrize("backend", ["compiled", "numpy"])
+def test_returned_arrays_do_not_alias_the_plan(backend, small_cfg, small_model, small_cond):
+    """A pass's eps, U31 feature and background rows keep their bytes through later passes."""
+    if backend == "compiled" and kernels.compiled_error() is not None:
+        pytest.skip(f"compiled backend unavailable: {kernels.compiled_error()}")
+    masks = engine._layer_masks(small_cfg, small_cond.mask)
+    z0, z1 = latent_for(small_cfg, seed=0), latent_for(small_cfg, seed=1)
+
+    def passes(z, t):
+        tr = small_model.forward(z, t, small_cond, bg_masks=masks)
+        eps = small_model.subnet(tr.f_u31, np.concatenate([z1, z0]), [t - 8, t - 16],
+                                 small_cond, dfa=tr.dfa, removal_active=True)
+        return tr, eps
+
+    before = kernels.active_backend()
+    try:
+        kernels.set_backend(backend)
+        passes(z1, 45)  # builds every plan, so the second pass runs on the same buffers
+        tr, eps = passes(z0, 41)
+        kept = [tr.eps.tobytes(), tr.f_u31.tobytes(), eps.tobytes()]
+        kept += [c.bg.tobytes() for c in tr.dfa.values()]
+        again, _ = passes(z1, 37)
+    finally:
+        kernels.set_backend(before)
+    assert len(tr.dfa) == 3 * len(small_cfg.attention_layers)
+    assert [tr.eps.tobytes(), tr.f_u31.tobytes(), eps.tobytes()] + [
+        c.bg.tobytes() for c in tr.dfa.values()
+    ] == kept
+    assert again.eps.tobytes() != tr.eps.tobytes()
