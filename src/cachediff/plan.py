@@ -17,7 +17,8 @@ arena and the kernels' scratch block belong to the :class:`PlanCache`
 that holds every plan of a model; passes run one at a time, so the plans
 share them.  A pass then runs the bound calls of the backend in use, read
 once per pass, and extends the caller's log with the recorded events: it
-allocates no buffer, converts no pointer and checks no argument.
+allocates none of its buffers, converts no pointer and checks no kernel
+argument.
 """
 
 from __future__ import annotations
