@@ -20,6 +20,10 @@ broadcast over any leading axes it lacks, so one key step's cache serves
 a stack of several samples.  With an all-ones mask the restricted path
 degenerates to the full path bit-exactly because both run the same kernel
 sequence on identical inputs.
+
+A model's passes run the planned versions of the sites at the end of this
+module; the functions here are their reference and the validated entry
+points for every other caller.
 """
 
 from __future__ import annotations
@@ -259,8 +263,10 @@ def temporal_site(
 # planned sites
 #
 # The three sites as steps of a plan (see :mod:`cachediff.plan`): the same
-# kernel sequence, bytes and FLOP events as the functions above, on the
-# plan's buffers.  Token buffers hold (..., L, c) rows like the functions'
+# kernel sequence, bytes, FLOP events and hook calls as the functions above,
+# on the plan's buffers.  The functions are their reference:
+# ``tests/test_attention.py`` runs both on the same stacks, full and
+# restricted.  Token buffers hold (..., L, c) rows like the functions'
 # inputs.  ``ctx`` is the restriction context the plan is built for, or
 # None on the full path; when the plan runs, ``bg()`` returns the pass's
 # background rows for it and ``hooks()`` the pass's hooks, which receive

@@ -61,6 +61,7 @@ class Plan:
         self.floats = 0
         self.ws_bytes = 64
         self.ws = 0  # address of the shared scratch block, once placed
+        self._ws_block: np.ndarray | None = None
         self.outputs: tuple[Buf, ...] = ()
         self._calls: dict[str, list] = {}
 
@@ -193,6 +194,7 @@ class Plan:
         for b in self.bufs:
             if b.offset is not None:
                 b.a = arena[b.offset : b.offset + b.size].reshape(b.shape)
+        self._ws_block = ws  # held, so that the address stays valid while the plan lives
         self.ws = ws.ctypes.data
         self._calls.clear()
 
@@ -209,9 +211,13 @@ class Plan:
 class PlanCache:
     """The plans of one model by key, and the arena and scratch block they share."""
 
-    # One plan per key a model has run: per mask and stack size in practice.
-    # A model kept across many masks drops its oldest plans beyond this.
-    MAX_PLANS = 64
+    # A run builds one to four plans: forward passes by removal flag and
+    # mask, and a subnet per chunk size (counted on the benchmark's
+    # workloads at 1 to 3 workers).  Each holds about 0.2 MB of bound calls
+    # and views for the default model (tracemalloc).  A model kept across
+    # many masks drops its least recently run plans beyond this bound,
+    # which still holds the plans of several runs.
+    MAX_PLANS = 16
 
     def __init__(self):
         self._plans: dict[Hashable, Plan] = {}
@@ -220,8 +226,9 @@ class PlanCache:
 
     def get(self, key: Hashable, build: Callable[[], Plan]) -> Plan:
         """The plan of ``key``, built and placed on first use."""
-        plan = self._plans.get(key)
+        plan = self._plans.pop(key, None)
         if plan is not None:
+            self._plans[key] = plan  # now the most recently run
             return plan
         plan = build()
         if len(self._plans) >= self.MAX_PLANS:

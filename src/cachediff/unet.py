@@ -20,7 +20,6 @@ the background rows of every attention site's output as the
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 from collections.abc import Sequence
@@ -232,12 +231,6 @@ def time_embedding(t: int, dim: int) -> np.ndarray:
 # model
 
 
-@functools.lru_cache(maxsize=1024)
-def _time_embedding(t: int, dim: int) -> np.ndarray:
-    """time_embedding, computed once per timestep; the plan copies it, never writes it."""
-    return time_embedding(t, dim)
-
-
 def _silu_calls(h: np.ndarray, bias: np.ndarray, gate: np.ndarray, out: np.ndarray) -> list:
     """h += bias, then out = silu(h) with gate as scratch: the sequence of kernels.silu."""
     lo, hi, one = np.float32(-30.0), np.float32(30.0), np.float32(1.0)
@@ -349,8 +342,11 @@ class ToyUNet:
                 )
                 plan.run(active_backend(), log)
                 eps, f_u31 = plan.outputs
+                # Copies, never np.ascontiguousarray: with one frame or one
+                # latent channel the transpose is contiguous, and that would
+                # return a view of the plan's arena.
                 return ForwardTrace(
-                    eps=np.ascontiguousarray(eps.a.transpose(1, 0, 2, 3))[None],
+                    eps=eps.a.transpose(1, 0, 2, 3).copy()[None],
                     f_u31=f_u31.a.copy()[None],
                     dfa=None if bg_masks is None else io.rows,
                 )
@@ -403,7 +399,7 @@ class ToyUNet:
                 )
                 plan.run(active_backend(), log)
                 eps = plan.outputs[0].a.reshape((b, cfg.frames) + plan.outputs[0].shape[1:])
-                return np.ascontiguousarray(eps.transpose(0, 2, 1, 3, 4))
+                return eps.transpose(0, 2, 1, 3, 4).copy()  # a copy, as in forward
             finally:
                 io.clear()
 
@@ -474,7 +470,7 @@ class ToyUNet:
 
         def fill():
             for row, t in zip(emb.a, io.ts):
-                row[...] = _time_embedding(t, td)
+                row[...] = time_embedding(t, td)
 
         p.glue(lambda: [fill], emb)
         h = p.matmul(emb, self.w["time.affine.w"], None)

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from cachediff import attention as attn
+from cachediff import kernels
 from cachediff.errors import CacheMissError, InvariantError
 from cachediff.kernels import matmul, scaled_dot_attention
 from cachediff.masks import ForegroundMask, mask_from_spec, rect_mask
+from cachediff.plan import Plan, PlanCache
 from cachediff.profiler import FlopLog, rel_l2
 from cachediff.rng import Rng
 
@@ -355,3 +357,105 @@ def test_stacked_temporal_site_matches_per_sample_calls(mask_name):
         want, _ = attn.temporal_site(x[s], weights, "T.tmp", dfa=dfa, log=sample_log)
         assert delta[s].tobytes() == want.tobytes()
     assert flop_totals(stacked_log) == flop_totals(sample_log)
+
+
+# The planned sites (the steps a ToyUNet plan runs) against the functions
+# above, which are their reference: same bytes, same FLOP events, same hook
+# calls, on (samples, frames) stacks, full and restricted.
+
+
+class RecordingHooks:
+    def __init__(self):
+        self.calls = []
+
+    def on_attention(self, layer, site, frame, probs, a, L):
+        self.calls.append((layer, site, frame, None if probs is None else probs.tobytes(),
+                           a.tobytes(), L))
+
+
+def run_planned(build, inputs, outputs=2):
+    """Build a plan whose input steps copy ``inputs``, run it once; returns arrays and log."""
+    p = Plan()
+    bufs = []
+    for arr in inputs:
+        buf = p.buf(arr.shape)
+        p.copy(lambda buf=buf: buf.a, lambda arr=arr: arr, buf)
+        bufs.append(buf)
+    results = build(p, *bufs)
+    plan = PlanCache().get("site", lambda: p.finish(*(r for r in results if r is not None)))
+    log = FlopLog()
+    plan.run(kernels.active_backend(), log)
+    return [None if r is None else r.a.copy() for r in results], log
+
+
+PLANNED_SITES = ["reference", "reference_removal", "audio", "temporal"]
+
+
+@pytest.mark.parametrize("backend", ["compiled", "numpy"])
+@pytest.mark.parametrize("samples", [1, 2])
+@pytest.mark.parametrize("mask_name", list(STACK_MASKS))
+@pytest.mark.parametrize("site", PLANNED_SITES)
+def test_planned_sites_match_the_site_functions(site, mask_name, samples, backend):
+    """Each plan_* site gives the bytes, FLOP events and hook calls of its site function.
+
+    The restricted path reads one (frames, ...) cache broadcast over the
+    samples, as a stacked non-key phase does; the full path runs with hooks.
+    """
+    if backend == "compiled" and kernels.compiled_error() is not None:
+        pytest.skip(f"compiled backend unavailable: {kernels.compiled_error()}")
+    f = 3
+    mask = STACK_MASKS[mask_name]
+    temporal = site == "temporal"
+    prefix = {"reference": "T.ref", "audio": "T.aud", "temporal": "T.tmp"}[site.split("_")[0]]
+    weights = site_weights(prefix, kdim=5 if prefix == "T.aud" else C)
+    removal = site == "reference_removal"
+    x = Rng(50).normal((samples, L, f, C) if temporal else (samples, f, L, C))
+    ref = Rng(51).normal((L, C))
+    audio = Rng(52).normal((f, 3, 5))
+    stacked_audio = np.ascontiguousarray(np.broadcast_to(audio, (samples,) + audio.shape))
+
+    def eager(tokens, dfa, hooks, log):
+        if temporal:
+            return attn.temporal_site(tokens, weights, prefix, dfa=dfa, log=log, hooks=hooks)
+        if prefix == "T.ref":
+            return attn.reference_site(tokens, ref, weights, prefix, removal=removal, dfa=dfa,
+                                       log=log, hooks=hooks)
+        return attn.audio_site(tokens, audio, weights, prefix, dfa=dfa, log=log, hooks=hooks)
+
+    def planned(ctx, hooks, bg=None):
+        def build(p, tokens, *cond):
+            kw = {"ctx": ctx, "bg": lambda: bg, "hooks": None if hooks is None else lambda: hooks}
+            if temporal:
+                return attn.plan_temporal_site(p, tokens, weights, prefix, **kw)
+            if prefix == "T.ref":
+                return attn.plan_reference_site(p, tokens, cond[0], weights, prefix,
+                                                removal=removal, **kw)
+            return attn.plan_audio_site(p, tokens, cond[0], weights, prefix, **kw)
+
+        cond = [] if temporal else [ref if prefix == "T.ref" else stacked_audio]
+        return run_planned(build, [x] + cond)
+
+    before = kernels.active_backend()
+    try:
+        kernels.set_backend(backend)
+        ctx = dfa = None
+        want_hooks = got_hooks = None
+        if mask is None:
+            want_hooks, got_hooks = RecordingHooks(), RecordingHooks()
+        else:
+            a_full = eager(x[0], None, None, None)[1]
+            bg = attn.select_tokens(a_full, mask.bg_index, axis=0 if temporal else 1)
+            ctx = dfa = attn.DfaContext(mask, bg)
+        want_log = FlopLog()
+        want_delta, want_a = eager(x, dfa, want_hooks, want_log)
+        (delta, a), log = planned(ctx, got_hooks, None if dfa is None else dfa.bg)
+    finally:
+        kernels.set_backend(before)
+    assert delta.tobytes() == want_delta.tobytes()
+    assert (a is None) == (want_a is None)
+    if a is not None:
+        assert a.tobytes() == want_a.tobytes()
+    assert log.events == want_log.events
+    if want_hooks is not None:
+        assert got_hooks.calls == want_hooks.calls
+        assert len(got_hooks.calls) == (samples if temporal else samples * f)

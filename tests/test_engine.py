@@ -1,9 +1,11 @@
+import dataclasses
 import time
 
 import numpy as np
 import pytest
 
 from cachediff import engine as eng
+from cachediff import unet as un
 from cachediff.errors import ConfigError, InvariantError
 from cachediff.masks import ellipse_mask
 from cachediff.schedule import build_timestep_plan, ddim_step_skipping
@@ -207,6 +209,35 @@ def test_worker_count_never_changes_results(small_model, small_rc, small_cond, s
     assert tensor_bytes(z1) == tensor_bytes(z3)
     assert r1 != r3
     assert eng.canonical_report(r1) == eng.canonical_report(r3)
+
+
+@pytest.mark.parametrize(
+    "shape", [{"frames": 1}, {"latent_channels": 1}], ids=["one_frame", "one_channel"]
+)
+def test_equal_chunks_give_the_bytes_of_one_chunk(small_rc, shape):
+    """Chunks of one size run the same subnet plan, one after the other.
+
+    With one frame or one latent channel, eps leaves the plan through
+    transposes that are contiguous views; each chunk's eps must still be
+    its own array when the next chunk runs.
+    """
+    cfg = dataclasses.replace(small_rc.unet, **shape)
+    rc = dataclasses.replace(
+        small_rc, unet=cfg, schedule=dataclasses.replace(small_rc.schedule, block_size=5),
+        run=dataclasses.replace(small_rc.run, total_frames=cfg.frames),
+    )
+    model = un.ToyUNet(cfg, un.init_weights(cfg, 0)[0])
+    cond = build_conditioning_for(cfg)
+    z = Rng(3).normal((1, cfg.latent_channels, cfg.frames, cfg.height, cfg.width))
+    sched = rc.build_schedule()
+    plan = rc.build_plan(sched)
+    assert any(len(b.nonkeys) == 4 for b in plan.blocks)  # two chunks of 2 at workers=2
+    finals = [
+        tensor_bytes(eng.denoise_clip(model, sched, plan, eng.Strategy(variant="lcp", workers=w),
+                                      z, cond)[0])
+        for w in (1, 2)
+    ]
+    assert finals[0] == finals[1]
 
 
 def test_canonical_report_scrubs_nested_timing():

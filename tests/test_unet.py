@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from pathlib import Path
 
@@ -299,18 +300,27 @@ def test_subnet_rejects_timestep_count_mismatch(small_model, small_cond, small_l
         small_model.subnet(tr.f_u31, small_latent, [29, 21], small_cond)
 
 
+# A config with one frame or one latent channel makes eps's transposes to
+# and from the plan's (frame, channel) layout contiguous views.
+ALIAS_CFGS = {"small": {}, "one_frame": {"frames": 1}, "one_channel": {"latent_channels": 1}}
+
+
+@pytest.mark.parametrize("shape", list(ALIAS_CFGS))
 @pytest.mark.parametrize("backend", ["compiled", "numpy"])
-def test_returned_arrays_do_not_alias_the_plan(backend, small_cfg, small_model, small_cond):
+def test_returned_arrays_do_not_alias_the_plan(backend, shape, small_cfg):
     """A pass's eps, U31 feature and background rows keep their bytes through later passes."""
     if backend == "compiled" and kernels.compiled_error() is not None:
         pytest.skip(f"compiled backend unavailable: {kernels.compiled_error()}")
-    masks = engine._layer_masks(small_cfg, small_cond.mask)
-    z0, z1 = latent_for(small_cfg, seed=0), latent_for(small_cfg, seed=1)
+    cfg = dataclasses.replace(small_cfg, **ALIAS_CFGS[shape])
+    model = un.ToyUNet(cfg, un.init_weights(cfg, 0)[0])
+    cond = build_conditioning_for(cfg)
+    masks = engine._layer_masks(cfg, cond.mask)
+    z0, z1 = latent_for(cfg, seed=0), latent_for(cfg, seed=1)
 
     def passes(z, t):
-        tr = small_model.forward(z, t, small_cond, bg_masks=masks)
-        eps = small_model.subnet(tr.f_u31, np.concatenate([z1, z0]), [t - 8, t - 16],
-                                 small_cond, dfa=tr.dfa, removal_active=True)
+        tr = model.forward(z, t, cond, bg_masks=masks)
+        eps = model.subnet(tr.f_u31, np.concatenate([z1, z0]), [t - 8, t - 16],
+                           cond, dfa=tr.dfa, removal_active=True)
         return tr, eps
 
     before = kernels.active_backend()
@@ -323,8 +333,41 @@ def test_returned_arrays_do_not_alias_the_plan(backend, small_cfg, small_model, 
         again, _ = passes(z1, 37)
     finally:
         kernels.set_backend(before)
-    assert len(tr.dfa) == 3 * len(small_cfg.attention_layers)
+    assert len(tr.dfa) == 3 * len(cfg.attention_layers)
     assert [tr.eps.tobytes(), tr.f_u31.tobytes(), eps.tobytes()] + [
         c.bg.tobytes() for c in tr.dfa.values()
     ] == kept
     assert again.eps.tobytes() != tr.eps.tobytes()
+
+
+def test_plans_beyond_the_cap_are_rebuilt_with_the_same_bytes(small_cfg, small_cond):
+    """Past MAX_PLANS a model drops its least recently run plan and rebuilds it on demand."""
+    model = un.ToyUNet(small_cfg, un.init_weights(small_cfg, 0)[0])
+    model._plans.MAX_PLANS = 2
+    fresh = un.ToyUNet(small_cfg, un.init_weights(small_cfg, 0)[0])
+    z = latent_for(small_cfg, seed=4)
+    masks = [
+        engine._layer_masks(small_cfg, rect_mask(small_cfg.height, small_cfg.width, 0, 0, 4, s))
+        for s in (2, 4, 6)
+    ]
+
+    def run(m, mask):
+        log = FlopLog()
+        tr = m.forward(z, 33, small_cond, log=log, bg_masks=mask)
+        eps = m.subnet(tr.f_u31, z, 25, small_cond, log=log, dfa=tr.dfa)
+        rows = [(k, c.bg.tobytes()) for k, c in tr.dfa.items()]
+        return tr.eps.tobytes(), tr.f_u31.tobytes(), eps.tobytes(), rows, log.events
+
+    want = [run(fresh, mask) for mask in masks]
+    assert len(fresh._plans) == 6  # a forward and a subnet plan per mask
+    got = [run(model, masks[i]) for i in (0, 1, 2, 0, 2)]
+    assert len(model._plans) == 2
+    assert got == [want[i] for i in (0, 1, 2, 0, 2)]
+    # a plan run again is kept over one run less recently
+    plans = model._plans._plans
+    model.forward(z, 33, small_cond, bg_masks=masks[0])
+    model.forward(z, 33, small_cond, bg_masks=masks[1])
+    first = plans[next(iter(plans))]
+    model.forward(z, 33, small_cond, bg_masks=masks[0])
+    model.forward(z, 33, small_cond, bg_masks=masks[2])
+    assert first in plans.values()
