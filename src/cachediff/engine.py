@@ -148,7 +148,6 @@ def denoise_clip(
     *,
     clip_id: int = 0,
     hooks=None,
-    runner: ParallelRunner | None = None,
 ) -> tuple[np.ndarray, dict, FlopLedger]:
     """Denoise one clip; returns final latent, report, and FLOPs ledger."""
     cfg = model.cfg
@@ -157,8 +156,7 @@ def denoise_clip(
     _check_finite(z_T, "initialization")
     eff_plan = plan if strategy.uses_cache else plan.singleton()
     masks = _layer_masks(cfg, cond.mask) if strategy.uses_dfa else None
-    if runner is None:
-        runner = ParallelRunner(strategy.workers, strategy.dispatch_overhead_ns)
+    runner = ParallelRunner(strategy.workers, strategy.dispatch_overhead_ns)
     ledger = FlopLedger()
     per_step: list[dict] = []
     modeled_total = 0

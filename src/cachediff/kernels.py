@@ -17,10 +17,10 @@ own choice varies with the array length).
 
 The compiled backend is ``kernels.c``, built at first use with the system
 C compiler (see :mod:`cachediff.native` for the flags and the cache
-directory).  Before it is used it is checked against the reference on a
-small case with signed zeros; when there is no compiler, the build fails
-or the check fails, the numpy reference runs instead: the same bytes,
-about twenty times slower.
+directory).  Before it is used, its bound calls are checked against the
+reference on small cases with signed zeros; when there is no compiler,
+the build fails or the check fails, the numpy reference runs instead: the
+same bytes, about twenty times slower.
 
 The backend is chosen from the ``CACHEDIFF_BACKEND`` environment variable
 at import (``compiled``, the default, or ``numpy``) and can be switched at
@@ -34,19 +34,20 @@ Conv weights are packed once (:class:`PackedConv`), in one layout that
 both backends read, so a model built under one backend runs under the
 other.
 
-The public functions (:func:`matmul`, :func:`conv2d_frames`,
-:func:`rms_norm`, :func:`attention_batch`, ...) check their arguments and
-allocate their outputs and the compiled kernels' scratch memory per call;
-they are the entry points for tests, benchmarks and other callers, and
-safe to call from several threads.  A planned pass (see
-:mod:`cachediff.plan`) calls none of them: the ``bound_*`` functions at
-the end of this module bind each of its kernel calls once, with its
-buffers, sizes and a scratch block fixed, under either backend.
+Each compiled kernel has one call path: the ``bound_*`` functions at the
+end of this module, which fix every argument of a kernel step once, for
+the compiled library or the numpy reference.  A planned pass (see
+:mod:`cachediff.plan`) binds its steps once, on its own buffers.  The
+public functions (:func:`matmul`, :func:`conv2d_frames`, :func:`rms_norm`,
+:func:`attention_batch`, ...) check their arguments, allocate their
+outputs and a scratch block, and bind and run a step per call; they are
+the entry points for tests, benchmarks and other callers, and safe to
+call from several threads.  The load-time check runs the same bound calls
+on the library before it is accepted.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
 import os
 import threading
@@ -211,26 +212,25 @@ def _ptr(x: np.ndarray) -> int:
     """Address of a C-contiguous float32 array's data.
 
     The kernels read raw memory and ignore strides, so any other array is
-    refused.  Borrowing a writable buffer is about three times cheaper than
-    ``x.ctypes.data``, which matters for the unplanned kernel calls; read-only
-    and empty arrays take the general route.
+    refused.
     """
     if x.dtype != _F32 or not x.flags.c_contiguous:
         raise ValueError(f"compiled kernels need C-contiguous float32 arrays, got {x.dtype} "
                          f"with strides {x.strides}")
-    try:
-        return ctypes.addressof(ctypes.c_char.from_buffer(x))
-    except (TypeError, ValueError):
-        return x.ctypes.data
+    return x.ctypes.data
 
 
 def _rows_ptr(x: np.ndarray) -> tuple[int, int]:
-    """Address and row length, in floats, of a 2-d float32 array with contiguous rows."""
+    """Address and row length, in floats, of a 2-d float32 array with contiguous rows.
+
+    A C-contiguous array's rows are ``shape[1]`` floats apart, whatever
+    numpy reports as the stride of an axis of length 1.
+    """
     if x.dtype != _F32 or x.ndim != 2:
         raise ValueError(f"need a float32 matrix, got {x.dtype} of shape {x.shape}")
-    if x.size == 0:
+    if x.flags.c_contiguous:
         return x.ctypes.data, x.shape[1]
-    if x.strides[1] != 4 or x.strides[0] % 4:
+    if (x.strides[1] != 4 and x.shape[1] != 1) or x.strides[0] <= 0 or x.strides[0] % 4:
         raise ValueError(f"need a float32 matrix with contiguous rows, got strides {x.strides}")
     return x.ctypes.data, x.strides[0] // 4
 
@@ -270,103 +270,17 @@ def _attention_ws(bn: int, lq: int, lk: int, d: int, dv: int) -> int:
     return max(logits, _matmul_ws(lq, lk, dv, dv))
 
 
-def _scratch(nbytes: int) -> tuple[np.ndarray, int]:
-    """A scratch block of one unplanned kernel call and its address."""
-    ws = np.empty(max(nbytes, 1), dtype=np.uint8)
-    return ws, ws.ctypes.data
-
-
-def _matmul_c(a: np.ndarray, b: np.ndarray, lib=None) -> np.ndarray:
-    (m, k), n = a.shape, b.shape[1]
-    out = np.empty((m, n), dtype=np.float32)
-    ws, at = _scratch(_matmul_ws(m, k, n, n))
-    (lib or _lib).cd_matmul(_ptr(a), _ptr(b), n, _ptr(out), m, k, n, at)
-    return out
-
-
-def _matmul_batch_c(a: np.ndarray, b: np.ndarray, lib=None) -> np.ndarray:
-    (bn, m, k), n = a.shape, b.shape[2]
-    out = np.empty((bn, m, n), dtype=np.float32)
-    ws, at = _scratch(_matmul_ws(m, k, n, n))
-    (lib or _lib).cd_matmul_batch(_ptr(a), _ptr(b), n, _ptr(out), bn, m, k, n, at)
-    return out
-
-
-def _conv_args(x, conv: PackedConv, out, ws: int, stride: int, gate, add, base) -> tuple:
-    """The arguments of cd_conv2d_frames, with the epilogue of :func:`_conv_epilogue_np`."""
-    f, ci, h, wid = x.shape
-    pa, lda = _rows_ptr(add) if add is not None else (None, 0)
-    return (
-        _ptr(x), None if gate is None else _ptr(gate), _ptr(conv.w), conv.w.shape[1],
-        _ptr(conv.bias), _ptr(out), f, ci, h, wid, conv.co, stride,
-        pa, lda, f // add.shape[0] if add is not None else 1,
-        None if base is None else _ptr(base), ws,
-    )
-
-
-def _conv2d_frames_c(
-    x: np.ndarray, conv: PackedConv, stride: int, gate: np.ndarray | None = None, lib=None,
-    add: np.ndarray | None = None, base: np.ndarray | None = None,
-) -> np.ndarray:
-    """The compiled conv, with the epilogue of :func:`_conv_epilogue_np` fused into its store."""
-    f, c_in, h, wid = x.shape
-    out = np.empty((f, conv.co, (h - 1) // stride + 1, (wid - 1) // stride + 1), dtype=np.float32)
-    ws, at = _scratch(_conv_ws(f, c_in, h, wid, stride))
-    (lib or _lib).cd_conv2d_frames(*_conv_args(x, conv, out, at, stride, gate, add, base))
-    return out
-
-
-def _channel_mix_args(x: np.ndarray, w: np.ndarray, out: np.ndarray, ws: int) -> tuple:
-    f, c, h, wid = x.shape
-    pw, ldw = _rows_ptr(w)
-    return _ptr(x), pw, ldw, _ptr(out), f, c, h * wid, w.shape[1], ws
-
-
-def _channel_mix_c(x: np.ndarray, w: np.ndarray, lib=None) -> np.ndarray:
-    f, c, h, wid = x.shape
-    out = np.empty((f, w.shape[1], h, wid), dtype=np.float32)
-    ws, at = _scratch(_channel_mix_ws(f, c, h * wid, w.shape[1], w.strides[0] // 4))
-    (lib or _lib).cd_channel_mix(*_channel_mix_args(x, w, out, at))
-    return out
-
-
-def _rms_norm_c(x: np.ndarray, axis: int, gate: bool = False, lib=None):
-    """The kernel writes the norm and -clip(out, -30, 30); numpy's exp makes that the gate."""
-    out = np.empty(x.shape, dtype=np.float32)
-    neg = np.empty(x.shape, dtype=np.float32) if gate else None
-    (lib or _lib).cd_rms_norm(
-        _ptr(x), _ptr(out), None if neg is None else _ptr(neg),
-        math.prod(x.shape[:axis]), x.shape[axis], math.prod(x.shape[axis + 1 :]),
-    )
-    if neg is None:
-        return out
-    np.exp(neg, out=neg)
-    return out, neg
-
-
-def _attention_c(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: np.float32, lib=None
-) -> tuple[np.ndarray, np.ndarray]:
-    lib = lib or _lib
-    (bn, lq, d), (lk, dv) = q.shape, v.shape[1:]
-    ws, at = _scratch(_attention_ws(bn, lq, lk, d, dv))
-    probs = np.empty((bn, lq, lk), dtype=np.float32)
-    lib.cd_attn_logits(_ptr(q), _ptr(k), _ptr(probs), bn, lq, lk, d, scale, at)
-    np.exp(probs, out=probs)
-    out = np.empty((bn, lq, dv), dtype=np.float32)
-    lib.cd_attn_apply(_ptr(probs), _ptr(v), _ptr(out), bn, lq, lk, dv, at)
-    return out, probs
-
-
 def _self_check(lib) -> str | None:
-    """Compare the compiled kernels with the reference on small cases; None if equal.
+    """Run the bound calls on ``lib`` against the reference on small cases; None if equal.
 
     Sums of 37 normal products (and the attention row sums of 37
     exponentials) expose any change of summation order or rounding; the
     cases also hold a row of -0.0 and a subnormal.  The norm's rows of 137
     terms of a wide range take every branch of numpy's pairwise sum; its
     channel case sums over a strided axis.  The conv's two store epilogues
-    add rows and a residual holding -0.0 and a subnormal.
+    add rows and a residual holding -0.0 and a subnormal.  A matmul's
+    right operand and the added rows are also read as column slices of
+    wider matrices, as plans pass them.
     """
     rng = np.random.default_rng(0)
     a = rng.standard_normal((13, 37), dtype=np.float32)
@@ -386,37 +300,44 @@ def _self_check(lib) -> str | None:
     q[1, 4] = -0.0
     kv = rng.standard_normal((2, 37, 5), dtype=np.float32)
     scale = np.float32(0.75)
-    add = rng.standard_normal((2, 6), dtype=np.float32)
+    add = rng.standard_normal((2, 9), dtype=np.float32)[:, 2:8]
     add[0, 1], add[1, 2] = -0.0, 3e-39
     base = rng.standard_normal((2, 6, 5, 4), dtype=np.float32)
     base[1, 3] = -0.0
+    ws = max(_matmul_ws(13, 37, 21, 21), _channel_mix_ws(2, 5, 20, 21, 21),
+             _conv_ws(2, 5, 5, 4, 1), _attention_ws(2, 13, 37, 5, 5))
+
+    def differs(want, bound, *inputs, **kwargs) -> bool:
+        """Whether the bound step writes other bytes than ``want`` (an array or a tuple)."""
+        want = want if isinstance(want, tuple) else (want,)
+        outs = [np.empty(r.shape, dtype=np.float32) for r in want]
+        _run(lib, bound, *inputs, *outs, **kwargs)
+        return any(o.tobytes() != r.tobytes() for o, r in zip(outs, want))
+
     y = _conv2d_frames_np(x, conv, 1, gate)
     cases = [
-        ("matmul n=16", _matmul_c(a, b16, lib), _matmul_np(a, b16)),
-        ("matmul n=21", _matmul_c(a, b21, lib), _matmul_np(a, b21)),
-        ("matmul_batch", _matmul_batch_c(a[None], b21[None], lib),
-         _matmul_batch_np(a[None], b21[None])),
-    ] + [
-        (f"conv2d_frames stride {s}", _conv2d_frames_c(x, conv, s, None, lib),
-         _conv2d_frames_np(x, conv, s))
-        for s in (1, 2)
-    ] + [
-        ("gated conv2d_frames", _conv2d_frames_c(x, conv, 1, gate, lib), y),
-        ("conv2d_frames add epilogue", _conv2d_frames_c(x, conv, 1, gate, lib, add=add),
-         _conv_epilogue_np(y, add, None)),
-        ("conv2d_frames residual epilogue", _conv2d_frames_c(x, conv, 1, gate, lib, base=base),
-         _conv_epilogue_np(y, None, base)),
-        ("channel_mix", _channel_mix_c(x, b21[:5], lib), _channel_mix_np(x, b21[:5])),
-        ("rms_norm rows", _rms_norm_c(t, 1, False, lib), _rms_norm_np(t, 1)),
-        ("rms_norm channels", np.concatenate([x.ravel() for x in _rms_norm_c(x, 1, True, lib)]),
-         np.concatenate([x.ravel() for x in _rms_norm_np(x, 1, True)])),
-        ("attention", np.concatenate([x.ravel() for x in _attention_c(q, kv, kv, scale, lib)]),
-         np.concatenate([x.ravel() for x in _attention_np(q, kv, kv, scale)])),
+        ("matmul n=16", differs(_matmul_np(a, b16), bound_matmul, a, b16, ws=ws)),
+        ("matmul n=21", differs(_matmul_np(a, b21), bound_matmul, a, b21, ws=ws)),
+        ("matmul of a column slice",
+         differs(_matmul_np(a, b21[:, 3:19]), bound_matmul, a, b21[:, 3:19], ws=ws)),
+        *((f"conv2d_frames stride {s}",
+           differs(_conv2d_frames_np(x, conv, s), bound_conv2d_frames, x, conv, ws=ws, stride=s))
+          for s in (1, 2)),
+        ("gated conv2d_frames", differs(y, bound_conv2d_frames, x, conv, ws=ws, gate=gate)),
+        ("conv2d_frames add epilogue", differs(
+            _conv_epilogue_np(y, add, None), bound_conv2d_frames, x, conv, ws=ws, gate=gate,
+            add=add)),
+        ("conv2d_frames residual epilogue", differs(
+            _conv_epilogue_np(y, None, base), bound_conv2d_frames, x, conv, ws=ws, gate=gate,
+            base=base)),
+        ("channel_mix", differs(_channel_mix_np(x, b21[:5]), bound_channel_mix, x, b21[:5], ws=ws)),
+        ("rms_norm rows", differs(_rms_norm_np(t, 1), bound_rms_norm, t, 1)),
+        ("rms_norm channels", differs(_rms_norm_np(x, 1, True), bound_rms_norm, x, 1)),
+        ("attention", differs(_attention_np(q, kv, kv, scale), bound_attention, q, kv, kv, scale,
+                              ws=ws, keep_probs=True)),
     ]
-    for name, got, want in cases:
-        if got.tobytes() != want.tobytes():
-            return f"compiled {name} differs from the numpy reference"
-    return None
+    return next((f"compiled {name} differs from the numpy reference"
+                 for name, bad in cases if bad), None)
 
 
 _lib = None  # the loaded library once checked, False when unavailable
@@ -437,11 +358,6 @@ def _compiled():
     return _lib or None
 
 
-_IMPLS = {
-    "compiled": (_matmul_c, _matmul_batch_c, _conv2d_frames_c, _attention_c, _rms_norm_c),
-    "numpy": (_matmul_np, _matmul_batch_np, _conv2d_frames_np, _attention_np, _rms_norm_np),
-}
-
 _active = os.environ.get(ENV_BACKEND, "compiled")
 if _active not in _BACKENDS:
     raise ConfigError(f"{ENV_BACKEND} must be one of {_BACKENDS}, got {_active!r}")
@@ -453,12 +369,16 @@ def compiled_error() -> str | None:
     return _lib_error
 
 
+def active_library():
+    """The ``lib`` argument of the ``bound_*`` functions for the backend in use: the
+    checked compiled library, or None for the numpy reference (this may build it)."""
+    return _compiled() if _active == "compiled" else None
+
+
 def active_backend() -> str:
     """Name of the backend in use: ``compiled``, or ``numpy`` when it was asked for
     or the compiled kernels are unavailable (this may build them)."""
-    if _active == "compiled" and _compiled() is None:
-        return "numpy"
-    return _active
+    return "numpy" if active_library() is None else "compiled"
 
 
 def set_backend(name: str) -> None:
@@ -477,7 +397,10 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = _f32(b, "b", 2)
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    return _IMPLS[active_backend()][0](a, b)
+    (m, k), n = a.shape, b.shape[1]
+    out = np.empty((m, n), dtype=np.float32)
+    _run(active_library(), bound_matmul, a, b, out, ws=_matmul_ws(m, k, n, n))
+    return out
 
 
 def matmul_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -486,7 +409,12 @@ def matmul_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = _f32(b, "b", 3)
     if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
         raise ValueError(f"matmul_batch shape mismatch: {a.shape} @ {b.shape}")
-    return _IMPLS[active_backend()][1](a, b)
+    (bn, m, k), n = a.shape, b.shape[2]
+    out = np.empty((bn, m, n), dtype=np.float32)
+    lib = active_library()
+    for i in range(bn):
+        _run(lib, bound_matmul, a[i], b[i], out[i], ws=_matmul_ws(m, k, n, n))
+    return out
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, bias: np.ndarray, stride: int = 1) -> np.ndarray:
@@ -523,7 +451,11 @@ def conv2d_frames(
         gate = _f32(gate, "gate", 4)
         if gate.shape != x.shape:
             raise ValueError(f"conv2d_frames gate {gate.shape} does not match x {x.shape}")
-    return _IMPLS[active_backend()][2](x, conv, stride, gate)
+    f, ci, h, w = x.shape
+    out = np.empty((f, conv.co, (h - 1) // stride + 1, (w - 1) // stride + 1), dtype=np.float32)
+    _run(active_library(), bound_conv2d_frames, x, conv, out, ws=_conv_ws(f, ci, h, w, stride),
+         stride=stride, gate=gate)
+    return out
 
 
 def rms_norm(x: np.ndarray, axis: int, *, gate: bool = False):
@@ -539,8 +471,9 @@ def rms_norm(x: np.ndarray, axis: int, *, gate: bool = False):
         raise ValueError(f"rms_norm needs a float32 numpy array, got {type(x).__name__}")
     if not -x.ndim <= axis < x.ndim:
         raise ValueError(f"rms_norm axis {axis} out of range for shape {x.shape}")
-    impl = _IMPLS[active_backend()][4] if x.flags.c_contiguous else _rms_norm_np
-    return impl(x, axis % x.ndim, gate)
+    outs = [np.empty(x.shape, dtype=np.float32) for _ in range(2 if gate else 1)]
+    _run(active_library() if x.flags.c_contiguous else None, bound_rms_norm, x, axis, *outs)
+    return tuple(outs) if gate else outs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -631,53 +564,62 @@ def attention_batch(
         raise ValueError(f"attention_batch shape mismatch: {q.shape}, {k.shape}, {v.shape}")
     if k.shape[1] == 0 or q.shape[2] == 0:
         raise ValueError(f"attention_batch needs at least one key and one dim, got k {k.shape}")
-    impl = _IMPLS[active_backend()][3]
-    scale = np.float32(1.0 / math.sqrt(q.shape[2]))
-    step = max(1, attention_slab(q.shape[0], q.shape[1], k.shape[1]))
-    outs, probs = [], []
-    for i in range(0, max(q.shape[0], 1), step):
-        out, p = impl(q[i : i + step], k[i : i + step], v[i : i + step], scale)
-        outs.append(out)
-        if keep_probs:
-            probs.append(p)
-    return np.concatenate(outs), np.concatenate(probs) if keep_probs else None
+    (n, lq, d), (lk, dv) = q.shape, v.shape[1:]
+    slab = attention_slab(n, lq, lk)
+    out = np.empty((n, lq, dv), dtype=np.float32)
+    probs = np.empty((n if keep_probs else slab, lq, lk), dtype=np.float32)
+    _run(active_library(), bound_attention, q, k, v, np.float32(1.0 / math.sqrt(d)), out, probs,
+         ws=_attention_ws(slab, lq, lk, d, dv), keep_probs=keep_probs)
+    return out, probs if keep_probs else None
 
 
 def attention_slab(n: int, lq: int, lk: int) -> int:
-    """Items per slab of :func:`attention_batch` over n items of lq x lk scores."""
-    return min(n, max(1, _ATTN_SLAB // (lq * lk or 1)))
+    """Items per slab of :func:`attention_batch` over n items of lq x lk scores (at least 1)."""
+    return max(1, min(n, _ATTN_SLAB // (lq * lk or 1)))
 
 
 # ---------------------------------------------------------------------------
-# bound calls of a planned pass
+# bound calls
 #
-# Each ``bound_*`` function returns the calls that run one step of a plan
-# (see :mod:`cachediff.plan`) with every argument fixed: the arrays are the
-# plan's buffers, checked and turned into addresses once, and ``ws`` is the
-# address of the plan's scratch block, at least the step's ``_*_ws`` bytes.
-# Under ``numpy`` a call runs the reference and writes its result into the
-# same buffers, so both backends give the same bytes.  The checks of the
-# public functions above are not repeated here: the plan made the shapes.
+# Each ``bound_*`` function returns the calls that run one kernel step with
+# every argument fixed: the arrays are checked and turned into addresses
+# once, and ``ws`` is the address of a scratch block of at least the step's
+# ``_*_ws`` bytes.  ``lib`` is the compiled library to call, or None for the
+# numpy reference, which writes its result into the same buffers, so both
+# give the same bytes.  These are the only callers of the library's entry
+# points: a plan (see :mod:`cachediff.plan`) binds its steps once, on its own
+# buffers; the public functions above and the load-time check bind a step
+# per call.  The public functions' argument checks are not repeated here.
 
 
-def bound_matmul(backend: str, a: np.ndarray, b: np.ndarray, out: np.ndarray, ws: int) -> list:
+def _run(lib, bound, *args, ws: int | None = None, **kwargs) -> None:
+    """Bind one step on ``lib`` and run it once; with ``ws``, a fresh scratch
+    block of that many bytes is the step's last positional argument."""
+    block = np.empty(ws or 0, dtype=np.uint8)
+    for call in bound(lib, *args, *(() if ws is None else (block.ctypes.data,)), **kwargs):
+        call()
+
+
+def bound_matmul(lib, a: np.ndarray, b: np.ndarray, out: np.ndarray, ws: int) -> list:
     """out = a @ b; b's rows may be padded (a column slice of a wider matrix)."""
-    (m, k), n = a.shape, b.shape[1]
-    if backend == "numpy":
+    if lib is None:
         return [lambda: np.copyto(out, _matmul_np(a, b))]
+    (m, k), n = a.shape, b.shape[1]
     pb, ldb = _rows_ptr(b)
-    return [partial(_compiled().cd_matmul, _ptr(a), pb, ldb, _ptr(out), m, k, n, ws)]
+    return [partial(lib.cd_matmul, _ptr(a), pb, ldb, _ptr(out), m, k, n, ws)]
 
 
-def bound_channel_mix(backend: str, x: np.ndarray, w: np.ndarray, out: np.ndarray, ws: int) -> list:
+def bound_channel_mix(lib, x: np.ndarray, w: np.ndarray, out: np.ndarray, ws: int) -> list:
     """out (f, co, h, w) = x @ w per pixel, the matmul of x's (f * h * w, c) tokens."""
-    if backend == "numpy":
+    if lib is None:
         return [lambda: np.copyto(out, _channel_mix_np(x, w))]
-    return [partial(_compiled().cd_channel_mix, *_channel_mix_args(x, w, out, ws))]
+    f, c, h, wid = x.shape
+    pw, ldw = _rows_ptr(w)
+    return [partial(lib.cd_channel_mix, _ptr(x), pw, ldw, _ptr(out), f, c, h * wid, w.shape[1], ws)]
 
 
 def bound_conv2d_frames(
-    backend: str, x: np.ndarray, conv: PackedConv, out: np.ndarray, ws: int, *, stride: int = 1,
+    lib, x: np.ndarray, conv: PackedConv, out: np.ndarray, ws: int, *, stride: int = 1,
     gate: np.ndarray | None = None, add: np.ndarray | None = None, base: np.ndarray | None = None,
 ) -> list:
     """out = conv2d_frames(x, conv, stride, gate), then at most one epilogue.
@@ -685,23 +627,34 @@ def bound_conv2d_frames(
     ``add`` (samples, co), one row per run of ``f // samples`` frames, is
     added to ``acc + bias`` (a residual unit's time projection); ``base``,
     shaped like ``out``, gives ``base + 0.5 * (acc + bias)`` (its residual).
-    Each is the reference's own sequence of float32 operations.
+    Each is the reference's own sequence of float32 operations
+    (:func:`_conv_epilogue_np`), fused into the compiled conv's store.
     """
     if add is not None and base is not None:
         raise ValueError("a conv takes one epilogue")
-    if backend == "numpy":
+    if lib is None:
         return [lambda: np.copyto(
             out, _conv_epilogue_np(_conv2d_frames_np(x, conv, stride, gate), add, base))]
-    return [partial(_compiled().cd_conv2d_frames,
-                    *_conv_args(x, conv, out, ws, stride, gate, add, base))]
+    f, ci, h, wid = x.shape
+    pa, lda = _rows_ptr(add) if add is not None else (None, 0)
+    return [partial(
+        lib.cd_conv2d_frames, _ptr(x), None if gate is None else _ptr(gate), _ptr(conv.w),
+        conv.w.shape[1], _ptr(conv.bias), _ptr(out), f, ci, h, wid, conv.co, stride,
+        pa, lda, f // add.shape[0] if add is not None else 1,
+        None if base is None else _ptr(base), ws,
+    )]
 
 
 def bound_rms_norm(
-    backend: str, x: np.ndarray, axis: int, out: np.ndarray, gate: np.ndarray | None = None
+    lib, x: np.ndarray, axis: int, out: np.ndarray, gate: np.ndarray | None = None
 ) -> list:
-    """out = rms_norm(x, axis), and with ``gate`` its SiLU gate, of a C-contiguous x."""
+    """out = rms_norm(x, axis), and with ``gate`` its SiLU gate, of a C-contiguous x.
+
+    The kernel writes the norm and -clip(out, -30, 30); numpy's exp makes
+    that the gate.
+    """
     axis %= x.ndim
-    if backend == "numpy":
+    if lib is None:
         def run():
             res = _rms_norm_np(x, axis, gate is not None)
             if gate is None:
@@ -711,7 +664,7 @@ def bound_rms_norm(
                 np.copyto(gate, res[1])
         return [run]
     calls = [partial(
-        _compiled().cd_rms_norm, _ptr(x), _ptr(out), None if gate is None else _ptr(gate),
+        lib.cd_rms_norm, _ptr(x), _ptr(out), None if gate is None else _ptr(gate),
         math.prod(x.shape[:axis]), x.shape[axis], math.prod(x.shape[axis + 1 :]),
     )]
     if gate is not None:
@@ -720,27 +673,27 @@ def bound_rms_norm(
 
 
 def bound_attention(
-    backend: str, q: np.ndarray, k: np.ndarray, v: np.ndarray, out: np.ndarray,
+    lib, q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: np.float32, out: np.ndarray,
     probs: np.ndarray, ws: int, *, keep_probs: bool = False,
 ) -> list:
-    """out = attention_batch(q, k, v) in its slabs; ``probs`` holds every item's
-    probabilities with ``keep_probs``, else it is one slab's scratch."""
+    """out = softmax(q k^T * scale) @ v in slabs of :func:`attention_slab` items;
+    ``probs`` holds every item's probabilities with ``keep_probs``, else it is
+    one slab's scratch.  A compiled slab is two kernel calls with numpy's exp
+    in between."""
     (n, lq, d), (lk, dv) = q.shape, v.shape[1:]
-    scale = np.float32(1.0 / math.sqrt(d))
     step = attention_slab(n, lq, lk)
     calls = []
     for i in range(0, n, step):
         sl = slice(i, i + step)
-        cnt = len(range(n)[sl])
+        cnt = min(step, n - i)
         p = probs[sl] if keep_probs else probs[:cnt]
-        if backend == "numpy":
+        if lib is None:
             def run(sl=sl, p=p):
                 o, pr = _attention_np(q[sl], k[sl], v[sl], scale)
                 np.copyto(out[sl], o)
                 np.copyto(p, pr)
             calls.append(run)
             continue
-        lib = _compiled()
         calls += [
             partial(lib.cd_attn_logits, _ptr(q[sl]), _ptr(k[sl]), _ptr(p), cnt, lq, lk, d,
                     float(scale), ws),

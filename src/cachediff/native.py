@@ -37,7 +37,6 @@ _P = ctypes.c_void_p
 _L = ctypes.c_long
 _SIGNATURES = {
     "cd_matmul": (_P, _P, _L, _P, _L, _L, _L, _P),
-    "cd_matmul_batch": (_P, _P, _L, _P, _L, _L, _L, _L, _P),
     "cd_channel_mix": (_P, _P, _L, _P, _L, _L, _L, _L, _P),
     "cd_conv2d_frames": (_P, _P, _P, _L, _P, _P, _L, _L, _L, _L, _L, _L, _P, _L, _L, _P, _P),
     "cd_rms_norm": (_P, _P, _P, _L, _L, _L),

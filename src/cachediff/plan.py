@@ -5,9 +5,10 @@ the stack, removal flag, restricted-attention index sets).  The walk
 records
 
 * buffers, each with the span of steps from its first to its last use;
-* steps: functions that return, for a backend, the calls that compute the
-  step with every argument fixed (the ``kernels.bound_*`` functions, and
-  numpy calls with ``out=`` for the glue between kernels);
+* steps: functions that return, for a kernel library (None: the numpy
+  reference), the calls that compute the step with every argument fixed
+  (the ``kernels.bound_*`` functions, and numpy calls with ``out=`` for the
+  glue between kernels);
 * the pass's FLOP events, logged through :meth:`FlopLog.add`, so that the
   tag and arity checks run once per plan.
 
@@ -15,7 +16,7 @@ records
 two buffers share memory only when no step lies in both their spans.  The
 arena and the kernels' scratch block belong to the :class:`PlanCache`
 that holds every plan of a model; passes run one at a time, so the plans
-share them.  A pass then runs the bound calls of the backend in use, read
+share them.  A pass then runs the bound calls of the library in use, read
 once per pass, and extends the caller's log with the recorded events: it
 allocates none of its buffers, converts no pointer and checks no kernel
 argument.
@@ -48,7 +49,7 @@ class Buf:
         self.a: np.ndarray | None = None
 
 
-Bind = Callable[[str], list]
+Bind = Callable[[object], list]  # kernel library (None: numpy) -> calls
 
 
 class Plan:
@@ -63,7 +64,7 @@ class Plan:
         self.ws = 0  # address of the shared scratch block, once placed
         self._ws_block: np.ndarray | None = None
         self.outputs: tuple[Buf, ...] = ()
-        self._calls: dict[str, list] = {}
+        self._calls: dict[object, list] = {}
 
     # -- recording
 
@@ -83,7 +84,7 @@ class Plan:
 
     def glue(self, make: Callable[[], list], *touched: Buf | None) -> None:
         """A step whose calls are the same under both backends."""
-        self.step(lambda backend: make(), *touched)
+        self.step(lambda lib: make(), *touched)
 
     def flop(self, tag: str, layer: str, dims) -> None:
         self.log.add(tag, layer, dims)
@@ -98,9 +99,9 @@ class Plan:
         k, n = a.shape[-1], w.shape[1]
         rows = a.size // k
         out = self.buf(a.shape[:-1] + (n,))
-        self.scratch(kernels._matmul_ws(rows, k, n, w.strides[0] // 4))
-        self.step(lambda be: kernels.bound_matmul(
-            be, a.a.reshape(rows, k), w, out.a.reshape(rows, n), self.ws), a, out)
+        self.scratch(kernels._matmul_ws(rows, k, n, kernels._rows_ptr(w)[1]))
+        self.step(lambda lib: kernels.bound_matmul(
+            lib, a.a.reshape(rows, k), w, out.a.reshape(rows, n), self.ws), a, out)
         if layer is not None:
             self.flop("matmul", layer, (rows, k, n))
         return out
@@ -109,8 +110,8 @@ class Plan:
         """rms_norm(x, axis), logged as ``copies`` norms; with ``gate`` also its SiLU gate."""
         out = self.buf(x.shape)
         g = self.buf(x.shape) if gate else None
-        self.step(lambda be: kernels.bound_rms_norm(
-            be, x.a, axis, out.a, None if g is None else g.a), x, out, g)
+        self.step(lambda lib: kernels.bound_rms_norm(
+            lib, x.a, axis, out.a, None if g is None else g.a), x, out, g)
         self.flop("elementwise", layer, (3 * copies * x.size,))
         return (out, g) if gate else out
 
@@ -124,8 +125,8 @@ class Plan:
         out = self.buf((f, conv.co, ho, wo))
         self.scratch(kernels._conv_ws(f, ci, h, w, stride))
         tp, col = add if add is not None else (None, 0)
-        self.step(lambda be: kernels.bound_conv2d_frames(
-            be, x.a, conv, out.a, self.ws, stride=stride,
+        self.step(lambda lib: kernels.bound_conv2d_frames(
+            lib, x.a, conv, out.a, self.ws, stride=stride,
             gate=None if gate is None else gate.a,
             add=None if tp is None else tp.a[:, col : col + conv.co],
             base=None if base is None else base.a,
@@ -137,8 +138,9 @@ class Plan:
         """Per-pixel x @ w over the channel axis of (f, c, h, w); not logged."""
         f, c, h, wid = x.shape
         out = self.buf((f, w.shape[1], h, wid))
-        self.scratch(kernels._channel_mix_ws(f, c, h * wid, w.shape[1], w.strides[0] // 4))
-        self.step(lambda be: kernels.bound_channel_mix(be, x.a, w, out.a, self.ws), x, out)
+        ldw = kernels._rows_ptr(w)[1]
+        self.scratch(kernels._channel_mix_ws(f, c, h * wid, w.shape[1], ldw))
+        self.step(lambda lib: kernels.bound_channel_mix(lib, x.a, w, out.a, self.ws), x, out)
         return out
 
     def attention(self, q: Buf, k: Buf, v: Buf, layer: str, items: int, keep_probs: bool = False):
@@ -153,9 +155,10 @@ class Plan:
         out = self.buf((items, lq, dv))
         probs = self.buf((items if keep_probs else slab, lq, lk))
         self.scratch(kernels._attention_ws(slab, lq, lk, d, dv))
-        self.step(lambda be: kernels.bound_attention(
-            be, q.a.reshape(items, lq, d), k.a.reshape(items, lk, d),
-            v.a.reshape(items, lk, dv), out.a, probs.a, self.ws, keep_probs=keep_probs,
+        scale = np.float32(1.0 / math.sqrt(d))
+        self.step(lambda lib: kernels.bound_attention(
+            lib, q.a.reshape(items, lq, d), k.a.reshape(items, lk, d),
+            v.a.reshape(items, lk, dv), scale, out.a, probs.a, self.ws, keep_probs=keep_probs,
         ), q, k, v, out, probs)
         self.flop("attention_scores", layer, (items * lq, lk, d))
         self.flop("elementwise", layer, (items * lq * lk,))
@@ -198,10 +201,11 @@ class Plan:
         self.ws = ws.ctypes.data
         self._calls.clear()
 
-    def run(self, backend: str, log: FlopLog | None) -> None:
-        calls = self._calls.get(backend)
+    def run(self, lib, log: FlopLog | None) -> None:
+        """Run the calls bound for ``lib`` (see :func:`kernels.active_library`)."""
+        calls = self._calls.get(lib)
         if calls is None:
-            calls = self._calls[backend] = [c for bind in self.steps for c in bind(backend)]
+            calls = self._calls[lib] = [c for bind in self.steps for c in bind(lib)]
         for call in calls:
             call()
         if log is not None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import RunConfig
-from .engine import ParallelRunner, denoise_clip, segment_condition
+from .engine import denoise_clip, segment_condition
 from .errors import ConfigError
 from .kernels import active_backend
 from .masks import ForegroundMask, mask_from_spec
@@ -77,7 +77,6 @@ def execute_run(rc: RunConfig, *, hooks=None, model: ToyUNet | None = None) -> R
     if model is None:
         model = build_model(rc)
     conds, root = build_conditioning(rc)
-    runner = ParallelRunner(rc.strategy.workers, rc.strategy.dispatch_overhead_ns)
     ledger = FlopLedger()
     clip_finals: list[np.ndarray] = []
     clip_reports: list[dict] = []
@@ -85,7 +84,7 @@ def execute_run(rc: RunConfig, *, hooks=None, model: ToyUNet | None = None) -> R
         z_T = initial_latent(root, cfg, ci)
         z0, rep, led = denoise_clip(
             model, sched, plan, rc.strategy, z_T, cond,
-            clip_id=ci, hooks=hooks, runner=runner,
+            clip_id=ci, hooks=hooks,
         )
         clip_finals.append(z0)
         clip_reports.append(rep)

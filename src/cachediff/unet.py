@@ -30,7 +30,7 @@ import numpy as np
 
 from . import attention as attn
 from .errors import ConfigError
-from .kernels import PackedConv, active_backend
+from .kernels import PackedConv, active_library
 from .kernels import matmul  # noqa: F401  (a name of this module the benchmark's tracer wraps)
 from .masks import ForegroundMask
 from .plan import Buf, Plan, PlanCache
@@ -340,7 +340,7 @@ class ToyUNet:
                 plan = self._plans.get(
                     key, lambda: self._plan_forward(bool(removal_active), masks, hooks is not None)
                 )
-                plan.run(active_backend(), log)
+                plan.run(active_library(), log)
                 eps, f_u31 = plan.outputs
                 # Copies, never np.ascontiguousarray: with one frame or one
                 # latent channel the transpose is contiguous, and that would
@@ -397,7 +397,7 @@ class ToyUNet:
                 plan = self._plans.get(
                     key, lambda: self._plan_subnet(b, f_u31.shape[0], bool(removal_active), dfa)
                 )
-                plan.run(active_backend(), log)
+                plan.run(active_library(), log)
                 eps = plan.outputs[0].a.reshape((b, cfg.frames) + plan.outputs[0].shape[1:])
                 return eps.transpose(0, 2, 1, 3, 4).copy()  # a copy, as in forward
             finally:

@@ -384,7 +384,7 @@ def run_planned(build, inputs, outputs=2):
     results = build(p, *bufs)
     plan = PlanCache().get("site", lambda: p.finish(*(r for r in results if r is not None)))
     log = FlopLog()
-    plan.run(kernels.active_backend(), log)
+    plan.run(kernels.active_library(), log)
     return [None if r is None else r.a.copy() for r in results], log
 
 

@@ -1,7 +1,9 @@
 """Differential tests of the compiled kernels against the numpy reference.
 
-Inputs mix ordinary values with signed zeros, subnormals, infinities and
-NaNs, and shapes include empty and unit dimensions.  Outputs must be the
+Every test runs the kernels through their bound calls (``kernels.bound_*``),
+the one path by which plans and the public functions call them.  Inputs
+mix ordinary values with signed zeros, subnormals, infinities and NaNs,
+and shapes include empty and unit dimensions.  Outputs must be the
 same bytes; when an input holds a NaN, only the NaN positions must agree,
 because which NaN's bits survive the sum of two NaNs is not fixed (numpy
 itself picks differently for different array lengths).  Attention applies
@@ -9,6 +11,7 @@ the same rule wherever the reference output holds a NaN, since it also
 makes NaNs from infinities in its row max.
 """
 
+import ctypes
 import inspect
 import shutil
 import sys
@@ -23,6 +26,7 @@ from hypothesis.extra.numpy import arrays
 
 from cachediff import engine, kernels, native
 from cachediff.config import RunConfig
+from cachediff.errors import ConfigError
 from cachediff.rng import Rng
 from cachediff.runner import build_conditioning
 from cachediff.unet import ToyUNet, UNetConfig, init_weights
@@ -51,6 +55,19 @@ def tensor(shape, special: bool):
     return arrays(np.float32, shape, elements=values(special))
 
 
+def compiled(like, bound, *inputs, **kwargs):
+    """The outputs of one bound kernel step run on the compiled library.
+
+    They are NaN-filled arrays shaped like ``like`` (an array or a tuple of
+    arrays), passed after ``inputs``; ``ws`` gives the bytes of a fresh
+    scratch block (see ``kernels._run``).
+    """
+    like = like if isinstance(like, tuple) else (like,)
+    outs = [np.full(r.shape, np.nan, dtype=np.float32) for r in like]
+    kernels._run(kernels._compiled(), bound, *inputs, *outs, **kwargs)
+    return outs if len(outs) > 1 else outs[0]
+
+
 def assert_same(got: np.ndarray, want: np.ndarray, *inputs: np.ndarray) -> None:
     assert got.shape == want.shape
     if not any(np.isnan(x).any() for x in inputs):
@@ -74,17 +91,21 @@ def test_matmul_matches_reference(data, m, k, n, special):
         a[data.draw(st.integers(0, m - 1))] = -0.0
     with np.errstate(all="ignore"):
         want = kernels._matmul_np(a, b)
-    assert_same(kernels._matmul_c(a, b), want, a, b)
+    assert_same(compiled(want, kernels.bound_matmul, a, b, ws=kernels._matmul_ws(m, k, n, n)),
+                want, a, b)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.data(), st.integers(0, 3), st.integers(0, 13), st.integers(0, 9), cols, st.booleans())
 def test_matmul_batch_matches_reference(data, bn, m, k, n, special):
+    """One bound matmul per item, as kernels.matmul_batch runs them, on views of the stacks."""
     a = data.draw(tensor((bn, m, k), special))
     b = data.draw(tensor((bn, k, n), special))
     with np.errstate(all="ignore"):
         want = kernels._matmul_batch_np(a, b)
-    assert_same(kernels._matmul_batch_c(a, b), want, a, b)
+    for i in range(bn):
+        got = compiled(want[i], kernels.bound_matmul, a[i], b[i], ws=kernels._matmul_ws(m, k, n, n))
+        assert_same(got, want[i], a[i], b[i])
 
 
 @settings(max_examples=150, deadline=None)
@@ -105,7 +126,9 @@ def test_conv2d_frames_matches_reference(data, f, ci, h, w, co, stride, special)
     conv = kernels.PackedConv(wt, bias)
     with np.errstate(all="ignore"):
         want = kernels._conv2d_frames_np(x, conv, stride)
-    assert_same(kernels._conv2d_frames_c(x, conv, stride), want, x, wt, bias)
+    got = compiled(want, kernels.bound_conv2d_frames, x, conv,
+                   ws=kernels._conv_ws(f, ci, h, w, stride), stride=stride)
+    assert_same(got, want, x, wt, bias)
 
 
 # Norm axis lengths: every branch of numpy's pairwise sum (below 8, 8 to
@@ -132,7 +155,7 @@ def test_rms_norm_matches_reference(data, outer, c, inner, special, gate):
         x = x.reshape(outer, c)
     with np.errstate(all="ignore"):
         want = kernels._rms_norm_np(x, axis % x.ndim, gate)
-        got = kernels._rms_norm_c(x, axis % x.ndim, gate)
+        got = compiled(want, kernels.bound_rms_norm, x, axis)
     for g, w in zip(got, want) if gate else [(got, want)]:
         assert_same_nan_rule(g, w)
 
@@ -149,8 +172,9 @@ def test_preactivation_conv_matches_reference(data, f, ci, h, w, co, stride, spe
                               data.draw(tensor((co,), False)))
     with np.errstate(all="ignore"):
         want = kernels._conv2d_frames_np(kernels.silu(kernels._rms_norm_np(x, 1)), conv, stride)
-        normed, gate = kernels._rms_norm_c(x, 1, True)
-        got = kernels._conv2d_frames_c(normed, conv, stride, gate)
+        normed, gate = compiled((x, x), kernels.bound_rms_norm, x, 1)
+        got = compiled(want, kernels.bound_conv2d_frames, normed, conv,
+                       ws=kernels._conv_ws(f, ci, h, w, stride), stride=stride, gate=gate)
     assert_same_nan_rule(got, want)
 
 
@@ -179,7 +203,8 @@ def test_conv_store_epilogues_match_reference(data, samples, fps, ci, h, w, co, 
         add = wide[:, 3 : 3 + co]
     with np.errstate(all="ignore"):
         want = kernels._conv_epilogue_np(kernels._conv2d_frames_np(x, conv, 1), add, base)
-        got = kernels._conv2d_frames_c(x, conv, 1, add=add, base=base)
+        got = compiled(want, kernels.bound_conv2d_frames, x, conv,
+                       ws=kernels._conv_ws(f, ci, h, w, 1), add=add, base=base)
     assert_same_nan_rule(got, want)
 
 
@@ -193,7 +218,9 @@ def test_channel_mix_matches_reference(data, f, c, h, w, co, special):
     wt = data.draw(tensor((c, co), special))
     with np.errstate(all="ignore"):
         want = kernels._channel_mix_np(x, wt)
-    assert_same(kernels._channel_mix_c(x, wt), want, x, wt)
+    got = compiled(want, kernels.bound_channel_mix, x, wt,
+                   ws=kernels._channel_mix_ws(f, c, h * w, co, co))
+    assert_same(got, want, x, wt)
 
 
 keys = st.sampled_from([0, 1, 2, 3, 5, 8, 9, 15, 16, 17, 31, 33, 64, 65, 70])
@@ -227,7 +254,8 @@ def test_attention_matches_reference(data, bn, lq, lk, d, dv, special):
     scale = np.float32(1.0 / np.sqrt(d)) if d else np.float32(1.0)
     with np.errstate(all="ignore"):
         want = kernels._attention_np(q, k, v, scale)
-        got = kernels._attention_c(q, k, v, scale)
+        got = compiled(want, kernels.bound_attention, q, k, v, scale, keep_probs=True,
+                       ws=kernels._attention_ws(kernels.attention_slab(bn, lq, lk), lq, lk, d, dv))
     for g, w in zip(got, want):
         assert_same_nan_rule(g, w)
 
@@ -249,7 +277,8 @@ def test_attention_special_score_rows_match_reference():
     scale = np.float32(1.0 / np.sqrt(d))
     with np.errstate(all="ignore"):
         want = kernels._attention_np(q, k, v, scale)
-        got = kernels._attention_c(q, k, v, scale)
+        got = compiled(want, kernels.bound_attention, q, k, v, scale, keep_probs=True,
+                       ws=kernels._attention_ws(3, 5, lk, d, 4))
     for g, w in zip(got, want):
         assert_same_nan_rule(g, w)
     probs = got[1]
@@ -282,9 +311,9 @@ def test_conv_border_inf_weight_gives_nan_like_reference():
     w = np.zeros((1, 1, 3, 3), np.float32)
     w[0, 0, 0, 0] = np.inf
     conv = kernels.PackedConv(w, np.zeros(1, np.float32))
-    got = kernels._conv2d_frames_c(x, conv, 1)
     with np.errstate(invalid="ignore"):
         want = kernels._conv2d_frames_np(x, conv, 1)
+    got = compiled(want, kernels.bound_conv2d_frames, x, conv, ws=kernels._conv_ws(1, 1, 3, 3, 1))
     assert got.tobytes() == want.tobytes()
     assert np.isnan(got[0, 0, 0]).all() and np.isnan(got[0, 0, :, 0]).all()
     assert got[0, 0, 1, 1] == np.inf
@@ -294,10 +323,58 @@ def test_kernels_refuse_strided_and_non_float32_arrays():
     """The kernels ignore strides, so a view that is not C-contiguous must be refused."""
     a = np.ones((4, 6), np.float32)
     b = np.ones((3, 5), np.float32)
+    out = np.empty((4, 5), np.float32)
     with pytest.raises(ValueError, match="C-contiguous float32"):
-        kernels._matmul_c(a[:, ::2], b)
+        compiled(out, kernels.bound_matmul, a[:, ::2], b, ws=kernels._matmul_ws(4, 3, 5, 5))
     with pytest.raises(ValueError, match="C-contiguous float32"):
-        kernels._matmul_c(a[:, :3].astype(np.float64), b)
+        compiled(out, kernels.bound_matmul, a[:, :3].astype(np.float64), b,
+                 ws=kernels._matmul_ws(4, 3, 5, 5))
+
+
+@pytest.mark.parametrize("backend", ["compiled", "numpy"])
+def test_zero_item_batches_give_empty_results(backend):
+    """With no item there is no kernel call, and the batch functions return empty arrays."""
+    q, k, v = (np.zeros((0, rows, c), np.float32) for rows, c in ((3, 4), (5, 4), (5, 2)))
+    before = kernels.active_backend()
+    try:
+        kernels.set_backend(backend)
+        out, probs = kernels.attention_batch(q, k, v, keep_probs=True)
+        bare = kernels.attention_batch(q, k, v)
+        mm = kernels.matmul_batch(np.zeros((0, 3, 4), np.float32), np.zeros((0, 4, 6), np.float32))
+    finally:
+        kernels.set_backend(before)
+    assert (out.shape, probs.shape, mm.shape) == ((0, 3, 2), (0, 3, 5), (0, 3, 6))
+    assert out.dtype == probs.dtype == mm.dtype == np.float32
+    assert bare[0].shape == (0, 3, 2) and bare[1] is None
+
+
+class PerturbedNorm:
+    """The compiled library, except that cd_rms_norm adds one ulp to its first output."""
+
+    def __init__(self, lib):
+        self._lib = lib
+
+    def __getattr__(self, name):
+        return getattr(self._lib, name)
+
+    def cd_rms_norm(self, x, out, *args):
+        self._lib.cd_rms_norm(x, out, *args)
+        first = ctypes.c_float.from_address(out)
+        first.value = np.nextafter(np.float32(first.value), np.float32(np.inf))
+
+
+def test_load_time_check_refuses_a_library_that_differs_from_the_reference(monkeypatch):
+    lib = kernels._compiled()
+    assert kernels._self_check(lib) is None
+    assert kernels._self_check(PerturbedNorm(lib)) == (
+        "compiled rms_norm rows differs from the numpy reference")
+    monkeypatch.setattr(native, "load", lambda: (PerturbedNorm(lib), None))
+    monkeypatch.setattr(kernels, "_lib", None)
+    monkeypatch.setattr(kernels, "_lib_error", None)
+    assert "differs from the numpy reference" in kernels.compiled_error()
+    assert kernels.active_library() is None and kernels.active_backend() == "numpy"
+    with pytest.raises(ConfigError, match="compiled backend unavailable"):
+        kernels.set_backend("compiled")
 
 
 # Bound kernel steps of a plan and the arguments each writes.
@@ -325,9 +402,9 @@ def test_default_forward_pass_kernel_calls_match_reference(monkeypatch):
     def recording(name, bound):
         sig = inspect.signature(bound)
 
-        def wrapped(backend, *args, **kwargs):
-            calls = bound(backend, *args, **kwargs)
-            arguments = sig.bind(backend, *args, **kwargs).arguments
+        def wrapped(lib, *args, **kwargs):
+            calls = bound(lib, *args, **kwargs)
+            arguments = sig.bind(lib, *args, **kwargs).arguments
 
             def run():
                 inputs = {k: v.copy() if isinstance(v, np.ndarray) else v
@@ -351,7 +428,7 @@ def test_default_forward_pass_kernel_calls_match_reference(monkeypatch):
         model.forward(z, 500, cond)
     finally:
         kernels.set_backend(before)
-    assert all(inputs["backend"] == "compiled" for _, inputs, _ in steps)
+    assert all(inputs["lib"] is kernels._compiled() for _, inputs, _ in steps)
     kinds = Counter(name for name, _, _ in steps)
     assert kinds == {"bound_conv2d_frames": 46, "bound_rms_norm": 56, "bound_matmul": 38,
                      "bound_channel_mix": 5, "bound_attention": 9}
@@ -359,7 +436,7 @@ def test_default_forward_pass_kernel_calls_match_reference(monkeypatch):
     assert sum(c["gate"] is not None for c in convs) == 39  # 19 units x 2 and the head
     assert sum(c["add"] is not None for c in convs) == sum(c["base"] is not None for c in convs) == 19
     for name, inputs, written in steps:
-        args = dict(inputs, backend="numpy")
+        args = dict(inputs, lib=None)
         for k in written:
             args[k] = np.full_like(inputs[k], np.nan)
         for call in originals[name](**args):
@@ -381,24 +458,29 @@ def test_concurrent_calls_from_more_threads_than_cores_give_reference_bytes():
                rng.standard_normal((2, 40 + 3 * i, 8), dtype=np.float32),
                rng.standard_normal((2, 40 + 3 * i, 8), dtype=np.float32), np.float32(0.25))
         normed, gate = kernels._rms_norm_np(x, 1, True)
-        want = (kernels._conv2d_frames_np(x, conv, 1 + i % 2), kernels._matmul_np(a, b),
-                kernels._attention_np(*qkv)[1], normed.tobytes() + gate.tobytes(),
-                kernels._conv2d_frames_np(normed, conv, 1, gate))
-        jobs.append(((x, conv, 1 + i % 2), (a, b), qkv, want))
+        want = [kernels._conv2d_frames_np(x, conv, 1 + i % 2), kernels._matmul_np(a, b),
+                *kernels._attention_np(*qkv), normed, gate,
+                kernels._conv2d_frames_np(normed, conv, 1, gate)]
+        jobs.append((x, conv, 1 + i % 2, a, b, qkv, want))
     bad = []
 
     def work(job):
-        conv_args, mm_args, attn_args, want = job
-        want_conv, want_mm, want_probs, want_norm, want_preact = want
-        x, conv, _ = conv_args
+        x, conv, stride, a, b, qkv, want = job
+        (m, k), n = a.shape, b.shape[1]
+        lq, lk = qkv[0].shape[1], qkv[1].shape[1]
         for _ in range(30):
-            normed, gate = kernels._rms_norm_c(x, 1, True)
-            if (kernels._conv2d_frames_c(*conv_args).tobytes() != want_conv.tobytes()
-                    or kernels._matmul_c(*mm_args).tobytes() != want_mm.tobytes()
-                    or kernels._attention_c(*attn_args)[1].tobytes() != want_probs.tobytes()
-                    or normed.tobytes() + gate.tobytes() != want_norm
-                    or kernels._conv2d_frames_c(normed, conv, 1, gate).tobytes()
-                    != want_preact.tobytes()):
+            normed, gate = compiled((x, x), kernels.bound_rms_norm, x, 1)
+            got = [
+                compiled(want[0], kernels.bound_conv2d_frames, x, conv,
+                         ws=kernels._conv_ws(*x.shape, stride), stride=stride),
+                compiled(want[1], kernels.bound_matmul, a, b, ws=kernels._matmul_ws(m, k, n, n)),
+                *compiled(tuple(want[2:4]), kernels.bound_attention, *qkv, keep_probs=True,
+                          ws=kernels._attention_ws(kernels.attention_slab(2, lq, lk), lq, lk, 8, 8)),
+                normed, gate,
+                compiled(want[6], kernels.bound_conv2d_frames, normed, conv,
+                         ws=kernels._conv_ws(*x.shape, 1), gate=gate),
+            ]
+            if any(g.tobytes() != w.tobytes() for g, w in zip(got, want)):
                 bad.append(job)
 
     interval = sys.getswitchinterval()
