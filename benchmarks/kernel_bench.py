@@ -2,10 +2,13 @@
 
 Runs each kernel on a representative shape with the compiled C backend
 and the numpy reference, checks that the two produce byte-identical
-outputs, and prints per-call best times with the slowdown of the
+outputs (a compiled kernel call runs the kernel's op records through the
+library's ``cd_run``, the call a planned pass makes once for all its
+steps), and prints per-call best times with the slowdown of the
 reference, and the minor page faults per timed call (getrusage).  The
 ``forward`` and ``subnet`` cases are whole planned passes of the default
-model: one forward pass, and one subnet call on a stack of two samples.
+model, each one ``cd_run`` call: one forward pass, and one subnet call on
+a stack of two samples.
 Exits 1 when the outputs differ.  Without a C compiler only the reference
 is timed.
 

@@ -34,6 +34,7 @@ from functools import partial
 
 import numpy as np
 
+from . import kernels
 from .errors import CacheMissError, InvariantError
 from .kernels import attention_batch, matmul
 from .masks import ForegroundMask
@@ -49,25 +50,17 @@ class DfaContext:
     bg: np.ndarray | None
 
 
-def select_tokens(
-    x: np.ndarray, index: np.ndarray, axis: int = 0, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Gather rows of x along ``axis``; index must be ascending and unique.
-
-    With ``out`` (C-contiguous, of the result's shape) the rows are written
-    there and ``out`` is returned.
-    """
+def select_tokens(x: np.ndarray, index: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Gather rows of x along ``axis`` into a new C-contiguous array; index must be
+    ascending and unique."""
     idx = np.asarray(index, dtype=np.int64)
     if idx.ndim != 1:
         raise ValueError(f"index must be 1-d, got shape {idx.shape}")
     if idx.size:
         if idx[0] < 0 or idx[-1] >= x.shape[axis]:
             raise ValueError(f"index out of range for {x.shape[axis]} rows")
-        if (np.diff(idx) <= 0).any():
+        if (idx[1:] <= idx[:-1]).any():
             raise ValueError("index must be strictly ascending")
-    if out is not None:
-        # in range, so "clip" changes no index; it lets np.take write out unbuffered
-        return np.take(x, idx, axis=axis, out=out, mode="clip")
     return np.ascontiguousarray(np.take(x, idx, axis=axis))
 
 
@@ -273,42 +266,50 @@ def temporal_site(
 # views of the plan's buffers.
 
 
+def _rows3(shape: tuple[int, ...], axis: int) -> tuple[int, int, int]:
+    """``shape`` as (outer, rows, inner) around ``axis``."""
+    axis %= len(shape)
+    return math.prod(shape[:axis]), shape[axis], math.prod(shape[axis + 1 :])
+
+
 def _plan_select(p: Plan, x: Buf, index: np.ndarray, axis: int) -> Buf:
     """select_tokens into a buffer."""
     shape = list(x.shape)
     shape[axis] = len(index)
     out = p.buf(tuple(shape))
-    # select_tokens is looked up when the step runs, so that a tracer that
-    # wraps this module's functions sees the call
-    p.glue(lambda: [lambda: select_tokens(x.a, index, axis, out=out.a)], x, out)
+    outer, n, inner = _rows3(x.shape, axis)
+    p.step(lambda lib: kernels.bound_gather(
+        lib, x.a.reshape(outer, n, inner), index, out.a.reshape(outer, len(index), inner)), x, out)
     return out
 
 
 def _plan_merge(
     p: Plan, a_fg: Buf | None, fg_shape: tuple[int, ...], ctx: DfaContext, bg, axis: int
 ) -> Buf:
-    """merge_tokens of ``a_fg`` (viewed as ``fg_shape``, None when empty) and the pass's rows."""
+    """merge_tokens of ``a_fg`` (viewed as ``fg_shape``, None when empty) and the pass's
+    rows ``bg()``, copied into a buffer before the pass's steps run."""
     mask = ctx.mask
     merge_tokens(np.zeros(fg_shape, np.float32), ctx.bg, mask, axis)  # its checks, once
     if mask.num_bg == 0:
         return a_fg
     axis %= len(fg_shape)
     out = p.buf(fg_shape[:axis] + (mask.num_fg + mask.num_bg,) + fg_shape[axis + 1 :])
-    rows = (slice(None),) * axis
-    fg, bgi = rows + (mask.fg_index,), rows + (mask.bg_index,)
+    outer, n, inner = _rows3(out.shape, axis)
 
-    def make():
-        o = out.a
-        a = None if a_fg is None else a_fg.a.reshape(fg_shape)
+    def fill(buf: Buf):
+        dst = buf.a
+        return lambda: np.copyto(dst, bg())
 
-        def run():
-            if a is not None:
-                o[fg] = a
-            o[bgi] = bg()
+    rows = p.input(ctx.bg.shape, fill)
 
-        return [run]
+    def scatter(src: Buf, count: int, index: np.ndarray):
+        p.step(lambda lib: kernels.bound_scatter(
+            lib, src.a.reshape(src.size // (count * inner), count, inner), index,
+            out.a.reshape(outer, n, inner)), src, out)
 
-    p.glue(make, a_fg, out)
+    if a_fg is not None:
+        scatter(a_fg, mask.num_fg, mask.fg_index)
+    scatter(rows, mask.num_bg, mask.bg_index)
     return out
 
 
@@ -323,7 +324,7 @@ def _plan_hooks(p: Plan, prefix: str, site: str, a: Buf, probs: Buf, hooks) -> N
             for fi in range(av.shape[0]):
                 h.on_attention(prefix, site, fi, pv[fi], av[fi], av.shape[1])
 
-        return [run]
+        return run
 
     p.glue(make, a, probs)
 
@@ -415,7 +416,7 @@ def plan_temporal_site(
                     for a_i in av:
                         h.on_attention(prefix, "temporal", None, None, a_i, L)
 
-                return [run]
+                return run
 
             p.glue(make, a)
         return p.matmul(a, wo, prefix), a

@@ -259,7 +259,7 @@ def _run_block(
     for steps, (eps, sample_log), wall in zip(chunks, results, walls):
         for i in range(len(steps)):
             step_eps.append(eps[i : i + 1])
-            step_logs.append(sample_log.events)
+            step_logs.append(sample_log)
             step_walls.append(wall // len(steps))
 
     cur = z_next
@@ -273,7 +273,7 @@ def _run_block(
         _check_finite(cur, f"non-key step t={t_j}")
         phase2_walls.append(time.perf_counter_ns() - p0)
         tlog = FlopLog()
-        tlog.events.extend(step_logs[j])
+        tlog.extend(step_logs[j])
         tlog.add("elementwise", "scheduler", (3 * n_update,))
         if estimating and j > 0:
             tlog.add("elementwise", "scheduler", (3 * n_update,))

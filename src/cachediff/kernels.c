@@ -21,19 +21,30 @@
  * The RMS norm is the one sum that does not always run in ascending
  * order: it follows numpy's float32 np.mean, which sums a contiguous axis
  * pairwise (pairwise_sq) and a strided one in ascending order.  It also
- * writes the argument of SiLU's exp, so that a residual unit's
- * conv(silu(rms_norm(x))) is cd_rms_norm, numpy's exp and cd_conv2d_frames.
+ * writes SiLU's gate, so that a residual unit's conv(silu(rms_norm(x))) is
+ * one norm op and one conv.
  *
- * Attention is two entry points with numpy's exp applied in place between
- * them, so both backends share one libm exp: cd_attn_logits writes the
- * scaled scores minus their row max, cd_attn_apply turns exp(logits) into
- * probabilities (ascending row sum from +0.0, then a correctly rounded
- * divide) and multiplies them with V.
+ * exp is numpy's own: cd_set_exp hands over the float32 inner loop of
+ * np.exp, found in its loop table when the library is loaded (native.py),
+ * and the kernels call it in place, as np.exp(x, out=x) does, so both
+ * backends run the same machine code.  A slab of attention is
+ * attn_logits (the scaled scores minus their row max), that exp, and
+ * attn_apply, which turns exp(logits) into probabilities (ascending row sum
+ * from +0.0, then a correctly rounded divide) and multiplies them with V.
+ *
+ * Beside the kernels sit the glue ops of a pass, each the reference's own
+ * sequence of separately rounded float32 operations: an N-d strided copy,
+ * a residual x + 0.5 * delta over a permuted delta, row gathers and
+ * scatters by index, and a bias add with an optional SiLU.
+ *
+ * The only entry point besides cd_set_exp is cd_run, which executes a
+ * fixed array of op records (see "op records" below): kernels.py builds one
+ * array per planned pass, so a pass is one call into this library.
  *
  * No kernel allocates: each takes its scratch memory as the last argument
  * (ws), sized by kernels.py, so a planned pass binds one scratch block to
- * every call.  The kernels share no state: calls with distinct scratch
- * blocks are safe from several threads.
+ * every call.  The only shared state is the exp loop, set once at load:
+ * calls with distinct scratch blocks are safe from several threads.
  */
 
 #include <math.h>
@@ -253,8 +264,8 @@ static const float *gemm_b(const float *b, long ldb, long k, long n, char **ws, 
 
 /* out (bn, m, n) = a (bn, m, k) @ b (bn, k, n), a and out C-contiguous; the
  * rows of each item of b are ldb floats apart, each item k * ldb. */
-void cd_matmul_batch(const float *a, const float *b, long ldb, float *out, long bn, long m,
-                     long k, long n, char *ws)
+static void matmul_batch(const float *a, const float *b, long ldb, float *out, long bn, long m,
+                         long k, long n, char *ws)
 {
     if (m == 0 || n == 0)
         return;
@@ -274,18 +285,13 @@ void cd_matmul_batch(const float *a, const float *b, long ldb, float *out, long 
     }
 }
 
-void cd_matmul(const float *a, const float *b, long ldb, float *out, long m, long k, long n,
-               char *ws)
-{
-    cd_matmul_batch(a, b, ldb, out, 1, m, k, n, ws);
-}
 
 /* Channel mix of every pixel of x (f, c, hw): out (f, co, hw) with
  * out[fi][j][q] = sum_p x[fi][p][q] * w[p][j], p ascending from +0.0; w is
  * c rows of ldw floats.  The matmul of the (f * hw, c) token matrix, read
  * and written in place of the two transposes around it. */
-void cd_channel_mix(const float *x, const float *w, long ldw, float *out, long f, long c, long hw,
-                    long co, char *ws)
+static void channel_mix(const float *x, const float *w, long ldw, float *out, long f, long c,
+                        long hw, long co, char *ws)
 {
     const long m = f * hw;
     if (m == 0 || co == 0)
@@ -319,10 +325,10 @@ void cd_channel_mix(const float *x, const float *w, long ldw, float *out, long f
  *
  * One GEMM with the output pixels as rows and the channels as columns: row
  * i reads its patch straight from a zero-padded copy of the input. */
-void cd_conv2d_frames(const float *x, const float *gate, const float *wp, long ldw,
-                      const float *bias, float *out, long f, long ci, long h, long wd, long co,
-                      long stride, const float *add, long add_ld, long add_frames,
-                      const float *base, char *ws)
+static void conv2d_frames(const float *x, const float *gate, const float *wp, long ldw,
+                          const float *bias, float *out, long f, long ci, long h, long wd,
+                          long co, long stride, const float *add, long add_ld, long add_frames,
+                          const float *base, char *ws)
 {
     const long ph = h + 2, pw = wd + 2, k = ci * 9;
     const long ho = (h - 1) / stride + 1, wo = (wd - 1) / stride + 1, hw = ho * wo;
@@ -417,7 +423,7 @@ static void divide_row(const float *x, const float *r, long rs, float *out, floa
  * axis (inner == 1) and an ascending sum from +0.0 over a strided one; the
  * mean divides it by c.  With neg non-NULL, also neg = -clip(out, -30, 30),
  * the argument of the exp in silu(out). */
-void cd_rms_norm(const float *x, float *out, float *neg, long outer, long c, long inner)
+static void rms_norm(const float *x, float *out, float *neg, long outer, long c, long inner)
 {
     enum { CHUNK = 256 };
     float r[CHUNK];
@@ -491,8 +497,8 @@ static float scale_row_max(float *row, long n, float scale)
  * out[b][i][j] = s[i][j] - max_j s[i][j] where s[i][j] = (q[i] . k[j]) * scale;
  * the dot product is a plain ascending sum, and the max is NaN when the
  * row holds a NaN, like numpy's. */
-void cd_attn_logits(const float *q, const float *k, float *out, long bn, long lq, long lk, long d,
-                    float scale, char *ws)
+static void attn_logits(const float *q, const float *k, float *out, long bn, long lq, long lk,
+                        long d, float scale, char *ws)
 {
     if (bn == 0 || lq == 0 || lk == 0)
         return;
@@ -504,7 +510,7 @@ void cd_attn_logits(const float *q, const float *k, float *out, long bn, long lq
         for (long p = 0; p < d; p++)
             memset(kb + p * ldk + lk, 0, sizeof(float) * (ldk - lk));
     }
-    cd_matmul_batch(q, kt, ldk, out, bn, lq, d, lk, ws);
+    matmul_batch(q, kt, ldk, out, bn, lq, d, lk, ws);
     for (long i = 0; i < bn * lq; i++) {
         float *row = out + i * lk;
         const float m = scale_row_max(row, lk, scale);
@@ -518,8 +524,8 @@ void cd_attn_logits(const float *q, const float *k, float *out, long bn, long lq
  * probabilities on return: each row is divided by its sum, taken in
  * ascending order from +0.0.  The sums of CHAINS rows run interleaved,
  * one independent chain per row, which keeps each row's order. */
-void cd_attn_apply(float *p, const float *v, float *out, long bn, long lq, long lk, long dv,
-                   char *ws)
+static void attn_apply(float *p, const float *v, float *out, long bn, long lq, long lk, long dv,
+                       char *ws)
 {
     enum { CHAINS = 12 };
     const long rows = bn * lq;
@@ -542,5 +548,263 @@ void cd_attn_apply(float *p, const float *v, float *out, long bn, long lq, long 
             for (long j = 0; j < lk; j++)
                 pr[r * lk + j] = pr[r * lk + j] / sum[r];
     }
-    cd_matmul_batch(p, v, dv, out, bn, lq, lk, dv, ws);
+    matmul_batch(p, v, dv, out, bn, lq, lk, dv, ws);
+}
+
+/* ---------------------------------------------------------------------------
+ * numpy's exp
+ *
+ * A numpy ufunc inner loop: args {in, out}, dimensions {n}, steps in bytes,
+ * and the loop's data pointer from the same entry of the ufunc's table. */
+
+typedef void (*ufunc_loop)(char **args, const long *dims, const long *steps, void *data);
+
+static ufunc_loop np_exp;
+static void *np_exp_data;
+
+void cd_set_exp(ufunc_loop fn, void *data)
+{
+    np_exp = fn;
+    np_exp_data = data;
+}
+
+/* x = exp(x) for n contiguous floats: the call np.exp(x, out=x) makes. */
+static void exp_inplace(float *x, long n)
+{
+    if (n <= 0)
+        return;
+    char *args[2] = {(char *)x, (char *)x};
+    const long dims[1] = {n};
+    const long steps[2] = {sizeof(float), sizeof(float)};
+    np_exp(args, dims, steps, np_exp_data);
+}
+
+/* ---------------------------------------------------------------------------
+ * glue ops */
+
+#define MAXD 6 /* dims of a strided op, after kernels.py merges what it can */
+
+/* An odometer over the blocks (the last two axes) of an ndim-d index space,
+ * ndim >= 2, with the offsets, in floats, of each block's first element
+ * under two stride sets. */
+struct blocks2 {
+    long ndim, idx[MAXD], o1, o2;
+    const long *shape, *s1, *s2;
+};
+
+static long blocks2_start(struct blocks2 *w, long ndim, const long *shape, const long *s1,
+                          const long *s2)
+{
+    long blocks = 1;
+    w->ndim = ndim;
+    w->shape = shape;
+    w->s1 = s1;
+    w->s2 = s2;
+    w->o1 = w->o2 = 0;
+    for (long k = 0; k < ndim - 2; k++) {
+        w->idx[k] = 0;
+        blocks *= shape[k];
+    }
+    return blocks;
+}
+
+static void blocks2_next(struct blocks2 *w)
+{
+    for (long k = w->ndim - 3; k >= 0; k--) {
+        w->o1 += w->s1[k];
+        w->o2 += w->s2[k];
+        if (++w->idx[k] < w->shape[k])
+            return;
+        w->o1 -= w->shape[k] * w->s1[k];
+        w->o2 -= w->shape[k] * w->s2[k];
+        w->idx[k] = 0;
+    }
+}
+
+/* dst[i] = src[i] over an ndim-d index space (ndim >= 2, kernels.py pads a
+ * single axis with a unit one); strides in floats, 0 to broadcast.  Floats
+ * are moved, never computed, so every bit survives. */
+static void copy_nd(float *dst, const float *src, long ndim, const long *shape, const long *ds,
+                    const long *ss)
+{
+    const long m = shape[ndim - 2], n = shape[ndim - 1];
+    const long dm = ds[ndim - 2], dn = ds[ndim - 1], sm = ss[ndim - 2], sn = ss[ndim - 1];
+    enum { T = 16 }; /* tile of a transpose */
+    struct blocks2 w;
+    const long blocks = blocks2_start(&w, ndim, shape, ds, ss);
+    for (long b = 0; b < blocks; b++, blocks2_next(&w)) {
+        float *d = dst + w.o1;
+        const float *s = src + w.o2;
+        if (dn == 1 && sm == 1 && sn != 1) { /* a transpose, in tiles that stay in cache */
+            for (long i0 = 0; i0 < m; i0 += T)
+                for (long j0 = 0; j0 < n; j0 += T) {
+                    const long ie = i0 + T < m ? i0 + T : m, je = j0 + T < n ? j0 + T : n;
+                    for (long i = i0; i < ie; i++)
+                        for (long j = j0; j < je; j++)
+                            d[i * dm + j] = s[i + j * sn];
+                }
+            continue;
+        }
+        for (long i = 0; i < m; i++) {
+            if (dn == 1 && sn == 1) {
+                memcpy(d + i * dm, s + i * sm, sizeof(float) * n);
+            } else {
+                for (long j = 0; j < n; j++)
+                    d[i * dm + j * dn] = s[i * sm + j * sn];
+            }
+        }
+    }
+}
+
+/* A residual x + 0.5 * delta over a permuted delta, as the reference runs
+ * it: delta = 0.5f * delta in place, then out = x + delta.  x and out share
+ * the strides xs, delta has its own; ndim >= 2 as for copy_nd. */
+static void add_half_nd(float *out, const float *x, float *delta, long ndim, const long *shape,
+                        const long *xs, const long *ds)
+{
+    const long m = shape[ndim - 2], n = shape[ndim - 1];
+    const long xm = xs[ndim - 2], xn = xs[ndim - 1], dm = ds[ndim - 2], dn = ds[ndim - 1];
+    enum { T = 16 }; /* tile of a transposed delta */
+    struct blocks2 w;
+    const long blocks = blocks2_start(&w, ndim, shape, xs, ds);
+    const long ti = xn == 1 && dm == 1 && dn != 1 ? T : m, tj = ti == T ? T : n;
+    for (long b = 0; b < blocks; b++, blocks2_next(&w)) {
+        for (long i0 = 0; i0 < m; i0 += ti)
+            for (long j0 = 0; j0 < n; j0 += tj) {
+                const long ie = i0 + ti < m ? i0 + ti : m, je = j0 + tj < n ? j0 + tj : n;
+                for (long i = i0; i < ie; i++) {
+                    const long ox = w.o1 + i * xm, od = w.o2 + i * dm;
+                    for (long j = j0; j < je; j++) {
+                        const float t = 0.5f * delta[od + j * dn];
+                        delta[od + j * dn] = t;
+                        out[ox + j * xn] = x[ox + j * xn] + t;
+                    }
+                }
+            }
+    }
+}
+
+/* out (outer, m, inner) = the rows idx of x (outer, nx, inner). */
+static void gather_rows(float *out, const float *x, const long *idx, long outer, long nx, long m,
+                        long inner)
+{
+    for (long o = 0; o < outer; o++)
+        for (long j = 0; j < m; j++)
+            memcpy(out + (o * m + j) * inner, x + (o * nx + idx[j]) * inner,
+                   sizeof(float) * inner);
+}
+
+/* Rows idx of out (outer, nout, inner) = src (souter, m, inner), src
+ * broadcast over the leading axes it lacks: outer item o reads o % souter. */
+static void scatter_rows(float *out, const float *src, const long *idx, long outer, long nout,
+                         long m, long inner, long souter)
+{
+    for (long o = 0; o < outer; o++)
+        for (long j = 0; j < m; j++)
+            memcpy(out + (o * nout + idx[j]) * inner, src + ((o % souter) * m + j) * inner,
+                   sizeof(float) * inner);
+}
+
+/* h (rows, cols) += bias (cols); then, with gate, out = silu(h) as the
+ * reference computes it, with gate as scratch: gate = exp(-clip(h, -30,
+ * 30)), gate = 1 / (1 + gate), out = h * gate. */
+static void bias_silu(float *h, const float *bias, float *gate, float *out, long rows, long cols)
+{
+    const long n = rows * cols;
+    for (long r = 0; r < rows; r++)
+        for (long j = 0; j < cols; j++)
+            h[r * cols + j] = h[r * cols + j] + bias[j];
+    if (!gate)
+        return;
+    for (long i = 0; i < n; i++) {
+        const float v = h[i];
+        gate[i] = -(v < -30.0f ? -30.0f : v > 30.0f ? 30.0f : v);
+    }
+    exp_inplace(gate, n);
+    for (long i = 0; i < n; i++) {
+        gate[i] = 1.0f / (1.0f + gate[i]);
+        out[i] = h[i] * gate[i];
+    }
+}
+
+/* ---------------------------------------------------------------------------
+ * op records
+ *
+ * An op is OP_SLOTS 8-byte slots: the kind, then its arguments in the order
+ * of the function it runs (integers, addresses, and the attention scale as a
+ * double).  kernels.py writes the same kinds and orders. */
+
+#define OP_SLOTS 24
+
+enum {
+    OP_MATMUL = 1,
+    OP_CHANNEL_MIX,
+    OP_CONV,
+    OP_NORM,
+    OP_ATTENTION,
+    OP_EXP,
+    OP_COPY,
+    OP_ADD_HALF,
+    OP_GATHER,
+    OP_SCATTER,
+    OP_BIAS_SILU,
+};
+
+typedef union {
+    long i;
+    void *p;
+    double d;
+} slot;
+
+static void run_op(const slot *op)
+{
+    const slot *a = op + 1;
+    switch (op[0].i) {
+    case OP_MATMUL: /* a, b, ldb, out, m, k, n, ws */
+        matmul_batch(a[0].p, a[1].p, a[2].i, a[3].p, 1, a[4].i, a[5].i, a[6].i, a[7].p);
+        break;
+    case OP_CHANNEL_MIX: /* x, w, ldw, out, f, c, hw, co, ws */
+        channel_mix(a[0].p, a[1].p, a[2].i, a[3].p, a[4].i, a[5].i, a[6].i, a[7].i, a[8].p);
+        break;
+    case OP_CONV: /* the arguments of conv2d_frames */
+        conv2d_frames(a[0].p, a[1].p, a[2].p, a[3].i, a[4].p, a[5].p, a[6].i, a[7].i, a[8].i,
+                      a[9].i, a[10].i, a[11].i, a[12].p, a[13].i, a[14].i, a[15].p, a[16].p);
+        break;
+    case OP_NORM: /* x, out, gate or NULL, outer, c, inner; the gate is exp(-clip(out)) */
+        rms_norm(a[0].p, a[1].p, a[2].p, a[3].i, a[4].i, a[5].i);
+        if (a[2].p)
+            exp_inplace(a[2].p, a[3].i * a[4].i * a[5].i);
+        break;
+    case OP_ATTENTION: /* q, k, v, probs, out, bn, lq, lk, d, dv, scale, ws: one slab */
+        attn_logits(a[0].p, a[1].p, a[3].p, a[5].i, a[6].i, a[7].i, a[8].i, (float)a[10].d,
+                    a[11].p);
+        exp_inplace(a[3].p, a[5].i * a[6].i * a[7].i);
+        attn_apply(a[3].p, a[2].p, a[4].p, a[5].i, a[6].i, a[7].i, a[9].i, a[11].p);
+        break;
+    case OP_EXP: /* x, n */
+        exp_inplace(a[0].p, a[1].i);
+        break;
+    case OP_COPY: /* dst, src, ndim, shape[MAXD], dst strides[MAXD], src strides[MAXD] */
+        copy_nd(a[0].p, a[1].p, a[2].i, &a[3].i, &a[3 + MAXD].i, &a[3 + 2 * MAXD].i);
+        break;
+    case OP_ADD_HALF: /* out, x, delta, ndim, shape, x strides, delta strides */
+        add_half_nd(a[0].p, a[1].p, a[2].p, a[3].i, &a[4].i, &a[4 + MAXD].i, &a[4 + 2 * MAXD].i);
+        break;
+    case OP_GATHER: /* out, x, idx, outer, nx, m, inner */
+        gather_rows(a[0].p, a[1].p, a[2].p, a[3].i, a[4].i, a[5].i, a[6].i);
+        break;
+    case OP_SCATTER: /* out, src, idx, outer, nout, m, inner, souter */
+        scatter_rows(a[0].p, a[1].p, a[2].p, a[3].i, a[4].i, a[5].i, a[6].i, a[7].i);
+        break;
+    case OP_BIAS_SILU: /* h, bias, gate or NULL, out, rows, cols */
+        bias_silu(a[0].p, a[1].p, a[2].p, a[3].p, a[4].i, a[5].i);
+        break;
+    }
+}
+
+/* Run n op records in order. */
+void cd_run(const slot *ops, long n)
+{
+    for (long i = 0; i < n; i++)
+        run_op(ops + i * OP_SLOTS);
 }

@@ -17,39 +17,42 @@ own choice varies with the array length).
 
 The compiled backend is ``kernels.c``, built at first use with the system
 C compiler (see :mod:`cachediff.native` for the flags and the cache
-directory).  Before it is used, its bound calls are checked against the
+directory).  Before it is used, its op records are checked against the
 reference on small cases with signed zeros; when there is no compiler,
 the build fails or the check fails, the numpy reference runs instead: the
 same bytes, about twenty times slower.
 
 The backend is chosen from the ``CACHEDIFF_BACKEND`` environment variable
 at import (``compiled``, the default, or ``numpy``) and can be switched at
-runtime with :func:`set_backend`.  Only ``exp`` runs through numpy under
-both backends, so they share one libm: the compiled attention is two
-kernel calls with numpy's exp in between, and a residual unit's
-pre-activation ``conv(silu(rms_norm(x)))`` is the norm kernel, numpy's exp
-of the SiLU gate it writes, and the conv kernel reading that gate.
+runtime with :func:`set_backend`.  ``exp`` is numpy's own float32 loop
+under both backends: the compiled library calls the inner loop of
+``np.exp`` itself (see :mod:`cachediff.native`), so the compiled
+attention is one op per slab, logits, exp and apply, and a residual
+unit's pre-activation ``conv(silu(rms_norm(x)))`` is a norm op that also
+writes the SiLU gate and a conv op that reads it.
 
 Conv weights are packed once (:class:`PackedConv`), in one layout that
 both backends read, so a model built under one backend runs under the
 other.
 
-Each compiled kernel has one call path: the ``bound_*`` functions at the
-end of this module, which fix every argument of a kernel step once, for
-the compiled library or the numpy reference.  A planned pass (see
-:mod:`cachediff.plan`) binds its steps once, on its own buffers.  The
-public functions (:func:`matmul`, :func:`conv2d_frames`, :func:`rms_norm`,
+Each compiled kernel and glue op has one call path: the ``bound_*``
+functions at the end of this module, which fix every argument of a step
+once, as an op record of the compiled library or a numpy callable.  A
+planned pass (see :mod:`cachediff.plan`) binds its steps once, on its own
+buffers, into one call of the library.  The public functions
+(:func:`matmul`, :func:`conv2d_frames`, :func:`rms_norm`,
 :func:`attention_batch`, ...) check their arguments, allocate their
 outputs and a scratch block, and bind and run a step per call; they are
 the entry points for tests, benchmarks and other callers, and safe to
-call from several threads.  The load-time check runs the same bound calls
-on the library before it is accepted.
+call from several threads.  The load-time check runs the same records on
+the library before it is accepted.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import struct
 import threading
 from functools import partial
 
@@ -271,7 +274,7 @@ def _attention_ws(bn: int, lq: int, lk: int, d: int, dv: int) -> int:
 
 
 def _self_check(lib) -> str | None:
-    """Run the bound calls on ``lib`` against the reference on small cases; None if equal.
+    """Run the bound steps on ``lib`` against the reference on small cases; None if equal.
 
     Sums of 37 normal products (and the attention row sums of 37
     exponentials) expose any change of summation order or rounding; the
@@ -280,7 +283,10 @@ def _self_check(lib) -> str | None:
     channel case sums over a strided axis.  The conv's two store epilogues
     add rows and a residual holding -0.0 and a subnormal.  A matmul's
     right operand and the added rows are also read as column slices of
-    wider matrices, as plans pass them.
+    wider matrices, as plans pass them.  exp runs on every kind of special
+    value and a sweep across its whole range, from an odd offset; the glue
+    ops run on permuted and broadcast views holding -0.0, infinities and a
+    subnormal.
     """
     rng = np.random.default_rng(0)
     a = rng.standard_normal((13, 37), dtype=np.float32)
@@ -314,28 +320,72 @@ def _self_check(lib) -> str | None:
         _run(lib, bound, *inputs, *outs, **kwargs)
         return any(o.tobytes() != r.tobytes() for o, r in zip(outs, want))
 
-    y = _conv2d_frames_np(x, conv, 1, gate)
-    cases = [
-        ("matmul n=16", differs(_matmul_np(a, b16), bound_matmul, a, b16, ws=ws)),
-        ("matmul n=21", differs(_matmul_np(a, b21), bound_matmul, a, b21, ws=ws)),
-        ("matmul of a column slice",
-         differs(_matmul_np(a, b21[:, 3:19]), bound_matmul, a, b21[:, 3:19], ws=ws)),
-        *((f"conv2d_frames stride {s}",
-           differs(_conv2d_frames_np(x, conv, s), bound_conv2d_frames, x, conv, ws=ws, stride=s))
-          for s in (1, 2)),
-        ("gated conv2d_frames", differs(y, bound_conv2d_frames, x, conv, ws=ws, gate=gate)),
-        ("conv2d_frames add epilogue", differs(
-            _conv_epilogue_np(y, add, None), bound_conv2d_frames, x, conv, ws=ws, gate=gate,
-            add=add)),
-        ("conv2d_frames residual epilogue", differs(
-            _conv_epilogue_np(y, None, base), bound_conv2d_frames, x, conv, ws=ws, gate=gate,
-            base=base)),
-        ("channel_mix", differs(_channel_mix_np(x, b21[:5]), bound_channel_mix, x, b21[:5], ws=ws)),
-        ("rms_norm rows", differs(_rms_norm_np(t, 1), bound_rms_norm, t, 1)),
-        ("rms_norm channels", differs(_rms_norm_np(x, 1, True), bound_rms_norm, x, 1)),
-        ("attention", differs(_attention_np(q, kv, kv, scale), bound_attention, q, kv, kv, scale,
-                              ws=ws, keep_probs=True)),
-    ]
+    def glue_differs(bound, make) -> bool:
+        """Whether the step leaves other bytes in its arrays than the reference does;
+        ``make()`` returns fresh arguments."""
+        runs = []
+        for backend in (None, lib):
+            args = make()
+            _run(backend, bound, *args)
+            runs.append([a.tobytes() for a in args if isinstance(a, np.ndarray)])
+        return runs[0] != runs[1]
+
+    sweep = np.concatenate([
+        np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-45, -3e-39, 88.72283,
+                  88.72284, -87.33654, -103.97208, -103.97209, 3e38, -3e38], np.float32),
+        np.linspace(-110.0, 95.0, 1001, dtype=np.float32),
+    ])
+    odd = np.empty(sweep.size + 1, np.float32)[1:]
+    special = np.tile(np.array([-0.0, np.inf, -np.inf, 3e-39, 1.5, -2.0], np.float32), 10)
+
+    def grid(*shape):
+        return rng.permutation(special)[: math.prod(shape)].reshape(shape)
+
+    def swept():
+        odd[...] = sweep
+        return (odd,)
+
+    a4, d4, h9 = grid(2, 3, 2, 5), grid(2, 2, 5, 3), grid(6, 9)
+    tok, rows = grid(2, 7, 3), grid(1, 3, 3)
+    index = np.array([0, 2, 5], np.int64)
+    finite = np.array([-0.0, 3e-39, 1.5, -2.0, 0.25, -0.0, 7.0, -3e-39, 0.0], np.float32)
+
+    with np.errstate(all="ignore"):  # the reference meets infinities
+        y = _conv2d_frames_np(x, conv, 1, gate)
+        cases = [
+            ("exp", glue_differs(bound_exp, swept)),
+            ("copy of a permuted view", glue_differs(bound_copy, lambda: (
+                np.empty((2, 3, 2, 5), _F32), d4.copy().transpose(0, 3, 1, 2)))),
+            ("copy of a broadcast view", glue_differs(bound_copy, lambda: (
+                np.empty((2, 3, 2, 5, 2), _F32)[:, :, :, :4], h9[:, :4].reshape(2, 3, 1, 4, 1)))),
+            ("add_half", glue_differs(bound_add_half, lambda: (
+                a4.copy(), d4.copy().transpose(0, 3, 1, 2), np.empty_like(a4)))),
+            ("gather", glue_differs(bound_gather, lambda: (tok, index, np.empty((2, 3, 3), _F32)))),
+            ("scatter", glue_differs(bound_scatter, lambda: (
+                rows, index, np.zeros((2, 7, 3), _F32)))),
+            ("bias_silu", glue_differs(bound_bias_silu, lambda: (
+                h9.copy(), finite, np.empty_like(h9), np.empty_like(h9)))),
+            ("matmul n=16", differs(_matmul_np(a, b16), bound_matmul, a, b16, ws=ws)),
+            ("matmul n=21", differs(_matmul_np(a, b21), bound_matmul, a, b21, ws=ws)),
+            ("matmul of a column slice",
+             differs(_matmul_np(a, b21[:, 3:19]), bound_matmul, a, b21[:, 3:19], ws=ws)),
+            *((f"conv2d_frames stride {s}", differs(
+                _conv2d_frames_np(x, conv, s), bound_conv2d_frames, x, conv, ws=ws, stride=s))
+              for s in (1, 2)),
+            ("gated conv2d_frames", differs(y, bound_conv2d_frames, x, conv, ws=ws, gate=gate)),
+            ("conv2d_frames add epilogue", differs(
+                _conv_epilogue_np(y, add, None), bound_conv2d_frames, x, conv, ws=ws, gate=gate,
+                add=add)),
+            ("conv2d_frames residual epilogue", differs(
+                _conv_epilogue_np(y, None, base), bound_conv2d_frames, x, conv, ws=ws, gate=gate,
+                base=base)),
+            ("channel_mix", differs(
+                _channel_mix_np(x, b21[:5]), bound_channel_mix, x, b21[:5], ws=ws)),
+            ("rms_norm rows", differs(_rms_norm_np(t, 1), bound_rms_norm, t, 1)),
+            ("rms_norm channels", differs(_rms_norm_np(x, 1, True), bound_rms_norm, x, 1)),
+            ("attention", differs(_attention_np(q, kv, kv, scale), bound_attention, q, kv, kv,
+                                  scale, ws=ws, keep_probs=True)),
+        ]
     return next((f"compiled {name} differs from the numpy reference"
                  for name, bad in cases if bad), None)
 
@@ -553,7 +603,7 @@ def attention_batch(
     probabilities (else None).  Per-item results are bit-identical to
     :func:`scaled_dot_attention` and :func:`attention_probs` on each slice.
     Items run in slabs of about ``_ATTN_SLAB`` scores; the compiled backend
-    runs a slab as two kernel calls with numpy's exp in between.
+    runs a slab as one op: logits, numpy's exp in place, and the apply.
     """
     q = _f32(q, "q", 3)
     k = _f32(k, "k", 3)
@@ -581,22 +631,94 @@ def attention_slab(n: int, lq: int, lk: int) -> int:
 # ---------------------------------------------------------------------------
 # bound calls
 #
-# Each ``bound_*`` function returns the calls that run one kernel step with
-# every argument fixed: the arrays are checked and turned into addresses
-# once, and ``ws`` is the address of a scratch block of at least the step's
-# ``_*_ws`` bytes.  ``lib`` is the compiled library to call, or None for the
-# numpy reference, which writes its result into the same buffers, so both
-# give the same bytes.  These are the only callers of the library's entry
-# points: a plan (see :mod:`cachediff.plan`) binds its steps once, on its own
-# buffers; the public functions above and the load-time check bind a step
-# per call.  The public functions' argument checks are not repeated here.
+# Each ``bound_*`` function returns what runs one step with every argument
+# fixed.  ``lib`` is the compiled library, or None for the numpy reference.
+# For the reference the items are callables that write their result into
+# the step's buffers.  For a library they are op records (:class:`Op`):
+# the arrays are checked and turned into addresses once, and ``ws`` is the
+# address of a scratch block of at least the step's ``_*_ws`` bytes; both
+# give the same bytes.  :func:`program` turns a sequence of items into the
+# calls that run it, each run of records as one ``cd_run`` call.  These are
+# the only callers of the library: a plan (see :mod:`cachediff.plan`) binds
+# all steps of a pass once, on its own buffers, into one program; the public
+# functions above and the load-time check run one step per call through
+# :func:`_run`.  The public functions' argument checks are not repeated
+# here.
+
+# The OP_* kinds, OP_SLOTS and MAXD of kernels.c.
+(_OP_MATMUL, _OP_CHANNEL_MIX, _OP_CONV, _OP_NORM, _OP_ATTENTION, _OP_EXP, _OP_COPY, _OP_ADD_HALF,
+ _OP_GATHER, _OP_SCATTER, _OP_BIAS_SILU) = range(1, 12)
+_OP_SLOTS = 24
+_MAXD = 6
+
+
+class Op:
+    """One op record of the compiled library: its kind and arguments as 8-byte slots.
+
+    An array argument is checked (:func:`_ptr`) and passed as its address,
+    None as a null pointer and a Python float as a double; ``refs`` holds
+    every array whose memory the record addresses, so that it stays alive
+    with the record.
+    """
+
+    __slots__ = ("slots", "refs")
+
+    def __init__(self, kind: int, *args, refs: tuple = ()):
+        slots = [kind]
+        held = list(refs)
+        for a in args:
+            if isinstance(a, np.ndarray):
+                slots.append(_index_ptr(a) if a.dtype == np.int64 else _ptr(a))
+                held.append(a)
+            elif isinstance(a, float):
+                slots.append(struct.unpack("<q", struct.pack("<d", a))[0])
+            else:
+                slots.append(0 if a is None else int(a))
+        if len(slots) > _OP_SLOTS:
+            raise ValueError(f"an op record holds {_OP_SLOTS} slots, got {len(slots)}")
+        self.slots = slots + [0] * (_OP_SLOTS - len(slots))
+        self.refs = tuple(held)
+
+
+def _index_ptr(idx: np.ndarray) -> int:
+    if not idx.flags.c_contiguous:
+        raise ValueError(f"op indices must be C-contiguous, got strides {idx.strides}")
+    return idx.ctypes.data
+
+
+def program(lib, items: list) -> list:
+    """The calls that run ``items`` (from ``bound_*`` functions) in order on ``lib``.
+
+    Under the numpy reference they are the items themselves.  On a library,
+    each run of op records is one ``cd_run`` call over a table built here
+    once, and a Python callable between records (a plan's hook step) runs
+    as itself, in its place.
+    """
+    if lib is None:
+        return list(items)
+    calls, ops = [], []
+    for item in [*items, None]:
+        if isinstance(item, Op):
+            ops.append(item)
+            continue
+        if ops:
+            table = np.array([op.slots for op in ops], dtype=np.int64)
+            call = partial(lib.cd_run, table.ctypes.data, len(ops))
+            call.held = (table, [op.refs for op in ops])  # the memory the call reads
+            calls.append(call)
+            ops = []
+        if item is not None:
+            calls.append(item)
+    return calls
 
 
 def _run(lib, bound, *args, ws: int | None = None, **kwargs) -> None:
-    """Bind one step on ``lib`` and run it once; with ``ws``, a fresh scratch
-    block of that many bytes is the step's last positional argument."""
+    """Bind one step on ``lib`` and run it once, as one ``cd_run`` call on a library;
+    with ``ws``, a fresh scratch block of that many bytes is the step's last
+    positional argument."""
     block = np.empty(ws or 0, dtype=np.uint8)
-    for call in bound(lib, *args, *(() if ws is None else (block.ctypes.data,)), **kwargs):
+    items = bound(lib, *args, *(() if ws is None else (block.ctypes.data,)), **kwargs)
+    for call in program(lib, items):
         call()
 
 
@@ -606,7 +728,7 @@ def bound_matmul(lib, a: np.ndarray, b: np.ndarray, out: np.ndarray, ws: int) ->
         return [lambda: np.copyto(out, _matmul_np(a, b))]
     (m, k), n = a.shape, b.shape[1]
     pb, ldb = _rows_ptr(b)
-    return [partial(lib.cd_matmul, _ptr(a), pb, ldb, _ptr(out), m, k, n, ws)]
+    return [Op(_OP_MATMUL, a, pb, ldb, out, m, k, n, ws, refs=(b,))]
 
 
 def bound_channel_mix(lib, x: np.ndarray, w: np.ndarray, out: np.ndarray, ws: int) -> list:
@@ -615,7 +737,7 @@ def bound_channel_mix(lib, x: np.ndarray, w: np.ndarray, out: np.ndarray, ws: in
         return [lambda: np.copyto(out, _channel_mix_np(x, w))]
     f, c, h, wid = x.shape
     pw, ldw = _rows_ptr(w)
-    return [partial(lib.cd_channel_mix, _ptr(x), pw, ldw, _ptr(out), f, c, h * wid, w.shape[1], ws)]
+    return [Op(_OP_CHANNEL_MIX, x, pw, ldw, out, f, c, h * wid, w.shape[1], ws, refs=(w,))]
 
 
 def bound_conv2d_frames(
@@ -637,11 +759,9 @@ def bound_conv2d_frames(
             out, _conv_epilogue_np(_conv2d_frames_np(x, conv, stride, gate), add, base))]
     f, ci, h, wid = x.shape
     pa, lda = _rows_ptr(add) if add is not None else (None, 0)
-    return [partial(
-        lib.cd_conv2d_frames, _ptr(x), None if gate is None else _ptr(gate), _ptr(conv.w),
-        conv.w.shape[1], _ptr(conv.bias), _ptr(out), f, ci, h, wid, conv.co, stride,
-        pa, lda, f // add.shape[0] if add is not None else 1,
-        None if base is None else _ptr(base), ws,
+    return [Op(
+        _OP_CONV, x, gate, conv.w, conv.w.shape[1], conv.bias, out, f, ci, h, wid, conv.co,
+        stride, pa, lda, f // add.shape[0] if add is not None else 1, base, ws, refs=(add,),
     )]
 
 
@@ -650,8 +770,8 @@ def bound_rms_norm(
 ) -> list:
     """out = rms_norm(x, axis), and with ``gate`` its SiLU gate, of a C-contiguous x.
 
-    The kernel writes the norm and -clip(out, -30, 30); numpy's exp makes
-    that the gate.
+    The compiled op writes the norm and -clip(out, -30, 30), then applies
+    numpy's exp to that in place, which makes it the gate.
     """
     axis %= x.ndim
     if lib is None:
@@ -663,13 +783,8 @@ def bound_rms_norm(
                 np.copyto(out, res[0])
                 np.copyto(gate, res[1])
         return [run]
-    calls = [partial(
-        lib.cd_rms_norm, _ptr(x), _ptr(out), None if gate is None else _ptr(gate),
-        math.prod(x.shape[:axis]), x.shape[axis], math.prod(x.shape[axis + 1 :]),
-    )]
-    if gate is not None:
-        calls.append(partial(np.exp, gate, out=gate))
-    return calls
+    return [Op(_OP_NORM, x, out, gate, math.prod(x.shape[:axis]), x.shape[axis],
+               math.prod(x.shape[axis + 1 :]))]
 
 
 def bound_attention(
@@ -678,11 +793,11 @@ def bound_attention(
 ) -> list:
     """out = softmax(q k^T * scale) @ v in slabs of :func:`attention_slab` items;
     ``probs`` holds every item's probabilities with ``keep_probs``, else it is
-    one slab's scratch.  A compiled slab is two kernel calls with numpy's exp
-    in between."""
+    one slab's scratch.  A compiled slab is one op: the logits, numpy's exp in
+    place, and the probabilities applied to v."""
     (n, lq, d), (lk, dv) = q.shape, v.shape[1:]
     step = attention_slab(n, lq, lk)
-    calls = []
+    items = []
     for i in range(0, n, step):
         sl = slice(i, i + step)
         cnt = min(step, n - i)
@@ -692,12 +807,127 @@ def bound_attention(
                 o, pr = _attention_np(q[sl], k[sl], v[sl], scale)
                 np.copyto(out[sl], o)
                 np.copyto(p, pr)
-            calls.append(run)
+            items.append(run)
             continue
-        calls += [
-            partial(lib.cd_attn_logits, _ptr(q[sl]), _ptr(k[sl]), _ptr(p), cnt, lq, lk, d,
-                    float(scale), ws),
-            partial(np.exp, p, out=p),
-            partial(lib.cd_attn_apply, _ptr(p), _ptr(v[sl]), _ptr(out[sl]), cnt, lq, lk, dv, ws),
-        ]
-    return calls
+        items.append(Op(_OP_ATTENTION, q[sl], k[sl], v[sl], p, out[sl], cnt, lq, lk, d, dv,
+                        float(scale), ws))
+    return items
+
+
+def bound_exp(lib, x: np.ndarray) -> list:
+    """x = exp(x) in place: numpy's float32 loop under both backends."""
+    if lib is None:
+        return [lambda: np.exp(x, out=x)]
+    return [Op(_OP_EXP, x, x.size)]
+
+
+def _strided(a: np.ndarray) -> tuple[int, ...]:
+    """Strides of a float32 view in floats."""
+    if a.dtype != _F32 or any(s % 4 for s in a.strides):
+        raise ValueError(f"strided ops need float32 views, got {a.dtype} strides {a.strides}")
+    return tuple(s // 4 for s in a.strides)
+
+
+def _merged(shape: tuple[int, ...], *strides: tuple[int, ...]) -> list:
+    """(ndim, shape, *strides) with unit axes dropped and neighbours that every stride
+    set walks as one axis merged: 2 to ``_MAXD`` axes, each list padded to ``_MAXD``."""
+    dims: list[list[int]] = []
+    for i, n in enumerate(shape):
+        if n == 1:
+            continue
+        if dims and all(prev == s[i] * n for prev, s in zip(dims[-1][1:], strides)):
+            dims[-1] = [dims[-1][0] * n, *(s[i] for s in strides)]
+        else:
+            dims.append([n, *(s[i] for s in strides)])
+    # The kernels walk the last two axes as a block, in tiles when the last set
+    # strides the last axis and walks another one contiguously: make that the
+    # block's first axis.
+    unit = [i for i, dim in enumerate(dims[:-2]) if dim[-1] == 1]
+    if dims and dims[-1][-1] != 1 and unit:
+        dims.insert(len(dims) - 1, dims.pop(unit[0]))
+    dims = [[1, *(0 for _ in strides)]] * (2 - len(dims)) + dims  # the kernels take 2 or more
+    if len(dims) > _MAXD:
+        raise ValueError(f"a strided op takes at most {_MAXD} axes, got shape {shape}")
+    pad = [0] * (_MAXD - len(dims))
+    return [len(dims)] + [v for col in zip(*dims) for v in (*col, *pad)]
+
+
+def bound_copy(lib, dst: np.ndarray, src: np.ndarray) -> list:
+    """dst[...] = src, src broadcast to dst's shape; either may be any strided view."""
+    if lib is None:
+        return [partial(np.copyto, dst, src)]
+    if dst.size == 0:
+        return []
+    src = np.broadcast_to(src, dst.shape)
+    return [Op(_OP_COPY, dst.ctypes.data, src.ctypes.data,
+               *_merged(dst.shape, _strided(dst), _strided(src)), refs=(dst, src))]
+
+
+def bound_add_half(lib, x: np.ndarray, delta: np.ndarray, out: np.ndarray) -> list:
+    """out = x + 0.5 * delta as the reference runs it: delta = 0.5 * delta in place,
+    then the sum.  x and out are C-contiguous; delta is any strided view of
+    their shape."""
+    if not (x.flags.c_contiguous and out.flags.c_contiguous
+            and x.shape == out.shape == delta.shape):
+        raise ValueError(f"add_half needs C-contiguous x and out of delta's shape {delta.shape}")
+    if lib is None:
+        half = np.float32(0.5)
+        return [partial(np.multiply, half, delta, out=delta), partial(np.add, x, delta, out=out)]
+    if x.size == 0:
+        return []
+    return [Op(_OP_ADD_HALF, out, x, delta.ctypes.data,
+               *_merged(x.shape, _strided(x), _strided(delta)), refs=(delta,))]
+
+
+def _rows_index(index: np.ndarray, rows: int) -> np.ndarray:
+    """``index`` as C-contiguous int64, each in [0, rows)."""
+    idx = np.ascontiguousarray(index, dtype=np.int64)
+    if idx.ndim != 1 or (idx.size and (idx.min() < 0 or idx.max() >= rows)):
+        raise ValueError(f"row index out of range for {rows} rows")
+    return idx
+
+
+def bound_gather(lib, x: np.ndarray, index: np.ndarray, out: np.ndarray) -> list:
+    """out (outer, m, inner) = the rows ``index`` of x (outer, n, inner), C-contiguous."""
+    idx = _rows_index(index, x.shape[1])
+    if lib is None:
+        # in range, so "clip" changes no index; it lets np.take write out unbuffered
+        return [partial(np.take, x, idx, axis=1, out=out, mode="clip")]
+    (outer, n, inner), m = x.shape, out.shape[1]
+    return [Op(_OP_GATHER, out, x, idx, outer, n, m, inner)]
+
+
+def bound_scatter(lib, src: np.ndarray, index: np.ndarray, out: np.ndarray) -> list:
+    """The rows ``index`` of out (outer, n, inner) = src (souter, m, inner), broadcast
+    over outer: outer item o reads src item o % souter.  Both C-contiguous."""
+    (outer, n, inner), souter = out.shape, src.shape[0]
+    idx = _rows_index(index, n)
+    if outer % souter or src.shape[1:] != (len(idx), inner):
+        raise ValueError(f"scatter of {src.shape} rows into {out.shape}")
+    if lib is None:
+        def run():
+            out.reshape(outer // souter, souter, n, inner)[:, :, idx] = src
+        return [run]
+    return [Op(_OP_SCATTER, out, src, idx, outer, n, len(idx), inner, souter)]
+
+
+def bound_bias_silu(
+    lib, h: np.ndarray, bias: np.ndarray, gate: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> list:
+    """h (rows, cols) += bias; with ``gate`` and ``out``, then out = silu(h) with gate
+    as scratch, in the sequence of float32 operations of :func:`silu`."""
+    if lib is None:
+        calls = [partial(np.add, h, bias, out=h)]
+        if gate is not None:
+            lo, hi, one = np.float32(-30.0), np.float32(30.0), np.float32(1.0)
+            calls += [
+                partial(np.clip, h, lo, hi, out=gate),
+                partial(np.negative, gate, out=gate),
+                lambda: np.exp(gate, out=gate),
+                partial(np.add, one, gate, out=gate),
+                partial(np.divide, one, gate, out=gate),
+                partial(np.multiply, h, gate, out=out),
+            ]
+        return calls
+    return [Op(_OP_BIAS_SILU, h, bias, gate, out, *h.shape)]

@@ -14,6 +14,12 @@ CPU, so the shared object is cached per user under
 compiler's version, the flags and the CPU.  The compiler writes to a
 temporary file that is then renamed into place, so processes that build
 at the same time do not see a partial library.
+
+The library's only entry points are ``cd_run``, which executes an array of
+op records (built by :mod:`cachediff.kernels`), and ``cd_set_exp``, which
+hands it numpy's own float32 ``exp`` loop: :func:`numpy_exp_loop` finds
+that loop in ``np.exp``'s loop table when the library is loaded, so both
+backends exponentiate with the same machine code.
 """
 
 from __future__ import annotations
@@ -27,6 +33,8 @@ import subprocess
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 SOURCE = Path(__file__).with_name("kernels.c")
 COMPILER = "cc"
 FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
@@ -34,15 +42,17 @@ ENV_CACHE = "CACHEDIFF_CACHE_DIR"
 BUILD_TIMEOUT_S = 120
 
 _P = ctypes.c_void_p
-_L = ctypes.c_long
 _SIGNATURES = {
-    "cd_matmul": (_P, _P, _L, _P, _L, _L, _L, _P),
-    "cd_channel_mix": (_P, _P, _L, _P, _L, _L, _L, _L, _P),
-    "cd_conv2d_frames": (_P, _P, _P, _L, _P, _P, _L, _L, _L, _L, _L, _L, _P, _L, _L, _P, _P),
-    "cd_rms_norm": (_P, _P, _P, _L, _L, _L),
-    "cd_attn_logits": (_P, _P, _P, _L, _L, _L, _L, ctypes.c_float, _P),
-    "cd_attn_apply": (_P, _P, _P, _L, _L, _L, _L, _P),
+    "cd_run": (_P, ctypes.c_long),  # op records, their count
+    "cd_set_exp": (_P, _P),  # a numpy ufunc inner loop and its data pointer
 }
+
+# Offsets in a PyUFuncObject (numpy/_core/include/numpy/ufuncobject.h): after
+# the 16-byte object header, int nin, nout, nargs and identity, then the loop
+# table ``functions``, its ``data``, int ``ntypes``, ``name`` and ``types``,
+# the type numbers of every loop's arguments.
+_UFUNC_NIN, _UFUNC_NOUT, _UFUNC_NARGS = 16, 20, 24
+_UFUNC_FUNCTIONS, _UFUNC_DATA, _UFUNC_NTYPES, _UFUNC_TYPES = 32, 40, 48, 64
 
 
 def cache_dir() -> Path:
@@ -81,6 +91,38 @@ def _build(cc: str, target: Path) -> None:
             os.unlink(tmp)
 
 
+def numpy_exp_loop() -> tuple[int, int | None]:
+    """Address of np.exp's float32 inner loop (its first ``f->f`` entry) and of its data.
+
+    The ufunc is read in place; every field is checked against what numpy
+    reports through Python before the table is trusted.  Raises OSError when
+    the layout is not the expected one.
+    """
+    ufunc, addr = np.exp, id(np.exp)
+    if type(ufunc) is not np.ufunc:
+        raise OSError("np.exp is not a numpy ufunc")
+
+    def field(ctype, offset):
+        return ctype.from_address(addr + offset).value
+
+    ints = [field(ctypes.c_int, o) for o in (_UFUNC_NIN, _UFUNC_NOUT, _UFUNC_NARGS, _UFUNC_NTYPES)]
+    if ints != [ufunc.nin, ufunc.nout, ufunc.nargs, ufunc.ntypes]:
+        raise OSError(f"np.exp's ufunc fields read {ints}, numpy reports "
+                      f"{[ufunc.nin, ufunc.nout, ufunc.nargs, ufunc.ntypes]}")
+    want = bytes(np.dtype(c).num for sig in ufunc.types for c in sig.replace("->", ""))
+    if ctypes.string_at(field(_P, _UFUNC_TYPES), len(want)) != want:
+        raise OSError("np.exp's loop types do not match its ufunc.types")
+    f32 = np.dtype(np.float32).num
+    entry = next((i for i in range(ufunc.ntypes) if want[2 * i : 2 * i + 2] == bytes([f32, f32])),
+                 None)
+    fn = None if entry is None else (_P * ufunc.ntypes).from_address(
+        field(_P, _UFUNC_FUNCTIONS))[entry]
+    if not fn:
+        raise OSError("np.exp has no float32 loop")
+    table = field(_P, _UFUNC_DATA)
+    return fn, (_P * ufunc.ntypes).from_address(table)[entry] if table else None
+
+
 def load() -> tuple[ctypes.CDLL | None, str | None]:
     """The compiled library, building it if needed; or None and the reason."""
     cc = shutil.which(COMPILER)
@@ -96,11 +138,17 @@ def load() -> tuple[ctypes.CDLL | None, str | None]:
         target = cache_dir() / f"kernels-{key}.so"
         if not target.exists():
             _build(cc, target)
-        lib = ctypes.CDLL(str(target))
+        return open_library(target), None
     except (OSError, subprocess.SubprocessError) as exc:
         return None, str(exc)
+
+
+def open_library(path: Path) -> ctypes.CDLL:
+    """Load a built library, declare its entry points and hand it numpy's exp loop."""
+    lib = ctypes.CDLL(str(path))
     for name, argtypes in _SIGNATURES.items():
         fn = getattr(lib, name)
         fn.argtypes = argtypes
         fn.restype = None
-    return lib, None
+    lib.cd_set_exp(*numpy_exp_loop())
+    return lib

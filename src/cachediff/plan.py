@@ -1,4 +1,4 @@
-"""Execution plans: a pass's buffers, bound kernel calls and FLOP events, fixed once.
+"""Execution plans: a pass's buffers, bound steps and FLOP events, fixed once.
 
 A plan is made by walking a pass once for one key (pass kind, frames in
 the stack, removal flag, restricted-attention index sets).  The walk
@@ -6,20 +6,28 @@ records
 
 * buffers, each with the span of steps from its first to its last use;
 * steps: functions that return, for a kernel library (None: the numpy
-  reference), the calls that compute the step with every argument fixed
-  (the ``kernels.bound_*`` functions, and numpy calls with ``out=`` for the
-  glue between kernels);
+  reference), the step with every argument fixed: op records of the
+  library, or numpy callables writing the same bytes (the
+  ``kernels.bound_*`` functions, for the kernels and for the glue between
+  them);
+* Python around the steps: inputs, copied into their buffers before the
+  steps run, results gathered after them, and hook calls between steps;
 * the pass's FLOP events, logged through :meth:`FlopLog.add`, so that the
   tag and arity checks run once per plan.
 
 :meth:`Plan.finish` places the buffers in one float32 arena by liveness:
-two buffers share memory only when no step lies in both their spans.  The
-arena and the kernels' scratch block belong to the :class:`PlanCache`
-that holds every plan of a model; passes run one at a time, so the plans
-share them.  A pass then runs the bound calls of the library in use, read
-once per pass, and extends the caller's log with the recorded events: it
-allocates none of its buffers, converts no pointer and checks no kernel
-argument.
+two buffers share memory only when no step lies in both their spans.
+Inputs are live from the first step and the sources of the results
+gathered after the steps until the last.  The arena and the kernels'
+scratch block belong to the :class:`PlanCache` that holds every plan of a
+model; passes run one at a time, so the plans share them.
+
+A pass runs its inputs, its program and its gathers.  The program is
+bound once per library (see :func:`kernels.program`): on the compiled
+library every step between two hook calls is one op record, and a pass
+without hooks is one call into the library.  The pass then extends the
+caller's log with the recorded events.  It allocates none of its
+buffers, converts no pointer and checks no kernel argument.
 """
 
 from __future__ import annotations
@@ -27,7 +35,6 @@ from __future__ import annotations
 import bisect
 import math
 from collections.abc import Callable, Hashable
-from functools import partial
 
 import numpy as np
 
@@ -49,7 +56,8 @@ class Buf:
         self.a: np.ndarray | None = None
 
 
-Bind = Callable[[object], list]  # kernel library (None: numpy) -> calls
+Bind = Callable[[object], list]  # kernel library (None: numpy) -> op records or callables
+Make = Callable[[], Callable[[], None]]  # made once the buffers are placed
 
 
 class Plan:
@@ -58,12 +66,15 @@ class Plan:
     def __init__(self):
         self.bufs: list[Buf] = []
         self.steps: list[Bind] = []
+        self.inputs: list[Make] = []
+        self.gathers: list[Make] = []
         self.log = FlopLog()
         self.floats = 0
         self.ws_bytes = 64
         self.ws = 0  # address of the shared scratch block, once placed
         self._ws_block: np.ndarray | None = None
         self.outputs: tuple[Buf, ...] = ()
+        self._held: list[Buf] = []
         self._calls: dict[object, list] = {}
 
     # -- recording
@@ -82,9 +93,21 @@ class Plan:
                 b.last = i
         self.steps.append(bind)
 
-    def glue(self, make: Callable[[], list], *touched: Buf | None) -> None:
-        """A step whose calls are the same under both backends."""
-        self.step(lambda lib: make(), *touched)
+    def glue(self, make: Make, *touched: Buf | None) -> None:
+        """A step that runs Python under both backends (a hook call), in its place."""
+        self.step(lambda lib: [make()], *touched)
+
+    def input(self, shape: tuple[int, ...], make: Callable[[Buf], Callable[[], None]]) -> Buf:
+        """A buffer that ``make(buf)()`` fills before the pass's steps run."""
+        buf = self.buf(shape)
+        buf.first = buf.last = 0
+        self.inputs.append(lambda: make(buf))
+        return buf
+
+    def gather(self, make: Make, *sources: Buf) -> None:
+        """Python that runs after the pass's steps, reading ``sources``."""
+        self._held += sources
+        self.gathers.append(make)
 
     def flop(self, tag: str, layer: str, dims) -> None:
         self.log.add(tag, layer, dims)
@@ -167,17 +190,19 @@ class Plan:
         return out, probs if keep_probs else None
 
     def copy(self, dst: Callable[[], np.ndarray], src: Callable[[], np.ndarray], *touched) -> None:
-        """np.copyto(dst(), src()) with both views made once, when the step is bound."""
-        self.glue(lambda: [partial(np.copyto, dst(), src())], *touched)
+        """dst()[...] = src(), src broadcast, with both views made when the step is bound."""
+        self.step(lambda lib: kernels.bound_copy(lib, dst(), src()), *touched)
 
     # -- placing and running
 
     def finish(self, *outputs: Buf) -> Plan:
-        """Place the buffers by liveness; ``outputs`` stay live after the last step."""
+        """Place the buffers by liveness; ``outputs`` and the gathers' sources stay live
+        after the last step, and the recorded events become a tuple."""
         end = len(self.steps)
         self.outputs = outputs
-        for b in outputs:
+        for b in (*outputs, *self._held):
             b.last = end
+        self.log.events = tuple(self.log.events)
         live: list[tuple[int, int, int]] = []  # (offset, end offset, last step), by offset
         for b in sorted((b for b in self.bufs if b.first is not None), key=lambda b: b.first):
             live = [iv for iv in live if iv[2] >= b.first]
@@ -202,14 +227,19 @@ class Plan:
         self._calls.clear()
 
     def run(self, lib, log: FlopLog | None) -> None:
-        """Run the calls bound for ``lib`` (see :func:`kernels.active_library`)."""
+        """Run the pass on ``lib`` (see :func:`kernels.active_library`): its inputs,
+        the program bound for ``lib`` and its gathers."""
         calls = self._calls.get(lib)
         if calls is None:
-            calls = self._calls[lib] = [c for bind in self.steps for c in bind(lib)]
+            calls = self._calls[lib] = [
+                *(make() for make in self.inputs),
+                *kernels.program(lib, [item for bind in self.steps for item in bind(lib)]),
+                *(make() for make in self.gathers),
+            ]
         for call in calls:
             call()
         if log is not None:
-            log.events.extend(self.log.events)
+            log.extend(self.log)
 
 
 class PlanCache:
@@ -217,8 +247,9 @@ class PlanCache:
 
     # A run builds one to four plans: forward passes by removal flag and
     # mask, and a subnet per chunk size (counted on the benchmark's
-    # workloads at 1 to 3 workers).  Each holds about 0.2 MB of bound calls
-    # and views for the default model (tracemalloc).  A model kept across
+    # workloads at 1 to 3 workers).  Each holds about 0.4 MB of op records,
+    # bound calls and views for the default model (tracemalloc, a key-step
+    # forward plan).  A model kept across
     # many masks drops its least recently run plans beyond this bound,
     # which still holds the plans of several runs.
     MAX_PLANS = 16

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -42,42 +41,103 @@ def count_flops(tag: str, dims: Sequence[int]) -> int:
 
 
 class FlopLog:
-    """Per-forward operator log: (tag, layer, flops) triples."""
+    """Per-forward operator log: (tag, layer, flops) triples.
+
+    Append-only: its total is kept as events arrive, and a log extended
+    with another (a plan's recorded events) takes that log's total instead
+    of summing its events again.  A log that holds exactly the events of
+    one other log shares that log's per-sample forms, computed once per
+    sample count.
+    """
 
     def __init__(self):
         self.events: list[tuple[str, str, int]] = []
+        self._flops = 0  # the total of events[:_counted]
+        self._counted = 0
+        self._origin: FlopLog | None = None  # the log whose events this one holds exactly
+        self._split: dict[int, tuple[int, FlopLog]] = {}  # samples -> (events seen, log)
 
     def add(self, tag: str, layer: str, dims: Sequence[int]) -> None:
         self.events.append((tag, layer, count_flops(tag, dims)))
+        self._origin = None
+
+    def extend(self, other: "FlopLog") -> None:
+        """Append the events of ``other``."""
+        counted = self._counted == len(self.events)
+        self._origin = None if self.events else other
+        self.events.extend(other.events)
+        if counted:
+            self._flops += other.total()
+            self._counted = len(self.events)
 
     def total(self) -> int:
-        return sum(e[2] for e in self.events)
+        if self._counted < len(self.events):
+            self._flops += sum(e[2] for e in self.events[self._counted :])
+            self._counted = len(self.events)
+        return self._flops
 
     def per_sample(self, samples: int) -> "FlopLog":
         """One sample's log of a stacked call whose every event covers ``samples`` equal samples."""
+        src = self._origin
+        if src is None or len(src.events) != len(self.events):
+            src = self
+        seen, part = src._split.get(samples, (-1, None))
+        if seen != len(src.events):
+            part = FlopLog()
+            for tag, layer, n in src.events:
+                if n % samples:
+                    raise InvariantError(f"{tag} at {layer}: {n} FLOPs do not split into {samples}")
+                part.events.append((tag, layer, n // samples))
+            src._split[samples] = (len(src.events), part)
         out = FlopLog()
-        for tag, layer, n in self.events:
-            if n % samples:
-                raise InvariantError(f"{tag} at {layer}: {n} FLOPs do not split into {samples}")
-            out.events.append((tag, layer, n // samples))
+        out.extend(part)
         return out
 
 
-@dataclass
 class FlopLedger:
-    """Run-level ledger of (tag, layer, timestep, flops) events."""
+    """Run-level ledger of (tag, layer, timestep, flops) events.
 
-    rows: list[tuple[str, str, int, int]] = field(default_factory=list)
+    A step's log is kept as it is given and written out as rows only when
+    :attr:`rows` is read, so that a run that never reads them never builds
+    them; the total is kept as logs arrive.
+    """
+
+    def __init__(self):
+        self._rows: list[tuple[str, str, int, int]] = []
+        # (a log's events, timestep) not yet written as rows; (rows, None) for rows
+        self._pending: list[tuple[list, int | None]] = []
+        self._flops = 0
+
+    @property
+    def rows(self) -> list[tuple[str, str, int, int]]:
+        """Every event as (tag, layer, timestep, flops), in the order logged; read-only."""
+        for events, t in self._pending:
+            if t is None:
+                self._rows.extend(events)
+            else:
+                self._rows.extend((tag, layer, t, n) for tag, layer, n in events)
+        self._pending.clear()
+        return self._rows
 
     def add(self, tag: str, layer: str, t: int, dims: Sequence[int]) -> None:
-        self.rows.append((tag, layer, int(t), count_flops(tag, dims)))
+        n = count_flops(tag, dims)
+        self.rows.append((tag, layer, int(t), n))
+        self._flops += n
 
     def extend(self, log: FlopLog, t: int) -> None:
-        self.rows.extend((tag, layer, int(t), n) for tag, layer, n in log.events)
+        self._pending.append((list(log.events), int(t)))
+        self._flops += log.total()
+
+    def merge(self, other: "FlopLedger") -> None:
+        """Append the rows of another ledger."""
+        if other._rows:
+            self._pending.append((list(other._rows), None))
+        self._pending += other._pending
+        self._flops += other._flops
 
     def total(self, tags: Iterable[str] | None = None) -> int:
         if tags is None:
-            return sum(r[3] for r in self.rows)
+            return self._flops
         wanted = set(tags)
         return sum(r[3] for r in self.rows if r[0] in wanted)
 

@@ -88,7 +88,7 @@ def execute_run(rc: RunConfig, *, hooks=None, model: ToyUNet | None = None) -> R
         )
         clip_finals.append(z0)
         clip_reports.append(rep)
-        ledger.rows.extend(led.rows)
+        ledger.merge(led)
     frames = np.concatenate([z[0] for z in clip_finals], axis=1)
     final = np.ascontiguousarray(frames[:, : rc.run.total_frames])
     totals = {

@@ -24,11 +24,12 @@ import math
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache
 
 import numpy as np
 
 from . import attention as attn
+from . import kernels
 from .errors import ConfigError
 from .kernels import PackedConv, active_library
 from .kernels import matmul  # noqa: F401  (a name of this module the benchmark's tracer wraps)
@@ -221,28 +222,21 @@ def time_embedding(t: int, dim: int) -> np.ndarray:
     embedding separates timesteps globally while drifting gently between
     neighbouring sampled steps.
     """
+    ang = 2.0 * math.pi * float(t) / _periods(dim)
+    return np.concatenate([np.sin(ang), np.cos(ang)]).astype(np.float32)
+
+
+@lru_cache(maxsize=None)
+def _periods(dim: int) -> np.ndarray:
+    """The float64 periods of :func:`time_embedding`'s channels, computed once per dim."""
     half = dim // 2
     periods = 1000.0 * np.power(20.0, np.arange(half, dtype=np.float64) / max(half - 1, 1))
-    ang = 2.0 * math.pi * float(t) / periods
-    return np.concatenate([np.sin(ang), np.cos(ang)]).astype(np.float32)
+    periods.flags.writeable = False
+    return periods
 
 
 # ---------------------------------------------------------------------------
 # model
-
-
-def _silu_calls(h: np.ndarray, bias: np.ndarray, gate: np.ndarray, out: np.ndarray) -> list:
-    """h += bias, then out = silu(h) with gate as scratch: the sequence of kernels.silu."""
-    lo, hi, one = np.float32(-30.0), np.float32(30.0), np.float32(1.0)
-    return [
-        partial(np.add, h, bias, out=h),
-        partial(np.clip, h, lo, hi, out=gate),
-        partial(np.negative, gate, out=gate),
-        partial(np.exp, gate, out=gate),
-        partial(np.add, one, gate, out=gate),
-        partial(np.divide, one, gate, out=gate),
-        partial(np.multiply, h, gate, out=out),
-    ]
 
 
 class _PassIO:
@@ -262,8 +256,9 @@ class ToyUNet:
     """Deterministic float32 UNet over (frame, channel, height, width) stacks.
 
     Every pass runs an execution plan (:mod:`cachediff.plan`), built on the
-    first pass of its key and kept by the model: fixed buffers, kernel calls
-    bound once and the pass's FLOP events.  The plans share one arena, so a
+    first pass of its key and kept by the model: fixed buffers, steps bound
+    once (one call into the compiled library for a pass without hooks) and
+    the pass's FLOP events.  The plans share one arena, so a
     model runs one pass at a time; a lock makes concurrent callers wait
     (so a hook must not start a pass of the same model).  Returned arrays
     are the caller's own.  ``hooks`` receive views of the plan's buffers,
@@ -466,21 +461,23 @@ class ToyUNet:
     def _plan_time(self, p: Plan, samples: int) -> Buf:
         """The time features of the pass's timesteps and every unit's time projection of them."""
         td, io = self.cfg.time_dim, self._io
-        emb = p.buf((samples, td))
 
-        def fill():
-            for row, t in zip(emb.a, io.ts):
-                row[...] = time_embedding(t, td)
+        def fill(emb: Buf):
+            def run():
+                for row, t in zip(emb.a, io.ts):
+                    row[...] = time_embedding(t, td)
+            return run
 
-        p.glue(lambda: [fill], emb)
+        emb = p.input((samples, td), fill)
         h = p.matmul(emb, self.w["time.affine.w"], None)
         p.flop("matmul", "time", (samples, td, td))
         p.flop("elementwise", "time", (samples * td,))
         p.flop("elementwise", "time", (4 * h.size,))  # the SiLU
         temb, gate = p.buf(h.shape), p.buf(h.shape)
-        p.glue(lambda: _silu_calls(h.a, self.w["time.affine.b"], gate.a, temb.a), h, gate, temb)
+        p.step(lambda lib: kernels.bound_bias_silu(
+            lib, h.a, self.w["time.affine.b"], gate.a, temb.a), h, gate, temb)
         tproj = p.matmul(temb, self._temb_w, None)
-        p.glue(lambda: [partial(np.add, tproj.a, self._temb_b, out=tproj.a)], tproj)
+        p.step(lambda lib: kernels.bound_bias_silu(lib, tproj.a, self._temb_b), tproj)
         return tproj
 
     def _plan_preact(self, p: Plan, x: Buf, layer: str, name: str, **epilogue) -> Buf:
@@ -522,7 +519,6 @@ class ToyUNet:
         f = cfg.frames
         k, L = n // f, h * w
         d = cfg.head_dim
-        half = np.float32(0.5)
         removal = removal_active and layer in cfg.removal_set
 
         def site(name: str) -> dict:
@@ -535,33 +531,34 @@ class ToyUNet:
             return p.norm(tok, name, axis=-1)
 
         def keep(name: str, a: Buf | None, lead: tuple[int, ...]) -> None:
-            # Gathered into new arrays, so no returned row aliases the plan.
+            # Gathered after the pass into new arrays (select_tokens, looked up
+            # when the gather runs), so no returned row aliases the plan.
             if keep_mask is None or a is None:
                 return
-            bg = keep_mask.bg_index
+            bg, axis = keep_mask.bg_index, 0 if name == "temporal" else 1
 
             def make():
                 a0 = a.a.reshape(lead + (d,))[0]
 
                 def run():
-                    rows = a0[bg] if name == "temporal" else a0[:, bg]
+                    rows = attn.select_tokens(a0, bg, axis)
                     io.rows[(layer, name)] = attn.DfaContext(io.masks[layer], rows)
 
-                return [run]
+                return run
 
-            p.glue(make, a)
+            p.gather(make, a)
 
         def add_half(x: Buf, delta: Buf, name: str, rows: tuple[int, ...], perm) -> Buf:
             """x + 0.5 * delta, with delta's (rows, c) layout permuted to x's."""
             p.flop("elementwise", name, (2 * x.size,))
             out = p.buf(x.shape)
 
-            def make():
+            def bind(lib):
                 dt = delta.a.reshape(rows + (c,)).transpose(perm)
-                return [partial(np.multiply, half, dt, out=dt),
-                        partial(np.add, x.a.reshape(dt.shape), dt, out=out.a.reshape(dt.shape))]
+                return kernels.bound_add_half(lib, x.a.reshape(dt.shape), dt,
+                                              out.a.reshape(dt.shape))
 
-            p.glue(make, x, delta, out)
+            p.step(bind, x, delta, out)
             return out
 
         def audio_tokens(name: str) -> Buf:
@@ -625,14 +622,12 @@ class ToyUNet:
 
 def _plan_input(p: Plan, shape: tuple[int, ...], read, view: tuple[int, ...] | None = None) -> Buf:
     """A buffer that each pass fills with ``read()``, the pass's input, copied as ``view``."""
-    buf = p.buf(shape)
 
-    def make():
+    def make(buf: Buf):
         dst = buf.a if view is None else buf.a.reshape(view)
-        return [lambda: np.copyto(dst, read())]
+        return lambda: np.copyto(dst, read())
 
-    p.glue(make, buf)
-    return buf
+    return p.input(shape, make)
 
 
 def _plan_concat(p: Plan, a: Buf, b: Buf) -> Buf:

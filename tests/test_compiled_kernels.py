@@ -1,7 +1,11 @@
 """Differential tests of the compiled kernels against the numpy reference.
 
 Every test runs the kernels through their bound calls (``kernels.bound_*``),
-the one path by which plans and the public functions call them.  Inputs
+the one path by which plans and the public functions call them: op records
+run by the library's ``cd_run``.  The library's exp is numpy's own loop,
+tested against ``np.exp`` directly; the glue ops between kernels must give
+the bytes of their numpy calls; and an unhooked pass must be one library
+call.  Inputs
 mix ordinary values with signed zeros, subnormals, infinities and NaNs,
 and shapes include empty and unit dimensions.  Outputs must be the
 same bytes; when an input holds a NaN, only the NaN positions must agree,
@@ -349,7 +353,7 @@ def test_zero_item_batches_give_empty_results(backend):
 
 
 class PerturbedNorm:
-    """The compiled library, except that cd_rms_norm adds one ulp to its first output."""
+    """The compiled library, except that its norm ops add one ulp to their first output."""
 
     def __init__(self, lib):
         self._lib = lib
@@ -357,10 +361,14 @@ class PerturbedNorm:
     def __getattr__(self, name):
         return getattr(self._lib, name)
 
-    def cd_rms_norm(self, x, out, *args):
-        self._lib.cd_rms_norm(x, out, *args)
-        first = ctypes.c_float.from_address(out)
-        first.value = np.nextafter(np.float32(first.value), np.float32(np.inf))
+    def cd_run(self, ops, n):
+        slots = kernels._OP_SLOTS
+        table = np.ctypeslib.as_array((ctypes.c_int64 * (n * slots)).from_address(ops))
+        for i in range(n):  # one record at a time, so that each output can be perturbed
+            self._lib.cd_run(ops + 8 * slots * i, 1)
+            if table[i * slots] == kernels._OP_NORM:
+                first = ctypes.c_float.from_address(int(table[i * slots + 2]))
+                first.value = np.nextafter(np.float32(first.value), np.float32(np.inf))
 
 
 def test_load_time_check_refuses_a_library_that_differs_from_the_reference(monkeypatch):
@@ -377,21 +385,26 @@ def test_load_time_check_refuses_a_library_that_differs_from_the_reference(monke
         kernels.set_backend("compiled")
 
 
-# Bound kernel steps of a plan and the arguments each writes.
+# Bound steps of a plan and the arguments each writes; IN_PLACE ones are read first.
 BOUND_OUTPUTS = {
     "bound_matmul": ("out",),
     "bound_channel_mix": ("out",),
     "bound_conv2d_frames": ("out",),
     "bound_rms_norm": ("out", "gate"),
     "bound_attention": ("out", "probs"),
+    "bound_copy": ("dst",),
+    "bound_add_half": ("out", "delta"),
+    "bound_bias_silu": ("h", "gate", "out"),
 }
+IN_PLACE = {"delta", "h"}
 
 
 def test_default_forward_pass_kernel_calls_match_reference(monkeypatch):
-    """Every bound kernel step of a planned default-size forward pass gives the reference bytes.
+    """Every bound step of a planned default-size forward pass gives the reference bytes.
 
-    Each step's compiled calls run on the plan's buffers while their inputs
-    are recorded; each is then replayed under the numpy backend on copies.
+    Each step's op records run on the plan's buffers, one ``cd_run`` call
+    per step, while their inputs are recorded; each is then replayed under
+    the numpy backend on copies.
     """
     cfg = UNetConfig()
     model = ToyUNet(cfg, init_weights(cfg, 0)[0])
@@ -403,13 +416,14 @@ def test_default_forward_pass_kernel_calls_match_reference(monkeypatch):
         sig = inspect.signature(bound)
 
         def wrapped(lib, *args, **kwargs):
-            calls = bound(lib, *args, **kwargs)
+            records = bound(lib, *args, **kwargs)
             arguments = sig.bind(lib, *args, **kwargs).arguments
+            assert all(isinstance(r, kernels.Op) for r in records)
 
             def run():
                 inputs = {k: v.copy() if isinstance(v, np.ndarray) else v
                           for k, v in arguments.items()}
-                for call in calls:
+                for call in kernels.program(lib, records):
                     call()
                 written = {k: arguments[k].tobytes() for k in BOUND_OUTPUTS[name]
                            if arguments.get(k) is not None}
@@ -431,14 +445,16 @@ def test_default_forward_pass_kernel_calls_match_reference(monkeypatch):
     assert all(inputs["lib"] is kernels._compiled() for _, inputs, _ in steps)
     kinds = Counter(name for name, _, _ in steps)
     assert kinds == {"bound_conv2d_frames": 46, "bound_rms_norm": 56, "bound_matmul": 38,
-                     "bound_channel_mix": 5, "bound_attention": 9}
+                     "bound_channel_mix": 5, "bound_attention": 9, "bound_copy": 28,
+                     "bound_add_half": 9, "bound_bias_silu": 2}
     convs = [inputs for name, inputs, _ in steps if name == "bound_conv2d_frames"]
     assert sum(c["gate"] is not None for c in convs) == 39  # 19 units x 2 and the head
     assert sum(c["add"] is not None for c in convs) == sum(c["base"] is not None for c in convs) == 19
     for name, inputs, written in steps:
         args = dict(inputs, lib=None)
         for k in written:
-            args[k] = np.full_like(inputs[k], np.nan)
+            if k not in IN_PLACE:
+                args[k] = np.full_like(inputs[k], np.nan)
         for call in originals[name](**args):
             call()
         assert {k: args[k].tobytes() for k in written} == written, name
@@ -547,3 +563,242 @@ def test_plan_built_under_compiled_runs_under_numpy_with_the_same_bytes():
     assert len(model._plans) == plans == 2
     assert got == want
     assert again == want
+
+
+# ---------------------------------------------------------------------------
+# numpy's exp inside the library
+
+
+def library_exp(x: np.ndarray) -> None:
+    """x = exp(x) in place by the compiled library's exp op."""
+    kernels._run(kernels._compiled(), kernels.bound_exp, x)
+
+
+def assert_exp_matches_numpy(x: np.ndarray) -> None:
+    with np.errstate(all="ignore"):
+        want = np.exp(x)
+    library_exp(x)
+    assert x.tobytes() == want.tobytes()
+
+
+def test_library_exp_matches_numpy_on_a_dense_stride_of_all_float32_bit_patterns():
+    bits = np.arange(0, 2**32, 4099, dtype=np.uint64).astype(np.uint32)
+    assert_exp_matches_numpy(bits.view(np.float32).copy())
+
+
+def test_library_exp_matches_numpy_on_special_values():
+    """Signed zeros, infinities, NaNs of both signs with payloads, subnormals, and the
+    arguments around the overflow and underflow edges of float32 exp."""
+    f32 = np.float32
+    nans = np.array([0x7FC00000, 0xFFC00000, 0x7F800001, 0xFF800001, 0x7FC12345, 0x7FBFFFFF],
+                    np.uint32).view(f32)
+    subnormals = np.array([1, 2, 0x3FFFFF, 0x400000, 0x7FFFFF], np.uint32).view(f32)
+    edges = [f32(88.72283), f32(-87.33654), f32(-103.97208), f32(-88.72284), f32(0.0)]
+    near = [np.nextafter(e, f32(d) * np.inf, dtype=f32) for e in edges for d in (1, -1)]
+    x = np.concatenate([
+        np.array([0.0, -0.0, np.inf, -np.inf, 3.4028235e38, -3.4028235e38], f32),
+        nans, subnormals, -subnormals, np.array(edges + near, f32),
+    ])
+    assert_exp_matches_numpy(x)
+
+
+def test_library_exp_matches_numpy_at_odd_offsets_and_lengths():
+    """Every start offset within two vectors and every length from 1 to 100, which
+    covers the vector loop's tails."""
+    rng = np.random.default_rng(8)
+    buf = np.empty(200, np.float32)
+    for offset in range(32):
+        for n in range(1, 101):
+            x = buf[offset : offset + n]
+            x[...] = rng.uniform(-110.0, 95.0, n).astype(np.float32)
+            assert_exp_matches_numpy(x)
+
+
+# The signature of a numpy ufunc inner loop: args, dimensions, steps, data.
+UFUNC_LOOP = ctypes.CFUNCTYPE(None, ctypes.POINTER(ctypes.c_void_p), ctypes.POINTER(ctypes.c_long),
+                              ctypes.POINTER(ctypes.c_long), ctypes.c_void_p)
+
+
+def test_load_time_check_refuses_a_library_with_a_wrong_exp_loop(monkeypatch, tmp_path):
+    """A loop that perturbs one value of numpy's exp is refused with one line, and the
+    backend falls back to the reference.  The library is a copy, loaded on its own,
+    so that the exp loop of the library in use stays untouched."""
+    copy = tmp_path / "kernels-copy.so"
+    shutil.copy(kernels._compiled()._name, copy)
+    lib = native.open_library(copy)
+    assert kernels._self_check(lib) is None
+    real = UFUNC_LOOP(native.numpy_exp_loop()[0])
+
+    def perturbed(args, dims, steps, data):
+        real(args, dims, steps, data)
+        first = ctypes.c_float.from_address(args[1])
+        first.value = np.nextafter(np.float32(first.value), np.float32(np.inf))
+
+    fake = UFUNC_LOOP(perturbed)
+    lib.cd_set_exp(ctypes.cast(fake, ctypes.c_void_p), None)
+    assert kernels._self_check(lib) == "compiled exp differs from the numpy reference"
+    monkeypatch.setattr(native, "load", lambda: (lib, None))
+    monkeypatch.setattr(kernels, "_lib", None)
+    monkeypatch.setattr(kernels, "_lib_error", None)
+    assert kernels.compiled_error() == "compiled exp differs from the numpy reference"
+    assert kernels.active_library() is None and kernels.active_backend() == "numpy"
+
+
+def test_a_failed_exp_lookup_refuses_the_library(monkeypatch):
+    def unreadable():
+        raise OSError("np.exp's loop types do not match its ufunc.types")
+
+    monkeypatch.setattr(native, "numpy_exp_loop", unreadable)
+    assert native.load() == (None, "np.exp's loop types do not match its ufunc.types")
+    monkeypatch.setattr(kernels, "_lib", None)
+    monkeypatch.setattr(kernels, "_lib_error", None)
+    assert kernels.compiled_error() == "np.exp's loop types do not match its ufunc.types"
+    assert kernels.active_backend() == "numpy"
+
+
+# ---------------------------------------------------------------------------
+# glue ops: each must write the bytes of its numpy calls
+
+GLUE = [0.0, -0.0, 1e-40, -3e-39, np.inf, -np.inf]
+
+
+def glue_tensor(shape):
+    return arrays(np.float32, shape, elements=st.one_of(FINITE, st.sampled_from(GLUE)))
+
+
+def on_both(bound, make):
+    """The arrays of ``make()`` after the step ran on the reference and on the library."""
+    runs = []
+    for lib in (None, kernels._compiled()):
+        args = make()
+        with np.errstate(all="ignore"):
+            kernels._run(lib, bound, *args)
+        runs.append([a for a in args if isinstance(a, np.ndarray)])
+    return runs
+
+
+# up to five short axes, or up to three that span several of the kernels' 16 x 16 tiles
+glue_shape = st.one_of(st.lists(st.integers(0, 5), min_size=1, max_size=5),
+                       st.lists(st.integers(1, 40), min_size=1, max_size=3)).map(tuple)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), glue_shape)
+def test_copy_of_permuted_sliced_and_broadcast_views_matches_numpy(data, shape):
+    perm = data.draw(st.permutations(range(len(shape))))
+    base = data.draw(glue_tensor(tuple(shape[i] for i in perm)))
+    src = base.transpose(np.argsort(perm))  # a permuted view of shape ``shape``
+    if data.draw(st.booleans()):  # broadcast one axis
+        axis = data.draw(st.integers(0, len(shape) - 1))
+        src = np.broadcast_to(src.take([0] if shape[axis] else [], axis=axis), shape)
+    wide = data.draw(st.integers(0, 3))  # dst: a slice of a wider last axis
+
+    def make():
+        dst = np.full(shape[:-1] + (shape[-1] + wide,), np.nan, np.float32)
+        return dst[..., wide:], src
+
+    ref, got = on_both(kernels.bound_copy, make)
+    assert got[0].tobytes() == ref[0].tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), glue_shape.filter(lambda shape: len(shape) >= 2))
+def test_add_half_over_a_permuted_delta_matches_numpy(data, shape):
+    perm = data.draw(st.permutations(range(len(shape))))
+    x = data.draw(glue_tensor(shape))
+    base = data.draw(glue_tensor(tuple(shape[i] for i in perm)))
+
+    def make():
+        return x, base.copy().transpose(np.argsort(perm)), np.full(shape, np.nan, np.float32)
+
+    ref, got = on_both(kernels.bound_add_half, make)
+    for g, r in zip(got, ref):
+        assert g.tobytes() == r.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, 4), st.integers(1, 9), st.integers(1, 5), st.integers(1, 3))
+def test_row_gather_and_scatter_match_numpy(data, outer, n, inner, souter):
+    x = data.draw(glue_tensor((outer, n, inner)))
+    index = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1)))), np.int64)
+    ref, got = on_both(kernels.bound_gather,
+                       lambda: (x, index, np.full((outer, len(index), inner), np.nan, np.float32)))
+    assert got[-1].tobytes() == ref[-1].tobytes() == np.take(x, index, axis=1).tobytes()
+    src = data.draw(glue_tensor((souter, len(index), inner)))
+    full = data.draw(glue_tensor((souter * outer, n, inner)))
+    ref, got = on_both(kernels.bound_scatter, lambda: (src, index, full.copy()))
+    assert got[-1].tobytes() == ref[-1].tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, 4), st.integers(1, 70), st.booleans())
+def test_bias_silu_matches_numpy(data, rows, cols, silu):
+    """The time features' bias add and SiLU; inf - inf makes NaNs, whose bits are not fixed."""
+    h = data.draw(glue_tensor((rows, cols)))
+    bias = data.draw(glue_tensor((cols,)))
+
+    def make():
+        scratch = [np.full((rows, cols), np.nan, np.float32) for _ in range(2)] if silu else []
+        return (h.copy(), bias, *scratch)
+
+    ref, got = on_both(kernels.bound_bias_silu, make)
+    for g, r in zip(got, ref):
+        assert_same_nan_rule(g, r)
+
+
+# ---------------------------------------------------------------------------
+# one library call per pass
+
+
+class CountingLibrary:
+    """The compiled library, counting its ``cd_run`` calls."""
+
+    def __init__(self, lib):
+        self._lib = lib
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self._lib, name)
+
+    def cd_run(self, ops, n):
+        self.calls += 1
+        self._lib.cd_run(ops, n)
+
+
+def test_an_unhooked_pass_is_one_library_call(monkeypatch):
+    """forward, with and without background masks, and a stacked subnet each make
+    exactly one call into the library; a hooked forward also returns to Python
+    for its hook calls."""
+    counting = CountingLibrary(kernels._compiled())
+    monkeypatch.setattr(kernels, "_lib", counting)
+    monkeypatch.setattr(kernels, "_active", "compiled")
+    cfg = UNetConfig()
+    model = ToyUNet(cfg, init_weights(cfg, 0)[0])
+    cond = build_conditioning(RunConfig())[0][0]
+    masks = engine._layer_masks(cfg, cond.mask)
+    z = Rng(0).child(2).normal((1, cfg.latent_channels, cfg.frames, cfg.height, cfg.width))
+    zs = np.concatenate([z, np.float32(0.5) * z])
+
+    def calls(run_pass) -> int:
+        before = counting.calls
+        run_pass()
+        return counting.calls - before
+
+    for _ in range(2):  # the first pass of each kind builds its plan
+        assert calls(lambda: model.forward(z, 500, cond)) == 1
+        tr = model.forward(z, 500, cond, bg_masks=masks, removal_active=True)
+        assert calls(lambda: model.forward(z, 500, cond, bg_masks=masks, removal_active=True)) == 1
+        assert calls(lambda: model.subnet(tr.f_u31, zs, [480, 460], cond, dfa=tr.dfa,
+                                          removal_active=True)) == 1
+        assert calls(lambda: model.subnet(tr.f_u31, z, 480, cond)) == 1
+
+    class Hooks:
+        seen = 0
+
+        def on_attention(self, *args):
+            self.seen += 1
+
+    hooks = Hooks()
+    assert calls(lambda: model.forward(z, 500, cond, hooks=hooks)) > 1
+    # per attention layer: a call per frame of the two spatial sites, one for the temporal
+    assert hooks.seen == len(cfg.attention_layers) * (2 * cfg.frames + 1)

@@ -49,6 +49,54 @@ def test_flop_log_per_sample_splits_every_event_exactly():
         log.per_sample(3)
 
 
+def test_flop_log_extended_from_a_frozen_log_reuses_its_total_and_per_sample_form():
+    """A plan's frozen log: a pass's log takes its total and shares its per-sample
+    form, computed once; events added after it count as usual."""
+    plan = profiler.FlopLog()
+    plan.add("matmul", "proj", (2 * 2, 3, 4))
+    plan.add("elementwise", "act", (2 * 10,))
+    plan.events = tuple(plan.events)
+    logs = [profiler.FlopLog() for _ in range(2)]
+    for log in logs:
+        log.extend(plan)
+    assert logs[0].events == list(plan.events) and logs[0].total() == 96 + 20
+    halves = [log.per_sample(2) for log in logs]
+    assert halves[0].events == halves[1].events == [
+        ("matmul", "proj", 48), ("elementwise", "act", 10)]
+    assert halves[0].total() == 58
+    halves[0].add("elementwise", "scheduler", (3,))  # the caller's own log, not the shared form
+    assert halves[1].total() == 58 and logs[1].per_sample(2).total() == 58
+    logs[0].add("elementwise", "scheduler", (3,))
+    assert logs[0].total() == 119
+    with pytest.raises(InvariantError):
+        logs[0].per_sample(2)
+    logs[1].events.append(("elementwise", "direct", 7))  # appended without add: still counted
+    assert logs[1].total() == 123
+
+
+def test_ledger_rows_written_when_read_match_the_logs_in_order():
+    logs = []
+    for i in range(3):
+        log = profiler.FlopLog()
+        log.add("matmul", "a", (i + 1, 1, 1))
+        log.add("softmax", "b", (1, i + 1))
+        logs.append(log)
+    ledger, other = profiler.FlopLedger(), profiler.FlopLedger()
+    ledger.extend(logs[0], 9)
+    other.extend(logs[1], 8)
+    other.add("elementwise", "c", 8, (4,))
+    other.extend(logs[2], 7)
+    assert other.total() == 4 + 10 + 4 + 6 + 15
+    ledger.merge(other)
+    assert ledger.total() == 2 + 5 + other.total()
+    assert ledger.rows == [
+        ("matmul", "a", 9, 2), ("softmax", "b", 9, 5),
+        ("matmul", "a", 8, 4), ("softmax", "b", 8, 10), ("elementwise", "c", 8, 4),
+        ("matmul", "a", 7, 6), ("softmax", "b", 7, 15),
+    ]
+    assert ledger.per_step() == {9: 7, 8: 18, 7: 21}
+
+
 def test_ledger_views():
     ledger = profiler.FlopLedger()
     ledger.add("matmul", "a", 5, (1, 1, 1))
