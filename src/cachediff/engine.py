@@ -147,15 +147,20 @@ def denoise_clip(
     cond: Conditioning,
     *,
     clip_id: int = 0,
-    hooks=None,
+    on_key_step=None,
 ) -> tuple[np.ndarray, dict, FlopLedger]:
-    """Denoise one clip; returns final latent, report, and FLOPs ledger."""
+    """Denoise one clip; returns final latent, report, and FLOPs ledger.
+
+    ``on_key_step(t, z, trace)``, when given, is called after each key
+    step's forward pass with its timestep, input latent and
+    :class:`ForwardTrace`, whose ``dfa`` and ``probs`` it then holds.
+    """
     cfg = model.cfg
     if z_T.shape[0] != 1:
         raise ConfigError(f"denoise_clip expects batch 1, got {z_T.shape}")
     _check_finite(z_T, "initialization")
     eff_plan = plan if strategy.uses_cache else plan.singleton()
-    masks = _layer_masks(cfg, cond.mask) if strategy.uses_dfa else None
+    masks = _layer_masks(cfg, cond.mask) if strategy.uses_dfa or on_key_step is not None else None
     runner = ParallelRunner(strategy.workers, strategy.dispatch_overhead_ns)
     ledger = FlopLedger()
     per_step: list[dict] = []
@@ -167,7 +172,7 @@ def denoise_clip(
         boundary = blocks[bi + 1].key if bi + 1 < len(blocks) else 0
         z, modeled = _run_block(
             model, sched, block, boundary, strategy, z, cond,
-            masks, ledger, per_step, hooks, runner, n_update,
+            masks, ledger, per_step, on_key_step, runner, n_update,
         )
         modeled_total += modeled
     report = {
@@ -199,23 +204,21 @@ def denoise_clip(
 
 def _run_block(
     model, sched, block: Block, boundary: int, strategy: Strategy, z, cond,
-    masks, ledger: FlopLedger, per_step: list, hooks, runner, n_update: int,
+    masks, ledger: FlopLedger, per_step: list, on_key_step, runner, n_update: int,
 ):
     """Execute one block (key step plus optional non-key phase)."""
-    if hooks is not None:
-        hooks.begin_step(block.key, "key")
-    want_bg = strategy.uses_dfa and bool(block.nonkeys)
+    want_bg = (strategy.uses_dfa and bool(block.nonkeys)) or on_key_step is not None
     log = FlopLog()
     t0 = time.perf_counter_ns()
     trace = model.forward(
         z, block.key, cond,
         log=log,
         bg_masks=masks if want_bg else None,
-        hooks=hooks,
+        keep_probs=on_key_step is not None,
         removal_active=strategy.uses_removal,
     )
-    if hooks is not None:
-        hooks.on_step(block.key, z, trace.eps, trace.f_u31)
+    if on_key_step is not None:
+        on_key_step(block.key, z, trace)
     t_next = block.nonkeys[0] if block.nonkeys else boundary
     z_next = ddim_step_skipping(z, trace.eps, block.key, t_next, sched)
     _check_finite(z_next, f"key step t={block.key}")
@@ -265,8 +268,6 @@ def _run_block(
     cur = z_next
     phase2_walls = []
     for j, t_j in enumerate(block.nonkeys):
-        if hooks is not None:
-            hooks.begin_step(t_j, "nonkey")
         t_to = block.nonkeys[j + 1] if j + 1 < n else boundary
         p0 = time.perf_counter_ns()
         cur = ddim_step_skipping(cur, step_eps[j], t_j, t_to, sched)

@@ -467,26 +467,16 @@ def matmul_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def conv2d(x: np.ndarray, w: np.ndarray, bias: np.ndarray, stride: int = 1) -> np.ndarray:
-    """3x3 convolution of one (c,h,w) image, zero padding 1, stride 1 or 2, per-channel bias.
-
-    The accumulation order per output element is ascending over
-    (ci, ky, kx); the bias is added after the products.
-    """
-    x = _f32(x, "x", 3)
-    return conv2d_frames(x[None], PackedConv(w, bias), stride)[0]
-
-
 def conv2d_frames(
     x: np.ndarray, conv: PackedConv, stride: int = 1, gate: np.ndarray | None = None
 ) -> np.ndarray:
     """Apply the 3x3 convolution to each frame of a (f,c,h,w) stack.
 
-    Per-element results are identical to frame-by-frame :func:`conv2d`
-    calls.  Zero padding is multiplied like any input element, so inf
-    weights on the border give NaN exactly as a naive loop does.  Given the
-    ``gate`` that :func:`rms_norm` returns for ``x``, the input is
-    ``silu(x)``, with the bytes of :func:`silu`.
+    Per-element results are identical to one call per frame.  Zero padding
+    is multiplied like any input element, so inf weights on the border give
+    NaN exactly as a naive loop does.  Given the ``gate`` that
+    :func:`rms_norm` returns for ``x``, the input is ``silu(x)``, with the
+    bytes of :func:`silu`.
     """
     x = _f32(x, "x", 4)
     if not isinstance(conv, PackedConv):
@@ -545,14 +535,6 @@ def silu(x: np.ndarray) -> np.ndarray:
     return x * sigmoid(x)
 
 
-def upsample_nearest(x: np.ndarray) -> np.ndarray:
-    """Nearest-neighbour 2x upsampling of the last two axes of a (..., h, w) stack."""
-    x = _f32(x, "x", np.ndim(x))
-    if x.ndim < 2:
-        raise ValueError(f"x needs at least 2 dims, got shape {x.shape}")
-    return np.repeat(np.repeat(x, 2, axis=-2), 2, axis=-1)
-
-
 def softmax_rows(x: np.ndarray) -> np.ndarray:
     """Row-wise softmax with per-row max subtraction.
 
@@ -568,26 +550,6 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     return np.divide(e, denom, out=e)
 
 
-def attention_probs(q: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Softmax(q @ k.T / sqrt(d)) attention weights."""
-    q = _f32(q, "q", 2)
-    k = _f32(k, "k", 2)
-    if q.shape[1] != k.shape[1]:
-        raise ValueError(f"attention dim mismatch: q {q.shape} vs k {k.shape}")
-    scale = np.float32(1.0 / math.sqrt(q.shape[1]))
-    scores = matmul(q, np.ascontiguousarray(k.T))
-    scores *= scale
-    return softmax_rows(scores)
-
-
-def scaled_dot_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Single-head attention: softmax(q k^T / sqrt(d)) @ v."""
-    v = _f32(v, "v", 2)
-    if v.shape[0] != k.shape[0]:
-        raise ValueError(f"attention length mismatch: k {k.shape} vs v {v.shape}")
-    return matmul(attention_probs(q, k), v)
-
-
 # Attention scores per compiled-kernel call: one 256 x 512 frame (512 KB),
 # which stays in cache from the scores to the probabilities and bounds the
 # scratch memory of a large stack.
@@ -601,9 +563,10 @@ def attention_batch(
 
     Returns the output and, with ``keep_probs``, the (n, lq, lk)
     probabilities (else None).  Per-item results are bit-identical to
-    :func:`scaled_dot_attention` and :func:`attention_probs` on each slice.
-    Items run in slabs of about ``_ATTN_SLAB`` scores; the compiled backend
-    runs a slab as one op: logits, numpy's exp in place, and the apply.
+    :func:`matmul` of each slice's q and k^T, scaled, then
+    :func:`softmax_rows` and :func:`matmul` with v.  Items run in slabs of
+    about ``_ATTN_SLAB`` scores; the compiled backend runs a slab as one
+    op: logits, numpy's exp in place, and the apply.
     """
     q = _f32(q, "q", 3)
     k = _f32(k, "k", 3)
@@ -638,7 +601,7 @@ def attention_slab(n: int, lq: int, lk: int) -> int:
 # the arrays are checked and turned into addresses once, and ``ws`` is the
 # address of a scratch block of at least the step's ``_*_ws`` bytes; both
 # give the same bytes.  :func:`program` turns a sequence of items into the
-# calls that run it, each run of records as one ``cd_run`` call.  These are
+# calls that run it: on a library, one ``cd_run`` call.  These are
 # the only callers of the library: a plan (see :mod:`cachediff.plan`) binds
 # all steps of a pass once, on its own buffers, into one program; the public
 # functions above and the load-time check run one step per call through
@@ -689,27 +652,16 @@ def _index_ptr(idx: np.ndarray) -> int:
 def program(lib, items: list) -> list:
     """The calls that run ``items`` (from ``bound_*`` functions) in order on ``lib``.
 
-    Under the numpy reference they are the items themselves.  On a library,
-    each run of op records is one ``cd_run`` call over a table built here
-    once, and a Python callable between records (a plan's hook step) runs
-    as itself, in its place.
+    Under the numpy reference they are the items themselves.  On a library
+    they are op records, and the program is one ``cd_run`` call over a
+    table built here once.
     """
     if lib is None:
         return list(items)
-    calls, ops = [], []
-    for item in [*items, None]:
-        if isinstance(item, Op):
-            ops.append(item)
-            continue
-        if ops:
-            table = np.array([op.slots for op in ops], dtype=np.int64)
-            call = partial(lib.cd_run, table.ctypes.data, len(ops))
-            call.held = (table, [op.refs for op in ops])  # the memory the call reads
-            calls.append(call)
-            ops = []
-        if item is not None:
-            calls.append(item)
-    return calls
+    table = np.array([op.slots for op in items], dtype=np.int64)
+    call = partial(lib.cd_run, table.ctypes.data, len(items))
+    call.held = (table, [op.refs for op in items])  # the memory the call reads
+    return [call]
 
 
 def _run(lib, bound, *args, ws: int | None = None, **kwargs) -> None:

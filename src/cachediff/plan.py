@@ -1,8 +1,8 @@
 """Execution plans: a pass's buffers, bound steps and FLOP events, fixed once.
 
 A plan is made by walking a pass once for one key (pass kind, frames in
-the stack, removal flag, restricted-attention index sets).  The walk
-records
+the stack, removal flag, restricted-attention index sets, kept
+probabilities).  The walk records
 
 * buffers, each with the span of steps from its first to its last use;
 * steps: functions that return, for a kernel library (None: the numpy
@@ -11,7 +11,7 @@ records
   ``kernels.bound_*`` functions, for the kernels and for the glue between
   them);
 * Python around the steps: inputs, copied into their buffers before the
-  steps run, results gathered after them, and hook calls between steps;
+  steps run, and results gathered after them;
 * the pass's FLOP events, logged through :meth:`FlopLog.add`, so that the
   tag and arity checks run once per plan.
 
@@ -24,8 +24,7 @@ model; passes run one at a time, so the plans share them.
 
 A pass runs its inputs, its program and its gathers.  The program is
 bound once per library (see :func:`kernels.program`): on the compiled
-library every step between two hook calls is one op record, and a pass
-without hooks is one call into the library.  The pass then extends the
+library it is one call into the library.  The pass then extends the
 caller's log with the recorded events.  It allocates none of its
 buffers, converts no pointer and checks no kernel argument.
 """
@@ -92,10 +91,6 @@ class Plan:
                 b.first = i if b.first is None else b.first
                 b.last = i
         self.steps.append(bind)
-
-    def glue(self, make: Make, *touched: Buf | None) -> None:
-        """A step that runs Python under both backends (a hook call), in its place."""
-        self.step(lambda lib: [make()], *touched)
 
     def input(self, shape: tuple[int, ...], make: Callable[[Buf], Callable[[], None]]) -> Buf:
         """A buffer that ``make(buf)()`` fills before the pass's steps run."""

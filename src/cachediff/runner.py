@@ -9,7 +9,7 @@ entropy sources in a run.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .config import RunConfig
 from .engine import denoise_clip, segment_condition
 from .errors import ConfigError
 from .kernels import active_backend
-from .masks import ForegroundMask, mask_from_spec
+from .masks import mask_from_spec
 from .profiler import (
     FlopLedger,
     cosine_matrix,
@@ -28,7 +28,7 @@ from .profiler import (
 )
 from .rng import Rng
 from .tensor_io import checksum
-from .unet import Conditioning, ToyUNet, UNetConfig, init_weights
+from .unet import Conditioning, ForwardTrace, ToyUNet, UNetConfig, init_weights
 
 
 @dataclass
@@ -69,8 +69,9 @@ def initial_latent(root: Rng, cfg: UNetConfig, clip: int) -> np.ndarray:
     )
 
 
-def execute_run(rc: RunConfig, *, hooks=None, model: ToyUNet | None = None) -> RunResult:
-    """Denoise all clips of a run under the configured strategy."""
+def execute_run(rc: RunConfig, *, on_key_step=None, model: ToyUNet | None = None) -> RunResult:
+    """Denoise all clips of a run under the configured strategy; ``on_key_step`` is
+    :func:`denoise_clip`'s."""
     cfg = rc.unet
     sched = rc.build_schedule()
     plan = rc.build_plan(sched)
@@ -84,7 +85,7 @@ def execute_run(rc: RunConfig, *, hooks=None, model: ToyUNet | None = None) -> R
         z_T = initial_latent(root, cfg, ci)
         z0, rep, led = denoise_clip(
             model, sched, plan, rc.strategy, z_T, cond,
-            clip_id=ci, hooks=hooks,
+            clip_id=ci, on_key_step=on_key_step,
         )
         clip_finals.append(z0)
         clip_reports.append(rep)
@@ -173,57 +174,35 @@ def execute_ablation(rc: RunConfig) -> list[dict]:
 @dataclass
 class StepCapture:
     t: int
-    z_in: np.ndarray | None = None
-    eps: np.ndarray | None = None
-    f_u31: np.ndarray | None = None
-    bg: dict[str, np.ndarray] = field(default_factory=dict)
-    mass: list[dict[str, float]] = field(default_factory=list)
+    z_in: np.ndarray
+    eps: np.ndarray
+    f_u31: np.ndarray
+    bg: dict[str, np.ndarray]
+    mass: list[dict[str, float]]
 
 
 class DiagnosticsTap:
-    """Hook collector for a baseline run.
+    """Key-step collector for a baseline run (the ``on_key_step`` of :func:`execute_run`).
 
     Captures per-step U31 features, input latents, noise predictions,
     background attention rows at the final attention layer, and the
     foreground-query attention mass split over key groups.
     """
 
-    def __init__(self, cfg: UNetConfig, mask: ForegroundMask):
-        self.cfg = cfg
-        self.mask = mask
+    def __init__(self):
         self.steps: list[StepCapture] = []
-        self._frames: dict[str, list[np.ndarray]] = {}
 
-    def begin_step(self, t: int, kind: str) -> None:
-        self.steps.append(StepCapture(t=t))
-        self._frames = {}
-
-    def on_attention(self, layer: str, site: str, frame, probs, a, L: int) -> None:
-        if not layer.startswith("U32."):
-            return
-        cur = self.steps[-1]
-        bg_idx = self.mask.bg_index
-        if site == "temporal":
-            cur.bg["temporal"] = a[bg_idx].copy()
-        else:
-            self._frames.setdefault(site, []).append(a[bg_idx].copy())
-            if len(self._frames[site]) == self.cfg.frames:
-                cur.bg[site] = np.stack(self._frames[site])
-        if site == "reference" and probs is not None and self.mask.num_fg:
-            fg, bg = self.mask.fg_index, bg_idx
-            groups = {
-                "fg_noisy": fg,
-                "bg_noisy": bg,
-                "fg_ref": L + fg,
-                "bg_ref": L + bg,
-            }
-            cur.mass.append(fg_attention_mass(probs[fg], groups))
-
-    def on_step(self, t: int, z_in, eps, f_u31) -> None:
-        cur = self.steps[-1]
-        cur.z_in = z_in.copy()
-        cur.eps = eps.copy()
-        cur.f_u31 = f_u31.copy()
+    def __call__(self, t: int, z_in: np.ndarray, trace: ForwardTrace) -> None:
+        bg = {site: ctx.bg for (layer, site), ctx in trace.dfa.items() if layer == "U32"}
+        mask = trace.dfa[("U32", "reference")].mask
+        mass = []
+        if mask.num_fg:
+            probs = trace.probs["U32"]
+            L = probs.shape[1]
+            fg, bg_idx = mask.fg_index, mask.bg_index
+            groups = {"fg_noisy": fg, "bg_noisy": bg_idx, "fg_ref": L + fg, "bg_ref": L + bg_idx}
+            mass = [fg_attention_mass(frame[fg], groups) for frame in probs]
+        self.steps.append(StepCapture(t, z_in.copy(), trace.eps, trace.f_u31, bg, mass))
 
 
 @dataclass
@@ -238,7 +217,7 @@ class DiagnosticsResult:
 
 
 def execute_diagnostics(rc: RunConfig) -> DiagnosticsResult:
-    """Baseline single-clip run with capture hooks, reduced to series."""
+    """Baseline single-clip run with every key step captured, reduced to series."""
     cfg = rc.unet
     if "U32" not in cfg.attention_layers:
         raise ConfigError("diagnostics require the final attention layer to be enabled")
@@ -248,9 +227,8 @@ def execute_diagnostics(rc: RunConfig) -> DiagnosticsResult:
         strategy=strat,
         run=dataclasses.replace(rc.run, total_frames=cfg.frames),
     )
-    mask = mask_from_spec(rcd.mask, cfg.height, cfg.width)
-    tap = DiagnosticsTap(cfg, mask)
-    execute_run(rcd, hooks=tap)
+    tap = DiagnosticsTap()
+    execute_run(rcd, on_key_step=tap)
     steps = tap.steps
     if len(steps) < 2:
         raise ConfigError("diagnostics need at least two sampled steps")

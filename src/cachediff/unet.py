@@ -15,7 +15,8 @@ the network exactly from that feature plus a fresh latent.
 Given one foreground mask per attention layer, the full pass also returns
 the background rows of every attention site's output as the
 :class:`attention.DfaContext` the truncated pass reads
-(:attr:`ForwardTrace.dfa`).
+(:attr:`ForwardTrace.dfa`), and on request each layer's reference-site
+attention probabilities (:attr:`ForwardTrace.probs`).
 """
 
 from __future__ import annotations
@@ -120,11 +121,13 @@ DfaCache = dict[tuple[str, str], attn.DfaContext]
 
 @dataclass
 class ForwardTrace:
-    """Outputs of a full forward pass; ``dfa`` only when background masks were given."""
+    """Outputs of a full forward pass; ``dfa`` only when background masks were given,
+    ``probs`` only when probabilities were kept."""
 
     eps: np.ndarray
     f_u31: np.ndarray
     dfa: DfaCache | None = None
+    probs: dict[str, np.ndarray] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +243,10 @@ def _periods(dim: int) -> np.ndarray:
 
 
 class _PassIO:
-    """Inputs of the pass in flight, read by its plan's input steps, and the rows it keeps."""
+    """Inputs of the pass in flight, read by its plan's input steps, and the rows and
+    probabilities it keeps."""
 
-    __slots__ = ("z", "ts", "cond", "f_u31", "dfa", "masks", "hooks", "rows")
+    __slots__ = ("z", "ts", "cond", "f_u31", "dfa", "masks", "rows", "probs")
 
     def __init__(self):
         self.clear()
@@ -257,12 +261,9 @@ class ToyUNet:
 
     Every pass runs an execution plan (:mod:`cachediff.plan`), built on the
     first pass of its key and kept by the model: fixed buffers, steps bound
-    once (one call into the compiled library for a pass without hooks) and
-    the pass's FLOP events.  The plans share one arena, so a
-    model runs one pass at a time; a lock makes concurrent callers wait
-    (so a hook must not start a pass of the same model).  Returned arrays
-    are the caller's own.  ``hooks`` receive views of the plan's buffers,
-    valid only during the call: a hook copies what it keeps.
+    once (one call into the compiled library) and the pass's FLOP events.
+    The plans share one arena, so a model runs one pass at a time; a lock
+    makes concurrent callers wait.  Returned arrays are the caller's own.
     """
 
     def __init__(self, cfg: UNetConfig, weights: dict[str, np.ndarray]):
@@ -307,7 +308,7 @@ class ToyUNet:
         *,
         log: FlopLog | None = None,
         bg_masks: dict[str, ForegroundMask] | None = None,
-        hooks=None,
+        keep_probs: bool = False,
         removal_active: bool = False,
     ) -> ForwardTrace:
         """Full noise prediction of one sample; returns eps and the cacheable U31 feature.
@@ -315,7 +316,9 @@ class ToyUNet:
         Given ``bg_masks``, one mask per attention layer at that layer's
         resolution, the trace's ``dfa`` holds for every (layer, site) the
         mask and the background rows of the site's full-path output: the
-        ``dfa`` argument of :meth:`subnet`.
+        ``dfa`` argument of :meth:`subnet`.  With ``keep_probs``, the
+        trace's ``probs`` holds each attention layer's reference-site
+        probabilities, shaped (frames, L, keys).
         """
         cfg = self.cfg
         self._check_latent(z)
@@ -326,14 +329,15 @@ class ToyUNet:
             layer: None if bg_masks is None else bg_masks.get(layer)
             for layer in cfg.attention_layers
         }
-        key = ("forward", bool(removal_active), hooks is not None,
+        key = ("forward", bool(removal_active), bool(keep_probs),
                tuple(None if m is None else (m.shape, m.fg_index.tobytes()) for m in masks.values()))
         with self._lock:
             io = self._io
-            io.z, io.ts, io.cond, io.masks, io.hooks, io.rows = z, (int(t),), cond, masks, hooks, {}
+            io.z, io.ts, io.cond, io.masks = z, (int(t),), cond, masks
+            io.rows, io.probs = {}, {}
             try:
                 plan = self._plans.get(
-                    key, lambda: self._plan_forward(bool(removal_active), masks, hooks is not None)
+                    key, lambda: self._plan_forward(bool(removal_active), masks, bool(keep_probs))
                 )
                 plan.run(active_library(), log)
                 eps, f_u31 = plan.outputs
@@ -344,6 +348,7 @@ class ToyUNet:
                     eps=eps.a.transpose(1, 0, 2, 3).copy()[None],
                     f_u31=f_u31.a.copy()[None],
                     dfa=None if bg_masks is None else io.rows,
+                    probs=io.probs if keep_probs else None,
                 )
             finally:
                 io.clear()
@@ -408,19 +413,18 @@ class ToyUNet:
 
     # -- plans: each walk mirrors the pass, step by step and event by event
 
-    def _plan_forward(self, removal: bool, masks: dict, hooked: bool) -> Plan:
+    def _plan_forward(self, removal: bool, masks: dict, keep_probs: bool) -> Plan:
         cfg, io = self.cfg, self._io
         p = Plan()
         z = _plan_input(p, (cfg.frames, cfg.latent_channels, cfg.height, cfg.width),
                         lambda: io.z[0].transpose(1, 0, 2, 3))
         tp = self._plan_time(p, 1)
-        hooks = (lambda: io.hooks) if hooked else None
 
         def res(x: Buf, prefix: str) -> Buf:
             return self._plan_res(p, x, tp, 1, prefix)
 
         def attend(x: Buf, layer: str) -> Buf:
-            return self._plan_attn(p, x, layer, removal, None, hooks, masks[layer])
+            return self._plan_attn(p, x, layer, removal, None, masks[layer], keep_probs)
 
         x = s_in = p.conv(z, self.convs["conv_in"], "conv_in")
         skips = []
@@ -442,7 +446,8 @@ class ToyUNet:
             x = p.conv(_plan_upsample(p, x), self.convs[f"up{i}"], f"up{i}")
         x = res(_plan_concat(p, x, skips[0]), "U30.res")
         f_u31 = res(x, "U31.res")
-        eps = self._plan_u32_head(p, f_u31, s_in, tp, 1, removal, None, hooks, masks.get("U32"))
+        eps = self._plan_u32_head(p, f_u31, s_in, tp, 1, removal, None, masks.get("U32"),
+                                  keep_probs)
         return p.finish(eps, f_u31)
 
     def _plan_subnet(self, b: int, feats: int, removal: bool, dfa: DfaCache | None) -> Plan:
@@ -455,7 +460,7 @@ class ToyUNet:
         s_in = p.conv(z, self.convs["conv_in"], "conv_in")
         feat = (feats * f, cfg.base_channels[0], h, w)
         f_in = _plan_input(p, feat, lambda: io.f_u31.reshape(feat))
-        eps = self._plan_u32_head(p, f_in, s_in, tp, b, removal, dfa, None, None)
+        eps = self._plan_u32_head(p, f_in, s_in, tp, b, removal, dfa, None, False)
         return p.finish(eps)
 
     def _plan_time(self, p: Plan, samples: int) -> Buf:
@@ -505,14 +510,15 @@ class ToyUNet:
 
     def _plan_attn(
         self, p: Plan, x: Buf, layer: str, removal_active: bool, dfa: DfaCache | None,
-        hooks, keep_mask: ForegroundMask | None,
+        keep_mask: ForegroundMask | None, keep_probs: bool,
     ) -> Buf:
         """Reference, audio and temporal sites on a stack of samples' frames.
 
         Each site runs once for the whole stack; temporal attention stays
-        inside each sample's frames.  With ``keep_mask``, on the full path of
-        a one-sample stack, each site's background rows are gathered into
-        the pass's ``dfa`` as the restricted path reads them.
+        inside each sample's frames.  On the full path of a one-sample
+        stack, with ``keep_mask`` each site's background rows are gathered
+        into the pass's ``dfa`` as the restricted path reads them, and with
+        ``keep_probs`` the reference site's probabilities into its ``probs``.
         """
         cfg, io = self.cfg, self._io
         n, c, h, w = x.shape
@@ -523,7 +529,7 @@ class ToyUNet:
 
         def site(name: str) -> dict:
             ctx = None if dfa is None else dfa.get((layer, name))
-            return {"ctx": ctx, "bg": lambda: io.dfa[(layer, name)].bg, "hooks": hooks}
+            return {"ctx": ctx, "bg": lambda: io.dfa[(layer, name)].bg}
 
         def tokens(src: Buf, name: str) -> Buf:
             tok = p.buf((k, f, L, c))
@@ -573,10 +579,16 @@ class ToyUNet:
         name = f"{layer}.ref"
         tok = tokens(x, name)
         ref = _plan_input(p, (L, c), lambda: io.cond.ref[layer])
-        delta, a = attn.plan_reference_site(
-            p, tok, p.norm(ref, name, copies=k), self.w, name, removal=removal, **site("reference")
+        delta, a, probs = attn.plan_reference_site(
+            p, tok, p.norm(ref, name, copies=k), self.w, name, removal=removal,
+            keep_probs=keep_probs, **site("reference")
         )
         keep("reference", a, (k, f, L))
+        if probs is not None:
+            def keep_probs_of_layer():
+                io.probs[layer] = probs.a.copy()
+
+            p.gather(lambda: keep_probs_of_layer, probs)
         x1 = add_half(x, delta, name, (n, h, w), (0, 3, 1, 2))
 
         name = f"{layer}.aud"
@@ -595,7 +607,7 @@ class ToyUNet:
 
     def _plan_u32_head(
         self, p: Plan, f_u31: Buf, s_in: Buf, tproj: Buf, samples: int, removal: bool,
-        dfa: DfaCache | None, hooks, keep_mask: ForegroundMask | None,
+        dfa: DfaCache | None, keep_mask: ForegroundMask | None, keep_probs: bool,
     ) -> Buf:
         """Noise prediction from the U31 feature and conv_in branch."""
         # Each fusion branch is normalized on its own: the cached feature
@@ -616,7 +628,7 @@ class ToyUNet:
         p.copy(half(1), lambda: sn.a.reshape(copies, feats, c, h * w), sn, fused)
         x = self._plan_res(p, fused, tproj, samples, "U32.res")
         if "U32" in self.cfg.attention_layers:
-            x = self._plan_attn(p, x, "U32", removal, dfa, hooks, keep_mask)
+            x = self._plan_attn(p, x, "U32", removal, dfa, keep_mask, keep_probs)
         return self._plan_preact(p, x, "head", "head")
 
 
@@ -640,7 +652,7 @@ def _plan_concat(p: Plan, a: Buf, b: Buf) -> Buf:
 
 
 def _plan_upsample(p: Plan, x: Buf) -> Buf:
-    """Nearest-neighbour 2x upsampling of the last two axes, as upsample_nearest."""
+    """Nearest-neighbour 2x upsampling of the last two axes."""
     n, c, h, w = x.shape
     out = p.buf((n, c, 2 * h, 2 * w))
     p.copy(lambda: out.a.reshape(n, c, h, 2, w, 2), lambda: x.a[:, :, :, None, :, None], x, out)

@@ -6,11 +6,13 @@ import pytest
 from cachediff import attention as attn
 from cachediff import kernels
 from cachediff.errors import CacheMissError, InvariantError
-from cachediff.kernels import matmul, scaled_dot_attention
+from cachediff.kernels import matmul
 from cachediff.masks import ForegroundMask, mask_from_spec, rect_mask
 from cachediff.plan import Plan, PlanCache
 from cachediff.profiler import FlopLog, rel_l2
 from cachediff.rng import Rng
+
+from oracles import scaled_dot_attention
 
 H, W, C, D = 4, 4, 6, 4
 L = H * W
@@ -360,20 +362,11 @@ def test_stacked_temporal_site_matches_per_sample_calls(mask_name):
 
 
 # The planned sites (the steps a ToyUNet plan runs) against the functions
-# above, which are their reference: same bytes, same FLOP events, same hook
-# calls, on (samples, frames) stacks, full and restricted.
+# above, which are their reference: same bytes, same FLOP events, on
+# (samples, frames) stacks, full and restricted.
 
 
-class RecordingHooks:
-    def __init__(self):
-        self.calls = []
-
-    def on_attention(self, layer, site, frame, probs, a, L):
-        self.calls.append((layer, site, frame, None if probs is None else probs.tobytes(),
-                           a.tobytes(), L))
-
-
-def run_planned(build, inputs, outputs=2):
+def run_planned(build, inputs):
     """Build a plan whose input steps copy ``inputs``, run it once; returns arrays and log."""
     p = Plan()
     bufs = []
@@ -396,10 +389,12 @@ PLANNED_SITES = ["reference", "reference_removal", "audio", "temporal"]
 @pytest.mark.parametrize("mask_name", list(STACK_MASKS))
 @pytest.mark.parametrize("site", PLANNED_SITES)
 def test_planned_sites_match_the_site_functions(site, mask_name, samples, backend):
-    """Each plan_* site gives the bytes, FLOP events and hook calls of its site function.
+    """Each plan_* site gives the bytes and FLOP events of its site function.
 
     The restricted path reads one (frames, ...) cache broadcast over the
-    samples, as a stacked non-key phase does; the full path runs with hooks.
+    samples, as a stacked non-key phase does.  The full reference site also
+    keeps its probabilities: those of ``attention_batch`` on the site's own
+    q, k and v.
     """
     if backend == "compiled" and kernels.compiled_error() is not None:
         pytest.skip(f"compiled backend unavailable: {kernels.compiled_error()}")
@@ -414,22 +409,22 @@ def test_planned_sites_match_the_site_functions(site, mask_name, samples, backen
     audio = Rng(52).normal((f, 3, 5))
     stacked_audio = np.ascontiguousarray(np.broadcast_to(audio, (samples,) + audio.shape))
 
-    def eager(tokens, dfa, hooks, log):
+    def eager(tokens, dfa, log):
         if temporal:
-            return attn.temporal_site(tokens, weights, prefix, dfa=dfa, log=log, hooks=hooks)
+            return attn.temporal_site(tokens, weights, prefix, dfa=dfa, log=log)
         if prefix == "T.ref":
             return attn.reference_site(tokens, ref, weights, prefix, removal=removal, dfa=dfa,
-                                       log=log, hooks=hooks)
-        return attn.audio_site(tokens, audio, weights, prefix, dfa=dfa, log=log, hooks=hooks)
+                                       log=log)
+        return attn.audio_site(tokens, audio, weights, prefix, dfa=dfa, log=log)
 
-    def planned(ctx, hooks, bg=None):
+    def planned(ctx, bg=None):
         def build(p, tokens, *cond):
-            kw = {"ctx": ctx, "bg": lambda: bg, "hooks": None if hooks is None else lambda: hooks}
+            kw = {"ctx": ctx, "bg": lambda: bg}
             if temporal:
                 return attn.plan_temporal_site(p, tokens, weights, prefix, **kw)
             if prefix == "T.ref":
                 return attn.plan_reference_site(p, tokens, cond[0], weights, prefix,
-                                                removal=removal, **kw)
+                                                removal=removal, keep_probs=True, **kw)
             return attn.plan_audio_site(p, tokens, cond[0], weights, prefix, **kw)
 
         cond = [] if temporal else [ref if prefix == "T.ref" else stacked_audio]
@@ -438,24 +433,32 @@ def test_planned_sites_match_the_site_functions(site, mask_name, samples, backen
     before = kernels.active_backend()
     try:
         kernels.set_backend(backend)
-        ctx = dfa = None
-        want_hooks = got_hooks = None
-        if mask is None:
-            want_hooks, got_hooks = RecordingHooks(), RecordingHooks()
-        else:
-            a_full = eager(x[0], None, None, None)[1]
+        ctx = dfa = want_probs = None
+        if mask is not None:
+            a_full = eager(x[0], None, None)[1]
             bg = attn.select_tokens(a_full, mask.bg_index, axis=0 if temporal else 1)
             ctx = dfa = attn.DfaContext(mask, bg)
+        elif prefix == "T.ref":
+            tokens = x.reshape(samples * f, L, C)
+            kv = tokens if removal else np.concatenate(
+                [tokens, np.broadcast_to(ref, tokens.shape)], axis=1)
+            q, k, v = (matmul(t.reshape(-1, C), weights[f"{prefix}.{n}"]).reshape(len(t), -1, D)
+                       for t, n in ((tokens, "wq"), (kv, "wk"), (kv, "wv")))
+            want_probs = kernels.attention_batch(q, k, v, keep_probs=True)[1]
         want_log = FlopLog()
-        want_delta, want_a = eager(x, dfa, want_hooks, want_log)
-        (delta, a), log = planned(ctx, got_hooks, None if dfa is None else dfa.bg)
+        want_delta, want_a = eager(x, dfa, want_log)
+        results, log = planned(ctx, None if dfa is None else dfa.bg)
     finally:
         kernels.set_backend(before)
+    delta, a = results[:2]
     assert delta.tobytes() == want_delta.tobytes()
     assert (a is None) == (want_a is None)
     if a is not None:
         assert a.tobytes() == want_a.tobytes()
     assert log.events == want_log.events
-    if want_hooks is not None:
-        assert got_hooks.calls == want_hooks.calls
-        assert len(got_hooks.calls) == (samples if temporal else samples * f)
+    if prefix == "T.ref":
+        probs = results[2]
+        assert (probs is None) == (want_probs is None)
+        if probs is not None:
+            assert probs.shape == (samples * f, L, L if removal else 2 * L)
+            assert probs.tobytes() == want_probs.tobytes()

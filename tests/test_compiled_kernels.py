@@ -4,10 +4,9 @@ Every test runs the kernels through their bound calls (``kernels.bound_*``),
 the one path by which plans and the public functions call them: op records
 run by the library's ``cd_run``.  The library's exp is numpy's own loop,
 tested against ``np.exp`` directly; the glue ops between kernels must give
-the bytes of their numpy calls; and an unhooked pass must be one library
-call.  Inputs
-mix ordinary values with signed zeros, subnormals, infinities and NaNs,
-and shapes include empty and unit dimensions.  Outputs must be the
+the bytes of their numpy calls; and every pass must be one library call.
+Inputs mix ordinary values with signed zeros, subnormals, infinities and
+NaNs, and shapes include empty and unit dimensions.  Outputs must be the
 same bytes; when an input holds a NaN, only the NaN positions must agree,
 because which NaN's bits survive the sum of two NaNs is not fixed (numpy
 itself picks differently for different array lengths).  Attention applies
@@ -31,6 +30,7 @@ from hypothesis.extra.numpy import arrays
 from cachediff import engine, kernels, native
 from cachediff.config import RunConfig
 from cachediff.errors import ConfigError
+from cachediff.plan import Plan
 from cachediff.rng import Rng
 from cachediff.runner import build_conditioning
 from cachediff.unet import ToyUNet, UNetConfig, init_weights
@@ -402,40 +402,49 @@ IN_PLACE = {"delta", "h"}
 def test_default_forward_pass_kernel_calls_match_reference(monkeypatch):
     """Every bound step of a planned default-size forward pass gives the reference bytes.
 
-    Each step's op records run on the plan's buffers, one ``cd_run`` call
-    per step, while their inputs are recorded; each is then replayed under
-    the numpy backend on copies.
+    The pass walks its plan's steps here: each step's op records run on the
+    plan's buffers, one ``cd_run`` call per step, while their inputs are
+    recorded; each is then replayed under the numpy backend on copies.
     """
     cfg = UNetConfig()
     model = ToyUNet(cfg, init_weights(cfg, 0)[0])
     cond = build_conditioning(RunConfig())[0][0]
     z = Rng(0).child(2).normal((1, cfg.latent_channels, cfg.frames, cfg.height, cfg.width))
-    steps = []
+    steps, bound_now = [], []
 
     def recording(name, bound):
         sig = inspect.signature(bound)
 
         def wrapped(lib, *args, **kwargs):
             records = bound(lib, *args, **kwargs)
-            arguments = sig.bind(lib, *args, **kwargs).arguments
             assert all(isinstance(r, kernels.Op) for r in records)
-
-            def run():
-                inputs = {k: v.copy() if isinstance(v, np.ndarray) else v
-                          for k, v in arguments.items()}
-                for call in kernels.program(lib, records):
-                    call()
-                written = {k: arguments[k].tobytes() for k in BOUND_OUTPUTS[name]
-                           if arguments.get(k) is not None}
-                steps.append((name, inputs, written))
-
-            return [run]
+            bound_now.append((name, sig.bind(lib, *args, **kwargs).arguments))
+            return records
 
         return wrapped
+
+    def walk(plan, lib, log):
+        """Plan.run, with each step bound, recorded and run on its own."""
+        for make in plan.inputs:
+            make()()
+        for bind in plan.steps:
+            bound_now.clear()
+            records = bind(lib)
+            [(name, arguments)] = bound_now
+            inputs = {k: v.copy() if isinstance(v, np.ndarray) else v
+                      for k, v in arguments.items()}
+            [call] = kernels.program(lib, records)
+            call()
+            written = {k: arguments[k].tobytes() for k in BOUND_OUTPUTS[name]
+                       if arguments.get(k) is not None}
+            steps.append((name, inputs, written))
+        for make in plan.gathers:
+            make()()
 
     originals = {name: getattr(kernels, name) for name in BOUND_OUTPUTS}
     for name, bound in originals.items():
         monkeypatch.setattr(kernels, name, recording(name, bound))
+    monkeypatch.setattr(Plan, "run", walk)
     before = kernels.active_backend()
     try:
         kernels.set_backend("compiled")
@@ -766,9 +775,9 @@ class CountingLibrary:
 
 
 def test_an_unhooked_pass_is_one_library_call(monkeypatch):
-    """forward, with and without background masks, and a stacked subnet each make
-    exactly one call into the library; a hooked forward also returns to Python
-    for its hook calls."""
+    """forward, with and without background masks, the diagnose forward (background
+    masks and kept probabilities), and a stacked subnet each make exactly one call
+    into the library."""
     counting = CountingLibrary(kernels._compiled())
     monkeypatch.setattr(kernels, "_lib", counting)
     monkeypatch.setattr(kernels, "_active", "compiled")
@@ -791,14 +800,4 @@ def test_an_unhooked_pass_is_one_library_call(monkeypatch):
         assert calls(lambda: model.subnet(tr.f_u31, zs, [480, 460], cond, dfa=tr.dfa,
                                           removal_active=True)) == 1
         assert calls(lambda: model.subnet(tr.f_u31, z, 480, cond)) == 1
-
-    class Hooks:
-        seen = 0
-
-        def on_attention(self, *args):
-            self.seen += 1
-
-    hooks = Hooks()
-    assert calls(lambda: model.forward(z, 500, cond, hooks=hooks)) > 1
-    # per attention layer: a call per frame of the two spatial sites, one for the temporal
-    assert hooks.seen == len(cfg.attention_layers) * (2 * cfg.frames + 1)
+        assert calls(lambda: model.forward(z, 500, cond, bg_masks=masks, keep_probs=True)) == 1

@@ -12,6 +12,8 @@ from cachediff import kernels, native
 from cachediff.errors import ConfigError
 from cachediff.rng import Rng
 
+import oracles
+
 
 def naive_matmul(a, b):
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.float32)
@@ -131,8 +133,8 @@ def test_backends_agree_bitwise():
         kernels.set_backend("numpy")
         mm_np = kernels.matmul(a, b)
         mb_np = kernels.matmul_batch(ab, bb)
-        cv_np = kernels.conv2d(x, w, bias)
-        cv2_np = kernels.conv2d(x, w, bias, stride=2)
+        cv_np = oracles.conv2d(x, w, bias)
+        cv2_np = oracles.conv2d(x, w, bias, stride=2)
         at_np, pr_np = kernels.attention_batch(*qkv, keep_probs=True)
         rn_np = kernels.rms_norm(tokens, -1)
         pc_np = preact(x)
@@ -140,8 +142,8 @@ def test_backends_agree_bitwise():
         assert kernels.active_backend() == "compiled"
         assert kernels.matmul(a, b).tobytes() == mm_np.tobytes()
         assert kernels.matmul_batch(ab, bb).tobytes() == mb_np.tobytes()
-        assert kernels.conv2d(x, w, bias).tobytes() == cv_np.tobytes()
-        assert kernels.conv2d(x, w, bias, stride=2).tobytes() == cv2_np.tobytes()
+        assert oracles.conv2d(x, w, bias).tobytes() == cv_np.tobytes()
+        assert oracles.conv2d(x, w, bias, stride=2).tobytes() == cv2_np.tobytes()
         at_c, pr_c = kernels.attention_batch(*qkv, keep_probs=True)
         assert at_c.tobytes() == at_np.tobytes() and pr_c.tobytes() == pr_np.tobytes()
         assert kernels.rms_norm(tokens, -1).tobytes() == rn_np.tobytes()
@@ -179,14 +181,14 @@ def test_conv2d_identity_kernel():
     w[0, 0, 1, 1] = 1.0
     w[1, 1, 1, 1] = 1.0
     bias = np.zeros(2, dtype=np.float32)
-    assert np.array_equal(kernels.conv2d(x, w, bias), x)
+    assert np.array_equal(oracles.conv2d(x, w, bias), x)
 
 
 def test_conv2d_padded_window_counts():
     x = np.ones((1, 3, 3), dtype=np.float32)
     w = np.ones((1, 1, 3, 3), dtype=np.float32)
     bias = np.zeros(1, dtype=np.float32)
-    out = kernels.conv2d(x, w, bias)
+    out = oracles.conv2d(x, w, bias)
     assert out[0, 1, 1] == 9.0
     assert out[0, 0, 0] == 4.0
     assert out[0, 0, 1] == 6.0
@@ -197,7 +199,7 @@ def test_conv2d_matches_naive_loop_bitwise():
     x = rng.normal((3, 6, 5))
     w = rng.normal((4, 3, 3, 3))
     bias = rng.normal((4,))
-    assert np.array_equal(kernels.conv2d(x, w, bias), naive_conv2d(x, w, bias))
+    assert np.array_equal(oracles.conv2d(x, w, bias), naive_conv2d(x, w, bias))
 
 
 def test_conv2d_stride_two_matches_naive_loop():
@@ -205,7 +207,7 @@ def test_conv2d_stride_two_matches_naive_loop():
     x = rng.normal((2, 6, 6))
     w = rng.normal((3, 2, 3, 3))
     bias = rng.normal((3,))
-    got = kernels.conv2d(x, w, bias, stride=2)
+    got = oracles.conv2d(x, w, bias, stride=2)
     assert got.shape == (3, 3, 3)
     assert np.array_equal(got, naive_conv2d(x, w, bias, stride=2))
 
@@ -215,13 +217,13 @@ def test_conv2d_rejects_bad_inputs():
     w = np.zeros((3, 2, 3, 3), dtype=np.float32)
     bias = np.zeros(3, dtype=np.float32)
     with pytest.raises(ValueError):
-        kernels.conv2d(x, np.zeros((3, 2, 5, 5), dtype=np.float32), bias)
+        oracles.conv2d(x, np.zeros((3, 2, 5, 5), dtype=np.float32), bias)
     with pytest.raises(ValueError):
-        kernels.conv2d(x, np.zeros((3, 9, 3, 3), dtype=np.float32), bias)
+        oracles.conv2d(x, np.zeros((3, 9, 3, 3), dtype=np.float32), bias)
     with pytest.raises(ValueError):
-        kernels.conv2d(x, w, np.zeros(5, dtype=np.float32))
+        oracles.conv2d(x, w, np.zeros(5, dtype=np.float32))
     with pytest.raises(ValueError):
-        kernels.conv2d(x, w, bias, stride=3)
+        oracles.conv2d(x, w, bias, stride=3)
 
 
 def test_conv2d_frames_matches_per_frame():
@@ -231,7 +233,7 @@ def test_conv2d_frames_matches_per_frame():
     bias = rng.normal((5,))
     got = kernels.conv2d_frames(x, kernels.PackedConv(w, bias))
     for f in range(3):
-        assert np.array_equal(got[f], kernels.conv2d(x[f], w, bias))
+        assert np.array_equal(got[f], oracles.conv2d(x[f], w, bias))
 
 
 def test_sigmoid_values_and_clamp():
@@ -306,22 +308,22 @@ def test_rms_norm_and_packed_conv_reject_bad_inputs():
 
 def test_upsample_nearest_replicates_blocks():
     x = np.array([[[7.0]]], dtype=np.float32)
-    assert np.array_equal(kernels.upsample_nearest(x), np.full((1, 2, 2), 7.0, np.float32))
+    assert np.array_equal(oracles.upsample_nearest(x), np.full((1, 2, 2), 7.0, np.float32))
     y = Rng(10).normal((2, 3, 3))
-    up = kernels.upsample_nearest(y)
+    up = oracles.upsample_nearest(y)
     assert up.shape == (2, 6, 6)
     for yy in range(6):
         for xx in range(6):
             assert np.array_equal(up[:, yy, xx], y[:, yy // 2, xx // 2])
     assert np.array_equal(up[:, ::2, ::2], y)
     stack = Rng(11).normal((3, 2, 3, 3))
-    want = np.stack([kernels.upsample_nearest(s) for s in stack])
-    assert kernels.upsample_nearest(stack).tobytes() == want.tobytes()
-    assert np.array_equal(kernels.upsample_nearest(y[0]), up[0])
+    want = np.stack([oracles.upsample_nearest(s) for s in stack])
+    assert oracles.upsample_nearest(stack).tobytes() == want.tobytes()
+    assert np.array_equal(oracles.upsample_nearest(y[0]), up[0])
     with pytest.raises(ValueError):
-        kernels.upsample_nearest(np.zeros(3, np.float32))
+        oracles.upsample_nearest(np.zeros(3, np.float32))
     with pytest.raises(ValueError):
-        kernels.upsample_nearest(y.astype(np.float64))
+        oracles.upsample_nearest(y.astype(np.float64))
 
 
 def test_softmax_rows_closed_forms():
@@ -352,14 +354,14 @@ def test_attention_single_key_returns_value_row():
     q = rng.normal((5, 4))
     k = rng.normal((1, 4))
     v = rng.normal((1, 4))
-    out = kernels.scaled_dot_attention(q, k, v)
+    out = oracles.scaled_dot_attention(q, k, v)
     for i in range(5):
         assert np.array_equal(out[i], v[0])
 
 
 def test_attention_identity_closed_form():
     eye = np.eye(2, dtype=np.float32)
-    out = kernels.scaled_dot_attention(eye, eye, eye)
+    out = oracles.scaled_dot_attention(eye, eye, eye)
     w_hi = math.exp(1.0 / math.sqrt(2.0))
     hi = w_hi / (w_hi + 1.0)
     assert np.allclose(out, [[hi, 1.0 - hi], [1.0 - hi, hi]], atol=1e-6)
@@ -370,14 +372,14 @@ def test_attention_matches_float64_oracle():
     q = rng.normal((6, 4))
     k = rng.normal((9, 4))
     v = rng.normal((9, 4))
-    got = kernels.scaled_dot_attention(q, k, v)
+    got = oracles.scaled_dot_attention(q, k, v)
     want = attention_oracle(q, k, v)
     assert np.allclose(got, want, atol=1e-6)
 
 
 def test_attention_probs_rows_sum_to_one():
     rng = Rng(14)
-    probs = kernels.attention_probs(rng.normal((4, 3)), rng.normal((6, 3)))
+    probs = oracles.attention_probs(rng.normal((4, 3)), rng.normal((6, 3)))
     assert probs.shape == (4, 6)
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
@@ -385,9 +387,9 @@ def test_attention_probs_rows_sum_to_one():
 def test_attention_rejects_mismatched_shapes():
     q = np.zeros((2, 3), dtype=np.float32)
     with pytest.raises(ValueError):
-        kernels.attention_probs(q, np.zeros((4, 5), dtype=np.float32))
+        oracles.attention_probs(q, np.zeros((4, 5), dtype=np.float32))
     with pytest.raises(ValueError):
-        kernels.scaled_dot_attention(q, np.zeros((4, 3), dtype=np.float32),
+        oracles.scaled_dot_attention(q, np.zeros((4, 3), dtype=np.float32),
                                      np.zeros((5, 3), dtype=np.float32))
 
 
@@ -399,8 +401,8 @@ def test_attention_batch_matches_per_slice():
     got, probs = kernels.attention_batch(q, k, v, keep_probs=True)
     assert kernels.attention_batch(q, k, v)[1] is None
     for i in range(4):
-        assert got[i].tobytes() == kernels.scaled_dot_attention(q[i], k[i], v[i]).tobytes()
-        assert probs[i].tobytes() == kernels.attention_probs(q[i], k[i]).tobytes()
+        assert got[i].tobytes() == oracles.scaled_dot_attention(q[i], k[i], v[i]).tobytes()
+        assert probs[i].tobytes() == oracles.attention_probs(q[i], k[i]).tobytes()
 
 
 def test_attention_batch_rejects_mismatch():

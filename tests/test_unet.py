@@ -8,7 +8,7 @@ import pytest
 from cachediff import engine, kernels
 from cachediff import unet as un
 from cachediff.errors import ConfigError
-from cachediff.masks import ellipse_mask, rect_mask
+from cachediff.masks import ForegroundMask, ellipse_mask, rect_mask
 from cachediff.profiler import FlopLog
 from cachediff.tensor_io import tensor_bytes
 
@@ -218,17 +218,11 @@ def _flop_totals(log):
     return out
 
 
-class _AttentionRecorder:
-    """Hooks that keep every full-path attention output, per (layer, site), in call order."""
-
-    def __init__(self):
-        self.outputs: dict = {}
-
-    def on_attention(self, prefix, site, frame, probs, a, L):
-        self.outputs.setdefault((prefix.split(".")[0], site), []).append(a.copy())
-
-
 def test_forward_background_rows_match_full_path_outputs():
+    """The background rows at a partial mask are the full-path output's rows: those kept
+    at an all-background mask, taken at the mask's background index.  Keeping the
+    reference-site probabilities changes no byte of the pass's results, and each layer
+    keeps (frames, L, keys) of them, with the reference keys only without removal."""
     cfg = un.UNetConfig(
         latent_channels=2, base_channels=(4, 5, 6, 7), height=16, width=16, frames=2,
         audio_tokens=3, audio_dim=4, head_dim=4, time_dim=8,
@@ -238,28 +232,34 @@ def test_forward_background_rows_match_full_path_outputs():
     z = latent_for(cfg)
     masks = engine._layer_masks(cfg, cond.mask)
     assert all(0 < m.num_fg < m.grid.size for m in masks.values())
-    hooks = _AttentionRecorder()
-    tr = model.forward(z, 23, cond, bg_masks=masks, hooks=hooks)
+    no_fg = engine._layer_masks(cfg, ForegroundMask(np.zeros((16, 16), np.uint8)))
+    tr = model.forward(z, 23, cond, bg_masks=masks)
+    kept = model.forward(z, 23, cond, bg_masks=masks, keep_probs=True)
+    full = model.forward(z, 23, cond, bg_masks=no_fg)
     plain = model.forward(z, 23, cond)
-    assert plain.dfa is None
-    assert tr.eps.tobytes() == plain.eps.tobytes()
-    assert tr.f_u31.tobytes() == plain.f_u31.tobytes()
-    assert set(tr.dfa) == set(hooks.outputs) == {
+    assert plain.dfa is None and plain.probs is None and tr.probs is None
+    for other in (tr, kept, full):
+        assert other.eps.tobytes() == plain.eps.tobytes()
+        assert other.f_u31.tobytes() == plain.f_u31.tobytes()
+    assert set(tr.dfa) == set(kept.dfa) == set(full.dfa) == {
         (layer, site) for layer in cfg.attention_layers
         for site in ("reference", "audio", "temporal")
     }
     for (layer, site), ctx in tr.dfa.items():
-        bg = masks[layer].bg_index
-        seen = hooks.outputs[(layer, site)]
-        if site == "temporal":
-            assert len(seen) == 1
-            want = seen[0][bg]
-        else:
-            assert len(seen) == cfg.frames
-            want = np.stack([a[bg] for a in seen])
+        rows = full.dfa[(layer, site)].bg
+        want = np.take(rows, masks[layer].bg_index, axis=0 if site == "temporal" else 1)
         assert ctx.mask is masks[layer]
         assert ctx.bg.shape == want.shape and ctx.bg.dtype == np.float32
         assert ctx.bg.tobytes() == want.tobytes()
+        assert kept.dfa[(layer, site)].bg.tobytes() == ctx.bg.tobytes()
+    removed = model.forward(z, 23, cond, keep_probs=True, removal_active=True).probs
+    assert set(kept.probs) == set(removed) == set(cfg.attention_layers)
+    for layer, (_, h, w) in cfg.attn_info().items():
+        L = h * w
+        assert kept.probs[layer].shape == (cfg.frames, L, 2 * L)
+        keys = L if layer in cfg.removal_set else 2 * L
+        assert removed[layer].shape == (cfg.frames, L, keys)
+        assert kept.probs[layer].dtype == removed[layer].dtype == np.float32
     with pytest.raises(ConfigError):
         model.forward(np.concatenate([z, z]), 23, cond, bg_masks=masks)
 
