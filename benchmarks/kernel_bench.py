@@ -26,12 +26,13 @@ from pathlib import Path
 
 import numpy as np
 
-from cachediff import kernels
-from cachediff.config import RunConfig
-from cachediff.rng import Rng
-from cachediff.runner import build_conditioning, build_model, initial_latent
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]  # this checkout's package and oracles
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from cachediff import kernels  # noqa: E402
+from cachediff.config import RunConfig  # noqa: E402
+from cachediff.rng import Rng  # noqa: E402
+from cachediff.runner import build_conditioning, build_model, initial_latent  # noqa: E402
 from oracles import scaled_dot_attention  # noqa: E402  (a test oracle, timed as a kernel)
 
 

@@ -8,8 +8,8 @@ Each attention layer carries three sites, applied in order:
 * ``temporal`` - per-location attention across the frame axis.
 
 Every site takes a stack of frames and runs each projection as one matmul
-and the attention of all frames as one :func:`attention_batch` call.
-Rows never mix, so a stack gives the bytes of one call per frame.  Spatial
+and the attention of all frames as one batched attention step.  Rows
+never mix, so a stack gives the bytes of one call per frame.  Spatial
 sites take tokens of shape (..., L, c), where a 2-d input is one frame;
 the temporal site takes (..., L, f, c).
 
@@ -21,22 +21,24 @@ a stack of several samples.  With an all-ones mask the restricted path
 degenerates to the full path bit-exactly because both run the same kernel
 sequence on identical inputs.
 
-A model's passes run the planned versions of the sites at the end of this
-module; the functions here are their reference and the validated entry
-points for every other caller.
+Each site has one implementation, the planned site at the end of this
+module, which a model's passes build into their plans.  The public
+functions are entry points for every other caller: each builds a plan of
+its one site, runs it once on the active kernel backend and returns
+copies of its results.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Hashable
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from . import kernels
 from .errors import CacheMissError, InvariantError
-from .kernels import attention_batch, matmul
+from .kernels import matmul  # noqa: F401  (a name of this module the benchmark's tracer wraps)
 from .masks import ForegroundMask
 from .plan import Buf, Plan
 from .profiler import FlopLog
@@ -90,42 +92,30 @@ def merge_tokens(
     return out
 
 
-def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, log: FlopLog | None, layer: str):
-    """Attention of (n, lq, d) queries on (n, lk, d) keys; returns the output, logs costs."""
-    out, _ = attention_batch(q, k, v)
-    if log is not None:
-        n, lq, d = q.shape
-        lk = k.shape[1]
-        log.add("attention_scores", layer, (n * lq, lk, d))
-        log.add("elementwise", layer, (n * lq * lk,))
-        log.add("softmax", layer, (n * lq, lk))
-        log.add("attention_apply", layer, (n * lq, lk, d))
-    return out
-
-
-def _proj(x: np.ndarray, w: np.ndarray, log: FlopLog | None, layer: str) -> np.ndarray:
-    """x @ w over the last axis of a stack of any leading shape, as one matmul."""
-    rows = np.ascontiguousarray(x).reshape(-1, x.shape[-1])
-    if log is not None:
-        log.add("matmul", layer, (rows.shape[0], rows.shape[1], w.shape[1]))
-    return matmul(rows, w).reshape(x.shape[:-1] + (w.shape[1],))
-
-
 def _site_weights(weights: dict[str, np.ndarray], prefix: str):
     return tuple(weights[f"{prefix}.{n}"] for n in ("wq", "wk", "wv", "wo"))
 
 
-def _spatial_out(a, lead, layer, wo, dfa, log):
-    """Finish a spatial site from its (n, lq, d) attention output.
+def _run_site(plan_site, inputs: tuple, weights, prefix: str, dfa, log, **kw):
+    """``plan_site`` on ``inputs`` (tokens first) as a one-site plan on a fresh arena.
 
-    Returns the projected delta and, on the full path, the output
-    reshaped to the leading axes; the restricted path merges the cached
-    background rows first.
+    Returns (delta, a) shaped to the tokens' leading axes; ``a`` is None on
+    the restricted path.
     """
-    a = a.reshape(lead + a.shape[1:])
-    if dfa is not None:
-        return _proj(merge_tokens(a, dfa.bg, dfa.mask, -2), wo, log, layer), None
-    return _proj(a, wo, log, layer), a
+    if any(x.dtype != np.float32 for x in inputs):
+        raise ValueError("attention sites take float32 tokens")
+    p = Plan()
+    bufs = [p.input(i, x.shape) for i, x in enumerate(inputs)]
+    delta, a = plan_site(p, *bufs, weights, prefix, ctx=dfa, **kw)[:2]
+    lead = inputs[0].shape[:-2]
+    for name, r in (("delta", delta), ("a", a)):
+        if r is not None:
+            p.result(name, r, lambda v: v.reshape(lead + v.shape[-2:]).copy())
+    plan = p.finish()
+    plan.place(np.empty(plan.floats, np.float32), np.empty(plan.ws_bytes, np.uint8))
+    feeds = dict(enumerate(inputs), bg=None if dfa is None else dfa.bg)
+    res = plan.run(kernels.active_library(), log, feeds)
+    return res["delta"], res.get("a")
 
 
 def reference_site(
@@ -141,29 +131,12 @@ def reference_site(
     """Spatial self-attention with reference K/V concatenation, per frame of (..., L, c) tokens.
 
     Each frame's keys are its own tokens followed by the (L_ref, c)
-    reference tokens; K and V come from one matmul each over all frames'
-    stacked [tokens; reference] rows.  Returns the pre-residual delta
-    (tokens @ output projection) and, on the full path, the attention
-    output for cache writeback (None on the restricted path).
+    reference tokens.  Returns the pre-residual delta (tokens @ output
+    projection) and, on the full path, the attention output for cache
+    writeback (None on the restricted path).
     """
-    wq, wk, wv, wo = _site_weights(weights, prefix)
-    lead = x_tok.shape[:-2]
-    x = x_tok.reshape((-1,) + x_tok.shape[-2:])
-    finish = partial(_spatial_out, lead=lead, layer=prefix, wo=wo, dfa=dfa, log=log)
-    if dfa is not None:
-        if dfa.mask.num_fg == 0:
-            return finish(np.empty((x.shape[0], 0, wo.shape[0]), np.float32))
-        x = select_tokens(x, dfa.mask.fg_index, axis=1)
-        ref_tok = select_tokens(ref_tok, dfa.mask.fg_index)
-    kv_in = x
-    if not removal:
-        kv_in = np.concatenate(
-            [x, np.broadcast_to(ref_tok, (x.shape[0],) + ref_tok.shape)], axis=1
-        )
-    return finish(_attend(
-        _proj(x, wq, log, prefix), _proj(kv_in, wk, log, prefix), _proj(kv_in, wv, log, prefix),
-        log, prefix,
-    ))
+    return _run_site(plan_reference_site, (x_tok, ref_tok), weights, prefix, dfa, log,
+                     removal=removal)
 
 
 def audio_site(
@@ -180,20 +153,8 @@ def audio_site(
     ``audio_tok`` is (..., A, da), one set of tokens per frame, broadcast
     over the leading axes of ``x_tok`` it lacks.
     """
-    wq, wk, wv, wo = _site_weights(weights, prefix)
-    lead = x_tok.shape[:-2]
-    x = x_tok.reshape((-1,) + x_tok.shape[-2:])
-    finish = partial(_spatial_out, lead=lead, layer=prefix, wo=wo, dfa=dfa, log=log)
-    aud = np.broadcast_to(audio_tok, lead + audio_tok.shape[-2:]).reshape(
-        (x.shape[0],) + audio_tok.shape[-2:]
-    )
-    k = _proj(aud, wk, log, prefix)
-    v = _proj(aud, wv, log, prefix)
-    if dfa is not None:
-        if dfa.mask.num_fg == 0:
-            return finish(np.empty((x.shape[0], 0, wo.shape[0]), np.float32))
-        x = select_tokens(x, dfa.mask.fg_index, axis=1)
-    return finish(_attend(_proj(x, wq, log, prefix), k, v, log, prefix))
+    aud = np.broadcast_to(audio_tok, x_tok.shape[:-2] + audio_tok.shape[-2:])
+    return _run_site(plan_audio_site, (x_tok, aud), weights, prefix, dfa, log)
 
 
 def temporal_site(
@@ -211,40 +172,17 @@ def temporal_site(
     only and merges cached (L_bg, f, d) background sequences, broadcast
     over the leading axes.
     """
-    wq, wk, wv, wo = _site_weights(weights, prefix)
-    layer = prefix
-    f, c = x_loc.shape[-2:]
-
-    def _site_attn(tokens: np.ndarray) -> np.ndarray:
-        flat = tokens.reshape(-1, f, c)
-        out = _attend(
-            _proj(flat, wq, log, layer), _proj(flat, wk, log, layer), _proj(flat, wv, log, layer),
-            log, layer,
-        )
-        return out.reshape(tokens.shape[:-1] + (out.shape[-1],))
-
-    if dfa is None:
-        a = _site_attn(x_loc)
-        return _proj(a, wo, log, layer), a
-    mask = dfa.mask
-    if mask.num_fg == 0:
-        a_f = np.empty(x_loc.shape[:-3] + (0, f, wo.shape[0]), np.float32)
-    else:
-        a_f = _site_attn(select_tokens(x_loc, mask.fg_index, axis=-3))
-    return _proj(merge_tokens(a_f, dfa.bg, mask, -3), wo, log, layer), None
+    return _run_site(plan_temporal_site, (x_loc,), weights, prefix, dfa, log)
 
 
 # ---------------------------------------------------------------------------
 # planned sites
 #
-# The three sites as steps of a plan (see :mod:`cachediff.plan`): the same
-# kernel sequence, bytes and FLOP events as the functions above, on the
-# plan's buffers.  The functions are their reference:
-# ``tests/test_attention.py`` runs both on the same stacks, full and
-# restricted.  Token buffers hold (..., L, c) rows like the functions'
-# inputs.  ``ctx`` is the restriction context the plan is built for, or
-# None on the full path; when the plan runs, ``bg()`` returns the pass's
-# background rows for it.
+# The three sites as steps of a plan (see :mod:`cachediff.plan`), run by
+# a model's passes and, one site to a plan, by the functions above.  Token
+# buffers hold (..., L, c) rows like the functions' inputs.  ``ctx`` is the
+# restriction context the plan is built for, or None on the full path;
+# ``bg`` names the plan input that each pass feeds its background rows.
 
 
 def _rows3(shape: tuple[int, ...], axis: int) -> tuple[int, int, int]:
@@ -265,10 +203,11 @@ def _plan_select(p: Plan, x: Buf, index: np.ndarray, axis: int) -> Buf:
 
 
 def _plan_merge(
-    p: Plan, a_fg: Buf | None, fg_shape: tuple[int, ...], ctx: DfaContext, bg, axis: int
+    p: Plan, a_fg: Buf | None, fg_shape: tuple[int, ...], ctx: DfaContext, bg: Hashable,
+    axis: int,
 ) -> Buf:
     """merge_tokens of ``a_fg`` (viewed as ``fg_shape``, None when empty) and the pass's
-    rows ``bg()``, copied into a buffer before the pass's steps run."""
+    rows, fed as the input ``bg``."""
     mask = ctx.mask
     merge_tokens(np.zeros(fg_shape, np.float32), ctx.bg, mask, axis)  # its checks, once
     if mask.num_bg == 0:
@@ -276,12 +215,7 @@ def _plan_merge(
     axis %= len(fg_shape)
     out = p.buf(fg_shape[:axis] + (mask.num_fg + mask.num_bg,) + fg_shape[axis + 1 :])
     outer, n, inner = _rows3(out.shape, axis)
-
-    def fill(buf: Buf):
-        dst = buf.a
-        return lambda: np.copyto(dst, bg())
-
-    rows = p.input(ctx.bg.shape, fill)
+    rows = p.input(bg, ctx.bg.shape)
 
     def scatter(src: Buf, count: int, index: np.ndarray):
         p.step(lambda lib: kernels.bound_scatter(
@@ -311,7 +245,8 @@ def _plan_ref_attend(p: Plan, x: Buf, ref: Buf, w, prefix: str, removal: bool, n
 
 def plan_reference_site(
     p: Plan, x: Buf, ref: Buf, weights: dict[str, np.ndarray], prefix: str, *,
-    removal: bool = False, ctx: DfaContext | None = None, bg=None, keep_probs: bool = False,
+    removal: bool = False, ctx: DfaContext | None = None, bg: Hashable = "bg",
+    keep_probs: bool = False,
 ) -> tuple[Buf, Buf | None, Buf | None]:
     """:func:`reference_site` of (..., L, c) tokens and (L_ref, c) reference tokens.
 
@@ -336,7 +271,7 @@ def plan_reference_site(
 
 def plan_audio_site(
     p: Plan, x: Buf, aud: Buf, weights: dict[str, np.ndarray], prefix: str, *,
-    ctx: DfaContext | None = None, bg=None,
+    ctx: DfaContext | None = None, bg: Hashable = "bg",
 ) -> tuple[Buf, Buf | None]:
     """:func:`audio_site` of (..., L, c) tokens and (n, A, da) audio tokens, one set per frame."""
     wq, wk, wv, wo = _site_weights(weights, prefix)
@@ -358,7 +293,7 @@ def plan_audio_site(
 
 def plan_temporal_site(
     p: Plan, x_loc: Buf, weights: dict[str, np.ndarray], prefix: str, *,
-    ctx: DfaContext | None = None, bg=None,
+    ctx: DfaContext | None = None, bg: Hashable = "bg",
 ) -> tuple[Buf, Buf | None]:
     """:func:`temporal_site` of (..., L, f, c) location sequences."""
     wq, wk, wv, wo = _site_weights(weights, prefix)

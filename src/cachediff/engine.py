@@ -120,9 +120,9 @@ class ParallelRunner:
             t0 = time.perf_counter_ns()
             results.append(fn())
             walls.append(time.perf_counter_ns() - t0)
-        bins = [0] * self.workers
+        bins = [0] * min(self.workers, len(walls))  # more bins than tasks stay empty
         for i, w in enumerate(walls):
-            bins[i % self.workers] += w
+            bins[i % len(bins)] += w
         modeled = self.dispatch_overhead_ns + (max(bins) if walls else 0)
         return results, walls, modeled
 

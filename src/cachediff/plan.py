@@ -10,23 +10,25 @@ probabilities).  The walk records
   library, or numpy callables writing the same bytes (the
   ``kernels.bound_*`` functions, for the kernels and for the glue between
   them);
-* Python around the steps: inputs, copied into their buffers before the
-  steps run, and results gathered after them;
+* named inputs, buffers that each pass fills from the caller's feeds
+  before the steps run (several buffers may read one name), and named
+  results, each read from a buffer after the steps;
 * the pass's FLOP events, logged through :meth:`FlopLog.add`, so that the
   tag and arity checks run once per plan.
 
 :meth:`Plan.finish` places the buffers in one float32 arena by liveness:
 two buffers share memory only when no step lies in both their spans.
-Inputs are live from the first step and the sources of the results
-gathered after the steps until the last.  The arena and the kernels'
-scratch block belong to the :class:`PlanCache` that holds every plan of a
-model; passes run one at a time, so the plans share them.
+Inputs are live from the first step and the sources of the results until
+the last.  The arena and the kernels' scratch block belong to the
+:class:`PlanCache` that holds every plan of a model; passes run one at a
+time, so the plans share them.
 
-A pass runs its inputs, its program and its gathers.  The program is
-bound once per library (see :func:`kernels.program`): on the compiled
-library it is one call into the library.  The pass then extends the
-caller's log with the recorded events.  It allocates none of its
-buffers, converts no pointer and checks no kernel argument.
+A pass copies its feeds into the inputs, runs its program and reads its
+results.  The program is bound once per library (see
+:func:`kernels.program`): on the compiled library it is one call into the
+library.  The pass then extends the caller's log with the recorded
+events.  It allocates none of its buffers, converts no pointer and checks
+no kernel argument.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ class Buf:
 
 
 Bind = Callable[[object], list]  # kernel library (None: numpy) -> op records or callables
-Make = Callable[[], Callable[[], None]]  # made once the buffers are placed
 
 
 class Plan:
@@ -65,15 +66,13 @@ class Plan:
     def __init__(self):
         self.bufs: list[Buf] = []
         self.steps: list[Bind] = []
-        self.inputs: list[Make] = []
-        self.gathers: list[Make] = []
+        self.inputs: list[tuple[Hashable, Buf]] = []
+        self.results: list[tuple[Hashable, Buf, Callable[[np.ndarray], object]]] = []
         self.log = FlopLog()
         self.floats = 0
         self.ws_bytes = 64
         self.ws = 0  # address of the shared scratch block, once placed
         self._ws_block: np.ndarray | None = None
-        self.outputs: tuple[Buf, ...] = ()
-        self._held: list[Buf] = []
         self._calls: dict[object, list] = {}
 
     # -- recording
@@ -92,17 +91,16 @@ class Plan:
                 b.last = i
         self.steps.append(bind)
 
-    def input(self, shape: tuple[int, ...], make: Callable[[Buf], Callable[[], None]]) -> Buf:
-        """A buffer that ``make(buf)()`` fills before the pass's steps run."""
+    def input(self, name: Hashable, shape: tuple[int, ...]) -> Buf:
+        """A buffer that each pass fills with its feed ``name`` before the steps run."""
         buf = self.buf(shape)
         buf.first = buf.last = 0
-        self.inputs.append(lambda: make(buf))
+        self.inputs.append((name, buf))
         return buf
 
-    def gather(self, make: Make, *sources: Buf) -> None:
-        """Python that runs after the pass's steps, reading ``sources``."""
-        self._held += sources
-        self.gathers.append(make)
+    def result(self, name: Hashable, src: Buf, read: Callable[[np.ndarray], object]) -> None:
+        """The pass's result ``name``: ``read`` of ``src``'s array, after the steps."""
+        self.results.append((name, src, read))
 
     def flop(self, tag: str, layer: str, dims) -> None:
         self.log.add(tag, layer, dims)
@@ -115,6 +113,8 @@ class Plan:
     def matmul(self, a: Buf, w: np.ndarray, layer: str | None) -> Buf:
         """a @ w over a's last axis as one matmul, logged under ``layer`` unless None."""
         k, n = a.shape[-1], w.shape[1]
+        if w.shape[0] != k:
+            raise ValueError(f"matmul shape mismatch: {a.shape} @ {w.shape}")
         rows = a.size // k
         out = self.buf(a.shape[:-1] + (n,))
         self.scratch(kernels._matmul_ws(rows, k, n, kernels._rows_ptr(w)[1]))
@@ -190,12 +190,11 @@ class Plan:
 
     # -- placing and running
 
-    def finish(self, *outputs: Buf) -> Plan:
-        """Place the buffers by liveness; ``outputs`` and the gathers' sources stay live
-        after the last step, and the recorded events become a tuple."""
+    def finish(self) -> Plan:
+        """Place the buffers by liveness; the results' sources stay live after the last
+        step, and the recorded events become a tuple."""
         end = len(self.steps)
-        self.outputs = outputs
-        for b in (*outputs, *self._held):
+        for _, b, _ in self.results:
             b.last = end
         self.log.events = tuple(self.log.events)
         live: list[tuple[int, int, int]] = []  # (offset, end offset, last step), by offset
@@ -221,20 +220,21 @@ class Plan:
         self.ws = ws.ctypes.data
         self._calls.clear()
 
-    def run(self, lib, log: FlopLog | None) -> None:
-        """Run the pass on ``lib`` (see :func:`kernels.active_library`): its inputs,
-        the program bound for ``lib`` and its gathers."""
+    def run(self, lib, log: FlopLog | None, feeds: dict) -> dict:
+        """Run the pass on ``lib`` (see :func:`kernels.active_library`): copy
+        ``feeds[name]`` into each input, run the program bound for ``lib``, and
+        return the results by name."""
         calls = self._calls.get(lib)
         if calls is None:
-            calls = self._calls[lib] = [
-                *(make() for make in self.inputs),
-                *kernels.program(lib, [item for bind in self.steps for item in bind(lib)]),
-                *(make() for make in self.gathers),
-            ]
+            calls = self._calls[lib] = kernels.program(
+                lib, [item for bind in self.steps for item in bind(lib)])
+        for name, buf in self.inputs:
+            np.copyto(buf.a, feeds[name])
         for call in calls:
             call()
         if log is not None:
             log.extend(self.log)
+        return {name: read(src.a) for name, src, read in self.results}
 
 
 class PlanCache:

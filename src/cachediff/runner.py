@@ -9,6 +9,7 @@ entropy sources in a run.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,8 +262,15 @@ def execute_diagnostics(rc: RunConfig) -> DiagnosticsResult:
 def compare_reports(a: dict, b: dict) -> dict:
     """Compare two run reports: modeled speedup, FLOPs ratio, output equality."""
     for name, rep in (("first", a), ("second", b)):
-        if "totals" not in rep or "modeled_wall_ns" not in rep.get("totals", {}):
-            raise ConfigError(f"{name} report is missing totals.modeled_wall_ns")
+        if not isinstance(rep, dict) or not isinstance(rep.get("config", {}), dict):
+            raise ConfigError(f"{name} report or its config is not a JSON object")
+        totals = rep.get("totals")
+        for key in ("modeled_wall_ns", "flops"):
+            v = totals.get(key) if isinstance(totals, dict) else None
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < math.inf:
+                raise ConfigError(f"{name} report needs a positive number at totals.{key}")
+        if not isinstance(rep.get("final_checksum"), str):
+            raise ConfigError(f"{name} report needs a string at final_checksum")
     ua = a.get("config", {}).get("unet")
     ub = b.get("config", {}).get("unet")
     if ua is not None and ub is not None and ua != ub:
@@ -271,9 +279,7 @@ def compare_reports(a: dict, b: dict) -> dict:
     lb = b["totals"]["modeled_wall_ns"]
     return {
         "speedup": speedup(la, lb),
-        "flops_ratio": round(a["totals"]["flops"] / b["totals"]["flops"], 3)
-        if b["totals"].get("flops")
-        else None,
+        "flops_ratio": round(a["totals"]["flops"] / b["totals"]["flops"], 3),
         "baseline_modeled_wall_ns": la,
         "accelerated_modeled_wall_ns": lb,
         "same_final": a.get("final_checksum") == b.get("final_checksum"),

@@ -40,6 +40,7 @@ from .profiler import FlopLog
 from .rng import Rng
 
 ATTN_LAYERS = ("M", "U2", "U32")
+SITES = ("reference", "audio", "temporal")
 
 
 @dataclass(frozen=True)
@@ -242,20 +243,6 @@ def _periods(dim: int) -> np.ndarray:
 # model
 
 
-class _PassIO:
-    """Inputs of the pass in flight, read by its plan's input steps, and the rows and
-    probabilities it keeps."""
-
-    __slots__ = ("z", "ts", "cond", "f_u31", "dfa", "masks", "rows", "probs")
-
-    def __init__(self):
-        self.clear()
-
-    def clear(self) -> None:
-        for name in self.__slots__:
-            setattr(self, name, None)
-
-
 class ToyUNet:
     """Deterministic float32 UNet over (frame, channel, height, width) stacks.
 
@@ -295,7 +282,6 @@ class ToyUNet:
             self._temb_w[:, col : col + width] = self.w[f"{u}.temb.w"]
             self._temb_b[col : col + width] = self.w[f"{u}.temb.b"]
         self._plans = PlanCache()
-        self._io = _PassIO()
         self._lock = threading.Lock()
 
     # -- public passes
@@ -331,27 +317,21 @@ class ToyUNet:
         }
         key = ("forward", bool(removal_active), bool(keep_probs),
                tuple(None if m is None else (m.shape, m.fg_index.tobytes()) for m in masks.values()))
+        feeds = self._feeds(z[0].transpose(1, 0, 2, 3), [int(t)], cond)
         with self._lock:
-            io = self._io
-            io.z, io.ts, io.cond, io.masks = z, (int(t),), cond, masks
-            io.rows, io.probs = {}, {}
-            try:
-                plan = self._plans.get(
-                    key, lambda: self._plan_forward(bool(removal_active), masks, bool(keep_probs))
-                )
-                plan.run(active_library(), log)
-                eps, f_u31 = plan.outputs
-                # Copies, never np.ascontiguousarray: with one frame or one
-                # latent channel the transpose is contiguous, and that would
-                # return a view of the plan's arena.
-                return ForwardTrace(
-                    eps=eps.a.transpose(1, 0, 2, 3).copy()[None],
-                    f_u31=f_u31.a.copy()[None],
-                    dfa=None if bg_masks is None else io.rows,
-                    probs=io.probs if keep_probs else None,
-                )
-            finally:
-                io.clear()
+            plan = self._plans.get(
+                key, lambda: self._plan_forward(bool(removal_active), masks, bool(keep_probs))
+            )
+            res = plan.run(active_library(), log, feeds)
+        return ForwardTrace(
+            eps=res["eps"],
+            f_u31=res["f_u31"],
+            dfa=None if bg_masks is None else {
+                (layer, site): attn.DfaContext(mask, res[(layer, site)])
+                for layer, mask in masks.items() if mask is not None for site in SITES
+            },
+            probs={layer: res[f"{layer}.probs"] for layer in masks} if keep_probs else None,
+        )
 
     def subnet(
         self,
@@ -390,18 +370,26 @@ class ToyUNet:
             for k, c in dfa.items()
         ))
         key = ("subnet", b, f_u31.shape[0], bool(removal_active), ctxs)
+        f, cl, h, w = cfg.frames, cfg.latent_channels, cfg.height, cfg.width
+        feeds = self._feeds(z.transpose(0, 2, 1, 3, 4).reshape(b * f, cl, h, w), ts, cond)
+        feeds["f_u31"] = f_u31.reshape((-1,) + feat[1:])
+        feeds.update({k: c.bg for k, c in (dfa or {}).items()})
         with self._lock:
-            io = self._io
-            io.z, io.ts, io.cond, io.f_u31, io.dfa = z, ts, cond, f_u31, dfa
-            try:
-                plan = self._plans.get(
-                    key, lambda: self._plan_subnet(b, f_u31.shape[0], bool(removal_active), dfa)
-                )
-                plan.run(active_library(), log)
-                eps = plan.outputs[0].a.reshape((b, cfg.frames) + plan.outputs[0].shape[1:])
-                return eps.transpose(0, 2, 1, 3, 4).copy()  # a copy, as in forward
-            finally:
-                io.clear()
+            plan = self._plans.get(
+                key, lambda: self._plan_subnet(b, f_u31.shape[0], bool(removal_active), dfa)
+            )
+            return plan.run(active_library(), log, feeds)["eps"]
+
+    def _feeds(self, z: np.ndarray, ts: list[int], cond: Conditioning) -> dict:
+        """The inputs of a pass by name: "z", the latents as frames; "time", one row of
+        time features per sample; "audio" and "<layer>.ref", the conditioning.  A
+        subnet adds "f_u31" and the background rows of each (layer, site)."""
+        return {
+            "z": z,
+            "time": np.stack([time_embedding(t, self.cfg.time_dim) for t in ts]),
+            "audio": cond.audio,
+            **{f"{layer}.ref": tok for layer, tok in cond.ref.items()},
+        }
 
     def _check_latent(self, z: np.ndarray) -> None:
         cfg = self.cfg
@@ -414,10 +402,9 @@ class ToyUNet:
     # -- plans: each walk mirrors the pass, step by step and event by event
 
     def _plan_forward(self, removal: bool, masks: dict, keep_probs: bool) -> Plan:
-        cfg, io = self.cfg, self._io
+        cfg = self.cfg
         p = Plan()
-        z = _plan_input(p, (cfg.frames, cfg.latent_channels, cfg.height, cfg.width),
-                        lambda: io.z[0].transpose(1, 0, 2, 3))
+        z = p.input("z", (cfg.frames, cfg.latent_channels, cfg.height, cfg.width))
         tp = self._plan_time(p, 1)
 
         def res(x: Buf, prefix: str) -> Buf:
@@ -448,32 +435,29 @@ class ToyUNet:
         f_u31 = res(x, "U31.res")
         eps = self._plan_u32_head(p, f_u31, s_in, tp, 1, removal, None, masks.get("U32"),
                                   keep_probs)
-        return p.finish(eps, f_u31)
+        # Copies, never np.ascontiguousarray: with one frame or one latent
+        # channel the transpose is contiguous, and that would return a view
+        # of the plan's arena.
+        p.result("eps", eps, lambda a: a.transpose(1, 0, 2, 3).copy()[None])
+        p.result("f_u31", f_u31, lambda a: a.copy()[None])
+        return p.finish()
 
     def _plan_subnet(self, b: int, feats: int, removal: bool, dfa: DfaCache | None) -> Plan:
-        cfg, io = self.cfg, self._io
+        cfg = self.cfg
         f, cl, h, w = cfg.frames, cfg.latent_channels, cfg.height, cfg.width
         p = Plan()
-        z = _plan_input(p, (b * f, cl, h, w), lambda: io.z.transpose(0, 2, 1, 3, 4),
-                        (b, f, cl, h, w))
+        z = p.input("z", (b * f, cl, h, w))
         tp = self._plan_time(p, b)
         s_in = p.conv(z, self.convs["conv_in"], "conv_in")
-        feat = (feats * f, cfg.base_channels[0], h, w)
-        f_in = _plan_input(p, feat, lambda: io.f_u31.reshape(feat))
+        f_in = p.input("f_u31", (feats * f, cfg.base_channels[0], h, w))
         eps = self._plan_u32_head(p, f_in, s_in, tp, b, removal, dfa, None, False)
-        return p.finish(eps)
+        p.result("eps", eps, lambda a: a.reshape(b, f, *a.shape[1:]).transpose(0, 2, 1, 3, 4).copy())
+        return p.finish()
 
     def _plan_time(self, p: Plan, samples: int) -> Buf:
         """The time features of the pass's timesteps and every unit's time projection of them."""
-        td, io = self.cfg.time_dim, self._io
-
-        def fill(emb: Buf):
-            def run():
-                for row, t in zip(emb.a, io.ts):
-                    row[...] = time_embedding(t, td)
-            return run
-
-        emb = p.input((samples, td), fill)
+        td = self.cfg.time_dim
+        emb = p.input("time", (samples, td))
         h = p.matmul(emb, self.w["time.affine.w"], None)
         p.flop("matmul", "time", (samples, td, td))
         p.flop("elementwise", "time", (samples * td,))
@@ -515,12 +499,14 @@ class ToyUNet:
         """Reference, audio and temporal sites on a stack of samples' frames.
 
         Each site runs once for the whole stack; temporal attention stays
-        inside each sample's frames.  On the full path of a one-sample
-        stack, with ``keep_mask`` each site's background rows are gathered
-        into the pass's ``dfa`` as the restricted path reads them, and with
-        ``keep_probs`` the reference site's probabilities into its ``probs``.
+        inside each sample's frames.  Inputs and results are named as in
+        :meth:`forward` and :meth:`subnet`.  On the full path of a
+        one-sample stack, with ``keep_mask`` each site's background rows are
+        the result (layer, site), as the restricted path reads them, and
+        with ``keep_probs`` the reference site's probabilities are the
+        result "<layer>.probs".
         """
-        cfg, io = self.cfg, self._io
+        cfg = self.cfg
         n, c, h, w = x.shape
         f = cfg.frames
         k, L = n // f, h * w
@@ -529,7 +515,7 @@ class ToyUNet:
 
         def site(name: str) -> dict:
             ctx = None if dfa is None else dfa.get((layer, name))
-            return {"ctx": ctx, "bg": lambda: io.dfa[(layer, name)].bg}
+            return {"ctx": ctx, "bg": (layer, name)}
 
         def tokens(src: Buf, name: str) -> Buf:
             tok = p.buf((k, f, L, c))
@@ -537,22 +523,13 @@ class ToyUNet:
             return p.norm(tok, name, axis=-1)
 
         def keep(name: str, a: Buf | None, lead: tuple[int, ...]) -> None:
-            # Gathered after the pass into new arrays (select_tokens, looked up
-            # when the gather runs), so no returned row aliases the plan.
+            # Read after the pass into new arrays (select_tokens, looked up
+            # when the result is read), so no returned row aliases the plan.
             if keep_mask is None or a is None:
                 return
             bg, axis = keep_mask.bg_index, 0 if name == "temporal" else 1
-
-            def make():
-                a0 = a.a.reshape(lead + (d,))[0]
-
-                def run():
-                    rows = attn.select_tokens(a0, bg, axis)
-                    io.rows[(layer, name)] = attn.DfaContext(io.masks[layer], rows)
-
-                return run
-
-            p.gather(make, a)
+            p.result((layer, name), a,
+                     lambda arr: attn.select_tokens(arr.reshape(lead + (d,))[0], bg, axis))
 
         def add_half(x: Buf, delta: Buf, name: str, rows: tuple[int, ...], perm) -> Buf:
             """x + 0.5 * delta, with delta's (rows, c) layout permuted to x's."""
@@ -568,7 +545,7 @@ class ToyUNet:
             return out
 
         def audio_tokens(name: str) -> Buf:
-            aud = _plan_input(p, (f, cfg.audio_tokens, cfg.audio_dim), lambda: io.cond.audio)
+            aud = p.input("audio", (f, cfg.audio_tokens, cfg.audio_dim))
             normed = p.norm(aud, name, axis=-1, copies=k)
             if k == 1:
                 return normed
@@ -578,17 +555,14 @@ class ToyUNet:
 
         name = f"{layer}.ref"
         tok = tokens(x, name)
-        ref = _plan_input(p, (L, c), lambda: io.cond.ref[layer])
+        ref = p.input(name, (L, c))
         delta, a, probs = attn.plan_reference_site(
             p, tok, p.norm(ref, name, copies=k), self.w, name, removal=removal,
             keep_probs=keep_probs, **site("reference")
         )
         keep("reference", a, (k, f, L))
         if probs is not None:
-            def keep_probs_of_layer():
-                io.probs[layer] = probs.a.copy()
-
-            p.gather(lambda: keep_probs_of_layer, probs)
+            p.result(f"{layer}.probs", probs, np.copy)
         x1 = add_half(x, delta, name, (n, h, w), (0, 3, 1, 2))
 
         name = f"{layer}.aud"
@@ -630,16 +604,6 @@ class ToyUNet:
         if "U32" in self.cfg.attention_layers:
             x = self._plan_attn(p, x, "U32", removal, dfa, keep_mask, keep_probs)
         return self._plan_preact(p, x, "head", "head")
-
-
-def _plan_input(p: Plan, shape: tuple[int, ...], read, view: tuple[int, ...] | None = None) -> Buf:
-    """A buffer that each pass fills with ``read()``, the pass's input, copied as ``view``."""
-
-    def make(buf: Buf):
-        dst = buf.a if view is None else buf.a.reshape(view)
-        return lambda: np.copyto(dst, read())
-
-    return p.input(shape, make)
 
 
 def _plan_concat(p: Plan, a: Buf, b: Buf) -> Buf:

@@ -248,8 +248,10 @@ def test_criterion_08_flops_decrease_across_variants():
 
 def test_criterion_09_compare_rounds_known_latency_pairs():
     for base_ms, accel_ms, want in ((23.692, 7.528, 3.15), (14.934, 6.416, 2.33)):
-        a = {"totals": {"modeled_wall_ns": int(base_ms * 1e9), "flops": 1}}
-        b = {"totals": {"modeled_wall_ns": int(accel_ms * 1e9), "flops": 1}}
+        a = {"totals": {"modeled_wall_ns": int(base_ms * 1e9), "flops": 1},
+             "final_checksum": "sha256:a"}
+        b = {"totals": {"modeled_wall_ns": int(accel_ms * 1e9), "flops": 1},
+             "final_checksum": "sha256:b"}
         got = compare_reports(a, b)["speedup"]
         assert abs(got - want) <= 0.01
 

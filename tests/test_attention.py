@@ -8,7 +8,6 @@ from cachediff import kernels
 from cachediff.errors import CacheMissError, InvariantError
 from cachediff.kernels import matmul
 from cachediff.masks import ForegroundMask, mask_from_spec, rect_mask
-from cachediff.plan import Plan, PlanCache
 from cachediff.profiler import FlopLog, rel_l2
 from cachediff.rng import Rng
 
@@ -90,6 +89,30 @@ def test_merge_tokens_rejects_bad_rows():
         attn.merge_tokens(a_fg, None, mask)
     with pytest.raises(InvariantError):
         attn.merge_tokens(a_fg, np.zeros((mask.num_bg, D + 1), dtype=np.float32), mask)
+
+
+@pytest.mark.parametrize("bad", ["wq", "wk", "wo", "float64_wv", "float64_tokens"])
+def test_sites_reject_weights_and_tokens_of_the_wrong_shape_or_type(bad):
+    weights = site_weights("T.ref")
+    x = Rng(5).normal((L, C))
+    if bad == "float64_tokens":
+        x = x.astype(np.float64)
+    elif bad == "float64_wv":
+        weights["T.ref.wv"] = weights["T.ref.wv"].astype(np.float64)
+    else:
+        w = weights[f"T.ref.{bad}"]
+        weights[f"T.ref.{bad}"] = Rng(4).normal((w.shape[0] + 1, w.shape[1]) if bad != "wk"
+                                                else (w.shape[0], w.shape[1] + 1))
+    for backend in ("numpy", "compiled"):
+        if backend == "compiled" and kernels.compiled_error() is not None:
+            continue
+        before = kernels.active_backend()
+        try:
+            kernels.set_backend(backend)
+            with pytest.raises(ValueError):
+                attn.reference_site(x, x, weights, "T.ref")
+        finally:
+            kernels.set_backend(before)
 
 
 def test_reference_removal_equals_self_attention():
@@ -361,24 +384,8 @@ def test_stacked_temporal_site_matches_per_sample_calls(mask_name):
     assert flop_totals(stacked_log) == flop_totals(sample_log)
 
 
-# The planned sites (the steps a ToyUNet plan runs) against the functions
-# above, which are their reference: same bytes, same FLOP events, on
-# (samples, frames) stacks, full and restricted.
-
-
-def run_planned(build, inputs):
-    """Build a plan whose input steps copy ``inputs``, run it once; returns arrays and log."""
-    p = Plan()
-    bufs = []
-    for arr in inputs:
-        buf = p.buf(arr.shape)
-        p.copy(lambda buf=buf: buf.a, lambda arr=arr: arr, buf)
-        bufs.append(buf)
-    results = build(p, *bufs)
-    plan = PlanCache().get("site", lambda: p.finish(*(r for r in results if r is not None)))
-    log = FlopLog()
-    plan.run(kernels.active_library(), log)
-    return [None if r is None else r.a.copy() for r in results], log
+# The site functions run the planned sites, the steps a ToyUNet plan
+# runs, on either kernel backend.
 
 
 PLANNED_SITES = ["reference", "reference_removal", "audio", "temporal"]
@@ -389,14 +396,15 @@ PLANNED_SITES = ["reference", "reference_removal", "audio", "temporal"]
 @pytest.mark.parametrize("mask_name", list(STACK_MASKS))
 @pytest.mark.parametrize("site", PLANNED_SITES)
 def test_planned_sites_match_the_site_functions(site, mask_name, samples, backend):
-    """Each plan_* site gives the bytes and FLOP events of its site function.
+    """Each site function gives the same bytes and FLOP events on both backends.
 
-    The restricted path reads one (frames, ...) cache broadcast over the
-    samples, as a stacked non-key phase does.  The full reference site also
-    keeps its probabilities: those of ``attention_batch`` on the site's own
-    q, k and v.
+    On (samples, frames) stacks, full and restricted; the restricted path
+    reads one (frames, ...) cache broadcast over the samples, as a stacked
+    non-key phase does.  Under ``backend``, the planned full reference site
+    also keeps its probabilities: those of ``attention_batch`` on the
+    site's own q, k and v.
     """
-    if backend == "compiled" and kernels.compiled_error() is not None:
+    if kernels.compiled_error() is not None:
         pytest.skip(f"compiled backend unavailable: {kernels.compiled_error()}")
     f = 3
     mask = STACK_MASKS[mask_name]
@@ -407,9 +415,8 @@ def test_planned_sites_match_the_site_functions(site, mask_name, samples, backen
     x = Rng(50).normal((samples, L, f, C) if temporal else (samples, f, L, C))
     ref = Rng(51).normal((L, C))
     audio = Rng(52).normal((f, 3, 5))
-    stacked_audio = np.ascontiguousarray(np.broadcast_to(audio, (samples,) + audio.shape))
 
-    def eager(tokens, dfa, log):
+    def call(tokens, dfa, log):
         if temporal:
             return attn.temporal_site(tokens, weights, prefix, dfa=dfa, log=log)
         if prefix == "T.ref":
@@ -417,48 +424,74 @@ def test_planned_sites_match_the_site_functions(site, mask_name, samples, backen
                                        log=log)
         return attn.audio_site(tokens, audio, weights, prefix, dfa=dfa, log=log)
 
-    def planned(ctx, bg=None):
-        def build(p, tokens, *cond):
-            kw = {"ctx": ctx, "bg": lambda: bg}
-            if temporal:
-                return attn.plan_temporal_site(p, tokens, weights, prefix, **kw)
-            if prefix == "T.ref":
-                return attn.plan_reference_site(p, tokens, cond[0], weights, prefix,
-                                                removal=removal, keep_probs=True, **kw)
-            return attn.plan_audio_site(p, tokens, cond[0], weights, prefix, **kw)
+    def on(name):
+        """The stacked call under backend ``name``: (delta, a, FLOP events)."""
+        kernels.set_backend(name)
+        dfa = None
+        if mask is not None:
+            a_full = call(x[0], None, None)[1]
+            dfa = attn.DfaContext(mask, attn.select_tokens(a_full, mask.bg_index,
+                                                           axis=0 if temporal else 1))
+        log = FlopLog()
+        return (*call(x, dfa, log), log.events)
 
-        cond = [] if temporal else [ref if prefix == "T.ref" else stacked_audio]
-        return run_planned(build, [x] + cond)
+    def kept_probs(p, tokens, ref_buf, *args, **kw):
+        return attn.plan_reference_site(p, tokens, ref_buf, *args, keep_probs=True, **kw)[2], None
 
     before = kernels.active_backend()
+    other = "numpy" if backend == "compiled" else "compiled"
     try:
-        kernels.set_backend(backend)
-        ctx = dfa = want_probs = None
-        if mask is not None:
-            a_full = eager(x[0], None, None)[1]
-            bg = attn.select_tokens(a_full, mask.bg_index, axis=0 if temporal else 1)
-            ctx = dfa = attn.DfaContext(mask, bg)
-        elif prefix == "T.ref":
+        want_delta, want_a, want_events = on(other)
+        delta, a, events = on(backend)
+        probs = want_probs = None
+        if prefix == "T.ref" and mask is None:
+            probs = attn._run_site(kept_probs, (x, ref), weights, prefix, None, None,
+                                   removal=removal)[0]
             tokens = x.reshape(samples * f, L, C)
             kv = tokens if removal else np.concatenate(
                 [tokens, np.broadcast_to(ref, tokens.shape)], axis=1)
             q, k, v = (matmul(t.reshape(-1, C), weights[f"{prefix}.{n}"]).reshape(len(t), -1, D)
                        for t, n in ((tokens, "wq"), (kv, "wk"), (kv, "wv")))
             want_probs = kernels.attention_batch(q, k, v, keep_probs=True)[1]
-        want_log = FlopLog()
-        want_delta, want_a = eager(x, dfa, want_log)
-        results, log = planned(ctx, None if dfa is None else dfa.bg)
     finally:
         kernels.set_backend(before)
-    delta, a = results[:2]
+    assert delta.shape == x.shape
     assert delta.tobytes() == want_delta.tobytes()
-    assert (a is None) == (want_a is None)
+    assert (a is None) == (want_a is None) == (mask is not None)
     if a is not None:
+        assert a.shape == x.shape[:-1] + (D,)
         assert a.tobytes() == want_a.tobytes()
-    assert log.events == want_log.events
-    if prefix == "T.ref":
-        probs = results[2]
-        assert (probs is None) == (want_probs is None)
-        if probs is not None:
-            assert probs.shape == (samples * f, L, L if removal else 2 * L)
-            assert probs.tobytes() == want_probs.tobytes()
+    assert events == want_events
+    if probs is not None:
+        assert probs.shape == (samples, f, L, L if removal else 2 * L)
+        assert probs.tobytes() == want_probs.tobytes()
+
+
+@pytest.mark.parametrize("backend", ["compiled", "numpy"])
+def test_site_results_survive_a_second_call(backend):
+    """Every site call returns arrays of its own: later calls change none of the first's."""
+    if backend == "compiled" and kernels.compiled_error() is not None:
+        pytest.skip(f"compiled backend unavailable: {kernels.compiled_error()}")
+    mask = random_mask(60)
+    ref_w, aud_w = site_weights("T.ref"), site_weights("T.aud", kdim=5)
+    tmp_w = site_weights("T.tmp")
+    ref = Rng(61).normal((L, C))
+    audio = Rng(62).normal((3, 5))
+    sites = {
+        "reference": ((L, C), lambda x, dfa: attn.reference_site(x, ref, ref_w, "T.ref", dfa=dfa)),
+        "audio": ((L, C), lambda x, dfa: attn.audio_site(x, audio, aud_w, "T.aud", dfa=dfa)),
+        "temporal": ((L, 2, C), lambda x, dfa: attn.temporal_site(x, tmp_w, "T.tmp", dfa=dfa)),
+    }
+    before = kernels.active_backend()
+    try:
+        kernels.set_backend(backend)
+        for name, (shape, run) in sites.items():
+            first = run(Rng(63).normal(shape), None)
+            kept = [r.copy() for r in first]
+            bg = attn.select_tokens(first[1], mask.bg_index)
+            assert run(Rng(64).normal(shape), attn.DfaContext(mask, bg))[1] is None
+            assert not np.array_equal(run(Rng(65).normal(shape), None)[0], first[0]), name
+            for got, want in zip(first, kept):
+                assert got.tobytes() == want.tobytes(), name
+    finally:
+        kernels.set_backend(before)

@@ -185,6 +185,28 @@ def test_compare_same_report_is_neutral(tmp_path, capsys):
     assert got["same_final"] is True
 
 
+@pytest.mark.parametrize("case", ["no_flops", "string_wall", "no_checksums", "config_list"])
+def test_compare_rejects_malformed_reports_in_one_line(tmp_path, capsys, case):
+    report = {"totals": {"modeled_wall_ns": 300, "flops": 30}, "final_checksum": "sha256:a"}
+    first, second = json.loads(json.dumps(report)), json.loads(json.dumps(report))
+    if case == "no_flops":
+        del first["totals"]["flops"]
+    elif case == "string_wall":
+        second["totals"]["modeled_wall_ns"] = "300"
+    elif case == "config_list":
+        second["config"] = []
+    else:
+        del first["final_checksum"], second["final_checksum"]
+    paths = []
+    for name, doc in (("first", first), ("second", second)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(doc))
+    assert main(["compare", str(paths[0]), str(paths[1])]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: config:") and err.count("\n") == 1
+
+
 def test_config_errors_exit_one(tmp_path, capsys):
     missing = tmp_path / "absent.json"
     assert main(["run", "--config", str(missing), "--out", str(tmp_path / "o")]) == 1

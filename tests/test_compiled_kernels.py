@@ -423,10 +423,10 @@ def test_default_forward_pass_kernel_calls_match_reference(monkeypatch):
 
         return wrapped
 
-    def walk(plan, lib, log):
+    def walk(plan, lib, log, feeds):
         """Plan.run, with each step bound, recorded and run on its own."""
-        for make in plan.inputs:
-            make()()
+        for name, buf in plan.inputs:
+            np.copyto(buf.a, feeds[name])
         for bind in plan.steps:
             bound_now.clear()
             records = bind(lib)
@@ -438,8 +438,7 @@ def test_default_forward_pass_kernel_calls_match_reference(monkeypatch):
             written = {k: arguments[k].tobytes() for k in BOUND_OUTPUTS[name]
                        if arguments.get(k) is not None}
             steps.append((name, inputs, written))
-        for make in plan.gathers:
-            make()()
+        return {name: read(src.a) for name, src, read in plan.results}
 
     originals = {name: getattr(kernels, name) for name in BOUND_OUTPUTS}
     for name, bound in originals.items():

@@ -80,6 +80,14 @@ def test_runner_serial_model_sums_walls():
     assert runner.run([]) == ([], [], 500)
 
 
+def test_runner_model_needs_no_bin_per_worker():
+    """Workers beyond the task count add only empty bins, so none are allocated."""
+    results, walls, modeled = eng.ParallelRunner(2**62, 700).run([lambda: 1, lambda: 2])
+    assert results == [1, 2]
+    assert modeled == 700 + max(walls)
+    assert eng.ParallelRunner(2**62, 700).run([]) == ([], [], 700)
+
+
 def test_denoise_rejects_batched_or_nonfinite_input(small_model, small_rc, small_cond, small_latent):
     sched = small_rc.build_schedule()
     plan = small_rc.build_plan(sched)

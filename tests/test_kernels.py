@@ -174,6 +174,16 @@ def test_backend_env_var_forces_reference_and_rejects_unknown_names():
     assert "ConfigError: CACHEDIFF_BACKEND must be one of" in bad.stderr
 
 
+def test_kernel_bench_runs_from_a_clean_checkout(tmp_path):
+    """The timing harness finds the package without PYTHONPATH; it exits 1 when the
+    backends' bytes differ."""
+    script = Path(__file__).resolve().parents[1] / "benchmarks" / "kernel_bench.py"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run([sys.executable, str(script), "--repeat", "1"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+
+
 def test_conv2d_identity_kernel():
     rng = Rng(5)
     x = rng.normal((2, 5, 5))

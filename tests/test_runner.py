@@ -135,7 +135,7 @@ def test_compare_reports_ratios_and_errors():
     with pytest.raises(ConfigError):
         rn.compare_reports({"totals": {}}, b)
     other = {"totals": {"modeled_wall_ns": 100, "flops": 10},
-             "config": {"unet": {"frames": 8}}}
+             "config": {"unet": {"frames": 8}}, "final_checksum": "sha256:b"}
     with pytest.raises(ConfigError):
         rn.compare_reports(a, other)
 
