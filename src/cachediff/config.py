@@ -2,7 +2,11 @@
 
 A run is fully described by one :class:`RunConfig`.  Configs serialize
 to plain JSON; ``--set section.field=value`` overrides coerce strings to
-the type of the field they replace (comma lists for tuple fields).
+the type of the field they replace (comma lists for tuple fields).  Each
+value must have the type of its field's default: an int field takes an
+int, a float field an int or a float, a bool field a bool, a str field a
+string, and a tuple field a list of its default's item type; bools count
+as bools only.
 """
 
 from __future__ import annotations
@@ -82,25 +86,34 @@ _SECTIONS = {
     "run": RunSection,
 }
 
-_TUPLE_FIELDS = {"base_channels", "attention_layers", "removal_set"}
+_KINDS = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+
+
+def _fits(value, kind: type) -> bool:
+    """Whether JSON ``value`` fits a field of type ``kind``: a bool fits only a bool."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 def _build_section(cls, data: dict, section: str):
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(fields)
+    defaults = cls()
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(f"unknown key(s) in {section}: {sorted(unknown)}")
     kwargs = {}
     for name, value in data.items():
-        if name in _TUPLE_FIELDS:
-            if not isinstance(value, (list, tuple)):
-                raise ConfigError(f"{section}.{name} must be a list")
+        default = getattr(defaults, name)
+        if isinstance(default, tuple):
+            kind = type(default[0])
+            if not isinstance(value, (list, tuple)) or not all(_fits(v, kind) for v in value):
+                raise ConfigError(
+                    f"{section}.{name} must be a list, each item {_KINDS[kind]}, got {value!r}")
             value = tuple(value)
+        elif not _fits(value, type(default)):
+            raise ConfigError(f"{section}.{name} must be {_KINDS[type(default)]}, got {value!r}")
         kwargs[name] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad value in {section}: {exc}") from exc
+    return cls(**kwargs)
 
 
 def config_from_dict(data: dict) -> RunConfig:
@@ -182,11 +195,13 @@ def load_config(path: str | Path | None, sets: list[str] | None = None) -> RunCo
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
-        data = {**RunConfig().to_dict(), **data}
+        if not isinstance(data, dict):
+            raise ConfigError(f"config root in {path} must be an object")
         base = RunConfig().to_dict()
         for section in _SECTIONS:
-            if section in data and isinstance(data[section], dict):
+            if isinstance(data.get(section), dict):
                 data[section] = {**base[section], **data[section]}
+        data = {**base, **data}
     if sets:
         apply_overrides(data, sets)
     return config_from_dict(data)

@@ -250,7 +250,7 @@ def _run_block(
                 [block.nonkeys[j] for j in steps], cond,
                 log=clog, dfa=trace.dfa, removal_active=strategy.uses_removal,
             )
-            return eps, clog.per_sample(len(steps))
+            return eps, clog
 
         return task
 

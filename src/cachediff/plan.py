@@ -14,7 +14,9 @@ probabilities).  The walk records
   before the steps run (several buffers may read one name), and named
   results, each read from a buffer after the steps;
 * the pass's FLOP events, logged through :meth:`FlopLog.add`, so that the
-  tag and arity checks run once per plan.
+  tag and arity checks run once per plan.  A pass over a stack of equal
+  samples covers them all; :meth:`Plan.finish` divides each event by the
+  sample count, once, so that a run of the plan logs one sample's costs.
 
 :meth:`Plan.finish` places the buffers in one float32 arena by liveness:
 two buffers share memory only when no step lies in both their spans.
@@ -26,7 +28,7 @@ time, so the plans share them.
 A pass copies its feeds into the inputs, runs its program and reads its
 results.  The program is bound once per library (see
 :func:`kernels.program`): on the compiled library it is one call into the
-library.  The pass then extends the caller's log with the recorded
+library.  The pass then extends the caller's log with one sample's
 events.  It allocates none of its buffers, converts no pointer and checks
 no kernel argument.
 """
@@ -40,6 +42,7 @@ from collections.abc import Callable, Hashable
 import numpy as np
 
 from . import kernels
+from .errors import InvariantError
 from .profiler import FlopLog
 
 _ALIGN = 16  # floats: buffers start on 64-byte boundaries
@@ -190,13 +193,17 @@ class Plan:
 
     # -- placing and running
 
-    def finish(self) -> Plan:
-        """Place the buffers by liveness; the results' sources stay live after the last
-        step, and the recorded events become a tuple."""
+    def finish(self, samples: int = 1) -> Plan:
+        """Place the buffers by liveness (the results' sources stay live after the last
+        step), and keep one of ``samples`` equal samples' share of each recorded event;
+        an event that does not split evenly raises :class:`InvariantError`."""
         end = len(self.steps)
         for _, b, _ in self.results:
             b.last = end
-        self.log.events = tuple(self.log.events)
+        for tag, layer, n in self.log.events:
+            if n % samples:
+                raise InvariantError(f"{tag} at {layer}: {n} FLOPs do not split into {samples}")
+        self.log = FlopLog((tag, layer, n // samples) for tag, layer, n in self.log.events)
         live: list[tuple[int, int, int]] = []  # (offset, end offset, last step), by offset
         for b in sorted((b for b in self.bufs if b.first is not None), key=lambda b: b.first):
             live = [iv for iv in live if iv[2] >= b.first]
@@ -222,8 +229,8 @@ class Plan:
 
     def run(self, lib, log: FlopLog | None, feeds: dict) -> dict:
         """Run the pass on ``lib`` (see :func:`kernels.active_library`): copy
-        ``feeds[name]`` into each input, run the program bound for ``lib``, and
-        return the results by name."""
+        ``feeds[name]`` into each input, run the program bound for ``lib``, log one
+        sample's events to ``log``, and return the results by name."""
         calls = self._calls.get(lib)
         if calls is None:
             calls = self._calls[lib] = kernels.program(

@@ -4,6 +4,8 @@ Costs follow fixed conventions: matmul ``2*m*k*n``; 3x3 conv2d
 ``2*c_out*c_in*9*h_out*w_out``; attention scores and apply ``2*Lq*Lk*d``
 each; softmax ``5*Lq*Lk``; elementwise one per element (a fused update
 like ``a*z + b*eps`` counts each scalar multiply and add separately).
+A pass's events are a :class:`FlopLog`; a run's, step by step, are a
+:class:`FlopLedger`, whose total must equal the report's per-step sum.
 Diagnostic metrics (L2 series, cosine matrices, attention mass) run in
 float64; they feed CSV outputs, not the bit-exact compute path.
 """
@@ -41,119 +43,54 @@ def count_flops(tag: str, dims: Sequence[int]) -> int:
 
 
 class FlopLog:
-    """Per-forward operator log: (tag, layer, flops) triples.
+    """A list of operator events, (tag, layer, flops) triples, and their running total."""
 
-    Append-only: its total is kept as events arrive, and a log extended
-    with another (a plan's recorded events) takes that log's total instead
-    of summing its events again.  A log that holds exactly the events of
-    one other log shares that log's per-sample forms, computed once per
-    sample count.
-    """
-
-    def __init__(self):
-        self.events: list[tuple[str, str, int]] = []
-        self._flops = 0  # the total of events[:_counted]
-        self._counted = 0
-        self._origin: FlopLog | None = None  # the log whose events this one holds exactly
-        self._split: dict[int, tuple[int, FlopLog]] = {}  # samples -> (events seen, log)
+    def __init__(self, events: Iterable[tuple[str, str, int]] = ()):
+        self.events: list[tuple[str, str, int]] = list(events)
+        self._flops = sum(e[2] for e in self.events)
 
     def add(self, tag: str, layer: str, dims: Sequence[int]) -> None:
-        self.events.append((tag, layer, count_flops(tag, dims)))
-        self._origin = None
+        n = count_flops(tag, dims)
+        self.events.append((tag, layer, n))
+        self._flops += n
 
     def extend(self, other: "FlopLog") -> None:
         """Append the events of ``other``."""
-        counted = self._counted == len(self.events)
-        self._origin = None if self.events else other
         self.events.extend(other.events)
-        if counted:
-            self._flops += other.total()
-            self._counted = len(self.events)
+        self._flops += other.total()
 
     def total(self) -> int:
-        if self._counted < len(self.events):
-            self._flops += sum(e[2] for e in self.events[self._counted :])
-            self._counted = len(self.events)
         return self._flops
-
-    def per_sample(self, samples: int) -> "FlopLog":
-        """One sample's log of a stacked call whose every event covers ``samples`` equal samples."""
-        src = self._origin
-        if src is None or len(src.events) != len(self.events):
-            src = self
-        seen, part = src._split.get(samples, (-1, None))
-        if seen != len(src.events):
-            part = FlopLog()
-            for tag, layer, n in src.events:
-                if n % samples:
-                    raise InvariantError(f"{tag} at {layer}: {n} FLOPs do not split into {samples}")
-                part.events.append((tag, layer, n // samples))
-            src._split[samples] = (len(src.events), part)
-        out = FlopLog()
-        out.extend(part)
-        return out
 
 
 class FlopLedger:
-    """Run-level ledger of (tag, layer, timestep, flops) events.
+    """Run-level FLOPs: each step's events with its timestep, in the order logged.
 
-    A step's log is kept as it is given and written out as rows only when
-    :attr:`rows` is read, so that a run that never reads them never builds
-    them; the total is kept as logs arrive.
+    A step keeps its log's events as given; the rows are built each time
+    :attr:`rows` is read, and the total is kept as steps arrive.
     """
 
     def __init__(self):
-        self._rows: list[tuple[str, str, int, int]] = []
-        # (a log's events, timestep) not yet written as rows; (rows, None) for rows
-        self._pending: list[tuple[list, int | None]] = []
+        self._steps: list[tuple[tuple, int]] = []  # (a step's events, its timestep)
         self._flops = 0
 
     @property
     def rows(self) -> list[tuple[str, str, int, int]]:
-        """Every event as (tag, layer, timestep, flops), in the order logged; read-only."""
-        for events, t in self._pending:
-            if t is None:
-                self._rows.extend(events)
-            else:
-                self._rows.extend((tag, layer, t, n) for tag, layer, n in events)
-        self._pending.clear()
-        return self._rows
-
-    def add(self, tag: str, layer: str, t: int, dims: Sequence[int]) -> None:
-        n = count_flops(tag, dims)
-        self.rows.append((tag, layer, int(t), n))
-        self._flops += n
+        """Every event as (tag, layer, timestep, flops), in the order logged."""
+        return [(tag, layer, t, n) for events, t in self._steps for tag, layer, n in events]
 
     def extend(self, log: FlopLog, t: int) -> None:
-        self._pending.append((list(log.events), int(t)))
+        """Record ``log``'s events as step ``t``'s."""
+        self._steps.append((tuple(log.events), int(t)))
         self._flops += log.total()
 
     def merge(self, other: "FlopLedger") -> None:
-        """Append the rows of another ledger."""
-        if other._rows:
-            self._pending.append((list(other._rows), None))
-        self._pending += other._pending
+        """Append the steps of another ledger."""
+        self._steps += other._steps
         self._flops += other._flops
 
-    def total(self, tags: Iterable[str] | None = None) -> int:
-        if tags is None:
-            return self._flops
-        wanted = set(tags)
-        return sum(r[3] for r in self.rows if r[0] in wanted)
-
-    def per_step(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for _, _, t, n in self.rows:
-            out[t] = out.get(t, 0) + n
-        return out
-
-    def by_layer(self, tags: Iterable[str] | None = None) -> dict[str, int]:
-        wanted = None if tags is None else set(tags)
-        out: dict[str, int] = {}
-        for tag, layer, _, n in self.rows:
-            if wanted is None or tag in wanted:
-                out[layer] = out.get(layer, 0) + n
-        return out
+    def total(self) -> int:
+        return self._flops
 
 
 def speedup(baseline_seconds: float, accelerated_seconds: float) -> float:

@@ -7,6 +7,7 @@ by the row-major float32 payload in little-endian byte order.
 from __future__ import annotations
 
 import hashlib
+import math
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +52,7 @@ def read_tns(path: str | Path, check_finite: bool = True) -> np.ndarray:
         raise ConfigError(f"{path}: malformed shape header") from exc
     if any(d <= 0 for d in shape):
         raise ConfigError(f"{path}: non-positive dimension in shape {shape}")
-    count = int(np.prod(shape))
+    count = math.prod(shape)  # exact: np.prod wraps around in int64
     payload = raw[nl + 1 :]
     if len(payload) != 4 * count:
         raise ConfigError(

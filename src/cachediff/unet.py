@@ -348,11 +348,10 @@ class ToyUNet:
 
         The b samples of ``z`` run as one stack along the frame axis, each
         with its own timestep: ``t`` is one int for all or one per sample.
-        ``f_u31`` holds one cached feature per sample, or one shared by all;
-        a shared feature and the ``dfa`` caches are broadcast, not copied.
-        Each sample's result is the bytes of a one-sample call.  ``log``
-        receives the costs of b one-sample calls, with every event covering
-        the b samples equally (see :meth:`FlopLog.per_sample`).
+        ``f_u31`` is one cached feature, (1, frames, channels, h, w), shared
+        by every sample; it and the ``dfa`` caches are broadcast, not copied.
+        Each sample's result is the bytes of a one-sample call, and ``log``
+        receives the events of a one-sample call (see :meth:`Plan.finish`).
         """
         cfg = self.cfg
         self._check_latent(z)
@@ -360,23 +359,21 @@ class ToyUNet:
         ts = [int(t)] * b if np.ndim(t) == 0 else [int(v) for v in t]
         if len(ts) != b:
             raise ConfigError(f"need one timestep per sample: {len(ts)} for {b} samples")
-        feat = (cfg.frames, cfg.base_channels[0], cfg.height, cfg.width)
-        if f_u31.shape not in ((b,) + feat, (1,) + feat):
-            raise ConfigError(
-                f"cached feature must be {(b,) + feat} or {(1,) + feat}, got {f_u31.shape}"
-            )
+        feat = (1, cfg.frames, cfg.base_channels[0], cfg.height, cfg.width)
+        if f_u31.shape != feat:
+            raise ConfigError(f"cached feature must be {feat}, got {f_u31.shape}")
         ctxs = None if dfa is None else tuple(sorted(
             (k, c.mask.shape, c.mask.fg_index.tobytes(), None if c.bg is None else c.bg.shape)
             for k, c in dfa.items()
         ))
-        key = ("subnet", b, f_u31.shape[0], bool(removal_active), ctxs)
+        key = ("subnet", b, bool(removal_active), ctxs)
         f, cl, h, w = cfg.frames, cfg.latent_channels, cfg.height, cfg.width
         feeds = self._feeds(z.transpose(0, 2, 1, 3, 4).reshape(b * f, cl, h, w), ts, cond)
-        feeds["f_u31"] = f_u31.reshape((-1,) + feat[1:])
+        feeds["f_u31"] = f_u31[0]
         feeds.update({k: c.bg for k, c in (dfa or {}).items()})
         with self._lock:
             plan = self._plans.get(
-                key, lambda: self._plan_subnet(b, f_u31.shape[0], bool(removal_active), dfa)
+                key, lambda: self._plan_subnet(b, bool(removal_active), dfa)
             )
             return plan.run(active_library(), log, feeds)["eps"]
 
@@ -442,17 +439,17 @@ class ToyUNet:
         p.result("f_u31", f_u31, lambda a: a.copy()[None])
         return p.finish()
 
-    def _plan_subnet(self, b: int, feats: int, removal: bool, dfa: DfaCache | None) -> Plan:
+    def _plan_subnet(self, b: int, removal: bool, dfa: DfaCache | None) -> Plan:
         cfg = self.cfg
         f, cl, h, w = cfg.frames, cfg.latent_channels, cfg.height, cfg.width
         p = Plan()
         z = p.input("z", (b * f, cl, h, w))
         tp = self._plan_time(p, b)
         s_in = p.conv(z, self.convs["conv_in"], "conv_in")
-        f_in = p.input("f_u31", (feats * f, cfg.base_channels[0], h, w))
+        f_in = p.input("f_u31", (f, cfg.base_channels[0], h, w))
         eps = self._plan_u32_head(p, f_in, s_in, tp, b, removal, dfa, None, False)
         p.result("eps", eps, lambda a: a.reshape(b, f, *a.shape[1:]).transpose(0, 2, 1, 3, 4).copy())
-        return p.finish()
+        return p.finish(b)
 
     def _plan_time(self, p: Plan, samples: int) -> Buf:
         """The time features of the pass's timesteps and every unit's time projection of them."""
@@ -583,23 +580,23 @@ class ToyUNet:
         self, p: Plan, f_u31: Buf, s_in: Buf, tproj: Buf, samples: int, removal: bool,
         dfa: DfaCache | None, keep_mask: ForegroundMask | None, keep_probs: bool,
     ) -> Buf:
-        """Noise prediction from the U31 feature and conv_in branch."""
+        """Noise prediction from the U31 feature, one sample's frames, and the
+        conv_in branch of every sample."""
         # Each fusion branch is normalized on its own: the cached feature
         # accumulates the trunk's magnitude while the fresh conv_in branch
         # does not, and a joint scale would crush whichever branch is
         # smaller, leaving the truncated pass insensitive to its latent.
-        # A feature shared by every sample of the stack is broadcast.
-        feats, c, h, w = f_u31.shape
-        copies = s_in.shape[0] // feats
-        fn = p.norm(f_u31, "U32.f", copies=copies)
+        # The feature, shared by every sample of the stack, is broadcast.
+        f, c, h, w = f_u31.shape
+        fn = p.norm(f_u31, "U32.f", copies=samples)
         sn = p.norm(s_in, "U32.in")
         fused = p.buf((s_in.shape[0], 2 * c, h, w))
 
         def half(i: int):
-            return lambda: fused.a.reshape(copies, feats, 2 * c, h * w)[:, :, i * c : (i + 1) * c]
+            return lambda: fused.a.reshape(samples, f, 2 * c, h * w)[:, :, i * c : (i + 1) * c]
 
-        p.copy(half(0), lambda: fn.a.reshape(1, feats, c, h * w), fn, fused)
-        p.copy(half(1), lambda: sn.a.reshape(copies, feats, c, h * w), sn, fused)
+        p.copy(half(0), lambda: fn.a.reshape(1, f, c, h * w), fn, fused)
+        p.copy(half(1), lambda: sn.a.reshape(samples, f, c, h * w), sn, fused)
         x = self._plan_res(p, fused, tproj, samples, "U32.res")
         if "U32" in self.cfg.attention_layers:
             x = self._plan_attn(p, x, "U32", removal, dfa, keep_mask, keep_probs)

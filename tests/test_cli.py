@@ -220,6 +220,39 @@ def test_config_errors_exit_one(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: config:")
 
 
+# (section, field, value) a config file gives a field of another type
+WRONG_TYPES = {
+    "steps_string": ("schedule", "steps", "6"),
+    "block_size_float": ("schedule", "block_size", 1.5),
+    "total_frames_float": ("run", "total_frames", 2.0),
+    "frames_float": ("unet", "frames", 2.0),
+    "workers_float": ("strategy", "workers", 2.5),
+    "noise_seed_float": ("seeds", "noise", 1.5),
+    "estimation_string": ("strategy", "estimation", "off"),
+    "base_channels_bool": ("unet", "base_channels", [4, 5, True, 7]),
+    "removal_set_ints": ("unet", "removal_set", [1]),
+}
+
+
+@pytest.mark.parametrize("case", ["root_list"] + list(WRONG_TYPES))
+def test_config_file_values_of_the_wrong_type_exit_one_in_one_line(tmp_path, capsys, case):
+    cfg = write_small_config(tmp_path)
+    data = json.loads(cfg.read_text())
+    if case == "root_list":
+        data = [data]
+    else:
+        section, name, value = WRONG_TYPES[case]
+        data.setdefault(section, {})[name] = value
+    cfg.write_text(json.dumps(data))
+    out_dir = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--strategy", "lcp", "--out", str(out_dir)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and not out_dir.exists()
+    assert err.startswith("error: config:") and err.count("\n") == 1
+    if case != "root_list":
+        assert f"{WRONG_TYPES[case][0]}.{WRONG_TYPES[case][1]}" in err
+
+
 def test_invariant_errors_exit_two(tmp_path, capsys):
     cfg = write_small_config(tmp_path)
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),

@@ -45,6 +45,21 @@ def test_tuple_fields_coerce_from_lists():
         cf.config_from_dict({"unet": {"base_channels": "wide"}})
 
 
+def test_section_values_must_have_their_fields_types():
+    """An int field takes an int, a float field an int or a float, and only a bool
+    field takes a bool."""
+    rc = cf.config_from_dict({"schedule": {"t_thresh_fraction": 0, "beta_end": 0.03},
+                              "strategy": {"estimation": False, "workers": 2}})
+    assert rc.schedule.t_thresh_fraction == 0 and rc.strategy.estimation is False
+    for section, name, value in [
+        ("schedule", "T", True), ("schedule", "beta_start", False), ("schedule", "steps", 6.0),
+        ("strategy", "estimation", 0), ("strategy", "variant", None), ("seeds", "weights", "0"),
+        ("run", "out_dir", 3), ("unet", "attention_layers", "M"), ("unet", "base_channels", [4.0]),
+    ]:
+        with pytest.raises(ConfigError, match=f"{section}.{name} must be"):
+            cf.config_from_dict({section: {name: value}})
+
+
 def test_build_helpers_reflect_schedule_section():
     rc = cf.config_from_dict({"schedule": {"T": 60, "steps": 6, "block_size": 2}})
     sched = rc.build_schedule()

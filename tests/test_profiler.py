@@ -32,46 +32,25 @@ def test_half_length_attention_costs_one_quarter():
 
 
 def test_flop_log_accumulates_events():
+    """add and extend append events in order and keep their total; extend takes the
+    other log's total, and a log built from events counts them."""
     log = profiler.FlopLog()
     log.add("matmul", "proj", (2, 3, 4))
     log.add("elementwise", "act", (10,))
     assert log.events == [("matmul", "proj", 48), ("elementwise", "act", 10)]
     assert log.total() == 58
-
-
-def test_flop_log_per_sample_splits_every_event_exactly():
-    log = profiler.FlopLog()
-    log.add("matmul", "proj", (3 * 2, 3, 4))
-    log.add("elementwise", "act", (3 * 10,))
-    assert log.per_sample(3).events == [("matmul", "proj", 48), ("elementwise", "act", 10)]
-    log.add("elementwise", "once", (10,))
-    with pytest.raises(InvariantError):
-        log.per_sample(3)
-
-
-def test_flop_log_extended_from_a_frozen_log_reuses_its_total_and_per_sample_form():
-    """A plan's frozen log: a pass's log takes its total and shares its per-sample
-    form, computed once; events added after it count as usual."""
-    plan = profiler.FlopLog()
-    plan.add("matmul", "proj", (2 * 2, 3, 4))
-    plan.add("elementwise", "act", (2 * 10,))
-    plan.events = tuple(plan.events)
-    logs = [profiler.FlopLog() for _ in range(2)]
-    for log in logs:
-        log.extend(plan)
-    assert logs[0].events == list(plan.events) and logs[0].total() == 96 + 20
-    halves = [log.per_sample(2) for log in logs]
-    assert halves[0].events == halves[1].events == [
-        ("matmul", "proj", 48), ("elementwise", "act", 10)]
-    assert halves[0].total() == 58
-    halves[0].add("elementwise", "scheduler", (3,))  # the caller's own log, not the shared form
-    assert halves[1].total() == 58 and logs[1].per_sample(2).total() == 58
-    logs[0].add("elementwise", "scheduler", (3,))
-    assert logs[0].total() == 119
-    with pytest.raises(InvariantError):
-        logs[0].per_sample(2)
-    logs[1].events.append(("elementwise", "direct", 7))  # appended without add: still counted
-    assert logs[1].total() == 123
+    plan = profiler.FlopLog((("softmax", "attn", 15), ("elementwise", "act", 2)))
+    assert plan.total() == 17
+    log.extend(plan)
+    log.add("elementwise", "scheduler", (3,))
+    assert log.events == [("matmul", "proj", 48), ("elementwise", "act", 10),
+                          ("softmax", "attn", 15), ("elementwise", "act", 2),
+                          ("elementwise", "scheduler", 3)]
+    assert log.total() == 58 + 17 + 3
+    assert plan.total() == 17 and len(plan.events) == 2  # extend leaves the source as it was
+    empty = profiler.FlopLog()
+    empty.extend(profiler.FlopLog())
+    assert empty.events == [] and empty.total() == 0
 
 
 def test_ledger_rows_written_when_read_match_the_logs_in_order():
@@ -82,35 +61,27 @@ def test_ledger_rows_written_when_read_match_the_logs_in_order():
         log.add("softmax", "b", (1, i + 1))
         logs.append(log)
     ledger, other = profiler.FlopLedger(), profiler.FlopLedger()
+    assert ledger.rows == [] and ledger.total() == 0
     ledger.extend(logs[0], 9)
     other.extend(logs[1], 8)
-    other.add("elementwise", "c", 8, (4,))
     other.extend(logs[2], 7)
-    assert other.total() == 4 + 10 + 4 + 6 + 15
+    assert other.total() == 4 + 10 + 6 + 15
     ledger.merge(other)
     assert ledger.total() == 2 + 5 + other.total()
-    assert ledger.rows == [
+    want = [
         ("matmul", "a", 9, 2), ("softmax", "b", 9, 5),
-        ("matmul", "a", 8, 4), ("softmax", "b", 8, 10), ("elementwise", "c", 8, 4),
+        ("matmul", "a", 8, 4), ("softmax", "b", 8, 10),
         ("matmul", "a", 7, 6), ("softmax", "b", 7, 15),
     ]
-    assert ledger.per_step() == {9: 7, 8: 18, 7: 21}
-
-
-def test_ledger_views():
-    ledger = profiler.FlopLedger()
-    ledger.add("matmul", "a", 5, (1, 1, 1))
-    ledger.add("softmax", "b", 5, (2, 2))
-    ledger.add("matmul", "a", 3, (2, 1, 1))
-    assert ledger.total() == 2 + 20 + 4
-    assert ledger.total(["matmul"]) == 6
-    assert ledger.per_step() == {5: 22, 3: 4}
-    assert ledger.by_layer() == {"a": 6, "b": 20}
-    assert ledger.by_layer(["softmax"]) == {"b": 20}
-    log = profiler.FlopLog()
-    log.add("elementwise", "c", (5,))
-    ledger.extend(log, 1)
-    assert ledger.per_step()[1] == 5
+    assert ledger.rows == want
+    assert sum(r[3] for r in ledger.rows) == ledger.total()
+    # a step keeps the events its log held when it was recorded
+    logs[0].add("elementwise", "late", (4,))
+    ledger.extend(logs[0], 6)
+    assert ledger.rows == want + [("matmul", "a", 6, 2), ("softmax", "b", 6, 5),
+                                  ("elementwise", "late", 6, 4)]
+    assert ledger.total() == 42 + 11
+    assert other.rows == want[2:] and other.total() == 35
 
 
 def test_speedup_rounding():

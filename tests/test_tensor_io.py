@@ -60,6 +60,15 @@ def test_read_rejects_malformed_files(tmp_path):
         tensor_io.read_tns(path)
 
 
+def test_read_refuses_a_shape_whose_size_overflows_int64(tmp_path):
+    """2**32 x 2**32 elements wrap to 0 in int64; the size check must still refuse an
+    empty payload, before anything is allocated."""
+    path = tmp_path / "huge.tns"
+    path.write_bytes(b"shape: 4294967296,4294967296\n")
+    with pytest.raises(ConfigError, match="payload holds 0 bytes"):
+        tensor_io.read_tns(path)
+
+
 def test_read_checks_finiteness(tmp_path):
     arr = np.array([1.0, np.inf], dtype=np.float32)
     path = tmp_path / "inf.tns"

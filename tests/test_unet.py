@@ -7,8 +7,9 @@ import pytest
 
 from cachediff import engine, kernels
 from cachediff import unet as un
-from cachediff.errors import ConfigError
+from cachediff.errors import ConfigError, InvariantError
 from cachediff.masks import ForegroundMask, ellipse_mask, rect_mask
+from cachediff.plan import Plan
 from cachediff.profiler import FlopLog
 from cachediff.tensor_io import tensor_bytes
 
@@ -148,6 +149,11 @@ def test_subnet_rejects_wrong_cached_shape(small_model, small_cond, small_latent
     bad = np.zeros((1, 1, 4, 8, 8), dtype=np.float32)
     with pytest.raises(ConfigError):
         small_model.subnet(bad, small_latent, 29, small_cond)
+    # one feature per sample: the subnet takes only the one shared feature
+    f_u31 = small_model.forward(small_latent, 29, small_cond).f_u31
+    with pytest.raises(ConfigError, match="cached feature"):
+        small_model.subnet(np.concatenate([f_u31, f_u31]),
+                           np.concatenate([small_latent, small_latent]), [29, 21], small_cond)
 
 
 def test_subnet_tracks_fresh_latent(small_model, small_cond, small_latent, small_cfg):
@@ -211,13 +217,6 @@ def test_subnet_costs_under_a_third_of_full_pass():
     assert 0 < sub_log.total() < 0.35 * full_log.total()
 
 
-def _flop_totals(log):
-    out = {}
-    for tag, layer, n in log.events:
-        out[(tag, layer)] = out.get((tag, layer), 0) + n
-    return out
-
-
 def test_forward_background_rows_match_full_path_outputs():
     """The background rows at a partial mask are the full-path output's rows: those kept
     at an all-background mask, taken at the mask's background index.  Keeping the
@@ -265,33 +264,40 @@ def test_forward_background_rows_match_full_path_outputs():
 
 
 @pytest.mark.parametrize("restricted", [False, True])
-@pytest.mark.parametrize("shared_feature", [True, False])
-def test_stacked_subnet_matches_single_calls(small_cfg, small_model, small_cond, restricted,
-                                             shared_feature):
-    """k samples in one subnet call give the bytes and per-sample FLOPs of k single calls."""
+def test_stacked_subnet_matches_single_calls(small_cfg, small_model, small_cond, restricted):
+    """k samples in one subnet call give the bytes of k single calls and log the
+    events of one, event for event and in order."""
     ts = [41, 29, 17]
     zs = [latent_for(small_cfg, seed=s) for s in range(3)]
     tr = small_model.forward(
         zs[0], 47, small_cond, bg_masks=engine._layer_masks(small_cfg, small_cond.mask)
     )
     dfa = tr.dfa if restricted else None
-    feats = [tr.f_u31] if shared_feature else [
-        small_model.forward(z, 47, small_cond).f_u31 for z in zs
-    ]
     log = FlopLog()
     eps = small_model.subnet(
-        np.concatenate(feats), np.concatenate(zs), ts, small_cond,
+        tr.f_u31, np.concatenate(zs), ts, small_cond,
         log=log, dfa=dfa, removal_active=restricted,
     )
-    per_sample = log.per_sample(len(ts))
     for i, (z, t) in enumerate(zip(zs, ts)):
         one = FlopLog()
         want = small_model.subnet(
-            feats[0 if shared_feature else i], z, t, small_cond,
-            log=one, dfa=dfa, removal_active=restricted,
+            tr.f_u31, z, t, small_cond, log=one, dfa=dfa, removal_active=restricted,
         )
         assert eps[i : i + 1].tobytes() == want.tobytes()
-        assert _flop_totals(per_sample) == _flop_totals(one)
+        assert log.events == one.events and log.total() == one.total()
+
+
+def test_plan_refuses_events_that_do_not_split_per_sample():
+    """Plan.finish keeps one sample's share of each event, and refuses an uneven split."""
+    p = Plan()
+    p.flop("elementwise", "x", (6,))
+    p.flop("matmul", "y", (3, 2, 2))
+    assert p.finish(samples=3).log.events == [("elementwise", "x", 2), ("matmul", "y", 8)]
+    assert p.log.total() == 10
+    p = Plan()
+    p.flop("elementwise", "x", (4,))
+    with pytest.raises(InvariantError, match="do not split into 3"):
+        p.finish(samples=3)
 
 
 def test_subnet_rejects_timestep_count_mismatch(small_model, small_cond, small_latent):
