@@ -8,13 +8,16 @@ steps), and prints per-call best times with the slowdown of the
 reference, and the minor page faults per timed call (getrusage).  The
 ``forward`` and ``subnet`` cases are whole planned passes of the default
 model, each one ``cd_run`` call: one forward pass, and one subnet call on
-a stack of two samples.
+a stack of two samples.  ``key_step`` and ``dfa_subnet`` are the two
+passes of a ``full_stack`` block (lcp_dfa_rm on the default mask): the
+key step's forward pass with removal, keeping U32's background rows, and
+a two-sample subnet call with removal that reads them.
 Exits 1 when the outputs differ.  Without a C compiler only the reference
 is timed.
 
 Usage:
     python3 benchmarks/kernel_bench.py
-    python3 benchmarks/kernel_bench.py --kernel forward --repeat 20
+    python3 benchmarks/kernel_bench.py --kernel key_step --repeat 20
 """
 
 import argparse
@@ -43,21 +46,26 @@ def preact_conv(x: np.ndarray, conv: kernels.PackedConv) -> np.ndarray:
 
 
 def pass_cases(seed: int) -> dict:
-    """A default forward pass, and a subnet call on two samples with their own timesteps."""
+    """A default forward pass and a subnet call on two samples with their own timesteps,
+    each plain and as a restricted-attention block with removal runs it."""
     rc = RunConfig()
     model = build_model(rc)
     conds, root = build_conditioning(rc)
     z = initial_latent(root, rc.unet, seed)
     zs = np.concatenate([z, initial_latent(root, rc.unet, seed + 1)])
     feature = model.forward(z, 500, conds[0]).f_u31
+    dfa = model.forward(z, 500, conds[0], keep_bg=True, removal_active=True).dfa
 
-    def forward():
-        tr = model.forward(z, 500, conds[0])
-        return tr.eps, tr.f_u31
+    def forward(**kw):
+        tr = model.forward(z, 500, conds[0], **kw)
+        return (tr.eps, tr.f_u31) + tuple(c.bg for c in (tr.dfa or {}).values())
 
     return {
         "forward": (forward, ()),
         "subnet": (partial(model.subnet, feature, zs, [480, 460], conds[0]), ()),
+        "key_step": (partial(forward, keep_bg=True, removal_active=True), ()),
+        "dfa_subnet": (partial(model.subnet, feature, zs, [480, 460], conds[0], dfa=dfa,
+                               removal_active=True), ()),
     }
 
 

@@ -2,7 +2,7 @@
 
 A run is fully described by one :class:`RunConfig`.  Configs serialize
 to plain JSON; ``--set section.field=value`` overrides coerce strings to
-the type of the field they replace (comma lists for tuple fields).  Each
+the type of the field's default (comma lists for tuple fields).  Each
 value must have the type of its field's default: an int field takes an
 int, a float field an int or a float, a bool field a bool, a str field a
 string, and a tuple field a list of its default's item type; bools count
@@ -36,6 +36,11 @@ class ScheduleConfig:
 class SeedsConfig:
     weights: int = 0
     noise: int = 0
+
+    def __post_init__(self):
+        for name in ("weights", "noise"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"seeds.{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -136,27 +141,28 @@ def config_from_dict(data: dict) -> RunConfig:
     return RunConfig(**kwargs)
 
 
-def _coerce(raw: str, current) -> object:
-    if isinstance(current, bool):
+def _coerce(raw: str, default) -> object:
+    """``raw`` as a value of the type of the field whose default is ``default``."""
+    if isinstance(default, bool):
         low = raw.lower()
         if low in ("true", "1", "on", "yes"):
             return True
         if low in ("false", "0", "off", "no"):
             return False
         raise ConfigError(f"expected a boolean, got {raw!r}")
-    if isinstance(current, int):
+    if isinstance(default, int):
         try:
             return int(raw)
         except ValueError as exc:
             raise ConfigError(f"expected an integer, got {raw!r}") from exc
-    if isinstance(current, float):
+    if isinstance(default, float):
         try:
             return float(raw)
         except ValueError as exc:
             raise ConfigError(f"expected a number, got {raw!r}") from exc
-    if isinstance(current, list):
+    if isinstance(default, list):
         parts = [p for p in raw.split(",") if p != ""]
-        if current and isinstance(current[0], int):
+        if default and isinstance(default[0], int):
             try:
                 return [int(p) for p in parts]
             except ValueError as exc:
@@ -166,21 +172,20 @@ def _coerce(raw: str, current) -> object:
 
 
 def apply_overrides(data: dict, sets: list[str]) -> dict:
-    """Apply ``section.field=value`` overrides onto a config dict."""
+    """Apply ``section.field=value`` overrides onto a config dict, each value coerced to
+    the type of its field's default, whatever the dict holds there."""
+    defaults = RunConfig().to_dict()
     for item in sets:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form path=value")
         path, raw = item.split("=", 1)
-        keys = path.split(".")
-        node = data
-        for k in keys[:-1]:
-            if not isinstance(node, dict) or k not in node:
+        parent, node, default = None, data, defaults
+        for k in path.split("."):
+            if not (isinstance(node, dict) and isinstance(default, dict)
+                    and k in node and k in default):
                 raise ConfigError(f"unknown config path {path!r}")
-            node = node[k]
-        leaf = keys[-1]
-        if not isinstance(node, dict) or leaf not in node:
-            raise ConfigError(f"unknown config path {path!r}")
-        node[leaf] = _coerce(raw, node[leaf])
+            parent, node, default = node, node[k], default[k]
+        parent[k] = _coerce(raw, default)
     return data
 
 

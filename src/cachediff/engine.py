@@ -3,7 +3,8 @@
 A run walks a timestep plan block by block.  The block's key step runs
 the full network; its trace holds the block's cache: the U31 feature, the
 predicted noise and, for restricted-attention variants, the background
-attention rows as ``ForwardTrace.dfa``, which the subnet reads as is.
+rows of U32's attention sites under the clip's mask as
+``ForwardTrace.dfa``, which the subnet reads as is.
 The cache lives only as long as its block.  Non-key steps run the
 truncated subnet only.  Their inputs are either reused from the
 post-key latent or estimated by unrolling the deterministic update with
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InvariantError
-from .masks import ForegroundMask, downsample_mask
+from .masks import ForegroundMask
 from .profiler import FlopLedger, FlopLog
 from .schedule import (
     Block,
@@ -132,12 +133,6 @@ def _check_finite(z: np.ndarray, what: str) -> None:
         raise InvariantError(f"non-finite latent after {what}")
 
 
-def _layer_masks(cfg: UNetConfig, mask: ForegroundMask) -> dict[str, ForegroundMask]:
-    return {
-        layer: downsample_mask(mask, h, w) for layer, (_, h, w) in cfg.attn_info().items()
-    }
-
-
 def denoise_clip(
     model: ToyUNet,
     sched: NoiseSchedule,
@@ -155,12 +150,10 @@ def denoise_clip(
     step's forward pass with its timestep, input latent and
     :class:`ForwardTrace`, whose ``dfa`` and ``probs`` it then holds.
     """
-    cfg = model.cfg
     if z_T.shape[0] != 1:
         raise ConfigError(f"denoise_clip expects batch 1, got {z_T.shape}")
     _check_finite(z_T, "initialization")
     eff_plan = plan if strategy.uses_cache else plan.singleton()
-    masks = _layer_masks(cfg, cond.mask) if strategy.uses_dfa or on_key_step is not None else None
     runner = ParallelRunner(strategy.workers, strategy.dispatch_overhead_ns)
     ledger = FlopLedger()
     per_step: list[dict] = []
@@ -172,7 +165,7 @@ def denoise_clip(
         boundary = blocks[bi + 1].key if bi + 1 < len(blocks) else 0
         z, modeled = _run_block(
             model, sched, block, boundary, strategy, z, cond,
-            masks, ledger, per_step, on_key_step, runner, n_update,
+            ledger, per_step, on_key_step, runner, n_update,
         )
         modeled_total += modeled
     report = {
@@ -204,16 +197,15 @@ def denoise_clip(
 
 def _run_block(
     model, sched, block: Block, boundary: int, strategy: Strategy, z, cond,
-    masks, ledger: FlopLedger, per_step: list, on_key_step, runner, n_update: int,
+    ledger: FlopLedger, per_step: list, on_key_step, runner, n_update: int,
 ):
     """Execute one block (key step plus optional non-key phase)."""
-    want_bg = (strategy.uses_dfa and bool(block.nonkeys)) or on_key_step is not None
     log = FlopLog()
     t0 = time.perf_counter_ns()
     trace = model.forward(
         z, block.key, cond,
         log=log,
-        bg_masks=masks if want_bg else None,
+        keep_bg=(strategy.uses_dfa and bool(block.nonkeys)) or on_key_step is not None,
         keep_probs=on_key_step is not None,
         removal_active=strategy.uses_removal,
     )

@@ -55,19 +55,6 @@ class ForegroundMask:
         return int(self.bg_index.size)
 
 
-def downsample_mask(mask: ForegroundMask, h: int, w: int) -> ForegroundMask:
-    """Any-overlap reduction onto a coarser grid.
-
-    A target cell is foreground when any source cell inside it is.  Target
-    dims must divide the source dims evenly.
-    """
-    H, W = mask.shape
-    if h < 1 or w < 1 or H % h or W % w:
-        raise ConfigError(f"cannot downsample {H}x{W} mask to {h}x{w}")
-    g = mask.grid.reshape(h, H // h, w, W // w)
-    return ForegroundMask(g.max(axis=(1, 3)))
-
-
 def write_mask(path: str | Path, mask: ForegroundMask) -> None:
     """Write a mask in the text grid format."""
     H, W = mask.shape

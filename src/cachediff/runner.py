@@ -194,11 +194,11 @@ class DiagnosticsTap:
         self.steps: list[StepCapture] = []
 
     def __call__(self, t: int, z_in: np.ndarray, trace: ForwardTrace) -> None:
-        bg = {site: ctx.bg for (layer, site), ctx in trace.dfa.items() if layer == "U32"}
-        mask = trace.dfa[("U32", "reference")].mask
+        bg = {site: ctx.bg for site, ctx in trace.dfa.items()}
+        mask = trace.dfa["reference"].mask
         mass = []
         if mask.num_fg:
-            probs = trace.probs["U32"]
+            probs = trace.probs
             L = probs.shape[1]
             fg, bg_idx = mask.fg_index, mask.bg_index
             groups = {"fg_noisy": fg, "bg_noisy": bg_idx, "fg_ref": L + fg, "bg_ref": L + bg_idx}

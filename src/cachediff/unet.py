@@ -12,10 +12,12 @@ the first encoder skip, ``U31`` refines, and ``U32`` consumes the
 truncated forward pass (:meth:`ToyUNet.subnet`) reproduces the tail of
 the network exactly from that feature plus a fresh latent.
 
-Given one foreground mask per attention layer, the full pass also returns
-the background rows of every attention site's output as the
+The truncated pass runs only ``U32``'s attention, so only ``U32``'s sites
+keep anything for it.  With ``keep_bg`` the full pass returns, under the
+conditioning's own mask (``U32`` runs at the latent's resolution), the
+background rows of each ``U32`` site's output as the
 :class:`attention.DfaContext` the truncated pass reads
-(:attr:`ForwardTrace.dfa`), and on request each layer's reference-site
+(:attr:`ForwardTrace.dfa`), and on request ``U32``'s reference-site
 attention probabilities (:attr:`ForwardTrace.probs`).
 """
 
@@ -116,19 +118,19 @@ class Conditioning:
             raise ConfigError(f"valid_frames must be in [1, {cfg.frames}], got {self.valid_frames}")
 
 
-# Restriction contexts keyed by (attention layer, site).
-DfaCache = dict[tuple[str, str], attn.DfaContext]
+# U32's restriction contexts keyed by site ("reference", "audio", "temporal").
+DfaCache = dict[str, attn.DfaContext]
 
 
 @dataclass
 class ForwardTrace:
-    """Outputs of a full forward pass; ``dfa`` only when background masks were given,
-    ``probs`` only when probabilities were kept."""
+    """Outputs of a full forward pass; ``dfa`` only with ``keep_bg`` and ``probs``
+    only with ``keep_probs``, both only when the model has a U32 attention layer."""
 
     eps: np.ndarray
     f_u31: np.ndarray
     dfa: DfaCache | None = None
-    probs: dict[str, np.ndarray] | None = None
+    probs: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -293,17 +295,16 @@ class ToyUNet:
         cond: Conditioning,
         *,
         log: FlopLog | None = None,
-        bg_masks: dict[str, ForegroundMask] | None = None,
+        keep_bg: bool = False,
         keep_probs: bool = False,
         removal_active: bool = False,
     ) -> ForwardTrace:
         """Full noise prediction of one sample; returns eps and the cacheable U31 feature.
 
-        Given ``bg_masks``, one mask per attention layer at that layer's
-        resolution, the trace's ``dfa`` holds for every (layer, site) the
-        mask and the background rows of the site's full-path output: the
-        ``dfa`` argument of :meth:`subnet`.  With ``keep_probs``, the
-        trace's ``probs`` holds each attention layer's reference-site
+        With ``keep_bg``, the trace's ``dfa`` holds for each U32 site
+        ``cond.mask`` and the background rows of the site's full-path
+        output: the ``dfa`` argument of :meth:`subnet`.  With
+        ``keep_probs``, the trace's ``probs`` holds U32's reference-site
         probabilities, shaped (frames, L, keys).
         """
         cfg = self.cfg
@@ -311,26 +312,24 @@ class ToyUNet:
         if z.shape[0] != 1:
             raise ConfigError(f"forward takes one sample, got {z.shape[0]}")
         cond.validate(cfg)
-        masks = {
-            layer: None if bg_masks is None else bg_masks.get(layer)
-            for layer in cfg.attention_layers
-        }
-        key = ("forward", bool(removal_active), bool(keep_probs),
-               tuple(None if m is None else (m.shape, m.fg_index.tobytes()) for m in masks.values()))
+        u32 = "U32" in cfg.attention_layers
+        mask = cond.mask if keep_bg and u32 else None
+        keep_probs = bool(keep_probs) and u32
+        key = ("forward", bool(removal_active), keep_probs,
+               None if mask is None else mask.fg_index.tobytes())
         feeds = self._feeds(z[0].transpose(1, 0, 2, 3), [int(t)], cond)
         with self._lock:
             plan = self._plans.get(
-                key, lambda: self._plan_forward(bool(removal_active), masks, bool(keep_probs))
+                key, lambda: self._plan_forward(bool(removal_active), mask, keep_probs)
             )
             res = plan.run(active_library(), log, feeds)
         return ForwardTrace(
             eps=res["eps"],
             f_u31=res["f_u31"],
-            dfa=None if bg_masks is None else {
-                (layer, site): attn.DfaContext(mask, res[(layer, site)])
-                for layer, mask in masks.items() if mask is not None for site in SITES
+            dfa=None if mask is None else {
+                site: attn.DfaContext(mask, res[("U32", site)]) for site in SITES
             },
-            probs={layer: res[f"{layer}.probs"] for layer in masks} if keep_probs else None,
+            probs=res["probs"] if keep_probs else None,
         )
 
     def subnet(
@@ -363,14 +362,14 @@ class ToyUNet:
         if f_u31.shape != feat:
             raise ConfigError(f"cached feature must be {feat}, got {f_u31.shape}")
         ctxs = None if dfa is None else tuple(sorted(
-            (k, c.mask.shape, c.mask.fg_index.tobytes(), None if c.bg is None else c.bg.shape)
-            for k, c in dfa.items()
+            (site, c.mask.shape, c.mask.fg_index.tobytes(), None if c.bg is None else c.bg.shape)
+            for site, c in dfa.items()
         ))
         key = ("subnet", b, bool(removal_active), ctxs)
         f, cl, h, w = cfg.frames, cfg.latent_channels, cfg.height, cfg.width
         feeds = self._feeds(z.transpose(0, 2, 1, 3, 4).reshape(b * f, cl, h, w), ts, cond)
         feeds["f_u31"] = f_u31[0]
-        feeds.update({k: c.bg for k, c in (dfa or {}).items()})
+        feeds.update({("U32", site): c.bg for site, c in (dfa or {}).items()})
         with self._lock:
             plan = self._plans.get(
                 key, lambda: self._plan_subnet(b, bool(removal_active), dfa)
@@ -380,7 +379,7 @@ class ToyUNet:
     def _feeds(self, z: np.ndarray, ts: list[int], cond: Conditioning) -> dict:
         """The inputs of a pass by name: "z", the latents as frames; "time", one row of
         time features per sample; "audio" and "<layer>.ref", the conditioning.  A
-        subnet adds "f_u31" and the background rows of each (layer, site)."""
+        subnet adds "f_u31" and the background rows of each U32 site, ("U32", site)."""
         return {
             "z": z,
             "time": np.stack([time_embedding(t, self.cfg.time_dim) for t in ts]),
@@ -398,7 +397,8 @@ class ToyUNet:
 
     # -- plans: each walk mirrors the pass, step by step and event by event
 
-    def _plan_forward(self, removal: bool, masks: dict, keep_probs: bool) -> Plan:
+    def _plan_forward(self, removal: bool, keep_mask: ForegroundMask | None,
+                      keep_probs: bool) -> Plan:
         cfg = self.cfg
         p = Plan()
         z = p.input("z", (cfg.frames, cfg.latent_channels, cfg.height, cfg.width))
@@ -406,9 +406,6 @@ class ToyUNet:
 
         def res(x: Buf, prefix: str) -> Buf:
             return self._plan_res(p, x, tp, 1, prefix)
-
-        def attend(x: Buf, layer: str) -> Buf:
-            return self._plan_attn(p, x, layer, removal, None, masks[layer], keep_probs)
 
         x = s_in = p.conv(z, self.convs["conv_in"], "conv_in")
         skips = []
@@ -420,18 +417,17 @@ class ToyUNet:
                 x = p.conv(x, self.convs[f"down{i}"], f"down{i}", stride=2)
         x = res(x, "M.res0")
         if "M" in cfg.attention_layers:
-            x = attend(x, "M")
+            x = self._plan_attn(p, x, "M", removal)
         x = res(x, "M.res1")
         for i, blk in enumerate(("U0", "U1", "U2")):
             x = res(_plan_concat(p, x, skips[3 - i]), f"{blk}.res0")
             x = res(x, f"{blk}.res1")
             if blk == "U2" and "U2" in cfg.attention_layers:
-                x = attend(x, "U2")
+                x = self._plan_attn(p, x, "U2", removal)
             x = p.conv(_plan_upsample(p, x), self.convs[f"up{i}"], f"up{i}")
         x = res(_plan_concat(p, x, skips[0]), "U30.res")
         f_u31 = res(x, "U31.res")
-        eps = self._plan_u32_head(p, f_u31, s_in, tp, 1, removal, None, masks.get("U32"),
-                                  keep_probs)
+        eps = self._plan_u32_head(p, f_u31, s_in, tp, 1, removal, None, keep_mask, keep_probs)
         # Copies, never np.ascontiguousarray: with one frame or one latent
         # channel the transpose is contiguous, and that would return a view
         # of the plan's arena.
@@ -490,18 +486,19 @@ class ToyUNet:
         return h2
 
     def _plan_attn(
-        self, p: Plan, x: Buf, layer: str, removal_active: bool, dfa: DfaCache | None,
-        keep_mask: ForegroundMask | None, keep_probs: bool,
+        self, p: Plan, x: Buf, layer: str, removal_active: bool, dfa: DfaCache | None = None,
+        keep_mask: ForegroundMask | None = None, keep_probs: bool = False,
     ) -> Buf:
         """Reference, audio and temporal sites on a stack of samples' frames.
 
         Each site runs once for the whole stack; temporal attention stays
         inside each sample's frames.  Inputs and results are named as in
-        :meth:`forward` and :meth:`subnet`.  On the full path of a
-        one-sample stack, with ``keep_mask`` each site's background rows are
-        the result (layer, site), as the restricted path reads them, and
-        with ``keep_probs`` the reference site's probabilities are the
-        result "<layer>.probs".
+        :meth:`forward` and :meth:`subnet`; only U32's call restricts
+        (``dfa``) or keeps anything.  On the full path of a one-sample
+        stack, with ``keep_mask`` each site's background rows are the
+        result (layer, site), as the restricted path reads them, and with
+        ``keep_probs`` the reference site's probabilities are the result
+        "probs".
         """
         cfg = self.cfg
         n, c, h, w = x.shape
@@ -511,7 +508,7 @@ class ToyUNet:
         removal = removal_active and layer in cfg.removal_set
 
         def site(name: str) -> dict:
-            ctx = None if dfa is None else dfa.get((layer, name))
+            ctx = None if dfa is None else dfa.get(name)
             return {"ctx": ctx, "bg": (layer, name)}
 
         def tokens(src: Buf, name: str) -> Buf:
@@ -559,7 +556,7 @@ class ToyUNet:
         )
         keep("reference", a, (k, f, L))
         if probs is not None:
-            p.result(f"{layer}.probs", probs, np.copy)
+            p.result("probs", probs, np.copy)
         x1 = add_half(x, delta, name, (n, h, w), (0, 3, 1, 2))
 
         name = f"{layer}.aud"

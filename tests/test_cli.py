@@ -253,6 +253,34 @@ def test_config_file_values_of_the_wrong_type_exit_one_in_one_line(tmp_path, cap
         assert f"{WRONG_TYPES[case][0]}.{WRONG_TYPES[case][1]}" in err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--noise-seed", "-1"], ["--weights-seed", "-1"],
+    ["--set", "seeds.noise=-1"], ["--set", "seeds.weights=-1"],
+])
+def test_negative_seeds_exit_one_in_one_line(tmp_path, capsys, flags):
+    cfg = write_small_config(tmp_path)
+    out_dir = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out_dir)] + flags) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and not out_dir.exists()
+    assert err.startswith("error: config: seeds.") and err.count("\n") == 1
+
+
+def test_overrides_take_the_type_of_the_field_not_of_the_file(tmp_path, capsys):
+    """A flag's value is coerced by the field's type: a float the file gave an int field
+    is replaced, not used as the type of the flag's value."""
+    cfg = write_small_config(tmp_path, strategy={"workers": 2.5})
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--workers", "3", "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["config"]["strategy"]["workers"] == 3
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg), "--set", "strategy.workers=x",
+                 "--out", str(tmp_path / "p")]) == 1
+    out_text, err = capsys.readouterr()
+    assert out_text == "" and not (tmp_path / "p").exists()
+    assert err == "error: config: expected an integer, got 'x'\n"
+
+
 def test_invariant_errors_exit_two(tmp_path, capsys):
     cfg = write_small_config(tmp_path)
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),

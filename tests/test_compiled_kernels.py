@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cachediff import engine, kernels, native
+from cachediff import kernels, native
 from cachediff.config import RunConfig
 from cachediff.errors import ConfigError
 from cachediff.plan import Plan
@@ -547,12 +547,11 @@ def test_plan_built_under_compiled_runs_under_numpy_with_the_same_bytes():
     cfg = UNetConfig()
     model = ToyUNet(cfg, init_weights(cfg, 0)[0])
     cond = build_conditioning(RunConfig())[0][0]
-    masks = engine._layer_masks(cfg, cond.mask)
     z = Rng(0).child(2).normal((1, cfg.latent_channels, cfg.frames, cfg.height, cfg.width))
     zs = np.concatenate([z, np.float32(0.5) * z])
 
     def passes():
-        tr = model.forward(z, 500, cond, bg_masks=masks, removal_active=True)
+        tr = model.forward(z, 500, cond, keep_bg=True, removal_active=True)
         eps = model.subnet(tr.f_u31, zs, [480, 460], cond, dfa=tr.dfa, removal_active=True)
         return [tr.eps.tobytes(), tr.f_u31.tobytes(), eps.tobytes()] + [
             c.bg.tobytes() for c in tr.dfa.values()]
@@ -774,8 +773,8 @@ class CountingLibrary:
 
 
 def test_an_unhooked_pass_is_one_library_call(monkeypatch):
-    """forward, with and without background masks, the diagnose forward (background
-    masks and kept probabilities), and a stacked subnet each make exactly one call
+    """forward, with and without background rows kept, the diagnose forward (background
+    rows and kept probabilities), and a stacked subnet each make exactly one call
     into the library."""
     counting = CountingLibrary(kernels._compiled())
     monkeypatch.setattr(kernels, "_lib", counting)
@@ -783,7 +782,6 @@ def test_an_unhooked_pass_is_one_library_call(monkeypatch):
     cfg = UNetConfig()
     model = ToyUNet(cfg, init_weights(cfg, 0)[0])
     cond = build_conditioning(RunConfig())[0][0]
-    masks = engine._layer_masks(cfg, cond.mask)
     z = Rng(0).child(2).normal((1, cfg.latent_channels, cfg.frames, cfg.height, cfg.width))
     zs = np.concatenate([z, np.float32(0.5) * z])
 
@@ -794,9 +792,9 @@ def test_an_unhooked_pass_is_one_library_call(monkeypatch):
 
     for _ in range(2):  # the first pass of each kind builds its plan
         assert calls(lambda: model.forward(z, 500, cond)) == 1
-        tr = model.forward(z, 500, cond, bg_masks=masks, removal_active=True)
-        assert calls(lambda: model.forward(z, 500, cond, bg_masks=masks, removal_active=True)) == 1
+        tr = model.forward(z, 500, cond, keep_bg=True, removal_active=True)
+        assert calls(lambda: model.forward(z, 500, cond, keep_bg=True, removal_active=True)) == 1
         assert calls(lambda: model.subnet(tr.f_u31, zs, [480, 460], cond, dfa=tr.dfa,
                                           removal_active=True)) == 1
         assert calls(lambda: model.subnet(tr.f_u31, z, 480, cond)) == 1
-        assert calls(lambda: model.forward(z, 500, cond, bg_masks=masks, keep_probs=True)) == 1
+        assert calls(lambda: model.forward(z, 500, cond, keep_bg=True, keep_probs=True)) == 1

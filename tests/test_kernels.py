@@ -176,12 +176,16 @@ def test_backend_env_var_forces_reference_and_rejects_unknown_names():
 
 def test_kernel_bench_runs_from_a_clean_checkout(tmp_path):
     """The timing harness finds the package without PYTHONPATH; it exits 1 when the
-    backends' bytes differ."""
+    backends' bytes differ.  Its cases include both passes of a restricted block."""
     script = Path(__file__).resolve().parents[1] / "benchmarks" / "kernel_bench.py"
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     done = subprocess.run([sys.executable, str(script), "--repeat", "1"], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+    rows = [row.split() for row in done.stdout.splitlines()]
+    equal = {row[0]: row[4] for row in rows if len(row) == 7}  # kernel -> bit_equal
+    want = "-" if kernels.compiled_error() else "yes"
+    assert [equal.get(c) for c in ("key_step", "dfa_subnet")] == [want, want]
 
 
 def test_conv2d_identity_kernel():

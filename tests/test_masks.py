@@ -4,7 +4,6 @@ import pytest
 from cachediff.errors import ConfigError
 from cachediff.masks import (
     ForegroundMask,
-    downsample_mask,
     ellipse_mask,
     mask_from_spec,
     read_mask,
@@ -28,24 +27,6 @@ def test_mask_construction_rejects_bad_grids():
         ForegroundMask(np.array([0, 1, 0]))
     with pytest.raises(ConfigError):
         ForegroundMask(np.array([[0, 2], [1, 0]]))
-
-
-def test_downsample_any_overlap_rule():
-    ones = ForegroundMask(np.ones((4, 4), dtype=np.uint8))
-    assert downsample_mask(ones, 2, 2).grid.tolist() == [[1, 1], [1, 1]]
-    zeros = ForegroundMask(np.zeros((4, 4), dtype=np.uint8))
-    down = downsample_mask(zeros, 2, 2)
-    assert down.num_fg == 0
-    checker = ForegroundMask(np.array([[1, 0], [0, 1]], dtype=np.uint8))
-    assert downsample_mask(checker, 1, 1).grid.tolist() == [[1]]
-
-
-def test_downsample_rejects_non_divisible_targets():
-    mask = ForegroundMask(np.ones((4, 4), dtype=np.uint8))
-    with pytest.raises(ConfigError):
-        downsample_mask(mask, 3, 2)
-    with pytest.raises(ConfigError):
-        downsample_mask(mask, 0, 2)
 
 
 def test_mask_file_roundtrip(tmp_path):

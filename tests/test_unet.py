@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cachediff import engine, kernels
+from cachediff import attention, kernels
 from cachediff import unet as un
 from cachediff.errors import ConfigError, InvariantError
 from cachediff.masks import ForegroundMask, ellipse_mask, rect_mask
@@ -218,10 +218,10 @@ def test_subnet_costs_under_a_third_of_full_pass():
 
 
 def test_forward_background_rows_match_full_path_outputs():
-    """The background rows at a partial mask are the full-path output's rows: those kept
+    """The background rows at a partial mask are U32's full-path output rows: those kept
     at an all-background mask, taken at the mask's background index.  Keeping the
-    reference-site probabilities changes no byte of the pass's results, and each layer
-    keeps (frames, L, keys) of them, with the reference keys only without removal."""
+    reference-site probabilities changes no byte of the pass's results, and U32 keeps
+    (frames, L, keys) of them, with the reference keys only without removal."""
     cfg = un.UNetConfig(
         latent_channels=2, base_channels=(4, 5, 6, 7), height=16, width=16, frames=2,
         audio_tokens=3, audio_dim=4, head_dim=4, time_dim=8,
@@ -229,38 +229,58 @@ def test_forward_background_rows_match_full_path_outputs():
     model = un.ToyUNet(cfg, un.init_weights(cfg, 0)[0])
     cond = build_conditioning_for(cfg, mask=rect_mask(16, 16, 0, 0, 8, 16))
     z = latent_for(cfg)
-    masks = engine._layer_masks(cfg, cond.mask)
-    assert all(0 < m.num_fg < m.grid.size for m in masks.values())
-    no_fg = engine._layer_masks(cfg, ForegroundMask(np.zeros((16, 16), np.uint8)))
-    tr = model.forward(z, 23, cond, bg_masks=masks)
-    kept = model.forward(z, 23, cond, bg_masks=masks, keep_probs=True)
-    full = model.forward(z, 23, cond, bg_masks=no_fg)
+    no_fg = dataclasses.replace(cond, mask=ForegroundMask(np.zeros((16, 16), np.uint8)))
+    tr = model.forward(z, 23, cond, keep_bg=True)
+    kept = model.forward(z, 23, cond, keep_bg=True, keep_probs=True)
+    full = model.forward(z, 23, no_fg, keep_bg=True)
     plain = model.forward(z, 23, cond)
     assert plain.dfa is None and plain.probs is None and tr.probs is None
     for other in (tr, kept, full):
         assert other.eps.tobytes() == plain.eps.tobytes()
         assert other.f_u31.tobytes() == plain.f_u31.tobytes()
-    assert set(tr.dfa) == set(kept.dfa) == set(full.dfa) == {
-        (layer, site) for layer in cfg.attention_layers
-        for site in ("reference", "audio", "temporal")
-    }
-    for (layer, site), ctx in tr.dfa.items():
-        rows = full.dfa[(layer, site)].bg
-        want = np.take(rows, masks[layer].bg_index, axis=0 if site == "temporal" else 1)
-        assert ctx.mask is masks[layer]
+    assert set(tr.dfa) == set(kept.dfa) == set(full.dfa) == {"reference", "audio", "temporal"}
+    for site, ctx in tr.dfa.items():
+        rows = full.dfa[site].bg
+        want = np.take(rows, cond.mask.bg_index, axis=0 if site == "temporal" else 1)
+        assert ctx.mask is cond.mask
         assert ctx.bg.shape == want.shape and ctx.bg.dtype == np.float32
         assert ctx.bg.tobytes() == want.tobytes()
-        assert kept.dfa[(layer, site)].bg.tobytes() == ctx.bg.tobytes()
-    removed = model.forward(z, 23, cond, keep_probs=True, removal_active=True).probs
-    assert set(kept.probs) == set(removed) == set(cfg.attention_layers)
-    for layer, (_, h, w) in cfg.attn_info().items():
-        L = h * w
-        assert kept.probs[layer].shape == (cfg.frames, L, 2 * L)
-        keys = L if layer in cfg.removal_set else 2 * L
-        assert removed[layer].shape == (cfg.frames, L, keys)
-        assert kept.probs[layer].dtype == removed[layer].dtype == np.float32
+        assert kept.dfa[site].bg.tobytes() == ctx.bg.tobytes()
+    L = cfg.height * cfg.width
+    rm_cfg = dataclasses.replace(cfg, removal_set=("U32",))
+    removed = un.ToyUNet(rm_cfg, un.init_weights(rm_cfg, 0)[0]).forward(
+        z, 23, cond, keep_probs=True, removal_active=True).probs
+    assert kept.probs.shape == (cfg.frames, L, 2 * L)
+    assert removed.shape == (cfg.frames, L, L)
+    assert kept.probs.dtype == removed.dtype == np.float32
     with pytest.raises(ConfigError):
-        model.forward(np.concatenate([z, z]), 23, cond, bg_masks=masks)
+        model.forward(np.concatenate([z, z]), 23, cond, keep_bg=True)
+
+
+def test_only_the_u32_sites_gather_background_rows(small_model, small_cond, small_latent,
+                                                   monkeypatch):
+    """A key-step forward gathers one set of rows per U32 site, a plain forward none."""
+    calls = []
+    select = attention.select_tokens
+
+    def counted(*args):
+        calls.append(args)
+        return select(*args)
+
+    monkeypatch.setattr(attention, "select_tokens", counted)
+    small_model.forward(small_latent, 31, small_cond, keep_bg=True, keep_probs=True)
+    assert len(calls) == 3
+    small_model.forward(small_latent, 31, small_cond, keep_probs=True)
+    assert len(calls) == 3
+
+
+def test_a_model_without_u32_attention_keeps_nothing(small_cfg, small_latent):
+    cfg = dataclasses.replace(small_cfg, attention_layers=("M", "U2"))
+    model = un.ToyUNet(cfg, un.init_weights(cfg, 0)[0])
+    cond = build_conditioning_for(cfg)
+    tr = model.forward(small_latent, 31, cond, keep_bg=True, keep_probs=True)
+    assert tr.dfa is None and tr.probs is None
+    assert tr.eps.tobytes() == model.forward(small_latent, 31, cond).eps.tobytes()
 
 
 @pytest.mark.parametrize("restricted", [False, True])
@@ -269,9 +289,7 @@ def test_stacked_subnet_matches_single_calls(small_cfg, small_model, small_cond,
     events of one, event for event and in order."""
     ts = [41, 29, 17]
     zs = [latent_for(small_cfg, seed=s) for s in range(3)]
-    tr = small_model.forward(
-        zs[0], 47, small_cond, bg_masks=engine._layer_masks(small_cfg, small_cond.mask)
-    )
+    tr = small_model.forward(zs[0], 47, small_cond, keep_bg=True)
     dfa = tr.dfa if restricted else None
     log = FlopLog()
     eps = small_model.subnet(
@@ -320,11 +338,10 @@ def test_returned_arrays_do_not_alias_the_plan(backend, shape, small_cfg):
     cfg = dataclasses.replace(small_cfg, **ALIAS_CFGS[shape])
     model = un.ToyUNet(cfg, un.init_weights(cfg, 0)[0])
     cond = build_conditioning_for(cfg)
-    masks = engine._layer_masks(cfg, cond.mask)
     z0, z1 = latent_for(cfg, seed=0), latent_for(cfg, seed=1)
 
     def passes(z, t):
-        tr = model.forward(z, t, cond, bg_masks=masks)
+        tr = model.forward(z, t, cond, keep_bg=True)
         eps = model.subnet(tr.f_u31, np.concatenate([z1, z0]), [t - 8, t - 16],
                            cond, dfa=tr.dfa, removal_active=True)
         return tr, eps
@@ -339,7 +356,7 @@ def test_returned_arrays_do_not_alias_the_plan(backend, shape, small_cfg):
         again, _ = passes(z1, 37)
     finally:
         kernels.set_backend(before)
-    assert len(tr.dfa) == 3 * len(cfg.attention_layers)
+    assert set(tr.dfa) == set(un.SITES)
     assert [tr.eps.tobytes(), tr.f_u31.tobytes(), eps.tobytes()] + [
         c.bg.tobytes() for c in tr.dfa.values()
     ] == kept
@@ -352,28 +369,29 @@ def test_plans_beyond_the_cap_are_rebuilt_with_the_same_bytes(small_cfg, small_c
     model._plans.MAX_PLANS = 2
     fresh = un.ToyUNet(small_cfg, un.init_weights(small_cfg, 0)[0])
     z = latent_for(small_cfg, seed=4)
-    masks = [
-        engine._layer_masks(small_cfg, rect_mask(small_cfg.height, small_cfg.width, 0, 0, 4, s))
+    conds = [
+        dataclasses.replace(
+            small_cond, mask=rect_mask(small_cfg.height, small_cfg.width, 0, 0, 4, s))
         for s in (2, 4, 6)
     ]
 
-    def run(m, mask):
+    def run(m, cond):
         log = FlopLog()
-        tr = m.forward(z, 33, small_cond, log=log, bg_masks=mask)
-        eps = m.subnet(tr.f_u31, z, 25, small_cond, log=log, dfa=tr.dfa)
+        tr = m.forward(z, 33, cond, log=log, keep_bg=True)
+        eps = m.subnet(tr.f_u31, z, 25, cond, log=log, dfa=tr.dfa)
         rows = [(k, c.bg.tobytes()) for k, c in tr.dfa.items()]
         return tr.eps.tobytes(), tr.f_u31.tobytes(), eps.tobytes(), rows, log.events
 
-    want = [run(fresh, mask) for mask in masks]
+    want = [run(fresh, cond) for cond in conds]
     assert len(fresh._plans) == 6  # a forward and a subnet plan per mask
-    got = [run(model, masks[i]) for i in (0, 1, 2, 0, 2)]
+    got = [run(model, conds[i]) for i in (0, 1, 2, 0, 2)]
     assert len(model._plans) == 2
     assert got == [want[i] for i in (0, 1, 2, 0, 2)]
     # a plan run again is kept over one run less recently
     plans = model._plans._plans
-    model.forward(z, 33, small_cond, bg_masks=masks[0])
-    model.forward(z, 33, small_cond, bg_masks=masks[1])
+    model.forward(z, 33, conds[0], keep_bg=True)
+    model.forward(z, 33, conds[1], keep_bg=True)
     first = plans[next(iter(plans))]
-    model.forward(z, 33, small_cond, bg_masks=masks[0])
-    model.forward(z, 33, small_cond, bg_masks=masks[2])
+    model.forward(z, 33, conds[0], keep_bg=True)
+    model.forward(z, 33, conds[2], keep_bg=True)
     assert first in plans.values()
