@@ -7,11 +7,12 @@ Each attention layer carries three sites, applied in order:
 * ``audio`` - cross-attention per frame against audio tokens;
 * ``temporal`` - per-location attention across the frame axis.
 
-Every site takes a stack of frames and runs each projection as one matmul
-and the attention of all frames as one batched attention step.  Rows
-never mix, so a stack gives the bytes of one call per frame.  Spatial
-sites take tokens of shape (..., L, c), where a 2-d input is one frame;
-the temporal site takes (..., L, f, c).
+Every site takes a stack of frames and runs each projection as one
+channel mix and the attention of all frames as one batched attention
+step, with the tokens on the vector lanes (see the planned sites below).
+Tokens never mix, so a stack gives the bytes of one call per frame.
+Spatial sites take tokens of shape (..., L, c), where a 2-d input is one
+frame; the temporal site takes (..., L, f, c).
 
 The restricted path computes attention only for foreground queries (for
 the reference site also only foreground K/V rows) and fills background
@@ -96,24 +97,41 @@ def _site_weights(weights: dict[str, np.ndarray], prefix: str):
     return tuple(weights[f"{prefix}.{n}"] for n in ("wq", "wk", "wv", "wo"))
 
 
-def _run_site(plan_site, inputs: tuple, weights, prefix: str, dfa, log, **kw):
-    """``plan_site`` on ``inputs`` (tokens first) as a one-site plan on a fresh arena.
+def _spatial(x: np.ndarray) -> tuple:
+    """(x, lane shape, view): (..., L, c) tokens held as (n, c, L), and the view of such a
+    lane array in x's layout."""
+    lead, (L, c) = x.shape[:-2], x.shape[-2:]
+    return x, (math.prod(lead), c, L), lambda a: a.reshape(lead + a.shape[1:]).swapaxes(-1, -2)
 
-    Returns (delta, a) shaped to the tokens' leading axes; ``a`` is None on
-    the restricted path.
+
+def _temporal(x: np.ndarray) -> tuple:
+    """(x, lane shape, view): (..., L, f, c) location sequences held as (n * f, c, L)."""
+    lead, (L, f, c) = x.shape[:-3], x.shape[-3:]
+    return (x, (math.prod(lead) * f, c, L),
+            lambda a: np.moveaxis(a.reshape(lead + (f,) + a.shape[1:]), -1, -3))
+
+
+def _run_site(plan_site, inputs: tuple, lead: tuple[int, ...], weights, prefix: str, dfa, log,
+              **kw):
+    """``plan_site`` on ``inputs``, (array, lane shape, view) triples with the tokens
+    (leading axes ``lead``) first, as a one-site plan on a fresh arena.
+
+    Returns (delta, a) in the tokens' layout; ``a`` is None on the
+    restricted path.
     """
-    if any(x.dtype != np.float32 for x in inputs):
+    if any(x.dtype != np.float32 for x, _, _ in inputs):
         raise ValueError("attention sites take float32 tokens")
     p = Plan()
-    bufs = [p.input(i, x.shape) for i, x in enumerate(inputs)]
-    delta, a = plan_site(p, *bufs, weights, prefix, ctx=dfa, **kw)[:2]
-    lead = inputs[0].shape[:-2]
+    bufs = [p.input(i, shape, view) for i, (_, shape, view) in enumerate(inputs)]
+    delta, a = plan_site(p, *bufs, weights, prefix, lead=lead, ctx=dfa, **kw)[:2]
+    view = inputs[0][2]
     for name, r in (("delta", delta), ("a", a)):
         if r is not None:
-            p.result(name, r, lambda v: v.reshape(lead + v.shape[-2:]).copy())
+            p.result(name, r, lambda arr: view(arr).copy())
     plan = p.finish()
     plan.place(np.empty(plan.floats, np.float32), np.empty(plan.ws_bytes, np.uint8))
-    feeds = dict(enumerate(inputs), bg=None if dfa is None else dfa.bg)
+    feeds = {i: x for i, (x, _, _) in enumerate(inputs)}
+    feeds["bg"] = None if dfa is None else dfa.bg
     res = plan.run(kernels.active_library(), log, feeds)
     return res["delta"], res.get("a")
 
@@ -135,8 +153,9 @@ def reference_site(
     projection) and, on the full path, the attention output for cache
     writeback (None on the restricted path).
     """
-    return _run_site(plan_reference_site, (x_tok, ref_tok), weights, prefix, dfa, log,
-                     removal=removal)
+    ref = (ref_tok, (1,) + ref_tok.shape[::-1], lambda a: a[0].T)
+    return _run_site(plan_reference_site, (_spatial(x_tok), ref), x_tok.shape[:-2], weights,
+                     prefix, dfa, log, removal=removal)
 
 
 def audio_site(
@@ -154,7 +173,8 @@ def audio_site(
     over the leading axes of ``x_tok`` it lacks.
     """
     aud = np.broadcast_to(audio_tok, x_tok.shape[:-2] + audio_tok.shape[-2:])
-    return _run_site(plan_audio_site, (x_tok, aud), weights, prefix, dfa, log)
+    return _run_site(plan_audio_site, (_spatial(x_tok), _spatial(aud)), x_tok.shape[:-2],
+                     weights, prefix, dfa, log)
 
 
 def temporal_site(
@@ -172,33 +192,36 @@ def temporal_site(
     only and merges cached (L_bg, f, d) background sequences, broadcast
     over the leading axes.
     """
-    return _run_site(plan_temporal_site, (x_loc,), weights, prefix, dfa, log)
+    return _run_site(plan_temporal_site, (_temporal(x_loc),), x_loc.shape[:-3], weights, prefix,
+                     dfa, log, frames=x_loc.shape[-2])
 
 
 # ---------------------------------------------------------------------------
 # planned sites
 #
 # The three sites as steps of a plan (see :mod:`cachediff.plan`), run by
-# a model's passes and, one site to a plan, by the functions above.  Token
-# buffers hold (..., L, c) rows like the functions' inputs.  ``ctx`` is the
-# restriction context the plan is built for, or None on the full path;
-# ``bg`` names the plan input that each pass feeds its background rows.
+# a model's passes and, one site to a plan, by the functions above.  Their
+# buffers keep the tokens on the vector lanes, in a feature map's own
+# layout: (items, channels, *tokens), each item a frame and each token a
+# pixel (a location for the temporal site); the reference and audio tokens
+# come as (items, channels, tokens) too.  With ``base`` (the feature map the
+# tokens were normalized from), a site's output projection writes
+# base + 0.5 * delta, the layer's residual, in place of the delta.  ``ctx``
+# is the restriction context the plan is built for, or None on the full
+# path; ``bg`` names the plan input that each pass feeds its background
+# rows, in the layout of ``ctx.bg``.
 
 
-def _rows3(shape: tuple[int, ...], axis: int) -> tuple[int, int, int]:
-    """``shape`` as (outer, rows, inner) around ``axis``."""
-    axis %= len(shape)
-    return math.prod(shape[:axis]), shape[axis], math.prod(shape[axis + 1 :])
+def _tokens(buf: Buf) -> int:
+    return buf.size // (buf.shape[0] * buf.shape[1] or 1)
 
 
-def _plan_select(p: Plan, x: Buf, index: np.ndarray, axis: int) -> Buf:
-    """select_tokens into a buffer."""
-    shape = list(x.shape)
-    shape[axis] = len(index)
-    out = p.buf(tuple(shape))
-    outer, n, inner = _rows3(x.shape, axis)
+def _plan_select(p: Plan, x: Buf, index: np.ndarray) -> Buf:
+    """select_tokens of the tokens ``index`` of x (items, channels, *tokens)."""
+    items, c, n = x.shape[0], x.shape[1], _tokens(x)
+    out = p.buf((items, c, len(index)))
     p.step(lambda lib: kernels.bound_gather(
-        lib, x.a.reshape(outer, n, inner), index, out.a.reshape(outer, len(index), inner)), x, out)
+        lib, x.a.reshape(items * c, n, 1), index, out.a.reshape(items * c, len(index), 1)), x, out)
     return out
 
 
@@ -206,109 +229,134 @@ def _plan_merge(
     p: Plan, a_fg: Buf | None, fg_shape: tuple[int, ...], ctx: DfaContext, bg: Hashable,
     axis: int,
 ) -> Buf:
-    """merge_tokens of ``a_fg`` (viewed as ``fg_shape``, None when empty) and the pass's
-    rows, fed as the input ``bg``."""
+    """merge_tokens of the foreground output ``a_fg`` (items, d, n_fg), None when empty,
+    and the pass's rows, fed as the input ``bg``: the (items, d, L) output.
+
+    ``fg_shape`` and ``axis`` give the foreground rows' shape and row axis in
+    the layout of the site function's results, which the fed rows share.
+    """
     mask = ctx.mask
     merge_tokens(np.zeros(fg_shape, np.float32), ctx.bg, mask, axis)  # its checks, once
     if mask.num_bg == 0:
         return a_fg
-    axis %= len(fg_shape)
-    out = p.buf(fg_shape[:axis] + (mask.num_fg + mask.num_bg,) + fg_shape[axis + 1 :])
-    outer, n, inner = _rows3(out.shape, axis)
-    rows = p.input(bg, ctx.bg.shape)
+    at = axis % len(fg_shape) - len(fg_shape)  # the rows' axis, counted from the end
+    d = fg_shape[-1]
+    items = math.prod(fg_shape[:at] + fg_shape[at + 1 : -1])
+    out = p.buf((items, d, mask.num_fg + mask.num_bg))
+    lane = ctx.bg.shape[:at] + ctx.bg.shape[at + 1 :] + (mask.num_bg,)  # the rows last
+    rows = p.input(bg, (math.prod(lane[:-2]), d, mask.num_bg),
+                   lambda a: np.moveaxis(a.reshape(lane), -1, at))
 
-    def scatter(src: Buf, count: int, index: np.ndarray):
+    def scatter(src: Buf, index: np.ndarray):
         p.step(lambda lib: kernels.bound_scatter(
-            lib, src.a.reshape(src.size // (count * inner), count, inner), index,
-            out.a.reshape(outer, n, inner)), src, out)
+            lib, src.a.reshape(src.shape[0] * d, len(index), 1), index,
+            out.a.reshape(items * d, out.shape[2], 1)), src, out)
 
     if a_fg is not None:
-        scatter(a_fg, mask.num_fg, mask.fg_index)
-    scatter(rows, mask.num_bg, mask.bg_index)
+        scatter(a_fg, mask.fg_index)
+    scatter(rows, mask.bg_index)
     return out
 
 
-def _plan_ref_attend(p: Plan, x: Buf, ref: Buf, w, prefix: str, removal: bool, n: int, keep: bool):
-    wq, wk, wv = w
-    kv = x
-    if not removal:
-        c = x.shape[-1]
-        lx = x.size // (n * c)
-        kv = p.buf((n, lx + ref.shape[0], c))
-        p.copy(lambda: kv.a[:, :lx], lambda: x.a.reshape(n, lx, c), x, kv)
-        p.copy(lambda: kv.a[:, lx:], lambda: ref.a, ref, kv)
-    q = p.matmul(x, wq, prefix)
-    k = p.matmul(kv, wk, prefix)
-    v = p.matmul(kv, wv, prefix)
-    return p.attention(q, k, v, prefix, n, keep)
+def _project(p: Plan, x: Buf, ws, prefix: str, rows: int, base: Buf | None = None) -> list[Buf]:
+    """x @ w over the channels of x (items, c, *tokens) for each w, logged as a matmul
+    of ``rows`` token rows; with ``base``, base + 0.5 * that."""
+    outs = []
+    for w in ws:
+        outs.append(p.channel_mix(x, w, base))
+        p.flop("matmul", prefix, (rows, w.shape[0], w.shape[1]))
+    return outs
 
 
 def plan_reference_site(
     p: Plan, x: Buf, ref: Buf, weights: dict[str, np.ndarray], prefix: str, *,
-    removal: bool = False, ctx: DfaContext | None = None, bg: Hashable = "bg",
-    keep_probs: bool = False,
+    lead: tuple[int, ...] | None = None, base: Buf | None = None, removal: bool = False,
+    ctx: DfaContext | None = None, bg: Hashable = "bg", keep_probs: bool = False,
 ) -> tuple[Buf, Buf | None, Buf | None]:
-    """:func:`reference_site` of (..., L, c) tokens and (L_ref, c) reference tokens.
+    """:func:`reference_site` of x (n, c, *tokens) and reference tokens ref (1, c, L_ref).
 
-    The third result holds, with ``keep_probs`` on the full path, every
-    frame's (L, keys) attention probabilities, else it is None.
+    ``lead`` is the tokens' leading axes in the site function's layout, n in
+    all (default: one axis), which the background rows broadcast over.
+    Returns (out, a, probs): the output projection (with ``base``, the
+    residual), the full path's attention output (n, d, *tokens), and with
+    ``keep_probs`` on the full path every frame's (L, keys) attention
+    probabilities, else None.
     """
     wq, wk, wv, wo = _site_weights(weights, prefix)
-    lead = x.shape[:-2]
-    n = math.prod(lead)
+    n, L = x.shape[0], _tokens(x)
+    lead = lead or (n,)
+
+    def attend(xs: Buf, rs: Buf, keep: bool):
+        lq = _tokens(xs)
+        lk = lq if removal else lq + _tokens(rs)
+        q, = _project(p, xs, (wq,), prefix, n * lq)
+        kx, vx = (p.channel_mix(xs, w) for w in (wk, wv))
+        shared = None if removal else tuple(p.channel_mix(rs, w) for w in (wk, wv))
+        for w in (wk, wv):
+            p.flop("matmul", prefix, (n * lk, w.shape[0], w.shape[1]))
+        return p.attention(q, kx, vx, prefix, shared=shared, keep_probs=keep)
+
     if ctx is None:
-        a, probs = _plan_ref_attend(p, x, ref, (wq, wk, wv), prefix, removal, n, keep_probs)
-        return p.matmul(a, wo, prefix), a, probs
-    mask = ctx.mask
-    a_fg = None
-    if mask.num_fg:
-        xs = _plan_select(p, x, mask.fg_index, -2)
-        rs = _plan_select(p, ref, mask.fg_index, 0)
-        a_fg, _ = _plan_ref_attend(p, xs, rs, (wq, wk, wv), prefix, removal, n, False)
-    merged = _plan_merge(p, a_fg, lead + (mask.num_fg, wo.shape[0]), ctx, bg, -2)
-    return p.matmul(merged, wo, prefix), None, None
+        a, probs = attend(x, ref, keep_probs)
+    else:
+        mask = ctx.mask
+        a_fg = probs = None
+        if mask.num_fg:
+            a_fg, _ = attend(_plan_select(p, x, mask.fg_index), _plan_select(p, ref, mask.fg_index),
+                             False)
+        a = _plan_merge(p, a_fg, lead + (mask.num_fg, wo.shape[0]), ctx, bg, -2)
+    out, = _project(p, a, (wo,), prefix, n * L, base)
+    return out, a if ctx is None else None, probs
 
 
 def plan_audio_site(
     p: Plan, x: Buf, aud: Buf, weights: dict[str, np.ndarray], prefix: str, *,
+    lead: tuple[int, ...] | None = None, base: Buf | None = None,
     ctx: DfaContext | None = None, bg: Hashable = "bg",
 ) -> tuple[Buf, Buf | None]:
-    """:func:`audio_site` of (..., L, c) tokens and (n, A, da) audio tokens, one set per frame."""
+    """:func:`audio_site` of x (n, c, *tokens) and audio tokens aud (f, da, A), frame b
+    reading the tokens b % f; ``lead`` and the results as for
+    :func:`plan_reference_site`."""
     wq, wk, wv, wo = _site_weights(weights, prefix)
-    lead = x.shape[:-2]
-    n = math.prod(lead)
-    k = p.matmul(aud, wk, prefix)
-    v = p.matmul(aud, wv, prefix)
+    n, L = x.shape[0], _tokens(x)
+    lead = lead or (n,)
+    k, v = _project(p, aud, (wk, wv), prefix, n * _tokens(aud))
     if ctx is None:
-        a, _ = p.attention(p.matmul(x, wq, prefix), k, v, prefix, n)
-        return p.matmul(a, wo, prefix), a
-    mask = ctx.mask
-    a_fg = None
-    if mask.num_fg:
-        q = p.matmul(_plan_select(p, x, mask.fg_index, -2), wq, prefix)
-        a_fg, _ = p.attention(q, k, v, prefix, n)
-    merged = _plan_merge(p, a_fg, lead + (mask.num_fg, wo.shape[0]), ctx, bg, -2)
-    return p.matmul(merged, wo, prefix), None
+        q, = _project(p, x, (wq,), prefix, n * L)
+        a, _ = p.attention(q, k, v, prefix)
+    else:
+        mask = ctx.mask
+        a_fg = None
+        if mask.num_fg:
+            q, = _project(p, _plan_select(p, x, mask.fg_index), (wq,), prefix, n * mask.num_fg)
+            a_fg, _ = p.attention(q, k, v, prefix)
+        a = _plan_merge(p, a_fg, lead + (mask.num_fg, wo.shape[0]), ctx, bg, -2)
+    out, = _project(p, a, (wo,), prefix, n * L, base)
+    return out, a if ctx is None else None
 
 
 def plan_temporal_site(
-    p: Plan, x_loc: Buf, weights: dict[str, np.ndarray], prefix: str, *,
+    p: Plan, x: Buf, weights: dict[str, np.ndarray], prefix: str, *, frames: int,
+    lead: tuple[int, ...] | None = None, base: Buf | None = None,
     ctx: DfaContext | None = None, bg: Hashable = "bg",
 ) -> tuple[Buf, Buf | None]:
-    """:func:`temporal_site` of (..., L, f, c) location sequences."""
+    """:func:`temporal_site` of x (samples * frames, c, *locations): each location of a
+    sample attends over the sample's frames, with the locations on the lanes.
+    ``lead`` is the samples' axes in the site function's layout (default: one
+    axis); the results are as for :func:`plan_reference_site`."""
     wq, wk, wv, wo = _site_weights(weights, prefix)
-    lead, (L, f, _) = x_loc.shape[:-3], x_loc.shape[-3:]
-    n = math.prod(lead)
-    d = wo.shape[0]
+    n, L = x.shape[0], _tokens(x)
+    lead = lead or (n // frames,)
 
-    def site_attn(tokens: Buf, locs: int) -> Buf:
-        q, k, v = (p.matmul(tokens, w, prefix) for w in (wq, wk, wv))
-        return p.attention(q, k, v, prefix, n * locs)[0]
+    def attend(xs: Buf) -> Buf:
+        q, k, v = _project(p, xs, (wq, wk, wv), prefix, n * _tokens(xs))
+        return p.attention(q, k, v, prefix, rows=frames, lane_keys=True)[0]
 
     if ctx is None:
-        a = site_attn(x_loc, L)
-        return p.matmul(a, wo, prefix), a
-    mask = ctx.mask
-    a_f = site_attn(_plan_select(p, x_loc, mask.fg_index, -3), mask.num_fg) if mask.num_fg else None
-    merged = _plan_merge(p, a_f, lead + (mask.num_fg, f, d), ctx, bg, -3)
-    return p.matmul(merged, wo, prefix), None
+        a = attend(x)
+    else:
+        mask = ctx.mask
+        a_fg = attend(_plan_select(p, x, mask.fg_index)) if mask.num_fg else None
+        a = _plan_merge(p, a_fg, lead + (mask.num_fg, frames, wo.shape[0]), ctx, bg, -3)
+    out, = _project(p, a, (wo,), prefix, n * L, base)
+    return out, a if ctx is None else None

@@ -173,7 +173,8 @@ def _coerce(raw: str, default) -> object:
 
 def apply_overrides(data: dict, sets: list[str]) -> dict:
     """Apply ``section.field=value`` overrides onto a config dict, each value coerced to
-    the type of its field's default, whatever the dict holds there."""
+    the type of its field's default, whatever the dict holds there.  A value that
+    does not coerce is refused with its path first."""
     defaults = RunConfig().to_dict()
     for item in sets:
         if "=" not in item:
@@ -185,7 +186,10 @@ def apply_overrides(data: dict, sets: list[str]) -> dict:
                     and k in node and k in default):
                 raise ConfigError(f"unknown config path {path!r}")
             parent, node, default = node, node[k], default[k]
-        parent[k] = _coerce(raw, default)
+        try:
+            parent[k] = _coerce(raw, default)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
     return data
 
 

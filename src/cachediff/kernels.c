@@ -20,22 +20,33 @@
  *
  * The RMS norm is the one sum that does not always run in ascending
  * order: it follows numpy's float32 np.mean, which sums a contiguous axis
- * pairwise (pairwise_sq) and a strided one in ascending order.  It also
+ * pairwise (pairwise_sq, a vector of tokens at a time) and a strided one in
+ * ascending order.  It also
  * writes SiLU's gate, so that a residual unit's conv(silu(rms_norm(x))) is
  * one norm op and one conv.
  *
  * exp is numpy's own: cd_set_exp hands over the float32 inner loop of
  * np.exp, found in its loop table when the library is loaded (native.py),
  * and the kernels call it in place, as np.exp(x, out=x) does, so both
- * backends run the same machine code.  A slab of attention is
- * attn_logits (the scaled scores minus their row max), that exp, and
- * attn_apply, which turns exp(logits) into probabilities (ascending row sum
- * from +0.0, then a correctly rounded divide) and multiplies them with V.
+ * backends run the same machine code.
+ *
+ * Attention and the channel mixes around it keep the tokens on the vector
+ * lanes, in the feature map's own (frames, channels, tokens) layout.  The
+ * attention kernel holds VW query tokens in the lanes of one block: their
+ * key-major scores stay in L1 while each lane runs the reference's own
+ * sequence (ascending dot over d, scale, NaN-propagating row max, subtract,
+ * numpy's exp, ascending row sum from +0.0, a correctly rounded divide, the
+ * ascending apply over the keys).  d and dv are zero-padded to a multiple
+ * of 8 and the keys to a multiple of JB, which keeps the bytes: a padded
+ * dim adds the product of two zeros, +0.0, to a sum started at +0.0, which
+ * never becomes -0.0, so the sum is unchanged; padded keys and outputs are
+ * never read.  The token norm runs with the tokens on the lanes too, in
+ * numpy's pairwise order over the channels of each token.
  *
  * Beside the kernels sit the glue ops of a pass, each the reference's own
  * sequence of separately rounded float32 operations: an N-d strided copy,
- * a residual x + 0.5 * delta over a permuted delta, row gathers and
- * scatters by index, and a bias add with an optional SiLU.
+ * row gathers and scatters by index, and a bias add with an optional
+ * SiLU.
  *
  * The only entry point besides cd_set_exp is cd_run, which executes a
  * fixed array of op records (see "op records" below): kernels.py builds one
@@ -230,14 +241,6 @@ static void gemm_run(const struct gemm *g)
     }
 }
 
-/* dst[c * ldd + r] = src[r * lds + c] for r < rows, c < cols. */
-static void transpose(const float *src, long lds, long rows, long cols, float *dst, long ldd)
-{
-    for (long c = 0; c < cols; c++)
-        for (long r = 0; r < rows; r++)
-            dst[c * ldd + r] = src[r * lds + c];
-}
-
 /* n rounded up to a whole number of vectors of lanes_for(n). */
 static long padded(long n)
 {
@@ -262,10 +265,10 @@ static const float *gemm_b(const float *b, long ldb, long k, long n, char **ws, 
     return bp;
 }
 
-/* out (bn, m, n) = a (bn, m, k) @ b (bn, k, n), a and out C-contiguous; the
- * rows of each item of b are ldb floats apart, each item k * ldb. */
-static void matmul_batch(const float *a, const float *b, long ldb, float *out, long bn, long m,
-                         long k, long n, char *ws)
+/* out (m, n) = a (m, k) @ b, a and out C-contiguous; the rows of b are ldb
+ * floats apart. */
+static void matmul(const float *a, const float *b, long ldb, float *out, long m, long k, long n,
+                   char *ws)
 {
     if (m == 0 || n == 0)
         return;
@@ -275,40 +278,40 @@ static void matmul_batch(const float *a, const float *b, long ldb, float *out, l
         koff[p] = p;
     for (long i = 0; i < m; i++)
         arow[i] = i * k;
-    for (long bi = 0; bi < bn; bi++) {
-        char *bws = ws;
-        long ld;
-        const float *bb = gemm_b(b + bi * k * ldb, ldb, k, n, &bws, &ld);
-        const struct gemm g = {m, n, k, a + bi * m * k, arow, koff, bb, ld,
-                               out + bi * m * n, NULL, 0, NULL, NULL, 0, 1, NULL};
-        gemm_run(&g);
-    }
+    long ld;
+    const float *bb = gemm_b(b, ldb, k, n, &ws, &ld);
+    const struct gemm g = {m, n, k, a, arow, koff, bb, ld, out, NULL, 0, NULL, NULL, 0, 1, NULL};
+    gemm_run(&g);
 }
-
 
 /* Channel mix of every pixel of x (f, c, hw): out (f, co, hw) with
  * out[fi][j][q] = sum_p x[fi][p][q] * w[p][j], p ascending from +0.0; w is
- * c rows of ldw floats.  The matmul of the (f * hw, c) token matrix, read
- * and written in place of the two transposes around it. */
-static void channel_mix(const float *x, const float *w, long ldw, float *out, long f, long c,
-                        long hw, long co, char *ws)
+ * c rows of ldw floats.  With base (shaped like out), out = base + 0.5f *
+ * that, the residual of an attention site.  The pixels are the lanes: each
+ * frame is one GEMM of w^T (co x c) and the frame's (c, hw) matrix. */
+static void channel_mix(const float *x, const float *w, long ldw, float *out, const float *base,
+                        long f, long c, long hw, long co, char *ws)
 {
-    const long m = f * hw;
-    if (m == 0 || co == 0)
+    if (f == 0 || hw == 0 || co == 0)
         return;
     long *koff = carve(&ws, sizeof(long) * c);
-    long *arow = carve(&ws, sizeof(long) * m);
-    long *orow = carve(&ws, sizeof(long) * m);
+    long *arow = carve(&ws, sizeof(long) * co);
+    long *orow = carve(&ws, sizeof(long) * co);
     for (long p = 0; p < c; p++)
-        koff[p] = p * hw;
-    for (long i = 0; i < m; i++) {
-        arow[i] = i / hw * c * hw + i % hw;
-        orow[i] = i / hw * co * hw + i % hw;
+        koff[p] = p * ldw;
+    for (long i = 0; i < co; i++) {
+        arow[i] = i;
+        orow[i] = i * hw;
     }
-    long ld;
-    const float *b = gemm_b(w, ldw, c, co, &ws, &ld);
-    const struct gemm g = {m, co, c, x, arow, koff, b, ld, out, orow, hw, NULL, NULL, 0, 1, NULL};
-    gemm_run(&g);
+    for (long fi = 0; fi < f; fi++) {
+        char *fws = ws;
+        long ld;
+        const float *b = gemm_b(x + fi * c * hw, hw, c, hw, &fws, &ld);
+        const struct gemm g = {co, hw, c, w, arow, koff, b, ld, out + fi * co * hw,
+                               base ? orow : NULL, 1, NULL, NULL, 0, 1,
+                               base ? base + fi * co * hw : NULL};
+        gemm_run(&g);
+    }
 }
 
 /* 3x3 convolution, zero padding 1, of every frame of x (f, ci, h, w); out
@@ -370,45 +373,78 @@ static void conv2d_frames(const float *x, const float *gate, const float *wp, lo
     gemm_run(&g);
 }
 
-/* numpy's float32 sum of the squares of n contiguous floats (the pairwise
- * sum of add.reduce): below 8 terms a plain sum; up to 128, eight
- * interleaved sums combined as a tree, then the tail in order; above 128,
- * the sums of two halves split at a multiple of 8.  Squares are never
- * -0.0, so the sign of the starting zero does not matter. */
-static float pairwise_sq(const float *a, long n)
+typedef float vwf __attribute__((vector_size(VW * 4)));
+typedef int vwi __attribute__((vector_size(VW * 4)));
+
+static vwf vload(const float *p)
+{
+    vwf v;
+    memcpy(&v, p, sizeof v);
+    return v;
+}
+
+static void vstore(float *p, vwf v)
+{
+    memcpy(p, &v, sizeof v);
+}
+
+/* The first n <= VW floats at p, zero in the other lanes. */
+static vwf vload_n(const float *p, long n)
+{
+    if (n == VW)
+        return vload(p);
+    vwf v = {0};
+    memcpy(&v, p, sizeof(float) * n);
+    return v;
+}
+
+/* numpy's float32 sum of the squares of n terms (the pairwise sum of
+ * add.reduce over a contiguous axis) for each of nl <= VW lanes at once:
+ * term i of lane l is a[i * stride + l].  Below 8 terms a plain sum from
+ * +0.0; up to 128, eight interleaved sums combined as a tree, then the tail
+ * in order; above 128, the sums of two halves split at a multiple of 8.
+ * Squares are never -0.0, so the sign of the starting zero does not
+ * matter. */
+static vwf pairwise_sq(const float *a, long stride, long n, long nl)
 {
     if (n < 8) {
-        float res = 0.0f;
-        for (long i = 0; i < n; i++)
-            res = res + a[i] * a[i];
+        vwf res = {0};
+        for (long i = 0; i < n; i++) {
+            const vwf v = vload_n(a + i * stride, nl);
+            res = res + v * v;
+        }
         return res;
     }
     if (n <= 128) {
-        v8 r;
-        memcpy(&r, a, sizeof r);
-        r = r * r;
-        long i = 8;
-        for (; i < n - n % 8; i += 8) {
-            v8 v;
-            memcpy(&v, a + i, sizeof v);
-            r = r + v * v;
+        vwf r[8];
+        for (int t = 0; t < 8; t++) {
+            const vwf v = vload_n(a + t * stride, nl);
+            r[t] = v * v;
         }
-        float res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-        for (; i < n; i++)
-            res = res + a[i] * a[i];
+        long i = 8;
+        for (; i < n - n % 8; i += 8)
+            for (int t = 0; t < 8; t++) {
+                const vwf v = vload_n(a + (i + t) * stride, nl);
+                r[t] = r[t] + v * v;
+            }
+        vwf res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++) {
+            const vwf v = vload_n(a + i * stride, nl);
+            res = res + v * v;
+        }
         return res;
     }
     long n2 = n / 2;
     n2 -= n2 % 8;
-    return pairwise_sq(a, n2) + pairwise_sq(a + n2, n - n2);
+    return pairwise_sq(a, stride, n2, nl) + pairwise_sq(a + n2 * stride, stride, n - n2, nl);
 }
 
 /* out = x / r[j] for n floats x[j]; with neg, also neg = -clip(out, -30,
- * 30), NaN kept.  r of stride 0 divides every element by r[0]. */
-static void divide_row(const float *x, const float *r, long rs, float *out, float *neg, long n)
+ * 30), NaN kept. */
+static void divide_row(const float *x, const float *r, float *out, float *neg, long n)
 {
     for (long j = 0; j < n; j++)
-        out[j] = x[j] / r[j * rs];
+        out[j] = x[j] / r[j];
     if (!neg)
         return;
     for (long j = 0; j < n; j++) {
@@ -419,136 +455,45 @@ static void divide_row(const float *x, const float *r, long rs, float *out, floa
 
 /* RMS norm over the middle axis of x (outer, c, inner), as numpy computes
  *     out = x / sqrt(mean(x * x, axis) + 1e-5)
- * in float32: the sum of squares is 0.0f + pairwise_sq over a contiguous
- * axis (inner == 1) and an ascending sum from +0.0 over a strided one; the
+ * in float32 for each of the outer x inner positions, the inner ones on the
+ * lanes.  The sum of squares runs in numpy's order for a contiguous axis
+ * with pairwise (0.0f + pairwise_sq: a token's channels, or inner == 1),
+ * else in ascending order from +0.0 (a strided axis of a feature map); the
  * mean divides it by c.  With neg non-NULL, also neg = -clip(out, -30, 30),
  * the argument of the exp in silu(out). */
-static void rms_norm(const float *x, float *out, float *neg, long outer, long c, long inner)
+static void rms_norm(const float *x, float *out, float *neg, long outer, long c, long inner,
+                     int pairwise)
 {
     enum { CHUNK = 256 };
     float r[CHUNK];
-    if (inner == 1) {
-        for (long o = 0; o < outer; o++) {
-            r[0] = sqrtf((0.0f + pairwise_sq(x + o * c, c)) / (float)c + 1e-5f);
-            divide_row(x + o * c, r, 0, out + o * c, neg ? neg + o * c : NULL, c);
-        }
-        return;
-    }
     for (long o = 0; o < outer; o++) {
         for (long j0 = 0; j0 < inner; j0 += CHUNK) {
             const long nj = inner - j0 < CHUNK ? inner - j0 : CHUNK;
             const long base = o * c * inner + j0;
-            for (long j = 0; j < nj; j++)
-                r[j] = 0.0f;
-            for (long ch = 0; ch < c; ch++) {
-                const float *xs = x + base + ch * inner;
+            if (pairwise) {
+                for (long j = 0; j < nj; j += VW) {
+                    const long nl = nj - j < VW ? nj - j : VW;
+                    const vwf s = pairwise_sq(x + base + j, inner, c, nl);
+                    for (long l = 0; l < nl; l++)
+                        r[j + l] = 0.0f + s[l];
+                }
+            } else {
                 for (long j = 0; j < nj; j++)
-                    r[j] = r[j] + xs[j] * xs[j];
+                    r[j] = 0.0f;
+                for (long ch = 0; ch < c; ch++) {
+                    const float *xs = x + base + ch * inner;
+                    for (long j = 0; j < nj; j++)
+                        r[j] = r[j] + xs[j] * xs[j];
+                }
             }
             for (long j = 0; j < nj; j++)
                 r[j] = sqrtf(r[j] / (float)c + 1e-5f);
             for (long ch = 0; ch < c; ch++) {
                 const long at = base + ch * inner;
-                divide_row(x + at, r, 1, out + at, neg ? neg + at : NULL, nj);
+                divide_row(x + at, r, out + at, neg ? neg + at : NULL, nj);
             }
         }
     }
-}
-
-typedef float vwf __attribute__((vector_size(VW * 4)));
-typedef int vwi __attribute__((vector_size(VW * 4)));
-
-/* Multiply a row by scale in place; return its max, or NaN when it holds a
- * NaN.  The lanes keep partial maxima, which are combined at the end: max
- * is exact, so the order does not matter (a tie of -0.0 and +0.0 may keep
- * either, which the exp that follows maps to the same 1). */
-static float scale_row_max(float *row, long n, float scale)
-{
-    vwf vm;
-    vwi vnan = {0};
-    for (int l = 0; l < VW; l++)
-        vm[l] = -INFINITY;
-    long j = 0;
-    for (; j + VW <= n; j += VW) {
-        vwf s;
-        memcpy(&s, row + j, sizeof s);
-        s = s * scale;
-        memcpy(row + j, &s, sizeof s);
-        vnan |= s != s;
-        const vwi gt = s > vm;
-        vm = (vwf)(((vwi)s & gt) | ((vwi)vm & ~gt));
-    }
-    float m = -INFINITY;
-    int nan = 0;
-    for (int l = 0; l < VW; l++) {
-        nan |= vnan[l];
-        m = vm[l] > m ? vm[l] : m;
-    }
-    for (; j < n; j++) {
-        const float s = row[j] * scale;
-        row[j] = s;
-        nan |= s != s;
-        m = s > m ? s : m;
-    }
-    return nan ? NAN : m;
-}
-
-/* Attention logits of bn items: with q (bn, lq, d) and k (bn, lk, d),
- * out[b][i][j] = s[i][j] - max_j s[i][j] where s[i][j] = (q[i] . k[j]) * scale;
- * the dot product is a plain ascending sum, and the max is NaN when the
- * row holds a NaN, like numpy's. */
-static void attn_logits(const float *q, const float *k, float *out, long bn, long lq, long lk,
-                        long d, float scale, char *ws)
-{
-    if (bn == 0 || lq == 0 || lk == 0)
-        return;
-    const long ldk = padded(lk);
-    float *kt = carve(&ws, sizeof(float) * bn * d * ldk);
-    for (long bi = 0; bi < bn; bi++) { /* kt[b][p][j] = k[b][j][p], zero beyond lk */
-        float *kb = kt + bi * d * ldk;
-        transpose(k + bi * lk * d, d, lk, d, kb, ldk);
-        for (long p = 0; p < d; p++)
-            memset(kb + p * ldk + lk, 0, sizeof(float) * (ldk - lk));
-    }
-    matmul_batch(q, kt, ldk, out, bn, lq, d, lk, ws);
-    for (long i = 0; i < bn * lq; i++) {
-        float *row = out + i * lk;
-        const float m = scale_row_max(row, lk, scale);
-        for (long j = 0; j < lk; j++)
-            row[j] = row[j] - m;
-    }
-}
-
-/* Softmax rows from exponentials, then out (bn, lq, dv) = p @ v with v
- * (bn, lk, dv).  p (bn, lq, lk) holds exp(logits) on entry and the
- * probabilities on return: each row is divided by its sum, taken in
- * ascending order from +0.0.  The sums of CHAINS rows run interleaved,
- * one independent chain per row, which keeps each row's order. */
-static void attn_apply(float *p, const float *v, float *out, long bn, long lq, long lk, long dv,
-                       char *ws)
-{
-    enum { CHAINS = 12 };
-    const long rows = bn * lq;
-    for (long i0 = 0; i0 < rows; i0 += CHAINS) {
-        const long nr = rows - i0 < CHAINS ? rows - i0 : CHAINS;
-        float *pr = p + i0 * lk;
-        float sum[CHAINS];
-        for (long r = 0; r < CHAINS; r++)
-            sum[r] = 0.0f;
-        if (nr == CHAINS) {
-            for (long j = 0; j < lk; j++)
-                for (long r = 0; r < CHAINS; r++)
-                    sum[r] = sum[r] + pr[r * lk + j];
-        } else {
-            for (long r = 0; r < nr; r++)
-                for (long j = 0; j < lk; j++)
-                    sum[r] = sum[r] + pr[r * lk + j];
-        }
-        for (long r = 0; r < nr; r++)
-            for (long j = 0; j < lk; j++)
-                pr[r * lk + j] = pr[r * lk + j] / sum[r];
-    }
-    matmul_batch(p, v, dv, out, bn, lq, lk, dv, ws);
 }
 
 /* ---------------------------------------------------------------------------
@@ -577,6 +522,159 @@ static void exp_inplace(float *x, long n)
     const long dims[1] = {n};
     const long steps[2] = {sizeof(float), sizeof(float)};
     np_exp(args, dims, steps, np_exp_data);
+}
+
+/* ---------------------------------------------------------------------------
+ * attention
+ *
+ * Attention of items x rows x lanes queries, the lanes in the feature map's
+ * (channels, tokens) layout: q (items, rows, d, lanes), out (items, rows, dv,
+ * lanes), and with probs non-NULL the probabilities (items, rows, lanes, lk).
+ * The lk = lk1 + lk2 keys come in one of two layouts:
+ *
+ * - shared by the lanes of an item (a spatial site, tokens on the lanes):
+ *   k (kitems, d, lk1) and v (kitems, dv, lk1), item b reading item
+ *   b % kitems, followed by the lk2 keys k2 (d, lk2) and v2 (dv, lk2) that
+ *   every item shares (a reference site's reference tokens);
+ * - one set per lane (lanek, the temporal site, locations on the lanes):
+ *   k (items, lk1, d, lanes) and v (items, lk1, dv, lanes), lk2 = 0.
+ *
+ * A block holds VW lanes of one query row: its q, zero-padded to dp dims,
+ * and its key-major scores s (lkp x VW), while K and V are packed once per
+ * item (shared) or per item and block (lanek), zero-padded too. */
+
+#define JB 8 /* keys per block of scores */
+
+struct attn {
+    const float *q, *k, *v, *k2, *v2;
+    float *out, *probs;
+    long items, rows, lanes, lk1, lk2, d, dv, kitems, lanek;
+    float scale;
+};
+
+static long up(long n, long m)
+{
+    return (n + m - 1) / m * m;
+}
+
+/* One block: from the packed q (dp x VW), K (lkp x dp entries) and V (lk x
+ * dvp entries), an entry a float shared by the lanes or, with lanek, a
+ * vector of VW lanes, write the lanes' outputs to o (dvp x VW) and leave
+ * their probabilities in s. */
+static inline __attribute__((always_inline)) void attn_block(
+    const float *qp, const float *kp, const float *vp, float *s, float *o, long lk, long dp,
+    long dvp, float scale, const int lanek)
+{
+    const long lkp = up(lk, JB);
+    for (long j0 = 0; j0 < lkp; j0 += JB) {
+        vwf acc[JB];
+        for (int t = 0; t < JB; t++)
+            acc[t] = (vwf){0};
+        for (long p = 0; p < dp; p++) {
+            const vwf qv = vload(qp + p * VW);
+            for (int t = 0; t < JB; t++) {
+                const long at = (j0 + t) * dp + p;
+                acc[t] = acc[t] + (lanek ? qv * vload(kp + at * VW) : qv * kp[at]);
+            }
+        }
+        for (int t = 0; t < JB; t++)
+            vstore(s + (j0 + t) * VW, acc[t] * scale);
+    }
+    /* The row max of each lane, NaN when the row holds one; max is exact, so
+     * two partial maxima may be combined in any order (a tie of -0.0 and
+     * +0.0 may keep either, which the exp that follows maps to the same 1). */
+    vwf m[2] = {(vwf){0} - INFINITY, (vwf){0} - INFINITY};
+    vwi nan = {0};
+    for (long j = 0; j < lk; j++) {
+        const vwf v = vload(s + j * VW);
+        const vwi gt = v > m[j & 1];
+        nan |= v != v;
+        m[j & 1] = (vwf)(((vwi)v & gt) | ((vwi)m[j & 1] & ~gt));
+    }
+    const vwi gt = m[1] > m[0];
+    vwf mx = (vwf)(((vwi)m[1] & gt) | ((vwi)m[0] & ~gt));
+    mx = (vwf)(((vwi)((vwf){0} + NAN) & nan) | ((vwi)mx & ~nan));
+    for (long j = 0; j < lk; j++)
+        vstore(s + j * VW, vload(s + j * VW) - mx);
+    exp_inplace(s, lk * VW);
+    vwf sum = {0};
+    for (long j = 0; j < lk; j++)
+        sum = sum + vload(s + j * VW);
+    for (long j = 0; j < lk; j++)
+        vstore(s + j * VW, vload(s + j * VW) / sum);
+    for (long e0 = 0; e0 < dvp; e0 += 8) {
+        vwf acc[8];
+        for (int t = 0; t < 8; t++)
+            acc[t] = (vwf){0};
+        for (long j = 0; j < lk; j++) {
+            const vwf pj = vload(s + j * VW);
+            for (int t = 0; t < 8; t++) {
+                const long at = j * dvp + e0 + t;
+                acc[t] = acc[t] + (lanek ? pj * vload(vp + at * VW) : pj * vp[at]);
+            }
+        }
+        for (int t = 0; t < 8; t++)
+            vstore(o + (e0 + t) * VW, acc[t]);
+    }
+}
+
+/* dst[(j * ld + p) * w + l] = src[p * ps + j * js + l] for j < n, p < m, l < nl:
+ * the entries of n keys, m dims each, of nl lanes (w = 1: one float each). */
+static void pack(float *dst, long ld, long w, const float *src, long ps, long js, long n, long m,
+                 long nl)
+{
+    for (long j = 0; j < n; j++)
+        for (long p = 0; p < m; p++)
+            memcpy(dst + (j * ld + p) * w, src + p * ps + j * js, sizeof(float) * nl);
+}
+
+static void attention(const struct attn *a, char *ws)
+{
+    const long lk = a->lk1 + a->lk2, lkp = up(lk, JB), dp = up(a->d, 8), dvp = up(a->dv, 8);
+    const long w = a->lanek ? VW : 1, lanes = a->lanes;
+    float *kp = carve(&ws, sizeof(float) * lkp * dp * w);
+    float *vp = carve(&ws, sizeof(float) * lk * dvp * w);
+    float *qp = carve(&ws, sizeof(float) * dp * VW);
+    float *s = carve(&ws, sizeof(float) * lkp * VW);
+    float *o = carve(&ws, sizeof(float) * dvp * VW);
+    /* the padding stays zero: the packs below write only the live entries */
+    memset(kp, 0, sizeof(float) * lkp * dp * w);
+    memset(vp, 0, sizeof(float) * lk * dvp * w);
+    memset(qp, 0, sizeof(float) * dp * VW);
+    for (long b = 0; b < a->items; b++) {
+        if (!a->lanek) {
+            const long kb = b % a->kitems;
+            pack(kp, dp, 1, a->k + kb * a->d * a->lk1, a->lk1, 1, a->lk1, a->d, 1);
+            pack(vp, dvp, 1, a->v + kb * a->dv * a->lk1, a->lk1, 1, a->lk1, a->dv, 1);
+            pack(kp + a->lk1 * dp, dp, 1, a->k2, a->lk2, 1, a->lk2, a->d, 1);
+            pack(vp + a->lk1 * dvp, dvp, 1, a->v2, a->lk2, 1, a->lk2, a->dv, 1);
+        }
+        for (long t0 = 0; t0 < lanes; t0 += VW) {
+            const long nl = lanes - t0 < VW ? lanes - t0 : VW;
+            if (a->lanek) {
+                pack(kp, dp, VW, a->k + b * lk * a->d * lanes + t0, lanes, a->d * lanes, lk, a->d,
+                     nl);
+                pack(vp, dvp, VW, a->v + b * lk * a->dv * lanes + t0, lanes, a->dv * lanes, lk,
+                     a->dv, nl);
+            }
+            for (long r = 0; r < a->rows; r++) {
+                const long row = b * a->rows + r;
+                pack(qp, 0, VW, a->q + row * a->d * lanes + t0, lanes, 0, 1, a->d, nl);
+                if (a->lanek)
+                    attn_block(qp, kp, vp, s, o, lk, dp, dvp, a->scale, 1);
+                else
+                    attn_block(qp, kp, vp, s, o, lk, dp, dvp, a->scale, 0);
+                for (long e = 0; e < a->dv; e++)
+                    memcpy(a->out + (row * a->dv + e) * lanes + t0, o + e * VW, sizeof(float) * nl);
+                if (a->probs)
+                    for (long l = 0; l < nl; l++) {
+                        float *pr = a->probs + (row * lanes + t0 + l) * lk;
+                        for (long j = 0; j < lk; j++)
+                            pr[j] = s[j * VW + l];
+                    }
+            }
+        }
+    }
 }
 
 /* ---------------------------------------------------------------------------
@@ -656,42 +754,19 @@ static void copy_nd(float *dst, const float *src, long ndim, const long *shape, 
     }
 }
 
-/* A residual x + 0.5 * delta over a permuted delta, as the reference runs
- * it: delta = 0.5f * delta in place, then out = x + delta.  x and out share
- * the strides xs, delta has its own; ndim >= 2 as for copy_nd. */
-static void add_half_nd(float *out, const float *x, float *delta, long ndim, const long *shape,
-                        const long *xs, const long *ds)
-{
-    const long m = shape[ndim - 2], n = shape[ndim - 1];
-    const long xm = xs[ndim - 2], xn = xs[ndim - 1], dm = ds[ndim - 2], dn = ds[ndim - 1];
-    enum { T = 16 }; /* tile of a transposed delta */
-    struct blocks2 w;
-    const long blocks = blocks2_start(&w, ndim, shape, xs, ds);
-    const long ti = xn == 1 && dm == 1 && dn != 1 ? T : m, tj = ti == T ? T : n;
-    for (long b = 0; b < blocks; b++, blocks2_next(&w)) {
-        for (long i0 = 0; i0 < m; i0 += ti)
-            for (long j0 = 0; j0 < n; j0 += tj) {
-                const long ie = i0 + ti < m ? i0 + ti : m, je = j0 + tj < n ? j0 + tj : n;
-                for (long i = i0; i < ie; i++) {
-                    const long ox = w.o1 + i * xm, od = w.o2 + i * dm;
-                    for (long j = j0; j < je; j++) {
-                        const float t = 0.5f * delta[od + j * dn];
-                        delta[od + j * dn] = t;
-                        out[ox + j * xn] = x[ox + j * xn] + t;
-                    }
-                }
-            }
-    }
-}
-
 /* out (outer, m, inner) = the rows idx of x (outer, nx, inner). */
 static void gather_rows(float *out, const float *x, const long *idx, long outer, long nx, long m,
                         long inner)
 {
     for (long o = 0; o < outer; o++)
-        for (long j = 0; j < m; j++)
-            memcpy(out + (o * m + j) * inner, x + (o * nx + idx[j]) * inner,
-                   sizeof(float) * inner);
+        for (long j = 0; j < m; j++) {
+            float *dst = out + (o * m + j) * inner;
+            const float *src = x + (o * nx + idx[j]) * inner;
+            if (inner == 1)
+                *dst = *src;
+            else
+                memcpy(dst, src, sizeof(float) * inner);
+        }
 }
 
 /* Rows idx of out (outer, nout, inner) = src (souter, m, inner), src
@@ -700,9 +775,14 @@ static void scatter_rows(float *out, const float *src, const long *idx, long out
                          long m, long inner, long souter)
 {
     for (long o = 0; o < outer; o++)
-        for (long j = 0; j < m; j++)
-            memcpy(out + (o * nout + idx[j]) * inner, src + ((o % souter) * m + j) * inner,
-                   sizeof(float) * inner);
+        for (long j = 0; j < m; j++) {
+            float *dst = out + (o * nout + idx[j]) * inner;
+            const float *from = src + ((o % souter) * m + j) * inner;
+            if (inner == 1)
+                *dst = *from;
+            else
+                memcpy(dst, from, sizeof(float) * inner);
+        }
 }
 
 /* h (rows, cols) += bias (cols); then, with gate, out = silu(h) as the
@@ -744,7 +824,6 @@ enum {
     OP_ATTENTION,
     OP_EXP,
     OP_COPY,
-    OP_ADD_HALF,
     OP_GATHER,
     OP_SCATTER,
     OP_BIAS_SILU,
@@ -761,34 +840,33 @@ static void run_op(const slot *op)
     const slot *a = op + 1;
     switch (op[0].i) {
     case OP_MATMUL: /* a, b, ldb, out, m, k, n, ws */
-        matmul_batch(a[0].p, a[1].p, a[2].i, a[3].p, 1, a[4].i, a[5].i, a[6].i, a[7].p);
+        matmul(a[0].p, a[1].p, a[2].i, a[3].p, a[4].i, a[5].i, a[6].i, a[7].p);
         break;
-    case OP_CHANNEL_MIX: /* x, w, ldw, out, f, c, hw, co, ws */
-        channel_mix(a[0].p, a[1].p, a[2].i, a[3].p, a[4].i, a[5].i, a[6].i, a[7].i, a[8].p);
+    case OP_CHANNEL_MIX: /* x, w, ldw, out, base or NULL, f, c, hw, co, ws */
+        channel_mix(a[0].p, a[1].p, a[2].i, a[3].p, a[4].p, a[5].i, a[6].i, a[7].i, a[8].i,
+                    a[9].p);
         break;
     case OP_CONV: /* the arguments of conv2d_frames */
         conv2d_frames(a[0].p, a[1].p, a[2].p, a[3].i, a[4].p, a[5].p, a[6].i, a[7].i, a[8].i,
                       a[9].i, a[10].i, a[11].i, a[12].p, a[13].i, a[14].i, a[15].p, a[16].p);
         break;
-    case OP_NORM: /* x, out, gate or NULL, outer, c, inner; the gate is exp(-clip(out)) */
-        rms_norm(a[0].p, a[1].p, a[2].p, a[3].i, a[4].i, a[5].i);
+    case OP_NORM: /* x, out, gate or NULL, outer, c, inner, pairwise; the gate is exp(-clip(out)) */
+        rms_norm(a[0].p, a[1].p, a[2].p, a[3].i, a[4].i, a[5].i, (int)a[6].i);
         if (a[2].p)
             exp_inplace(a[2].p, a[3].i * a[4].i * a[5].i);
         break;
-    case OP_ATTENTION: /* q, k, v, probs, out, bn, lq, lk, d, dv, scale, ws: one slab */
-        attn_logits(a[0].p, a[1].p, a[3].p, a[5].i, a[6].i, a[7].i, a[8].i, (float)a[10].d,
-                    a[11].p);
-        exp_inplace(a[3].p, a[5].i * a[6].i * a[7].i);
-        attn_apply(a[3].p, a[2].p, a[4].p, a[5].i, a[6].i, a[7].i, a[9].i, a[11].p);
+    case OP_ATTENTION: { /* the fields of struct attn in order, the scale a double, then ws */
+        const struct attn at = {a[0].p, a[1].p, a[2].p, a[3].p, a[4].p, a[5].p, a[6].p,
+                                a[7].i, a[8].i, a[9].i, a[10].i, a[11].i, a[12].i, a[13].i,
+                                a[14].i, a[15].i, (float)a[16].d};
+        attention(&at, a[17].p);
         break;
+    }
     case OP_EXP: /* x, n */
         exp_inplace(a[0].p, a[1].i);
         break;
     case OP_COPY: /* dst, src, ndim, shape[MAXD], dst strides[MAXD], src strides[MAXD] */
         copy_nd(a[0].p, a[1].p, a[2].i, &a[3].i, &a[3 + MAXD].i, &a[3 + 2 * MAXD].i);
-        break;
-    case OP_ADD_HALF: /* out, x, delta, ndim, shape, x strides, delta strides */
-        add_half_nd(a[0].p, a[1].p, a[2].p, a[3].i, &a[4].i, &a[4 + MAXD].i, &a[4 + 2 * MAXD].i);
         break;
     case OP_GATHER: /* out, x, idx, outer, nx, m, inner */
         gather_rows(a[0].p, a[1].p, a[2].p, a[3].i, a[4].i, a[5].i, a[6].i);

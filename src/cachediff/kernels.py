@@ -27,9 +27,14 @@ at import (``compiled``, the default, or ``numpy``) and can be switched at
 runtime with :func:`set_backend`.  ``exp`` is numpy's own float32 loop
 under both backends: the compiled library calls the inner loop of
 ``np.exp`` itself (see :mod:`cachediff.native`), so the compiled
-attention is one op per slab, logits, exp and apply, and a residual
+attention is one op per slab, scores, exp and apply alike, and a residual
 unit's pre-activation ``conv(silu(rms_norm(x)))`` is a norm op that also
 writes the SiLU gate and a conv op that reads it.
+
+Attention and the channel mixes around it take their tokens in a feature
+map's own layout, (items, channels, tokens): the compiled kernels hold
+the tokens on the vector lanes, and each token keeps the reference's own
+sequence of float32 operations.
 
 Conv weights are packed once (:class:`PackedConv`), in one layout that
 both backends read, so a model built under one backend runs under the
@@ -171,12 +176,12 @@ def _conv_epilogue_np(y: np.ndarray, add: np.ndarray | None, base: np.ndarray | 
 
 
 def _channel_mix_np(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """x @ w per pixel of an (f, c, h, w) stack: the matmul of its (f*h*w, c) tokens."""
-    f, c, h, wid = x.shape
-    tok = np.ascontiguousarray(x.transpose(0, 2, 3, 1).reshape(f * h * wid, c))
-    return np.ascontiguousarray(
-        _matmul_np(tok, w).reshape(f, h, wid, w.shape[1]).transpose(0, 3, 1, 2)
-    )
+    """x @ w per pixel of an (f, c, *pixels) stack: the matmul of its (f * pixels, c) tokens."""
+    f, c, *rest = x.shape
+    hw = math.prod(rest)
+    tok = np.ascontiguousarray(x.reshape(f, c, hw).transpose(0, 2, 1).reshape(f * hw, c))
+    out = _matmul_np(tok, w).reshape(f, hw, w.shape[1]).transpose(0, 2, 1)
+    return np.ascontiguousarray(out).reshape(f, w.shape[1], *rest)
 
 
 def _rms_norm_np(x: np.ndarray, axis: int, gate: bool = False):
@@ -256,9 +261,9 @@ def _matmul_ws(m: int, k: int, n: int, ldb: int) -> int:
     return _r64(8 * k) + _r64(8 * m) + (_r64(4 * k * _pad16(n)) if ldb % 16 else 0)
 
 
-def _channel_mix_ws(f: int, c: int, hw: int, co: int, ldw: int) -> int:
-    """koff, arow and orow, plus a padded copy of w unless ldw is a multiple of 16."""
-    return _r64(8 * c) + 2 * _r64(8 * f * hw) + (_r64(4 * c * _pad16(co)) if ldw % 16 else 0)
+def _channel_mix_ws(c: int, hw: int, co: int) -> int:
+    """koff, arow and orow, plus a padded copy of one frame unless hw is a multiple of 16."""
+    return _r64(8 * c) + 2 * _r64(8 * co) + (_r64(4 * c * _pad16(hw)) if hw % 16 else 0)
 
 
 def _conv_ws(f: int, ci: int, h: int, w: int, stride: int) -> int:
@@ -267,26 +272,33 @@ def _conv_ws(f: int, ci: int, h: int, w: int, stride: int) -> int:
     return _r64(8 * 9 * ci) + 2 * _r64(8 * npix) + _r64(4 * f * ci * (h + 2) * (w + 2))
 
 
-def _attention_ws(bn: int, lq: int, lk: int, d: int, dv: int) -> int:
-    """The larger of the logits kernel's (transposed keys, then its GEMM) and the apply kernel's."""
-    logits = _r64(4 * bn * d * _pad16(lk)) + _matmul_ws(lq, d, lk, _pad16(lk))
-    return max(logits, _matmul_ws(lq, lk, dv, dv))
+def _attention_ws(lk: int, d: int, dv: int, lane_keys: bool = False) -> int:
+    """Packed K and V (an entry per key and dim, of 16 lanes with ``lane_keys``), one
+    block's q, scores and output: keys padded to 8, dims to 8, lanes at most 16."""
+    lkp, dp, dvp = (-(-n // 8) * 8 for n in (lk, d, dv))
+    w = 16 if lane_keys else 1
+    return (_r64(4 * lkp * dp * w) + _r64(4 * lk * dvp * w) + _r64(4 * dp * 16)
+            + _r64(4 * lkp * 16) + _r64(4 * dvp * 16))
 
 
 def _self_check(lib) -> str | None:
     """Run the bound steps on ``lib`` against the reference on small cases; None if equal.
 
-    Sums of 37 normal products (and the attention row sums of 37
+    Sums of 37 normal products (and the attention row sums of 37 to 40
     exponentials) expose any change of summation order or rounding; the
     cases also hold a row of -0.0 and a subnormal.  The norm's rows of 137
-    terms of a wide range take every branch of numpy's pairwise sum; its
-    channel case sums over a strided axis.  The conv's two store epilogues
-    add rows and a residual holding -0.0 and a subnormal.  A matmul's
-    right operand and the added rows are also read as column slices of
-    wider matrices, as plans pass them.  exp runs on every kind of special
-    value and a sweep across its whole range, from an odd offset; the glue
-    ops run on permuted and broadcast views holding -0.0, infinities and a
-    subnormal.
+    terms of a wide range take every branch of numpy's pairwise sum, as
+    rows and as tokens on the lanes (19 of them: a full vector and a
+    tail); its channel case sums over a strided axis.  The conv's two
+    store epilogues and the channel mix's residual add rows and a residual
+    holding -0.0 and a subnormal.  A matmul's right operand and the added
+    rows are also read as column slices of wider matrices, as plans pass
+    them.  Attention runs with keys shared by the lanes (with and without
+    kept probabilities, broadcast items and appended shared keys) and with
+    keys per lane, on 19 lanes of 5 dims.  exp runs on every kind of
+    special value and a sweep across its whole range, from an odd offset;
+    the glue ops run on permuted and broadcast views holding -0.0,
+    infinities and a subnormal.
     """
     rng = np.random.default_rng(0)
     a = rng.standard_normal((13, 37), dtype=np.float32)
@@ -302,16 +314,26 @@ def _self_check(lib) -> str | None:
     t[1] = -0.0
     t[2, 5] = 3e-39
     b16, b21 = (rng.standard_normal((37, n), dtype=np.float32) for n in (16, 21))
-    q = rng.standard_normal((2, 13, 5), dtype=np.float32)
-    q[1, 4] = -0.0
-    kv = rng.standard_normal((2, 37, 5), dtype=np.float32)
+    tokens = rng.standard_normal((2, 137, 19), dtype=np.float32)
+    tokens *= np.exp2(rng.integers(-9, 9, (137, 1))).astype(np.float32)
+    tokens[1, :, 2] = -0.0
+    tokens[0, 5, 7] = 3e-39
+    q = rng.standard_normal((2, 1, 5, 19), dtype=np.float32)
+    q[1, 0, :, 4] = -0.0
+    kv = rng.standard_normal((2, 5, 37), dtype=np.float32)
+    extra = rng.standard_normal((5, 3), dtype=np.float32)
+    lane_q = rng.standard_normal((2, 4, 5, 19), dtype=np.float32)
+    lane_kv = rng.standard_normal((2, 4, 5, 19), dtype=np.float32)
+    lane_kv[0, 2, :, 3] = -0.0
     scale = np.float32(0.75)
     add = rng.standard_normal((2, 9), dtype=np.float32)[:, 2:8]
     add[0, 1], add[1, 2] = -0.0, 3e-39
     base = rng.standard_normal((2, 6, 5, 4), dtype=np.float32)
     base[1, 3] = -0.0
-    ws = max(_matmul_ws(13, 37, 21, 21), _channel_mix_ws(2, 5, 20, 21, 21),
-             _conv_ws(2, 5, 5, 4, 1), _attention_ws(2, 13, 37, 5, 5))
+    res = rng.standard_normal((2, 21, 5, 4), dtype=np.float32)
+    res[0, 3], res[1, 2, 1] = -0.0, 3e-39
+    ws = max(_matmul_ws(13, 37, 21, 21), _channel_mix_ws(5, 20, 21),
+             _conv_ws(2, 5, 5, 4, 1), _attention_ws(40, 5, 5), _attention_ws(4, 5, 5, True))
 
     def differs(want, bound, *inputs, **kwargs) -> bool:
         """Whether the bound step writes other bytes than ``want`` (an array or a tuple)."""
@@ -319,6 +341,17 @@ def _self_check(lib) -> str | None:
         outs = [np.empty(r.shape, dtype=np.float32) for r in want]
         _run(lib, bound, *inputs, *outs, **kwargs)
         return any(o.tobytes() != r.tobytes() for o, r in zip(outs, want))
+
+    def attention_differs(q, k, v, kept: bool, k2=None, v2=None) -> bool:
+        """Whether the attention step on ``lib`` writes other bytes than the reference."""
+        runs = []
+        lk = k.shape[1] if k.ndim == 4 else k.shape[2] + (0 if k2 is None else k2.shape[1])
+        for backend in (None, lib):
+            out = np.empty(q.shape[:2] + (v.shape[-2],) + q.shape[3:], np.float32)
+            probs = np.empty(q.shape[:2] + (q.shape[3], lk), np.float32) if kept else None
+            _run(backend, bound_attention, q, k, v, scale, out, ws=ws, probs=probs, k2=k2, v2=v2)
+            runs.append(out.tobytes() + (b"" if probs is None else probs.tobytes()))
+        return runs[0] != runs[1]
 
     def glue_differs(bound, make) -> bool:
         """Whether the step leaves other bytes in its arrays than the reference does;
@@ -358,8 +391,6 @@ def _self_check(lib) -> str | None:
                 np.empty((2, 3, 2, 5), _F32), d4.copy().transpose(0, 3, 1, 2)))),
             ("copy of a broadcast view", glue_differs(bound_copy, lambda: (
                 np.empty((2, 3, 2, 5, 2), _F32)[:, :, :, :4], h9[:, :4].reshape(2, 3, 1, 4, 1)))),
-            ("add_half", glue_differs(bound_add_half, lambda: (
-                a4.copy(), d4.copy().transpose(0, 3, 1, 2), np.empty_like(a4)))),
             ("gather", glue_differs(bound_gather, lambda: (tok, index, np.empty((2, 3, 3), _F32)))),
             ("scatter", glue_differs(bound_scatter, lambda: (
                 rows, index, np.zeros((2, 7, 3), _F32)))),
@@ -381,10 +412,16 @@ def _self_check(lib) -> str | None:
                 base=base)),
             ("channel_mix", differs(
                 _channel_mix_np(x, b21[:5]), bound_channel_mix, x, b21[:5], ws=ws)),
+            ("channel_mix residual epilogue", differs(
+                _conv_epilogue_np(_channel_mix_np(x, b21[:5]), None, res), bound_channel_mix, x,
+                b21[:5], ws=ws, base=res)),
             ("rms_norm rows", differs(_rms_norm_np(t, 1), bound_rms_norm, t, 1)),
             ("rms_norm channels", differs(_rms_norm_np(x, 1, True), bound_rms_norm, x, 1)),
-            ("attention", differs(_attention_np(q, kv, kv, scale), bound_attention, q, kv, kv,
-                                  scale, ws=ws, keep_probs=True)),
+            ("token norm", differs(_token_norm_np(tokens, 1), bound_rms_norm, tokens, 1,
+                                   tokens=True)),
+            ("attention", attention_differs(q, kv, kv, True, k2=extra, v2=extra)),
+            ("attention without kept probabilities", attention_differs(q, kv[:1], kv[:1], False)),
+            ("attention with keys per lane", attention_differs(lane_q, lane_kv, lane_kv, True)),
         ]
     return next((f"compiled {name} differs from the numpy reference"
                  for name, bad in cases if bad), None)
@@ -550,9 +587,10 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     return np.divide(e, denom, out=e)
 
 
-# Attention scores per compiled-kernel call: one 256 x 512 frame (512 KB),
-# which stays in cache from the scores to the probabilities and bounds the
-# scratch memory of a large stack.
+# Attention scores per op record: one 256 x 512 frame.  It bounds the
+# numpy reference's temporaries (the scores of a slab, 512 KB); the compiled
+# kernel keeps the scores of one block of query lanes in L1, whatever the
+# slab.
 _ATTN_SLAB = 1 << 17
 
 
@@ -564,9 +602,9 @@ def attention_batch(
     Returns the output and, with ``keep_probs``, the (n, lq, lk)
     probabilities (else None).  Per-item results are bit-identical to
     :func:`matmul` of each slice's q and k^T, scaled, then
-    :func:`softmax_rows` and :func:`matmul` with v.  Items run in slabs of
-    about ``_ATTN_SLAB`` scores; the compiled backend runs a slab as one
-    op: logits, numpy's exp in place, and the apply.
+    :func:`softmax_rows` and :func:`matmul` with v.  The step takes its
+    operands with the tokens last (see :func:`bound_attention`), so q, k
+    and v are transposed on the way in and the output on the way out.
     """
     q = _f32(q, "q", 3)
     k = _f32(k, "k", 3)
@@ -578,16 +616,18 @@ def attention_batch(
     if k.shape[1] == 0 or q.shape[2] == 0:
         raise ValueError(f"attention_batch needs at least one key and one dim, got k {k.shape}")
     (n, lq, d), (lk, dv) = q.shape, v.shape[1:]
-    slab = attention_slab(n, lq, lk)
-    out = np.empty((n, lq, dv), dtype=np.float32)
-    probs = np.empty((n if keep_probs else slab, lq, lk), dtype=np.float32)
-    _run(active_library(), bound_attention, q, k, v, np.float32(1.0 / math.sqrt(d)), out, probs,
-         ws=_attention_ws(slab, lq, lk, d, dv), keep_probs=keep_probs)
-    return out, probs if keep_probs else None
+    out = np.empty((n, 1, dv, lq), dtype=np.float32)
+    probs = np.empty((n, 1, lq, lk), dtype=np.float32) if keep_probs else None
+    lanes = [np.ascontiguousarray(a.transpose(0, 2, 1)) for a in (q, k, v)]
+    _run(active_library(), bound_attention, lanes[0][:, None], *lanes[1:],
+         np.float32(1.0 / math.sqrt(d)), out, ws=_attention_ws(lk, d, dv), probs=probs)
+    return (np.ascontiguousarray(out[:, 0].transpose(0, 2, 1)),
+            None if probs is None else probs[:, 0])
 
 
 def attention_slab(n: int, lq: int, lk: int) -> int:
-    """Items per slab of :func:`attention_batch` over n items of lq x lk scores (at least 1)."""
+    """Items per op record of :func:`bound_attention` over n items of lq x lk scores
+    (at least 1)."""
     return max(1, min(n, _ATTN_SLAB // (lq * lk or 1)))
 
 
@@ -609,8 +649,8 @@ def attention_slab(n: int, lq: int, lk: int) -> int:
 # here.
 
 # The OP_* kinds, OP_SLOTS and MAXD of kernels.c.
-(_OP_MATMUL, _OP_CHANNEL_MIX, _OP_CONV, _OP_NORM, _OP_ATTENTION, _OP_EXP, _OP_COPY, _OP_ADD_HALF,
- _OP_GATHER, _OP_SCATTER, _OP_BIAS_SILU) = range(1, 12)
+(_OP_MATMUL, _OP_CHANNEL_MIX, _OP_CONV, _OP_NORM, _OP_ATTENTION, _OP_EXP, _OP_COPY, _OP_GATHER,
+ _OP_SCATTER, _OP_BIAS_SILU) = range(1, 11)
 _OP_SLOTS = 24
 _MAXD = 6
 
@@ -683,13 +723,18 @@ def bound_matmul(lib, a: np.ndarray, b: np.ndarray, out: np.ndarray, ws: int) ->
     return [Op(_OP_MATMUL, a, pb, ldb, out, m, k, n, ws, refs=(b,))]
 
 
-def bound_channel_mix(lib, x: np.ndarray, w: np.ndarray, out: np.ndarray, ws: int) -> list:
-    """out (f, co, h, w) = x @ w per pixel, the matmul of x's (f * h * w, c) tokens."""
+def bound_channel_mix(
+    lib, x: np.ndarray, w: np.ndarray, out: np.ndarray, ws: int, *, base: np.ndarray | None = None
+) -> list:
+    """out (f, co, *pixels) = x @ w per pixel of x (f, c, *pixels), the matmul of x's
+    (f * pixels, c) tokens; with ``base`` (shaped like out), base + 0.5 * that, the
+    residual of an attention site (:func:`_conv_epilogue_np`)."""
     if lib is None:
-        return [lambda: np.copyto(out, _channel_mix_np(x, w))]
-    f, c, h, wid = x.shape
+        return [lambda: np.copyto(out, _conv_epilogue_np(_channel_mix_np(x, w), None, base))]
+    f, c = x.shape[:2]
     pw, ldw = _rows_ptr(w)
-    return [Op(_OP_CHANNEL_MIX, x, pw, ldw, out, f, c, h * wid, w.shape[1], ws, refs=(w,))]
+    return [Op(_OP_CHANNEL_MIX, x, pw, ldw, out, base, f, c, x.size // (f * c or 1), w.shape[1],
+               ws, refs=(w,))]
 
 
 def bound_conv2d_frames(
@@ -717,53 +762,105 @@ def bound_conv2d_frames(
     )]
 
 
+def _token_norm_np(x: np.ndarray, axis: int, gate: bool = False):
+    """_rms_norm_np over ``axis`` as if it were the contiguous last axis: numpy's
+    pairwise order over each token's channels, whatever x's layout."""
+    res = _rms_norm_np(np.ascontiguousarray(np.moveaxis(x, axis, -1)), -1, gate)
+    return tuple(np.moveaxis(r, -1, axis) for r in res) if gate else np.moveaxis(res, -1, axis)
+
+
 def bound_rms_norm(
-    lib, x: np.ndarray, axis: int, out: np.ndarray, gate: np.ndarray | None = None
+    lib, x: np.ndarray, axis: int, out: np.ndarray, gate: np.ndarray | None = None, *,
+    tokens: bool = False,
 ) -> list:
     """out = rms_norm(x, axis), and with ``gate`` its SiLU gate, of a C-contiguous x.
 
-    The compiled op writes the norm and -clip(out, -30, 30), then applies
-    numpy's exp to that in place, which makes it the gate.
+    With ``tokens``, every other index of x is a token whose values along
+    ``axis`` are summed in numpy's order for a contiguous axis (pairwise),
+    the reference's token norm; the compiled op holds the tokens on its
+    lanes.  The compiled op writes the norm and -clip(out, -30, 30), then
+    applies numpy's exp to that in place, which makes it the gate.
     """
     axis %= x.ndim
+    inner = math.prod(x.shape[axis + 1 :])
     if lib is None:
+        norm = _token_norm_np if tokens else _rms_norm_np
+
         def run():
-            res = _rms_norm_np(x, axis, gate is not None)
+            res = norm(x, axis, gate is not None)
             if gate is None:
                 np.copyto(out, res)
             else:
                 np.copyto(out, res[0])
                 np.copyto(gate, res[1])
         return [run]
-    return [Op(_OP_NORM, x, out, gate, math.prod(x.shape[:axis]), x.shape[axis],
-               math.prod(x.shape[axis + 1 :]))]
+    return [Op(_OP_NORM, x, out, gate, math.prod(x.shape[:axis]), x.shape[axis], inner,
+               int(tokens or inner == 1))]
 
 
 def bound_attention(
     lib, q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: np.float32, out: np.ndarray,
-    probs: np.ndarray, ws: int, *, keep_probs: bool = False,
+    ws: int, *, k2: np.ndarray | None = None, v2: np.ndarray | None = None,
+    probs: np.ndarray | None = None,
 ) -> list:
-    """out = softmax(q k^T * scale) @ v in slabs of :func:`attention_slab` items;
-    ``probs`` holds every item's probabilities with ``keep_probs``, else it is
-    one slab's scratch.  A compiled slab is one op: the logits, numpy's exp in
-    place, and the probabilities applied to v."""
-    (n, lq, d), (lk, dv) = q.shape, v.shape[1:]
-    step = attention_slab(n, lq, lk)
-    items = []
-    for i in range(0, n, step):
-        sl = slice(i, i + step)
-        cnt = min(step, n - i)
-        p = probs[sl] if keep_probs else probs[:cnt]
+    """out = softmax(q k^T * scale) @ v for query tokens on the lanes.
+
+    q is (items, rows, d, lanes) and out (items, rows, dv, lanes): each
+    lane of each row is one query.  The keys come in one of two layouts:
+
+    * 3-d, shared by the lanes of an item: k (kitems, d, lk) and v (kitems,
+      dv, lk), item b reading item b % kitems, followed by the keys k2 (d,
+      lk2) and v2 (dv, lk2) shared by every item (None: no such keys);
+    * 4-d, one set per lane: k (items, lk, d, lanes), v (items, lk, dv,
+      lanes), the queries of a lane being its rows.
+
+    With ``probs`` (items, rows, lanes, lk + lk2), the probabilities are
+    written there too.  Items run in slabs of :func:`attention_slab`, one op
+    record each, which carries ``probs`` or a null pointer.
+    """
+    items, rows, d, lanes = q.shape
+    dv = out.shape[2]
+    per_lane = k.ndim == 4
+    lk = k.shape[1] if per_lane else k.shape[2] + (0 if k2 is None else k2.shape[1])
+    step = attention_slab(items, rows * lanes, lk)
+    own = per_lane or k.shape[0] == items  # else item b reads k[b % kitems] from every slab
+    if not own:
+        step = -(-step // k.shape[0]) * k.shape[0]
+    ops = []
+    for i in range(0, items, step):
+        sl = slice(i, min(i + step, items))
+        cnt = sl.stop - i
+        p = None if probs is None else probs[sl]
         if lib is None:
-            def run(sl=sl, p=p):
-                o, pr = _attention_np(q[sl], k[sl], v[sl], scale)
-                np.copyto(out[sl], o)
-                np.copyto(p, pr)
-            items.append(run)
+            def run(sl=sl, cnt=cnt, p=p):
+                if per_lane:
+                    qt = q[sl].transpose(0, 3, 1, 2).reshape(cnt * lanes, rows, d)
+                    kt, vt = (a[sl].transpose(0, 3, 1, 2).reshape(cnt * lanes, lk, n)
+                              for a, n in ((k, d), (v, dv)))
+                else:
+                    qt = q[sl].transpose(0, 1, 3, 2).reshape(cnt, rows * lanes, d)
+                    read = np.arange(sl.start, sl.stop) % k.shape[0]
+                    kt, vt = (a[read].transpose(0, 2, 1) for a in (k, v))
+                    if k2 is not None:
+                        kt, vt = (np.concatenate([t, np.broadcast_to(e.T, (cnt,) + e.T.shape)], 1)
+                                  for t, e in ((kt, k2), (vt, v2)))
+                o, pr = _attention_np(*(np.ascontiguousarray(a) for a in (qt, kt, vt)), scale)
+                if per_lane:
+                    out[sl] = o.reshape(cnt, lanes, rows, dv).transpose(0, 2, 3, 1)
+                    pr = pr.reshape(cnt, lanes, rows, lk).transpose(0, 2, 1, 3)
+                else:
+                    out[sl] = o.reshape(cnt, rows, lanes, dv).transpose(0, 1, 3, 2)
+                if p is not None:
+                    p[...] = pr.reshape(p.shape)
+            ops.append(run)
             continue
-        items.append(Op(_OP_ATTENTION, q[sl], k[sl], v[sl], p, out[sl], cnt, lq, lk, d, dv,
-                        float(scale), ws))
-    return items
+        ks, vs = (k[sl], v[sl]) if own else (k, v)
+        lk1 = k.shape[1] if per_lane else k.shape[2]
+        ops.append(Op(
+            _OP_ATTENTION, q[sl], ks, vs, k2, v2, out[sl], p, cnt, rows, lanes, lk1, lk - lk1, d,
+            dv, 0 if per_lane else ks.shape[0], int(per_lane), float(scale), ws,
+        ))
+    return ops
 
 
 def bound_exp(lib, x: np.ndarray) -> list:
@@ -813,22 +910,6 @@ def bound_copy(lib, dst: np.ndarray, src: np.ndarray) -> list:
     src = np.broadcast_to(src, dst.shape)
     return [Op(_OP_COPY, dst.ctypes.data, src.ctypes.data,
                *_merged(dst.shape, _strided(dst), _strided(src)), refs=(dst, src))]
-
-
-def bound_add_half(lib, x: np.ndarray, delta: np.ndarray, out: np.ndarray) -> list:
-    """out = x + 0.5 * delta as the reference runs it: delta = 0.5 * delta in place,
-    then the sum.  x and out are C-contiguous; delta is any strided view of
-    their shape."""
-    if not (x.flags.c_contiguous and out.flags.c_contiguous
-            and x.shape == out.shape == delta.shape):
-        raise ValueError(f"add_half needs C-contiguous x and out of delta's shape {delta.shape}")
-    if lib is None:
-        half = np.float32(0.5)
-        return [partial(np.multiply, half, delta, out=delta), partial(np.add, x, delta, out=out)]
-    if x.size == 0:
-        return []
-    return [Op(_OP_ADD_HALF, out, x, delta.ctypes.data,
-               *_merged(x.shape, _strided(x), _strided(delta)), refs=(delta,))]
 
 
 def _rows_index(index: np.ndarray, rows: int) -> np.ndarray:

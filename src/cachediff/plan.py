@@ -11,7 +11,8 @@ probabilities).  The walk records
   ``kernels.bound_*`` functions, for the kernels and for the glue between
   them);
 * named inputs, buffers that each pass fills from the caller's feeds
-  before the steps run (several buffers may read one name), and named
+  before the steps run (several buffers may read one name; a buffer may
+  hold its feed in another layout, such as tokens last), and named
   results, each read from a buffer after the steps;
 * the pass's FLOP events, logged through :meth:`FlopLog.add`, so that the
   tag and arity checks run once per plan.  A pass over a stack of equal
@@ -69,7 +70,7 @@ class Plan:
     def __init__(self):
         self.bufs: list[Buf] = []
         self.steps: list[Bind] = []
-        self.inputs: list[tuple[Hashable, Buf]] = []
+        self.inputs: list[tuple[Hashable, Buf, Callable[[np.ndarray], np.ndarray]]] = []
         self.results: list[tuple[Hashable, Buf, Callable[[np.ndarray], object]]] = []
         self.log = FlopLog()
         self.floats = 0
@@ -94,11 +95,13 @@ class Plan:
                 b.last = i
         self.steps.append(bind)
 
-    def input(self, name: Hashable, shape: tuple[int, ...]) -> Buf:
-        """A buffer that each pass fills with its feed ``name`` before the steps run."""
+    def input(self, name: Hashable, shape: tuple[int, ...],
+              view: Callable[[np.ndarray], np.ndarray] = lambda a: a) -> Buf:
+        """A buffer that each pass fills with its feed ``name`` before the steps run:
+        ``view`` of the buffer's array, shaped like the feed, receives the feed."""
         buf = self.buf(shape)
         buf.first = buf.last = 0
-        self.inputs.append((name, buf))
+        self.inputs.append((name, buf, view))
         return buf
 
     def result(self, name: Hashable, src: Buf, read: Callable[[np.ndarray], object]) -> None:
@@ -127,12 +130,15 @@ class Plan:
             self.flop("matmul", layer, (rows, k, n))
         return out
 
-    def norm(self, x: Buf, layer: str, axis: int = 1, copies: int = 1, gate: bool = False):
-        """rms_norm(x, axis), logged as ``copies`` norms; with ``gate`` also its SiLU gate."""
+    def norm(self, x: Buf, layer: str, axis: int = 1, copies: int = 1, gate: bool = False,
+             tokens: bool = False):
+        """rms_norm(x, axis), logged as ``copies`` norms; with ``gate`` also its SiLU gate.
+        With ``tokens``, each token's values along ``axis`` sum in numpy's order for a
+        contiguous axis (see :func:`kernels.bound_rms_norm`)."""
         out = self.buf(x.shape)
         g = self.buf(x.shape) if gate else None
         self.step(lambda lib: kernels.bound_rms_norm(
-            lib, x.a, axis, out.a, None if g is None else g.a), x, out, g)
+            lib, x.a, axis, out.a, None if g is None else g.a, tokens=tokens), x, out, g)
         self.flop("elementwise", layer, (3 * copies * x.size,))
         return (out, g) if gate else out
 
@@ -155,37 +161,70 @@ class Plan:
         self.flop("conv2d", name, (conv.co, conv.ci, ho, f * wo))
         return out
 
-    def channel_mix(self, x: Buf, w: np.ndarray) -> Buf:
-        """Per-pixel x @ w over the channel axis of (f, c, h, w); not logged."""
-        f, c, h, wid = x.shape
-        out = self.buf((f, w.shape[1], h, wid))
-        ldw = kernels._rows_ptr(w)[1]
-        self.scratch(kernels._channel_mix_ws(f, c, h * wid, w.shape[1], ldw))
-        self.step(lambda lib: kernels.bound_channel_mix(lib, x.a, w, out.a, self.ws), x, out)
+    def channel_mix(self, x: Buf, w: np.ndarray, base: Buf | None = None) -> Buf:
+        """Per-pixel x @ w over the channel axis of x (f, c, *pixels), with the pixels
+        on the lanes; with ``base``, base + 0.5 * that.  Not logged."""
+        f, c = x.shape[:2]
+        if w.shape[0] != c:
+            raise ValueError(f"channel mix shape mismatch: {x.shape} @ {w.shape}")
+        kernels._rows_ptr(w)  # refuses what no kernel reads
+        shape = (f, w.shape[1]) + x.shape[2:]
+        if base is not None and math.prod(base.shape) != math.prod(shape):
+            raise ValueError(f"channel mix base {base.shape} does not match {shape}")
+        out = self.buf(shape if base is None else base.shape)  # the residual keeps base's shape
+        self.scratch(kernels._channel_mix_ws(c, x.size // (f * c or 1), w.shape[1]))
+        self.step(lambda lib: kernels.bound_channel_mix(
+            lib, x.a, w, out.a.reshape(shape), self.ws,
+            base=None if base is None else base.a.reshape(shape),
+        ), x, base, out)
         return out
 
-    def attention(self, q: Buf, k: Buf, v: Buf, layer: str, items: int, keep_probs: bool = False):
-        """Attention of ``items`` query sets; returns (output, probabilities if kept).
+    def attention(
+        self, q: Buf, k: Buf, v: Buf, layer: str, *, rows: int = 1,
+        shared: tuple[Buf, Buf] | None = None, lane_keys: bool = False, keep_probs: bool = False,
+    ):
+        """Attention with the query tokens on the lanes; returns (output, probabilities
+        if kept).
 
-        q, k and v hold items x rows x their last axis.  Without
-        ``keep_probs`` the probabilities live in one slab's scratch buffer.
+        q is (items * rows, d, *lanes), each lane of each row one query, and
+        the output (items * rows, dv, *lanes).  k and v are (kitems, d | dv,
+        keys), shared by the lanes of an item (item b reads b % kitems),
+        then the keys of ``shared`` (1, d | dv, keys) of every item; with
+        ``lane_keys`` they are (items * keys, d | dv, *lanes), one set per
+        lane.  The kept probabilities are (items * rows, lanes, keys).
         """
-        d, dv = q.shape[-1], v.shape[-1]
-        lq, lk = q.size // (items * d), k.size // (items * d)
-        slab = kernels.attention_slab(items, lq, lk)
-        out = self.buf((items, lq, dv))
-        probs = self.buf((items if keep_probs else slab, lq, lk))
-        self.scratch(kernels._attention_ws(slab, lq, lk, d, dv))
+        d, dv = q.shape[1], v.shape[1]
+        if k.shape[1] != d or (shared is not None and shared[0].shape[1] != d):
+            raise ValueError(f"attention: keys {k.shape} do not match queries {q.shape}")
+        items = q.shape[0] // rows
+        lanes = q.size // (q.shape[0] * d or 1)
+        lk = k.shape[0] // items if lane_keys else k.size // (k.shape[0] * d or 1)
+        lk2 = 0 if shared is None else shared[0].size // d
+        out = self.buf((q.shape[0], dv) + q.shape[2:])
+        probs = self.buf((items * rows, lanes, lk + lk2)) if keep_probs else None
+        self.scratch(kernels._attention_ws(lk + lk2, d, dv, lane_keys))
         scale = np.float32(1.0 / math.sqrt(d))
-        self.step(lambda lib: kernels.bound_attention(
-            lib, q.a.reshape(items, lq, d), k.a.reshape(items, lk, d),
-            v.a.reshape(items, lk, dv), scale, out.a, probs.a, self.ws, keep_probs=keep_probs,
-        ), q, k, v, out, probs)
-        self.flop("attention_scores", layer, (items * lq, lk, d))
-        self.flop("elementwise", layer, (items * lq * lk,))
-        self.flop("softmax", layer, (items * lq, lk))
-        self.flop("attention_apply", layer, (items * lq, lk, d))
-        return out, probs if keep_probs else None
+        k2, v2 = shared or (None, None)
+
+        def bind(lib):
+            if lane_keys:
+                kv = (k.a.reshape(items, lk, d, lanes), v.a.reshape(items, lk, dv, lanes))
+            else:
+                kv = (k.a.reshape(k.shape[0], d, lk), v.a.reshape(v.shape[0], dv, lk))
+            return kernels.bound_attention(
+                lib, q.a.reshape(items, rows, d, lanes), *kv, scale,
+                out.a.reshape(items, rows, dv, lanes), self.ws,
+                k2=None if k2 is None else k2.a.reshape(d, lk2),
+                v2=None if v2 is None else v2.a.reshape(dv, lk2),
+                probs=None if probs is None else probs.a.reshape(items, rows, lanes, lk + lk2))
+
+        self.step(bind, q, k, v, k2, v2, out, probs)
+        n, keys = items * rows * lanes, lk + lk2
+        self.flop("attention_scores", layer, (n, keys, d))
+        self.flop("elementwise", layer, (n * keys,))
+        self.flop("softmax", layer, (n, keys))
+        self.flop("attention_apply", layer, (n, keys, d))
+        return out, probs
 
     def copy(self, dst: Callable[[], np.ndarray], src: Callable[[], np.ndarray], *touched) -> None:
         """dst()[...] = src(), src broadcast, with both views made when the step is bound."""
@@ -235,8 +274,8 @@ class Plan:
         if calls is None:
             calls = self._calls[lib] = kernels.program(
                 lib, [item for bind in self.steps for item in bind(lib)])
-        for name, buf in self.inputs:
-            np.copyto(buf.a, feeds[name])
+        for name, buf, view in self.inputs:
+            np.copyto(view(buf.a), feeds[name])
         for call in calls:
             call()
         if log is not None:

@@ -491,14 +491,16 @@ class ToyUNet:
     ) -> Buf:
         """Reference, audio and temporal sites on a stack of samples' frames.
 
-        Each site runs once for the whole stack; temporal attention stays
-        inside each sample's frames.  Inputs and results are named as in
-        :meth:`forward` and :meth:`subnet`; only U32's call restricts
-        (``dfa``) or keeps anything.  On the full path of a one-sample
-        stack, with ``keep_mask`` each site's background rows are the
-        result (layer, site), as the restricted path reads them, and with
-        ``keep_probs`` the reference site's probabilities are the result
-        "probs".
+        Each site runs once for the whole stack, on the feature map in its
+        own (frames, channels, pixels) layout: it normalizes the tokens, and
+        its output projection writes x + 0.5 * delta, the next feature map.
+        Temporal attention stays inside each sample's frames.  Inputs and
+        results are named as in :meth:`forward` and :meth:`subnet`; only
+        U32's call restricts (``dfa``) or keeps anything.  On the full path
+        of a one-sample stack, with ``keep_mask`` each site's background
+        rows are the result (layer, site), as the restricted path reads
+        them, and with ``keep_probs`` the reference site's probabilities are
+        the result "probs".
         """
         cfg = self.cfg
         n, c, h, w = x.shape
@@ -511,67 +513,45 @@ class ToyUNet:
             ctx = None if dfa is None else dfa.get(name)
             return {"ctx": ctx, "bg": (layer, name)}
 
-        def tokens(src: Buf, name: str) -> Buf:
-            tok = p.buf((k, f, L, c))
-            p.copy(lambda: tok.a, lambda: src.a.reshape(k, f, c, L).transpose(0, 1, 3, 2), src, tok)
-            return p.norm(tok, name, axis=-1)
+        def norm(tokens: Buf, name: str, copies: int = 1) -> Buf:
+            return p.norm(tokens, name, copies=copies, tokens=True)
 
-        def keep(name: str, a: Buf | None, lead: tuple[int, ...]) -> None:
+        def keep(name: str, a: Buf | None, perm: tuple[int, ...]) -> None:
             # Read after the pass into new arrays (select_tokens, looked up
             # when the result is read), so no returned row aliases the plan.
             if keep_mask is None or a is None:
                 return
-            bg, axis = keep_mask.bg_index, 0 if name == "temporal" else 1
-            p.result((layer, name), a,
-                     lambda arr: attn.select_tokens(arr.reshape(lead + (d,))[0], bg, axis))
+            bg = keep_mask.bg_index
+            p.result((layer, name), a, lambda arr: np.ascontiguousarray(
+                attn.select_tokens(arr.reshape(k, f, d, L)[0], bg, 2).transpose(perm)))
 
-        def add_half(x: Buf, delta: Buf, name: str, rows: tuple[int, ...], perm) -> Buf:
-            """x + 0.5 * delta, with delta's (rows, c) layout permuted to x's."""
+        def residual(out: Buf, name: str) -> Buf:
             p.flop("elementwise", name, (2 * x.size,))
-            out = p.buf(x.shape)
-
-            def bind(lib):
-                dt = delta.a.reshape(rows + (c,)).transpose(perm)
-                return kernels.bound_add_half(lib, x.a.reshape(dt.shape), dt,
-                                              out.a.reshape(dt.shape))
-
-            p.step(bind, x, delta, out)
             return out
 
-        def audio_tokens(name: str) -> Buf:
-            aud = p.input("audio", (f, cfg.audio_tokens, cfg.audio_dim))
-            normed = p.norm(aud, name, axis=-1, copies=k)
-            if k == 1:
-                return normed
-            stacked = p.buf((k,) + normed.shape)
-            p.copy(lambda: stacked.a, lambda: normed.a, normed, stacked)
-            return stacked
-
         name = f"{layer}.ref"
-        tok = tokens(x, name)
-        ref = p.input(name, (L, c))
-        delta, a, probs = attn.plan_reference_site(
-            p, tok, p.norm(ref, name, copies=k), self.w, name, removal=removal,
-            keep_probs=keep_probs, **site("reference")
+        ref = p.input(name, (1, c, L), lambda a: a[0].T)
+        x1, a, probs = attn.plan_reference_site(
+            p, norm(x, name), norm(ref, name, k), self.w, name, lead=(k, f), base=x,
+            removal=removal, keep_probs=keep_probs, **site("reference")
         )
-        keep("reference", a, (k, f, L))
+        keep("reference", a, (0, 2, 1))
         if probs is not None:
             p.result("probs", probs, np.copy)
-        x1 = add_half(x, delta, name, (n, h, w), (0, 3, 1, 2))
+        x1 = residual(x1, name)
 
         name = f"{layer}.aud"
-        tok = tokens(x1, name)
-        delta, a = attn.plan_audio_site(p, tok, audio_tokens(name), self.w, name, **site("audio"))
-        keep("audio", a, (k, f, L))
-        x2 = add_half(x1, delta, name, (n, h, w), (0, 3, 1, 2))
+        aud = p.input("audio", (f, cfg.audio_dim, cfg.audio_tokens), lambda a: a.swapaxes(1, 2))
+        x2, a = attn.plan_audio_site(p, norm(x1, name), norm(aud, name, k), self.w, name,
+                                     lead=(k, f), base=x1, **site("audio"))
+        keep("audio", a, (0, 2, 1))
+        x2 = residual(x2, name)
 
         name = f"{layer}.tmp"
-        loc = p.buf((k, L, f, c))
-        p.copy(lambda: loc.a, lambda: x2.a.reshape(k, f, c, L).transpose(0, 3, 1, 2), x2, loc)
-        delta, a = attn.plan_temporal_site(p, p.norm(loc, name, axis=-1), self.w, name,
-                                           **site("temporal"))
-        keep("temporal", a, (k, L, f))
-        return add_half(x2, delta, name, (k, h, w, f), (0, 3, 4, 1, 2))
+        x3, a = attn.plan_temporal_site(p, norm(x2, name), self.w, name, frames=f, lead=(k,),
+                                        base=x2, **site("temporal"))
+        keep("temporal", a, (2, 0, 1))
+        return residual(x3, name)
 
     def _plan_u32_head(
         self, p: Plan, f_u31: Buf, s_in: Buf, tproj: Buf, samples: int, removal: bool,

@@ -8,6 +8,7 @@ from cachediff import kernels
 from cachediff.errors import CacheMissError, InvariantError
 from cachediff.kernels import matmul
 from cachediff.masks import ForegroundMask, mask_from_spec, rect_mask
+from cachediff.plan import Plan
 from cachediff.profiler import FlopLog, rel_l2
 from cachediff.rng import Rng
 
@@ -391,6 +392,22 @@ def test_stacked_temporal_site_matches_per_sample_calls(mask_name):
 PLANNED_SITES = ["reference", "reference_removal", "audio", "temporal"]
 
 
+def kept_reference_probs(x, ref, weights, prefix, removal):
+    """The probabilities that a planned full reference site keeps for (..., L, c) tokens,
+    shaped (..., L, keys): the site's plan, fed in its lane layout."""
+    p = Plan()
+    lead, (l, c) = x.shape[:-2], x.shape[-2:]
+    xb = p.input("x", (math.prod(lead), c, l),
+                 lambda a: a.reshape(lead + (c, l)).swapaxes(-1, -2))
+    rb = p.input("ref", (1,) + ref.shape[::-1], lambda a: a[0].T)
+    probs = attn.plan_reference_site(p, xb, rb, weights, prefix, removal=removal,
+                                     keep_probs=True)[2]
+    p.result("probs", probs, lambda a: a.reshape(lead + a.shape[1:]).copy())
+    plan = p.finish()
+    plan.place(np.empty(plan.floats, np.float32), np.empty(plan.ws_bytes, np.uint8))
+    return plan.run(kernels.active_library(), None, {"x": x, "ref": ref})["probs"]
+
+
 @pytest.mark.parametrize("backend", ["compiled", "numpy"])
 @pytest.mark.parametrize("samples", [1, 2])
 @pytest.mark.parametrize("mask_name", list(STACK_MASKS))
@@ -435,9 +452,6 @@ def test_planned_sites_match_the_site_functions(site, mask_name, samples, backen
         log = FlopLog()
         return (*call(x, dfa, log), log.events)
 
-    def kept_probs(p, tokens, ref_buf, *args, **kw):
-        return attn.plan_reference_site(p, tokens, ref_buf, *args, keep_probs=True, **kw)[2], None
-
     before = kernels.active_backend()
     other = "numpy" if backend == "compiled" else "compiled"
     try:
@@ -445,8 +459,7 @@ def test_planned_sites_match_the_site_functions(site, mask_name, samples, backen
         delta, a, events = on(backend)
         probs = want_probs = None
         if prefix == "T.ref" and mask is None:
-            probs = attn._run_site(kept_probs, (x, ref), weights, prefix, None, None,
-                                   removal=removal)[0]
+            probs = kept_reference_probs(x, ref, weights, prefix, removal)
             tokens = x.reshape(samples * f, L, C)
             kv = tokens if removal else np.concatenate(
                 [tokens, np.broadcast_to(ref, tokens.shape)], axis=1)

@@ -278,7 +278,19 @@ def test_overrides_take_the_type_of_the_field_not_of_the_file(tmp_path, capsys):
                  "--out", str(tmp_path / "p")]) == 1
     out_text, err = capsys.readouterr()
     assert out_text == "" and not (tmp_path / "p").exists()
-    assert err == "error: config: expected an integer, got 'x'\n"
+    assert err == "error: config: strategy.workers: expected an integer, got 'x'\n"
+
+
+def test_a_bad_override_names_its_field(tmp_path, capsys):
+    """With several overrides, the refusal leads with the path of the one that failed,
+    here the second."""
+    cfg = write_small_config(tmp_path)
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--set", "strategy.workers=2",
+                 "--set", "schedule.steps=abc", "--out", str(out)]) == 1
+    out_text, err = capsys.readouterr()
+    assert out_text == "" and not out.exists()
+    assert err == "error: config: schedule.steps: expected an integer, got 'abc'\n"
 
 
 def test_invariant_errors_exit_two(tmp_path, capsys):

@@ -215,19 +215,35 @@ def test_conv_store_epilogues_match_reference(data, samples, fps, ci, h, w, co, 
 @settings(max_examples=150, deadline=None)
 @given(
     st.data(), st.integers(1, 3), st.integers(1, 40), st.integers(1, 5), st.integers(1, 5),
-    cols, st.booleans(),
+    cols, st.booleans(), st.booleans(),
 )
-def test_channel_mix_matches_reference(data, f, c, h, w, co, special):
+def test_channel_mix_matches_reference(data, f, c, h, w, co, special, residual):
+    """Pixels on the lanes, plain or with an attention site's residual base + 0.5 * mix."""
     x = data.draw(tensor((f, c, h, w), special))
     wt = data.draw(tensor((c, co), special))
+    base = data.draw(tensor((f, co, h, w), special)) if residual else None
     with np.errstate(all="ignore"):
-        want = kernels._channel_mix_np(x, wt)
+        want = kernels._conv_epilogue_np(kernels._channel_mix_np(x, wt), None, base)
     got = compiled(want, kernels.bound_channel_mix, x, wt,
-                   ws=kernels._channel_mix_ws(f, c, h * w, co, co))
-    assert_same(got, want, x, wt)
+                   ws=kernels._channel_mix_ws(c, h * w, co), base=base)
+    assert_same(got, want, x, wt, *(() if base is None else (base,)))
 
 
 keys = st.sampled_from([0, 1, 2, 3, 5, 8, 9, 15, 16, 17, 31, 33, 64, 65, 70])
+
+
+def lane_attention(q, k, v, scale, keep_probs=True, lib=None):
+    """The attention step on (n, lq, d) queries and (n, lk, d | dv) keys and values, fed
+    as the sites feed it, tokens on the lanes; (out, probs) in the token layout.  On
+    the compiled library unless ``lib`` is given (None runs the reference)."""
+    (n, lq, d), (lk, dv) = q.shape, v.shape[1:]
+    qt, kt, vt = (np.ascontiguousarray(a.transpose(0, 2, 1)) for a in (q, k, v))
+    out = np.full((n, 1, dv, lq), np.nan, np.float32)
+    probs = np.full((n, 1, lq, lk), np.nan, np.float32) if keep_probs else None
+    kernels._run(kernels._compiled() if lib is None else lib, kernels.bound_attention,
+                 qt[:, None], kt, vt, scale, out, ws=kernels._attention_ws(lk, d, dv),
+                 probs=probs)
+    return out[:, 0].transpose(0, 2, 1), None if probs is None else probs[:, 0]
 
 
 def assert_same_nan_rule(got: np.ndarray, want: np.ndarray) -> None:
@@ -258,8 +274,7 @@ def test_attention_matches_reference(data, bn, lq, lk, d, dv, special):
     scale = np.float32(1.0 / np.sqrt(d)) if d else np.float32(1.0)
     with np.errstate(all="ignore"):
         want = kernels._attention_np(q, k, v, scale)
-        got = compiled(want, kernels.bound_attention, q, k, v, scale, keep_probs=True,
-                       ws=kernels._attention_ws(kernels.attention_slab(bn, lq, lk), lq, lk, d, dv))
+        got = lane_attention(q, k, v, scale)
     for g, w in zip(got, want):
         assert_same_nan_rule(g, w)
 
@@ -281,8 +296,7 @@ def test_attention_special_score_rows_match_reference():
     scale = np.float32(1.0 / np.sqrt(d))
     with np.errstate(all="ignore"):
         want = kernels._attention_np(q, k, v, scale)
-        got = compiled(want, kernels.bound_attention, q, k, v, scale, keep_probs=True,
-                       ws=kernels._attention_ws(3, 5, lk, d, 4))
+        got = lane_attention(q, k, v, scale)
     for g, w in zip(got, want):
         assert_same_nan_rule(g, w)
     probs = got[1]
@@ -308,6 +322,183 @@ def test_attention_batch_slabs_give_the_bytes_of_one_call(monkeypatch):
             assert probs.tobytes() == want[1].tobytes()
     finally:
         kernels.set_backend(before)
+
+
+# The attention kernel holds 4, 8 or 16 query lanes (by the build's vector
+# width) per block; these lengths fill one exactly, leave a tail, or span
+# many blocks, and the keys and dims straddle the 8 of their zero padding.
+LANE_QUERIES = [1, 15, 16, 17, 113, 256]
+LANE_KEYS = [1, 4, 6, 17, 512, 600]
+LANE_DIMS = [1, 4, 8, 9, 16, 17]
+
+
+def special_rows(q: np.ndarray, k: np.ndarray) -> None:
+    """-0.0 queries and keys, a query row of +inf, one of -inf and one of NaN scores,
+    and a single +-inf key, where the shapes have room for them."""
+    n, lq, _ = q.shape
+    q[0, 0] = -0.0
+    k[-1, 0] = -0.0
+    for row, value in zip((1, 2, 3), (np.inf, -np.inf, np.nan)):
+        if row < lq:
+            q[0, row, 0] = value
+    if n > 1 and k.shape[1] > 2:
+        k[1, 2, 0] = -np.inf
+        k[1, 1, -1] = np.inf
+
+
+@pytest.mark.parametrize("lk", LANE_KEYS)
+@pytest.mark.parametrize("lq", LANE_QUERIES)
+def test_lane_attention_matches_reference_at_block_edges(lq, lk):
+    """Every lq x lk pair, the dims cycling through LANE_DIMS, with special rows; the
+    output bytes do not depend on whether the probabilities are kept."""
+    i = LANE_QUERIES.index(lq) + LANE_KEYS.index(lk)
+    d, dv = LANE_DIMS[i % 6], LANE_DIMS[(i + 2) % 6]
+    rng = np.random.default_rng(lq * 1000 + lk)
+    q = rng.standard_normal((2, lq, d), dtype=np.float32)
+    k = rng.standard_normal((2, lk, d), dtype=np.float32)
+    v = rng.standard_normal((2, lk, dv), dtype=np.float32)
+    special_rows(q, k)
+    scale = np.float32(1.0 / np.sqrt(d))
+    with np.errstate(all="ignore"):
+        want = kernels._attention_np(q, k, v, scale)
+        kept = lane_attention(q, k, v, scale)
+        bare = lane_attention(q, k, v, scale, keep_probs=False)
+    for g, w in zip(kept, want):
+        assert_same_nan_rule(g, w)
+    assert bare[1] is None
+    assert_same_nan_rule(bare[0], kept[0])
+    assert np.array_equal(np.isnan(bare[0]), np.isnan(kept[0]))
+
+
+@pytest.mark.parametrize("lanes", LANE_QUERIES)
+@pytest.mark.parametrize("rows, lk", [(1, 1), (4, 4), (3, 6), (4, 17)])
+def test_attention_with_keys_per_lane_matches_reference(lanes, rows, lk):
+    """The temporal site's layout: each lane (a location) has its own keys and its
+    queries are the rows (its frames)."""
+    d, dv = LANE_DIMS[lanes % 6], LANE_DIMS[(lanes + rows) % 6]
+    rng = np.random.default_rng(lanes * 100 + rows * 10 + lk)
+    q = rng.standard_normal((2, rows, d, lanes), dtype=np.float32)
+    k = rng.standard_normal((2, lk, d, lanes), dtype=np.float32)
+    v = rng.standard_normal((2, lk, dv, lanes), dtype=np.float32)
+    q[0, 0, :, 0] = -0.0
+    k[1, -1, 0, -1] = np.inf
+    scale = np.float32(1.0 / np.sqrt(d))
+    outs = []
+    for lib in (None, kernels._compiled()):
+        out = np.full((2, rows, dv, lanes), np.nan, np.float32)
+        probs = np.full((2, rows, lanes, lk), np.nan, np.float32)
+        with np.errstate(all="ignore"):
+            kernels._run(lib, kernels.bound_attention, q, k, v, scale, out,
+                         ws=kernels._attention_ws(lk, d, dv, lane_keys=True), probs=probs)
+        outs.append((out, probs))
+    for g, w in zip(outs[1], outs[0]):
+        assert_same_nan_rule(g, w)
+    tokens = kernels._attention_np(  # lane 0 of item 0, as one item of token rows
+        np.ascontiguousarray(q[0, :, :, 0])[None], np.ascontiguousarray(k[0, :, :, 0])[None],
+        np.ascontiguousarray(v[0, :, :, 0])[None], scale)
+    assert outs[1][0][0, :, :, 0].tobytes() == tokens[0][0].tobytes()
+
+
+def test_attention_with_broadcast_and_shared_keys_matches_reference():
+    """Keys of 3 items read by 6 (item b reads b % 3), in one op and in slabs, followed
+    by keys that every item shares (a reference site's reference tokens)."""
+    rng = np.random.default_rng(11)
+    q = rng.standard_normal((6, 1, 8, 40), dtype=np.float32)
+    k, v = (rng.standard_normal((3, 8, 33), dtype=np.float32) for _ in range(2))
+    k2, v2 = (rng.standard_normal((8, 20), dtype=np.float32) for _ in range(2))
+    scale = np.float32(0.5)
+    keys, values = (np.concatenate([a[np.arange(6) % 3], np.broadcast_to(a2, (6, 8, 20))], 2)
+                    for a, a2 in ((k, k2), (v, v2)))
+    want = kernels._attention_np(q[:, 0].transpose(0, 2, 1), keys.transpose(0, 2, 1),
+                                 values.transpose(0, 2, 1), scale)
+    for lib in (None, kernels._compiled()):
+        for slab in (kernels._ATTN_SLAB, 2 * 40 * 53):  # one op, then slabs of 3 items
+            out = np.full((6, 1, 8, 40), np.nan, np.float32)
+            probs = np.full((6, 1, 40, 53), np.nan, np.float32)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(kernels, "_ATTN_SLAB", slab)
+                kernels._run(lib, kernels.bound_attention, q, k, v, scale, out,
+                             ws=kernels._attention_ws(53, 8, 8), k2=k2, v2=v2, probs=probs)
+            assert out[:, 0].transpose(0, 2, 1).tobytes() == want[0].tobytes()
+            assert probs[:, 0].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("c", [1, 7, 8, 9, 16, 128, 129, 300])
+def test_token_norm_matches_reference_on_transposed_tokens(c):
+    """The token norm with the tokens on the lanes (37 of them: full vectors and a
+    tail) gives the bytes of the reference's norm over each token's contiguous
+    channels, numpy's pairwise order; the SiLU gate too."""
+    rng = np.random.default_rng(c)
+    x = rng.standard_normal((2, c, 37), dtype=np.float32)
+    x *= np.exp2(rng.integers(-9, 9, (c, 1))).astype(np.float32)
+    x[0, :, 3] = -0.0
+    x[1, 0, 5] = 3e-39
+    x[1, :, 36] = np.inf
+    tokens = np.ascontiguousarray(x.transpose(0, 2, 1))  # (2, 37, c)
+    with np.errstate(all="ignore"):
+        want, want_gate = (np.ascontiguousarray(a.transpose(0, 2, 1))
+                           for a in kernels._rms_norm_np(tokens, -1, True))
+        got, gate = compiled((x, x), kernels.bound_rms_norm, x, 1, tokens=True)
+    assert_same_nan_rule(got, want)
+    assert_same_nan_rule(gate, want_gate)
+
+
+def run_with_canary(bound, *args, ws: int, **kwargs) -> None:
+    """Run a bound step on the compiled library with a scratch block of exactly ``ws``
+    bytes, followed by 64 canary bytes that must come back untouched."""
+    block = np.full(ws + 64, 0xA5, np.uint8)
+    lib = kernels._compiled()
+    for call in kernels.program(lib, bound(lib, *args, block.ctypes.data, **kwargs)):
+        call()
+    assert (block[ws:] == 0xA5).all(), bound.__name__
+
+
+def test_every_scratch_size_bounds_what_its_kernel_carves():
+    """Each op kind that takes scratch memory, at shapes that take its padded copies,
+    writes inside the bytes its ``_*_ws`` declares, and gives the reference bytes."""
+    rng = np.random.default_rng(12)
+    a, b = rng.standard_normal((13, 37), dtype=np.float32), rng.standard_normal((37, 21),
+                                                                                 dtype=np.float32)
+    out = np.empty((13, 21), np.float32)
+    run_with_canary(kernels.bound_matmul, a, b, out, ws=kernels._matmul_ws(13, 37, 21, 21))
+    assert out.tobytes() == kernels._matmul_np(a, b).tobytes()
+
+    x = rng.standard_normal((3, 5, 5, 3), dtype=np.float32)
+    w = rng.standard_normal((5, 9), dtype=np.float32)
+    base = rng.standard_normal((3, 9, 5, 3), dtype=np.float32)
+    out = np.empty((3, 9, 5, 3), np.float32)
+    run_with_canary(kernels.bound_channel_mix, x, w, out, ws=kernels._channel_mix_ws(5, 15, 9),
+                    base=base)
+    assert out.tobytes() == kernels._conv_epilogue_np(kernels._channel_mix_np(x, w), None,
+                                                      base).tobytes()
+
+    conv = kernels.PackedConv(rng.standard_normal((6, 5, 3, 3), dtype=np.float32),
+                              rng.standard_normal(6, dtype=np.float32))
+    for stride in (1, 2):
+        want = kernels._conv2d_frames_np(x, conv, stride)
+        out = np.empty_like(want)
+        run_with_canary(kernels.bound_conv2d_frames, x, conv, out,
+                        ws=kernels._conv_ws(3, 5, 5, 3, stride), stride=stride)
+        assert out.tobytes() == want.tobytes()
+
+    q = rng.standard_normal((3, 1, 9, 21), dtype=np.float32)
+    k, v = (rng.standard_normal((3, 9, 30), dtype=np.float32) for _ in range(2))
+    k2, v2 = (rng.standard_normal((9, 7), dtype=np.float32) for _ in range(2))
+    outs = [np.empty((3, 1, 9, 21), np.float32) for _ in range(2)]
+    probs = [np.empty((3, 1, 21, 37), np.float32) for _ in range(2)]
+    kernels._run(None, kernels.bound_attention, q, k, v, np.float32(0.5), outs[0],
+                 k2=k2, v2=v2, probs=probs[0], ws=0)
+    run_with_canary(kernels.bound_attention, q, k, v, np.float32(0.5), outs[1],
+                    ws=kernels._attention_ws(37, 9, 9), k2=k2, v2=v2, probs=probs[1])
+    assert outs[1].tobytes() == outs[0].tobytes() and probs[1].tobytes() == probs[0].tobytes()
+
+    q = rng.standard_normal((2, 3, 9, 21), dtype=np.float32)
+    k, v = (rng.standard_normal((2, 5, 9, 21), dtype=np.float32) for _ in range(2))
+    outs = [np.empty((2, 3, 9, 21), np.float32) for _ in range(2)]
+    kernels._run(None, kernels.bound_attention, q, k, v, np.float32(0.5), outs[0], ws=0)
+    run_with_canary(kernels.bound_attention, q, k, v, np.float32(0.5), outs[1],
+                    ws=kernels._attention_ws(5, 9, 9, lane_keys=True))
+    assert outs[1].tobytes() == outs[0].tobytes()
 
 
 def test_conv_border_inf_weight_gives_nan_like_reference():
@@ -393,10 +584,9 @@ BOUND_OUTPUTS = {
     "bound_rms_norm": ("out", "gate"),
     "bound_attention": ("out", "probs"),
     "bound_copy": ("dst",),
-    "bound_add_half": ("out", "delta"),
     "bound_bias_silu": ("h", "gate", "out"),
 }
-IN_PLACE = {"delta", "h"}
+IN_PLACE = {"h"}
 
 
 def test_default_forward_pass_kernel_calls_match_reference(monkeypatch):
@@ -425,8 +615,8 @@ def test_default_forward_pass_kernel_calls_match_reference(monkeypatch):
 
     def walk(plan, lib, log, feeds):
         """Plan.run, with each step bound, recorded and run on its own."""
-        for name, buf in plan.inputs:
-            np.copyto(buf.a, feeds[name])
+        for name, buf, view in plan.inputs:
+            np.copyto(view(buf.a), feeds[name])
         for bind in plan.steps:
             bound_now.clear()
             records = bind(lib)
@@ -452,9 +642,9 @@ def test_default_forward_pass_kernel_calls_match_reference(monkeypatch):
         kernels.set_backend(before)
     assert all(inputs["lib"] is kernels._compiled() for _, inputs, _ in steps)
     kinds = Counter(name for name, _, _ in steps)
-    assert kinds == {"bound_conv2d_frames": 46, "bound_rms_norm": 56, "bound_matmul": 38,
-                     "bound_channel_mix": 5, "bound_attention": 9, "bound_copy": 28,
-                     "bound_add_half": 9, "bound_bias_silu": 2}
+    assert kinds == {"bound_conv2d_frames": 46, "bound_rms_norm": 56, "bound_matmul": 2,
+                     "bound_channel_mix": 47, "bound_attention": 9, "bound_copy": 13,
+                     "bound_bias_silu": 2}
     convs = [inputs for name, inputs, _ in steps if name == "bound_conv2d_frames"]
     assert sum(c["gate"] is not None for c in convs) == 39  # 19 units x 2 and the head
     assert sum(c["add"] is not None for c in convs) == sum(c["base"] is not None for c in convs) == 19
@@ -491,15 +681,13 @@ def test_concurrent_calls_from_more_threads_than_cores_give_reference_bytes():
     def work(job):
         x, conv, stride, a, b, qkv, want = job
         (m, k), n = a.shape, b.shape[1]
-        lq, lk = qkv[0].shape[1], qkv[1].shape[1]
         for _ in range(30):
             normed, gate = compiled((x, x), kernels.bound_rms_norm, x, 1)
             got = [
                 compiled(want[0], kernels.bound_conv2d_frames, x, conv,
                          ws=kernels._conv_ws(*x.shape, stride), stride=stride),
                 compiled(want[1], kernels.bound_matmul, a, b, ws=kernels._matmul_ws(m, k, n, n)),
-                *compiled(tuple(want[2:4]), kernels.bound_attention, *qkv, keep_probs=True,
-                          ws=kernels._attention_ws(kernels.attention_slab(2, lq, lk), lq, lk, 8, 8)),
+                *lane_attention(*qkv),
                 normed, gate,
                 compiled(want[6], kernels.bound_conv2d_frames, normed, conv,
                          ws=kernels._conv_ws(*x.shape, 1), gate=gate),
@@ -706,21 +894,6 @@ def test_copy_of_permuted_sliced_and_broadcast_views_matches_numpy(data, shape):
 
     ref, got = on_both(kernels.bound_copy, make)
     assert got[0].tobytes() == ref[0].tobytes()
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.data(), glue_shape.filter(lambda shape: len(shape) >= 2))
-def test_add_half_over_a_permuted_delta_matches_numpy(data, shape):
-    perm = data.draw(st.permutations(range(len(shape))))
-    x = data.draw(glue_tensor(shape))
-    base = data.draw(glue_tensor(tuple(shape[i] for i in perm)))
-
-    def make():
-        return x, base.copy().transpose(np.argsort(perm)), np.full(shape, np.nan, np.float32)
-
-    ref, got = on_both(kernels.bound_add_half, make)
-    for g, r in zip(got, ref):
-        assert g.tobytes() == r.tobytes()
 
 
 @settings(max_examples=150, deadline=None)

@@ -176,7 +176,8 @@ def test_backend_env_var_forces_reference_and_rejects_unknown_names():
 
 def test_kernel_bench_runs_from_a_clean_checkout(tmp_path):
     """The timing harness finds the package without PYTHONPATH; it exits 1 when the
-    backends' bytes differ.  Its cases include both passes of a restricted block."""
+    backends' bytes differ.  Its cases include both passes of a restricted block and
+    the attention step at the small shapes of the default model's sites."""
     script = Path(__file__).resolve().parents[1] / "benchmarks" / "kernel_bench.py"
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     done = subprocess.run([sys.executable, str(script), "--repeat", "1"], cwd=tmp_path, env=env,
@@ -185,7 +186,25 @@ def test_kernel_bench_runs_from_a_clean_checkout(tmp_path):
     rows = [row.split() for row in done.stdout.splitlines()]
     equal = {row[0]: row[4] for row in rows if len(row) == 7}  # kernel -> bit_equal
     want = "-" if kernels.compiled_error() else "yes"
-    assert [equal.get(c) for c in ("key_step", "dfa_subnet")] == [want, want]
+    cases = ("key_step", "dfa_subnet", "attention_audio", "attention_temporal",
+             "attention_restricted")
+    assert [equal.get(c) for c in cases] == [want] * len(cases)
+
+
+def test_kernel_bench_pairs_clips_against_a_library_with_the_same_op_records(tmp_path):
+    """--against runs paired clips of both gated workloads through this checkout's
+    library and another that runs the same op records (here a copy of it)."""
+    if kernels.compiled_error():
+        pytest.skip(f"compiled backend unavailable: {kernels.compiled_error()}")
+    copy = tmp_path / "kernels-copy.so"
+    shutil.copy(kernels._compiled()._name, copy)
+    script = Path(__file__).resolve().parents[1] / "benchmarks" / "kernel_bench.py"
+    done = subprocess.run([sys.executable, str(script), "--against", str(copy), "--pairs", "1"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["baseline", "full_stack"]
+    assert all("median paired ratio" in line and "of 1" in line for line in lines)
 
 
 def test_conv2d_identity_kernel():
