@@ -22,8 +22,9 @@ is timed.
 
 ``--against LIB`` instead times whole clips of the benchmark's ``baseline``
 and ``full_stack`` workloads (noise seed 0) in one process: one model and
-one set of plans per workload, each clip run once through this checkout's
-library and once through LIB, alternating which goes first.  LIB must run
+one set of plans per workload, ``--repeat`` clips each run once through
+this checkout's library and once through LIB, alternating which goes
+first.  LIB must run
 this checkout's op records (the load-time check is run on it): a build of
 a change to the kernels, not of one to their records.  It prints each
 side's median clip time, the median of the paired ratios (this checkout
@@ -35,7 +36,7 @@ do not.
 Usage:
     python3 benchmarks/kernel_bench.py
     python3 benchmarks/kernel_bench.py --kernel key_step --repeat 20
-    python3 benchmarks/kernel_bench.py --against /path/to/other/kernels.so --pairs 20
+    python3 benchmarks/kernel_bench.py --against /path/to/other/kernels.so --repeat 20
 """
 
 import argparse
@@ -257,13 +258,13 @@ def main(argv=None) -> int:
     cases = make_cases(0)
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--kernel", choices=sorted(cases), help="bench one kernel only")
-    ap.add_argument("--repeat", type=int, default=10, help="timed calls per backend")
+    ap.add_argument("--repeat", type=int, default=10,
+                    help="timed calls per backend (clip pairs per workload with --against)")
     ap.add_argument("--seed", type=int, default=0, help="input seed")
     ap.add_argument("--against", metavar="LIB", help="time paired whole clips against LIB")
-    ap.add_argument("--pairs", type=int, default=10, help="clip pairs per workload (--against)")
     args = ap.parse_args(argv)
     if args.against:
-        return against(args.against, args.pairs)
+        return against(args.against, args.repeat)
     if args.seed != 0:
         cases = make_cases(args.seed)
 

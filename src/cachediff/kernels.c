@@ -77,6 +77,7 @@
 #define MAXROWS 12
 #define ROWS(nv) ((NREGS - (nv) - 2) / (nv) < MAXROWS ? (NREGS - (nv) - 2) / (nv) : MAXROWS)
 
+/* The L-lane vectors of the micro kernels below (v##L). */
 typedef float v4 __attribute__((vector_size(16)));
 typedef float v8 __attribute__((vector_size(32)));
 typedef float v16 __attribute__((vector_size(64)));
@@ -541,7 +542,8 @@ static void exp_inplace(float *x, long n)
  *
  * A block holds VW lanes of one query row: its q, zero-padded to dp dims,
  * and its key-major scores s (lkp x VW), while K and V are packed once per
- * item (shared) or per item and block (lanek), zero-padded too. */
+ * item (shared; once per op when kitems is 1) or per item and block
+ * (lanek), zero-padded too. */
 
 #define JB 8 /* keys per block of scores */
 
@@ -642,7 +644,7 @@ static void attention(const struct attn *a, char *ws)
     memset(vp, 0, sizeof(float) * lk * dvp * w);
     memset(qp, 0, sizeof(float) * dp * VW);
     for (long b = 0; b < a->items; b++) {
-        if (!a->lanek) {
+        if (!a->lanek && (b == 0 || a->kitems > 1)) {
             const long kb = b % a->kitems;
             pack(kp, dp, 1, a->k + kb * a->d * a->lk1, a->lk1, 1, a->lk1, a->d, 1);
             pack(vp, dvp, 1, a->v + kb * a->dv * a->lk1, a->lk1, 1, a->lk1, a->dv, 1);

@@ -27,7 +27,7 @@ at import (``compiled``, the default, or ``numpy``) and can be switched at
 runtime with :func:`set_backend`.  ``exp`` is numpy's own float32 loop
 under both backends: the compiled library calls the inner loop of
 ``np.exp`` itself (see :mod:`cachediff.native`), so the compiled
-attention is one op per slab, scores, exp and apply alike, and a residual
+attention is one op per step, scores, exp and apply alike, and a residual
 unit's pre-activation ``conv(silu(rms_norm(x)))`` is a norm op that also
 writes the SiLU gate and a conv op that reads it.
 
@@ -587,10 +587,10 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     return np.divide(e, denom, out=e)
 
 
-# Attention scores per op record: one 256 x 512 frame.  It bounds the
-# numpy reference's temporaries (the scores of a slab, 512 KB); the compiled
-# kernel keeps the scores of one block of query lanes in L1, whatever the
-# slab.
+# Attention scores per slab of the numpy reference: one 256 x 512 frame,
+# which bounds its temporaries (512 KB).  The compiled kernel runs a step's
+# items as one op record and keeps the scores of one block of query lanes
+# in L1.
 _ATTN_SLAB = 1 << 17
 
 
@@ -626,8 +626,8 @@ def attention_batch(
 
 
 def attention_slab(n: int, lq: int, lk: int) -> int:
-    """Items per op record of :func:`bound_attention` over n items of lq x lk scores
-    (at least 1)."""
+    """Items per slab of the numpy reference's :func:`bound_attention` over n items
+    of lq x lk scores (at least 1)."""
     return max(1, min(n, _ATTN_SLAB // (lq * lk or 1)))
 
 
@@ -815,51 +815,46 @@ def bound_attention(
       lanes), the queries of a lane being its rows.
 
     With ``probs`` (items, rows, lanes, lk + lk2), the probabilities are
-    written there too.  Items run in slabs of :func:`attention_slab`, one op
-    record each, which carries ``probs`` or a null pointer.
+    written there too.  On a library the step is one op record, which
+    carries ``probs`` or a null pointer; the reference runs the items in
+    slabs of :func:`attention_slab`.
     """
     items, rows, d, lanes = q.shape
     dv = out.shape[2]
     per_lane = k.ndim == 4
-    lk = k.shape[1] if per_lane else k.shape[2] + (0 if k2 is None else k2.shape[1])
+    lk1 = k.shape[1] if per_lane else k.shape[2]
+    lk = lk1 + (0 if per_lane or k2 is None else k2.shape[1])
+    if lib is not None:
+        return [Op(_OP_ATTENTION, q, k, v, k2, v2, out, probs, items, rows, lanes, lk1, lk - lk1,
+                   d, dv, 0 if per_lane else k.shape[0], int(per_lane), float(scale), ws)]
     step = attention_slab(items, rows * lanes, lk)
-    own = per_lane or k.shape[0] == items  # else item b reads k[b % kitems] from every slab
-    if not own:
-        step = -(-step // k.shape[0]) * k.shape[0]
     ops = []
     for i in range(0, items, step):
         sl = slice(i, min(i + step, items))
         cnt = sl.stop - i
         p = None if probs is None else probs[sl]
-        if lib is None:
-            def run(sl=sl, cnt=cnt, p=p):
-                if per_lane:
-                    qt = q[sl].transpose(0, 3, 1, 2).reshape(cnt * lanes, rows, d)
-                    kt, vt = (a[sl].transpose(0, 3, 1, 2).reshape(cnt * lanes, lk, n)
-                              for a, n in ((k, d), (v, dv)))
-                else:
-                    qt = q[sl].transpose(0, 1, 3, 2).reshape(cnt, rows * lanes, d)
-                    read = np.arange(sl.start, sl.stop) % k.shape[0]
-                    kt, vt = (a[read].transpose(0, 2, 1) for a in (k, v))
-                    if k2 is not None:
-                        kt, vt = (np.concatenate([t, np.broadcast_to(e.T, (cnt,) + e.T.shape)], 1)
-                                  for t, e in ((kt, k2), (vt, v2)))
-                o, pr = _attention_np(*(np.ascontiguousarray(a) for a in (qt, kt, vt)), scale)
-                if per_lane:
-                    out[sl] = o.reshape(cnt, lanes, rows, dv).transpose(0, 2, 3, 1)
-                    pr = pr.reshape(cnt, lanes, rows, lk).transpose(0, 2, 1, 3)
-                else:
-                    out[sl] = o.reshape(cnt, rows, lanes, dv).transpose(0, 1, 3, 2)
-                if p is not None:
-                    p[...] = pr.reshape(p.shape)
-            ops.append(run)
-            continue
-        ks, vs = (k[sl], v[sl]) if own else (k, v)
-        lk1 = k.shape[1] if per_lane else k.shape[2]
-        ops.append(Op(
-            _OP_ATTENTION, q[sl], ks, vs, k2, v2, out[sl], p, cnt, rows, lanes, lk1, lk - lk1, d,
-            dv, 0 if per_lane else ks.shape[0], int(per_lane), float(scale), ws,
-        ))
+
+        def run(sl=sl, cnt=cnt, p=p):
+            if per_lane:
+                qt = q[sl].transpose(0, 3, 1, 2).reshape(cnt * lanes, rows, d)
+                kt, vt = (a[sl].transpose(0, 3, 1, 2).reshape(cnt * lanes, lk, n)
+                          for a, n in ((k, d), (v, dv)))
+            else:
+                qt = q[sl].transpose(0, 1, 3, 2).reshape(cnt, rows * lanes, d)
+                read = np.arange(sl.start, sl.stop) % k.shape[0]
+                kt, vt = (a[read].transpose(0, 2, 1) for a in (k, v))
+                if k2 is not None:
+                    kt, vt = (np.concatenate([t, np.broadcast_to(e.T, (cnt,) + e.T.shape)], 1)
+                              for t, e in ((kt, k2), (vt, v2)))
+            o, pr = _attention_np(*(np.ascontiguousarray(a) for a in (qt, kt, vt)), scale)
+            if per_lane:
+                out[sl] = o.reshape(cnt, lanes, rows, dv).transpose(0, 2, 3, 1)
+                pr = pr.reshape(cnt, lanes, rows, lk).transpose(0, 2, 1, 3)
+            else:
+                out[sl] = o.reshape(cnt, rows, lanes, dv).transpose(0, 1, 3, 2)
+            if p is not None:
+                p[...] = pr.reshape(p.shape)
+        ops.append(run)
     return ops
 
 

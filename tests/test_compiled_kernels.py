@@ -400,8 +400,9 @@ def test_attention_with_keys_per_lane_matches_reference(lanes, rows, lk):
 
 
 def test_attention_with_broadcast_and_shared_keys_matches_reference():
-    """Keys of 3 items read by 6 (item b reads b % 3), in one op and in slabs, followed
-    by keys that every item shares (a reference site's reference tokens)."""
+    """Keys of 3 items read by 6 (item b reads b % 3), followed by keys that every
+    item shares (a reference site's reference tokens); the reference runs the items
+    in one slab and in slabs of 3, the library in one op either way."""
     rng = np.random.default_rng(11)
     q = rng.standard_normal((6, 1, 8, 40), dtype=np.float32)
     k, v = (rng.standard_normal((3, 8, 33), dtype=np.float32) for _ in range(2))
@@ -412,7 +413,7 @@ def test_attention_with_broadcast_and_shared_keys_matches_reference():
     want = kernels._attention_np(q[:, 0].transpose(0, 2, 1), keys.transpose(0, 2, 1),
                                  values.transpose(0, 2, 1), scale)
     for lib in (None, kernels._compiled()):
-        for slab in (kernels._ATTN_SLAB, 2 * 40 * 53):  # one op, then slabs of 3 items
+        for slab in (kernels._ATTN_SLAB, 2 * 40 * 53):  # one slab, then slabs of 3 items
             out = np.full((6, 1, 8, 40), np.nan, np.float32)
             probs = np.full((6, 1, 40, 53), np.nan, np.float32)
             with pytest.MonkeyPatch.context() as mp:

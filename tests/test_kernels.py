@@ -199,7 +199,7 @@ def test_kernel_bench_pairs_clips_against_a_library_with_the_same_op_records(tmp
     copy = tmp_path / "kernels-copy.so"
     shutil.copy(kernels._compiled()._name, copy)
     script = Path(__file__).resolve().parents[1] / "benchmarks" / "kernel_bench.py"
-    done = subprocess.run([sys.executable, str(script), "--against", str(copy), "--pairs", "1"],
+    done = subprocess.run([sys.executable, str(script), "--against", str(copy), "--repeat", "1"],
                           cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
