@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import mmap
 from collections.abc import Callable, Hashable
 
 import numpy as np
@@ -47,6 +48,16 @@ from .errors import InvariantError
 from .profiler import FlopLog
 
 _ALIGN = 16  # floats: buffers start on 64-byte boundaries
+
+
+def _mapped(n: int, dtype) -> np.ndarray:
+    """An array of n zeros in its own private anonymous mapping.  When a larger one
+    replaces it, its pages go back to the system; a heap block of the same size
+    (malloc puts one there once its mmap threshold has risen above the size)
+    would stay resident for the life of the process."""
+    block = mmap.mmap(-1, max(n, 1) * np.dtype(dtype).itemsize,
+                      flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    return np.frombuffer(block, dtype=dtype)[:n]
 
 
 class Buf:
@@ -297,8 +308,8 @@ class PlanCache:
 
     def __init__(self):
         self._plans: dict[Hashable, Plan] = {}
-        self._arena = np.empty(0, dtype=np.float32)
-        self._ws = np.empty(64, dtype=np.uint8)
+        self._arena = _mapped(0, np.float32)
+        self._ws = _mapped(64, np.uint8)
 
     def get(self, key: Hashable, build: Callable[[], Plan]) -> Plan:
         """The plan of ``key``, built and placed on first use."""
@@ -310,8 +321,8 @@ class PlanCache:
         if len(self._plans) >= self.MAX_PLANS:
             self._plans.pop(next(iter(self._plans)))
         if plan.floats > self._arena.size or plan.ws_bytes > self._ws.size:
-            self._arena = np.empty(max(plan.floats, self._arena.size), dtype=np.float32)
-            self._ws = np.empty(max(plan.ws_bytes, self._ws.size), dtype=np.uint8)
+            self._arena = _mapped(max(plan.floats, self._arena.size), np.float32)
+            self._ws = _mapped(max(plan.ws_bytes, self._ws.size), np.uint8)
             for other in self._plans.values():
                 other.place(self._arena, self._ws)
         plan.place(self._arena, self._ws)

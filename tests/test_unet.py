@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -395,3 +396,17 @@ def test_plans_beyond_the_cap_are_rebuilt_with_the_same_bytes(small_cfg, small_c
     model.forward(z, 33, conds[0], keep_bg=True)
     model.forward(z, 33, conds[2], keep_bg=True)
     assert first in plans.values()
+
+
+def test_a_grown_arena_releases_the_one_it_replaces(small_cfg, small_cond, small_latent):
+    """When a plan needs a larger arena or scratch block, the old ones are unmapped at
+    once: no plan, bound call or view keeps them, so their pages leave the process."""
+    model = un.ToyUNet(small_cfg, un.init_weights(small_cfg, 0)[0])
+    tr = model.forward(small_latent, 29, small_cond, keep_bg=True)
+    cache = model._plans
+    old = [weakref.ref(cache._arena.base), weakref.ref(cache._ws.base)]
+    size = cache._arena.size
+    model.subnet(tr.f_u31, np.concatenate([small_latent] * 3), [21, 13, 5], small_cond,
+                 dfa=tr.dfa, removal_active=True)
+    assert cache._arena.size > size
+    assert [r() for r in old] == [None, None]
