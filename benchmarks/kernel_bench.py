@@ -24,14 +24,13 @@ is timed.
 and ``full_stack`` workloads (noise seed 0) in one process: one model and
 one set of plans per workload, ``--repeat`` clips each run once through
 this checkout's library and once through LIB, alternating which goes
-first.  LIB must run
-this checkout's op records (the load-time check is run on it): a build of
-a change to the kernels, not of one to their records.  It prints each
-side's median clip time, the median of the paired ratios (this checkout
-over LIB) and the pairs this checkout won, and exits 1 if any clip's
-checksum differs between the sides.  Paired in-process clips resolve a
-change of a few percent that separate benchmark processes on a busy host
-do not.
+first.  LIB must run this checkout's op records (the load-time check is
+run on it): a build of a change to the kernels, not of one to their
+records.  It prints each side's median clip time, the median of the
+paired ratios (this checkout over LIB) and the pairs this checkout won,
+and exits 1 if any clip's checksum differs between the sides.  Paired
+in-process clips resolve a change of a few percent that separate
+benchmark processes on a busy host do not.
 
 Usage:
     python3 benchmarks/kernel_bench.py

@@ -24,7 +24,8 @@ two buffers share memory only when no step lies in both their spans.
 Inputs are live from the first step and the sources of the results until
 the last.  The arena and the kernels' scratch block belong to the
 :class:`PlanCache` that holds every plan of a model; passes run one at a
-time, so the plans share them.
+time, so the plans share them.  Each is its own anonymous mapping, which
+is unmapped when a plan that needs more replaces it.
 
 A pass copies its feeds into the inputs, runs its program and reads its
 results.  The program is bound once per library (see

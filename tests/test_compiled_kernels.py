@@ -399,16 +399,17 @@ def test_attention_with_keys_per_lane_matches_reference(lanes, rows, lk):
     assert outs[1][0][0, :, :, 0].tobytes() == tokens[0][0].tobytes()
 
 
-def test_attention_with_broadcast_and_shared_keys_matches_reference():
-    """Keys of 3 items read by 6 (item b reads b % 3), followed by keys that every
-    item shares (a reference site's reference tokens); the reference runs the items
-    in one slab and in slabs of 3, the library in one op either way."""
+@pytest.mark.parametrize("kitems", [1, 3])
+def test_attention_with_broadcast_and_shared_keys_matches_reference(kitems):
+    """Keys of 1 or 3 items read by 6 (item b reads b % kitems), followed by keys that
+    every item shares (a reference site's reference tokens); the reference runs the
+    items in one slab and in slabs of 3, the library in one op either way."""
     rng = np.random.default_rng(11)
     q = rng.standard_normal((6, 1, 8, 40), dtype=np.float32)
-    k, v = (rng.standard_normal((3, 8, 33), dtype=np.float32) for _ in range(2))
+    k, v = (rng.standard_normal((kitems, 8, 33), dtype=np.float32) for _ in range(2))
     k2, v2 = (rng.standard_normal((8, 20), dtype=np.float32) for _ in range(2))
     scale = np.float32(0.5)
-    keys, values = (np.concatenate([a[np.arange(6) % 3], np.broadcast_to(a2, (6, 8, 20))], 2)
+    keys, values = (np.concatenate([a[np.arange(6) % kitems], np.broadcast_to(a2, (6, 8, 20))], 2)
                     for a, a2 in ((k, k2), (v, v2)))
     want = kernels._attention_np(q[:, 0].transpose(0, 2, 1), keys.transpose(0, 2, 1),
                                  values.transpose(0, 2, 1), scale)
