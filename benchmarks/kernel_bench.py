@@ -12,11 +12,11 @@ a stack of two samples.  ``key_step`` and ``dfa_subnet`` are the two
 passes of a ``full_stack`` block (lcp_dfa_rm on the default mask): the
 key step's forward pass with removal, keeping U32's background rows, and
 a two-sample subnet call with removal that reads them.  The
-``attention_*`` cases run the attention step as the sites feed it, query
+``attention_*`` cases run the attention step as a plan binds it, query
 tokens on the lanes, at the default model's shapes: the U32 reference site
-in full (``attention_batch``, through the public function) and restricted
-to the 113 foreground queries of the default mask, the audio site (6
-keys) and the temporal site (256 locations of 4 x 4).
+in full (256 token keys per frame and 256 shared reference keys) and
+restricted to the 113 foreground queries of the default mask, the audio
+site (6 keys) and the temporal site (256 locations of 4 x 4).
 Exits 1 when the outputs differ.  Without a C compiler only the reference
 is timed.
 
@@ -63,8 +63,10 @@ import workload  # noqa: E402  (the benchmark's workload configurations)
 
 
 def preact_conv(x: np.ndarray, conv: kernels.PackedConv) -> np.ndarray:
-    """A residual unit's pre-activation conv: conv(silu(rms_norm(x)))."""
-    normed, gate = kernels.rms_norm(x, 1, gate=True)
+    """A residual unit's pre-activation conv on the active backend, conv(silu(rms_norm(x))):
+    the norm step writes the SiLU gate that the conv applies."""
+    normed, gate = np.empty_like(x), np.empty_like(x)
+    kernels._run(kernels.active_library(), kernels.bound_rms_norm, x, 1, normed, gate)
     return kernels.conv2d_frames(normed, conv, 1, gate)
 
 
@@ -150,15 +152,13 @@ def make_cases(seed: int) -> dict:
             ),
         ),
         "softmax": (kernels.softmax_rows, (rng.child(8).normal((384, 384)),)),
-        # the U32 reference site of a default forward pass: 4 frames, 256
-        # queries, 256 token and 256 reference keys, head dim 8
-        "attention_batch": (
-            partial(kernels.attention_batch, keep_probs=True),
-            (
-                rng.child(9).normal((4, 256, 8)),
-                rng.child(10).normal((4, 512, 8)),
-                rng.child(11).normal((4, 512, 8)),
-            ),
+        # the U32 reference site of a default forward pass: 4 frames of 256
+        # queries, 256 token keys and 256 shared reference keys, head dim 8
+        "attention_reference": (
+            lane_attention,
+            (rng.child(9).normal((4, 1, 8, 256)), rng.child(10).normal((4, 8, 256)),
+             rng.child(11).normal((4, 8, 256)), 1, rng.child(27).normal((8, 256)),
+             rng.child(28).normal((8, 256))),
         ),
         # the U32 audio site: 4 frames of 256 queries, 6 audio keys each
         "attention_audio": (

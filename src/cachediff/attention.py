@@ -270,13 +270,13 @@ def _project(p: Plan, x: Buf, ws, prefix: str, rows: int, base: Buf | None = Non
 
 def plan_reference_site(
     p: Plan, x: Buf, ref: Buf, weights: dict[str, np.ndarray], prefix: str, *,
-    lead: tuple[int, ...] | None = None, base: Buf | None = None, removal: bool = False,
+    lead: tuple[int, ...], base: Buf | None = None, removal: bool = False,
     ctx: DfaContext | None = None, bg: Hashable = "bg", keep_probs: bool = False,
 ) -> tuple[Buf, Buf | None, Buf | None]:
     """:func:`reference_site` of x (n, c, *tokens) and reference tokens ref (1, c, L_ref).
 
     ``lead`` is the tokens' leading axes in the site function's layout, n in
-    all (default: one axis), which the background rows broadcast over.
+    all, which the background rows broadcast over.
     Returns (out, a, probs): the output projection (with ``base``, the
     residual), the full path's attention output (n, d, *tokens), and with
     ``keep_probs`` on the full path every frame's (L, keys) attention
@@ -284,7 +284,6 @@ def plan_reference_site(
     """
     wq, wk, wv, wo = _site_weights(weights, prefix)
     n, L = x.shape[0], _tokens(x)
-    lead = lead or (n,)
 
     def attend(xs: Buf, rs: Buf, keep: bool):
         lq = _tokens(xs)
@@ -311,7 +310,7 @@ def plan_reference_site(
 
 def plan_audio_site(
     p: Plan, x: Buf, aud: Buf, weights: dict[str, np.ndarray], prefix: str, *,
-    lead: tuple[int, ...] | None = None, base: Buf | None = None,
+    lead: tuple[int, ...], base: Buf | None = None,
     ctx: DfaContext | None = None, bg: Hashable = "bg",
 ) -> tuple[Buf, Buf | None]:
     """:func:`audio_site` of x (n, c, *tokens) and audio tokens aud (f, da, A), frame b
@@ -319,7 +318,6 @@ def plan_audio_site(
     :func:`plan_reference_site`."""
     wq, wk, wv, wo = _site_weights(weights, prefix)
     n, L = x.shape[0], _tokens(x)
-    lead = lead or (n,)
     k, v = _project(p, aud, (wk, wv), prefix, n * _tokens(aud))
     if ctx is None:
         q, = _project(p, x, (wq,), prefix, n * L)
@@ -337,16 +335,15 @@ def plan_audio_site(
 
 def plan_temporal_site(
     p: Plan, x: Buf, weights: dict[str, np.ndarray], prefix: str, *, frames: int,
-    lead: tuple[int, ...] | None = None, base: Buf | None = None,
+    lead: tuple[int, ...], base: Buf | None = None,
     ctx: DfaContext | None = None, bg: Hashable = "bg",
 ) -> tuple[Buf, Buf | None]:
     """:func:`temporal_site` of x (samples * frames, c, *locations): each location of a
     sample attends over the sample's frames, with the locations on the lanes.
-    ``lead`` is the samples' axes in the site function's layout (default: one
-    axis); the results are as for :func:`plan_reference_site`."""
+    ``lead`` is the samples' axes in the site function's layout; the results
+    are as for :func:`plan_reference_site`."""
     wq, wk, wv, wo = _site_weights(weights, prefix)
     n, L = x.shape[0], _tokens(x)
-    lead = lead or (n // frames,)
 
     def attend(xs: Buf) -> Buf:
         q, k, v = _project(p, xs, (wq, wk, wv), prefix, n * _tokens(xs))

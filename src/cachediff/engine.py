@@ -102,12 +102,13 @@ def estimate_input_latents(
 class ParallelRunner:
     """Runs the chunks of a parallel phase in order, with an analytic latency model.
 
-    The chunks run one after another on the calling thread: their Python
-    glue holds the interpreter lock, so threads cost wall time without
-    overlapping the work, and a model runs one pass at a time.  The
-    modeled latency is what ``workers`` workers would take: the dispatch
-    overhead plus the largest per-worker bin under round-robin assignment
-    of the measured task walls.  It is a model, not a measurement.
+    The chunks run one after another on the calling thread: a pass
+    releases the interpreter lock, but a model's plans share one arena, so
+    a model runs one pass at a time (threads would need a model, or an
+    arena, per thread).  The modeled latency is what ``workers`` workers
+    would take: the dispatch overhead plus the largest per-worker bin under
+    round-robin assignment of the measured task walls.  It is a model, not
+    a measurement.
     """
 
     def __init__(self, workers: int, dispatch_overhead_ns: int):

@@ -44,13 +44,17 @@ Each compiled kernel and glue op has one call path: the ``bound_*``
 functions at the end of this module, which fix every argument of a step
 once, as an op record of the compiled library or a numpy callable.  A
 planned pass (see :mod:`cachediff.plan`) binds its steps once, on its own
-buffers, into one call of the library.  The public functions
-(:func:`matmul`, :func:`conv2d_frames`, :func:`rms_norm`,
-:func:`attention_batch`, ...) check their arguments, allocate their
-outputs and a scratch block, and bind and run a step per call; they are
-the entry points for tests, benchmarks and other callers, and safe to
-call from several threads.  The load-time check runs the same records on
-the library before it is accepted.
+buffers, into one call of the library.  The load-time check runs the same
+records on the library before it is accepted, and tests run single steps
+through :func:`_run`.
+
+Five eager functions remain: :func:`matmul`, :func:`matmul_batch` and
+:func:`conv2d_frames` check their arguments, allocate their outputs and
+run a bound step per call; :func:`softmax_rows` and :func:`silu` are the
+numpy reference's own sequences.  No planned pass calls them.  They stay
+because the benchmark's tracer wraps them by name (``perfbench/tracer.py``)
+and its tests pin the ``matmul`` imports of :mod:`cachediff.unet` and
+:mod:`cachediff.attention`.
 """
 
 from __future__ import annotations
@@ -120,20 +124,20 @@ def _silu_gate(x: np.ndarray) -> np.ndarray:
     return np.exp(-np.clip(x, np.float32(-30.0), np.float32(30.0)))
 
 
-def _apply_gate(x: np.ndarray, gate: np.ndarray) -> np.ndarray:
-    """silu(x) from x and its gate: the bytes of x * sigmoid(x)."""
-    return x * (np.float32(1.0) / (np.float32(1.0) + gate))
+def _apply_gate(x: np.ndarray, gate: np.ndarray, out: np.ndarray | None = None,
+                sigmoid: np.ndarray | None = None) -> np.ndarray:
+    """silu(x) = x * sigmoid(x) from x and its gate, into ``out`` if given; the sigmoid
+    1 / (1 + gate) is left in ``sigmoid`` if given."""
+    return np.multiply(x, np.divide(np.float32(1.0), np.float32(1.0) + gate, out=sigmoid),
+                       out=out)
 
 
 def _matmul_np(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    k = a.shape[1]
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.float32)
-    for p in range(k):
-        out += a[:, p : p + 1] * b[p : p + 1, :]
-    return out
+    return _matmul_batch_np(a[None], b[None])[0]
 
 
 def _matmul_batch_np(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b per item, each sum over k ascending from +0.0, rounded at every step."""
     k = a.shape[2]
     out = np.zeros((a.shape[0], a.shape[1], b.shape[2]), dtype=np.float32)
     for p in range(k):
@@ -190,22 +194,29 @@ def _rms_norm_np(x: np.ndarray, axis: int, gate: bool = False):
     return (out, _silu_gate(out)) if gate else out
 
 
+def _softmax_rows_np(e: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of the C-contiguous e, in place; returns e.
+
+    The row max is subtracted (when there are keys), and the row sums are a
+    matmul with a ones column, so they run in ascending order from +0.0 like
+    every other sum here.
+    """
+    lk = e.shape[-1]
+    if lk:
+        e -= e.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    rows = e.reshape(math.prod(e.shape[:-1]), lk)
+    np.divide(rows, _matmul_np(rows, np.ones((lk, 1), dtype=np.float32)), out=rows)
+    return e
+
+
 def _attention_np(
     q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: np.float32
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(probs @ v, probs) with probs = softmax(q @ k^T * scale) per row.
-
-    The row sums are a matmul with a ones column, so they run in ascending
-    order from +0.0 like every other sum here.
-    """
-    bn, lq, lk = q.shape[0], q.shape[1], k.shape[1]
+    """(probs @ v, probs) with probs = softmax(q @ k^T * scale) per row."""
     e = _matmul_batch_np(q, np.ascontiguousarray(k.transpose(0, 2, 1)))
     e *= scale
-    if lk:
-        e -= e.max(axis=2, keepdims=True)
-    np.exp(e, out=e)
-    rows = e.reshape(bn * lq, lk)
-    np.divide(rows, _matmul_np(rows, np.ones((lk, 1), dtype=np.float32)), out=rows)
+    _softmax_rows_np(e)
     return _matmul_batch_np(e, v), e
 
 
@@ -511,9 +522,9 @@ def conv2d_frames(
 
     Per-element results are identical to one call per frame.  Zero padding
     is multiplied like any input element, so inf weights on the border give
-    NaN exactly as a naive loop does.  Given the ``gate`` that
-    :func:`rms_norm` returns for ``x``, the input is ``silu(x)``, with the
-    bytes of :func:`silu`.
+    NaN exactly as a naive loop does.  Given x's SiLU gate
+    exp(-clip(x, -30, 30)), the input is ``silu(x)``, with the bytes of
+    :func:`silu`.
     """
     x = _f32(x, "x", 4)
     if not isinstance(conv, PackedConv):
@@ -535,100 +546,29 @@ def conv2d_frames(
     return out
 
 
-def rms_norm(x: np.ndarray, axis: int, *, gate: bool = False):
-    """Float32 RMS normalization over one axis: x / sqrt(mean(x * x, axis) + 1e-5).
-
-    The mean is ``np.mean``'s, summed in numpy's order for the array's
-    layout.  The compiled kernel reproduces that order for C-contiguous
-    arrays; any other layout runs the reference under both backends.  With
-    ``gate``, returns ``(out, exp(-clip(out, -30, 30)))``: the gate that
-    makes :func:`conv2d_frames` convolve ``silu(out)``.
-    """
-    if not isinstance(x, np.ndarray) or x.dtype != np.float32:
-        raise ValueError(f"rms_norm needs a float32 numpy array, got {type(x).__name__}")
-    if not -x.ndim <= axis < x.ndim:
-        raise ValueError(f"rms_norm axis {axis} out of range for shape {x.shape}")
-    outs = [np.empty(x.shape, dtype=np.float32) for _ in range(2 if gate else 1)]
-    _run(active_library() if x.flags.c_contiguous else None, bound_rms_norm, x, axis, *outs)
-    return tuple(outs) if gate else outs[0]
-
-
 # ---------------------------------------------------------------------------
 # shared numpy ops (identical under both backends by construction)
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Elementwise logistic function in float32.
-
-    Inputs are clamped to +-30 before exponentiation.  At the clamp the
-    output is within 1e-13 of the true limit, stays a normal float32
-    (no subnormals leaking into downstream kernels), and cannot overflow.
-    """
-    return (np.float32(1.0) / (np.float32(1.0) + _silu_gate(x))).astype(np.float32, copy=False)
-
-
 def silu(x: np.ndarray) -> np.ndarray:
-    """Elementwise x * sigmoid(x)."""
-    return x * sigmoid(x)
+    """Elementwise x * sigmoid(x), the input clamped to +-30 before the exponential.
+
+    At the clamp the sigmoid is within 1e-13 of its limit, stays a normal
+    float32 and cannot overflow.
+    """
+    return _apply_gate(x, _silu_gate(x))
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
     """Row-wise softmax with per-row max subtraction.
 
     The denominator is formed by a fixed-order matmul with a ones vector so
-    the summation order matches a naive left-to-right loop on any backend.
+    the summation order matches a naive left-to-right loop.
     """
     x = _f32(x, "x", 2)
     if x.shape[1] == 0:
         raise ValueError("softmax_rows needs at least one column")
-    e = x - x.max(axis=1, keepdims=True)
-    np.exp(e, out=e)
-    denom = matmul(e, np.ones((x.shape[1], 1), dtype=np.float32))
-    return np.divide(e, denom, out=e)
-
-
-# Attention scores per slab of the numpy reference: one 256 x 512 frame,
-# which bounds its temporaries (512 KB).  The compiled kernel runs a step's
-# items as one op record and keeps the scores of one block of query lanes
-# in L1.
-_ATTN_SLAB = 1 << 17
-
-
-def attention_batch(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, *, keep_probs: bool = False
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Batched single-head attention over a leading axis: softmax(q k^T / sqrt(d)) @ v.
-
-    Returns the output and, with ``keep_probs``, the (n, lq, lk)
-    probabilities (else None).  Per-item results are bit-identical to
-    :func:`matmul` of each slice's q and k^T, scaled, then
-    :func:`softmax_rows` and :func:`matmul` with v.  The step takes its
-    operands with the tokens last (see :func:`bound_attention`), so q, k
-    and v are transposed on the way in and the output on the way out.
-    """
-    q = _f32(q, "q", 3)
-    k = _f32(k, "k", 3)
-    v = _f32(v, "v", 3)
-    if not (q.shape[0] == k.shape[0] == v.shape[0]):
-        raise ValueError("attention_batch batch mismatch")
-    if q.shape[2] != k.shape[2] or k.shape[1] != v.shape[1]:
-        raise ValueError(f"attention_batch shape mismatch: {q.shape}, {k.shape}, {v.shape}")
-    if k.shape[1] == 0 or q.shape[2] == 0:
-        raise ValueError(f"attention_batch needs at least one key and one dim, got k {k.shape}")
-    (n, lq, d), (lk, dv) = q.shape, v.shape[1:]
-    out = np.empty((n, 1, dv, lq), dtype=np.float32)
-    probs = np.empty((n, 1, lq, lk), dtype=np.float32) if keep_probs else None
-    lanes = [np.ascontiguousarray(a.transpose(0, 2, 1)) for a in (q, k, v)]
-    _run(active_library(), bound_attention, lanes[0][:, None], *lanes[1:],
-         np.float32(1.0 / math.sqrt(d)), out, ws=_attention_ws(lk, d, dv), probs=probs)
-    return (np.ascontiguousarray(out[:, 0].transpose(0, 2, 1)),
-            None if probs is None else probs[:, 0])
-
-
-def attention_slab(n: int, lq: int, lk: int) -> int:
-    """Items per slab of the numpy reference's :func:`bound_attention` over n items
-    of lq x lk scores (at least 1)."""
-    return max(1, min(n, _ATTN_SLAB // (lq * lk or 1)))
+    return _softmax_rows_np(x.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -643,10 +583,16 @@ def attention_slab(n: int, lq: int, lk: int) -> int:
 # give the same bytes.  :func:`program` turns a sequence of items into the
 # calls that run it: on a library, one ``cd_run`` call.  These are
 # the only callers of the library: a plan (see :mod:`cachediff.plan`) binds
-# all steps of a pass once, on its own buffers, into one program; the public
+# all steps of a pass once, on its own buffers, into one program; the eager
 # functions above and the load-time check run one step per call through
-# :func:`_run`.  The public functions' argument checks are not repeated
+# :func:`_run`.  The eager functions' argument checks are not repeated
 # here.
+
+# Attention scores per slab of the numpy reference's :func:`bound_attention`:
+# one 256 x 512 frame, which bounds its temporaries (512 KB).  The compiled
+# kernel runs a step's items as one op record and keeps the scores of one
+# block of query lanes in L1.
+_ATTN_SLAB = 1 << 17
 
 # The OP_* kinds, OP_SLOTS and MAXD of kernels.c.
 (_OP_MATMUL, _OP_CHANNEL_MIX, _OP_CONV, _OP_NORM, _OP_ATTENTION, _OP_EXP, _OP_COPY, _OP_GATHER,
@@ -733,7 +679,7 @@ def bound_channel_mix(
         return [lambda: np.copyto(out, _conv_epilogue_np(_channel_mix_np(x, w), None, base))]
     f, c = x.shape[:2]
     pw, ldw = _rows_ptr(w)
-    return [Op(_OP_CHANNEL_MIX, x, pw, ldw, out, base, f, c, x.size // (f * c or 1), w.shape[1],
+    return [Op(_OP_CHANNEL_MIX, x, pw, ldw, out, base, f, c, math.prod(x.shape[2:]), w.shape[1],
                ws, refs=(w,))]
 
 
@@ -817,7 +763,7 @@ def bound_attention(
     With ``probs`` (items, rows, lanes, lk + lk2), the probabilities are
     written there too.  On a library the step is one op record, which
     carries ``probs`` or a null pointer; the reference runs the items in
-    slabs of :func:`attention_slab`.
+    slabs of at most ``_ATTN_SLAB`` scores (at least one item each).
     """
     items, rows, d, lanes = q.shape
     dv = out.shape[2]
@@ -827,7 +773,7 @@ def bound_attention(
     if lib is not None:
         return [Op(_OP_ATTENTION, q, k, v, k2, v2, out, probs, items, rows, lanes, lk1, lk - lk1,
                    d, dv, 0 if per_lane else k.shape[0], int(per_lane), float(scale), ws)]
-    step = attention_slab(items, rows * lanes, lk)
+    step = max(1, min(items, _ATTN_SLAB // (rows * lanes * lk or 1)))
     ops = []
     for i in range(0, items, step):
         sl = slice(i, min(i + step, items))
@@ -943,19 +889,11 @@ def bound_bias_silu(
     lib, h: np.ndarray, bias: np.ndarray, gate: np.ndarray | None = None,
     out: np.ndarray | None = None,
 ) -> list:
-    """h (rows, cols) += bias; with ``gate`` and ``out``, then out = silu(h) with gate
-    as scratch, in the sequence of float32 operations of :func:`silu`."""
+    """h (rows, cols) += bias; with ``gate`` and ``out``, then out = silu(h), in the
+    sequence of float32 operations of :func:`silu`, leaving sigmoid(h) in gate."""
     if lib is None:
         calls = [partial(np.add, h, bias, out=h)]
         if gate is not None:
-            lo, hi, one = np.float32(-30.0), np.float32(30.0), np.float32(1.0)
-            calls += [
-                partial(np.clip, h, lo, hi, out=gate),
-                partial(np.negative, gate, out=gate),
-                lambda: np.exp(gate, out=gate),
-                partial(np.add, one, gate, out=gate),
-                partial(np.divide, one, gate, out=gate),
-                partial(np.multiply, h, gate, out=out),
-            ]
+            calls.append(lambda: _apply_gate(h, _silu_gate(h), out=out, sigmoid=gate))
         return calls
     return [Op(_OP_BIAS_SILU, h, bias, gate, out, *h.shape)]

@@ -128,8 +128,8 @@ class Plan:
 
     # -- kernel steps
 
-    def matmul(self, a: Buf, w: np.ndarray, layer: str | None) -> Buf:
-        """a @ w over a's last axis as one matmul, logged under ``layer`` unless None."""
+    def matmul(self, a: Buf, w: np.ndarray) -> Buf:
+        """a @ w over a's last axis as one matmul.  Not logged."""
         k, n = a.shape[-1], w.shape[1]
         if w.shape[0] != k:
             raise ValueError(f"matmul shape mismatch: {a.shape} @ {w.shape}")
@@ -138,8 +138,6 @@ class Plan:
         self.scratch(kernels._matmul_ws(rows, k, n, kernels._rows_ptr(w)[1]))
         self.step(lambda lib: kernels.bound_matmul(
             lib, a.a.reshape(rows, k), w, out.a.reshape(rows, n), self.ws), a, out)
-        if layer is not None:
-            self.flop("matmul", layer, (rows, k, n))
         return out
 
     def norm(self, x: Buf, layer: str, axis: int = 1, copies: int = 1, gate: bool = False,
@@ -184,7 +182,7 @@ class Plan:
         if base is not None and math.prod(base.shape) != math.prod(shape):
             raise ValueError(f"channel mix base {base.shape} does not match {shape}")
         out = self.buf(shape if base is None else base.shape)  # the residual keeps base's shape
-        self.scratch(kernels._channel_mix_ws(c, x.size // (f * c or 1), w.shape[1]))
+        self.scratch(kernels._channel_mix_ws(c, math.prod(x.shape[2:]), w.shape[1]))
         self.step(lambda lib: kernels.bound_channel_mix(
             lib, x.a, w, out.a.reshape(shape), self.ws,
             base=None if base is None else base.a.reshape(shape),

@@ -451,14 +451,14 @@ class ToyUNet:
         """The time features of the pass's timesteps and every unit's time projection of them."""
         td = self.cfg.time_dim
         emb = p.input("time", (samples, td))
-        h = p.matmul(emb, self.w["time.affine.w"], None)
+        h = p.matmul(emb, self.w["time.affine.w"])
         p.flop("matmul", "time", (samples, td, td))
         p.flop("elementwise", "time", (samples * td,))
         p.flop("elementwise", "time", (4 * h.size,))  # the SiLU
         temb, gate = p.buf(h.shape), p.buf(h.shape)
         p.step(lambda lib: kernels.bound_bias_silu(
             lib, h.a, self.w["time.affine.b"], gate.a, temb.a), h, gate, temb)
-        tproj = p.matmul(temb, self._temb_w, None)
+        tproj = p.matmul(temb, self._temb_w)
         p.step(lambda lib: kernels.bound_bias_silu(lib, tproj.a, self._temb_b), tproj)
         return tproj
 

@@ -400,7 +400,7 @@ def kept_reference_probs(x, ref, weights, prefix, removal):
     xb = p.input("x", (math.prod(lead), c, l),
                  lambda a: a.reshape(lead + (c, l)).swapaxes(-1, -2))
     rb = p.input("ref", (1,) + ref.shape[::-1], lambda a: a[0].T)
-    probs = attn.plan_reference_site(p, xb, rb, weights, prefix, removal=removal,
+    probs = attn.plan_reference_site(p, xb, rb, weights, prefix, lead=lead, removal=removal,
                                      keep_probs=True)[2]
     p.result("probs", probs, lambda a: a.reshape(lead + a.shape[1:]).copy())
     plan = p.finish()
@@ -418,8 +418,8 @@ def test_planned_sites_match_the_site_functions(site, mask_name, samples, backen
     On (samples, frames) stacks, full and restricted; the restricted path
     reads one (frames, ...) cache broadcast over the samples, as a stacked
     non-key phase does.  Under ``backend``, the planned full reference site
-    also keeps its probabilities: those of ``attention_batch`` on the
-    site's own q, k and v.
+    also keeps its probabilities: those of the reference attention on
+    the site's own q, k and v.
     """
     if kernels.compiled_error() is not None:
         pytest.skip(f"compiled backend unavailable: {kernels.compiled_error()}")
@@ -465,7 +465,7 @@ def test_planned_sites_match_the_site_functions(site, mask_name, samples, backen
                 [tokens, np.broadcast_to(ref, tokens.shape)], axis=1)
             q, k, v = (matmul(t.reshape(-1, C), weights[f"{prefix}.{n}"]).reshape(len(t), -1, D)
                        for t, n in ((tokens, "wq"), (kv, "wk"), (kv, "wv")))
-            want_probs = kernels.attention_batch(q, k, v, keep_probs=True)[1]
+            want_probs = kernels._attention_np(q, k, v, np.float32(1.0 / math.sqrt(D)))[1]
     finally:
         kernels.set_backend(before)
     assert delta.shape == x.shape

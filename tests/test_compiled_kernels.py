@@ -17,6 +17,7 @@ makes NaNs from infinities in its row max.
 import ctypes
 import inspect
 import shutil
+import subprocess
 import sys
 import threading
 from collections import Counter
@@ -214,11 +215,12 @@ def test_conv_store_epilogues_match_reference(data, samples, fps, ci, h, w, co, 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    st.data(), st.integers(1, 3), st.integers(1, 40), st.integers(1, 5), st.integers(1, 5),
+    st.data(), st.integers(1, 3), st.integers(0, 40), st.integers(1, 5), st.integers(1, 5),
     cols, st.booleans(), st.booleans(),
 )
 def test_channel_mix_matches_reference(data, f, c, h, w, co, special, residual):
-    """Pixels on the lanes, plain or with an attention site's residual base + 0.5 * mix."""
+    """Pixels on the lanes, plain or with an attention site's residual base + 0.5 * mix;
+    with no input channel the mix is all zeros."""
     x = data.draw(tensor((f, c, h, w), special))
     wt = data.draw(tensor((c, co), special))
     base = data.draw(tensor((f, co, h, w), special)) if residual else None
@@ -229,18 +231,30 @@ def test_channel_mix_matches_reference(data, f, c, h, w, co, special, residual):
     assert_same(got, want, x, wt, *(() if base is None else (base,)))
 
 
+@pytest.mark.parametrize("residual", [False, True])
+def test_channel_mix_of_no_input_channel_writes_every_pixel(residual):
+    """x (2, 0, 5) @ w (0, 3) is all zeros (base + 0.5 * 0 with a residual), written over
+    every pixel of a NaN-filled output."""
+    x, w = np.zeros((2, 0, 5), np.float32), np.zeros((0, 3), np.float32)
+    base = np.arange(30, dtype=np.float32).reshape(2, 3, 5) if residual else None
+    want = kernels._conv_epilogue_np(kernels._channel_mix_np(x, w), None, base)
+    got = compiled(want, kernels.bound_channel_mix, x, w, ws=kernels._channel_mix_ws(0, 5, 3),
+                   base=base)
+    assert got.tobytes() == want.tobytes()
+
+
 keys = st.sampled_from([0, 1, 2, 3, 5, 8, 9, 15, 16, 17, 31, 33, 64, 65, 70])
 
 
-def lane_attention(q, k, v, scale, keep_probs=True, lib=None):
+def lane_attention(q, k, v, scale, keep_probs=True, reference=False):
     """The attention step on (n, lq, d) queries and (n, lk, d | dv) keys and values, fed
     as the sites feed it, tokens on the lanes; (out, probs) in the token layout.  On
-    the compiled library unless ``lib`` is given (None runs the reference)."""
+    the compiled library, or with ``reference`` on the numpy reference."""
     (n, lq, d), (lk, dv) = q.shape, v.shape[1:]
     qt, kt, vt = (np.ascontiguousarray(a.transpose(0, 2, 1)) for a in (q, k, v))
     out = np.full((n, 1, dv, lq), np.nan, np.float32)
     probs = np.full((n, 1, lq, lk), np.nan, np.float32) if keep_probs else None
-    kernels._run(kernels._compiled() if lib is None else lib, kernels.bound_attention,
+    kernels._run(None if reference else kernels._compiled(), kernels.bound_attention,
                  qt[:, None], kt, vt, scale, out, ws=kernels._attention_ws(lk, d, dv),
                  probs=probs)
     return out[:, 0].transpose(0, 2, 1), None if probs is None else probs[:, 0]
@@ -307,21 +321,18 @@ def test_attention_special_score_rows_match_reference():
 
 
 def test_attention_batch_slabs_give_the_bytes_of_one_call(monkeypatch):
+    """The reference in slabs of 2 items, and the library's one op, give the bytes of the
+    reference on all 5 items at once."""
     rng = np.random.default_rng(6)
     q = rng.standard_normal((5, 7, 4), dtype=np.float32)
     k = rng.standard_normal((5, 9, 4), dtype=np.float32)
     v = rng.standard_normal((5, 9, 3), dtype=np.float32)
     want = kernels._attention_np(q, k, v, np.float32(0.5))
-    before = kernels.active_backend()
     monkeypatch.setattr(kernels, "_ATTN_SLAB", 2 * 7 * 9)
-    try:
-        for backend in ("compiled", "numpy"):
-            kernels.set_backend(backend)
-            out, probs = kernels.attention_batch(q, k, v, keep_probs=True)
-            assert out.tobytes() == want[0].tobytes()
-            assert probs.tobytes() == want[1].tobytes()
-    finally:
-        kernels.set_backend(before)
+    for reference in (False, True):
+        out, probs = lane_attention(q, k, v, np.float32(0.5), reference=reference)
+        assert out.tobytes() == want[0].tobytes()
+        assert probs.tobytes() == want[1].tobytes()
 
 
 # The attention kernel holds 4, 8 or 16 query lanes (by the build's vector
@@ -516,6 +527,16 @@ def test_conv_border_inf_weight_gives_nan_like_reference():
     assert got[0, 0, 1, 1] == np.inf
 
 
+def test_kernels_c_builds_without_warnings(tmp_path):
+    """kernels.c compiles with the library's flags and every common warning as an error."""
+    done = subprocess.run(
+        [native.COMPILER, *native.FLAGS, "-Wall", "-Wextra", "-Werror",
+         "-o", str(tmp_path / "kernels.so"), str(native.SOURCE)],
+        capture_output=True, text=True, timeout=native.BUILD_TIMEOUT_S,
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def test_kernels_refuse_strided_and_non_float32_arrays():
     """The kernels ignore strides, so a view that is not C-contiguous must be refused."""
     a = np.ones((4, 6), np.float32)
@@ -530,16 +551,16 @@ def test_kernels_refuse_strided_and_non_float32_arrays():
 
 @pytest.mark.parametrize("backend", ["compiled", "numpy"])
 def test_zero_item_batches_give_empty_results(backend):
-    """With no item there is no kernel call, and the batch functions return empty arrays."""
+    """With no item the attention step and matmul_batch run, and give empty arrays."""
     q, k, v = (np.zeros((0, rows, c), np.float32) for rows, c in ((3, 4), (5, 4), (5, 2)))
     before = kernels.active_backend()
     try:
         kernels.set_backend(backend)
-        out, probs = kernels.attention_batch(q, k, v, keep_probs=True)
-        bare = kernels.attention_batch(q, k, v)
         mm = kernels.matmul_batch(np.zeros((0, 3, 4), np.float32), np.zeros((0, 4, 6), np.float32))
     finally:
         kernels.set_backend(before)
+    out, probs = lane_attention(q, k, v, np.float32(0.5), reference=backend == "numpy")
+    bare = lane_attention(q, k, v, np.float32(0.5), False, reference=backend == "numpy")
     assert (out.shape, probs.shape, mm.shape) == ((0, 3, 2), (0, 3, 5), (0, 3, 6))
     assert out.dtype == probs.dtype == mm.dtype == np.float32
     assert bare[0].shape == (0, 3, 2) and bare[1] is None

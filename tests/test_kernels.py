@@ -43,6 +43,26 @@ def naive_conv2d(x, w, bias, stride=1):
     return out
 
 
+def step(bound, shapes, *inputs, **kwargs):
+    """The outputs of one bound kernel step on the active backend, as a plan runs it:
+    fresh float32 arrays of ``shapes``, passed after ``inputs``."""
+    outs = [np.empty(shape, np.float32) for shape in shapes]
+    kernels._run(kernels.active_library(), bound, *inputs, *outs, **kwargs)
+    return outs
+
+
+def lane_attention(q, k, v, keep_probs=False):
+    """The attention step on (n, lq, d) queries and (n, lk, d | dv) keys and values, fed
+    with the tokens on the lanes as the sites feed it, on the active backend:
+    (out, probs) in the token layout, probs None unless kept."""
+    (n, lq, d), (lk, dv) = q.shape, v.shape[1:]
+    qt, kt, vt = (np.ascontiguousarray(a.transpose(0, 2, 1)) for a in (q, k, v))
+    probs = np.empty((n, 1, lq, lk), np.float32) if keep_probs else None
+    out, = step(kernels.bound_attention, [(n, 1, dv, lq)], qt[:, None], kt, vt,
+                np.float32(1.0 / math.sqrt(d)), ws=kernels._attention_ws(lk, d, dv), probs=probs)
+    return out[:, 0].transpose(0, 2, 1), None if probs is None else probs[:, 0]
+
+
 def attention_oracle(q, k, v):
     q, k, v = (t.astype(np.float64) for t in (q, k, v))
     s = q @ k.T / math.sqrt(q.shape[1])
@@ -125,8 +145,11 @@ def test_backends_agree_bitwise():
     conv = kernels.PackedConv(w, bias)
 
     def preact(x):
-        normed, gate = kernels.rms_norm(x[None], 1, gate=True)
+        normed, gate = step(kernels.bound_rms_norm, [(1,) + x.shape] * 2, x[None], 1)
         return kernels.conv2d_frames(normed, conv, 1, gate)
+
+    def token_norm(x):
+        return step(kernels.bound_rms_norm, [x.shape], x, -1)[0]
 
     before = kernels.active_backend()
     try:
@@ -135,8 +158,8 @@ def test_backends_agree_bitwise():
         mb_np = kernels.matmul_batch(ab, bb)
         cv_np = oracles.conv2d(x, w, bias)
         cv2_np = oracles.conv2d(x, w, bias, stride=2)
-        at_np, pr_np = kernels.attention_batch(*qkv, keep_probs=True)
-        rn_np = kernels.rms_norm(tokens, -1)
+        at_np, pr_np = lane_attention(*qkv, keep_probs=True)
+        rn_np = token_norm(tokens)
         pc_np = preact(x)
         kernels.set_backend("compiled")
         assert kernels.active_backend() == "compiled"
@@ -144,9 +167,9 @@ def test_backends_agree_bitwise():
         assert kernels.matmul_batch(ab, bb).tobytes() == mb_np.tobytes()
         assert oracles.conv2d(x, w, bias).tobytes() == cv_np.tobytes()
         assert oracles.conv2d(x, w, bias, stride=2).tobytes() == cv2_np.tobytes()
-        at_c, pr_c = kernels.attention_batch(*qkv, keep_probs=True)
+        at_c, pr_c = lane_attention(*qkv, keep_probs=True)
         assert at_c.tobytes() == at_np.tobytes() and pr_c.tobytes() == pr_np.tobytes()
-        assert kernels.rms_norm(tokens, -1).tobytes() == rn_np.tobytes()
+        assert token_norm(tokens).tobytes() == rn_np.tobytes()
         assert preact(x).tobytes() == pc_np.tobytes()
     finally:
         kernels.set_backend(before)
@@ -186,8 +209,8 @@ def test_kernel_bench_runs_from_a_clean_checkout(tmp_path):
     rows = [row.split() for row in done.stdout.splitlines()]
     equal = {row[0]: row[4] for row in rows if len(row) == 7}  # kernel -> bit_equal
     want = "-" if kernels.compiled_error() else "yes"
-    cases = ("key_step", "dfa_subnet", "attention_audio", "attention_temporal",
-             "attention_restricted")
+    cases = ("key_step", "dfa_subnet", "attention_reference", "attention_audio",
+             "attention_temporal", "attention_restricted")
     assert [equal.get(c) for c in cases] == [want] * len(cases)
 
 
@@ -269,19 +292,27 @@ def test_conv2d_frames_matches_per_frame():
         assert np.array_equal(got[f], oracles.conv2d(x[f], w, bias))
 
 
-def test_sigmoid_values_and_clamp():
-    assert kernels.sigmoid(np.float32(0.0)) == np.float32(0.5)
-    big = kernels.sigmoid(np.array([1000.0], dtype=np.float32))
-    assert big == kernels.sigmoid(np.array([30.0], dtype=np.float32))
-    assert big == 1.0
-    small = kernels.sigmoid(np.array([-1000.0], dtype=np.float32))
-    assert small == kernels.sigmoid(np.array([-30.0], dtype=np.float32))
-    assert small > 0.0
+def test_silu_values_and_clamp():
+    """Beyond +-30 the sigmoid is the one at the clamp: exactly 1, and positive below."""
+    one = np.float32(1.0)
+    at_clamp = one / (one + np.exp(np.array([-30.0, 30.0], np.float32)))
+    for big in (30.0, 1000.0):
+        x = np.array([big, -big], np.float32)
+        assert kernels.silu(x).tobytes() == (x * at_clamp).tobytes()
+    assert at_clamp[0] == 1.0 and at_clamp[1] > 0.0
+    assert kernels.silu(np.array([0.0], np.float32)) == 0.0
 
 
 def test_silu_matches_definition():
-    x = Rng(9).normal((16,))
-    assert np.array_equal(kernels.silu(x), x * kernels.sigmoid(x))
+    """x * 1 / (1 + exp(-x)) where the clamp does not act; infinities keep their sign,
+    NaN stays NaN, and signed zeros and subnormals are halved."""
+    one = np.float32(1.0)
+    x = Rng(9).normal((16,)) * np.float32(7.0)
+    assert kernels.silu(x).tobytes() == (x * (one / (one + np.exp(-x)))).tobytes()
+    edge = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0, 3e-39, -1e-45], np.float32)
+    got = kernels.silu(edge)
+    assert got[0] == np.inf and got[1] == -np.inf and np.isnan(got[2])
+    assert got[3:].tobytes() == (edge[3:] * np.float32(0.5)).tobytes()
 
 
 def naive_rms_norm(x, axis):
@@ -293,26 +324,19 @@ def naive_rms_norm(x, axis):
 @pytest.mark.parametrize("shape,axis", [((4, 16, 8, 8), 1), ((2, 3, 130), -1), ((5, 1, 3), 1)])
 def test_rms_norm_matches_numpy_formula(shape, axis):
     x = Rng(16).normal(shape)
-    out = kernels.rms_norm(x, axis)
+    out, = step(kernels.bound_rms_norm, [shape], x, axis)
     assert out.tobytes() == naive_rms_norm(x, axis).tobytes()
     x64 = x.astype(np.float64)
     oracle = x64 / np.sqrt(np.mean(x64 * x64, axis=axis, keepdims=True) + 1e-5)
     assert np.allclose(out, oracle, rtol=1e-5, atol=1e-6)
 
 
-def test_rms_norm_of_a_strided_view_follows_numpy_order_for_that_view():
-    """Only C-contiguous arrays take the compiled kernel; a view runs the reference as given."""
-    x = Rng(17).normal((3, 40, 140))
-    view = x.transpose(0, 2, 1)
-    assert kernels.rms_norm(view, -1).tobytes() == naive_rms_norm(view, -1).tobytes()
-
-
 def test_rms_norm_gate_is_silus_and_gated_conv_convolves_silu():
     rng = Rng(18)
     x = rng.normal((2, 3, 5, 5)) * np.float32(20.0)
     w, bias = rng.normal((4, 3, 3, 3)), rng.normal((4,))
-    normed, gate = kernels.rms_norm(x, 1, gate=True)
-    assert normed.tobytes() == kernels.rms_norm(x, 1).tobytes()
+    normed, gate = step(kernels.bound_rms_norm, [x.shape] * 2, x, 1)
+    assert normed.tobytes() == step(kernels.bound_rms_norm, [x.shape], x, 1)[0].tobytes()
     assert (normed * (np.float32(1.0) / (np.float32(1.0) + gate))).tobytes() == (
         kernels.silu(normed).tobytes()
     )
@@ -321,12 +345,8 @@ def test_rms_norm_gate_is_silus_and_gated_conv_convolves_silu():
     assert kernels.conv2d_frames(normed, conv, 1, gate).tobytes() == want.tobytes()
 
 
-def test_rms_norm_and_packed_conv_reject_bad_inputs():
+def test_packed_conv_and_conv2d_frames_reject_bad_inputs():
     x = np.zeros((2, 3, 4, 4), dtype=np.float32)
-    with pytest.raises(ValueError):
-        kernels.rms_norm(x.astype(np.float64), 1)
-    with pytest.raises(ValueError):
-        kernels.rms_norm(x, 4)
     with pytest.raises(ValueError):
         kernels.PackedConv(np.zeros((5, 3, 3, 3), np.float32), np.zeros(4, np.float32))
     conv = kernels.PackedConv(np.zeros((5, 3, 3, 3), np.float32), np.zeros(5, np.float32))
@@ -431,18 +451,9 @@ def test_attention_batch_matches_per_slice():
     q = rng.normal((4, 5, 3))
     k = rng.normal((4, 6, 3))
     v = rng.normal((4, 6, 3))
-    got, probs = kernels.attention_batch(q, k, v, keep_probs=True)
-    assert kernels.attention_batch(q, k, v)[1] is None
+    got, probs = lane_attention(q, k, v, keep_probs=True)
+    assert lane_attention(q, k, v)[0].tobytes() == got.tobytes()
     for i in range(4):
         assert got[i].tobytes() == oracles.scaled_dot_attention(q[i], k[i], v[i]).tobytes()
         assert probs[i].tobytes() == oracles.attention_probs(q[i], k[i]).tobytes()
 
-
-def test_attention_batch_rejects_mismatch():
-    q = np.zeros((2, 3, 4), dtype=np.float32)
-    with pytest.raises(ValueError):
-        kernels.attention_batch(q, np.zeros((3, 3, 4), dtype=np.float32),
-                                np.zeros((3, 3, 4), dtype=np.float32))
-    with pytest.raises(ValueError):
-        kernels.attention_batch(q, np.zeros((2, 3, 5), dtype=np.float32),
-                                np.zeros((2, 3, 5), dtype=np.float32))
