@@ -1,11 +1,12 @@
 """Timing harness for the compute kernels under both backends.
 
-Runs each kernel on a representative shape with the compiled C backend
-and the numpy reference, checks that the two produce byte-identical
-outputs (a compiled kernel call runs the kernel's op records through the
-library's ``cd_run``, the call a planned pass makes once for all its
-steps), and prints per-call best times with the slowdown of the
-reference, and the minor page faults per timed call (getrusage).  The
+Runs each kernel step that plans run, on a representative shape, with
+the compiled C backend and the numpy reference, checks that the two
+produce byte-identical outputs (a compiled kernel call runs the kernel's
+op records through the library's ``cd_run``, the call a planned pass
+makes once for all its steps), and prints per-call best times with the
+slowdown of the reference, and the minor page faults per timed call
+(getrusage).  The
 ``forward`` and ``subnet`` cases are whole planned passes of the default
 model, each one ``cd_run`` call: one forward pass, and one subnet call on
 a stack of two samples.  ``key_step`` and ``dfa_subnet`` are the two
@@ -49,15 +50,14 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-# this checkout's package, its test oracles and the benchmark's workloads
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
+# this checkout's package and the benchmark's workloads
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from cachediff import kernels, native  # noqa: E402
 from cachediff.config import RunConfig  # noqa: E402
 from cachediff.rng import Rng  # noqa: E402
 from cachediff.runner import (  # noqa: E402
     build_conditioning, build_model, execute_run, initial_latent)
-from oracles import scaled_dot_attention  # noqa: E402  (a test oracle, timed as a kernel)
 
 import workload  # noqa: E402  (the benchmark's workload configurations)
 
@@ -119,10 +119,6 @@ def lane_attention(q, k, v, rows: int = 1, k2=None, v2=None):
 def make_cases(seed: int) -> dict:
     rng = Rng(seed)
     return pass_cases(seed) | {
-        "matmul": (
-            kernels.matmul,
-            (rng.child(0).normal((192, 160)), rng.child(1).normal((160, 224))),
-        ),
         "conv2d": (
             kernels.conv2d_frames,
             (
@@ -143,15 +139,6 @@ def make_cases(seed: int) -> dict:
                                    rng.child(15).normal((16,))),
             ),
         ),
-        "attention": (
-            scaled_dot_attention,
-            (
-                rng.child(5).normal((256, 32)),
-                rng.child(6).normal((256, 32)),
-                rng.child(7).normal((256, 32)),
-            ),
-        ),
-        "softmax": (kernels.softmax_rows, (rng.child(8).normal((384, 384)),)),
         # the U32 reference site of a default forward pass: 4 frames of 256
         # queries, 256 token keys and 256 shared reference keys, head dim 8
         "attention_reference": (

@@ -44,9 +44,8 @@
  * numpy's pairwise order over the channels of each token.
  *
  * Beside the kernels sit the glue ops of a pass, each the reference's own
- * sequence of separately rounded float32 operations: an N-d strided copy,
- * row gathers and scatters by index, and a bias add with an optional
- * SiLU.
+ * sequence of separately rounded float32 operations: an N-d strided copy
+ * and row gathers and scatters by index.
  *
  * The only entry point besides cd_set_exp is cd_run, which executes a
  * fixed array of op records (see "op records" below): kernels.py builds one
@@ -264,25 +263,6 @@ static const float *gemm_b(const float *b, long ldb, long k, long n, char **ws, 
         memset(bp + p * *ld + n, 0, sizeof(float) * (*ld - n));
     }
     return bp;
-}
-
-/* out (m, n) = a (m, k) @ b, a and out C-contiguous; the rows of b are ldb
- * floats apart. */
-static void matmul(const float *a, const float *b, long ldb, float *out, long m, long k, long n,
-                   char *ws)
-{
-    if (m == 0 || n == 0)
-        return;
-    long *koff = carve(&ws, sizeof(long) * k);
-    long *arow = carve(&ws, sizeof(long) * m);
-    for (long p = 0; p < k; p++)
-        koff[p] = p;
-    for (long i = 0; i < m; i++)
-        arow[i] = i * k;
-    long ld;
-    const float *bb = gemm_b(b, ldb, k, n, &ws, &ld);
-    const struct gemm g = {m, n, k, a, arow, koff, bb, ld, out, NULL, 0, NULL, NULL, 0, 1, NULL};
-    gemm_run(&g);
 }
 
 /* Channel mix of every pixel of x (f, c, hw): out (f, co, hw) with
@@ -787,28 +767,6 @@ static void scatter_rows(float *out, const float *src, const long *idx, long out
         }
 }
 
-/* h (rows, cols) += bias (cols); then, with gate, out = silu(h) as the
- * reference computes it, with gate as scratch: gate = exp(-clip(h, -30,
- * 30)), gate = 1 / (1 + gate), out = h * gate. */
-static void bias_silu(float *h, const float *bias, float *gate, float *out, long rows, long cols)
-{
-    const long n = rows * cols;
-    for (long r = 0; r < rows; r++)
-        for (long j = 0; j < cols; j++)
-            h[r * cols + j] = h[r * cols + j] + bias[j];
-    if (!gate)
-        return;
-    for (long i = 0; i < n; i++) {
-        const float v = h[i];
-        gate[i] = -(v < -30.0f ? -30.0f : v > 30.0f ? 30.0f : v);
-    }
-    exp_inplace(gate, n);
-    for (long i = 0; i < n; i++) {
-        gate[i] = 1.0f / (1.0f + gate[i]);
-        out[i] = h[i] * gate[i];
-    }
-}
-
 /* ---------------------------------------------------------------------------
  * op records
  *
@@ -819,8 +777,7 @@ static void bias_silu(float *h, const float *bias, float *gate, float *out, long
 #define OP_SLOTS 24
 
 enum {
-    OP_MATMUL = 1,
-    OP_CHANNEL_MIX,
+    OP_CHANNEL_MIX = 1,
     OP_CONV,
     OP_NORM,
     OP_ATTENTION,
@@ -828,7 +785,6 @@ enum {
     OP_COPY,
     OP_GATHER,
     OP_SCATTER,
-    OP_BIAS_SILU,
 };
 
 typedef union {
@@ -841,9 +797,6 @@ static void run_op(const slot *op)
 {
     const slot *a = op + 1;
     switch (op[0].i) {
-    case OP_MATMUL: /* a, b, ldb, out, m, k, n, ws */
-        matmul(a[0].p, a[1].p, a[2].i, a[3].p, a[4].i, a[5].i, a[6].i, a[7].p);
-        break;
     case OP_CHANNEL_MIX: /* x, w, ldw, out, base or NULL, f, c, hw, co, ws */
         channel_mix(a[0].p, a[1].p, a[2].i, a[3].p, a[4].p, a[5].i, a[6].i, a[7].i, a[8].i,
                     a[9].p);
@@ -875,9 +828,6 @@ static void run_op(const slot *op)
         break;
     case OP_SCATTER: /* out, src, idx, outer, nout, m, inner, souter */
         scatter_rows(a[0].p, a[1].p, a[2].p, a[3].i, a[4].i, a[5].i, a[6].i, a[7].i);
-        break;
-    case OP_BIAS_SILU: /* h, bias, gate or NULL, out, rows, cols */
-        bias_silu(a[0].p, a[1].p, a[2].p, a[3].p, a[4].i, a[5].i);
         break;
     }
 }

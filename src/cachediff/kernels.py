@@ -50,11 +50,13 @@ through :func:`_run`.
 
 Five eager functions remain: :func:`matmul`, :func:`matmul_batch` and
 :func:`conv2d_frames` check their arguments, allocate their outputs and
-run a bound step per call; :func:`softmax_rows` and :func:`silu` are the
-numpy reference's own sequences.  No planned pass calls them.  They stay
-because the benchmark's tracer wraps them by name (``perfbench/tracer.py``)
-and its tests pin the ``matmul`` imports of :mod:`cachediff.unet` and
-:mod:`cachediff.attention`.
+run a bound step per call (a matmul is a channel mix with one pixel per
+row); :func:`softmax_rows` and :func:`silu` are the numpy reference's own
+sequences.  No planned pass calls them, but :func:`matmul` and
+:func:`silu` compute a model's time projections, once per timestep
+(:class:`cachediff.unet.ToyUNet`).  The benchmark's tracer wraps all five
+by name (``perfbench/tracer.py``) and its tests pin the ``matmul``
+imports of :mod:`cachediff.unet` and :mod:`cachediff.attention`.
 """
 
 from __future__ import annotations
@@ -124,12 +126,9 @@ def _silu_gate(x: np.ndarray) -> np.ndarray:
     return np.exp(-np.clip(x, np.float32(-30.0), np.float32(30.0)))
 
 
-def _apply_gate(x: np.ndarray, gate: np.ndarray, out: np.ndarray | None = None,
-                sigmoid: np.ndarray | None = None) -> np.ndarray:
-    """silu(x) = x * sigmoid(x) from x and its gate, into ``out`` if given; the sigmoid
-    1 / (1 + gate) is left in ``sigmoid`` if given."""
-    return np.multiply(x, np.divide(np.float32(1.0), np.float32(1.0) + gate, out=sigmoid),
-                       out=out)
+def _apply_gate(x: np.ndarray, gate: np.ndarray) -> np.ndarray:
+    """silu(x) = x * sigmoid(x) from x and its gate: sigmoid(x) is 1 / (1 + gate)."""
+    return x * (np.float32(1.0) / (np.float32(1.0) + gate))
 
 
 def _matmul_np(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -267,11 +266,6 @@ def _pad16(n: int) -> int:
     return -(-n // 16) * 16
 
 
-def _matmul_ws(m: int, k: int, n: int, ldb: int) -> int:
-    """koff and arow, plus a padded copy of one B item unless ldb is a multiple of 16."""
-    return _r64(8 * k) + _r64(8 * m) + (_r64(4 * k * _pad16(n)) if ldb % 16 else 0)
-
-
 def _channel_mix_ws(c: int, hw: int, co: int) -> int:
     """koff, arow and orow, plus a padded copy of one frame unless hw is a multiple of 16."""
     return _r64(8 * c) + 2 * _r64(8 * co) + (_r64(4 * c * _pad16(hw)) if hw % 16 else 0)
@@ -302,11 +296,12 @@ def _self_check(lib) -> str | None:
     rows and as tokens on the lanes (19 of them: a full vector and a
     tail); its channel case sums over a strided axis.  The conv's two
     store epilogues and the channel mix's residual add rows and a residual
-    holding -0.0 and a subnormal.  A matmul's right operand and the added
-    rows are also read as column slices of wider matrices, as plans pass
-    them.  Attention runs with keys shared by the lanes (with and without
-    kept probabilities, broadcast items and appended shared keys) and with
-    keys per lane, on 19 lanes of 5 dims.  exp runs on every kind of
+    holding -0.0 and a subnormal.  A channel mix's weights (on one pixel
+    per row, as :func:`matmul` runs it) and the added rows are also read as
+    column slices of wider matrices, as plans pass them.  Attention runs
+    with keys shared by the lanes (with and without kept probabilities,
+    broadcast items and appended shared keys) and with keys per lane, on 19
+    lanes of 5 dims.  exp runs on every kind of
     special value and a sweep across its whole range, from an odd offset;
     the glue ops run on permuted and broadcast views holding -0.0,
     infinities and a subnormal.
@@ -324,7 +319,7 @@ def _self_check(lib) -> str | None:
     t *= np.exp2(rng.integers(-9, 9, 137)).astype(np.float32)
     t[1] = -0.0
     t[2, 5] = 3e-39
-    b16, b21 = (rng.standard_normal((37, n), dtype=np.float32) for n in (16, 21))
+    b21 = rng.standard_normal((37, 21), dtype=np.float32)
     tokens = rng.standard_normal((2, 137, 19), dtype=np.float32)
     tokens *= np.exp2(rng.integers(-9, 9, (137, 1))).astype(np.float32)
     tokens[1, :, 2] = -0.0
@@ -343,7 +338,7 @@ def _self_check(lib) -> str | None:
     base[1, 3] = -0.0
     res = rng.standard_normal((2, 21, 5, 4), dtype=np.float32)
     res[0, 3], res[1, 2, 1] = -0.0, 3e-39
-    ws = max(_matmul_ws(13, 37, 21, 21), _channel_mix_ws(5, 20, 21),
+    ws = max(_channel_mix_ws(37, 1, 21), _channel_mix_ws(5, 20, 21),
              _conv_ws(2, 5, 5, 4, 1), _attention_ws(40, 5, 5), _attention_ws(4, 5, 5, True))
 
     def differs(want, bound, *inputs, **kwargs) -> bool:
@@ -389,10 +384,9 @@ def _self_check(lib) -> str | None:
         odd[...] = sweep
         return (odd,)
 
-    a4, d4, h9 = grid(2, 3, 2, 5), grid(2, 2, 5, 3), grid(6, 9)
+    d4, h9 = grid(2, 2, 5, 3), grid(6, 9)
     tok, rows = grid(2, 7, 3), grid(1, 3, 3)
     index = np.array([0, 2, 5], np.int64)
-    finite = np.array([-0.0, 3e-39, 1.5, -2.0, 0.25, -0.0, 7.0, -3e-39, 0.0], np.float32)
 
     with np.errstate(all="ignore"):  # the reference meets infinities
         y = _conv2d_frames_np(x, conv, 1, gate)
@@ -405,12 +399,6 @@ def _self_check(lib) -> str | None:
             ("gather", glue_differs(bound_gather, lambda: (tok, index, np.empty((2, 3, 3), _F32)))),
             ("scatter", glue_differs(bound_scatter, lambda: (
                 rows, index, np.zeros((2, 7, 3), _F32)))),
-            ("bias_silu", glue_differs(bound_bias_silu, lambda: (
-                h9.copy(), finite, np.empty_like(h9), np.empty_like(h9)))),
-            ("matmul n=16", differs(_matmul_np(a, b16), bound_matmul, a, b16, ws=ws)),
-            ("matmul n=21", differs(_matmul_np(a, b21), bound_matmul, a, b21, ws=ws)),
-            ("matmul of a column slice",
-             differs(_matmul_np(a, b21[:, 3:19]), bound_matmul, a, b21[:, 3:19], ws=ws)),
             *((f"conv2d_frames stride {s}", differs(
                 _conv2d_frames_np(x, conv, s), bound_conv2d_frames, x, conv, ws=ws, stride=s))
               for s in (1, 2)),
@@ -423,6 +411,9 @@ def _self_check(lib) -> str | None:
                 base=base)),
             ("channel_mix", differs(
                 _channel_mix_np(x, b21[:5]), bound_channel_mix, x, b21[:5], ws=ws)),
+            ("channel_mix of one pixel, weights a column slice", differs(
+                _channel_mix_np(a[:, :, None], b21[:, 3:19]), bound_channel_mix, a[:, :, None],
+                b21[:, 3:19], ws=ws)),
             ("channel_mix residual epilogue", differs(
                 _conv_epilogue_np(_channel_mix_np(x, b21[:5]), None, res), bound_channel_mix, x,
                 b21[:5], ws=ws, base=res)),
@@ -490,14 +481,19 @@ def set_backend(name: str) -> None:
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Float32 matrix product with fixed ascending-k accumulation."""
+    """Float32 matrix product with fixed ascending-k accumulation.
+
+    It runs as a channel mix with one pixel per row of ``a``: each output
+    is the same ascending sum of the same products.
+    """
     a = _f32(a, "a", 2)
     b = _f32(b, "b", 2)
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     (m, k), n = a.shape, b.shape[1]
     out = np.empty((m, n), dtype=np.float32)
-    _run(active_library(), bound_matmul, a, b, out, ws=_matmul_ws(m, k, n, n))
+    _run(active_library(), bound_channel_mix, a[:, :, None], b, out[:, :, None],
+         ws=_channel_mix_ws(k, 1, n))
     return out
 
 
@@ -511,7 +507,8 @@ def matmul_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.empty((bn, m, n), dtype=np.float32)
     lib = active_library()
     for i in range(bn):
-        _run(lib, bound_matmul, a[i], b[i], out[i], ws=_matmul_ws(m, k, n, n))
+        _run(lib, bound_channel_mix, a[i, :, :, None], b[i], out[i, :, :, None],
+             ws=_channel_mix_ws(k, 1, n))
     return out
 
 
@@ -595,8 +592,8 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
 _ATTN_SLAB = 1 << 17
 
 # The OP_* kinds, OP_SLOTS and MAXD of kernels.c.
-(_OP_MATMUL, _OP_CHANNEL_MIX, _OP_CONV, _OP_NORM, _OP_ATTENTION, _OP_EXP, _OP_COPY, _OP_GATHER,
- _OP_SCATTER, _OP_BIAS_SILU) = range(1, 11)
+(_OP_CHANNEL_MIX, _OP_CONV, _OP_NORM, _OP_ATTENTION, _OP_EXP, _OP_COPY, _OP_GATHER,
+ _OP_SCATTER) = range(1, 9)
 _OP_SLOTS = 24
 _MAXD = 6
 
@@ -658,15 +655,6 @@ def _run(lib, bound, *args, ws: int | None = None, **kwargs) -> None:
     items = bound(lib, *args, *(() if ws is None else (block.ctypes.data,)), **kwargs)
     for call in program(lib, items):
         call()
-
-
-def bound_matmul(lib, a: np.ndarray, b: np.ndarray, out: np.ndarray, ws: int) -> list:
-    """out = a @ b; b's rows may be padded (a column slice of a wider matrix)."""
-    if lib is None:
-        return [lambda: np.copyto(out, _matmul_np(a, b))]
-    (m, k), n = a.shape, b.shape[1]
-    pb, ldb = _rows_ptr(b)
-    return [Op(_OP_MATMUL, a, pb, ldb, out, m, k, n, ws, refs=(b,))]
 
 
 def bound_channel_mix(
@@ -829,12 +817,6 @@ def _merged(shape: tuple[int, ...], *strides: tuple[int, ...]) -> list:
             dims[-1] = [dims[-1][0] * n, *(s[i] for s in strides)]
         else:
             dims.append([n, *(s[i] for s in strides)])
-    # The kernels walk the last two axes as a block, in tiles when the last set
-    # strides the last axis and walks another one contiguously: make that the
-    # block's first axis.
-    unit = [i for i, dim in enumerate(dims[:-2]) if dim[-1] == 1]
-    if dims and dims[-1][-1] != 1 and unit:
-        dims.insert(len(dims) - 1, dims.pop(unit[0]))
     dims = [[1, *(0 for _ in strides)]] * (2 - len(dims)) + dims  # the kernels take 2 or more
     if len(dims) > _MAXD:
         raise ValueError(f"a strided op takes at most {_MAXD} axes, got shape {shape}")
@@ -883,17 +865,3 @@ def bound_scatter(lib, src: np.ndarray, index: np.ndarray, out: np.ndarray) -> l
             out.reshape(outer // souter, souter, n, inner)[:, :, idx] = src
         return [run]
     return [Op(_OP_SCATTER, out, src, idx, outer, n, len(idx), inner, souter)]
-
-
-def bound_bias_silu(
-    lib, h: np.ndarray, bias: np.ndarray, gate: np.ndarray | None = None,
-    out: np.ndarray | None = None,
-) -> list:
-    """h (rows, cols) += bias; with ``gate`` and ``out``, then out = silu(h), in the
-    sequence of float32 operations of :func:`silu`, leaving sigmoid(h) in gate."""
-    if lib is None:
-        calls = [partial(np.add, h, bias, out=h)]
-        if gate is not None:
-            calls.append(lambda: _apply_gate(h, _silu_gate(h), out=out, sigmoid=gate))
-        return calls
-    return [Op(_OP_BIAS_SILU, h, bias, gate, out, *h.shape)]

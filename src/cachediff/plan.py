@@ -21,8 +21,9 @@ probabilities).  The walk records
 
 :meth:`Plan.finish` places the buffers in one float32 arena by liveness:
 two buffers share memory only when no step lies in both their spans.
-Inputs are live from the first step and the sources of the results until
-the last.  The arena and the kernels' scratch block belong to the
+Inputs are live from before the first step, so they are placed before
+every step's buffers, and the sources of the results stay live until the
+last step.  The arena and the kernels' scratch block belong to the
 :class:`PlanCache` that holds every plan of a model; passes run one at a
 time, so the plans share them.  Each is its own anonymous mapping, which
 is unmapped when a plan that needs more replaces it.
@@ -112,7 +113,7 @@ class Plan:
         """A buffer that each pass fills with its feed ``name`` before the steps run:
         ``view`` of the buffer's array, shaped like the feed, receives the feed."""
         buf = self.buf(shape)
-        buf.first = buf.last = 0
+        buf.first, buf.last = -1, 0  # filled before step 0
         self.inputs.append((name, buf, view))
         return buf
 
@@ -127,18 +128,6 @@ class Plan:
         self.ws_bytes = max(self.ws_bytes, nbytes)
 
     # -- kernel steps
-
-    def matmul(self, a: Buf, w: np.ndarray) -> Buf:
-        """a @ w over a's last axis as one matmul.  Not logged."""
-        k, n = a.shape[-1], w.shape[1]
-        if w.shape[0] != k:
-            raise ValueError(f"matmul shape mismatch: {a.shape} @ {w.shape}")
-        rows = a.size // k
-        out = self.buf(a.shape[:-1] + (n,))
-        self.scratch(kernels._matmul_ws(rows, k, n, kernels._rows_ptr(w)[1]))
-        self.step(lambda lib: kernels.bound_matmul(
-            lib, a.a.reshape(rows, k), w, out.a.reshape(rows, n), self.ws), a, out)
-        return out
 
     def norm(self, x: Buf, layer: str, axis: int = 1, copies: int = 1, gate: bool = False,
              tokens: bool = False):

@@ -32,10 +32,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import attention as attn
-from . import kernels
 from .errors import ConfigError
-from .kernels import PackedConv, active_library
-from .kernels import matmul  # noqa: F401  (a name of this module the benchmark's tracer wraps)
+from .kernels import PackedConv, active_library, matmul, silu
 from .masks import ForegroundMask
 from .plan import Buf, Plan, PlanCache
 from .profiler import FlopLog
@@ -253,6 +251,12 @@ class ToyUNet:
     once (one call into the compiled library) and the pass's FLOP events.
     The plans share one arena, so a model runs one pass at a time; a lock
     makes concurrent callers wait.  Returned arrays are the caller's own.
+
+    The time MLP depends on the timestep alone, so it runs once per
+    timestep: the first pass at t computes every residual unit's time
+    projection with :func:`kernels.matmul` and :func:`kernels.silu` and
+    keeps it as one read-only row (:meth:`_time_row`), which each later
+    pass at t feeds to its plan.
     """
 
     def __init__(self, cfg: UNetConfig, weights: dict[str, np.ndarray]):
@@ -283,6 +287,9 @@ class ToyUNet:
         for u, col, width in zip(units, self._temb_col.values(), widths):
             self._temb_w[:, col : col + width] = self.w[f"{u}.temb.w"]
             self._temb_b[col : col + width] = self.w[f"{u}.temb.b"]
+        # One row per timestep seen, 3.1 KB for the default model; kept for
+        # the model's life (callers pass timesteps of one schedule).
+        self._tproj: dict[int, np.ndarray] = {}
         self._plans = PlanCache()
         self._lock = threading.Lock()
 
@@ -317,8 +324,8 @@ class ToyUNet:
         keep_probs = bool(keep_probs) and u32
         key = ("forward", bool(removal_active), keep_probs,
                None if mask is None else mask.fg_index.tobytes())
-        feeds = self._feeds(z[0].transpose(1, 0, 2, 3), [int(t)], cond)
-        with self._lock:
+        with self._lock:  # also makes a timestep's time row once (_time_row)
+            feeds = self._feeds(z[0].transpose(1, 0, 2, 3), [int(t)], cond)
             plan = self._plans.get(
                 key, lambda: self._plan_forward(bool(removal_active), mask, keep_probs)
             )
@@ -367,25 +374,39 @@ class ToyUNet:
         ))
         key = ("subnet", b, bool(removal_active), ctxs)
         f, cl, h, w = cfg.frames, cfg.latent_channels, cfg.height, cfg.width
-        feeds = self._feeds(z.transpose(0, 2, 1, 3, 4).reshape(b * f, cl, h, w), ts, cond)
-        feeds["f_u31"] = f_u31[0]
-        feeds.update({("U32", site): c.bg for site, c in (dfa or {}).items()})
         with self._lock:
+            feeds = self._feeds(z.transpose(0, 2, 1, 3, 4).reshape(b * f, cl, h, w), ts, cond)
+            feeds["f_u31"] = f_u31[0]
+            feeds.update({("U32", site): c.bg for site, c in (dfa or {}).items()})
             plan = self._plans.get(
                 key, lambda: self._plan_subnet(b, bool(removal_active), dfa)
             )
             return plan.run(active_library(), log, feeds)["eps"]
 
     def _feeds(self, z: np.ndarray, ts: list[int], cond: Conditioning) -> dict:
-        """The inputs of a pass by name: "z", the latents as frames; "time", one row of
-        time features per sample; "audio" and "<layer>.ref", the conditioning.  A
-        subnet adds "f_u31" and the background rows of each U32 site, ("U32", site)."""
+        """The inputs of a pass by name: "z", the latents as frames; "tproj", each
+        sample's time projection row (:meth:`_time_row`); "audio" and "<layer>.ref",
+        the conditioning.  A subnet adds "f_u31" and the background rows of each U32
+        site, ("U32", site)."""
         return {
             "z": z,
-            "time": np.stack([time_embedding(t, self.cfg.time_dim) for t in ts]),
+            "tproj": np.stack([self._time_row(t) for t in ts]),
             "audio": cond.audio,
             **{f"{layer}.ref": tok for layer, tok in cond.ref.items()},
         }
+
+    def _time_row(self, t: int) -> np.ndarray:
+        """silu(emb(t) @ W_time + b_time) @ W_temb + b_temb over the units' packed
+        columns (``_temb_w``): computed on t's first pass, then kept read-only.
+        Callers hold the model's lock."""
+        row = self._tproj.get(t)
+        if row is None:
+            emb = time_embedding(t, self.cfg.time_dim)[None]
+            h = silu(matmul(emb, self.w["time.affine.w"]) + self.w["time.affine.b"])
+            row = (matmul(h, self._temb_w) + self._temb_b)[0]
+            row.flags.writeable = False
+            self._tproj[t] = row
+        return row
 
     def _check_latent(self, z: np.ndarray) -> None:
         cfg = self.cfg
@@ -448,19 +469,13 @@ class ToyUNet:
         return p.finish(b)
 
     def _plan_time(self, p: Plan, samples: int) -> Buf:
-        """The time features of the pass's timesteps and every unit's time projection of them."""
+        """Every unit's time projection for each sample, the input "tproj".  The time
+        MLP that made it is logged on every pass, as if the pass ran it."""
         td = self.cfg.time_dim
-        emb = p.input("time", (samples, td))
-        h = p.matmul(emb, self.w["time.affine.w"])
         p.flop("matmul", "time", (samples, td, td))
         p.flop("elementwise", "time", (samples * td,))
-        p.flop("elementwise", "time", (4 * h.size,))  # the SiLU
-        temb, gate = p.buf(h.shape), p.buf(h.shape)
-        p.step(lambda lib: kernels.bound_bias_silu(
-            lib, h.a, self.w["time.affine.b"], gate.a, temb.a), h, gate, temb)
-        tproj = p.matmul(temb, self._temb_w)
-        p.step(lambda lib: kernels.bound_bias_silu(lib, tproj.a, self._temb_b), tproj)
-        return tproj
+        p.flop("elementwise", "time", (4 * samples * td,))  # the SiLU
+        return p.input("tproj", (samples, self._temb_w.shape[1]))
 
     def _plan_preact(self, p: Plan, x: Buf, layer: str, name: str, **epilogue) -> Buf:
         """conv(silu(norm(x))): the norm writes SiLU's gate and the conv applies it."""

@@ -1,6 +1,6 @@
 """Test oracles: single-image and single-item forms of the kernels.
 
-Only tests and ``benchmarks/kernel_bench.py`` call them, as references for
+Only tests call them, as references for
 the stacked kernels of :mod:`cachediff.kernels`, which the model runs.
 """
 

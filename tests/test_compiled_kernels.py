@@ -14,6 +14,7 @@ the same rule wherever the reference output holds a NaN, since it also
 makes NaNs from infinities in its row max.
 """
 
+import contextlib
 import ctypes
 import inspect
 import shutil
@@ -87,30 +88,44 @@ dims = st.integers(0, 30)
 cols = st.sampled_from([0, 1, 2, 3, 4, 5, 8, 9, 15, 16, 17, 31, 33, 48, 64, 65, 70])
 
 
+@contextlib.contextmanager
+def on_compiled():
+    """The compiled backend in use for the eager kernel functions, then the one before."""
+    before = kernels.active_backend()
+    kernels.set_backend("compiled")
+    try:
+        yield
+    finally:
+        kernels.set_backend(before)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data(), dims, st.integers(0, 20), cols, st.booleans())
 def test_matmul_matches_reference(data, m, k, n, special):
+    """The eager matmul, a channel mix with one pixel per row on the library."""
     a = data.draw(tensor((m, k), special))
     b = data.draw(tensor((k, n), special))
     if m and data.draw(st.booleans()):
         a[data.draw(st.integers(0, m - 1))] = -0.0
     with np.errstate(all="ignore"):
         want = kernels._matmul_np(a, b)
-    assert_same(compiled(want, kernels.bound_matmul, a, b, ws=kernels._matmul_ws(m, k, n, n)),
-                want, a, b)
+    with on_compiled():
+        assert_same(kernels.matmul(a, b), want, a, b)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.data(), st.integers(0, 3), st.integers(0, 13), st.integers(0, 9), cols, st.booleans())
 def test_matmul_batch_matches_reference(data, bn, m, k, n, special):
-    """One bound matmul per item, as kernels.matmul_batch runs them, on views of the stacks."""
+    """The eager matmul_batch, one channel mix per item on views of the stacks."""
     a = data.draw(tensor((bn, m, k), special))
     b = data.draw(tensor((bn, k, n), special))
     with np.errstate(all="ignore"):
         want = kernels._matmul_batch_np(a, b)
+    with on_compiled():
+        got = kernels.matmul_batch(a, b)
+    assert got.shape == want.shape
     for i in range(bn):
-        got = compiled(want[i], kernels.bound_matmul, a[i], b[i], ws=kernels._matmul_ws(m, k, n, n))
-        assert_same(got, want[i], a[i], b[i])
+        assert_same(got[i], want[i], a[i], b[i])
 
 
 @settings(max_examples=150, deadline=None)
@@ -473,7 +488,8 @@ def test_every_scratch_size_bounds_what_its_kernel_carves():
     a, b = rng.standard_normal((13, 37), dtype=np.float32), rng.standard_normal((37, 21),
                                                                                  dtype=np.float32)
     out = np.empty((13, 21), np.float32)
-    run_with_canary(kernels.bound_matmul, a, b, out, ws=kernels._matmul_ws(13, 37, 21, 21))
+    run_with_canary(kernels.bound_channel_mix, a[:, :, None], b, out[:, :, None],
+                    ws=kernels._channel_mix_ws(37, 1, 21))  # the eager matmul's step
     assert out.tobytes() == kernels._matmul_np(a, b).tobytes()
 
     x = rng.standard_normal((3, 5, 5, 3), dtype=np.float32)
@@ -539,14 +555,14 @@ def test_kernels_c_builds_without_warnings(tmp_path):
 
 def test_kernels_refuse_strided_and_non_float32_arrays():
     """The kernels ignore strides, so a view that is not C-contiguous must be refused."""
-    a = np.ones((4, 6), np.float32)
+    a = np.ones((4, 6, 1), np.float32)
     b = np.ones((3, 5), np.float32)
-    out = np.empty((4, 5), np.float32)
+    out = np.empty((4, 5, 1), np.float32)
     with pytest.raises(ValueError, match="C-contiguous float32"):
-        compiled(out, kernels.bound_matmul, a[:, ::2], b, ws=kernels._matmul_ws(4, 3, 5, 5))
+        compiled(out, kernels.bound_channel_mix, a[:, ::2], b, ws=kernels._channel_mix_ws(3, 1, 5))
     with pytest.raises(ValueError, match="C-contiguous float32"):
-        compiled(out, kernels.bound_matmul, a[:, :3].astype(np.float64), b,
-                 ws=kernels._matmul_ws(4, 3, 5, 5))
+        compiled(out, kernels.bound_channel_mix, a[:, :3].astype(np.float64), b,
+                 ws=kernels._channel_mix_ws(3, 1, 5))
 
 
 @pytest.mark.parametrize("backend", ["compiled", "numpy"])
@@ -599,17 +615,14 @@ def test_load_time_check_refuses_a_library_that_differs_from_the_reference(monke
         kernels.set_backend("compiled")
 
 
-# Bound steps of a plan and the arguments each writes; IN_PLACE ones are read first.
+# Bound steps of a plan and the arguments each writes.
 BOUND_OUTPUTS = {
-    "bound_matmul": ("out",),
     "bound_channel_mix": ("out",),
     "bound_conv2d_frames": ("out",),
     "bound_rms_norm": ("out", "gate"),
     "bound_attention": ("out", "probs"),
     "bound_copy": ("dst",),
-    "bound_bias_silu": ("h", "gate", "out"),
 }
-IN_PLACE = {"h"}
 
 
 def test_default_forward_pass_kernel_calls_match_reference(monkeypatch):
@@ -665,17 +678,16 @@ def test_default_forward_pass_kernel_calls_match_reference(monkeypatch):
         kernels.set_backend(before)
     assert all(inputs["lib"] is kernels._compiled() for _, inputs, _ in steps)
     kinds = Counter(name for name, _, _ in steps)
-    assert kinds == {"bound_conv2d_frames": 46, "bound_rms_norm": 56, "bound_matmul": 2,
-                     "bound_channel_mix": 47, "bound_attention": 9, "bound_copy": 13,
-                     "bound_bias_silu": 2}
+    assert kinds == {"bound_conv2d_frames": 46, "bound_rms_norm": 56, "bound_channel_mix": 47,
+                     "bound_attention": 9, "bound_copy": 13}
+    assert len(steps) == 171
     convs = [inputs for name, inputs, _ in steps if name == "bound_conv2d_frames"]
     assert sum(c["gate"] is not None for c in convs) == 39  # 19 units x 2 and the head
     assert sum(c["add"] is not None for c in convs) == sum(c["base"] is not None for c in convs) == 19
     for name, inputs, written in steps:
         args = dict(inputs, lib=None)
         for k in written:
-            if k not in IN_PLACE:
-                args[k] = np.full_like(inputs[k], np.nan)
+            args[k] = np.full_like(inputs[k], np.nan)
         for call in originals[name](**args):
             call()
         assert {k: args[k].tobytes() for k in written} == written, name
@@ -695,7 +707,7 @@ def test_concurrent_calls_from_more_threads_than_cores_give_reference_bytes():
                rng.standard_normal((2, 40 + 3 * i, 8), dtype=np.float32),
                rng.standard_normal((2, 40 + 3 * i, 8), dtype=np.float32), np.float32(0.25))
         normed, gate = kernels._rms_norm_np(x, 1, True)
-        want = [kernels._conv2d_frames_np(x, conv, 1 + i % 2), kernels._matmul_np(a, b),
+        want = [kernels._conv2d_frames_np(x, conv, 1 + i % 2), kernels._matmul_np(a, b)[:, :, None],
                 *kernels._attention_np(*qkv), normed, gate,
                 kernels._conv2d_frames_np(normed, conv, 1, gate)]
         jobs.append((x, conv, 1 + i % 2, a, b, qkv, want))
@@ -703,13 +715,14 @@ def test_concurrent_calls_from_more_threads_than_cores_give_reference_bytes():
 
     def work(job):
         x, conv, stride, a, b, qkv, want = job
-        (m, k), n = a.shape, b.shape[1]
+        k, n = b.shape
         for _ in range(30):
             normed, gate = compiled((x, x), kernels.bound_rms_norm, x, 1)
             got = [
                 compiled(want[0], kernels.bound_conv2d_frames, x, conv,
                          ws=kernels._conv_ws(*x.shape, stride), stride=stride),
-                compiled(want[1], kernels.bound_matmul, a, b, ws=kernels._matmul_ws(m, k, n, n)),
+                compiled(want[1], kernels.bound_channel_mix, a[:, :, None], b,
+                         ws=kernels._channel_mix_ws(k, 1, n)),
                 *lane_attention(*qkv),
                 normed, gate,
                 compiled(want[6], kernels.bound_conv2d_frames, normed, conv,
@@ -933,22 +946,6 @@ def test_row_gather_and_scatter_match_numpy(data, outer, n, inner, souter):
     assert got[-1].tobytes() == ref[-1].tobytes()
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data(), st.integers(1, 4), st.integers(1, 70), st.booleans())
-def test_bias_silu_matches_numpy(data, rows, cols, silu):
-    """The time features' bias add and SiLU; inf - inf makes NaNs, whose bits are not fixed."""
-    h = data.draw(glue_tensor((rows, cols)))
-    bias = data.draw(glue_tensor((cols,)))
-
-    def make():
-        scratch = [np.full((rows, cols), np.nan, np.float32) for _ in range(2)] if silu else []
-        return (h.copy(), bias, *scratch)
-
-    ref, got = on_both(kernels.bound_bias_silu, make)
-    for g, r in zip(got, ref):
-        assert_same_nan_rule(g, r)
-
-
 # ---------------------------------------------------------------------------
 # one library call per pass
 
@@ -971,7 +968,8 @@ class CountingLibrary:
 def test_an_unhooked_pass_is_one_library_call(monkeypatch):
     """forward, with and without background rows kept, the diagnose forward (background
     rows and kept probabilities), and a stacked subnet each make exactly one call
-    into the library."""
+    into the library, once their timesteps' time rows exist (two eager matmuls each,
+    made once per timestep)."""
     counting = CountingLibrary(kernels._compiled())
     monkeypatch.setattr(kernels, "_lib", counting)
     monkeypatch.setattr(kernels, "_active", "compiled")
@@ -986,6 +984,9 @@ def test_an_unhooked_pass_is_one_library_call(monkeypatch):
         run_pass()
         return counting.calls - before
 
+    for t in (500, 480, 460):
+        assert calls(lambda: model._time_row(t)) == 2
+        assert calls(lambda: model._time_row(t)) == 0
     for _ in range(2):  # the first pass of each kind builds its plan
         assert calls(lambda: model.forward(z, 500, cond)) == 1
         tr = model.forward(z, 500, cond, keep_bg=True, removal_active=True)

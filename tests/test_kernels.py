@@ -199,8 +199,9 @@ def test_backend_env_var_forces_reference_and_rejects_unknown_names():
 
 def test_kernel_bench_runs_from_a_clean_checkout(tmp_path):
     """The timing harness finds the package without PYTHONPATH; it exits 1 when the
-    backends' bytes differ.  Its cases include both passes of a restricted block and
-    the attention step at the small shapes of the default model's sites."""
+    backends' bytes differ.  Its cases are the steps and passes plans run, among them
+    both passes of a restricted block and the attention step at the shapes of the
+    default model's sites, and each gives the same bytes on both backends."""
     script = Path(__file__).resolve().parents[1] / "benchmarks" / "kernel_bench.py"
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     done = subprocess.run([sys.executable, str(script), "--repeat", "1"], cwd=tmp_path, env=env,
@@ -209,9 +210,10 @@ def test_kernel_bench_runs_from_a_clean_checkout(tmp_path):
     rows = [row.split() for row in done.stdout.splitlines()]
     equal = {row[0]: row[4] for row in rows if len(row) == 7}  # kernel -> bit_equal
     want = "-" if kernels.compiled_error() else "yes"
-    cases = ("key_step", "dfa_subnet", "attention_reference", "attention_audio",
-             "attention_temporal", "attention_restricted")
-    assert [equal.get(c) for c in cases] == [want] * len(cases)
+    cases = ("attention_audio", "attention_reference", "attention_restricted",
+             "attention_temporal", "conv2d", "dfa_subnet", "forward", "key_step", "preact_conv",
+             "rms_norm", "subnet")
+    assert {c: equal[c] for c in equal if c != "kernel"} == dict.fromkeys(cases, want)
 
 
 def test_kernel_bench_pairs_clips_against_a_library_with_the_same_op_records(tmp_path):

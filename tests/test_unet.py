@@ -410,3 +410,58 @@ def test_a_grown_arena_releases_the_one_it_replaces(small_cfg, small_cond, small
                  dfa=tr.dfa, removal_active=True)
     assert cache._arena.size > size
     assert [r() for r in old] == [None, None]
+
+
+@pytest.mark.parametrize("backend", ["compiled", "numpy"])
+def test_time_rows_are_the_time_mlp_computed_once_per_timestep(backend, small_cfg, small_cond,
+                                                                monkeypatch):
+    """A timestep's row holds every residual unit's time projection, silu(emb @ W + b) @
+    W_temb + b_temb, byte for byte on either backend.  It is computed on the timestep's
+    first pass (two matmuls) and never again, it is read-only, and a subnet stacked on
+    several timesteps feeds each sample its own row."""
+    if backend == "compiled" and kernels.compiled_error() is not None:
+        pytest.skip(f"compiled backend unavailable: {kernels.compiled_error()}")
+    weights = un.init_weights(small_cfg, 0)[0]
+    rng = np.random.default_rng(7)
+    for name in weights:  # the drawn biases are zeros
+        if name == "time.affine.b" or name.endswith(".temb.b"):
+            weights[name] = rng.standard_normal(weights[name].shape, dtype=np.float32)
+    model = un.ToyUNet(small_cfg, dict(weights))
+    calls = []
+
+    def counting(a, b):
+        calls.append((a.shape, b.shape))
+        return kernels.matmul(a, b)
+
+    monkeypatch.setattr(un, "matmul", counting)
+    z0, z1 = latent_for(small_cfg, seed=0), latent_for(small_cfg, seed=1)
+    before = kernels.active_backend()
+    try:
+        kernels.set_backend(backend)
+        f_u31 = model.forward(z0, 37, small_cond).f_u31
+        assert len(calls) == 2
+        model.forward(z1, 37, small_cond)
+        model.subnet(f_u31, z1, 37, small_cond)
+        assert len(calls) == 2
+        fresh = un.ToyUNet(small_cfg, dict(weights))
+        stacked = fresh.subnet(f_u31, np.concatenate([z0, z1]), [29, 21], small_cond)
+        assert len(calls) == 6
+        singles = [fresh.subnet(f_u31, z, t, small_cond) for z, t in ((z0, 29), (z1, 21))]
+        swapped = fresh.subnet(f_u31, z0, 21, small_cond)
+    finally:
+        kernels.set_backend(before)
+    assert [stacked[i : i + 1].tobytes() for i in range(2)] == [s.tobytes() for s in singles]
+    assert swapped.tobytes() != singles[0].tobytes()
+
+    row = model._tproj[37]
+    assert sorted(model._tproj) == [37] and sorted(fresh._tproj) == [21, 29]
+    emb = un.time_embedding(37, small_cfg.time_dim)[None]
+    h = kernels.silu(kernels._matmul_np(emb, weights["time.affine.w"]) + weights["time.affine.b"])
+    units = [n[: -len(".temb.w")] for n in weights if n.endswith(".temb.w")]
+    assert sorted(model._temb_col) == sorted(units)
+    for unit, col in model._temb_col.items():
+        want = kernels._matmul_np(h, weights[f"{unit}.temb.w"]) + weights[f"{unit}.temb.b"]
+        assert row[col : col + want.shape[1]].tobytes() == want[0].tobytes(), unit
+    assert not row.flags.writeable
+    with pytest.raises(ValueError):
+        row[0] = 0.0
