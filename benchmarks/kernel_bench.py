@@ -29,9 +29,13 @@ first.  LIB must run this checkout's op records (the load-time check is
 run on it): a build of a change to the kernels, not of one to their
 records.  It prints each side's median clip time, the median of the
 paired ratios (this checkout over LIB) and the pairs this checkout won,
-and exits 1 if any clip's checksum differs between the sides.  Paired
-in-process clips resolve a change of a few percent that separate
-benchmark processes on a busy host do not.
+and exits 1 if any clip's checksum differs between the sides.  Then, for
+each plan the clips ran, it times the plan's whole pass on both libraries
+the same way: ``--repeat`` pairs, each pass on the feeds of the plan's
+first pass in the clips and the same op table, and prints the same line
+for each plan.  Paired in-process clips resolve a change of a few percent
+that separate benchmark processes on a busy host do not, and paired passes
+resolve one of about 2 % that the clips do not.
 
 Usage:
     python3 benchmarks/kernel_bench.py
@@ -55,6 +59,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from cachediff import kernels, native  # noqa: E402
 from cachediff.config import RunConfig  # noqa: E402
+from cachediff.plan import Plan  # noqa: E402
 from cachediff.rng import Rng  # noqa: E402
 from cachediff.runner import (  # noqa: E402
     build_conditioning, build_model, execute_run, initial_latent)
@@ -190,8 +195,39 @@ def time_call(fn, args, repeat: int) -> tuple[object, int, float]:
     return out, best, faults / repeat
 
 
+def paired(run, pairs: int) -> dict[str, list[float]]:
+    """Seconds of ``run(side)`` for "this" and "other" over ``pairs`` pairs, after one
+    untimed pair, alternating which side goes first."""
+    times = {"this": [], "other": []}
+    for i in range(pairs + 1):
+        for side in (("this", "other") if i % 2 else ("other", "this")):
+            t0 = time.perf_counter()
+            run(side)
+            if i:
+                times[side].append(time.perf_counter() - t0)
+    return times
+
+
+def summary(name: str, times: dict[str, list[float]]) -> str:
+    ratios = [a / b for a, b in zip(times["this"], times["other"])]
+    return (f"{name}: this {statistics.median(times['this']) * 1e3:.2f} ms, "
+            f"other {statistics.median(times['other']) * 1e3:.2f} ms, "
+            f"median paired ratio {statistics.median(ratios):.3f}, "
+            f"this faster in {sum(r < 1 for r in ratios)} of {len(ratios)}")
+
+
+def plan_label(key: tuple) -> str:
+    """A model plan's key without its index sets, e.g. "subnet x2 removal restricted"."""
+    if key[0] == "forward":
+        _, removal, probs = key
+        return "forward" + " removal" * removal + " probs" * probs
+    _, samples, removal, restricted = key
+    return f"subnet x{samples}" + " removal" * removal + " restricted" * bool(restricted)
+
+
 def against(path: str, pairs: int) -> int:
-    """Paired whole clips through this checkout's library and the one at ``path``."""
+    """Paired whole clips through this checkout's library and the one at ``path``, then
+    paired passes of each plan the clips ran."""
     if kernels.compiled_error():
         print(f"this checkout's library is unavailable: {kernels.compiled_error()}",
               file=sys.stderr)
@@ -209,29 +245,36 @@ def against(path: str, pairs: int) -> int:
     sides = {"this": kernels._compiled(), "other": other}
     previous = kernels.active_backend()
     differ = False
+    feeds = {}  # plan -> a copy of the first feeds it ran on
+    run_plan = Plan.run
+
+    def recording(plan, lib, log, given):
+        if plan not in feeds:
+            feeds[plan] = {name: np.copy(a) for name, a in given.items()}
+        return run_plan(plan, lib, log, given)
+
     try:
         kernels.set_backend("compiled")
+        Plan.run = recording
         for name in ("baseline", "full_stack"):
             rc = workload.make_config(name, 0)
             model = workload.set_up(rc)
-            times = {side: [] for side in sides}
-            for i in range(pairs + 1):  # the first pair warms both sides' plans, untimed
-                order = list(sides) if i % 2 else list(sides)[::-1]
-                sums = {}
-                for side in order:
-                    kernels._lib = sides[side]
-                    t0 = time.perf_counter()
-                    sums[side] = execute_run(rc, model=model).report["final_checksum"]
-                    if i:
-                        times[side].append(time.perf_counter() - t0)
-                differ |= sums["this"] != sums["other"]
-            ratios = [a / b for a, b in zip(times["this"], times["other"])]
-            won = sum(r < 1 for r in ratios)
-            print(f"{name}: this {statistics.median(times['this']) * 1e3:.1f} ms, "
-                  f"other {statistics.median(times['other']) * 1e3:.1f} ms, "
-                  f"median paired ratio {statistics.median(ratios):.3f}, "
-                  f"this faster in {won} of {pairs}")
+            feeds.clear()
+            sums = {side: [] for side in sides}
+
+            def clip(side):
+                kernels._lib = sides[side]
+                sums[side].append(execute_run(rc, model=model).report["final_checksum"])
+
+            print(summary(name, paired(clip, pairs)))
+            differ |= sums["this"] != sums["other"]
+            for key, plan in list(model._plans._plans.items()):
+                if plan in feeds:  # run by the clips, not only by the set-up
+                    times = paired(lambda side: run_plan(plan, sides[side], None, feeds[plan]),
+                                   pairs)
+                    print(summary(f"{name} plan {plan_label(key)}", times))
     finally:
+        Plan.run = run_plan
         kernels._lib = sides["this"]
         kernels.set_backend(previous)
     if differ:
@@ -245,7 +288,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--kernel", choices=sorted(cases), help="bench one kernel only")
     ap.add_argument("--repeat", type=int, default=10,
-                    help="timed calls per backend (clip pairs per workload with --against)")
+                    help="timed calls per backend (with --against, clip pairs per workload "
+                    "and pass pairs per plan)")
     ap.add_argument("--seed", type=int, default=0, help="input seed")
     ap.add_argument("--against", metavar="LIB", help="time paired whole clips against LIB")
     args = ap.parse_args(argv)

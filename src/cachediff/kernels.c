@@ -110,40 +110,35 @@ typedef float v16 __attribute__((vector_size(64)));
                 memcpy(c + r * ldc + v * L, &acc[r][v], sizeof(v##L));        \
     }
 
+/* lanes_for(n) returns a width L < VW only when n <= L, so a tile of such
+ * a width is one vector; only the widest vectors make tiles of one to four. */
+#if VW > 4
 DEFINE_MICRO(4, 1)
-DEFINE_MICRO(4, 2)
-DEFINE_MICRO(4, 3)
-DEFINE_MICRO(4, 4)
-#if VW >= 8
+#endif
+#if VW > 8
 DEFINE_MICRO(8, 1)
-DEFINE_MICRO(8, 2)
-DEFINE_MICRO(8, 3)
-DEFINE_MICRO(8, 4)
 #endif
-#if VW >= 16
-DEFINE_MICRO(16, 1)
-DEFINE_MICRO(16, 2)
-DEFINE_MICRO(16, 3)
-DEFINE_MICRO(16, 4)
-#endif
+#define DEFINE_WIDEST(L) DEFINE_MICRO(L, 1) DEFINE_MICRO(L, 2) DEFINE_MICRO(L, 3) DEFINE_MICRO(L, 4)
+#define WIDEST_(L) {micro_##L##_1, micro_##L##_2, micro_##L##_3, micro_##L##_4}
+#define WIDEST(L) WIDEST_(L)
+DEFINE_WIDEST(VW)
 
 typedef void (*micro_fn)(const float *const *, const long *, long, const float *, long, float *,
                          long);
 
 static micro_fn pick_micro(long lanes, long nv)
 {
-    static const micro_fn m4[4] = {micro_4_1, micro_4_2, micro_4_3, micro_4_4};
-#if VW >= 8
-    static const micro_fn m8[4] = {micro_8_1, micro_8_2, micro_8_3, micro_8_4};
+    static const micro_fn widest[4] = WIDEST(VW);
+#if VW > 4
+    if (lanes == 4)
+        return micro_4_1;
+#endif
+#if VW > 8
     if (lanes == 8)
-        return m8[nv - 1];
+        return micro_8_1;
 #endif
-#if VW >= 16
-    static const micro_fn m16[4] = {micro_16_1, micro_16_2, micro_16_3, micro_16_4};
-    if (lanes == 16)
-        return m16[nv - 1];
-#endif
-    return m4[nv - 1];
+    (void)lanes; /* a build with VW == 4 has one width */
+    return widest[nv - 1];
 }
 
 /* Vector width for n output columns: the narrowest that holds them, up

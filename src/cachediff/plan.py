@@ -285,13 +285,13 @@ class Plan:
 class PlanCache:
     """The plans of one model by key, and the arena and scratch block they share."""
 
-    # A run builds one to four plans: forward passes by removal flag and
-    # mask, and a subnet per chunk size (counted on the benchmark's
-    # workloads at 1 to 3 workers).  Each holds about 0.4 MB of op records,
-    # bound calls and views for the default model (tracemalloc, a key-step
-    # forward plan).  A model kept across
-    # many masks drops its least recently run plans beyond this bound,
-    # which still holds the plans of several runs.
+    # A run builds one to three plans: a forward pass by removal flag, and
+    # a subnet per chunk size (counted on the benchmark's workloads at 1 to
+    # 3 workers).  Each holds about 0.4 MB of op records, bound calls and
+    # views for the default model (tracemalloc, a key-step forward plan).
+    # Only subnets are keyed by a mask, so a model kept across many masks
+    # drops its least recently run tail-call plans beyond this bound, which
+    # still holds the plans of several runs.
     MAX_PLANS = 16
 
     def __init__(self):

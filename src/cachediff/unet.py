@@ -13,11 +13,12 @@ truncated forward pass (:meth:`ToyUNet.subnet`) reproduces the tail of
 the network exactly from that feature plus a fresh latent.
 
 The truncated pass runs only ``U32``'s attention, so only ``U32``'s sites
-keep anything for it.  With ``keep_bg`` the full pass returns, under the
-conditioning's own mask (``U32`` runs at the latent's resolution), the
-background rows of each ``U32`` site's output as the
+keep anything for it.  Every full pass keeps ``U32``'s site outputs to its
+end; with ``keep_bg`` it returns, under the conditioning's own mask
+(``U32`` runs at the latent's resolution), their background rows as the
 :class:`attention.DfaContext` the truncated pass reads
-(:attr:`ForwardTrace.dfa`), and on request ``U32``'s reference-site
+(:attr:`ForwardTrace.dfa`), gathered after the pass, so one plan serves
+every mask.  On request it also returns ``U32``'s reference-site
 attention probabilities (:attr:`ForwardTrace.probs`).
 """
 
@@ -41,6 +42,10 @@ from .rng import Rng
 
 ATTN_LAYERS = ("M", "U2", "U32")
 SITES = ("reference", "audio", "temporal")
+# Each site's background rows, gathered as (frames, d, rows), go to the
+# layout its restricted path is fed (DfaContext.bg): (frames, rows, d) for
+# the spatial sites, (rows, frames, d) for the temporal one.
+_BG_AXES = {"reference": (0, 2, 1), "audio": (0, 2, 1), "temporal": (2, 0, 1)}
 
 
 @dataclass(frozen=True)
@@ -310,7 +315,10 @@ class ToyUNet:
 
         With ``keep_bg``, the trace's ``dfa`` holds for each U32 site
         ``cond.mask`` and the background rows of the site's full-path
-        output: the ``dfa`` argument of :meth:`subnet`.  With
+        output, gathered from the plan's results after the pass: the
+        ``dfa`` argument of :meth:`subnet`.  The plan is keyed by the
+        removal flag and ``keep_probs`` alone, so passes with and without
+        ``keep_bg``, over any mask, run the same plan.  With
         ``keep_probs``, the trace's ``probs`` holds U32's reference-site
         probabilities, shaped (frames, L, keys).
         """
@@ -320,24 +328,22 @@ class ToyUNet:
             raise ConfigError(f"forward takes one sample, got {z.shape[0]}")
         cond.validate(cfg)
         u32 = "U32" in cfg.attention_layers
-        mask = cond.mask if keep_bg and u32 else None
         keep_probs = bool(keep_probs) and u32
-        key = ("forward", bool(removal_active), keep_probs,
-               None if mask is None else mask.fg_index.tobytes())
+        dfa = None
         with self._lock:  # also makes a timestep's time row once (_time_row)
             feeds = self._feeds(z[0].transpose(1, 0, 2, 3), [int(t)], cond)
-            plan = self._plans.get(
-                key, lambda: self._plan_forward(bool(removal_active), mask, keep_probs)
-            )
+            plan = self._plans.get(("forward", bool(removal_active), keep_probs),
+                                   lambda: self._plan_forward(bool(removal_active), keep_probs))
             res = plan.run(active_library(), log, feeds)
-        return ForwardTrace(
-            eps=res["eps"],
-            f_u31=res["f_u31"],
-            dfa=None if mask is None else {
-                site: attn.DfaContext(mask, res[("U32", site)]) for site in SITES
-            },
-            probs=res["probs"] if keep_probs else None,
-        )
+            if keep_bg and u32:
+                # The site outputs are views of the arena: gathered into new
+                # arrays before the next pass may overwrite them.
+                bg = cond.mask.bg_index
+                dfa = {site: attn.DfaContext(cond.mask, np.ascontiguousarray(
+                    attn.select_tokens(res[("U32", site)], bg, 2).transpose(_BG_AXES[site])))
+                    for site in SITES}
+        return ForwardTrace(eps=res["eps"], f_u31=res["f_u31"], dfa=dfa,
+                            probs=res["probs"] if keep_probs else None)
 
     def subnet(
         self,
@@ -418,8 +424,7 @@ class ToyUNet:
 
     # -- plans: each walk mirrors the pass, step by step and event by event
 
-    def _plan_forward(self, removal: bool, keep_mask: ForegroundMask | None,
-                      keep_probs: bool) -> Plan:
+    def _plan_forward(self, removal: bool, keep_probs: bool) -> Plan:
         cfg = self.cfg
         p = Plan()
         z = p.input("z", (cfg.frames, cfg.latent_channels, cfg.height, cfg.width))
@@ -438,22 +443,26 @@ class ToyUNet:
                 x = p.conv(x, self.convs[f"down{i}"], f"down{i}", stride=2)
         x = res(x, "M.res0")
         if "M" in cfg.attention_layers:
-            x = self._plan_attn(p, x, "M", removal)
+            x, _ = self._plan_attn(p, x, "M", removal)
         x = res(x, "M.res1")
         for i, blk in enumerate(("U0", "U1", "U2")):
             x = res(_plan_concat(p, x, skips[3 - i]), f"{blk}.res0")
             x = res(x, f"{blk}.res1")
             if blk == "U2" and "U2" in cfg.attention_layers:
-                x = self._plan_attn(p, x, "U2", removal)
+                x, _ = self._plan_attn(p, x, "U2", removal)
             x = p.conv(_plan_upsample(p, x), self.convs[f"up{i}"], f"up{i}")
         x = res(_plan_concat(p, x, skips[0]), "U30.res")
         f_u31 = res(x, "U31.res")
-        eps = self._plan_u32_head(p, f_u31, s_in, tp, 1, removal, None, keep_mask, keep_probs)
+        eps, outs = self._plan_u32_head(p, f_u31, s_in, tp, 1, removal, None, keep_probs)
         # Copies, never np.ascontiguousarray: with one frame or one latent
         # channel the transpose is contiguous, and that would return a view
         # of the plan's arena.
         p.result("eps", eps, lambda a: a.transpose(1, 0, 2, 3).copy()[None])
         p.result("f_u31", f_u31, lambda a: a.copy()[None])
+        # Views, as (frames, d, pixels): forward gathers their background rows
+        # when its caller keeps them.
+        for site, a in outs.items():
+            p.result(("U32", site), a, lambda arr: arr.reshape(arr.shape[0], arr.shape[1], -1))
         return p.finish()
 
     def _plan_subnet(self, b: int, removal: bool, dfa: DfaCache | None) -> Plan:
@@ -464,7 +473,7 @@ class ToyUNet:
         tp = self._plan_time(p, b)
         s_in = p.conv(z, self.convs["conv_in"], "conv_in")
         f_in = p.input("f_u31", (f, cfg.base_channels[0], h, w))
-        eps = self._plan_u32_head(p, f_in, s_in, tp, b, removal, dfa, None, False)
+        eps, _ = self._plan_u32_head(p, f_in, s_in, tp, b, removal, dfa, False)
         p.result("eps", eps, lambda a: a.reshape(b, f, *a.shape[1:]).transpose(0, 2, 1, 3, 4).copy())
         return p.finish(b)
 
@@ -502,8 +511,8 @@ class ToyUNet:
 
     def _plan_attn(
         self, p: Plan, x: Buf, layer: str, removal_active: bool, dfa: DfaCache | None = None,
-        keep_mask: ForegroundMask | None = None, keep_probs: bool = False,
-    ) -> Buf:
+        keep_probs: bool = False,
+    ) -> tuple[Buf, dict[str, Buf | None]]:
         """Reference, audio and temporal sites on a stack of samples' frames.
 
         Each site runs once for the whole stack, on the feature map in its
@@ -511,17 +520,15 @@ class ToyUNet:
         its output projection writes x + 0.5 * delta, the next feature map.
         Temporal attention stays inside each sample's frames.  Inputs and
         results are named as in :meth:`forward` and :meth:`subnet`; only
-        U32's call restricts (``dfa``) or keeps anything.  On the full path
-        of a one-sample stack, with ``keep_mask`` each site's background
-        rows are the result (layer, site), as the restricted path reads
-        them, and with ``keep_probs`` the reference site's probabilities are
-        the result "probs".
+        U32's call restricts (``dfa``) or keeps anything.  Returns the next
+        feature map and, by site, the attention outputs of the full path
+        (none on the restricted path); with ``keep_probs`` the reference
+        site's probabilities are the result "probs".
         """
         cfg = self.cfg
         n, c, h, w = x.shape
         f = cfg.frames
         k, L = n // f, h * w
-        d = cfg.head_dim
         removal = removal_active and layer in cfg.removal_set
 
         def site(name: str) -> dict:
@@ -531,49 +538,38 @@ class ToyUNet:
         def norm(tokens: Buf, name: str, copies: int = 1) -> Buf:
             return p.norm(tokens, name, copies=copies, tokens=True)
 
-        def keep(name: str, a: Buf | None, perm: tuple[int, ...]) -> None:
-            # Read after the pass into new arrays (select_tokens, looked up
-            # when the result is read), so no returned row aliases the plan.
-            if keep_mask is None or a is None:
-                return
-            bg = keep_mask.bg_index
-            p.result((layer, name), a, lambda arr: np.ascontiguousarray(
-                attn.select_tokens(arr.reshape(k, f, d, L)[0], bg, 2).transpose(perm)))
-
         def residual(out: Buf, name: str) -> Buf:
             p.flop("elementwise", name, (2 * x.size,))
             return out
 
         name = f"{layer}.ref"
         ref = p.input(name, (1, c, L), lambda a: a[0].T)
-        x1, a, probs = attn.plan_reference_site(
+        x1, a_ref, probs = attn.plan_reference_site(
             p, norm(x, name), norm(ref, name, k), self.w, name, lead=(k, f), base=x,
             removal=removal, keep_probs=keep_probs, **site("reference")
         )
-        keep("reference", a, (0, 2, 1))
         if probs is not None:
             p.result("probs", probs, np.copy)
         x1 = residual(x1, name)
 
         name = f"{layer}.aud"
         aud = p.input("audio", (f, cfg.audio_dim, cfg.audio_tokens), lambda a: a.swapaxes(1, 2))
-        x2, a = attn.plan_audio_site(p, norm(x1, name), norm(aud, name, k), self.w, name,
-                                     lead=(k, f), base=x1, **site("audio"))
-        keep("audio", a, (0, 2, 1))
+        x2, a_aud = attn.plan_audio_site(p, norm(x1, name), norm(aud, name, k), self.w, name,
+                                         lead=(k, f), base=x1, **site("audio"))
         x2 = residual(x2, name)
 
         name = f"{layer}.tmp"
-        x3, a = attn.plan_temporal_site(p, norm(x2, name), self.w, name, frames=f, lead=(k,),
-                                        base=x2, **site("temporal"))
-        keep("temporal", a, (2, 0, 1))
-        return residual(x3, name)
+        x3, a_tmp = attn.plan_temporal_site(p, norm(x2, name), self.w, name, frames=f,
+                                            lead=(k,), base=x2, **site("temporal"))
+        return residual(x3, name), {"reference": a_ref, "audio": a_aud, "temporal": a_tmp}
 
     def _plan_u32_head(
         self, p: Plan, f_u31: Buf, s_in: Buf, tproj: Buf, samples: int, removal: bool,
-        dfa: DfaCache | None, keep_mask: ForegroundMask | None, keep_probs: bool,
-    ) -> Buf:
+        dfa: DfaCache | None, keep_probs: bool,
+    ) -> tuple[Buf, dict[str, Buf | None]]:
         """Noise prediction from the U31 feature, one sample's frames, and the
-        conv_in branch of every sample."""
+        conv_in branch of every sample, and U32's full-path site outputs by site
+        (see :meth:`_plan_attn`)."""
         # Each fusion branch is normalized on its own: the cached feature
         # accumulates the trunk's magnitude while the fresh conv_in branch
         # does not, and a joint scale would crush whichever branch is
@@ -590,9 +586,10 @@ class ToyUNet:
         p.copy(half(0), lambda: fn.a.reshape(1, f, c, h * w), fn, fused)
         p.copy(half(1), lambda: sn.a.reshape(samples, f, c, h * w), sn, fused)
         x = self._plan_res(p, fused, tproj, samples, "U32.res")
+        outs = {}
         if "U32" in self.cfg.attention_layers:
-            x = self._plan_attn(p, x, "U32", removal, dfa, keep_mask, keep_probs)
-        return self._plan_preact(p, x, "head", "head")
+            x, outs = self._plan_attn(p, x, "U32", removal, dfa, keep_probs)
+        return self._plan_preact(p, x, "head", "head"), outs
 
 
 def _plan_concat(p: Plan, a: Buf, b: Buf) -> Buf:

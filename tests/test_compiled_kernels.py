@@ -17,6 +17,7 @@ makes NaNs from infinities in its row max.
 import contextlib
 import ctypes
 import inspect
+import platform
 import shutil
 import subprocess
 import sys
@@ -547,6 +548,21 @@ def test_kernels_c_builds_without_warnings(tmp_path):
     """kernels.c compiles with the library's flags and every common warning as an error."""
     done = subprocess.run(
         [native.COMPILER, *native.FLAGS, "-Wall", "-Wextra", "-Werror",
+         "-o", str(tmp_path / "kernels.so"), str(native.SOURCE)],
+        capture_output=True, text=True, timeout=native.BUILD_TIMEOUT_S,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="the vector-width flags are x86's")
+@pytest.mark.parametrize("flag", ["-mno-avx512f", "-mno-avx"])
+def test_kernels_c_builds_without_warnings_at_narrower_vector_widths(tmp_path, flag):
+    """With 8 lanes (no AVX-512) or 4 (no AVX) as the widest vector, kernels.c defines and
+    picks only the micro kernels that width's tiles reach, with every common warning as
+    an error."""
+    done = subprocess.run(
+        [native.COMPILER, *native.FLAGS, flag, "-Wall", "-Wextra", "-Werror",
          "-o", str(tmp_path / "kernels.so"), str(native.SOURCE)],
         capture_output=True, text=True, timeout=native.BUILD_TIMEOUT_S,
     )

@@ -218,7 +218,8 @@ def test_kernel_bench_runs_from_a_clean_checkout(tmp_path):
 
 def test_kernel_bench_pairs_clips_against_a_library_with_the_same_op_records(tmp_path):
     """--against runs paired clips of both gated workloads through this checkout's
-    library and another that runs the same op records (here a copy of it)."""
+    library and another that runs the same op records (here a copy of it), then
+    paired passes of each plan the clips ran."""
     if kernels.compiled_error():
         pytest.skip(f"compiled backend unavailable: {kernels.compiled_error()}")
     copy = tmp_path / "kernels-copy.so"
@@ -228,7 +229,9 @@ def test_kernel_bench_pairs_clips_against_a_library_with_the_same_op_records(tmp
                           cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert [line.split(":")[0] for line in lines] == ["baseline", "full_stack"]
+    assert sorted(line.split(":")[0] for line in lines) == [
+        "baseline", "baseline plan forward", "full_stack", "full_stack plan forward removal",
+        "full_stack plan subnet x2 removal restricted"]
     assert all("median paired ratio" in line and "of 1" in line for line in lines)
 
 

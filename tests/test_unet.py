@@ -364,6 +364,42 @@ def test_returned_arrays_do_not_alias_the_plan(backend, shape, small_cfg):
     assert again.eps.tobytes() != tr.eps.tobytes()
 
 
+# sha256 of eps, the U31 feature and, for two masks, every site's background
+# rows with their shapes (test_one_forward_plan_serves_plain_and_kept_passes),
+# by removal flag: the bytes these passes gave when a pass that kept a mask's
+# rows ran a plan of its own.
+KEPT_ROWS_SHA256 = {
+    False: "49695d0f4d5488dcdb2d7c11df5768c878a70ecd6f4bff6dd3bda4c3016332c5",
+    True: "2e6ae7928905382fef0e6b35b16eebc8bd299101c43aff95e50472c35e480984",
+}
+
+
+@pytest.mark.parametrize("removal", [False, True])
+def test_one_forward_plan_serves_plain_and_kept_passes(removal, small_cfg, small_cond):
+    """A plain pass and passes keeping two masks' background rows run one plan, and
+    give the same eps and U31 feature and each mask's rows, byte for byte."""
+    model = un.ToyUNet(small_cfg, un.init_weights(small_cfg, 0)[0])
+    z = latent_for(small_cfg, seed=4)
+    conds = [
+        dataclasses.replace(
+            small_cond, mask=rect_mask(small_cfg.height, small_cfg.width, 0, 0, 4, s))
+        for s in (2, 6)
+    ]
+    plain = model.forward(z, 33, conds[0], removal_active=removal)
+    assert plain.dfa is None
+    digest = hashlib.sha256(plain.eps.tobytes() + plain.f_u31.tobytes())
+    for cond in conds:
+        tr = model.forward(z, 33, cond, keep_bg=True, removal_active=removal)
+        assert [tr.eps.tobytes(), tr.f_u31.tobytes()] == [plain.eps.tobytes(),
+                                                          plain.f_u31.tobytes()]
+        assert list(tr.dfa) == list(un.SITES)
+        for ctx in tr.dfa.values():
+            assert ctx.mask is cond.mask
+            digest.update(repr(ctx.bg.shape).encode() + ctx.bg.tobytes())
+    assert len(model._plans) == 1
+    assert digest.hexdigest() == KEPT_ROWS_SHA256[removal]
+
+
 def test_plans_beyond_the_cap_are_rebuilt_with_the_same_bytes(small_cfg, small_cond):
     """Past MAX_PLANS a model drops its least recently run plan and rebuilds it on demand."""
     model = un.ToyUNet(small_cfg, un.init_weights(small_cfg, 0)[0])
@@ -384,17 +420,22 @@ def test_plans_beyond_the_cap_are_rebuilt_with_the_same_bytes(small_cfg, small_c
         return tr.eps.tobytes(), tr.f_u31.tobytes(), eps.tobytes(), rows, log.events
 
     want = [run(fresh, cond) for cond in conds]
-    assert len(fresh._plans) == 6  # a forward and a subnet plan per mask
+    assert len(fresh._plans) == 4  # one forward plan, and a subnet plan per mask
     got = [run(model, conds[i]) for i in (0, 1, 2, 0, 2)]
     assert len(model._plans) == 2
     assert got == [want[i] for i in (0, 1, 2, 0, 2)]
     # a plan run again is kept over one run less recently
+    traces = [fresh.forward(z, 33, cond, keep_bg=True) for cond in conds]
+
+    def tail(i):
+        model.subnet(traces[i].f_u31, z, 25, conds[i], dfa=traces[i].dfa)
+
     plans = model._plans._plans
-    model.forward(z, 33, conds[0], keep_bg=True)
-    model.forward(z, 33, conds[1], keep_bg=True)
+    tail(0)
+    tail(1)
     first = plans[next(iter(plans))]
-    model.forward(z, 33, conds[0], keep_bg=True)
-    model.forward(z, 33, conds[2], keep_bg=True)
+    tail(0)
+    tail(2)
     assert first in plans.values()
 
 
