@@ -88,7 +88,7 @@ def pass_cases(seed: int) -> dict:
 
     def forward(**kw):
         tr = model.forward(z, 500, conds[0], **kw)
-        return (tr.eps, tr.f_u31) + tuple(c.bg for c in (tr.dfa or {}).values())
+        return (tr.eps, tr.f_u31) + tuple((tr.dfa or {}).values())
 
     return {
         "forward": (forward, ()),
@@ -217,12 +217,13 @@ def summary(name: str, times: dict[str, list[float]]) -> str:
 
 
 def plan_label(key: tuple) -> str:
-    """A model plan's key without its index sets, e.g. "subnet x2 removal restricted"."""
+    """A model plan's key without its foreground index, e.g. "subnet x2 restricted": a
+    subnet's removal flag is the removal its U32 sites apply."""
     if key[0] == "forward":
         _, removal, probs = key
         return "forward" + " removal" * removal + " probs" * probs
-    _, samples, removal, restricted = key
-    return f"subnet x{samples}" + " removal" * removal + " restricted" * bool(restricted)
+    _, samples, removal, fg_index = key
+    return f"subnet x{samples}" + " removal" * removal + " restricted" * (fg_index is not None)
 
 
 def against(path: str, pairs: int) -> int:

@@ -18,9 +18,11 @@ The restricted path computes attention only for foreground queries (for
 the reference site also only foreground K/V rows) and fills background
 rows from a cache written at the most recent full pass.  The cache is
 broadcast over any leading axes it lacks, so one key step's cache serves
-a stack of several samples.  With an all-ones mask the restricted path
-degenerates to the full path bit-exactly because both run the same kernel
-sequence on identical inputs.
+a stack of several samples.  The site functions take it in their own
+token layout (:class:`DfaContext`); the planned sites take it in the
+plans' lane layout, (frames, d, rows).  With an all-ones mask the
+restricted path degenerates to the full path bit-exactly because both run
+the same kernel sequence on identical inputs.
 
 Each site has one implementation, the planned site at the end of this
 module, which a model's passes build into their plans.  The public
@@ -32,7 +34,6 @@ copies of its results.
 from __future__ import annotations
 
 import math
-from collections.abc import Hashable
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,8 @@ from .profiler import FlopLog
 
 @dataclass
 class DfaContext:
-    """Restriction context for one layer/site: mask plus cached background rows."""
+    """A site function's mask and cached background rows (None: no cache), laid out as
+    its attention output and broadcast over any leading axes they lack."""
 
     mask: ForegroundMask
     bg: np.ndarray | None
@@ -82,7 +84,8 @@ def merge_tokens(
     if a_bg is None:
         raise CacheMissError("merge: background rows required but no cache present")
     want = a_fg.shape[:axis] + (mask.num_bg,) + a_fg.shape[axis + 1 :]
-    if a_bg.ndim > len(want) or a_bg.shape != want[len(want) - a_bg.ndim :]:
+    kept = len(want) - a_bg.ndim  # leading axes the rows lack, at most those before ``axis``
+    if not 0 <= kept <= axis or a_bg.shape != want[kept:]:
         raise InvariantError(
             f"merge: bg shape {a_bg.shape} incompatible with fg shape {a_fg.shape}"
         )
@@ -111,27 +114,38 @@ def _temporal(x: np.ndarray) -> tuple:
             lambda a: np.moveaxis(a.reshape(lead + (f,) + a.shape[1:]), -1, -3))
 
 
-def _run_site(plan_site, inputs: tuple, lead: tuple[int, ...], weights, prefix: str, dfa, log,
-              **kw):
-    """``plan_site`` on ``inputs``, (array, lane shape, view) triples with the tokens
-    (leading axes ``lead``) first, as a one-site plan on a fresh arena.
+def _run_site(plan_site, layout, x: np.ndarray, others: tuple, weights, prefix: str, dfa,
+              log, **kw):
+    """``plan_site`` on the tokens x, held as ``layout`` (:func:`_spatial` or
+    :func:`_temporal`) holds them, and ``others``, (array, lane shape, view)
+    triples, as a one-site plan on a fresh arena.  The cached rows of ``dfa``
+    are held the same way as x.
 
     Returns (delta, a) in the tokens' layout; ``a`` is None on the
     restricted path.
     """
-    if any(x.dtype != np.float32 for x, _, _ in inputs):
+    inputs = (layout(x),) + others
+    if any(a.dtype != np.float32 for a, _, _ in inputs):
         raise ValueError("attention sites take float32 tokens")
     p = Plan()
     bufs = [p.input(i, shape, view) for i, (_, shape, view) in enumerate(inputs)]
-    delta, a = plan_site(p, *bufs, weights, prefix, lead=lead, ctx=dfa, **kw)[:2]
+    feeds = {i: a for i, (a, _, _) in enumerate(inputs)}
+    mask = rows = None
+    if dfa is not None:
+        mask, axis = dfa.mask, -2 if layout is _spatial else -3
+        fg = x.shape[:axis] + (mask.num_fg,) + x.shape[axis + 1 : -1]
+        merge_tokens(np.zeros(fg + (weights[f"{prefix}.wo"].shape[0],), np.float32), dfa.bg,
+                     mask, axis)  # its checks of the rows
+        if mask.num_bg:
+            feeds["bg"], shape, view = layout(dfa.bg)
+            rows = p.input("bg", shape, view)
+    delta, a = plan_site(p, *bufs, weights, prefix, mask=mask, rows=rows, **kw)[:2]
     view = inputs[0][2]
     for name, r in (("delta", delta), ("a", a)):
         if r is not None:
             p.result(name, r, lambda arr: view(arr).copy())
     plan = p.finish()
     plan.place(np.empty(plan.floats, np.float32), np.empty(plan.ws_bytes, np.uint8))
-    feeds = {i: x for i, (x, _, _) in enumerate(inputs)}
-    feeds["bg"] = None if dfa is None else dfa.bg
     res = plan.run(kernels.active_library(), log, feeds)
     return res["delta"], res.get("a")
 
@@ -154,8 +168,8 @@ def reference_site(
     writeback (None on the restricted path).
     """
     ref = (ref_tok, (1,) + ref_tok.shape[::-1], lambda a: a[0].T)
-    return _run_site(plan_reference_site, (_spatial(x_tok), ref), x_tok.shape[:-2], weights,
-                     prefix, dfa, log, removal=removal)
+    return _run_site(plan_reference_site, _spatial, x_tok, (ref,), weights, prefix, dfa, log,
+                     removal=removal)
 
 
 def audio_site(
@@ -173,8 +187,8 @@ def audio_site(
     over the leading axes of ``x_tok`` it lacks.
     """
     aud = np.broadcast_to(audio_tok, x_tok.shape[:-2] + audio_tok.shape[-2:])
-    return _run_site(plan_audio_site, (_spatial(x_tok), _spatial(aud)), x_tok.shape[:-2],
-                     weights, prefix, dfa, log)
+    return _run_site(plan_audio_site, _spatial, x_tok, (_spatial(aud),), weights, prefix, dfa,
+                     log)
 
 
 def temporal_site(
@@ -192,8 +206,8 @@ def temporal_site(
     only and merges cached (L_bg, f, d) background sequences, broadcast
     over the leading axes.
     """
-    return _run_site(plan_temporal_site, (_temporal(x_loc),), x_loc.shape[:-3], weights, prefix,
-                     dfa, log, frames=x_loc.shape[-2])
+    return _run_site(plan_temporal_site, _temporal, x_loc, (), weights, prefix, dfa, log,
+                     frames=x_loc.shape[-2])
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +220,10 @@ def temporal_site(
 # pixel (a location for the temporal site); the reference and audio tokens
 # come as (items, channels, tokens) too.  With ``base`` (the feature map the
 # tokens were normalized from), a site's output projection writes
-# base + 0.5 * delta, the layer's residual, in place of the delta.  ``ctx``
-# is the restriction context the plan is built for, or None on the full
-# path; ``bg`` names the plan input that each pass feeds its background
-# rows, in the layout of ``ctx.bg``.
+# base + 0.5 * delta, the layer's residual, in place of the delta.  ``mask``
+# is the mask the plan restricts to, or None on the full path; ``rows``
+# then holds the cached background rows in the same layout, (k, d, n_bg),
+# which item b of the output reads at b % k (it may be None when n_bg is 0).
 
 
 def _tokens(buf: Buf) -> int:
@@ -225,27 +239,14 @@ def _plan_select(p: Plan, x: Buf, index: np.ndarray) -> Buf:
     return out
 
 
-def _plan_merge(
-    p: Plan, a_fg: Buf | None, fg_shape: tuple[int, ...], ctx: DfaContext, bg: Hashable,
-    axis: int,
-) -> Buf:
+def _plan_merge(p: Plan, a_fg: Buf | None, rows: Buf | None, mask: ForegroundMask,
+                items: int) -> Buf:
     """merge_tokens of the foreground output ``a_fg`` (items, d, n_fg), None when empty,
-    and the pass's rows, fed as the input ``bg``: the (items, d, L) output.
-
-    ``fg_shape`` and ``axis`` give the foreground rows' shape and row axis in
-    the layout of the site function's results, which the fed rows share.
-    """
-    mask = ctx.mask
-    merge_tokens(np.zeros(fg_shape, np.float32), ctx.bg, mask, axis)  # its checks, once
+    and the cached ``rows``: the (items, d, L) output."""
     if mask.num_bg == 0:
         return a_fg
-    at = axis % len(fg_shape) - len(fg_shape)  # the rows' axis, counted from the end
-    d = fg_shape[-1]
-    items = math.prod(fg_shape[:at] + fg_shape[at + 1 : -1])
+    d = rows.shape[1]
     out = p.buf((items, d, mask.num_fg + mask.num_bg))
-    lane = ctx.bg.shape[:at] + ctx.bg.shape[at + 1 :] + (mask.num_bg,)  # the rows last
-    rows = p.input(bg, (math.prod(lane[:-2]), d, mask.num_bg),
-                   lambda a: np.moveaxis(a.reshape(lane), -1, at))
 
     def scatter(src: Buf, index: np.ndarray):
         p.step(lambda lib: kernels.bound_scatter(
@@ -270,13 +271,11 @@ def _project(p: Plan, x: Buf, ws, prefix: str, rows: int, base: Buf | None = Non
 
 def plan_reference_site(
     p: Plan, x: Buf, ref: Buf, weights: dict[str, np.ndarray], prefix: str, *,
-    lead: tuple[int, ...], base: Buf | None = None, removal: bool = False,
-    ctx: DfaContext | None = None, bg: Hashable = "bg", keep_probs: bool = False,
+    base: Buf | None = None, removal: bool = False, mask: ForegroundMask | None = None,
+    rows: Buf | None = None, keep_probs: bool = False,
 ) -> tuple[Buf, Buf | None, Buf | None]:
     """:func:`reference_site` of x (n, c, *tokens) and reference tokens ref (1, c, L_ref).
 
-    ``lead`` is the tokens' leading axes in the site function's layout, n in
-    all, which the background rows broadcast over.
     Returns (out, a, probs): the output projection (with ``base``, the
     residual), the full path's attention output (n, d, *tokens), and with
     ``keep_probs`` on the full path every frame's (L, keys) attention
@@ -295,53 +294,47 @@ def plan_reference_site(
             p.flop("matmul", prefix, (n * lk, w.shape[0], w.shape[1]))
         return p.attention(q, kx, vx, prefix, shared=shared, keep_probs=keep)
 
-    if ctx is None:
+    if mask is None:
         a, probs = attend(x, ref, keep_probs)
     else:
-        mask = ctx.mask
         a_fg = probs = None
         if mask.num_fg:
             a_fg, _ = attend(_plan_select(p, x, mask.fg_index), _plan_select(p, ref, mask.fg_index),
                              False)
-        a = _plan_merge(p, a_fg, lead + (mask.num_fg, wo.shape[0]), ctx, bg, -2)
+        a = _plan_merge(p, a_fg, rows, mask, n)
     out, = _project(p, a, (wo,), prefix, n * L, base)
-    return out, a if ctx is None else None, probs
+    return out, a if mask is None else None, probs
 
 
 def plan_audio_site(
     p: Plan, x: Buf, aud: Buf, weights: dict[str, np.ndarray], prefix: str, *,
-    lead: tuple[int, ...], base: Buf | None = None,
-    ctx: DfaContext | None = None, bg: Hashable = "bg",
+    base: Buf | None = None, mask: ForegroundMask | None = None, rows: Buf | None = None,
 ) -> tuple[Buf, Buf | None]:
     """:func:`audio_site` of x (n, c, *tokens) and audio tokens aud (f, da, A), frame b
-    reading the tokens b % f; ``lead`` and the results as for
-    :func:`plan_reference_site`."""
+    reading the tokens b % f; the results as for :func:`plan_reference_site`."""
     wq, wk, wv, wo = _site_weights(weights, prefix)
     n, L = x.shape[0], _tokens(x)
     k, v = _project(p, aud, (wk, wv), prefix, n * _tokens(aud))
-    if ctx is None:
+    if mask is None:
         q, = _project(p, x, (wq,), prefix, n * L)
         a, _ = p.attention(q, k, v, prefix)
     else:
-        mask = ctx.mask
         a_fg = None
         if mask.num_fg:
             q, = _project(p, _plan_select(p, x, mask.fg_index), (wq,), prefix, n * mask.num_fg)
             a_fg, _ = p.attention(q, k, v, prefix)
-        a = _plan_merge(p, a_fg, lead + (mask.num_fg, wo.shape[0]), ctx, bg, -2)
+        a = _plan_merge(p, a_fg, rows, mask, n)
     out, = _project(p, a, (wo,), prefix, n * L, base)
-    return out, a if ctx is None else None
+    return out, a if mask is None else None
 
 
 def plan_temporal_site(
     p: Plan, x: Buf, weights: dict[str, np.ndarray], prefix: str, *, frames: int,
-    lead: tuple[int, ...], base: Buf | None = None,
-    ctx: DfaContext | None = None, bg: Hashable = "bg",
+    base: Buf | None = None, mask: ForegroundMask | None = None, rows: Buf | None = None,
 ) -> tuple[Buf, Buf | None]:
     """:func:`temporal_site` of x (samples * frames, c, *locations): each location of a
-    sample attends over the sample's frames, with the locations on the lanes.
-    ``lead`` is the samples' axes in the site function's layout; the results
-    are as for :func:`plan_reference_site`."""
+    sample attends over the sample's frames, with the locations on the lanes.  The
+    results are as for :func:`plan_reference_site`."""
     wq, wk, wv, wo = _site_weights(weights, prefix)
     n, L = x.shape[0], _tokens(x)
 
@@ -349,11 +342,10 @@ def plan_temporal_site(
         q, k, v = _project(p, xs, (wq, wk, wv), prefix, n * _tokens(xs))
         return p.attention(q, k, v, prefix, rows=frames, lane_keys=True)[0]
 
-    if ctx is None:
+    if mask is None:
         a = attend(x)
     else:
-        mask = ctx.mask
         a_fg = attend(_plan_select(p, x, mask.fg_index)) if mask.num_fg else None
-        a = _plan_merge(p, a_fg, lead + (mask.num_fg, frames, wo.shape[0]), ctx, bg, -3)
+        a = _plan_merge(p, a_fg, rows, mask, n)
     out, = _project(p, a, (wo,), prefix, n * L, base)
-    return out, a if ctx is None else None
+    return out, a if mask is None else None

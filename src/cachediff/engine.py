@@ -4,7 +4,8 @@ A run walks a timestep plan block by block.  The block's key step runs
 the full network; its trace holds the block's cache: the U31 feature, the
 predicted noise and, for restricted-attention variants, the background
 rows of U32's attention sites under the clip's mask as
-``ForwardTrace.dfa``, which the subnet reads as is.
+``ForwardTrace.dfa``, in the plans' own (frames, head_dim, rows) layout,
+which the subnet reads as is under the same conditioning's mask.
 The cache lives only as long as its block.  Non-key steps run the
 truncated subnet only.  Their inputs are either reused from the
 post-key latent or estimated by unrolling the deterministic update with

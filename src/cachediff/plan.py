@@ -1,8 +1,8 @@
 """Execution plans: a pass's buffers, bound steps and FLOP events, fixed once.
 
-A plan is made by walking a pass once for one key (pass kind, frames in
-the stack, removal flag, restricted-attention index sets, kept
-probabilities).  The walk records
+A plan is made by walking a pass once for one key (pass kind, samples in
+the stack, removal flag, kept probabilities; for a restricted tail call
+the mask's foreground index).  The walk records
 
 * buffers, each with the span of steps from its first to its last use;
 * steps: functions that return, for a kernel library (None: the numpy

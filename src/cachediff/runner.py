@@ -18,7 +18,7 @@ from .config import RunConfig
 from .engine import denoise_clip, segment_condition
 from .errors import ConfigError
 from .kernels import active_backend
-from .masks import mask_from_spec
+from .masks import ForegroundMask, mask_from_spec
 from .profiler import (
     FlopLedger,
     cosine_matrix,
@@ -187,23 +187,23 @@ class DiagnosticsTap:
 
     Captures per-step U31 features, input latents, noise predictions,
     background attention rows at the final attention layer, and the
-    foreground-query attention mass split over key groups.
+    foreground-query attention mass split over key groups, under ``mask``,
+    the run's conditioning mask.
     """
 
-    def __init__(self):
+    def __init__(self, mask: ForegroundMask):
+        self.mask = mask
         self.steps: list[StepCapture] = []
 
     def __call__(self, t: int, z_in: np.ndarray, trace: ForwardTrace) -> None:
-        bg = {site: ctx.bg for site, ctx in trace.dfa.items()}
-        mask = trace.dfa["reference"].mask
         mass = []
-        if mask.num_fg:
+        if self.mask.num_fg:
             probs = trace.probs
             L = probs.shape[1]
-            fg, bg_idx = mask.fg_index, mask.bg_index
+            fg, bg_idx = self.mask.fg_index, self.mask.bg_index
             groups = {"fg_noisy": fg, "bg_noisy": bg_idx, "fg_ref": L + fg, "bg_ref": L + bg_idx}
             mass = [fg_attention_mass(frame[fg], groups) for frame in probs]
-        self.steps.append(StepCapture(t, z_in.copy(), trace.eps, trace.f_u31, bg, mass))
+        self.steps.append(StepCapture(t, z_in.copy(), trace.eps, trace.f_u31, trace.dfa, mass))
 
 
 @dataclass
@@ -228,7 +228,7 @@ def execute_diagnostics(rc: RunConfig) -> DiagnosticsResult:
         strategy=strat,
         run=dataclasses.replace(rc.run, total_frames=cfg.frames),
     )
-    tap = DiagnosticsTap()
+    tap = DiagnosticsTap(mask_from_spec(rc.mask, cfg.height, cfg.width))
     execute_run(rcd, on_key_step=tap)
     steps = tap.steps
     if len(steps) < 2:

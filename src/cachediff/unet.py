@@ -15,11 +15,12 @@ the network exactly from that feature plus a fresh latent.
 The truncated pass runs only ``U32``'s attention, so only ``U32``'s sites
 keep anything for it.  Every full pass keeps ``U32``'s site outputs to its
 end; with ``keep_bg`` it returns, under the conditioning's own mask
-(``U32`` runs at the latent's resolution), their background rows as the
-:class:`attention.DfaContext` the truncated pass reads
-(:attr:`ForwardTrace.dfa`), gathered after the pass, so one plan serves
-every mask.  On request it also returns ``U32``'s reference-site
-attention probabilities (:attr:`ForwardTrace.probs`).
+(``U32`` runs at the latent's resolution), their background rows in the
+plans' own (frames, head_dim, rows) layout (:attr:`ForwardTrace.dfa`),
+gathered after the pass, so one plan serves every mask.  The truncated
+pass scatters them as they are, under the same conditioning's mask.  On
+request a full pass also returns ``U32``'s reference-site attention
+probabilities (:attr:`ForwardTrace.probs`).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import attention as attn
-from .errors import ConfigError
+from .errors import ConfigError, InvariantError
 from .kernels import PackedConv, active_library, matmul, silu
 from .masks import ForegroundMask
 from .plan import Buf, Plan, PlanCache
@@ -42,10 +43,6 @@ from .rng import Rng
 
 ATTN_LAYERS = ("M", "U2", "U32")
 SITES = ("reference", "audio", "temporal")
-# Each site's background rows, gathered as (frames, d, rows), go to the
-# layout its restricted path is fed (DfaContext.bg): (frames, rows, d) for
-# the spatial sites, (rows, frames, d) for the temporal one.
-_BG_AXES = {"reference": (0, 2, 1), "audio": (0, 2, 1), "temporal": (2, 0, 1)}
 
 
 @dataclass(frozen=True)
@@ -121,14 +118,15 @@ class Conditioning:
             raise ConfigError(f"valid_frames must be in [1, {cfg.frames}], got {self.valid_frames}")
 
 
-# U32's restriction contexts keyed by site ("reference", "audio", "temporal").
-DfaCache = dict[str, attn.DfaContext]
+# U32's background rows by site ("reference", "audio", "temporal"), each
+# (frames, head_dim, num_bg) float32 under the conditioning's mask.
+DfaCache = dict[str, np.ndarray]
 
 
 @dataclass
 class ForwardTrace:
-    """Outputs of a full forward pass; ``dfa`` only with ``keep_bg`` and ``probs``
-    only with ``keep_probs``, both only when the model has a U32 attention layer."""
+    """Outputs of a full forward pass; ``dfa`` (:data:`DfaCache`) only with ``keep_bg`` and
+    ``probs`` only with ``keep_probs``, both only when the model has a U32 attention layer."""
 
     eps: np.ndarray
     f_u31: np.ndarray
@@ -313,11 +311,11 @@ class ToyUNet:
     ) -> ForwardTrace:
         """Full noise prediction of one sample; returns eps and the cacheable U31 feature.
 
-        With ``keep_bg``, the trace's ``dfa`` holds for each U32 site
-        ``cond.mask`` and the background rows of the site's full-path
-        output, gathered from the plan's results after the pass: the
-        ``dfa`` argument of :meth:`subnet`.  The plan is keyed by the
-        removal flag and ``keep_probs`` alone, so passes with and without
+        With ``keep_bg``, the trace's ``dfa`` holds for each U32 site the
+        rows ``cond.mask.bg_index`` of the site's full-path output,
+        (frames, head_dim, num_bg), gathered from the plan's results after
+        the pass: the ``dfa`` argument of :meth:`subnet`.  The plan is keyed
+        by the removal flag and ``keep_probs`` alone, so passes with and without
         ``keep_bg``, over any mask, run the same plan.  With
         ``keep_probs``, the trace's ``probs`` holds U32's reference-site
         probabilities, shaped (frames, L, keys).
@@ -338,10 +336,8 @@ class ToyUNet:
             if keep_bg and u32:
                 # The site outputs are views of the arena: gathered into new
                 # arrays before the next pass may overwrite them.
-                bg = cond.mask.bg_index
-                dfa = {site: attn.DfaContext(cond.mask, np.ascontiguousarray(
-                    attn.select_tokens(res[("U32", site)], bg, 2).transpose(_BG_AXES[site])))
-                    for site in SITES}
+                dfa = {site: attn.select_tokens(res[("U32", site)], cond.mask.bg_index, 2)
+                       for site in SITES}
         return ForwardTrace(eps=res["eps"], f_u31=res["f_u31"], dfa=dfa,
                             probs=res["probs"] if keep_probs else None)
 
@@ -361,12 +357,15 @@ class ToyUNet:
         The b samples of ``z`` run as one stack along the frame axis, each
         with its own timestep: ``t`` is one int for all or one per sample.
         ``f_u31`` is one cached feature, (1, frames, channels, h, w), shared
-        by every sample; it and the ``dfa`` caches are broadcast, not copied.
+        by every sample; it and the ``dfa`` rows are broadcast, not copied.
+        With ``dfa`` (a key step's :attr:`ForwardTrace.dfa` under the same
+        ``cond``) U32's sites attend over ``cond.mask``'s foreground only.
         Each sample's result is the bytes of a one-sample call, and ``log``
         receives the events of a one-sample call (see :meth:`Plan.finish`).
         """
         cfg = self.cfg
         self._check_latent(z)
+        cond.validate(cfg)
         b = z.shape[0]
         ts = [int(t)] * b if np.ndim(t) == 0 else [int(v) for v in t]
         if len(ts) != b:
@@ -374,19 +373,21 @@ class ToyUNet:
         feat = (1, cfg.frames, cfg.base_channels[0], cfg.height, cfg.width)
         if f_u31.shape != feat:
             raise ConfigError(f"cached feature must be {feat}, got {f_u31.shape}")
-        ctxs = None if dfa is None else tuple(sorted(
-            (site, c.mask.shape, c.mask.fg_index.tobytes(), None if c.bg is None else c.bg.shape)
-            for site, c in dfa.items()
-        ))
-        key = ("subnet", b, bool(removal_active), ctxs)
+        mask = None if dfa is None else cond.mask
+        if mask is not None:
+            want = (cfg.frames, cfg.head_dim, mask.num_bg)
+            for site in SITES:
+                got = getattr(dfa.get(site), "shape", None)
+                if got != want:
+                    raise InvariantError(f"subnet: U32 {site} rows must be {want}, got {got}")
+        removal = bool(removal_active) and "U32" in cfg.removal_set
+        key = ("subnet", b, removal, None if mask is None else mask.fg_index.tobytes())
         f, cl, h, w = cfg.frames, cfg.latent_channels, cfg.height, cfg.width
         with self._lock:
             feeds = self._feeds(z.transpose(0, 2, 1, 3, 4).reshape(b * f, cl, h, w), ts, cond)
             feeds["f_u31"] = f_u31[0]
-            feeds.update({("U32", site): c.bg for site, c in (dfa or {}).items()})
-            plan = self._plans.get(
-                key, lambda: self._plan_subnet(b, bool(removal_active), dfa)
-            )
+            feeds.update({("U32", site): rows for site, rows in (dfa or {}).items()})
+            plan = self._plans.get(key, lambda: self._plan_subnet(b, removal, mask))
             return plan.run(active_library(), log, feeds)["eps"]
 
     def _feeds(self, z: np.ndarray, ts: list[int], cond: Conditioning) -> dict:
@@ -465,7 +466,7 @@ class ToyUNet:
             p.result(("U32", site), a, lambda arr: arr.reshape(arr.shape[0], arr.shape[1], -1))
         return p.finish()
 
-    def _plan_subnet(self, b: int, removal: bool, dfa: DfaCache | None) -> Plan:
+    def _plan_subnet(self, b: int, removal: bool, mask: ForegroundMask | None) -> Plan:
         cfg = self.cfg
         f, cl, h, w = cfg.frames, cfg.latent_channels, cfg.height, cfg.width
         p = Plan()
@@ -473,7 +474,7 @@ class ToyUNet:
         tp = self._plan_time(p, b)
         s_in = p.conv(z, self.convs["conv_in"], "conv_in")
         f_in = p.input("f_u31", (f, cfg.base_channels[0], h, w))
-        eps, _ = self._plan_u32_head(p, f_in, s_in, tp, b, removal, dfa, False)
+        eps, _ = self._plan_u32_head(p, f_in, s_in, tp, b, removal, mask, False)
         p.result("eps", eps, lambda a: a.reshape(b, f, *a.shape[1:]).transpose(0, 2, 1, 3, 4).copy())
         return p.finish(b)
 
@@ -510,8 +511,8 @@ class ToyUNet:
         return h2
 
     def _plan_attn(
-        self, p: Plan, x: Buf, layer: str, removal_active: bool, dfa: DfaCache | None = None,
-        keep_probs: bool = False,
+        self, p: Plan, x: Buf, layer: str, removal_active: bool,
+        mask: ForegroundMask | None = None, keep_probs: bool = False,
     ) -> tuple[Buf, dict[str, Buf | None]]:
         """Reference, audio and temporal sites on a stack of samples' frames.
 
@@ -520,10 +521,12 @@ class ToyUNet:
         its output projection writes x + 0.5 * delta, the next feature map.
         Temporal attention stays inside each sample's frames.  Inputs and
         results are named as in :meth:`forward` and :meth:`subnet`; only
-        U32's call restricts (``dfa``) or keeps anything.  Returns the next
-        feature map and, by site, the attention outputs of the full path
-        (none on the restricted path); with ``keep_probs`` the reference
-        site's probabilities are the result "probs".
+        U32's call restricts or keeps anything.  Restricted to ``mask``, each
+        site reads its cached background rows, the input (layer, site) of
+        shape (frames, head_dim, num_bg).  Returns the next feature map and,
+        by site, the attention outputs of the full path (none on the
+        restricted path); with ``keep_probs`` the reference site's
+        probabilities are the result "probs".
         """
         cfg = self.cfg
         n, c, h, w = x.shape
@@ -532,8 +535,8 @@ class ToyUNet:
         removal = removal_active and layer in cfg.removal_set
 
         def site(name: str) -> dict:
-            ctx = None if dfa is None else dfa.get(name)
-            return {"ctx": ctx, "bg": (layer, name)}
+            rows = None if mask is None else p.input((layer, name), (f, cfg.head_dim, mask.num_bg))
+            return {"mask": mask, "rows": rows}
 
         def norm(tokens: Buf, name: str, copies: int = 1) -> Buf:
             return p.norm(tokens, name, copies=copies, tokens=True)
@@ -545,7 +548,7 @@ class ToyUNet:
         name = f"{layer}.ref"
         ref = p.input(name, (1, c, L), lambda a: a[0].T)
         x1, a_ref, probs = attn.plan_reference_site(
-            p, norm(x, name), norm(ref, name, k), self.w, name, lead=(k, f), base=x,
+            p, norm(x, name), norm(ref, name, k), self.w, name, base=x,
             removal=removal, keep_probs=keep_probs, **site("reference")
         )
         if probs is not None:
@@ -555,17 +558,17 @@ class ToyUNet:
         name = f"{layer}.aud"
         aud = p.input("audio", (f, cfg.audio_dim, cfg.audio_tokens), lambda a: a.swapaxes(1, 2))
         x2, a_aud = attn.plan_audio_site(p, norm(x1, name), norm(aud, name, k), self.w, name,
-                                         lead=(k, f), base=x1, **site("audio"))
+                                         base=x1, **site("audio"))
         x2 = residual(x2, name)
 
         name = f"{layer}.tmp"
-        x3, a_tmp = attn.plan_temporal_site(p, norm(x2, name), self.w, name, frames=f,
-                                            lead=(k,), base=x2, **site("temporal"))
+        x3, a_tmp = attn.plan_temporal_site(p, norm(x2, name), self.w, name, frames=f, base=x2,
+                                            **site("temporal"))
         return residual(x3, name), {"reference": a_ref, "audio": a_aud, "temporal": a_tmp}
 
     def _plan_u32_head(
         self, p: Plan, f_u31: Buf, s_in: Buf, tproj: Buf, samples: int, removal: bool,
-        dfa: DfaCache | None, keep_probs: bool,
+        mask: ForegroundMask | None, keep_probs: bool,
     ) -> tuple[Buf, dict[str, Buf | None]]:
         """Noise prediction from the U31 feature, one sample's frames, and the
         conv_in branch of every sample, and U32's full-path site outputs by site
@@ -588,7 +591,7 @@ class ToyUNet:
         x = self._plan_res(p, fused, tproj, samples, "U32.res")
         outs = {}
         if "U32" in self.cfg.attention_layers:
-            x, outs = self._plan_attn(p, x, "U32", removal, dfa, keep_probs)
+            x, outs = self._plan_attn(p, x, "U32", removal, mask, keep_probs)
         return self._plan_preact(p, x, "head", "head"), outs
 
 

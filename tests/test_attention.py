@@ -92,6 +92,42 @@ def test_merge_tokens_rejects_bad_rows():
         attn.merge_tokens(a_fg, np.zeros((mask.num_bg, D + 1), dtype=np.float32), mask)
 
 
+@pytest.mark.parametrize("site", ["reference", "audio", "temporal"])
+def test_site_functions_refuse_missing_or_misplaced_cached_rows(site):
+    """A partial mask needs cached rows (CacheMissError), and rows must keep the rows
+    axis and the axes after it and may lack only leading axes of the tokens
+    (InvariantError), before any plan is built."""
+    samples, f = 2, 3
+    mask = random_mask(70)
+    weights = site_weights("T.x", kdim=5 if site == "audio" else C)
+    ref, audio = Rng(71).normal((L, C)), Rng(72).normal((f, 3, 5))
+
+    def call(x, dfa):
+        if site == "reference":
+            return attn.reference_site(x, ref, weights, "T.x", dfa=dfa)
+        if site == "audio":
+            return attn.audio_site(x, audio, weights, "T.x", dfa=dfa)
+        return attn.temporal_site(x, weights, "T.x", dfa=dfa)
+
+    axis = 0 if site == "temporal" else 1
+    x = Rng(73).normal((samples, L, f, C) if site == "temporal" else (samples, f, L, C))
+    bg = attn.select_tokens(call(x[0], None)[1], mask.bg_index, axis)  # one sample's rows
+    assert call(x, attn.DfaContext(mask, bg))[1] is None
+    with pytest.raises(CacheMissError):
+        call(x, attn.DfaContext(mask, None))
+    more_rows = bg.shape[:axis] + (mask.num_bg + 1,) + bg.shape[axis + 1 :]
+    bad = [
+        (samples + 1,) + bg.shape,  # leading axes that are not the tokens'
+        (1, samples) + bg.shape,  # more leading axes than the tokens have
+        bg.shape[axis + 1 :],  # no rows axis
+        more_rows,
+        bg.shape[:-1] + (D + 1,),
+    ]
+    for shape in bad:
+        with pytest.raises(InvariantError, match="bg shape"):
+            call(x, attn.DfaContext(mask, np.zeros(shape, np.float32)))
+
+
 @pytest.mark.parametrize("bad", ["wq", "wk", "wo", "float64_wv", "float64_tokens"])
 def test_sites_reject_weights_and_tokens_of_the_wrong_shape_or_type(bad):
     weights = site_weights("T.ref")
@@ -400,7 +436,7 @@ def kept_reference_probs(x, ref, weights, prefix, removal):
     xb = p.input("x", (math.prod(lead), c, l),
                  lambda a: a.reshape(lead + (c, l)).swapaxes(-1, -2))
     rb = p.input("ref", (1,) + ref.shape[::-1], lambda a: a[0].T)
-    probs = attn.plan_reference_site(p, xb, rb, weights, prefix, lead=lead, removal=removal,
+    probs = attn.plan_reference_site(p, xb, rb, weights, prefix, removal=removal,
                                      keep_probs=True)[2]
     p.result("probs", probs, lambda a: a.reshape(lead + a.shape[1:]).copy())
     plan = p.finish()

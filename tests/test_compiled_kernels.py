@@ -794,7 +794,7 @@ def test_plan_built_under_compiled_runs_under_numpy_with_the_same_bytes():
         tr = model.forward(z, 500, cond, keep_bg=True, removal_active=True)
         eps = model.subnet(tr.f_u31, zs, [480, 460], cond, dfa=tr.dfa, removal_active=True)
         return [tr.eps.tobytes(), tr.f_u31.tobytes(), eps.tobytes()] + [
-            c.bg.tobytes() for c in tr.dfa.values()]
+            rows.tobytes() for rows in tr.dfa.values()]
 
     before = kernels.active_backend()
     try:

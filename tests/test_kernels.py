@@ -231,7 +231,7 @@ def test_kernel_bench_pairs_clips_against_a_library_with_the_same_op_records(tmp
     lines = done.stdout.splitlines()
     assert sorted(line.split(":")[0] for line in lines) == [
         "baseline", "baseline plan forward", "full_stack", "full_stack plan forward removal",
-        "full_stack plan subnet x2 removal restricted"]
+        "full_stack plan subnet x2 restricted"]
     assert all("median paired ratio" in line and "of 1" in line for line in lines)
 
 

@@ -86,6 +86,21 @@ def test_ablation_rows_cover_all_variants(small_rc):
     assert rows[2]["speedup"] > 1.0
 
 
+def test_ablation_dfa_variants_share_their_tail_call_plans(small_rc, monkeypatch):
+    """lcp_dfa and lcp_dfa_rm differ only in removal at M and U2, which a tail call never
+    runs, so an ablation's model holds one tail-call plan per stack size, restricted or
+    not, beside its two forward plans."""
+    models = []
+    build = rn.build_model
+    monkeypatch.setattr(rn, "build_model", lambda rc: models.append(build(rc)) or models[-1])
+    rn.execute_ablation(small_rc)
+    [model] = models
+    keys = list(model._plans._plans)
+    tails = sorted((k[1], k[2], k[3] is not None) for k in keys if k[0] == "subnet")
+    assert tails == [(1, False, False), (1, False, True), (2, False, False), (2, False, True)]
+    assert len(keys) == 6
+
+
 def test_diagnostics_series_shapes(small_rc):
     res = rn.execute_diagnostics(small_rc)
     n = len(res.sampled)

@@ -240,13 +240,12 @@ def test_forward_background_rows_match_full_path_outputs():
         assert other.eps.tobytes() == plain.eps.tobytes()
         assert other.f_u31.tobytes() == plain.f_u31.tobytes()
     assert set(tr.dfa) == set(kept.dfa) == set(full.dfa) == {"reference", "audio", "temporal"}
-    for site, ctx in tr.dfa.items():
-        rows = full.dfa[site].bg
-        want = np.take(rows, cond.mask.bg_index, axis=0 if site == "temporal" else 1)
-        assert ctx.mask is cond.mask
-        assert ctx.bg.shape == want.shape and ctx.bg.dtype == np.float32
-        assert ctx.bg.tobytes() == want.tobytes()
-        assert kept.dfa[site].bg.tobytes() == ctx.bg.tobytes()
+    for site, rows in tr.dfa.items():
+        want = np.take(full.dfa[site], cond.mask.bg_index, axis=2)
+        assert rows.shape == want.shape == (cfg.frames, cfg.head_dim, cond.mask.num_bg)
+        assert rows.dtype == np.float32 and rows.flags.c_contiguous
+        assert rows.tobytes() == want.tobytes()
+        assert kept.dfa[site].tobytes() == rows.tobytes()
     L = cfg.height * cfg.width
     rm_cfg = dataclasses.replace(cfg, removal_set=("U32",))
     removed = un.ToyUNet(rm_cfg, un.init_weights(rm_cfg, 0)[0]).forward(
@@ -306,6 +305,44 @@ def test_stacked_subnet_matches_single_calls(small_cfg, small_model, small_cond,
         assert log.events == one.events and log.total() == one.total()
 
 
+def test_subnet_refuses_rows_of_another_shape_or_a_missing_site(small_cfg, small_model,
+                                                                small_cond, small_latent):
+    """A tail call reads each U32 site's rows as (frames, head_dim, num_bg) under its own
+    conditioning's mask, and refuses anything else, or a mask of another shape, with one
+    line."""
+    tr = small_model.forward(small_latent, 31, small_cond, keep_bg=True)
+    rows = tr.dfa["audio"]
+    other = dataclasses.replace(small_cond, mask=rect_mask(small_cfg.height, small_cfg.width,
+                                                           0, 0, 4, 2))
+    cases = [
+        (small_cond, {k: v for k, v in tr.dfa.items() if k != "audio"}),
+        (small_cond, {**tr.dfa, "audio": np.ascontiguousarray(rows.transpose(0, 2, 1))}),
+        (small_cond, {**tr.dfa, "audio": rows[:1]}),
+        (other, tr.dfa),  # rows kept under another mask
+    ]
+    for cond, dfa in cases:
+        with pytest.raises(InvariantError, match="U32 [a-z]* rows must be") as err:
+            small_model.subnet(tr.f_u31, small_latent, 25, cond, dfa=dfa)
+        assert "\n" not in str(err.value)
+    small = dataclasses.replace(small_cond, mask=ForegroundMask(np.ones((4, 4), np.uint8)))
+    with pytest.raises(ConfigError, match="mask must be"):
+        small_model.subnet(tr.f_u31, small_latent, 25, small, dfa=tr.dfa)
+
+
+def test_tail_call_plans_key_the_removal_their_u32_sites_apply(small_cfg, small_cond,
+                                                               small_latent):
+    """A tail call runs only U32's attention: with U32 outside the removal set, removal
+    on and off run one plan; with U32 in it, two plans that give different bytes."""
+    for removal_set, plans in ((("M", "U2"), 1), (("U32",), 2)):
+        cfg = dataclasses.replace(small_cfg, removal_set=removal_set)
+        model = un.ToyUNet(cfg, un.init_weights(cfg, 0)[0])
+        tr = model.forward(small_latent, 31, small_cond, keep_bg=True)
+        eps = [model.subnet(tr.f_u31, small_latent, 25, small_cond, dfa=tr.dfa,
+                            removal_active=removal).tobytes() for removal in (False, True)]
+        assert len(model._plans) == 1 + plans
+        assert (eps[0] == eps[1]) == (plans == 1)
+
+
 def test_plan_refuses_events_that_do_not_split_per_sample():
     """Plan.finish keeps one sample's share of each event, and refuses an uneven split."""
     p = Plan()
@@ -353,13 +390,13 @@ def test_returned_arrays_do_not_alias_the_plan(backend, shape, small_cfg):
         passes(z1, 45)  # builds every plan, so the second pass runs on the same buffers
         tr, eps = passes(z0, 41)
         kept = [tr.eps.tobytes(), tr.f_u31.tobytes(), eps.tobytes()]
-        kept += [c.bg.tobytes() for c in tr.dfa.values()]
+        kept += [rows.tobytes() for rows in tr.dfa.values()]
         again, _ = passes(z1, 37)
     finally:
         kernels.set_backend(before)
     assert set(tr.dfa) == set(un.SITES)
     assert [tr.eps.tobytes(), tr.f_u31.tobytes(), eps.tobytes()] + [
-        c.bg.tobytes() for c in tr.dfa.values()
+        rows.tobytes() for rows in tr.dfa.values()
     ] == kept
     assert again.eps.tobytes() != tr.eps.tobytes()
 
@@ -367,7 +404,10 @@ def test_returned_arrays_do_not_alias_the_plan(backend, shape, small_cfg):
 # sha256 of eps, the U31 feature and, for two masks, every site's background
 # rows with their shapes (test_one_forward_plan_serves_plain_and_kept_passes),
 # by removal flag: the bytes these passes gave when a pass that kept a mask's
-# rows ran a plan of its own.
+# rows ran a plan of its own, and kept the rows in the site functions'
+# layout: (frames, rows, d) for the spatial sites, (rows, frames, d) for the
+# temporal one.
+SITE_FUNCTION_AXES = {"reference": (0, 2, 1), "audio": (0, 2, 1), "temporal": (2, 0, 1)}
 KEPT_ROWS_SHA256 = {
     False: "49695d0f4d5488dcdb2d7c11df5768c878a70ecd6f4bff6dd3bda4c3016332c5",
     True: "2e6ae7928905382fef0e6b35b16eebc8bd299101c43aff95e50472c35e480984",
@@ -393,9 +433,9 @@ def test_one_forward_plan_serves_plain_and_kept_passes(removal, small_cfg, small
         assert [tr.eps.tobytes(), tr.f_u31.tobytes()] == [plain.eps.tobytes(),
                                                           plain.f_u31.tobytes()]
         assert list(tr.dfa) == list(un.SITES)
-        for ctx in tr.dfa.values():
-            assert ctx.mask is cond.mask
-            digest.update(repr(ctx.bg.shape).encode() + ctx.bg.tobytes())
+        for site, rows in tr.dfa.items():
+            rows = np.ascontiguousarray(rows.transpose(SITE_FUNCTION_AXES[site]))
+            digest.update(repr(rows.shape).encode() + rows.tobytes())
     assert len(model._plans) == 1
     assert digest.hexdigest() == KEPT_ROWS_SHA256[removal]
 
@@ -416,7 +456,7 @@ def test_plans_beyond_the_cap_are_rebuilt_with_the_same_bytes(small_cfg, small_c
         log = FlopLog()
         tr = m.forward(z, 33, cond, log=log, keep_bg=True)
         eps = m.subnet(tr.f_u31, z, 25, cond, log=log, dfa=tr.dfa)
-        rows = [(k, c.bg.tobytes()) for k, c in tr.dfa.items()]
+        rows = [(k, r.tobytes()) for k, r in tr.dfa.items()]
         return tr.eps.tobytes(), tr.f_u31.tobytes(), eps.tobytes(), rows, log.events
 
     want = [run(fresh, cond) for cond in conds]
