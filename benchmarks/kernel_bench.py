@@ -17,7 +17,11 @@ a two-sample subnet call with removal that reads them.  The
 tokens on the lanes, at the default model's shapes: the U32 reference site
 in full (256 token keys per frame and 256 shared reference keys) and
 restricted to the 113 foreground queries of the default mask, the audio
-site (6 keys) and the temporal site (256 locations of 4 x 4).
+site (6 keys) and the temporal site (256 locations of 4 x 4).  The
+``conv_*`` cases are single conv steps of a default forward pass, bound
+once per backend as a plan binds them: 16x16 convs of a D0 unit (16 -> 16
+channels, gated), of U32 (32 -> 16, gated), of the head (16 -> 4, gated)
+and conv_in (4 -> 16), and an 8x8 D1 unit's (32 -> 32, gated).
 Exits 1 when the outputs differ.  Without a C compiler only the reference
 is timed.
 
@@ -121,6 +125,32 @@ def lane_attention(q, k, v, rows: int = 1, k2=None, v2=None):
     return out
 
 
+def conv_case(rng: Rng, seed: int, shape: tuple, co: int, gated: bool) -> tuple:
+    """A conv step of a plan on x of ``shape`` to ``co`` channels, of silu(x) with
+    ``gated``: bound once per backend on its own output, as a plan binds it, so that a
+    call times the kernel alone (the eager conv2d_frames's allocation and binding take
+    longer than a small conv)."""
+    x = rng.child(seed).normal(shape)
+    conv = kernels.PackedConv(rng.child(seed + 1).normal((co, shape[1], 3, 3)),
+                              rng.child(seed + 2).normal((co,)))
+    gate = kernels._silu_gate(x) if gated else None
+    ws = np.empty(kernels._conv_ws(*shape, 1), np.uint8)
+    bound = {}  # library (None: the reference) -> its calls and output
+
+    def run():
+        lib = kernels.active_library()
+        if lib not in bound:
+            out = np.empty((shape[0], co) + shape[2:], np.float32)
+            bound[lib] = kernels.program(lib, kernels.bound_conv2d_frames(
+                lib, x, conv, out, ws.ctypes.data, gate=gate)), out
+        calls, out = bound[lib]
+        for call in calls:
+            call()
+        return out
+
+    return run, ()
+
+
 def make_cases(seed: int) -> dict:
     rng = Rng(seed)
     return pass_cases(seed) | {
@@ -144,6 +174,13 @@ def make_cases(seed: int) -> dict:
                                    rng.child(15).normal((16,))),
             ),
         ),
+        # single conv steps of a default forward pass, 4 frames each
+        **{name: conv_case(rng, seed, shape, co, gated) for name, shape, co, gated, seed in (
+            ("conv_d0", (4, 16, 16, 16), 16, True, 30),
+            ("conv_u32", (4, 32, 16, 16), 16, True, 33),
+            ("conv_head", (4, 16, 16, 16), 4, True, 36),
+            ("conv_in", (4, 4, 16, 16), 16, False, 39),
+            ("conv_d1", (4, 32, 8, 8), 32, True, 42))},
         # the U32 reference site of a default forward pass: 4 frames of 256
         # queries, 256 token keys and 256 shared reference keys, head dim 8
         "attention_reference": (

@@ -151,6 +151,8 @@ def denoise_clip(
     ``on_key_step(t, z, trace)``, when given, is called after each key
     step's forward pass with its timestep, input latent and
     :class:`ForwardTrace`, whose ``dfa`` and ``probs`` it then holds.
+    Only the DFA variants' tail calls read ``dfa``, so the callback does not
+    change the run.
     """
     if z_T.shape[0] != 1:
         raise ConfigError(f"denoise_clip expects batch 1, got {z_T.shape}")
@@ -242,7 +244,8 @@ def _run_block(
             eps = model.subnet(
                 trace.f_u31, np.concatenate([inputs[j] for j in steps]),
                 [block.nonkeys[j] for j in steps], cond,
-                log=clog, dfa=trace.dfa, removal_active=strategy.uses_removal,
+                log=clog, dfa=trace.dfa if strategy.uses_dfa else None,
+                removal_active=strategy.uses_removal,
             )
             return eps, clog
 

@@ -16,7 +16,12 @@
  * weights give NaN where the reference does (which NaN's bits survive a
  * sum of two NaNs is not fixed, see kernels.py).  Its weights arrive
  * packed once per model; given a SiLU gate, the padded copy holds the
- * activated input.
+ * activated input.  It runs in one of two orientations, with the same
+ * sums: where a frame's output rows fill whole vectors (or halves of
+ * them), the output pixels are the lanes and the channels the tile rows,
+ * as in the channel mix, and each output vector is one store; elsewhere
+ * (stride 2, narrow maps, 4-lane builds) the output pixels are the GEMM
+ * rows and the channels the lanes.
  *
  * The RMS norm is the one sum that does not always run in ascending
  * order: it follows numpy's float32 np.mean, which sums a contiguous axis
@@ -63,12 +68,15 @@
 #if defined(__AVX512F__)
 #define VW 16    /* widest vector, in floats */
 #define NREGS 32 /* vector registers */
+#define VW_LANES 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15
 #elif defined(__AVX__)
 #define VW 8
 #define NREGS 16
+#define VW_LANES 0, 1, 2, 3, 4, 5, 6, 7
 #else
 #define VW 4
 #define NREGS 16
+#define VW_LANES 0, 1, 2, 3
 #endif
 
 /* Rows per micro-tile with nv column vectors: accumulators, the nv B
@@ -159,6 +167,22 @@ static void *carve(char **ws, size_t bytes)
     void *p = *ws;
     *ws += (bytes + 63) / 64 * 64;
     return p;
+}
+
+typedef float vwf __attribute__((vector_size(VW * 4)));
+typedef int vwi __attribute__((vector_size(VW * 4)));
+typedef float vwh __attribute__((vector_size(VW * 2))); /* half a vector */
+
+static vwf vload(const float *p)
+{
+    vwf v;
+    memcpy(&v, p, sizeof v);
+    return v;
+}
+
+static void vstore(float *p, vwf v)
+{
+    memcpy(p, &v, sizeof v);
 }
 
 /* C = A @ B for an m x n output.  A(i, p) = abase[arow[i] + koff[p]]; B is
@@ -290,6 +314,109 @@ static void channel_mix(const float *x, const float *w, long ldw, float *out, co
     }
 }
 
+/* The lane conv's micro kernels: an output tile of R channels by NV vectors
+ * of VW pixels.  Channel r reads its reduction operand p at a[p * lda + r],
+ * so the tile's rows need one pointer (with a pointer per row, as the GEMM's
+ * micro kernels take them, 16 rows spill and ran at 0.7 of this
+ * speed).  Vector v of B's row p is the VW floats at b + boff[p] + v * vs, or
+ * with HALVES the VW / 2 floats there followed by the VW / 2 floats hs
+ * further on.  The tile is written to c with row stride ldc.  A tile's rows
+ * past the last channel read the packed weights' zero columns (a tile of
+ * LANE_ROWS or FEW rows never passes a multiple of 16) and are not stored. */
+#define DEFINE_LANE_MICRO(NAME, R_, NV, HALVES)                                \
+    static void NAME(const float *a, long lda, long k, const float *b,        \
+                     const long *boff, long vs, long hs, float *c, long ldc)  \
+    {                                                                         \
+        enum { R = R_ };                                                      \
+        vwf acc[R][NV];                                                       \
+        (void)hs;                                                             \
+        for (int r = 0; r < R; r++)                                           \
+            for (int v = 0; v < NV; v++)                                      \
+                acc[r][v] = (vwf){0};                                         \
+        for (long p = 0; p < k; p++) {                                        \
+            const float *ap = a + p * lda, *bp = b + boff[p];                 \
+            vwf bv[NV];                                                       \
+            for (int v = 0; v < NV; v++) {                                    \
+                if (HALVES) {                                                 \
+                    vwh lo, hi;                                               \
+                    memcpy(&lo, bp + v * vs, sizeof lo);                      \
+                    memcpy(&hi, bp + v * vs + hs, sizeof hi);                 \
+                    bv[v] = __builtin_shufflevector(lo, hi, VW_LANES);        \
+                } else {                                                      \
+                    bv[v] = vload(bp + v * vs);                               \
+                }                                                             \
+            }                                                                 \
+            for (int r = 0; r < R; r++)                                       \
+                for (int v = 0; v < NV; v++)                                  \
+                    acc[r][v] = acc[r][v] + ap[r] * bv[v];                    \
+        }                                                                     \
+        for (int r = 0; r < R; r++)                                           \
+            for (int v = 0; v < NV; v++)                                      \
+                vstore(c + r * ldc + v * VW, acc[r][v]);                      \
+    }
+
+/* Tiles of LANE_ROWS channels by one vector; of FEW channels by FEW_NV
+ * vectors, for a conv with at most FEW output channels; and of LANE_ROWS
+ * channels by one vector of two half rows.  Accumulators, the B vectors and
+ * a broadcast fit in the register file.  With 16 registers, 8 x 1 was the
+ * fastest of 8 x 1, 6 x 2, 4 x 3 and 12 x 1. */
+#define LANE_ROWS (NREGS >= 32 ? 16 : 8)
+#define FEW 4
+#define FEW_NV (NREGS / 8)
+DEFINE_LANE_MICRO(lane_rows, LANE_ROWS, 1, 0)
+DEFINE_LANE_MICRO(lane_few, FEW, FEW_NV, 0)
+DEFINE_LANE_MICRO(lane_halves, LANE_ROWS, 1, 1)
+
+/* The lane orientation of conv2d_frames: stride 1, on builds of 8 or 16
+ * lanes, on frames whose output rows fill whole vectors (wo a multiple of
+ * VW) or halves of them (2 * wo == VW, ho even).  Each frame is one GEMM with
+ * the output channels as rows and the frame's pixels, VW at a time, as
+ * columns, the channel mix's layout.  A is the packed weights as they are,
+ * and each B vector is read from the padded copy xp at its tap's offset
+ * taps[p]: the VW pixels from (y, x) on read their channel plane's padded
+ * row y + ky from x + kx on, or the halves of two rows.  A tile's vectors are
+ * the same columns of consecutive rows (or row pairs), vs floats apart in
+ * xp; a column's last tile of several vectors is moved back to end at the
+ * frame's last row and stores only the vectors the tile before left.  Each
+ * output vector is one contiguous store, the epilogue applied to the whole
+ * vector. */
+static void conv_lanes(const float *xp, long pw, long plane, const float *wp, long ldw,
+                       const long *taps, long k, const float *bias, float *out, long f, long ci,
+                       long ho, long wo, long co, const float *add, long add_ld, long add_frames,
+                       const float *base)
+{
+    const long hw = ho * wo, halves = 2 * wo == VW, hs = halves ? pw : 0;
+    const long vrows = halves ? ho / 2 : ho, vs = halves ? 2 * pw : pw, qs = halves ? VW : wo;
+    const int few = !halves && co <= FEW && vrows >= FEW_NV;
+    const long nv = few ? FEW_NV : 1, rows = few ? FEW : LANE_ROWS, tw = nv * VW;
+    void (*const fn)(const float *, long, long, const float *, const long *, long, long, float *,
+                     long) = halves ? lane_halves : few ? lane_few : lane_rows;
+    float tile[(LANE_ROWS > FEW * FEW_NV ? LANE_ROWS : FEW * FEW_NV) * VW];
+    for (long fi = 0; fi < f; fi++) {
+        const float *ad = add ? add + fi / add_frames * add_ld : NULL;
+        for (long x0 = 0; x0 < wo; x0 += VW)
+            for (long y0 = 0; y0 < vrows; y0 += nv) {
+                const long yt = y0 + nv <= vrows ? y0 : vrows - nv;
+                const float *b = xp + fi * ci * plane + yt * vs + x0;
+                for (long i0 = 0; i0 < co; i0 += rows) {
+                    fn(wp + i0, ldw, k, b, taps, vs, hs, tile, tw);
+                    for (long r = 0; r < rows && i0 + r < co; r++) {
+                        const long ch = i0 + r;
+                        for (long v = y0 - yt; v < nv; v++) {
+                            const long at = (fi * co + ch) * hw + (yt + v) * qs + x0;
+                            vwf y = vload(tile + r * tw + v * VW) + bias[ch];
+                            if (base)
+                                y = vload(base + at) + 0.5f * y;
+                            else if (ad)
+                                y = y + ad[ch];
+                            vstore(out + at, y);
+                        }
+                    }
+                }
+            }
+    }
+}
+
 /* 3x3 convolution, zero padding 1, of every frame of x (f, ci, h, w); out
  * is (f, co, ho, wo).  wp holds the packed weights, (ci * 9) rows of ldw
  * floats, row p the weights of reduction index p = (ci, ky, kx) for every
@@ -302,8 +429,13 @@ static void channel_mix(const float *x, const float *w, long ldw, float *out, co
  * describes: add (a residual unit's time projection, row s of add_ld floats
  * for the frames s * add_frames ..) or base (its residual: base + 0.5f *).
  *
- * One GEMM with the output pixels as rows and the channels as columns: row
- * i reads its patch straight from a zero-padded copy of the input. */
+ * Both orientations read the patches straight from a zero-padded copy of
+ * the input.  Where the frame's output rows fill vectors, the output
+ * pixels are the lanes (conv_lanes above).  Elsewhere (stride 2, rows that
+ * fill no vector, or 4-lane builds) one GEMM has the output pixels as rows
+ * and the channels as columns: row i reads its patch from the padded copy,
+ * B is the packed weights, and the store scatters each row's channels to
+ * their planes. */
 static void conv2d_frames(const float *x, const float *gate, const float *wp, long ldw,
                           const float *bias, float *out, long f, long ci, long h, long wd,
                           long co, long stride, const float *add, long add_ld, long add_frames,
@@ -314,9 +446,12 @@ static void conv2d_frames(const float *x, const float *gate, const float *wp, lo
     const long npix = f * hw;
     if (npix == 0 || co == 0)
         return;
-    long *koff = carve(&ws, sizeof(long) * k);   /* patch element p of a pixel */
-    long *pix = carve(&ws, sizeof(long) * npix); /* patch origin of a pixel in xp */
-    long *opix = carve(&ws, sizeof(long) * npix);
+    /* At 4 lanes (no AVX) each broadcast costs a shuffle, and the lane tiles
+     * lost to the pixel rows, so those builds keep the pixel rows. */
+    const int lanes = VW >= 8 && stride == 1 && (wo % VW == 0 || (2 * wo == VW && ho % 2 == 0));
+    long *koff = carve(&ws, sizeof(long) * k); /* patch element p from the patch's origin */
+    long *pix = lanes ? NULL : carve(&ws, sizeof(long) * npix); /* patch origin of a pixel */
+    long *opix = lanes ? NULL : carve(&ws, sizeof(long) * npix);
     float *xp = carve(&ws, sizeof(float) * f * ci * ph * pw);
     for (long pl = 0; pl < f * ci; pl++) {
         float *dst = xp + pl * ph * pw;
@@ -338,6 +473,11 @@ static void conv2d_frames(const float *x, const float *gate, const float *wp, lo
     }
     for (long p = 0; p < k; p++)
         koff[p] = (p / 9) * ph * pw + (p % 9 / 3) * pw + p % 3;
+    if (lanes) {
+        conv_lanes(xp, pw, ph * pw, wp, ldw, koff, k, bias, out, f, ci, ho, wo, co, add, add_ld,
+                   add_frames, base);
+        return;
+    }
     for (long i = 0, fi = 0; fi < f; fi++)
         for (long y = 0; y < ho; y++)
             for (long xo = 0; xo < wo; xo++, i++) {
@@ -347,21 +487,6 @@ static void conv2d_frames(const float *x, const float *gate, const float *wp, lo
     const struct gemm g = {npix, co, k, xp, pix, koff, wp, ldw, out, opix, hw, bias,
                            add, add_ld, add_frames * hw, base};
     gemm_run(&g);
-}
-
-typedef float vwf __attribute__((vector_size(VW * 4)));
-typedef int vwi __attribute__((vector_size(VW * 4)));
-
-static vwf vload(const float *p)
-{
-    vwf v;
-    memcpy(&v, p, sizeof v);
-    return v;
-}
-
-static void vstore(float *p, vwf v)
-{
-    memcpy(p, &v, sizeof v);
 }
 
 /* The first n <= VW floats at p, zero in the other lanes. */

@@ -290,21 +290,24 @@ def _self_check(lib) -> str | None:
     """Run the bound steps on ``lib`` against the reference on small cases; None if equal.
 
     Sums of 37 normal products (and the attention row sums of 37 to 40
-    exponentials) expose any change of summation order or rounding; the
-    cases also hold a row of -0.0 and a subnormal.  The norm's rows of 137
-    terms of a wide range take every branch of numpy's pairwise sum, as
-    rows and as tokens on the lanes (19 of them: a full vector and a
-    tail); its channel case sums over a strided axis.  The conv's two
-    store epilogues and the channel mix's residual add rows and a residual
-    holding -0.0 and a subnormal.  A channel mix's weights (on one pixel
-    per row, as :func:`matmul` runs it) and the added rows are also read as
-    column slices of wider matrices, as plans pass them.  Attention runs
-    with keys shared by the lanes (with and without kept probabilities,
-    broadcast items and appended shared keys) and with keys per lane, on 19
-    lanes of 5 dims.  exp runs on every kind of
-    special value and a sweep across its whole range, from an odd offset;
-    the glue ops run on permuted and broadcast views holding -0.0,
-    infinities and a subnormal.
+    exponentials) expose any change of summation order or rounding; the cases
+    also hold a row of -0.0 and a subnormal.  The conv also runs on 16-wide
+    frames, whose rows are whole vectors at 8 and 16 lanes, so that the output
+    pixels are the lanes: through both epilogues, and with four output channels
+    (six rows: the last tile of four overlaps the first at 16 lanes);
+    and on 8-wide ones, two rows per vector at 16 lanes.  The norm's rows of
+    137 terms of a wide range take every branch of numpy's pairwise sum, as
+    rows and as tokens on the lanes (19 of them: a full vector and a tail); its
+    channel case sums over a strided axis.  The conv's two store epilogues and
+    the channel mix's residual add rows and a residual holding -0.0 and a
+    subnormal.  A channel mix's weights (on one pixel per row, as :func:`matmul`
+    runs it) and the added rows are also read as column slices of wider
+    matrices, as plans pass them.  Attention runs with keys shared by the lanes
+    (with and without kept probabilities, broadcast items and appended shared
+    keys) and with keys per lane, on 19 lanes of 5 dims.  exp runs on every kind
+    of special value and a sweep across its whole range, from an odd offset;
+    the glue ops run on permuted and broadcast views holding -0.0, infinities
+    and a subnormal.
     """
     rng = np.random.default_rng(0)
     a = rng.standard_normal((13, 37), dtype=np.float32)
@@ -338,8 +341,15 @@ def _self_check(lib) -> str | None:
     base[1, 3] = -0.0
     res = rng.standard_normal((2, 21, 5, 4), dtype=np.float32)
     res[0, 3], res[1, 2, 1] = -0.0, 3e-39
-    ws = max(_channel_mix_ws(37, 1, 21), _channel_mix_ws(5, 20, 21),
-             _conv_ws(2, 5, 5, 4, 1), _attention_ws(40, 5, 5), _attention_ws(4, 5, 5, True))
+    wide = rng.standard_normal((2, 5, 6, 16), dtype=np.float32)
+    wide[1, 2], wide[0, 1, 2, 5] = -0.0, 3e-39
+    wide_gate = _silu_gate(wide)
+    wide_base = rng.standard_normal((2, 6, 6, 16), dtype=np.float32)
+    wide_base[0, 4], wide_base[1, 1, 3, 9] = -0.0, 3e-39
+    few = PackedConv(w[:4], conv.bias[:4])
+    half, half_gate, half_base = (a[..., :8].copy() for a in (wide, wide_gate, wide_base))
+    ws = max(_channel_mix_ws(37, 1, 21), _channel_mix_ws(5, 20, 21), _conv_ws(2, 5, 5, 4, 1),
+             _conv_ws(2, 5, 6, 16, 1), _attention_ws(40, 5, 5), _attention_ws(4, 5, 5, True))
 
     def differs(want, bound, *inputs, **kwargs) -> bool:
         """Whether the bound step writes other bytes than ``want`` (an array or a tuple)."""
@@ -390,6 +400,7 @@ def _self_check(lib) -> str | None:
 
     with np.errstate(all="ignore"):  # the reference meets infinities
         y = _conv2d_frames_np(x, conv, 1, gate)
+        y_wide = _conv2d_frames_np(wide, conv, 1, wide_gate)
         cases = [
             ("exp", glue_differs(bound_exp, swept)),
             ("copy of a permuted view", glue_differs(bound_copy, lambda: (
@@ -409,6 +420,18 @@ def _self_check(lib) -> str | None:
             ("conv2d_frames residual epilogue", differs(
                 _conv_epilogue_np(y, None, base), bound_conv2d_frames, x, conv, ws=ws, gate=gate,
                 base=base)),
+            ("conv2d_frames add epilogue on 16-wide frames", differs(
+                _conv_epilogue_np(y_wide, add, None), bound_conv2d_frames, wide, conv, ws=ws,
+                gate=wide_gate, add=add)),
+            ("conv2d_frames residual epilogue on 16-wide frames", differs(
+                _conv_epilogue_np(y_wide, None, wide_base), bound_conv2d_frames, wide, conv,
+                ws=ws, gate=wide_gate, base=wide_base)),
+            ("conv2d_frames of few channels on 16-wide frames", differs(
+                _conv_epilogue_np(_conv2d_frames_np(wide, few, 1, wide_gate), add[:, :4], None),
+                bound_conv2d_frames, wide, few, ws=ws, gate=wide_gate, add=add[:, :4])),
+            ("conv2d_frames residual epilogue on 8-wide frames", differs(
+                _conv_epilogue_np(_conv2d_frames_np(half, conv, 1, half_gate), None, half_base),
+                bound_conv2d_frames, half, conv, ws=ws, gate=half_gate, base=half_base)),
             ("channel_mix", differs(
                 _channel_mix_np(x, b21[:5]), bound_channel_mix, x, b21[:5], ws=ws)),
             ("channel_mix of one pixel, weights a column slice", differs(

@@ -229,6 +229,63 @@ def test_conv_store_epilogues_match_reference(data, samples, fps, ci, h, w, co, 
     assert_same_nan_rule(got, want)
 
 
+def sprinkle(rng, a: np.ndarray, special: bool) -> None:
+    """Set a random entry of a to -0.0 and one to a subnormal; with ``special``, others
+    to inf, -inf and NaN."""
+    flat = a.reshape(-1)  # a view: every array sprinkled here is C-contiguous
+    for v in [-0.0, 3e-39] + ([np.inf, -np.inf, np.nan] if special else []):
+        if flat.size:
+            flat[rng.integers(flat.size)] = v
+
+
+# Frames 8 and 16 wide.  At stride 1 the conv runs with the output pixels on
+# the lanes wherever a build's vectors hold whole rows or two half rows (16
+# lanes: a 16-wide row is one vector, two 8-wide rows are one), on every
+# tile kind: a vector by many channels, several vectors by few channels (co
+# <= 4), two half rows, and a last tile that overlaps the one before it (h =
+# 6 at 16 lanes, h = 3 at 8).  Stride 2 halves the width and runs the
+# pixel-row GEMM.
+@pytest.mark.parametrize("w", [8, 16])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv_on_vector_wide_frames_matches_reference(w, stride):
+    """Every h in (1, 2, 3, 6, 8, 16), co in (1, 4, 5, 16, 17, 33, 64) and ci in (0, 1,
+    4, 16, 32), each on a stack of up to 8 frames with an epilogue (none, per-sample
+    add rows read as a column slice, or a residual base), with or without a SiLU gate,
+    and -0.0, subnormals and (every other case) infinities and NaNs in every operand.
+    The scratch block is exactly the bytes ``_conv_ws`` declares."""
+    rng = np.random.default_rng(w * 10 + stride)
+    cases = [(h, co, ci) for h in (1, 2, 3, 6, 8, 16) for co in (1, 4, 5, 16, 17, 33, 64)
+             for ci in (0, 1, 4, 16, 32)]
+    for i, (h, co, ci) in enumerate(cases):
+        samples = int(rng.choice([1, 2, 4, 8]))
+        f = samples * int(rng.integers(1, 8 // samples + 1))
+        epilogue, gated, special = i % 3, i % 4 < 2, i % 2 == 1
+        ho, wo = (h - 1) // stride + 1, (w - 1) // stride + 1
+        x = rng.standard_normal((f, ci, h, w), dtype=np.float32)
+        wt = rng.standard_normal((co, ci, 3, 3), dtype=np.float32)
+        bias = rng.standard_normal(co, dtype=np.float32)
+        wide = rng.standard_normal((samples, co + 5), dtype=np.float32)
+        base = rng.standard_normal((f, co, ho, wo), dtype=np.float32)
+        for a in (x, wt, bias, wide, base):
+            sprinkle(rng, a, special)
+        if ci:
+            x[rng.integers(f), rng.integers(ci)] = -0.0  # a whole channel plane
+        gate = kernels._silu_gate(x) if gated else None
+        if gated:
+            sprinkle(rng, gate, special)
+        add = wide[:, 3 : 3 + co] if epilogue == 1 else None
+        base = base if epilogue == 2 else None
+        conv = kernels.PackedConv(wt, bias)
+        with np.errstate(all="ignore"):
+            want = kernels._conv_epilogue_np(kernels._conv2d_frames_np(x, conv, stride, gate),
+                                             add, base)
+        got = np.full_like(want, np.nan)
+        run_with_canary(kernels.bound_conv2d_frames, x, conv, got,
+                        ws=kernels._conv_ws(f, ci, h, w, stride), stride=stride, gate=gate,
+                        add=add, base=base)
+        assert_same_nan_rule(got, want)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.data(), st.integers(1, 3), st.integers(0, 40), st.integers(1, 5), st.integers(1, 5),
@@ -554,19 +611,42 @@ def test_kernels_c_builds_without_warnings(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+def restricted_passes(model: ToyUNet) -> list[bytes]:
+    """The bytes of the default model's forward pass, with removal and U32's background
+    rows kept, and of a two-sample restricted subnet with removal that reads those rows,
+    on the active backend."""
+    cfg = model.cfg
+    cond = build_conditioning(RunConfig())[0][0]
+    z = Rng(0).child(2).normal((1, cfg.latent_channels, cfg.frames, cfg.height, cfg.width))
+    zs = np.concatenate([z, np.float32(0.5) * z])
+    tr = model.forward(z, 500, cond, keep_bg=True, removal_active=True)
+    eps = model.subnet(tr.f_u31, zs, [480, 460], cond, dfa=tr.dfa, removal_active=True)
+    return [tr.eps.tobytes(), tr.f_u31.tobytes(), eps.tobytes()] + [
+        rows.tobytes() for rows in tr.dfa.values()]
+
+
 @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
                     reason="the vector-width flags are x86's")
 @pytest.mark.parametrize("flag", ["-mno-avx512f", "-mno-avx"])
-def test_kernels_c_builds_without_warnings_at_narrower_vector_widths(tmp_path, flag):
+def test_kernels_c_builds_without_warnings_at_narrower_vector_widths(tmp_path, monkeypatch, flag):
     """With 8 lanes (no AVX-512) or 4 (no AVX) as the widest vector, kernels.c defines and
     picks only the micro kernels that width's tiles reach, with every common warning as
-    an error."""
+    an error.  The library passes the load-time check, and a default forward pass and
+    a two-sample restricted subnet give the default build's bytes: the tiles of each
+    width differ, the order of every sum does not."""
     done = subprocess.run(
         [native.COMPILER, *native.FLAGS, flag, "-Wall", "-Wextra", "-Werror",
          "-o", str(tmp_path / "kernels.so"), str(native.SOURCE)],
         capture_output=True, text=True, timeout=native.BUILD_TIMEOUT_S,
     )
     assert done.returncode == 0, done.stderr
+    narrow = native.open_library(tmp_path / "kernels.so")
+    assert kernels._self_check(narrow) is None
+    cfg = UNetConfig()
+    with on_compiled():
+        want = restricted_passes(ToyUNet(cfg, init_weights(cfg, 0)[0]))
+        monkeypatch.setattr(kernels, "_lib", narrow)
+        assert restricted_passes(ToyUNet(cfg, init_weights(cfg, 0)[0])) == want
 
 
 def test_kernels_refuse_strided_and_non_float32_arrays():
@@ -786,25 +866,15 @@ def test_plan_built_under_compiled_runs_under_numpy_with_the_same_bytes():
     """A pass reads the backend once: a plan bound under one backend runs under the other."""
     cfg = UNetConfig()
     model = ToyUNet(cfg, init_weights(cfg, 0)[0])
-    cond = build_conditioning(RunConfig())[0][0]
-    z = Rng(0).child(2).normal((1, cfg.latent_channels, cfg.frames, cfg.height, cfg.width))
-    zs = np.concatenate([z, np.float32(0.5) * z])
-
-    def passes():
-        tr = model.forward(z, 500, cond, keep_bg=True, removal_active=True)
-        eps = model.subnet(tr.f_u31, zs, [480, 460], cond, dfa=tr.dfa, removal_active=True)
-        return [tr.eps.tobytes(), tr.f_u31.tobytes(), eps.tobytes()] + [
-            rows.tobytes() for rows in tr.dfa.values()]
-
     before = kernels.active_backend()
     try:
         kernels.set_backend("compiled")
-        want = passes()
+        want = restricted_passes(model)
         plans = len(model._plans)
         kernels.set_backend("numpy")
-        got = passes()
+        got = restricted_passes(model)
         kernels.set_backend("compiled")
-        again = passes()
+        again = restricted_passes(model)
     finally:
         kernels.set_backend(before)
     assert len(model._plans) == plans == 2

@@ -200,8 +200,9 @@ def test_backend_env_var_forces_reference_and_rejects_unknown_names():
 def test_kernel_bench_runs_from_a_clean_checkout(tmp_path):
     """The timing harness finds the package without PYTHONPATH; it exits 1 when the
     backends' bytes differ.  Its cases are the steps and passes plans run, among them
-    both passes of a restricted block and the attention step at the shapes of the
-    default model's sites, and each gives the same bytes on both backends."""
+    both passes of a restricted block, the attention step at the shapes of the default
+    model's sites and single convs at the shapes of its 16x16 and 8x8 layers, and each
+    gives the same bytes on both backends."""
     script = Path(__file__).resolve().parents[1] / "benchmarks" / "kernel_bench.py"
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     done = subprocess.run([sys.executable, str(script), "--repeat", "1"], cwd=tmp_path, env=env,
@@ -211,8 +212,8 @@ def test_kernel_bench_runs_from_a_clean_checkout(tmp_path):
     equal = {row[0]: row[4] for row in rows if len(row) == 7}  # kernel -> bit_equal
     want = "-" if kernels.compiled_error() else "yes"
     cases = ("attention_audio", "attention_reference", "attention_restricted",
-             "attention_temporal", "conv2d", "dfa_subnet", "forward", "key_step", "preact_conv",
-             "rms_norm", "subnet")
+             "attention_temporal", "conv2d", "conv_d0", "conv_d1", "conv_head", "conv_in",
+             "conv_u32", "dfa_subnet", "forward", "key_step", "preact_conv", "rms_norm", "subnet")
     assert {c: equal[c] for c in equal if c != "kernel"} == dict.fromkeys(cases, want)
 
 

@@ -46,6 +46,25 @@ def test_execute_run_is_deterministic(small_rc):
     assert canonical_report(again.report) == canonical_report(res.report)
 
 
+@pytest.mark.parametrize("variant", ["lcp", "lcp_dfa", "lcp_dfa_rm"])
+def test_a_key_step_callback_does_not_change_the_run(small_rc, variant):
+    """A run with ``on_key_step`` gives the bytes, report and FLOPs of one without: the
+    callback sees every key step's kept rows, but only the DFA variants' tail calls
+    read them."""
+    rc = dataclasses.replace(
+        small_rc, mask="frac:0.4",
+        strategy=dataclasses.replace(small_rc.strategy, variant=variant),
+    )
+    model = rn.build_model(rc)
+    seen = []
+    plain = rn.execute_run(rc, model=model)
+    watched = rn.execute_run(rc, model=model, on_key_step=lambda t, z, tr: seen.append(t))
+    assert seen
+    assert tensor_bytes(watched.final) == tensor_bytes(plain.final)
+    assert canonical_report(watched.report) == canonical_report(plain.report)
+    assert watched.ledger.rows == plain.ledger.rows
+
+
 def test_execute_run_final_depends_on_seeds(small_rc):
     base = rn.execute_run(small_rc)
     noisy = rn.execute_run(dataclasses.replace(
