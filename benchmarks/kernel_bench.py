@@ -21,7 +21,14 @@ site (6 keys) and the temporal site (256 locations of 4 x 4).  The
 ``conv_*`` cases are single conv steps of a default forward pass, bound
 once per backend as a plan binds them: 16x16 convs of a D0 unit (16 -> 16
 channels, gated), of U32 (32 -> 16, gated), of the head (16 -> 4, gated)
-and conv_in (4 -> 16), and an 8x8 D1 unit's (32 -> 32, gated).
+and conv_in (4 -> 16), an 8x8 D1 unit's (32 -> 32, gated), and two on the
+pixel rows, a 2x2 D3 unit's (64 -> 64, gated) and the stride-2 down0
+(16 -> 32 at 16x16).  The ``mix_*`` cases are channel mixes, 1x1 convs
+bound as a plan binds them, on 4 frames: a U32 site's Q projection (256
+tokens, 16 -> 8), the K/V projections of a restricted site on 112 and 124
+foreground tokens (16 -> 8), a U32 output projection with its residual
+(8 -> 16), an M site's Q projection (4 tokens, 64 -> 8) and an audio
+site's K/V (6 tokens, 8 -> 8).
 Exits 1 when the outputs differ.  Without a C compiler only the reference
 is timed.
 
@@ -125,24 +132,29 @@ def lane_attention(q, k, v, rows: int = 1, k2=None, v2=None):
     return out
 
 
-def conv_case(rng: Rng, seed: int, shape: tuple, co: int, gated: bool) -> tuple:
+def conv_case(rng: Rng, seed: int, shape: tuple, co: int, gated: bool = False, *,
+              stride: int = 1, mix: bool = False, residual: bool = False) -> tuple:
     """A conv step of a plan on x of ``shape`` to ``co`` channels, of silu(x) with
-    ``gated``: bound once per backend on its own output, as a plan binds it, so that a
-    call times the kernel alone (the eager conv2d_frames's allocation and binding take
-    longer than a small conv)."""
+    ``gated``; with ``mix`` a 1x1 conv without bias (a channel mix), with
+    ``residual`` writing base + 0.5 * that.  Bound once per backend on its own
+    output, as a plan binds it, so that a call times the kernel alone (the eager
+    conv2d_frames's allocation and binding take longer than a small conv)."""
     x = rng.child(seed).normal(shape)
-    conv = kernels.PackedConv(rng.child(seed + 1).normal((co, shape[1], 3, 3)),
-                              rng.child(seed + 2).normal((co,)))
+    k = 1 if mix else 3
+    conv = kernels.PackedConv(rng.child(seed + 1).normal((co, shape[1], k, k)),
+                              None if mix else rng.child(seed + 2).normal((co,)))
     gate = kernels._silu_gate(x) if gated else None
-    ws = np.empty(kernels._conv_ws(*shape, 1), np.uint8)
+    oshape = (shape[0], co) + tuple((n - 1) // stride + 1 for n in shape[2:])
+    base = rng.child(seed + 3).normal(oshape) if residual else None
+    ws = np.empty(kernels._conv_ws(shape, conv, stride), np.uint8)
     bound = {}  # library (None: the reference) -> its calls and output
 
     def run():
         lib = kernels.active_library()
         if lib not in bound:
-            out = np.empty((shape[0], co) + shape[2:], np.float32)
+            out = np.empty(oshape, np.float32)
             bound[lib] = kernels.program(lib, kernels.bound_conv2d_frames(
-                lib, x, conv, out, ws.ctypes.data, gate=gate)), out
+                lib, x, conv, out, ws.ctypes.data, stride=stride, gate=gate, base=base)), out
         calls, out = bound[lib]
         for call in calls:
             call()
@@ -180,7 +192,19 @@ def make_cases(seed: int) -> dict:
             ("conv_u32", (4, 32, 16, 16), 16, True, 33),
             ("conv_head", (4, 16, 16, 16), 4, True, 36),
             ("conv_in", (4, 4, 16, 16), 16, False, 39),
-            ("conv_d1", (4, 32, 8, 8), 32, True, 42))},
+            ("conv_d1", (4, 32, 8, 8), 32, True, 42),
+            ("conv_d3", (4, 64, 2, 2), 64, True, 45))},
+        "conv_down0": conv_case(rng, 48, (4, 16, 16, 16), 32, stride=2),
+        # channel mixes of a default forward pass and of a restricted subnet,
+        # 4 frames each, as a plan binds them: frames of (1, tokens)
+        **{name: conv_case(rng, seed, (4, c, 1, tokens), co, mix=True, residual=residual)
+           for name, c, tokens, co, residual, seed in (
+               ("mix_q", 16, 256, 8, False, 51),
+               ("mix_kv_112", 16, 112, 8, False, 55),
+               ("mix_kv_124", 16, 124, 8, False, 59),
+               ("mix_out", 8, 256, 16, True, 63),
+               ("mix_m", 64, 4, 8, False, 67),
+               ("mix_audio", 8, 6, 8, False, 71))},
         # the U32 reference site of a default forward pass: 4 frames of 256
         # queries, 256 token keys and 256 shared reference keys, head dim 8
         "attention_reference": (

@@ -8,8 +8,9 @@ Each attention layer carries three sites, applied in order:
 * ``temporal`` - per-location attention across the frame axis.
 
 Every site takes a stack of frames and runs each projection as one
-channel mix and the attention of all frames as one batched attention
-step, with the tokens on the vector lanes (see the planned sites below).
+channel mix, a 1x1 conv step, and the attention of all frames as one
+batched attention step, with the tokens on the vector lanes (see the
+planned sites below).
 Tokens never mix, so a stack gives the bytes of one call per frame.
 Spatial sites take tokens of shape (..., L, c), where a 2-d input is one
 frame; the temporal site takes (..., L, f, c).
@@ -96,8 +97,10 @@ def merge_tokens(
     return out
 
 
-def _site_weights(weights: dict[str, np.ndarray], prefix: str):
-    return tuple(weights[f"{prefix}.{n}"] for n in ("wq", "wk", "wv", "wo"))
+def _site_weights(weights: dict, prefix: str) -> tuple[kernels.PackedConv, ...]:
+    """The site's four projections as 1x1 convs; a raw (c, d) matrix is packed here."""
+    ws = (weights[f"{prefix}.{n}"] for n in ("wq", "wk", "wv", "wo"))
+    return tuple(w if isinstance(w, kernels.PackedConv) else kernels.PackedConv.mix(w) for w in ws)
 
 
 def _spatial(x: np.ndarray) -> tuple:
@@ -127,6 +130,8 @@ def _run_site(plan_site, layout, x: np.ndarray, others: tuple, weights, prefix: 
     inputs = (layout(x),) + others
     if any(a.dtype != np.float32 for a, _, _ in inputs):
         raise ValueError("attention sites take float32 tokens")
+    names = [f"{prefix}.{n}" for n in ("wq", "wk", "wv", "wo")]
+    weights = dict(zip(names, _site_weights(weights, prefix)))  # packed once per call
     p = Plan()
     bufs = [p.input(i, shape, view) for i, (_, shape, view) in enumerate(inputs)]
     feeds = {i: a for i, (a, _, _) in enumerate(inputs)}
@@ -134,7 +139,7 @@ def _run_site(plan_site, layout, x: np.ndarray, others: tuple, weights, prefix: 
     if dfa is not None:
         mask, axis = dfa.mask, -2 if layout is _spatial else -3
         fg = x.shape[:axis] + (mask.num_fg,) + x.shape[axis + 1 : -1]
-        merge_tokens(np.zeros(fg + (weights[f"{prefix}.wo"].shape[0],), np.float32), dfa.bg,
+        merge_tokens(np.zeros(fg + (weights[f"{prefix}.wo"].ci,), np.float32), dfa.bg,
                      mask, axis)  # its checks of the rows
         if mask.num_bg:
             feeds["bg"], shape, view = layout(dfa.bg)
@@ -260,17 +265,17 @@ def _plan_merge(p: Plan, a_fg: Buf | None, rows: Buf | None, mask: ForegroundMas
 
 
 def _project(p: Plan, x: Buf, ws, prefix: str, rows: int, base: Buf | None = None) -> list[Buf]:
-    """x @ w over the channels of x (items, c, *tokens) for each w, logged as a matmul
-    of ``rows`` token rows; with ``base``, base + 0.5 * that."""
+    """x @ w over the channels of x (items, c, *tokens) for each 1x1 conv w, logged as a
+    matmul of ``rows`` token rows; with ``base``, base + 0.5 * that."""
     outs = []
     for w in ws:
         outs.append(p.channel_mix(x, w, base))
-        p.flop("matmul", prefix, (rows, w.shape[0], w.shape[1]))
+        p.flop("matmul", prefix, (rows, w.ci, w.co))
     return outs
 
 
 def plan_reference_site(
-    p: Plan, x: Buf, ref: Buf, weights: dict[str, np.ndarray], prefix: str, *,
+    p: Plan, x: Buf, ref: Buf, weights: dict, prefix: str, *,
     base: Buf | None = None, removal: bool = False, mask: ForegroundMask | None = None,
     rows: Buf | None = None, keep_probs: bool = False,
 ) -> tuple[Buf, Buf | None, Buf | None]:
@@ -291,7 +296,7 @@ def plan_reference_site(
         kx, vx = (p.channel_mix(xs, w) for w in (wk, wv))
         shared = None if removal else tuple(p.channel_mix(rs, w) for w in (wk, wv))
         for w in (wk, wv):
-            p.flop("matmul", prefix, (n * lk, w.shape[0], w.shape[1]))
+            p.flop("matmul", prefix, (n * lk, w.ci, w.co))
         return p.attention(q, kx, vx, prefix, shared=shared, keep_probs=keep)
 
     if mask is None:
@@ -307,7 +312,7 @@ def plan_reference_site(
 
 
 def plan_audio_site(
-    p: Plan, x: Buf, aud: Buf, weights: dict[str, np.ndarray], prefix: str, *,
+    p: Plan, x: Buf, aud: Buf, weights: dict, prefix: str, *,
     base: Buf | None = None, mask: ForegroundMask | None = None, rows: Buf | None = None,
 ) -> tuple[Buf, Buf | None]:
     """:func:`audio_site` of x (n, c, *tokens) and audio tokens aud (f, da, A), frame b
@@ -329,7 +334,7 @@ def plan_audio_site(
 
 
 def plan_temporal_site(
-    p: Plan, x: Buf, weights: dict[str, np.ndarray], prefix: str, *, frames: int,
+    p: Plan, x: Buf, weights: dict, prefix: str, *, frames: int,
     base: Buf | None = None, mask: ForegroundMask | None = None, rows: Buf | None = None,
 ) -> tuple[Buf, Buf | None]:
     """:func:`temporal_site` of x (samples * frames, c, *locations): each location of a

@@ -11,16 +11,20 @@
  * without -ffast-math.  Vectorizing over output columns and blocking over
  * rows never reorders p, so any vector width gives the same bytes.
  *
- * The convolution reads its patches from a zero-padded copy of the input
- * and multiplies the padding zeros like any other element, so inf or NaN
- * weights give NaN where the reference does (which NaN's bits survive a
- * sum of two NaNs is not fixed, see kernels.py).  Its weights arrive
- * packed once per model; given a SiLU gate, the padded copy holds the
- * activated input.  It runs in one of two orientations, with the same
- * sums: where a frame's output rows fill whole vectors (or halves of
- * them), the output pixels are the lanes and the channels the tile rows,
- * as in the channel mix, and each output vector is one store; elsewhere
- * (stride 2, narrow maps, 4-lane builds) the output pixels are the GEMM
+ * One convolution op serves every per-pixel GEMM: 3x3 kernels, and 1x1
+ * kernels, the channel mixes (a unit's skip, an attention site's Q, K, V
+ * and output projections, and the eager matmul, a frame per row).  Its
+ * weights arrive packed once.  A 3x3 conv reads its patches from a
+ * zero-padded copy of the input and multiplies the padding zeros like any
+ * other element, so inf or NaN weights give NaN where the reference does
+ * (which NaN's bits survive a sum of two NaNs is not fixed, see
+ * kernels.py); given a SiLU gate, the padded copy holds the activated
+ * input.  A 1x1 conv reads its input in place.  The conv runs in one of two
+ * orientations, with the same sums: where a frame's output rows fill whole
+ * vectors (or halves of them), or a 1x1 conv's frame holds a tile of
+ * pixels, the output pixels are the lanes and the channels the tile rows,
+ * and each output vector is one store; elsewhere (stride 2, narrow maps,
+ * fewer pixels, 3x3 convs on 4-lane builds) the output pixels are the GEMM
  * rows and the channels the lanes.
  *
  * The RMS norm is the one sum that does not always run in ascending
@@ -35,7 +39,7 @@
  * and the kernels call it in place, as np.exp(x, out=x) does, so both
  * backends run the same machine code.
  *
- * Attention and the channel mixes around it keep the tokens on the vector
+ * Attention, like the 1x1 convs around it, keeps the tokens on the vector
  * lanes, in the feature map's own (frames, channels, tokens) layout.  The
  * attention kernel holds VW query tokens in the lanes of one block: their
  * key-major scores stay in L1 while each lane runs the reference's own
@@ -79,96 +83,6 @@
 #define VW_LANES 0, 1, 2, 3
 #endif
 
-/* Rows per micro-tile with nv column vectors: accumulators, the nv B
- * vectors and one broadcast fit in the register file. */
-#define MAXROWS 12
-#define ROWS(nv) ((NREGS - (nv) - 2) / (nv) < MAXROWS ? (NREGS - (nv) - 2) / (nv) : MAXROWS)
-
-/* The L-lane vectors of the micro kernels below (v##L). */
-typedef float v4 __attribute__((vector_size(16)));
-typedef float v8 __attribute__((vector_size(32)));
-typedef float v16 __attribute__((vector_size(64)));
-
-/* One output tile of R rows by NV vectors of L columns.  Row r reads its
- * reduction operand p at ar[r][koff[p]]; B is k rows of ldb floats.  The
- * tile is written to c with row stride ldc. */
-#define DEFINE_MICRO(L, NV)                                                    \
-    static void micro_##L##_##NV(const float *const *ar, const long *koff,    \
-                                 long k, const float *b, long ldb,            \
-                                 float *c, long ldc)                          \
-    {                                                                         \
-        enum { R = ROWS(NV) };                                                \
-        v##L acc[R][NV];                                                      \
-        for (int r = 0; r < R; r++)                                           \
-            for (int v = 0; v < NV; v++)                                      \
-                acc[r][v] = (v##L){0};                                        \
-        for (long p = 0; p < k; p++) {                                        \
-            const long o = koff[p];                                           \
-            v##L bv[NV];                                                      \
-            for (int v = 0; v < NV; v++)                                      \
-                memcpy(&bv[v], b + p * ldb + v * L, sizeof(v##L));            \
-            for (int r = 0; r < R; r++) {                                     \
-                const float s = ar[r][o];                                     \
-                for (int v = 0; v < NV; v++)                                  \
-                    acc[r][v] = acc[r][v] + s * bv[v];                        \
-            }                                                                 \
-        }                                                                     \
-        for (int r = 0; r < R; r++)                                           \
-            for (int v = 0; v < NV; v++)                                      \
-                memcpy(c + r * ldc + v * L, &acc[r][v], sizeof(v##L));        \
-    }
-
-/* lanes_for(n) returns a width L < VW only when n <= L, so a tile of such
- * a width is one vector; only the widest vectors make tiles of one to four. */
-#if VW > 4
-DEFINE_MICRO(4, 1)
-#endif
-#if VW > 8
-DEFINE_MICRO(8, 1)
-#endif
-#define DEFINE_WIDEST(L) DEFINE_MICRO(L, 1) DEFINE_MICRO(L, 2) DEFINE_MICRO(L, 3) DEFINE_MICRO(L, 4)
-#define WIDEST_(L) {micro_##L##_1, micro_##L##_2, micro_##L##_3, micro_##L##_4}
-#define WIDEST(L) WIDEST_(L)
-DEFINE_WIDEST(VW)
-
-typedef void (*micro_fn)(const float *const *, const long *, long, const float *, long, float *,
-                         long);
-
-static micro_fn pick_micro(long lanes, long nv)
-{
-    static const micro_fn widest[4] = WIDEST(VW);
-#if VW > 4
-    if (lanes == 4)
-        return micro_4_1;
-#endif
-#if VW > 8
-    if (lanes == 8)
-        return micro_8_1;
-#endif
-    (void)lanes; /* a build with VW == 4 has one width */
-    return widest[nv - 1];
-}
-
-/* Vector width for n output columns: the narrowest that holds them, up
- * to the widest the target has. */
-static long lanes_for(long n)
-{
-    long lanes = 4;
-    while (lanes < VW && lanes < n)
-        lanes *= 2;
-    return lanes;
-}
-
-/* Scratch memory comes from the caller: each kernel carves the regions it
- * needs from ws, each rounded up to 64 bytes (kernels.py computes the same
- * sizes, an upper bound of what is carved here). */
-static void *carve(char **ws, size_t bytes)
-{
-    void *p = *ws;
-    *ws += (bytes + 63) / 64 * 64;
-    return p;
-}
-
 typedef float vwf __attribute__((vector_size(VW * 4)));
 typedef int vwi __attribute__((vector_size(VW * 4)));
 typedef float vwh __attribute__((vector_size(VW * 2))); /* half a vector */
@@ -185,14 +99,81 @@ static void vstore(float *p, vwf v)
     memcpy(p, &v, sizeof v);
 }
 
-/* C = A @ B for an m x n output.  A(i, p) = abase[arow[i] + koff[p]]; B is
- * k rows of ldb floats, where ldb is a multiple of lanes_for(n) and columns
- * n..ldb-1 exist (their results are discarded).  Without orow C is stored
- * row-major, out[i * n + j] = C[i][j].  With it, C[i][j] goes to
- * out[orow[i] + j * cs], the (channel, pixel) layout of a convolution, as
- * the epilogue below makes it: + bias[j] when bias is given, then either
- * + add[(i / add_rows) * add_ld + j], or base[same index] + 0.5f * that.
- * Each step is one separately rounded float32 operation. */
+static long up(long n, long m)
+{
+    return (n + m - 1) / m * m;
+}
+
+/* Scratch memory comes from the caller: each kernel carves the regions it
+ * needs from ws, each rounded up to 64 bytes (kernels.py computes the same
+ * sizes, an upper bound of what is carved here). */
+static void *carve(char **ws, size_t bytes)
+{
+    void *p = *ws;
+    *ws += (bytes + 63) / 64 * 64;
+    return p;
+}
+
+/* Rows per micro-tile of the pixel-row GEMM with nv column vectors: the
+ * accumulators, the nv B vectors and one broadcast fit in the register file.
+ * At 8 lanes (16 registers) a tile has at most two vectors, of 6 rows: four
+ * would leave 2 rows, two broadcasts per four vector loads, and took 1.13
+ * times as long on a 2x2 64 -> 64 conv.  At 4 lanes a broadcast costs a
+ * shuffle, and tiles of four vectors, with the fewest broadcasts, were 10 %
+ * faster than two. */
+#define MAXROWS 12
+#define MAXNV (VW == 8 ? 2 : 4)
+#define ROWS(nv) ((NREGS - (nv) - 2) / (nv) < MAXROWS ? (NREGS - (nv) - 2) / (nv) : MAXROWS)
+
+/* One output tile of ROWS(NV) rows by NV vectors.  Row r reads its
+ * reduction operand p at ar[r][koff[p]]; B is k rows of ldb floats.  The
+ * tile is written to c with row stride ldc. */
+#define DEFINE_MICRO(NV)                                                       \
+    static void micro_##NV(const float *const *ar, const long *koff, long k,  \
+                           const float *b, long ldb, float *c, long ldc)      \
+    {                                                                         \
+        enum { R = ROWS(NV) };                                                \
+        vwf acc[R][NV];                                                       \
+        for (int r = 0; r < R; r++)                                           \
+            for (int v = 0; v < NV; v++)                                      \
+                acc[r][v] = (vwf){0};                                         \
+        for (long p = 0; p < k; p++) {                                        \
+            const long o = koff[p];                                           \
+            vwf bv[NV];                                                       \
+            for (int v = 0; v < NV; v++)                                      \
+                bv[v] = vload(b + p * ldb + v * VW);                          \
+            for (int r = 0; r < R; r++) {                                     \
+                const float s = ar[r][o];                                     \
+                for (int v = 0; v < NV; v++)                                  \
+                    acc[r][v] = acc[r][v] + s * bv[v];                        \
+            }                                                                 \
+        }                                                                     \
+        for (int r = 0; r < R; r++)                                           \
+            for (int v = 0; v < NV; v++)                                      \
+                vstore(c + r * ldc + v * VW, acc[r][v]);                      \
+    }
+
+typedef void (*micro_fn)(const float *const *, const long *, long, const float *, long, float *,
+                         long);
+
+DEFINE_MICRO(1)
+DEFINE_MICRO(2)
+#if MAXNV == 4
+DEFINE_MICRO(3)
+DEFINE_MICRO(4)
+static const micro_fn micros[MAXNV] = {micro_1, micro_2, micro_3, micro_4};
+#else
+static const micro_fn micros[MAXNV] = {micro_1, micro_2};
+#endif
+
+/* C = A @ B for an m x n output, the pixel-row orientation of a conv.
+ * A(i, p) = abase[arow[i] + koff[p]]; B is k rows of ldb floats, the packed
+ * weights: ldb is a multiple of 16, the widest vector, so columns n..ldb-1
+ * exist (their results are discarded).  C[i][j] goes to out[orow[i] + j *
+ * cs], the (channel, pixel) layout of a convolution, as the epilogue below
+ * makes it: + bias[j] when bias is given, then either + add[(i / add_rows)
+ * * add_ld + j], or base[same index] + 0.5f * that.  Each step is one
+ * separately rounded float32 operation. */
 struct gemm {
     long m, n, k;
     const float *abase;
@@ -210,13 +191,9 @@ struct gemm {
 
 static void store_row(const struct gemm *g, long i, long j0, const float *src, long ncols)
 {
-    if (!g->orow) {
-        memcpy(g->out + i * g->n + j0, src, sizeof(float) * ncols);
-        return;
-    }
     const long cs = g->cs, at = g->orow[i] + j0 * cs;
     float *dst = g->out + at;
-    float v[4 * 16]; /* ncols <= 4 vectors of at most 16 lanes */
+    float v[MAXNV * VW];
     for (long j = 0; j < ncols; j++)
         v[j] = g->bias ? src[j] + g->bias[j0 + j] : src[j];
     if (g->base) {
@@ -235,24 +212,19 @@ static void store_row(const struct gemm *g, long i, long j0, const float *src, l
 
 static void gemm_run(const struct gemm *g)
 {
-    const long lanes = lanes_for(g->n);
-    float tile[MAXROWS * 4 * 16];
-    for (long j0 = 0; j0 < g->n; j0 += 4 * lanes) {
-        long nv = (g->n - j0 + lanes - 1) / lanes;
-        if (nv > 4)
-            nv = 4;
-        const micro_fn fn = pick_micro(lanes, nv);
-        const long rows = ROWS(nv), tw = nv * lanes;
+    float tile[MAXROWS * MAXNV * VW];
+    for (long j0 = 0; j0 < g->n; j0 += MAXNV * VW) {
+        long nv = (g->n - j0 + VW - 1) / VW;
+        if (nv > MAXNV)
+            nv = MAXNV;
+        const micro_fn fn = micros[nv - 1];
+        const long rows = ROWS(nv), tw = nv * VW;
         const long ncols = g->n - j0 < tw ? g->n - j0 : tw;
         for (long i0 = 0; i0 < g->m; i0 += rows) {
             const long live = g->m - i0 < rows ? g->m - i0 : rows;
             const float *ar[MAXROWS];
             for (long r = 0; r < rows; r++)
                 ar[r] = g->abase + g->arow[i0 + (r < live ? r : live - 1)];
-            if (!g->orow && live == rows && ncols == tw) {
-                fn(ar, g->koff, g->k, g->b + j0, g->ldb, g->out + i0 * g->n + j0, g->n);
-                continue;
-            }
             fn(ar, g->koff, g->k, g->b + j0, g->ldb, tile, tw);
             for (long r = 0; r < live; r++)
                 store_row(g, i0 + r, j0, tile + r * tw, ncols);
@@ -260,69 +232,16 @@ static void gemm_run(const struct gemm *g)
     }
 }
 
-/* n rounded up to a whole number of vectors of lanes_for(n). */
-static long padded(long n)
-{
-    const long lanes = lanes_for(n);
-    return (n + lanes - 1) / lanes * lanes;
-}
-
-/* B (k rows of ldb floats, n used) as the GEMM reads it: as is when ldb is
- * a multiple of the vector width, else copied to ws with zero padding. */
-static const float *gemm_b(const float *b, long ldb, long k, long n, char **ws, long *ld)
-{
-    if (ldb % lanes_for(n) == 0) {
-        *ld = ldb;
-        return b;
-    }
-    *ld = padded(n);
-    float *bp = carve(ws, sizeof(float) * k * *ld);
-    for (long p = 0; p < k; p++) {
-        memcpy(bp + p * *ld, b + p * ldb, sizeof(float) * n);
-        memset(bp + p * *ld + n, 0, sizeof(float) * (*ld - n));
-    }
-    return bp;
-}
-
-/* Channel mix of every pixel of x (f, c, hw): out (f, co, hw) with
- * out[fi][j][q] = sum_p x[fi][p][q] * w[p][j], p ascending from +0.0; w is
- * c rows of ldw floats.  With base (shaped like out), out = base + 0.5f *
- * that, the residual of an attention site.  The pixels are the lanes: each
- * frame is one GEMM of w^T (co x c) and the frame's (c, hw) matrix. */
-static void channel_mix(const float *x, const float *w, long ldw, float *out, const float *base,
-                        long f, long c, long hw, long co, char *ws)
-{
-    if (f == 0 || hw == 0 || co == 0)
-        return;
-    long *koff = carve(&ws, sizeof(long) * c);
-    long *arow = carve(&ws, sizeof(long) * co);
-    long *orow = carve(&ws, sizeof(long) * co);
-    for (long p = 0; p < c; p++)
-        koff[p] = p * ldw;
-    for (long i = 0; i < co; i++) {
-        arow[i] = i;
-        orow[i] = i * hw;
-    }
-    for (long fi = 0; fi < f; fi++) {
-        char *fws = ws;
-        long ld;
-        const float *b = gemm_b(x + fi * c * hw, hw, c, hw, &fws, &ld);
-        const struct gemm g = {co, hw, c, w, arow, koff, b, ld, out + fi * co * hw,
-                               base ? orow : NULL, 1, NULL, NULL, 0, 1,
-                               base ? base + fi * co * hw : NULL};
-        gemm_run(&g);
-    }
-}
-
-/* The lane conv's micro kernels: an output tile of R channels by NV vectors
- * of VW pixels.  Channel r reads its reduction operand p at a[p * lda + r],
- * so the tile's rows need one pointer (with a pointer per row, as the GEMM's
- * micro kernels take them, 16 rows spill and ran at 0.7 of this
+/* The lane orientation's micro kernels: an output tile of R channels by NV
+ * vectors of VW pixels.  Channel r reads its reduction operand p at a[p *
+ * lda + r], so the tile's rows need one pointer (with a pointer per row, as
+ * the GEMM's micro kernels take them, 16 rows spill and ran at 0.7 of this
  * speed).  Vector v of B's row p is the VW floats at b + boff[p] + v * vs, or
  * with HALVES the VW / 2 floats there followed by the VW / 2 floats hs
  * further on.  The tile is written to c with row stride ldc.  A tile's rows
  * past the last channel read the packed weights' zero columns (a tile of
- * LANE_ROWS or FEW rows never passes a multiple of 16) and are not stored. */
+ * LANE_ROWS, 8 or FEW rows never passes a multiple of 16) and are not
+ * stored. */
 #define DEFINE_LANE_MICRO(NAME, R_, NV, HALVES)                                \
     static void NAME(const float *a, long lda, long k, const float *b,        \
                      const long *boff, long vs, long hs, float *c, long ldc)  \
@@ -355,31 +274,39 @@ static void channel_mix(const float *x, const float *w, long ldw, float *out, co
                 vstore(c + r * ldc + v * VW, acc[r][v]);                      \
     }
 
-/* Tiles of LANE_ROWS channels by one vector; of FEW channels by FEW_NV
- * vectors, for a conv with at most FEW output channels; and of LANE_ROWS
- * channels by one vector of two half rows.  Accumulators, the B vectors and
- * a broadcast fit in the register file.  With 16 registers, 8 x 1 was the
- * fastest of 8 x 1, 6 x 2, 4 x 3 and 12 x 1. */
-#define LANE_ROWS (NREGS >= 32 ? 16 : 8)
+/* Tiles of LANE_ROWS channels by LANE_NV vectors; of FEW channels by
+ * FEW_NV vectors, for a conv with at most FEW output channels; of 8
+ * channels by EIGHT_NV vectors, for one with at most 8 (an attention site's
+ * Q, K and V projections); and of LANE_ROWS channels by one vector of two
+ * half rows.  Accumulators, the B vectors and a broadcast fit in the
+ * register file.  At 8 lanes, 8 x 1 was the fastest of 8 x 1, 6 x 2, 4 x 3
+ * and 12 x 1, so there the 8-channel tile is LANE_ROWS x 1.  At 4 lanes,
+ * where a broadcast costs a shuffle and only 1x1 convs take the lanes, every
+ * tile is 2 x 4, the fewest broadcasts. */
+#define LANE_ROWS (NREGS >= 32 ? 16 : VW == 8 ? 8 : 2)
+#define LANE_NV (VW == 4 ? 4 : 1)
 #define FEW 4
 #define FEW_NV (NREGS / 8)
-DEFINE_LANE_MICRO(lane_rows, LANE_ROWS, 1, 0)
+#define EIGHT_NV (NREGS >= 32 ? 3 : 1)
+#define LANE_TILE (8 * EIGHT_NV > LANE_ROWS * LANE_NV ? 8 * EIGHT_NV : LANE_ROWS * LANE_NV)
+DEFINE_LANE_MICRO(lane_rows, LANE_ROWS, LANE_NV, 0)
 DEFINE_LANE_MICRO(lane_few, FEW, FEW_NV, 0)
+DEFINE_LANE_MICRO(lane_eight, 8, EIGHT_NV, 0)
 DEFINE_LANE_MICRO(lane_halves, LANE_ROWS, 1, 1)
 
-/* The lane orientation of conv2d_frames: stride 1, on builds of 8 or 16
- * lanes, on frames whose output rows fill whole vectors (wo a multiple of
- * VW) or halves of them (2 * wo == VW, ho even).  Each frame is one GEMM with
- * the output channels as rows and the frame's pixels, VW at a time, as
- * columns, the channel mix's layout.  A is the packed weights as they are,
- * and each B vector is read from the padded copy xp at its tap's offset
- * taps[p]: the VW pixels from (y, x) on read their channel plane's padded
- * row y + ky from x + kx on, or the halves of two rows.  A tile's vectors are
+/* The lane orientation of conv2d_frames (at 4 lanes only for 1x1 convs): each
+ * frame is one GEMM with the output channels as rows and the frame's
+ * pixels, VW at a time, as columns, the pixels read as ho rows of wo (whole
+ * vectors, or with 2 * wo == VW two rows per vector).  A is the packed
+ * weights as they are, and each B vector is read from xp (frames of ci
+ * planes of plane floats, rows pw floats apart) at its tap's offset
+ * taps[p]: the VW pixels from (y, x) on read their channel plane's row y
+ * (+ ky) from x (+ kx) on, or the halves of two rows.  A tile's vectors are
  * the same columns of consecutive rows (or row pairs), vs floats apart in
  * xp; a column's last tile of several vectors is moved back to end at the
  * frame's last row and stores only the vectors the tile before left.  Each
  * output vector is one contiguous store, the epilogue applied to the whole
- * vector. */
+ * vector; bias may be NULL. */
 static void conv_lanes(const float *xp, long pw, long plane, const float *wp, long ldw,
                        const long *taps, long k, const float *bias, float *out, long f, long ci,
                        long ho, long wo, long co, const float *add, long add_ld, long add_frames,
@@ -387,11 +314,13 @@ static void conv_lanes(const float *xp, long pw, long plane, const float *wp, lo
 {
     const long hw = ho * wo, halves = 2 * wo == VW, hs = halves ? pw : 0;
     const long vrows = halves ? ho / 2 : ho, vs = halves ? 2 * pw : pw, qs = halves ? VW : wo;
-    const int few = !halves && co <= FEW && vrows >= FEW_NV;
-    const long nv = few ? FEW_NV : 1, rows = few ? FEW : LANE_ROWS, tw = nv * VW;
+    const int few = VW > 4 && !halves && co <= FEW && vrows >= FEW_NV;
+    const int eight = VW > 4 && !halves && !few && co <= 8 && vrows >= EIGHT_NV;
+    const long nv = few ? FEW_NV : eight ? EIGHT_NV : LANE_NV;
+    const long rows = few ? FEW : eight ? 8 : LANE_ROWS, tw = nv * VW;
     void (*const fn)(const float *, long, long, const float *, const long *, long, long, float *,
-                     long) = halves ? lane_halves : few ? lane_few : lane_rows;
-    float tile[(LANE_ROWS > FEW * FEW_NV ? LANE_ROWS : FEW * FEW_NV) * VW];
+                     long) = halves ? lane_halves : few ? lane_few : eight ? lane_eight : lane_rows;
+    float tile[LANE_TILE * VW];
     for (long fi = 0; fi < f; fi++) {
         const float *ad = add ? add + fi / add_frames * add_ld : NULL;
         for (long x0 = 0; x0 < wo; x0 += VW)
@@ -404,7 +333,9 @@ static void conv_lanes(const float *xp, long pw, long plane, const float *wp, lo
                         const long ch = i0 + r;
                         for (long v = y0 - yt; v < nv; v++) {
                             const long at = (fi * co + ch) * hw + (yt + v) * qs + x0;
-                            vwf y = vload(tile + r * tw + v * VW) + bias[ch];
+                            vwf y = vload(tile + r * tw + v * VW);
+                            if (bias)
+                                y = y + bias[ch];
                             if (base)
                                 y = vload(base + at) + 0.5f * y;
                             else if (ad)
@@ -417,62 +348,127 @@ static void conv_lanes(const float *xp, long pw, long plane, const float *wp, lo
     }
 }
 
-/* 3x3 convolution, zero padding 1, of every frame of x (f, ci, h, w); out
- * is (f, co, ho, wo).  wp holds the packed weights, (ci * 9) rows of ldw
- * floats, row p the weights of reduction index p = (ci, ky, kx) for every
- * output channel; ldw is a multiple of 16, the widest vector, and columns
- * co..ldw-1 are zero.  The reduction runs over p ascending and bias (co) is
- * added after the sum.  With gate non-NULL (the shape of x), the input is
- * x * (1 / (1 + gate)): silu(x) when gate = exp(-clip(x, -30, 30)).
- *
- * The store adds one of two epilogues to acc + bias, as the gemm above
- * describes: add (a residual unit's time projection, row s of add_ld floats
- * for the frames s * add_frames ..) or base (its residual: base + 0.5f *).
- *
- * Both orientations read the patches straight from a zero-padded copy of
- * the input.  Where the frame's output rows fill vectors, the output
- * pixels are the lanes (conv_lanes above).  Elsewhere (stride 2, rows that
- * fill no vector, or 4-lane builds) one GEMM has the output pixels as rows
- * and the channels as columns: row i reads its patch from the padded copy,
- * B is the packed weights, and the store scatters each row's channels to
- * their planes. */
-static void conv2d_frames(const float *x, const float *gate, const float *wp, long ldw,
-                          const float *bias, float *out, long f, long ci, long h, long wd,
-                          long co, long stride, const float *add, long add_ld, long add_frames,
-                          const float *base, char *ws)
+/* The lane orientation of a 1x1 conv, for frames of at least LANE_NV * VW
+ * pixels: the pixels are presented to conv_lanes as rows of VW, so that its
+ * tiles of several vectors apply, and the input is read in place.  When hw
+ * is not a multiple of VW, each frame is copied to ws in zero-padded rows,
+ * computed into a padded output there and copied out with the epilogue, the
+ * same separately rounded operations as conv_lanes' store. */
+static void conv1x1_lanes(const float *x, const float *wp, long ldw, long *taps,
+                          const float *bias, float *out, long f, long ci, long hw, long co,
+                          const float *add, long add_ld, long add_frames, const float *base,
+                          char *ws)
 {
-    const long ph = h + 2, pw = wd + 2, k = ci * 9;
-    const long ho = (h - 1) / stride + 1, wo = (wd - 1) / stride + 1, hw = ho * wo;
-    const long npix = f * hw;
-    if (npix == 0 || co == 0)
+    const long hwp = up(hw, VW);
+    for (long p = 0; p < ci; p++)
+        taps[p] = p * hwp;
+    if (hwp == hw) {
+        conv_lanes(x, VW, hw, wp, ldw, taps, ci, bias, out, f, ci, hw / VW, VW, co, add, add_ld,
+                   add_frames, base);
         return;
-    /* At 4 lanes (no AVX) each broadcast costs a shuffle, and the lane tiles
-     * lost to the pixel rows, so those builds keep the pixel rows. */
-    const int lanes = VW >= 8 && stride == 1 && (wo % VW == 0 || (2 * wo == VW && ho % 2 == 0));
-    long *koff = carve(&ws, sizeof(long) * k); /* patch element p from the patch's origin */
-    long *pix = lanes ? NULL : carve(&ws, sizeof(long) * npix); /* patch origin of a pixel */
-    long *opix = lanes ? NULL : carve(&ws, sizeof(long) * npix);
-    float *xp = carve(&ws, sizeof(float) * f * ci * ph * pw);
-    for (long pl = 0; pl < f * ci; pl++) {
+    }
+    float *xs = carve(&ws, sizeof(float) * ci * hwp);
+    float *ys = carve(&ws, sizeof(float) * co * hwp);
+    for (long p = 0; p < ci; p++)
+        memset(xs + p * hwp + hw, 0, sizeof(float) * (hwp - hw));
+    for (long fi = 0; fi < f; fi++) {
+        for (long p = 0; p < ci; p++)
+            memcpy(xs + p * hwp, x + (fi * ci + p) * hw, sizeof(float) * hw);
+        conv_lanes(xs, VW, hwp, wp, ldw, taps, ci, NULL, ys, 1, ci, hwp / VW, VW, co, NULL, 0, 1,
+                   NULL);
+        const float *ad = add ? add + fi / add_frames * add_ld : NULL;
+        for (long ch = 0; ch < co; ch++) {
+            const long at = (fi * co + ch) * hw;
+            for (long q = 0; q < hw; q++) {
+                float y = ys[ch * hwp + q];
+                if (bias)
+                    y = y + bias[ch];
+                out[at + q] = base ? base[at + q] + 0.5f * y : ad ? y + ad[ch] : y;
+            }
+        }
+    }
+}
+
+/* A zero-padded copy, carved from ws, of the n planes (h, w) of x: each
+ * (h + 2, w + 2), holding silu(x) = x * (1 / (1 + gate)) when gate is
+ * given. */
+static const float *pad_frames(const float *x, const float *gate, long n, long h, long w,
+                               char **ws)
+{
+    const long ph = h + 2, pw = w + 2;
+    float *xp = carve(ws, sizeof(float) * n * ph * pw);
+    for (long pl = 0; pl < n; pl++) {
         float *dst = xp + pl * ph * pw;
         memset(dst, 0, sizeof(float) * pw);
         for (long y = 0; y < h; y++) {
             float *row = dst + (y + 1) * pw;
-            const float *src = x + (pl * h + y) * wd;
+            const float *src = x + (pl * h + y) * w;
             row[0] = 0.0f;
             if (gate) {
-                const float *g = gate + (pl * h + y) * wd;
-                for (long j = 0; j < wd; j++)
+                const float *g = gate + (pl * h + y) * w;
+                for (long j = 0; j < w; j++)
                     row[j + 1] = src[j] * (1.0f / (1.0f + g[j]));
             } else {
-                memcpy(row + 1, src, sizeof(float) * wd);
+                memcpy(row + 1, src, sizeof(float) * w);
             }
             row[pw - 1] = 0.0f;
         }
         memset(dst + (ph - 1) * pw, 0, sizeof(float) * pw);
     }
-    for (long p = 0; p < k; p++)
-        koff[p] = (p / 9) * ph * pw + (p % 9 / 3) * pw + p % 3;
+    return xp;
+}
+
+/* Convolution of every frame of x (f, ci, h, w) with ks x ks kernels: 3x3
+ * with zero padding 1 (stride 1 or 2), or 1x1 (stride 1), a channel mix:
+ * out[fi][j][q] = sum_p x[fi][p][q] * w[p][j].  out is (f, co, ho, wo).  wp
+ * holds the packed weights, (ci * ks * ks) rows of ldw floats, row p the
+ * weights of reduction index p = (ci, ky, kx) for every output channel; ldw
+ * is a multiple of 16, the widest vector, and columns co..ldw-1 are zero.
+ * The reduction runs over p ascending and bias (co, or NULL for none) is
+ * added after the sum.  With gate non-NULL (3x3 only, the shape of x), the
+ * input is x * (1 / (1 + gate)): silu(x) when gate = exp(-clip(x, -30, 30)).
+ *
+ * The store adds one of two epilogues to acc + bias, as the gemm above
+ * describes: add (a residual unit's time projection, row s of add_ld floats
+ * for the frames s * add_frames ..) or base (a residual: base + 0.5f *).
+ *
+ * A 3x3 conv reads its patches from a zero-padded copy of the input, a 1x1
+ * conv reads the input in place.  Where a frame's output rows fill vectors,
+ * or a 1x1 conv's frame holds a vector of pixels, the output pixels are the
+ * lanes (conv_lanes above).  Elsewhere (stride 2, narrow maps, 1x1 convs of
+ * fewer than VW pixels, or 4-lane builds) one GEMM has the output pixels as
+ * rows and the channels as columns: row i reads its patch from the input
+ * (or its padded copy), B is the packed weights, and the store scatters each
+ * row's channels to their planes. */
+static void conv2d_frames(const float *x, const float *gate, const float *wp, long ldw,
+                          const float *bias, float *out, long f, long ci, long h, long wd,
+                          long co, long ks, long stride, const float *add, long add_ld,
+                          long add_frames, const float *base, char *ws)
+{
+    const long pad = ks / 2, ph = h + 2 * pad, pw = wd + 2 * pad, k = ci * ks * ks;
+    const long ho = (h - 1) / stride + 1, wo = (wd - 1) / stride + 1, hw = ho * wo;
+    const long npix = f * hw;
+    if (npix == 0 || co == 0)
+        return;
+    /* At 4 lanes (no AVX) each broadcast costs a shuffle, and the lane tiles
+     * lost to the pixel rows on 3x3 convs, so those keep the pixel rows
+     * there; a 1x1 conv takes the lanes from one tile of pixels on. */
+    const int lanes = stride == 1 && (ks == 1 ? hw >= LANE_NV * VW
+                                              : VW >= 8 && (wo % VW == 0 ||
+                                                            (2 * wo == VW && ho % 2 == 0)));
+    long *koff = carve(&ws, sizeof(long) * k); /* patch element p from the patch's origin */
+    if (ks == 1 && lanes) {
+        conv1x1_lanes(x, wp, ldw, koff, bias, out, f, ci, hw, co, add, add_ld, add_frames, base,
+                      ws);
+        return;
+    }
+    long *pix = lanes ? NULL : carve(&ws, sizeof(long) * npix); /* patch origin of a pixel */
+    long *opix = lanes ? NULL : carve(&ws, sizeof(long) * npix);
+    const float *xp = ks == 3 ? pad_frames(x, gate, f * ci, h, wd, &ws) : x;
+    for (long c = 0, p = 0; c < ci; c++)
+        for (long ky = 0; ky < ks; ky++)
+            for (long kx = 0; kx < ks; kx++, p++)
+                koff[p] = c * ph * pw + ky * pw + kx;
     if (lanes) {
         conv_lanes(xp, pw, ph * pw, wp, ldw, koff, k, bias, out, f, ci, ho, wo, co, add, add_ld,
                    add_frames, base);
@@ -653,11 +649,6 @@ struct attn {
     long items, rows, lanes, lk1, lk2, d, dv, kitems, lanek;
     float scale;
 };
-
-static long up(long n, long m)
-{
-    return (n + m - 1) / m * m;
-}
 
 /* One block: from the packed q (dp x VW), K (lkp x dp entries) and V (lk x
  * dvp entries), an entry a float shared by the lanes or, with lanek, a
@@ -897,8 +888,7 @@ static void scatter_rows(float *out, const float *src, const long *idx, long out
 #define OP_SLOTS 24
 
 enum {
-    OP_CHANNEL_MIX = 1,
-    OP_CONV,
+    OP_CONV = 1,
     OP_NORM,
     OP_ATTENTION,
     OP_EXP,
@@ -917,13 +907,10 @@ static void run_op(const slot *op)
 {
     const slot *a = op + 1;
     switch (op[0].i) {
-    case OP_CHANNEL_MIX: /* x, w, ldw, out, base or NULL, f, c, hw, co, ws */
-        channel_mix(a[0].p, a[1].p, a[2].i, a[3].p, a[4].p, a[5].i, a[6].i, a[7].i, a[8].i,
-                    a[9].p);
-        break;
     case OP_CONV: /* the arguments of conv2d_frames */
         conv2d_frames(a[0].p, a[1].p, a[2].p, a[3].i, a[4].p, a[5].p, a[6].i, a[7].i, a[8].i,
-                      a[9].i, a[10].i, a[11].i, a[12].p, a[13].i, a[14].i, a[15].p, a[16].p);
+                      a[9].i, a[10].i, a[11].i, a[12].i, a[13].p, a[14].i, a[15].i, a[16].p,
+                      a[17].p);
         break;
     case OP_NORM: /* x, out, gate or NULL, outer, c, inner, pairwise; the gate is exp(-clip(out)) */
         rms_norm(a[0].p, a[1].p, a[2].p, a[3].i, a[4].i, a[5].i, (int)a[6].i);

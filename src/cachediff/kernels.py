@@ -1,6 +1,6 @@
 """Float32 compute kernels with a compiled backend and a numpy reference.
 
-Every reduction kernel (matmul, batched matmul, 3x3 conv, attention) sums
+Every reduction kernel (conv, matmul, batched matmul, attention) sums
 over its reduction axis in ascending order from ``+0.0``, rounding each
 product and each partial sum to float32 separately.  Attention subtracts
 the NaN-propagating row max from its scaled scores, exponentiates, and
@@ -31,10 +31,13 @@ attention is one op per step, scores, exp and apply alike, and a residual
 unit's pre-activation ``conv(silu(rms_norm(x)))`` is a norm op that also
 writes the SiLU gate and a conv op that reads it.
 
-Attention and the channel mixes around it take their tokens in a feature
-map's own layout, (items, channels, tokens): the compiled kernels hold
-the tokens on the vector lanes, and each token keeps the reference's own
-sequence of float32 operations.
+One conv op serves every per-pixel GEMM: 3x3 convs, and 1x1 convs, the
+channel mixes x @ w over the channels of each pixel (a residual unit's
+skip, an attention site's projections, and the eager matmul).  Attention
+and the 1x1 convs around it take their tokens in a feature map's own
+layout, (items, channels, tokens): the compiled kernels hold the tokens
+on the vector lanes, and each token keeps the reference's own sequence of
+float32 operations.
 
 Conv weights are packed once (:class:`PackedConv`), in one layout that
 both backends read, so a model built under one backend runs under the
@@ -50,8 +53,9 @@ through :func:`_run`.
 
 Five eager functions remain: :func:`matmul`, :func:`matmul_batch` and
 :func:`conv2d_frames` check their arguments, allocate their outputs and
-run a bound step per call (a matmul is a channel mix with one pixel per
-row); :func:`softmax_rows` and :func:`silu` are the numpy reference's own
+run a bound step per call (a matmul is the 1x1 conv of its right operand,
+packed per call, on frames of one pixel, one per row of the left);
+:func:`softmax_rows` and :func:`silu` are the numpy reference's own
 sequences.  No planned pass calls them, but :func:`matmul` and
 :func:`silu` compute a model's time projections, once per timestep
 (:class:`cachediff.unet.ToyUNet`).  The benchmark's tracer wraps all five
@@ -93,28 +97,47 @@ _PACK_COLS = 16
 
 
 class PackedConv:
-    """3x3 conv weights (co, ci, 3, 3) and bias (co,), checked and packed once.
+    """Conv weights (co, ci, k, k), k 3 or 1, and bias (co,) or None, checked and
+    packed once.
 
-    ``w`` is the (ci*9, ldw) matrix whose row p holds the weights of the
+    ``w`` is the (ci*k*k, ldw) matrix whose row p holds the weights of the
     reduction index p = (ci, ky, kx) for every output channel, zero-padded
     to ``ldw`` columns, the next multiple of 16.  The compiled kernel reads
-    it as is, the numpy reference its first ``co`` columns.
+    it as is, the numpy reference its first ``co`` columns.  A 1x1 conv is a
+    channel mix, x @ m per pixel for a (ci, co) matrix m, and its ``w`` is m
+    padded (:meth:`mix`).
     """
 
-    __slots__ = ("ci", "co", "w", "bias")
+    __slots__ = ("ci", "co", "k", "w", "bias")
 
-    def __init__(self, w: np.ndarray, bias: np.ndarray):
+    def __init__(self, w: np.ndarray, bias: np.ndarray | None = None):
         w = _f32(w, "w", 4)
-        bias = _f32(bias, "bias", 1)
-        if w.shape[2:] != (3, 3):
-            raise ValueError(f"conv expects 3x3 kernels, got {w.shape}")
-        if bias.shape[0] != w.shape[0]:
-            raise ValueError(f"conv bias mismatch: {bias.shape} vs {w.shape}")
-        self.co, self.ci = w.shape[:2]
+        if w.shape[2:] not in ((3, 3), (1, 1)):
+            raise ValueError(f"conv expects 3x3 or 1x1 kernels, got {w.shape}")
+        if bias is not None:
+            bias = _f32(bias, "bias", 1)
+            if bias.shape[0] != w.shape[0]:
+                raise ValueError(f"conv bias mismatch: {bias.shape} vs {w.shape}")
+            bias = bias.copy()
+        self.co, self.ci, self.k = w.shape[:3]
         ldw = -(-self.co // _PACK_COLS) * _PACK_COLS
-        self.w = np.zeros((self.ci * 9, ldw), dtype=np.float32)
-        self.w[:, : self.co] = w.reshape(self.co, self.ci * 9).T
-        self.bias = bias.copy()
+        self.w = np.zeros((self.ci * self.k * self.k, ldw), dtype=np.float32)
+        self.w[:, : self.co] = w.reshape(self.co, self.ci * self.k * self.k).T
+        self.bias = bias
+
+    @classmethod
+    def mix(cls, m: np.ndarray) -> PackedConv:
+        """The 1x1 conv without bias of the channel mix x @ m, m a (ci, co) matrix.
+
+        Its ``w`` is m padded, or m itself when co is a multiple of 16: packing
+        then copies nothing (the time MLP's 64 x 784 matmul, run per timestep).
+        """
+        m = _f32(m, "m", 2)
+        conv = cls.__new__(cls)
+        (conv.ci, conv.co), conv.k, conv.bias = m.shape, 1, None
+        pad = -conv.co % _PACK_COLS
+        conv.w = np.pad(m, ((0, 0), (0, pad))) if pad else m
+        return conv
 
 
 # ---------------------------------------------------------------------------
@@ -147,19 +170,25 @@ def _matmul_batch_np(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _conv2d_frames_np(
     x: np.ndarray, conv: PackedConv, stride: int, gate: np.ndarray | None = None
 ) -> np.ndarray:
-    """Patch matrix with columns ordered (ci, ky, kx), one matmul, bias, (f,co,ho,wo) layout."""
+    """Patch matrix with columns ordered (ci, ky, kx), one matmul, bias, (f,co,ho,wo) layout.
+
+    A 3x3 conv's patches come from the input zero-padded by 1; a 1x1 conv's
+    patch matrix is the input's (f * pixels, ci) tokens."""
     if gate is not None:
         x = _apply_gate(x, gate)
     f, c_in, h, wid = x.shape
-    pad = np.zeros((f, c_in, h + 2, wid + 2), dtype=np.float32)
-    pad[:, :, 1 : h + 1, 1 : wid + 1] = x
-    win = np.lib.stride_tricks.sliding_window_view(pad, (3, 3), axis=(2, 3))
+    k, r = conv.k, conv.k // 2
+    pad = np.zeros((f, c_in, h + 2 * r, wid + 2 * r), dtype=np.float32)
+    pad[:, :, r : h + r, r : wid + r] = x
+    win = np.lib.stride_tricks.sliding_window_view(pad, (k, k), axis=(2, 3))
     win = win[:, :, ::stride, ::stride]
     ho, wo = win.shape[2], win.shape[3]
     patches = np.ascontiguousarray(
-        win.transpose(0, 2, 3, 1, 4, 5).reshape(f * ho * wo, c_in * 9)
+        win.transpose(0, 2, 3, 1, 4, 5).reshape(f * ho * wo, c_in * k * k)
     )
-    out = _matmul_np(patches, conv.w[:, : conv.co]) + conv.bias[None, :]
+    out = _matmul_np(patches, conv.w[:, : conv.co])
+    if conv.bias is not None:
+        out = out + conv.bias[None, :]
     return np.ascontiguousarray(out.reshape(f, ho, wo, conv.co).transpose(0, 3, 1, 2))
 
 
@@ -176,15 +205,6 @@ def _conv_epilogue_np(y: np.ndarray, add: np.ndarray | None, base: np.ndarray | 
     if base is not None:
         return base + np.float32(0.5) * y
     return y
-
-
-def _channel_mix_np(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """x @ w per pixel of an (f, c, *pixels) stack: the matmul of its (f * pixels, c) tokens."""
-    f, c, *rest = x.shape
-    hw = math.prod(rest)
-    tok = np.ascontiguousarray(x.reshape(f, c, hw).transpose(0, 2, 1).reshape(f * hw, c))
-    out = _matmul_np(tok, w).reshape(f, hw, w.shape[1]).transpose(0, 2, 1)
-    return np.ascontiguousarray(out).reshape(f, w.shape[1], *rest)
 
 
 def _rms_norm_np(x: np.ndarray, axis: int, gate: bool = False):
@@ -266,15 +286,17 @@ def _pad16(n: int) -> int:
     return -(-n // 16) * 16
 
 
-def _channel_mix_ws(c: int, hw: int, co: int) -> int:
-    """koff, arow and orow, plus a padded copy of one frame unless hw is a multiple of 16."""
-    return _r64(8 * c) + 2 * _r64(8 * co) + (_r64(4 * c * _pad16(hw)) if hw % 16 else 0)
-
-
-def _conv_ws(f: int, ci: int, h: int, w: int, stride: int) -> int:
-    """koff, pix and opix, then the zero-padded input."""
+def _conv_ws(shape: tuple[int, ...], conv: PackedConv, stride: int = 1) -> int:
+    """koff, pix and opix, then for x of ``shape`` (f, ci, h, w) under a 3x3 conv the
+    zero-padded input; under a 1x1 conv, unless a frame's pixels fill whole vectors
+    (a multiple of 16), one frame's input and output in zero-padded rows."""
+    f, ci, h, w = shape
     npix = f * ((h - 1) // stride + 1) * ((w - 1) // stride + 1)
-    return _r64(8 * 9 * ci) + 2 * _r64(8 * npix) + _r64(4 * f * ci * (h + 2) * (w + 2))
+    ws = _r64(8 * conv.k * conv.k * ci) + 2 * _r64(8 * npix)
+    if conv.k == 3:
+        return ws + _r64(4 * f * ci * (h + 2) * (w + 2))
+    hw = h * w
+    return ws + (_r64(4 * ci * _pad16(hw)) + _r64(4 * conv.co * _pad16(hw)) if hw % 16 else 0)
 
 
 def _attention_ws(lk: int, d: int, dv: int, lane_keys: bool = False) -> int:
@@ -298,16 +320,19 @@ def _self_check(lib) -> str | None:
     and on 8-wide ones, two rows per vector at 16 lanes.  The norm's rows of
     137 terms of a wide range take every branch of numpy's pairwise sum, as
     rows and as tokens on the lanes (19 of them: a full vector and a tail); its
-    channel case sums over a strided axis.  The conv's two store epilogues and
-    the channel mix's residual add rows and a residual holding -0.0 and a
-    subnormal.  A channel mix's weights (on one pixel per row, as :func:`matmul`
-    runs it) and the added rows are also read as column slices of wider
-    matrices, as plans pass them.  Attention runs with keys shared by the lanes
-    (with and without kept probabilities, broadcast items and appended shared
-    keys) and with keys per lane, on 19 lanes of 5 dims.  exp runs on every kind
-    of special value and a sweep across its whole range, from an odd offset;
-    the glue ops run on permuted and broadcast views holding -0.0, infinities
-    and a subnormal.
+    channel case sums over a strided axis.  The conv's two store epilogues add
+    rows and a residual holding -0.0 and a subnormal.  1x1 convs (channel
+    mixes) run on 16-wide frames, read in place on the lanes, plain, with a
+    residual and with 8 output channels (the 8-channel tile); on frames of 20
+    pixels, which 8 and 16 lanes take in padded rows and copy out through the
+    residual epilogue; and on frames of one pixel, as :func:`matmul` runs
+    them, with weights packed from a column slice.  The added rows are read
+    as a column slice of a wider matrix, as plans pass them.  Attention runs
+    with keys shared by the lanes (with and without kept probabilities,
+    broadcast items and appended shared keys) and with keys per lane, on 19
+    lanes of 5 dims.  exp runs on every kind of special value and a sweep
+    across its whole range, from an odd offset; the glue ops run on permuted
+    and broadcast views holding -0.0, infinities and a subnormal.
     """
     rng = np.random.default_rng(0)
     a = rng.standard_normal((13, 37), dtype=np.float32)
@@ -348,8 +373,13 @@ def _self_check(lib) -> str | None:
     wide_base[0, 4], wide_base[1, 1, 3, 9] = -0.0, 3e-39
     few = PackedConv(w[:4], conv.bias[:4])
     half, half_gate, half_base = (a[..., :8].copy() for a in (wide, wide_gate, wide_base))
-    ws = max(_channel_mix_ws(37, 1, 21), _channel_mix_ws(5, 20, 21), _conv_ws(2, 5, 5, 4, 1),
-             _conv_ws(2, 5, 6, 16, 1), _attention_ws(40, 5, 5), _attention_ws(4, 5, 5, True))
+    mix, eight, sliced = (PackedConv.mix(m) for m in (b21[:5], b21[:5, :8], b21[:, 3:19]))
+    mix_res = rng.standard_normal((2, 21, 6, 16), dtype=np.float32)
+    mix_res[1, 4], mix_res[0, 7, 2, 11] = -0.0, 3e-39
+    pixels = a[:, :, None, None]  # 13 frames of one pixel
+    ws = max(_conv_ws(x.shape, conv), _conv_ws(wide.shape, conv), _conv_ws(x.shape, mix),
+             _conv_ws(wide.shape, mix), _conv_ws(pixels.shape, sliced), _attention_ws(40, 5, 5),
+             _attention_ws(4, 5, 5, True))
 
     def differs(want, bound, *inputs, **kwargs) -> bool:
         """Whether the bound step writes other bytes than ``want`` (an array or a tuple)."""
@@ -432,14 +462,19 @@ def _self_check(lib) -> str | None:
             ("conv2d_frames residual epilogue on 8-wide frames", differs(
                 _conv_epilogue_np(_conv2d_frames_np(half, conv, 1, half_gate), None, half_base),
                 bound_conv2d_frames, half, conv, ws=ws, gate=half_gate, base=half_base)),
-            ("channel_mix", differs(
-                _channel_mix_np(x, b21[:5]), bound_channel_mix, x, b21[:5], ws=ws)),
-            ("channel_mix of one pixel, weights a column slice", differs(
-                _channel_mix_np(a[:, :, None], b21[:, 3:19]), bound_channel_mix, a[:, :, None],
-                b21[:, 3:19], ws=ws)),
-            ("channel_mix residual epilogue", differs(
-                _conv_epilogue_np(_channel_mix_np(x, b21[:5]), None, res), bound_channel_mix, x,
-                b21[:5], ws=ws, base=res)),
+            ("1x1 conv on 16-wide frames", differs(
+                _conv2d_frames_np(wide, mix, 1), bound_conv2d_frames, wide, mix, ws=ws)),
+            ("1x1 conv residual epilogue on 16-wide frames", differs(
+                _conv_epilogue_np(_conv2d_frames_np(wide, mix, 1), None, mix_res),
+                bound_conv2d_frames, wide, mix, ws=ws, base=mix_res)),
+            ("1x1 conv of 8 channels on 16-wide frames", differs(
+                _conv_epilogue_np(_conv2d_frames_np(wide, eight, 1), None, mix_res[:, :8]),
+                bound_conv2d_frames, wide, eight, ws=ws, base=mix_res[:, :8].copy())),
+            ("1x1 conv residual epilogue on 20-pixel frames", differs(
+                _conv_epilogue_np(_conv2d_frames_np(x, mix, 1), None, res), bound_conv2d_frames,
+                x, mix, ws=ws, base=res)),
+            ("1x1 conv of one-pixel frames, weights a column slice", differs(
+                _conv2d_frames_np(pixels, sliced, 1), bound_conv2d_frames, pixels, sliced, ws=ws)),
             ("rms_norm rows", differs(_rms_norm_np(t, 1), bound_rms_norm, t, 1)),
             ("rms_norm channels", differs(_rms_norm_np(x, 1, True), bound_rms_norm, x, 1)),
             ("token norm", differs(_token_norm_np(tokens, 1), bound_rms_norm, tokens, 1,
@@ -506,18 +541,23 @@ def set_backend(name: str) -> None:
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Float32 matrix product with fixed ascending-k accumulation.
 
-    It runs as a channel mix with one pixel per row of ``a``: each output
-    is the same ascending sum of the same products.
+    It runs as the 1x1 conv of b (packed per call) on frames of one pixel,
+    one per row of ``a``: each output is the same ascending sum of the same
+    products.
     """
     a = _f32(a, "a", 2)
     b = _f32(b, "b", 2)
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    (m, k), n = a.shape, b.shape[1]
-    out = np.empty((m, n), dtype=np.float32)
-    _run(active_library(), bound_channel_mix, a[:, :, None], b, out[:, :, None],
-         ws=_channel_mix_ws(k, 1, n))
+    out = np.empty((a.shape[0], b.shape[1]), dtype=np.float32)
+    _mix(active_library(), a, PackedConv.mix(b), out)
     return out
+
+
+def _mix(lib, a: np.ndarray, conv: PackedConv, out: np.ndarray) -> None:
+    """out (m, co) = the 1x1 conv of the rows of a (m, ci), each a frame of one pixel."""
+    x = a[:, :, None, None]
+    _run(lib, bound_conv2d_frames, x, conv, out[:, :, None, None], ws=_conv_ws(x.shape, conv))
 
 
 def matmul_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -526,33 +566,33 @@ def matmul_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = _f32(b, "b", 3)
     if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
         raise ValueError(f"matmul_batch shape mismatch: {a.shape} @ {b.shape}")
-    (bn, m, k), n = a.shape, b.shape[2]
-    out = np.empty((bn, m, n), dtype=np.float32)
+    out = np.empty((a.shape[0], a.shape[1], b.shape[2]), dtype=np.float32)
     lib = active_library()
-    for i in range(bn):
-        _run(lib, bound_channel_mix, a[i, :, :, None], b[i], out[i, :, :, None],
-             ws=_channel_mix_ws(k, 1, n))
+    for i in range(a.shape[0]):
+        _mix(lib, a[i], PackedConv.mix(b[i]), out[i])
     return out
 
 
 def conv2d_frames(
     x: np.ndarray, conv: PackedConv, stride: int = 1, gate: np.ndarray | None = None
 ) -> np.ndarray:
-    """Apply the 3x3 convolution to each frame of a (f,c,h,w) stack.
+    """Apply the convolution (3x3, or 1x1: a channel mix) to each frame of a (f,c,h,w) stack.
 
     Per-element results are identical to one call per frame.  Zero padding
     is multiplied like any input element, so inf weights on the border give
     NaN exactly as a naive loop does.  Given x's SiLU gate
     exp(-clip(x, -30, 30)), the input is ``silu(x)``, with the bytes of
-    :func:`silu`.
+    :func:`silu`; a 1x1 conv takes no gate and runs at stride 1.
     """
     x = _f32(x, "x", 4)
     if not isinstance(conv, PackedConv):
         raise ValueError(f"conv2d_frames takes PackedConv weights, got {type(conv).__name__}")
     if x.shape[1] != conv.ci:
         raise ValueError(f"conv2d_frames channel mismatch: x {x.shape}, conv {conv.co}x{conv.ci}")
-    if stride not in (1, 2):
-        raise ValueError(f"conv2d_frames stride must be 1 or 2, got {stride}")
+    if stride not in ((1, 2) if conv.k == 3 else (1,)):
+        raise ValueError(f"conv2d_frames stride must be 1 or 2 (1 for 1x1), got {stride}")
+    if gate is not None and conv.k == 1:
+        raise ValueError("conv2d_frames takes a SiLU gate only with 3x3 kernels")
     if x.shape[2] < 1 or x.shape[3] < 1:
         raise ValueError(f"conv2d_frames needs a non-empty image, got x {x.shape}")
     if gate is not None:
@@ -561,7 +601,7 @@ def conv2d_frames(
             raise ValueError(f"conv2d_frames gate {gate.shape} does not match x {x.shape}")
     f, ci, h, w = x.shape
     out = np.empty((f, conv.co, (h - 1) // stride + 1, (w - 1) // stride + 1), dtype=np.float32)
-    _run(active_library(), bound_conv2d_frames, x, conv, out, ws=_conv_ws(f, ci, h, w, stride),
+    _run(active_library(), bound_conv2d_frames, x, conv, out, ws=_conv_ws(x.shape, conv, stride),
          stride=stride, gate=gate)
     return out
 
@@ -615,8 +655,7 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
 _ATTN_SLAB = 1 << 17
 
 # The OP_* kinds, OP_SLOTS and MAXD of kernels.c.
-(_OP_CHANNEL_MIX, _OP_CONV, _OP_NORM, _OP_ATTENTION, _OP_EXP, _OP_COPY, _OP_GATHER,
- _OP_SCATTER) = range(1, 9)
+_OP_CONV, _OP_NORM, _OP_ATTENTION, _OP_EXP, _OP_COPY, _OP_GATHER, _OP_SCATTER = range(1, 8)
 _OP_SLOTS = 24
 _MAXD = 6
 
@@ -680,20 +719,6 @@ def _run(lib, bound, *args, ws: int | None = None, **kwargs) -> None:
         call()
 
 
-def bound_channel_mix(
-    lib, x: np.ndarray, w: np.ndarray, out: np.ndarray, ws: int, *, base: np.ndarray | None = None
-) -> list:
-    """out (f, co, *pixels) = x @ w per pixel of x (f, c, *pixels), the matmul of x's
-    (f * pixels, c) tokens; with ``base`` (shaped like out), base + 0.5 * that, the
-    residual of an attention site (:func:`_conv_epilogue_np`)."""
-    if lib is None:
-        return [lambda: np.copyto(out, _conv_epilogue_np(_channel_mix_np(x, w), None, base))]
-    f, c = x.shape[:2]
-    pw, ldw = _rows_ptr(w)
-    return [Op(_OP_CHANNEL_MIX, x, pw, ldw, out, base, f, c, math.prod(x.shape[2:]), w.shape[1],
-               ws, refs=(w,))]
-
-
 def bound_conv2d_frames(
     lib, x: np.ndarray, conv: PackedConv, out: np.ndarray, ws: int, *, stride: int = 1,
     gate: np.ndarray | None = None, add: np.ndarray | None = None, base: np.ndarray | None = None,
@@ -702,9 +727,10 @@ def bound_conv2d_frames(
 
     ``add`` (samples, co), one row per run of ``f // samples`` frames, is
     added to ``acc + bias`` (a residual unit's time projection); ``base``,
-    shaped like ``out``, gives ``base + 0.5 * (acc + bias)`` (its residual).
-    Each is the reference's own sequence of float32 operations
-    (:func:`_conv_epilogue_np`), fused into the compiled conv's store.
+    shaped like ``out``, gives ``base + 0.5 * (acc + bias)`` (its residual,
+    or an attention site's).  Each is the reference's own sequence of
+    float32 operations (:func:`_conv_epilogue_np`), fused into the compiled
+    conv's store.
     """
     if add is not None and base is not None:
         raise ValueError("a conv takes one epilogue")
@@ -715,7 +741,8 @@ def bound_conv2d_frames(
     pa, lda = _rows_ptr(add) if add is not None else (None, 0)
     return [Op(
         _OP_CONV, x, gate, conv.w, conv.w.shape[1], conv.bias, out, f, ci, h, wid, conv.co,
-        stride, pa, lda, f // add.shape[0] if add is not None else 1, base, ws, refs=(add,),
+        conv.k, stride, pa, lda, f // add.shape[0] if add is not None else 1, base, ws,
+        refs=(add,),
     )]
 
 

@@ -75,15 +75,15 @@ def read_mask(path: str | Path) -> ForegroundMask:
         H, W = (int(tok) for tok in lines[0][len("mask: ") :].split())
     except ValueError as exc:
         raise ConfigError(f"{path}: malformed mask header") from exc
+    if H < 1 or W < 1:
+        raise ConfigError(f"{path}: mask header needs a positive size, got {H} x {W}")
     rows = lines[1 : 1 + H]
     if len(rows) != H:
         raise ConfigError(f"{path}: expected {H} mask rows, found {len(rows)}")
-    grid = np.zeros((H, W), dtype=np.uint8)
-    for y, row in enumerate(rows):
+    for y, row in enumerate(rows):  # every row is checked before the grid is allocated
         if len(row) != W or set(row) - {"0", "1"}:
             raise ConfigError(f"{path}: row {y} is not {W} chars of 0/1")
-        grid[y] = [int(ch) for ch in row]
-    return ForegroundMask(grid)
+    return ForegroundMask(np.array([[ch == "1" for ch in row] for row in rows], np.uint8))
 
 
 def rect_mask(H: int, W: int, x0: int, y0: int, x1: int, y1: int) -> ForegroundMask:

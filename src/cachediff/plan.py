@@ -149,7 +149,7 @@ class Plan:
         f, ci, h, w = x.shape
         ho, wo = (h - 1) // stride + 1, (w - 1) // stride + 1
         out = self.buf((f, conv.co, ho, wo))
-        self.scratch(kernels._conv_ws(f, ci, h, w, stride))
+        self.scratch(kernels._conv_ws(x.shape, conv, stride))
         tp, col = add if add is not None else (None, 0)
         self.step(lambda lib: kernels.bound_conv2d_frames(
             lib, x.a, conv, out.a, self.ws, stride=stride,
@@ -160,20 +160,22 @@ class Plan:
         self.flop("conv2d", name, (conv.co, conv.ci, ho, f * wo))
         return out
 
-    def channel_mix(self, x: Buf, w: np.ndarray, base: Buf | None = None) -> Buf:
-        """Per-pixel x @ w over the channel axis of x (f, c, *pixels), with the pixels
-        on the lanes; with ``base``, base + 0.5 * that.  Not logged."""
+    def channel_mix(self, x: Buf, mix: kernels.PackedConv, base: Buf | None = None) -> Buf:
+        """The 1x1 conv ``mix`` (x @ w per pixel) of x (f, c, *pixels), one conv step
+        on frames of (1, pixels); with ``base``, base + 0.5 * that.  Not logged: its
+        callers log it as a matmul."""
         f, c = x.shape[:2]
-        if w.shape[0] != c:
-            raise ValueError(f"channel mix shape mismatch: {x.shape} @ {w.shape}")
-        kernels._rows_ptr(w)  # refuses what no kernel reads
-        shape = (f, w.shape[1]) + x.shape[2:]
-        if base is not None and math.prod(base.shape) != math.prod(shape):
+        if mix.k != 1 or mix.ci != c:
+            raise ValueError(f"channel mix shape mismatch: {x.shape} @ {mix.k}x{mix.k} "
+                             f"{mix.ci} -> {mix.co}")
+        flat = (f, c, 1, math.prod(x.shape[2:]))
+        shape = (f, mix.co) + flat[2:]
+        if base is not None and base.size != math.prod(shape):
             raise ValueError(f"channel mix base {base.shape} does not match {shape}")
-        out = self.buf(shape if base is None else base.shape)  # the residual keeps base's shape
-        self.scratch(kernels._channel_mix_ws(c, math.prod(x.shape[2:]), w.shape[1]))
-        self.step(lambda lib: kernels.bound_channel_mix(
-            lib, x.a, w, out.a.reshape(shape), self.ws,
+        out = self.buf((f, mix.co) + x.shape[2:] if base is None else base.shape)
+        self.scratch(kernels._conv_ws(flat, mix))
+        self.step(lambda lib: kernels.bound_conv2d_frames(
+            lib, x.a.reshape(flat), mix, out.a.reshape(shape), self.ws,
             base=None if base is None else base.a.reshape(shape),
         ), x, base, out)
         return out

@@ -43,6 +43,8 @@ from .rng import Rng
 
 ATTN_LAYERS = ("M", "U2", "U32")
 SITES = ("reference", "audio", "temporal")
+# Suffixes of the weights that are channel mixes: a unit's skip and a site's projections.
+_MIXES = (".skip.w", ".wq", ".wk", ".wv", ".wo")
 
 
 @dataclass(frozen=True)
@@ -263,10 +265,14 @@ class ToyUNet:
     """
 
     def __init__(self, cfg: UNetConfig, weights: dict[str, np.ndarray]):
-        """Keeps the 3x3 conv weights only packed (``convs``) and the rest in ``w``.
+        """Keeps the conv weights only packed (``convs``): the 3x3 convs by name
+        without ".w", and the channel mixes as 1x1 convs, a unit's skip as
+        "<unit>.skip" and an attention site's projections by their weight
+        names.  ``w`` holds the time MLP's weights and, for callers that read a
+        mix as its matrix, views of the packed mixes.
 
-        Each raw conv weight is removed from ``weights`` once it is packed,
-        so the two forms of every weight never exist at once.
+        Each raw conv or mix weight is removed from ``weights`` once it is
+        packed, so the two forms of every weight never exist at once.
         """
         self.cfg = cfg
         spec = weight_spec(cfg)
@@ -274,11 +280,16 @@ class ToyUNet:
         if missing:
             raise ConfigError(f"missing weights: {missing[:4]}{'...' if len(missing) > 4 else ''}")
         self.convs = {}
+        self.w = {}
         for name, shape, _ in spec:
             if len(shape) == 4:
                 conv = name[: -len(".w")]
                 self.convs[conv] = PackedConv(weights.pop(name), weights.pop(f"{conv}.b"))
-        self.w = {n: weights[n] for n, _, _ in spec if n in weights}
+            elif name.endswith(_MIXES):
+                mix = PackedConv.mix(weights.pop(name))
+                self.convs[name.removesuffix(".w")] = mix
+                self.w[name] = mix.w[:, : mix.co]
+        self.w.update((n, weights[n]) for n, _, _ in spec if n in weights)
         # The residual units' time projections, as one matrix: a unit's
         # columns start at _temb_col[unit]; the width is rounded up to 16.
         units = [n[: -len(".temb.w")] for n, _, _ in spec if n.endswith(".temb.w")]
@@ -501,11 +512,11 @@ class ToyUNet:
         """
         f, c, h, w = x.shape
         h1 = self._plan_preact(p, x, prefix, f"{prefix}.conv1", add=(tproj, self._temb_col[prefix]))
-        skip = self.w.get(f"{prefix}.skip.w")
+        skip = self.convs.get(f"{prefix}.skip")
         base = x if skip is None else p.channel_mix(x, skip)
         h2 = self._plan_preact(p, h1, prefix, f"{prefix}.conv2", base=base)
         if skip is not None:
-            p.flop("matmul", f"{prefix}.skip.w", (f * h * w, c, skip.shape[1]))
+            p.flop("matmul", f"{prefix}.skip.w", (f * h * w, c, skip.co))
         p.flop("matmul", prefix, (samples, self.cfg.time_dim, h1.shape[1]))
         p.flop("elementwise", prefix, (h1.size + 2 * h2.size,))
         return h2
@@ -548,7 +559,7 @@ class ToyUNet:
         name = f"{layer}.ref"
         ref = p.input(name, (1, c, L), lambda a: a[0].T)
         x1, a_ref, probs = attn.plan_reference_site(
-            p, norm(x, name), norm(ref, name, k), self.w, name, base=x,
+            p, norm(x, name), norm(ref, name, k), self.convs, name, base=x,
             removal=removal, keep_probs=keep_probs, **site("reference")
         )
         if probs is not None:
@@ -557,12 +568,13 @@ class ToyUNet:
 
         name = f"{layer}.aud"
         aud = p.input("audio", (f, cfg.audio_dim, cfg.audio_tokens), lambda a: a.swapaxes(1, 2))
-        x2, a_aud = attn.plan_audio_site(p, norm(x1, name), norm(aud, name, k), self.w, name,
+        x2, a_aud = attn.plan_audio_site(p, norm(x1, name), norm(aud, name, k), self.convs, name,
                                          base=x1, **site("audio"))
         x2 = residual(x2, name)
 
         name = f"{layer}.tmp"
-        x3, a_tmp = attn.plan_temporal_site(p, norm(x2, name), self.w, name, frames=f, base=x2,
+        x3, a_tmp = attn.plan_temporal_site(p, norm(x2, name), self.convs, name, frames=f,
+                                            base=x2,
                                             **site("temporal"))
         return residual(x3, name), {"reference": a_ref, "audio": a_aud, "temporal": a_tmp}
 

@@ -293,6 +293,17 @@ def test_a_bad_override_names_its_field(tmp_path, capsys):
     assert err == "error: config: schedule.steps: expected an integer, got 'abc'\n"
 
 
+def test_a_mask_file_of_a_non_positive_size_exits_one_in_one_line(tmp_path, capsys):
+    cfg = write_small_config(tmp_path)
+    mask = tmp_path / "m.mask"
+    mask.write_text("mask: 16 -16\n" + ("0" * 16 + "\n") * 16)
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--mask", str(mask), "--out", str(out)]) == 1
+    out_text, err = capsys.readouterr()
+    assert out_text == "" and not out.exists()
+    assert err == f"error: config: {mask}: mask header needs a positive size, got 16 x -16\n"
+
+
 def test_invariant_errors_exit_two(tmp_path, capsys):
     cfg = write_small_config(tmp_path)
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),

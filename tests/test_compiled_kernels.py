@@ -33,10 +33,11 @@ from hypothesis.extra.numpy import arrays
 from cachediff import kernels, native
 from cachediff.config import RunConfig
 from cachediff.errors import ConfigError
+from cachediff.masks import ForegroundMask
 from cachediff.plan import Plan
 from cachediff.rng import Rng
 from cachediff.runner import build_conditioning
-from cachediff.unet import ToyUNet, UNetConfig, init_weights
+from cachediff.unet import Conditioning, ToyUNet, UNetConfig, init_weights
 
 pytestmark = pytest.mark.skipif(
     shutil.which(native.COMPILER) is None, reason=f"no C compiler ({native.COMPILER}) on PATH"
@@ -103,7 +104,7 @@ def on_compiled():
 @settings(max_examples=150, deadline=None)
 @given(st.data(), dims, st.integers(0, 20), cols, st.booleans())
 def test_matmul_matches_reference(data, m, k, n, special):
-    """The eager matmul, a channel mix with one pixel per row on the library."""
+    """The eager matmul, a 1x1 conv of frames of one pixel, one per row, on the library."""
     a = data.draw(tensor((m, k), special))
     b = data.draw(tensor((k, n), special))
     if m and data.draw(st.booleans()):
@@ -117,7 +118,7 @@ def test_matmul_matches_reference(data, m, k, n, special):
 @settings(max_examples=80, deadline=None)
 @given(st.data(), st.integers(0, 3), st.integers(0, 13), st.integers(0, 9), cols, st.booleans())
 def test_matmul_batch_matches_reference(data, bn, m, k, n, special):
-    """The eager matmul_batch, one channel mix per item on views of the stacks."""
+    """The eager matmul_batch, one 1x1 conv per item on views of the stacks."""
     a = data.draw(tensor((bn, m, k), special))
     b = data.draw(tensor((bn, k, n), special))
     with np.errstate(all="ignore"):
@@ -148,7 +149,7 @@ def test_conv2d_frames_matches_reference(data, f, ci, h, w, co, stride, special)
     with np.errstate(all="ignore"):
         want = kernels._conv2d_frames_np(x, conv, stride)
     got = compiled(want, kernels.bound_conv2d_frames, x, conv,
-                   ws=kernels._conv_ws(f, ci, h, w, stride), stride=stride)
+                   ws=kernels._conv_ws(x.shape, conv, stride), stride=stride)
     assert_same(got, want, x, wt, bias)
 
 
@@ -195,7 +196,7 @@ def test_preactivation_conv_matches_reference(data, f, ci, h, w, co, stride, spe
         want = kernels._conv2d_frames_np(kernels.silu(kernels._rms_norm_np(x, 1)), conv, stride)
         normed, gate = compiled((x, x), kernels.bound_rms_norm, x, 1)
         got = compiled(want, kernels.bound_conv2d_frames, normed, conv,
-                       ws=kernels._conv_ws(f, ci, h, w, stride), stride=stride, gate=gate)
+                       ws=kernels._conv_ws(x.shape, conv, stride), stride=stride, gate=gate)
     assert_same_nan_rule(got, want)
 
 
@@ -225,7 +226,7 @@ def test_conv_store_epilogues_match_reference(data, samples, fps, ci, h, w, co, 
     with np.errstate(all="ignore"):
         want = kernels._conv_epilogue_np(kernels._conv2d_frames_np(x, conv, 1), add, base)
         got = compiled(want, kernels.bound_conv2d_frames, x, conv,
-                       ws=kernels._conv_ws(f, ci, h, w, 1), add=add, base=base)
+                       ws=kernels._conv_ws(x.shape, conv), add=add, base=base)
     assert_same_nan_rule(got, want)
 
 
@@ -281,7 +282,7 @@ def test_conv_on_vector_wide_frames_matches_reference(w, stride):
                                              add, base)
         got = np.full_like(want, np.nan)
         run_with_canary(kernels.bound_conv2d_frames, x, conv, got,
-                        ws=kernels._conv_ws(f, ci, h, w, stride), stride=stride, gate=gate,
+                        ws=kernels._conv_ws(x.shape, conv, stride), stride=stride, gate=gate,
                         add=add, base=base)
         assert_same_nan_rule(got, want)
 
@@ -292,28 +293,64 @@ def test_conv_on_vector_wide_frames_matches_reference(w, stride):
     cols, st.booleans(), st.booleans(),
 )
 def test_channel_mix_matches_reference(data, f, c, h, w, co, special, residual):
-    """Pixels on the lanes, plain or with an attention site's residual base + 0.5 * mix;
-    with no input channel the mix is all zeros."""
+    """A channel mix, the 1x1 conv of a (c, co) matrix: plain or with an attention site's
+    residual base + 0.5 * mix; with no input channel the mix is all zeros."""
     x = data.draw(tensor((f, c, h, w), special))
     wt = data.draw(tensor((c, co), special))
+    mix = kernels.PackedConv.mix(wt)
     base = data.draw(tensor((f, co, h, w), special)) if residual else None
     with np.errstate(all="ignore"):
-        want = kernels._conv_epilogue_np(kernels._channel_mix_np(x, wt), None, base)
-    got = compiled(want, kernels.bound_channel_mix, x, wt,
-                   ws=kernels._channel_mix_ws(c, h * w, co), base=base)
+        want = kernels._conv_epilogue_np(kernels._conv2d_frames_np(x, mix, 1), None, base)
+    got = compiled(want, kernels.bound_conv2d_frames, x, mix, ws=kernels._conv_ws(x.shape, mix),
+                   base=base)
     assert_same(got, want, x, wt, *(() if base is None else (base,)))
 
 
 @pytest.mark.parametrize("residual", [False, True])
 def test_channel_mix_of_no_input_channel_writes_every_pixel(residual):
-    """x (2, 0, 5) @ w (0, 3) is all zeros (base + 0.5 * 0 with a residual), written over
-    every pixel of a NaN-filled output."""
-    x, w = np.zeros((2, 0, 5), np.float32), np.zeros((0, 3), np.float32)
-    base = np.arange(30, dtype=np.float32).reshape(2, 3, 5) if residual else None
-    want = kernels._conv_epilogue_np(kernels._channel_mix_np(x, w), None, base)
-    got = compiled(want, kernels.bound_channel_mix, x, w, ws=kernels._channel_mix_ws(0, 5, 3),
-                   base=base)
-    assert got.tobytes() == want.tobytes()
+    """The 1x1 conv of x (2, 0, 1, n) by w (0, 3) is all zeros (base + 0.5 * 0 with a
+    residual), written over every pixel of a NaN-filled output: n = 5 on the pixel
+    rows, 20 and 32 on the lanes (20 through the padded copy-out)."""
+    mix = kernels.PackedConv.mix(np.zeros((0, 3), np.float32))
+    for n in (5, 20, 32):
+        x = np.zeros((2, 0, 1, n), np.float32)
+        base = np.arange(6 * n, dtype=np.float32).reshape(2, 3, 1, n) if residual else None
+        want = kernels._conv_epilogue_np(kernels._conv2d_frames_np(x, mix, 1), None, base)
+        got = compiled(want, kernels.bound_conv2d_frames, x, mix,
+                       ws=kernels._conv_ws(x.shape, mix), base=base)
+        assert got.tobytes() == want.tobytes()
+
+
+# Pixel counts of a frame under a 1x1 conv: below a vector (the pixel-row
+# GEMM: the eager matmul's 1, M's 4, the 6 audio tokens, 15), whole vectors
+# at 16 lanes (16, 112 foreground tokens, 256), and counts that the lanes
+# take in zero-padded rows and copy out (20, and 76 and 124 foreground tokens).
+@pytest.mark.parametrize("pixels", [1, 4, 6, 15, 16, 20, 76, 112, 124, 256])
+def test_1x1_conv_on_every_route_matches_reference(pixels):
+    """Every co in (1, 4, 5, 8, 9, 16, 17, 33) and c in (0, 1, 8, 37), each on a stack of
+    up to 12 frames, plain or with the residual epilogue base + 0.5 * mix, with -0.0
+    and subnormals in every operand and (every other case) infinities and NaNs.  The
+    scratch block is exactly the bytes ``_conv_ws`` declares."""
+    rng = np.random.default_rng(pixels)
+    cases = [(co, c) for co in (1, 4, 5, 8, 9, 16, 17, 33) for c in (0, 1, 8, 37)]
+    for i, (co, c) in enumerate(cases):
+        f = int(rng.integers(1, 13))
+        residual, special = i % 3 == 1, i % 2 == 1
+        x = rng.standard_normal((f, c, 1, pixels), dtype=np.float32)
+        wt = rng.standard_normal((c, co), dtype=np.float32)
+        base = rng.standard_normal((f, co, 1, pixels), dtype=np.float32)
+        for a in (x, wt, base):
+            sprinkle(rng, a, special)
+        if c:
+            x[rng.integers(f), rng.integers(c)] = -0.0  # a whole channel plane
+        mix = kernels.PackedConv.mix(wt)
+        base = base if residual else None
+        with np.errstate(all="ignore"):
+            want = kernels._conv_epilogue_np(kernels._conv2d_frames_np(x, mix, 1), None, base)
+        got = np.full_like(want, np.nan)
+        run_with_canary(kernels.bound_conv2d_frames, x, mix, got,
+                        ws=kernels._conv_ws(x.shape, mix), base=base)
+        assert_same_nan_rule(got, want)
 
 
 keys = st.sampled_from([0, 1, 2, 3, 5, 8, 9, 15, 16, 17, 31, 33, 64, 65, 70])
@@ -546,18 +583,21 @@ def test_every_scratch_size_bounds_what_its_kernel_carves():
     a, b = rng.standard_normal((13, 37), dtype=np.float32), rng.standard_normal((37, 21),
                                                                                  dtype=np.float32)
     out = np.empty((13, 21), np.float32)
-    run_with_canary(kernels.bound_channel_mix, a[:, :, None], b, out[:, :, None],
-                    ws=kernels._channel_mix_ws(37, 1, 21))  # the eager matmul's step
+    mix = kernels.PackedConv.mix(b)
+    run_with_canary(kernels.bound_conv2d_frames, a[:, :, None, None], mix, out[:, :, None, None],
+                    ws=kernels._conv_ws((13, 37, 1, 1), mix))  # the eager matmul's step
     assert out.tobytes() == kernels._matmul_np(a, b).tobytes()
 
     x = rng.standard_normal((3, 5, 5, 3), dtype=np.float32)
-    w = rng.standard_normal((5, 9), dtype=np.float32)
-    base = rng.standard_normal((3, 9, 5, 3), dtype=np.float32)
-    out = np.empty((3, 9, 5, 3), np.float32)
-    run_with_canary(kernels.bound_channel_mix, x, w, out, ws=kernels._channel_mix_ws(5, 15, 9),
-                    base=base)
-    assert out.tobytes() == kernels._conv_epilogue_np(kernels._channel_mix_np(x, w), None,
-                                                      base).tobytes()
+    mix = kernels.PackedConv.mix(rng.standard_normal((5, 9), dtype=np.float32))
+    for hw in (5 * 3, 5 * 4):  # on the pixel rows, and the lanes' padded copy-out
+        xs = rng.standard_normal((3, 5, 1, hw), dtype=np.float32)
+        base = rng.standard_normal((3, 9, 1, hw), dtype=np.float32)
+        out = np.empty((3, 9, 1, hw), np.float32)
+        run_with_canary(kernels.bound_conv2d_frames, xs, mix, out,
+                        ws=kernels._conv_ws(xs.shape, mix), base=base)
+        assert out.tobytes() == kernels._conv_epilogue_np(
+            kernels._conv2d_frames_np(xs, mix, 1), None, base).tobytes()
 
     conv = kernels.PackedConv(rng.standard_normal((6, 5, 3, 3), dtype=np.float32),
                               rng.standard_normal(6, dtype=np.float32))
@@ -565,7 +605,7 @@ def test_every_scratch_size_bounds_what_its_kernel_carves():
         want = kernels._conv2d_frames_np(x, conv, stride)
         out = np.empty_like(want)
         run_with_canary(kernels.bound_conv2d_frames, x, conv, out,
-                        ws=kernels._conv_ws(3, 5, 5, 3, stride), stride=stride)
+                        ws=kernels._conv_ws(x.shape, conv, stride), stride=stride)
         assert out.tobytes() == want.tobytes()
 
     q = rng.standard_normal((3, 1, 9, 21), dtype=np.float32)
@@ -595,7 +635,7 @@ def test_conv_border_inf_weight_gives_nan_like_reference():
     conv = kernels.PackedConv(w, np.zeros(1, np.float32))
     with np.errstate(invalid="ignore"):
         want = kernels._conv2d_frames_np(x, conv, 1)
-    got = compiled(want, kernels.bound_conv2d_frames, x, conv, ws=kernels._conv_ws(1, 1, 3, 3, 1))
+    got = compiled(want, kernels.bound_conv2d_frames, x, conv, ws=kernels._conv_ws(x.shape, conv))
     assert got.tobytes() == want.tobytes()
     assert np.isnan(got[0, 0, 0]).all() and np.isnan(got[0, 0, :, 0]).all()
     assert got[0, 0, 1, 1] == np.inf
@@ -611,18 +651,41 @@ def test_kernels_c_builds_without_warnings(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
-def restricted_passes(model: ToyUNet) -> list[bytes]:
+def restricted_passes(model: ToyUNet, cond: Conditioning | None = None) -> list[bytes]:
     """The bytes of the default model's forward pass, with removal and U32's background
     rows kept, and of a two-sample restricted subnet with removal that reads those rows,
-    on the active backend."""
+    on the active backend, under ``cond`` (default: the default run's)."""
     cfg = model.cfg
-    cond = build_conditioning(RunConfig())[0][0]
+    cond = cond or build_conditioning(RunConfig())[0][0]
     z = Rng(0).child(2).normal((1, cfg.latent_channels, cfg.frames, cfg.height, cfg.width))
     zs = np.concatenate([z, np.float32(0.5) * z])
     tr = model.forward(z, 500, cond, keep_bg=True, removal_active=True)
     eps = model.subnet(tr.f_u31, zs, [480, 460], cond, dfa=tr.dfa, removal_active=True)
     return [tr.eps.tobytes(), tr.f_u31.tobytes(), eps.tobytes()] + [
         rows.tobytes() for rows in tr.dfa.values()]
+
+
+@pytest.mark.parametrize("fg", [124, 76])
+def test_restricted_subnet_of_foregrounds_that_fill_no_vector_gives_reference_bytes(fg):
+    """Under masks of 124 and 76 foreground tokens, which no vector width divides, the
+    restricted sites' 1x1 convs copy their frames to padded rows on the lanes; the
+    passes give the numpy reference's bytes."""
+    cfg = UNetConfig()
+    model = ToyUNet(cfg, init_weights(cfg, 0)[0])
+    default = build_conditioning(RunConfig())[0][0]
+    grid = np.zeros(cfg.height * cfg.width, np.uint8)
+    grid[np.random.default_rng(fg).permutation(grid.size)[:fg]] = 1
+    cond = Conditioning(default.ref, default.audio,
+                        ForegroundMask(grid.reshape(cfg.height, cfg.width)), default.valid_frames)
+    runs = []
+    before = kernels.active_backend()
+    try:
+        for backend in ("compiled", "numpy"):
+            kernels.set_backend(backend)
+            runs.append(restricted_passes(model, cond))
+    finally:
+        kernels.set_backend(before)
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
@@ -651,14 +714,14 @@ def test_kernels_c_builds_without_warnings_at_narrower_vector_widths(tmp_path, m
 
 def test_kernels_refuse_strided_and_non_float32_arrays():
     """The kernels ignore strides, so a view that is not C-contiguous must be refused."""
-    a = np.ones((4, 6, 1), np.float32)
-    b = np.ones((3, 5), np.float32)
-    out = np.empty((4, 5, 1), np.float32)
+    a = np.ones((4, 6, 1, 1), np.float32)
+    mix = kernels.PackedConv.mix(np.ones((3, 5), np.float32))
+    out = np.empty((4, 5, 1, 1), np.float32)
+    ws = kernels._conv_ws((4, 3, 1, 1), mix)
     with pytest.raises(ValueError, match="C-contiguous float32"):
-        compiled(out, kernels.bound_channel_mix, a[:, ::2], b, ws=kernels._channel_mix_ws(3, 1, 5))
+        compiled(out, kernels.bound_conv2d_frames, a[:, ::2], mix, ws=ws)
     with pytest.raises(ValueError, match="C-contiguous float32"):
-        compiled(out, kernels.bound_channel_mix, a[:, :3].astype(np.float64), b,
-                 ws=kernels._channel_mix_ws(3, 1, 5))
+        compiled(out, kernels.bound_conv2d_frames, a[:, :3].astype(np.float64), mix, ws=ws)
 
 
 @pytest.mark.parametrize("backend", ["compiled", "numpy"])
@@ -713,7 +776,6 @@ def test_load_time_check_refuses_a_library_that_differs_from_the_reference(monke
 
 # Bound steps of a plan and the arguments each writes.
 BOUND_OUTPUTS = {
-    "bound_channel_mix": ("out",),
     "bound_conv2d_frames": ("out",),
     "bound_rms_norm": ("out", "gate"),
     "bound_attention": ("out", "probs"),
@@ -774,12 +836,16 @@ def test_default_forward_pass_kernel_calls_match_reference(monkeypatch):
         kernels.set_backend(before)
     assert all(inputs["lib"] is kernels._compiled() for _, inputs, _ in steps)
     kinds = Counter(name for name, _, _ in steps)
-    assert kinds == {"bound_conv2d_frames": 46, "bound_rms_norm": 56, "bound_channel_mix": 47,
-                     "bound_attention": 9, "bound_copy": 13}
+    assert kinds == {"bound_conv2d_frames": 93, "bound_rms_norm": 56, "bound_attention": 9,
+                     "bound_copy": 13}
     assert len(steps) == 171
     convs = [inputs for name, inputs, _ in steps if name == "bound_conv2d_frames"]
-    assert sum(c["gate"] is not None for c in convs) == 39  # 19 units x 2 and the head
-    assert sum(c["add"] is not None for c in convs) == sum(c["base"] is not None for c in convs) == 19
+    # the channel mixes: 5 skips and 3 layers x 14 site projections
+    assert sum(c["conv"].k == 1 for c in convs) == 47
+    assert sum(c.get("gate") is not None for c in convs) == 39  # 19 units x 2 and the head
+    assert sum(c.get("add") is not None for c in convs) == 19
+    # each unit's conv2 and each site's output projection
+    assert sum(c.get("base") is not None for c in convs) == 19 + 9
     for name, inputs, written in steps:
         args = dict(inputs, lib=None)
         for k in written:
@@ -803,26 +869,27 @@ def test_concurrent_calls_from_more_threads_than_cores_give_reference_bytes():
                rng.standard_normal((2, 40 + 3 * i, 8), dtype=np.float32),
                rng.standard_normal((2, 40 + 3 * i, 8), dtype=np.float32), np.float32(0.25))
         normed, gate = kernels._rms_norm_np(x, 1, True)
-        want = [kernels._conv2d_frames_np(x, conv, 1 + i % 2), kernels._matmul_np(a, b)[:, :, None],
+        want = [kernels._conv2d_frames_np(x, conv, 1 + i % 2),
+                kernels._matmul_np(a, b)[:, :, None, None],
                 *kernels._attention_np(*qkv), normed, gate,
                 kernels._conv2d_frames_np(normed, conv, 1, gate)]
-        jobs.append((x, conv, 1 + i % 2, a, b, qkv, want))
+        jobs.append((x, conv, 1 + i % 2, a[:, :, None, None], kernels.PackedConv.mix(b), qkv,
+                     want))
     bad = []
 
     def work(job):
-        x, conv, stride, a, b, qkv, want = job
-        k, n = b.shape
+        x, conv, stride, a, mix, qkv, want = job
         for _ in range(30):
             normed, gate = compiled((x, x), kernels.bound_rms_norm, x, 1)
             got = [
                 compiled(want[0], kernels.bound_conv2d_frames, x, conv,
-                         ws=kernels._conv_ws(*x.shape, stride), stride=stride),
-                compiled(want[1], kernels.bound_channel_mix, a[:, :, None], b,
-                         ws=kernels._channel_mix_ws(k, 1, n)),
+                         ws=kernels._conv_ws(x.shape, conv, stride), stride=stride),
+                compiled(want[1], kernels.bound_conv2d_frames, a, mix,
+                         ws=kernels._conv_ws(a.shape, mix)),
                 *lane_attention(*qkv),
                 normed, gate,
                 compiled(want[6], kernels.bound_conv2d_frames, normed, conv,
-                         ws=kernels._conv_ws(*x.shape, 1), gate=gate),
+                         ws=kernels._conv_ws(x.shape, conv), gate=gate),
             ]
             if any(g.tobytes() != w.tobytes() for g, w in zip(got, want)):
                 bad.append(job)

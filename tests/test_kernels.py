@@ -201,8 +201,8 @@ def test_kernel_bench_runs_from_a_clean_checkout(tmp_path):
     """The timing harness finds the package without PYTHONPATH; it exits 1 when the
     backends' bytes differ.  Its cases are the steps and passes plans run, among them
     both passes of a restricted block, the attention step at the shapes of the default
-    model's sites and single convs at the shapes of its 16x16 and 8x8 layers, and each
-    gives the same bytes on both backends."""
+    model's sites, single convs at the shapes of its layers and its channel mixes as
+    1x1 convs, and each gives the same bytes on both backends."""
     script = Path(__file__).resolve().parents[1] / "benchmarks" / "kernel_bench.py"
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     done = subprocess.run([sys.executable, str(script), "--repeat", "1"], cwd=tmp_path, env=env,
@@ -212,8 +212,10 @@ def test_kernel_bench_runs_from_a_clean_checkout(tmp_path):
     equal = {row[0]: row[4] for row in rows if len(row) == 7}  # kernel -> bit_equal
     want = "-" if kernels.compiled_error() else "yes"
     cases = ("attention_audio", "attention_reference", "attention_restricted",
-             "attention_temporal", "conv2d", "conv_d0", "conv_d1", "conv_head", "conv_in",
-             "conv_u32", "dfa_subnet", "forward", "key_step", "preact_conv", "rms_norm", "subnet")
+             "attention_temporal", "conv2d", "conv_d0", "conv_d1", "conv_d3", "conv_down0",
+             "conv_head", "conv_in", "conv_u32", "dfa_subnet", "forward", "key_step",
+             "mix_audio", "mix_kv_112", "mix_kv_124", "mix_m", "mix_out", "mix_q",
+             "preact_conv", "rms_norm", "subnet")
     assert {c: equal[c] for c in equal if c != "kernel"} == dict.fromkeys(cases, want)
 
 
@@ -363,6 +365,17 @@ def test_packed_conv_and_conv2d_frames_reject_bad_inputs():
         kernels.conv2d_frames(x, conv, 1, np.zeros((2, 3, 4, 5), np.float32))
     with pytest.raises(ValueError):
         kernels.conv2d_frames(x, np.zeros((5, 3, 3, 3), np.float32), np.zeros(5, np.float32))
+    with pytest.raises(ValueError, match="3x3 or 1x1"):
+        kernels.PackedConv(np.zeros((5, 3, 2, 2), np.float32))
+    with pytest.raises(ValueError, match="float32"):
+        kernels.PackedConv.mix(np.zeros((3, 5), np.float64))
+    mix = kernels.PackedConv.mix(np.ones((3, 5), np.float32))
+    assert mix.w.shape == (3, 16) and (mix.co, mix.ci, mix.k, mix.bias) == (5, 3, 1, None)
+    assert kernels.conv2d_frames(x, mix).tobytes() == np.zeros((2, 5, 4, 4), np.float32).tobytes()
+    with pytest.raises(ValueError, match="stride"):
+        kernels.conv2d_frames(x, mix, 2)
+    with pytest.raises(ValueError, match="gate"):
+        kernels.conv2d_frames(x, mix, 1, np.zeros_like(x))
 
 
 def test_upsample_nearest_replicates_blocks():

@@ -58,6 +58,25 @@ def test_read_mask_rejects_malformed_files(tmp_path):
         read_mask(path)
 
 
+@pytest.mark.parametrize("header", ["16 -16", "-16 16", "0 4", "4 0", "0 0"])
+def test_read_mask_refuses_a_non_positive_size(tmp_path, header):
+    """The header's H and W must be positive, with or without rows below."""
+    path = tmp_path / "m.mask"
+    for body in ("", "0" * 16 + "\n"):
+        path.write_text(f"mask: {header}\n{body}")
+        with pytest.raises(ConfigError, match="positive size"):
+            read_mask(path)
+
+
+def test_read_mask_checks_the_rows_before_allocating_the_grid(tmp_path):
+    """A header of a huge width (a grid of 8 TB) is refused by its first row, before any
+    grid is allocated."""
+    path = tmp_path / "m.mask"
+    path.write_text("mask: 2 4000000000000\n00\n00\n")
+    with pytest.raises(ConfigError, match="row 0 is not 4000000000000 chars"):
+        read_mask(path)
+
+
 def test_rect_mask_half_open_bounds():
     mask = rect_mask(4, 4, 1, 0, 3, 2)
     assert mask.grid.tolist() == [
