@@ -231,16 +231,12 @@ def temporal_site(
 # which item b of the output reads at b % k (it may be None when n_bg is 0).
 
 
-def _tokens(buf: Buf) -> int:
-    return buf.size // (buf.shape[0] * buf.shape[1] or 1)
-
-
 def _plan_select(p: Plan, x: Buf, index: np.ndarray) -> Buf:
     """select_tokens of the tokens ``index`` of x (items, channels, *tokens)."""
-    items, c, n = x.shape[0], x.shape[1], _tokens(x)
-    out = p.buf((items, c, len(index)))
+    rows, n = x.shape[0] * x.shape[1], math.prod(x.shape[2:])
+    out = p.buf(x.shape[:2] + (len(index),))
     p.step(lambda lib: kernels.bound_gather(
-        lib, x.a.reshape(items * c, n, 1), index, out.a.reshape(items * c, len(index), 1)), x, out)
+        lib, x.a.reshape(rows, n), index, out.a.reshape(rows, len(index))), x, out)
     return out
 
 
@@ -255,23 +251,13 @@ def _plan_merge(p: Plan, a_fg: Buf | None, rows: Buf | None, mask: ForegroundMas
 
     def scatter(src: Buf, index: np.ndarray):
         p.step(lambda lib: kernels.bound_scatter(
-            lib, src.a.reshape(src.shape[0] * d, len(index), 1), index,
-            out.a.reshape(items * d, out.shape[2], 1)), src, out)
+            lib, src.a.reshape(src.shape[0] * d, len(index)), index,
+            out.a.reshape(items * d, out.shape[2])), src, out)
 
     if a_fg is not None:
         scatter(a_fg, mask.fg_index)
     scatter(rows, mask.bg_index)
     return out
-
-
-def _project(p: Plan, x: Buf, ws, prefix: str, rows: int, base: Buf | None = None) -> list[Buf]:
-    """x @ w over the channels of x (items, c, *tokens) for each 1x1 conv w, logged as a
-    matmul of ``rows`` token rows; with ``base``, base + 0.5 * that."""
-    outs = []
-    for w in ws:
-        outs.append(p.channel_mix(x, w, base))
-        p.flop("matmul", prefix, (rows, w.ci, w.co))
-    return outs
 
 
 def plan_reference_site(
@@ -287,16 +273,12 @@ def plan_reference_site(
     probabilities, else None.
     """
     wq, wk, wv, wo = _site_weights(weights, prefix)
-    n, L = x.shape[0], _tokens(x)
+    n = x.shape[0]
 
     def attend(xs: Buf, rs: Buf, keep: bool):
-        lq = _tokens(xs)
-        lk = lq if removal else lq + _tokens(rs)
-        q, = _project(p, xs, (wq,), prefix, n * lq)
-        kx, vx = (p.channel_mix(xs, w) for w in (wk, wv))
-        shared = None if removal else tuple(p.channel_mix(rs, w) for w in (wk, wv))
-        for w in (wk, wv):
-            p.flop("matmul", prefix, (n * lk, w.ci, w.co))
+        q, kx, vx = (p.conv(xs, w, prefix) for w in (wq, wk, wv))
+        # The reference tokens are shared, but charged once per frame.
+        shared = None if removal else tuple(p.conv(rs, w, prefix, copies=n) for w in (wk, wv))
         return p.attention(q, kx, vx, prefix, shared=shared, keep_probs=keep)
 
     if mask is None:
@@ -307,8 +289,7 @@ def plan_reference_site(
             a_fg, _ = attend(_plan_select(p, x, mask.fg_index), _plan_select(p, ref, mask.fg_index),
                              False)
         a = _plan_merge(p, a_fg, rows, mask, n)
-    out, = _project(p, a, (wo,), prefix, n * L, base)
-    return out, a if mask is None else None, probs
+    return p.conv(a, wo, prefix, base=base), a if mask is None else None, probs
 
 
 def plan_audio_site(
@@ -318,19 +299,18 @@ def plan_audio_site(
     """:func:`audio_site` of x (n, c, *tokens) and audio tokens aud (f, da, A), frame b
     reading the tokens b % f; the results as for :func:`plan_reference_site`."""
     wq, wk, wv, wo = _site_weights(weights, prefix)
-    n, L = x.shape[0], _tokens(x)
-    k, v = _project(p, aud, (wk, wv), prefix, n * _tokens(aud))
+    n = x.shape[0]
+    # The audio tokens of a sample's frames are shared, but charged once per frame.
+    k, v = (p.conv(aud, w, prefix, copies=n // aud.shape[0]) for w in (wk, wv))
     if mask is None:
-        q, = _project(p, x, (wq,), prefix, n * L)
-        a, _ = p.attention(q, k, v, prefix)
+        a, _ = p.attention(p.conv(x, wq, prefix), k, v, prefix)
     else:
         a_fg = None
         if mask.num_fg:
-            q, = _project(p, _plan_select(p, x, mask.fg_index), (wq,), prefix, n * mask.num_fg)
+            q = p.conv(_plan_select(p, x, mask.fg_index), wq, prefix)
             a_fg, _ = p.attention(q, k, v, prefix)
         a = _plan_merge(p, a_fg, rows, mask, n)
-    out, = _project(p, a, (wo,), prefix, n * L, base)
-    return out, a if mask is None else None
+    return p.conv(a, wo, prefix, base=base), a if mask is None else None
 
 
 def plan_temporal_site(
@@ -341,10 +321,10 @@ def plan_temporal_site(
     sample attends over the sample's frames, with the locations on the lanes.  The
     results are as for :func:`plan_reference_site`."""
     wq, wk, wv, wo = _site_weights(weights, prefix)
-    n, L = x.shape[0], _tokens(x)
+    n = x.shape[0]
 
     def attend(xs: Buf) -> Buf:
-        q, k, v = _project(p, xs, (wq, wk, wv), prefix, n * _tokens(xs))
+        q, k, v = (p.conv(xs, w, prefix) for w in (wq, wk, wv))
         return p.attention(q, k, v, prefix, rows=frames, lane_keys=True)[0]
 
     if mask is None:
@@ -352,5 +332,4 @@ def plan_temporal_site(
     else:
         a_fg = attend(_plan_select(p, x, mask.fg_index)) if mask.num_fg else None
         a = _plan_merge(p, a_fg, rows, mask, n)
-    out, = _project(p, a, (wo,), prefix, n * L, base)
-    return out, a if mask is None else None
+    return p.conv(a, wo, prefix, base=base), a if mask is None else None

@@ -54,7 +54,7 @@
  *
  * Beside the kernels sit the glue ops of a pass, each the reference's own
  * sequence of separately rounded float32 operations: an N-d strided copy
- * and row gathers and scatters by index.
+ * and gathers and scatters of tokens by index.
  *
  * The only entry point besides cd_set_exp is cd_run, which executes a
  * fixed array of op records (see "op records" below): kernels.py builds one
@@ -847,35 +847,22 @@ static void copy_nd(float *dst, const float *src, long ndim, const long *shape, 
     }
 }
 
-/* out (outer, m, inner) = the rows idx of x (outer, nx, inner). */
-static void gather_rows(float *out, const float *x, const long *idx, long outer, long nx, long m,
-                        long inner)
+/* out (outer, m) = the columns idx of x (outer, nx). */
+static void gather_rows(float *out, const float *x, const long *idx, long outer, long nx, long m)
 {
     for (long o = 0; o < outer; o++)
-        for (long j = 0; j < m; j++) {
-            float *dst = out + (o * m + j) * inner;
-            const float *src = x + (o * nx + idx[j]) * inner;
-            if (inner == 1)
-                *dst = *src;
-            else
-                memcpy(dst, src, sizeof(float) * inner);
-        }
+        for (long j = 0; j < m; j++)
+            out[o * m + j] = x[o * nx + idx[j]];
 }
 
-/* Rows idx of out (outer, nout, inner) = src (souter, m, inner), src
- * broadcast over the leading axes it lacks: outer item o reads o % souter. */
+/* Columns idx of out (outer, nout) = src (souter, m), src broadcast over
+ * the leading axes it lacks: row o of out reads row o % souter. */
 static void scatter_rows(float *out, const float *src, const long *idx, long outer, long nout,
-                         long m, long inner, long souter)
+                         long m, long souter)
 {
     for (long o = 0; o < outer; o++)
-        for (long j = 0; j < m; j++) {
-            float *dst = out + (o * nout + idx[j]) * inner;
-            const float *from = src + ((o % souter) * m + j) * inner;
-            if (inner == 1)
-                *dst = *from;
-            else
-                memcpy(dst, from, sizeof(float) * inner);
-        }
+        for (long j = 0; j < m; j++)
+            out[o * nout + idx[j]] = src[(o % souter) * m + j];
 }
 
 /* ---------------------------------------------------------------------------
@@ -930,11 +917,11 @@ static void run_op(const slot *op)
     case OP_COPY: /* dst, src, ndim, shape[MAXD], dst strides[MAXD], src strides[MAXD] */
         copy_nd(a[0].p, a[1].p, a[2].i, &a[3].i, &a[3 + MAXD].i, &a[3 + 2 * MAXD].i);
         break;
-    case OP_GATHER: /* out, x, idx, outer, nx, m, inner */
-        gather_rows(a[0].p, a[1].p, a[2].p, a[3].i, a[4].i, a[5].i, a[6].i);
+    case OP_GATHER: /* out, x, idx, outer, nx, m */
+        gather_rows(a[0].p, a[1].p, a[2].p, a[3].i, a[4].i, a[5].i);
         break;
-    case OP_SCATTER: /* out, src, idx, outer, nout, m, inner, souter */
-        scatter_rows(a[0].p, a[1].p, a[2].p, a[3].i, a[4].i, a[5].i, a[6].i, a[7].i);
+    case OP_SCATTER: /* out, src, idx, outer, nout, m, souter */
+        scatter_rows(a[0].p, a[1].p, a[2].p, a[3].i, a[4].i, a[5].i, a[6].i);
         break;
     }
 }

@@ -9,8 +9,8 @@ identical inputs the compiled backend, the numpy reference and a naive
 sequential loop therefore give the same bytes.  The RMS norm is the one
 sum in numpy's own order instead: its reference is ``np.mean``, a pairwise
 sum over a contiguous axis and an ascending one over a strided axis, which
-the compiled kernel reproduces for C-contiguous inputs (any other layout
-runs the reference under both backends).  The one exception is the
+the compiled kernel reproduces for C-contiguous inputs (like every compiled
+op, it refuses any other layout: see :func:`_ptr`).  The one exception is the
 payload of a NaN: NaN is produced at the same positions, but which NaN's
 bits survive an addition of two NaNs or a row max is not fixed (numpy's
 own choice varies with the array length).
@@ -425,7 +425,7 @@ def _self_check(lib) -> str | None:
         return (odd,)
 
     d4, h9 = grid(2, 2, 5, 3), grid(6, 9)
-    tok, rows = grid(2, 7, 3), grid(1, 3, 3)
+    tok, rows = grid(6, 7), grid(3, 3)
     index = np.array([0, 2, 5], np.int64)
 
     with np.errstate(all="ignore"):  # the reference meets infinities
@@ -437,9 +437,8 @@ def _self_check(lib) -> str | None:
                 np.empty((2, 3, 2, 5), _F32), d4.copy().transpose(0, 3, 1, 2)))),
             ("copy of a broadcast view", glue_differs(bound_copy, lambda: (
                 np.empty((2, 3, 2, 5, 2), _F32)[:, :, :, :4], h9[:, :4].reshape(2, 3, 1, 4, 1)))),
-            ("gather", glue_differs(bound_gather, lambda: (tok, index, np.empty((2, 3, 3), _F32)))),
-            ("scatter", glue_differs(bound_scatter, lambda: (
-                rows, index, np.zeros((2, 7, 3), _F32)))),
+            ("gather", glue_differs(bound_gather, lambda: (tok, index, np.empty((6, 3), _F32)))),
+            ("scatter", glue_differs(bound_scatter, lambda: (rows, index, np.zeros((6, 7), _F32)))),
             *((f"conv2d_frames stride {s}", differs(
                 _conv2d_frames_np(x, conv, s), bound_conv2d_frames, x, conv, ws=ws, stride=s))
               for s in (1, 2)),
@@ -894,24 +893,24 @@ def _rows_index(index: np.ndarray, rows: int) -> np.ndarray:
 
 
 def bound_gather(lib, x: np.ndarray, index: np.ndarray, out: np.ndarray) -> list:
-    """out (outer, m, inner) = the rows ``index`` of x (outer, n, inner), C-contiguous."""
+    """out (outer, m) = the columns ``index`` of x (outer, n), both C-contiguous."""
     idx = _rows_index(index, x.shape[1])
     if lib is None:
         # in range, so "clip" changes no index; it lets np.take write out unbuffered
         return [partial(np.take, x, idx, axis=1, out=out, mode="clip")]
-    (outer, n, inner), m = x.shape, out.shape[1]
-    return [Op(_OP_GATHER, out, x, idx, outer, n, m, inner)]
+    (outer, n), m = x.shape, out.shape[1]
+    return [Op(_OP_GATHER, out, x, idx, outer, n, m)]
 
 
 def bound_scatter(lib, src: np.ndarray, index: np.ndarray, out: np.ndarray) -> list:
-    """The rows ``index`` of out (outer, n, inner) = src (souter, m, inner), broadcast
-    over outer: outer item o reads src item o % souter.  Both C-contiguous."""
-    (outer, n, inner), souter = out.shape, src.shape[0]
+    """The columns ``index`` of out (outer, n) = src (souter, m), broadcast over
+    outer: row o reads src row o % souter.  Both C-contiguous."""
+    (outer, n), souter = out.shape, src.shape[0]
     idx = _rows_index(index, n)
-    if outer % souter or src.shape[1:] != (len(idx), inner):
+    if outer % souter or src.shape[1] != len(idx):
         raise ValueError(f"scatter of {src.shape} rows into {out.shape}")
     if lib is None:
         def run():
-            out.reshape(outer // souter, souter, n, inner)[:, :, idx] = src
+            out.reshape(outer // souter, souter, n)[:, :, idx] = src
         return [run]
-    return [Op(_OP_SCATTER, out, src, idx, outer, n, len(idx), inner, souter)]
+    return [Op(_OP_SCATTER, out, src, idx, outer, n, len(idx), souter)]

@@ -15,9 +15,14 @@ the mask's foreground index).  The walk records
   hold its feed in another layout, such as tokens last), and named
   results, each read from a buffer after the steps;
 * the pass's FLOP events, logged through :meth:`FlopLog.add`, so that the
-  tag and arity checks run once per plan.  A pass over a stack of equal
-  samples covers them all; :meth:`Plan.finish` divides each event by the
-  sample count, once, so that a run of the plan logs one sample's costs.
+  tag and arity checks run once per plan.  Each step builder below logs
+  the work of its own step, its epilogue included, under the layer of the
+  network that the caller names (a residual unit's convs and skip all log
+  as the unit); only the time MLP, run once per timestep but charged to
+  every pass, is logged by hand (see :mod:`cachediff.unet`).  A pass over
+  a stack of equal samples covers them all; :meth:`Plan.finish` divides
+  each event by the sample count, once, so that a run of the plan logs one
+  sample's costs.
 
 :meth:`Plan.finish` places the buffers in one float32 arena by liveness:
 two buffers share memory only when no step lies in both their spans.
@@ -131,53 +136,57 @@ class Plan:
 
     def norm(self, x: Buf, layer: str, axis: int = 1, copies: int = 1, gate: bool = False,
              tokens: bool = False):
-        """rms_norm(x, axis), logged as ``copies`` norms; with ``gate`` also its SiLU gate.
-        With ``tokens``, each token's values along ``axis`` sum in numpy's order for a
-        contiguous axis (see :func:`kernels.bound_rms_norm`)."""
+        """rms_norm(x, axis), logged as ``copies`` norms; with ``gate`` also its SiLU gate,
+        logged as the SiLU that the conv reading it applies.  With ``tokens``, each token's
+        values along ``axis`` sum in numpy's order for a contiguous axis (see
+        :func:`kernels.bound_rms_norm`)."""
         out = self.buf(x.shape)
         g = self.buf(x.shape) if gate else None
         self.step(lambda lib: kernels.bound_rms_norm(
             lib, x.a, axis, out.a, None if g is None else g.a, tokens=tokens), x, out, g)
         self.flop("elementwise", layer, (3 * copies * x.size,))
+        if gate:
+            self.flop("elementwise", layer, (4 * copies * x.size,))
         return (out, g) if gate else out
 
     def conv(
-        self, x: Buf, conv: kernels.PackedConv, name: str, *, stride: int = 1,
+        self, x: Buf, conv: kernels.PackedConv, layer: str, *, stride: int = 1, copies: int = 1,
         gate: Buf | None = None, add: tuple[Buf, int] | None = None, base: Buf | None = None,
     ) -> Buf:
-        """conv2d_frames with an optional epilogue; ``add`` is (matrix, first column)."""
-        f, ci, h, w = x.shape
-        ho, wo = (h - 1) // stride + 1, (w - 1) // stride + 1
-        out = self.buf((f, conv.co, ho, wo))
-        self.scratch(kernels._conv_ws(x.shape, conv, stride))
+        """conv2d_frames of x with an optional epilogue, logged at ``layer`` as ``copies``
+        convs; ``add`` is (matrix, first column), and ``base`` gives base + 0.5 * conv.
+
+        A 3x3 conv takes x (f, ci, h, w) and is logged as a conv2d.  A 1x1 conv
+        takes x (f, ci, *tokens), runs on frames of (1, tokens) at stride 1 and
+        is logged as a matmul of its f * tokens rows.  The output is (f, co, *pixels),
+        or shaped like ``base``, which must hold as many values.
+        """
+        f, c = x.shape[:2]
+        if c != conv.ci or (conv.k == 1 and (stride != 1 or gate is not None)):
+            raise ValueError(f"conv shape mismatch: {x.shape} @ {conv.k}x{conv.k} {conv.ci} -> "
+                             f"{conv.co} (a 1x1 conv takes stride 1 and no gate)")
+        if conv.k == 3:
+            frames = x.shape
+            pixels = ho, wo = tuple((n - 1) // stride + 1 for n in frames[2:])
+            self.flop("conv2d", layer, (conv.co, c, ho, copies * f * wo))
+        else:
+            frames, pixels = (f, c, 1, math.prod(x.shape[2:])), x.shape[2:]
+            ho, wo = frames[2:]
+            self.flop("matmul", layer, (copies * f * wo, c, conv.co))
+        shape = (f, conv.co, ho, wo)
+        if base is not None and base.size != math.prod(shape):
+            raise ValueError(f"conv base {base.shape} does not match {shape}")
+        out = self.buf((f, conv.co) + pixels if base is None else base.shape)
+        self.scratch(kernels._conv_ws(frames, conv, stride))
         tp, col = add if add is not None else (None, 0)
         self.step(lambda lib: kernels.bound_conv2d_frames(
-            lib, x.a, conv, out.a, self.ws, stride=stride,
+            lib, x.a.reshape(frames), conv, out.a.reshape(shape), self.ws, stride=stride,
             gate=None if gate is None else gate.a,
             add=None if tp is None else tp.a[:, col : col + conv.co],
-            base=None if base is None else base.a,
-        ), x, gate, tp, base, out)
-        self.flop("conv2d", name, (conv.co, conv.ci, ho, f * wo))
-        return out
-
-    def channel_mix(self, x: Buf, mix: kernels.PackedConv, base: Buf | None = None) -> Buf:
-        """The 1x1 conv ``mix`` (x @ w per pixel) of x (f, c, *pixels), one conv step
-        on frames of (1, pixels); with ``base``, base + 0.5 * that.  Not logged: its
-        callers log it as a matmul."""
-        f, c = x.shape[:2]
-        if mix.k != 1 or mix.ci != c:
-            raise ValueError(f"channel mix shape mismatch: {x.shape} @ {mix.k}x{mix.k} "
-                             f"{mix.ci} -> {mix.co}")
-        flat = (f, c, 1, math.prod(x.shape[2:]))
-        shape = (f, mix.co) + flat[2:]
-        if base is not None and base.size != math.prod(shape):
-            raise ValueError(f"channel mix base {base.shape} does not match {shape}")
-        out = self.buf((f, mix.co) + x.shape[2:] if base is None else base.shape)
-        self.scratch(kernels._conv_ws(flat, mix))
-        self.step(lambda lib: kernels.bound_conv2d_frames(
-            lib, x.a.reshape(flat), mix, out.a.reshape(shape), self.ws,
             base=None if base is None else base.a.reshape(shape),
-        ), x, base, out)
+        ), x, gate, tp, base, out)
+        if add is not None or base is not None:  # one add, or a multiply and an add
+            self.flop("elementwise", layer, ((1 if base is None else 2) * copies * out.size,))
         return out
 
     def attention(

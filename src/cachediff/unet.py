@@ -434,7 +434,8 @@ class ToyUNet:
         if z.dtype != np.float32:
             raise ConfigError(f"latent must be float32, got {z.dtype}")
 
-    # -- plans: each walk mirrors the pass, step by step and event by event
+    # -- plans: each walk mirrors the pass step by step; each step logs its own FLOPs
+    # under its layer's name, and only the time MLP's events are written here
 
     def _plan_forward(self, removal: bool, keep_probs: bool) -> Plan:
         cfg = self.cfg
@@ -499,10 +500,10 @@ class ToyUNet:
         return p.input("tproj", (samples, self._temb_w.shape[1]))
 
     def _plan_preact(self, p: Plan, x: Buf, layer: str, name: str, **epilogue) -> Buf:
-        """conv(silu(norm(x))): the norm writes SiLU's gate and the conv applies it."""
+        """conv(silu(norm(x))) of the conv ``name``: the norm writes SiLU's gate and the
+        conv applies it."""
         normed, gate = p.norm(x, layer, gate=True)
-        p.flop("elementwise", layer, (4 * x.size,))  # the SiLU
-        return p.conv(normed, self.convs[name], name, gate=gate, **epilogue)
+        return p.conv(normed, self.convs[name], layer, gate=gate, **epilogue)
 
     def _plan_res(self, p: Plan, x: Buf, tproj: Buf, samples: int, prefix: str) -> Buf:
         """Residual unit on a stack of samples' frames, one time projection row per sample.
@@ -510,15 +511,12 @@ class ToyUNet:
         conv1's store adds the unit's time projection and conv2's writes
         ``base + 0.5 * h2``, the unit's output.
         """
-        f, c, h, w = x.shape
         h1 = self._plan_preact(p, x, prefix, f"{prefix}.conv1", add=(tproj, self._temb_col[prefix]))
         skip = self.convs.get(f"{prefix}.skip")
-        base = x if skip is None else p.channel_mix(x, skip)
+        base = x if skip is None else p.conv(x, skip, prefix)
         h2 = self._plan_preact(p, h1, prefix, f"{prefix}.conv2", base=base)
-        if skip is not None:
-            p.flop("matmul", f"{prefix}.skip.w", (f * h * w, c, skip.co))
+        # The time projection, computed once per timestep, is logged on every pass.
         p.flop("matmul", prefix, (samples, self.cfg.time_dim, h1.shape[1]))
-        p.flop("elementwise", prefix, (h1.size + 2 * h2.size,))
         return h2
 
     def _plan_attn(
@@ -552,10 +550,6 @@ class ToyUNet:
         def norm(tokens: Buf, name: str, copies: int = 1) -> Buf:
             return p.norm(tokens, name, copies=copies, tokens=True)
 
-        def residual(out: Buf, name: str) -> Buf:
-            p.flop("elementwise", name, (2 * x.size,))
-            return out
-
         name = f"{layer}.ref"
         ref = p.input(name, (1, c, L), lambda a: a[0].T)
         x1, a_ref, probs = attn.plan_reference_site(
@@ -564,19 +558,16 @@ class ToyUNet:
         )
         if probs is not None:
             p.result("probs", probs, np.copy)
-        x1 = residual(x1, name)
 
         name = f"{layer}.aud"
         aud = p.input("audio", (f, cfg.audio_dim, cfg.audio_tokens), lambda a: a.swapaxes(1, 2))
         x2, a_aud = attn.plan_audio_site(p, norm(x1, name), norm(aud, name, k), self.convs, name,
                                          base=x1, **site("audio"))
-        x2 = residual(x2, name)
 
         name = f"{layer}.tmp"
         x3, a_tmp = attn.plan_temporal_site(p, norm(x2, name), self.convs, name, frames=f,
-                                            base=x2,
-                                            **site("temporal"))
-        return residual(x3, name), {"reference": a_ref, "audio": a_aud, "temporal": a_tmp}
+                                            base=x2, **site("temporal"))
+        return x3, {"reference": a_ref, "audio": a_aud, "temporal": a_tmp}
 
     def _plan_u32_head(
         self, p: Plan, f_u31: Buf, s_in: Buf, tproj: Buf, samples: int, removal: bool,

@@ -356,6 +356,19 @@ def test_plan_refuses_events_that_do_not_split_per_sample():
         p.finish(samples=3)
 
 
+@pytest.mark.parametrize("k", [3, 1])
+@pytest.mark.parametrize("ci", [4, 6])
+def test_plan_conv_refuses_weights_of_other_input_channels(k, ci):
+    """A conv's weights must have x's input channels, for 3x3 and 1x1 kernels alike (with
+    more, a 3x3 conv ran on both backends, summing over the input's channels alone)."""
+    p = Plan()
+    x = p.input("x", (2, 5, 4, 4))
+    with pytest.raises(ValueError, match="conv shape mismatch"):
+        p.conv(x, kernels.PackedConv(np.ones((8, ci, k, k), np.float32)), "L")
+    assert p.conv(x, kernels.PackedConv(np.ones((8, 5, k, k), np.float32)), "L").shape == (
+        2, 8, 4, 4)
+
+
 def test_subnet_rejects_timestep_count_mismatch(small_model, small_cond, small_latent):
     tr = small_model.forward(small_latent, 29, small_cond)
     with pytest.raises(ConfigError):
