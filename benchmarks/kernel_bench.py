@@ -19,16 +19,19 @@ in full (256 token keys per frame and 256 shared reference keys) and
 restricted to the 113 foreground queries of the default mask, the audio
 site (6 keys) and the temporal site (256 locations of 4 x 4).  The
 ``conv_*`` cases are single conv steps of a default forward pass, bound
-once per backend as a plan binds them: 16x16 convs of a D0 unit (16 -> 16
-channels, gated), of U32 (32 -> 16, gated), of the head (16 -> 4, gated)
-and conv_in (4 -> 16), an 8x8 D1 unit's (32 -> 32, gated), and two on the
-pixel rows, a 2x2 D3 unit's (64 -> 64, gated) and the stride-2 down0
-(16 -> 32 at 16x16).  The ``mix_*`` cases are channel mixes, 1x1 convs
-bound as a plan binds them, on 4 frames: a U32 site's Q projection (256
-tokens, 16 -> 8), the K/V projections of a restricted site on 112 and 124
-foreground tokens (16 -> 8), a U32 output projection with its residual
-(8 -> 16), an M site's Q projection (4 tokens, 64 -> 8) and an audio
-site's K/V (6 tokens, 8 -> 8).
+once per backend as a plan binds them, the pre-activation convs on SiLU'd
+inputs: 16x16 convs of a D0 unit (16 -> 16 channels), of U32 (32 -> 16), of
+the head (16 -> 4) and conv_in (4 -> 16, on the latent), an 8x8 D1 unit's
+(32 -> 32), and two on the pixel rows, a 2x2 D3 unit's (64 -> 64) and the
+stride-2 down0 (16 -> 32 at 16x16).  The ``norm_silu_*`` cases are the
+norm steps that write a pre-activation, silu(rms_norm(x)), bound the same
+way: a D0 unit's (4 frames of 16 channels, 16x16) and the U32 unit's of a
+two-sample subnet (8 frames of 32 channels, 16x16).  The ``mix_*`` cases
+are channel mixes, 1x1 convs bound as a plan binds them, on 4 frames: a
+U32 site's Q projection (256 tokens, 16 -> 8), the K/V projections of a
+restricted site on 112 and 124 foreground tokens (16 -> 8), a U32 output
+projection with its residual (8 -> 16), an M site's Q projection (4
+tokens, 64 -> 8) and an audio site's K/V (6 tokens, 8 -> 8).
 Exits 1 when the outputs differ.  Without a C compiler only the reference
 is timed.
 
@@ -80,10 +83,11 @@ import workload  # noqa: E402  (the benchmark's workload configurations)
 
 def preact_conv(x: np.ndarray, conv: kernels.PackedConv) -> np.ndarray:
     """A residual unit's pre-activation conv on the active backend, conv(silu(rms_norm(x))):
-    the norm step writes the SiLU gate that the conv applies."""
-    normed, gate = np.empty_like(x), np.empty_like(x)
-    kernels._run(kernels.active_library(), kernels.bound_rms_norm, x, 1, normed, gate)
-    return kernels.conv2d_frames(normed, conv, 1, gate)
+    the norm step writes silu(rms_norm(x)), which the conv reads."""
+    act = np.empty_like(x)
+    kernels._run(kernels.active_library(), kernels.bound_rms_norm, x, 1, act,
+                 ws=kernels._norm_ws(x.shape, 1), silu=True)
+    return kernels.conv2d_frames(act, conv)
 
 
 def pass_cases(seed: int) -> dict:
@@ -132,35 +136,49 @@ def lane_attention(q, k, v, rows: int = 1, k2=None, v2=None):
     return out
 
 
-def conv_case(rng: Rng, seed: int, shape: tuple, co: int, gated: bool = False, *,
-              stride: int = 1, mix: bool = False, residual: bool = False) -> tuple:
-    """A conv step of a plan on x of ``shape`` to ``co`` channels, of silu(x) with
-    ``gated``; with ``mix`` a 1x1 conv without bias (a channel mix), with
-    ``residual`` writing base + 0.5 * that.  Bound once per backend on its own
-    output, as a plan binds it, so that a call times the kernel alone (the eager
-    conv2d_frames's allocation and binding take longer than a small conv)."""
-    x = rng.child(seed).normal(shape)
-    k = 1 if mix else 3
-    conv = kernels.PackedConv(rng.child(seed + 1).normal((co, shape[1], k, k)),
-                              None if mix else rng.child(seed + 2).normal((co,)))
-    gate = kernels._silu_gate(x) if gated else None
-    oshape = (shape[0], co) + tuple((n - 1) // stride + 1 for n in shape[2:])
-    base = rng.child(seed + 3).normal(oshape) if residual else None
-    ws = np.empty(kernels._conv_ws(shape, conv, stride), np.uint8)
+def bound_once(bind, oshape: tuple):
+    """A case that runs ``bind(lib, out)``'s step, bound once per backend on its own
+    output of ``oshape``, as a plan binds it, so that a call times the kernel alone (the
+    eager functions' allocation and binding take longer than a small step)."""
     bound = {}  # library (None: the reference) -> its calls and output
 
     def run():
         lib = kernels.active_library()
         if lib not in bound:
             out = np.empty(oshape, np.float32)
-            bound[lib] = kernels.program(lib, kernels.bound_conv2d_frames(
-                lib, x, conv, out, ws.ctypes.data, stride=stride, gate=gate, base=base)), out
+            bound[lib] = kernels.program(lib, bind(lib, out)), out
         calls, out = bound[lib]
         for call in calls:
             call()
         return out
 
     return run, ()
+
+
+def conv_case(rng: Rng, seed: int, shape: tuple, co: int, silu: bool = False, *,
+              stride: int = 1, mix: bool = False, residual: bool = False) -> tuple:
+    """A conv step of a plan on x of ``shape`` to ``co`` channels, x SiLU'd with
+    ``silu`` (a pre-activation); with ``mix`` a 1x1 conv without bias (a channel mix),
+    with ``residual`` writing base + 0.5 * that."""
+    x = rng.child(seed).normal(shape)
+    x = kernels.silu(x) if silu else x
+    k = 1 if mix else 3
+    conv = kernels.PackedConv(rng.child(seed + 1).normal((co, shape[1], k, k)),
+                              None if mix else rng.child(seed + 2).normal((co,)))
+    oshape = (shape[0], co) + tuple((n - 1) // stride + 1 for n in shape[2:])
+    base = rng.child(seed + 3).normal(oshape) if residual else None
+    ws = np.empty(kernels._conv_ws(shape, conv, stride), np.uint8)
+    return bound_once(lambda lib, out: kernels.bound_conv2d_frames(
+        lib, x, conv, out, ws.ctypes.data, stride=stride, base=base), oshape)
+
+
+def norm_silu_case(rng: Rng, seed: int, shape: tuple) -> tuple:
+    """The norm step of a pre-activation on x of ``shape``: silu(rms_norm(x)) over the
+    channels."""
+    x = rng.child(seed).normal(shape)
+    ws = np.empty(kernels._norm_ws(shape, 1), np.uint8)
+    return bound_once(lambda lib, out: kernels.bound_rms_norm(
+        lib, x, 1, out, ws.ctypes.data, silu=True), shape)
 
 
 def make_cases(seed: int) -> dict:
@@ -187,7 +205,7 @@ def make_cases(seed: int) -> dict:
             ),
         ),
         # single conv steps of a default forward pass, 4 frames each
-        **{name: conv_case(rng, seed, shape, co, gated) for name, shape, co, gated, seed in (
+        **{name: conv_case(rng, seed, shape, co, silu) for name, shape, co, silu, seed in (
             ("conv_d0", (4, 16, 16, 16), 16, True, 30),
             ("conv_u32", (4, 32, 16, 16), 16, True, 33),
             ("conv_head", (4, 16, 16, 16), 4, True, 36),
@@ -195,6 +213,10 @@ def make_cases(seed: int) -> dict:
             ("conv_d1", (4, 32, 8, 8), 32, True, 42),
             ("conv_d3", (4, 64, 2, 2), 64, True, 45))},
         "conv_down0": conv_case(rng, 48, (4, 16, 16, 16), 32, stride=2),
+        # the norms of a D0 unit's pre-activation and of the U32 unit's in a
+        # two-sample subnet
+        "norm_silu_d0": norm_silu_case(rng, 75, (4, 16, 16, 16)),
+        "norm_silu_u32": norm_silu_case(rng, 77, (8, 32, 16, 16)),
         # channel mixes of a default forward pass and of a restricted subnet,
         # 4 frames each, as a plan binds them: frames of (1, tokens)
         **{name: conv_case(rng, seed, (4, c, 1, tokens), co, mix=True, residual=residual)

@@ -18,10 +18,9 @@
  * zero-padded copy of the input and multiplies the padding zeros like any
  * other element, so inf or NaN weights give NaN where the reference does
  * (which NaN's bits survive a sum of two NaNs is not fixed, see
- * kernels.py); given a SiLU gate, the padded copy holds the activated
- * input.  A 1x1 conv reads its input in place.  The conv runs in one of two
- * orientations, with the same sums: where a frame's output rows fill whole
- * vectors (or halves of them), or a 1x1 conv's frame holds a tile of
+ * kernels.py).  A 1x1 conv reads its input in place.  The conv runs in one
+ * of two orientations, with the same sums: where a frame's output rows fill
+ * whole vectors (or halves of them), or a 1x1 conv's frame holds a tile of
  * pixels, the output pixels are the lanes and the channels the tile rows,
  * and each output vector is one store; elsewhere (stride 2, narrow maps,
  * fewer pixels, 3x3 convs on 4-lane builds) the output pixels are the GEMM
@@ -30,9 +29,9 @@
  * The RMS norm is the one sum that does not always run in ascending
  * order: it follows numpy's float32 np.mean, which sums a contiguous axis
  * pairwise (pairwise_sq, a vector of tokens at a time) and a strided one in
- * ascending order.  It also
- * writes SiLU's gate, so that a residual unit's conv(silu(rms_norm(x))) is
- * one norm op and one conv.
+ * ascending order.  Asked for SiLU, it writes silu(rms_norm(x)) itself, so
+ * that a residual unit's conv(silu(rms_norm(x))) is one norm op and one
+ * conv.
  *
  * exp is numpy's own: cd_set_exp hands over the float32 inner loop of
  * np.exp, found in its loop table when the library is loaded (native.py),
@@ -390,10 +389,9 @@ static void conv1x1_lanes(const float *x, const float *wp, long ldw, long *taps,
 }
 
 /* A zero-padded copy, carved from ws, of the n planes (h, w) of x: each
- * (h + 2, w + 2), holding silu(x) = x * (1 / (1 + gate)) when gate is
- * given. */
-static const float *pad_frames(const float *x, const float *gate, long n, long h, long w,
-                               char **ws)
+ * (h + 2, w + 2).  The rows are copied by a plain loop: with a memcpy per
+ * row the pre-activation convs of a forward pass took 5-20 % longer. */
+static const float *pad_frames(const float *x, long n, long h, long w, char **ws)
 {
     const long ph = h + 2, pw = w + 2;
     float *xp = carve(ws, sizeof(float) * n * ph * pw);
@@ -404,13 +402,8 @@ static const float *pad_frames(const float *x, const float *gate, long n, long h
             float *row = dst + (y + 1) * pw;
             const float *src = x + (pl * h + y) * w;
             row[0] = 0.0f;
-            if (gate) {
-                const float *g = gate + (pl * h + y) * w;
-                for (long j = 0; j < w; j++)
-                    row[j + 1] = src[j] * (1.0f / (1.0f + g[j]));
-            } else {
-                memcpy(row + 1, src, sizeof(float) * w);
-            }
+            for (long j = 0; j < w; j++)
+                row[j + 1] = src[j];
             row[pw - 1] = 0.0f;
         }
         memset(dst + (ph - 1) * pw, 0, sizeof(float) * pw);
@@ -425,8 +418,7 @@ static const float *pad_frames(const float *x, const float *gate, long n, long h
  * weights of reduction index p = (ci, ky, kx) for every output channel; ldw
  * is a multiple of 16, the widest vector, and columns co..ldw-1 are zero.
  * The reduction runs over p ascending and bias (co, or NULL for none) is
- * added after the sum.  With gate non-NULL (3x3 only, the shape of x), the
- * input is x * (1 / (1 + gate)): silu(x) when gate = exp(-clip(x, -30, 30)).
+ * added after the sum.
  *
  * The store adds one of two epilogues to acc + bias, as the gemm above
  * describes: add (a residual unit's time projection, row s of add_ld floats
@@ -440,10 +432,10 @@ static const float *pad_frames(const float *x, const float *gate, long n, long h
  * rows and the channels as columns: row i reads its patch from the input
  * (or its padded copy), B is the packed weights, and the store scatters each
  * row's channels to their planes. */
-static void conv2d_frames(const float *x, const float *gate, const float *wp, long ldw,
-                          const float *bias, float *out, long f, long ci, long h, long wd,
-                          long co, long ks, long stride, const float *add, long add_ld,
-                          long add_frames, const float *base, char *ws)
+static void conv2d_frames(const float *x, const float *wp, long ldw, const float *bias, float *out,
+                          long f, long ci, long h, long wd, long co, long ks, long stride,
+                          const float *add, long add_ld, long add_frames, const float *base,
+                          char *ws)
 {
     const long pad = ks / 2, ph = h + 2 * pad, pw = wd + 2 * pad, k = ci * ks * ks;
     const long ho = (h - 1) / stride + 1, wo = (wd - 1) / stride + 1, hw = ho * wo;
@@ -464,7 +456,7 @@ static void conv2d_frames(const float *x, const float *gate, const float *wp, lo
     }
     long *pix = lanes ? NULL : carve(&ws, sizeof(long) * npix); /* patch origin of a pixel */
     long *opix = lanes ? NULL : carve(&ws, sizeof(long) * npix);
-    const float *xp = ks == 3 ? pad_frames(x, gate, f * ci, h, wd, &ws) : x;
+    const float *xp = ks == 3 ? pad_frames(x, f * ci, h, wd, &ws) : x;
     for (long c = 0, p = 0; c < ci; c++)
         for (long ky = 0; ky < ks; ky++)
             for (long kx = 0; kx < ks; kx++, p++)
@@ -484,6 +476,37 @@ static void conv2d_frames(const float *x, const float *gate, const float *wp, lo
                            add, add_ld, add_frames * hw, base};
     gemm_run(&g);
 }
+
+/* ---------------------------------------------------------------------------
+ * numpy's exp
+ *
+ * A numpy ufunc inner loop: args {in, out}, dimensions {n}, steps in bytes,
+ * and the loop's data pointer from the same entry of the ufunc's table. */
+
+typedef void (*ufunc_loop)(char **args, const long *dims, const long *steps, void *data);
+
+static ufunc_loop np_exp;
+static void *np_exp_data;
+
+void cd_set_exp(ufunc_loop fn, void *data)
+{
+    np_exp = fn;
+    np_exp_data = data;
+}
+
+/* x = exp(x) for n contiguous floats: the call np.exp(x, out=x) makes. */
+static void exp_inplace(float *x, long n)
+{
+    if (n <= 0)
+        return;
+    char *args[2] = {(char *)x, (char *)x};
+    const long dims[1] = {n};
+    const long steps[2] = {sizeof(float), sizeof(float)};
+    np_exp(args, dims, steps, np_exp_data);
+}
+
+/* ---------------------------------------------------------------------------
+ * RMS norm */
 
 /* The first n <= VW floats at p, zero in the other lanes. */
 static vwf vload_n(const float *p, long n)
@@ -536,18 +559,13 @@ static vwf pairwise_sq(const float *a, long stride, long n, long nl)
     return pairwise_sq(a, stride, n2, nl) + pairwise_sq(a + n2 * stride, stride, n - n2, nl);
 }
 
-/* out = x / r[j] for n floats x[j]; with neg, also neg = -clip(out, -30,
- * 30), NaN kept. */
-static void divide_row(const float *x, const float *r, float *out, float *neg, long n)
+/* Inner positions per block of the norm, a multiple of 16 from 16 to 256:
+ * up to 128 channels, a block's c x nj values, and with SiLU their exp
+ * arguments in ws, hold at most 2048 floats each and stay in L1. */
+static long norm_block(long c)
 {
-    for (long j = 0; j < n; j++)
-        out[j] = x[j] / r[j];
-    if (!neg)
-        return;
-    for (long j = 0; j < n; j++) {
-        const float v = out[j];
-        neg[j] = -(v < -30.0f ? -30.0f : v > 30.0f ? 30.0f : v);
-    }
+    const long nj = 2048 / (c > 0 ? c : 1) / 16 * 16;
+    return nj < 16 ? 16 : nj > 256 ? 256 : nj;
 }
 
 /* RMS norm over the middle axis of x (outer, c, inner), as numpy computes
@@ -556,16 +574,20 @@ static void divide_row(const float *x, const float *r, float *out, float *neg, l
  * lanes.  The sum of squares runs in numpy's order for a contiguous axis
  * with pairwise (0.0f + pairwise_sq: a token's channels, or inner == 1),
  * else in ascending order from +0.0 (a strided axis of a feature map); the
- * mean divides it by c.  With neg non-NULL, also neg = -clip(out, -30, 30),
- * the argument of the exp in silu(out). */
-static void rms_norm(const float *x, float *out, float *neg, long outer, long c, long inner,
-                     int pairwise)
+ * mean divides it by c.  With silu, out = silu(norm) instead, the
+ * reference's sequence: for each block of norm_block(c) inner positions,
+ * g = -clip(norm, -30, 30) in ws (c * nj floats), one call of numpy's exp
+ * on g, then out = norm * (1 / (1 + g)). */
+static void rms_norm(const float *x, float *out, long outer, long c, long inner, int pairwise,
+                     int silu, char *ws)
 {
-    enum { CHUNK = 256 };
-    float r[CHUNK];
+    enum { MAXBLOCK = 256 };
+    float r[MAXBLOCK];
+    float *const g = (float *)ws;
+    const long blk = norm_block(c);
     for (long o = 0; o < outer; o++) {
-        for (long j0 = 0; j0 < inner; j0 += CHUNK) {
-            const long nj = inner - j0 < CHUNK ? inner - j0 : CHUNK;
+        for (long j0 = 0; j0 < inner; j0 += blk) {
+            const long nj = inner - j0 < blk ? inner - j0 : blk;
             const long base = o * c * inner + j0;
             if (pairwise) {
                 for (long j = 0; j < nj; j += VW) {
@@ -586,39 +608,27 @@ static void rms_norm(const float *x, float *out, float *neg, long outer, long c,
             for (long j = 0; j < nj; j++)
                 r[j] = sqrtf(r[j] / (float)c + 1e-5f);
             for (long ch = 0; ch < c; ch++) {
-                const long at = base + ch * inner;
-                divide_row(x + at, r, out + at, neg ? neg + at : NULL, nj);
+                const float *xs = x + base + ch * inner;
+                float *os = out + base + ch * inner;
+                for (long j = 0; j < nj; j++)
+                    os[j] = xs[j] / r[j];
+                if (!silu)
+                    continue;
+                for (long j = 0; j < nj; j++) {
+                    const float v = os[j];
+                    g[ch * nj + j] = -(v < -30.0f ? -30.0f : v > 30.0f ? 30.0f : v);
+                }
+            }
+            if (!silu)
+                continue;
+            exp_inplace(g, c * nj);
+            for (long ch = 0; ch < c; ch++) {
+                float *os = out + base + ch * inner;
+                for (long j = 0; j < nj; j++)
+                    os[j] = os[j] * (1.0f / (1.0f + g[ch * nj + j]));
             }
         }
     }
-}
-
-/* ---------------------------------------------------------------------------
- * numpy's exp
- *
- * A numpy ufunc inner loop: args {in, out}, dimensions {n}, steps in bytes,
- * and the loop's data pointer from the same entry of the ufunc's table. */
-
-typedef void (*ufunc_loop)(char **args, const long *dims, const long *steps, void *data);
-
-static ufunc_loop np_exp;
-static void *np_exp_data;
-
-void cd_set_exp(ufunc_loop fn, void *data)
-{
-    np_exp = fn;
-    np_exp_data = data;
-}
-
-/* x = exp(x) for n contiguous floats: the call np.exp(x, out=x) makes. */
-static void exp_inplace(float *x, long n)
-{
-    if (n <= 0)
-        return;
-    char *args[2] = {(char *)x, (char *)x};
-    const long dims[1] = {n};
-    const long steps[2] = {sizeof(float), sizeof(float)};
-    np_exp(args, dims, steps, np_exp_data);
 }
 
 /* ---------------------------------------------------------------------------
@@ -820,22 +830,11 @@ static void copy_nd(float *dst, const float *src, long ndim, const long *shape, 
 {
     const long m = shape[ndim - 2], n = shape[ndim - 1];
     const long dm = ds[ndim - 2], dn = ds[ndim - 1], sm = ss[ndim - 2], sn = ss[ndim - 1];
-    enum { T = 16 }; /* tile of a transpose */
     struct blocks2 w;
     const long blocks = blocks2_start(&w, ndim, shape, ds, ss);
     for (long b = 0; b < blocks; b++, blocks2_next(&w)) {
         float *d = dst + w.o1;
         const float *s = src + w.o2;
-        if (dn == 1 && sm == 1 && sn != 1) { /* a transpose, in tiles that stay in cache */
-            for (long i0 = 0; i0 < m; i0 += T)
-                for (long j0 = 0; j0 < n; j0 += T) {
-                    const long ie = i0 + T < m ? i0 + T : m, je = j0 + T < n ? j0 + T : n;
-                    for (long i = i0; i < ie; i++)
-                        for (long j = j0; j < je; j++)
-                            d[i * dm + j] = s[i + j * sn];
-                }
-            continue;
-        }
         for (long i = 0; i < m; i++) {
             if (dn == 1 && sn == 1) {
                 memcpy(d + i * dm, s + i * sm, sizeof(float) * n);
@@ -895,14 +894,11 @@ static void run_op(const slot *op)
     const slot *a = op + 1;
     switch (op[0].i) {
     case OP_CONV: /* the arguments of conv2d_frames */
-        conv2d_frames(a[0].p, a[1].p, a[2].p, a[3].i, a[4].p, a[5].p, a[6].i, a[7].i, a[8].i,
-                      a[9].i, a[10].i, a[11].i, a[12].i, a[13].p, a[14].i, a[15].i, a[16].p,
-                      a[17].p);
+        conv2d_frames(a[0].p, a[1].p, a[2].i, a[3].p, a[4].p, a[5].i, a[6].i, a[7].i, a[8].i,
+                      a[9].i, a[10].i, a[11].i, a[12].p, a[13].i, a[14].i, a[15].p, a[16].p);
         break;
-    case OP_NORM: /* x, out, gate or NULL, outer, c, inner, pairwise; the gate is exp(-clip(out)) */
-        rms_norm(a[0].p, a[1].p, a[2].p, a[3].i, a[4].i, a[5].i, (int)a[6].i);
-        if (a[2].p)
-            exp_inplace(a[2].p, a[3].i * a[4].i * a[5].i);
+    case OP_NORM: /* the arguments of rms_norm */
+        rms_norm(a[0].p, a[1].p, a[2].i, a[3].i, a[4].i, (int)a[5].i, (int)a[6].i, a[7].p);
         break;
     case OP_ATTENTION: { /* the fields of struct attn in order, the scale a double, then ws */
         const struct attn at = {a[0].p, a[1].p, a[2].p, a[3].p, a[4].p, a[5].p, a[6].p,

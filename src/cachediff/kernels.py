@@ -28,8 +28,8 @@ runtime with :func:`set_backend`.  ``exp`` is numpy's own float32 loop
 under both backends: the compiled library calls the inner loop of
 ``np.exp`` itself (see :mod:`cachediff.native`), so the compiled
 attention is one op per step, scores, exp and apply alike, and a residual
-unit's pre-activation ``conv(silu(rms_norm(x)))`` is a norm op that also
-writes the SiLU gate and a conv op that reads it.
+unit's pre-activation ``conv(silu(rms_norm(x)))`` is a norm op that writes
+``silu(rms_norm(x))`` and a conv op that reads it.
 
 One conv op serves every per-pixel GEMM: 3x3 convs, and 1x1 convs, the
 channel mixes x @ w over the channels of each pixel (a residual unit's
@@ -144,13 +144,10 @@ class PackedConv:
 # numpy reference
 
 
-def _silu_gate(x: np.ndarray) -> np.ndarray:
-    """exp(-clip(x, -30, 30)): sigmoid(x) is 1 / (1 + gate)."""
-    return np.exp(-np.clip(x, np.float32(-30.0), np.float32(30.0)))
-
-
-def _apply_gate(x: np.ndarray, gate: np.ndarray) -> np.ndarray:
-    """silu(x) = x * sigmoid(x) from x and its gate: sigmoid(x) is 1 / (1 + gate)."""
+def _silu_np(x: np.ndarray) -> np.ndarray:
+    """x * sigmoid(x), sigmoid(x) = 1 / (1 + exp(-clip(x, -30, 30))), each op rounded
+    to float32."""
+    gate = np.exp(-np.clip(x, np.float32(-30.0), np.float32(30.0)))
     return x * (np.float32(1.0) / (np.float32(1.0) + gate))
 
 
@@ -167,15 +164,11 @@ def _matmul_batch_np(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _conv2d_frames_np(
-    x: np.ndarray, conv: PackedConv, stride: int, gate: np.ndarray | None = None
-) -> np.ndarray:
+def _conv2d_frames_np(x: np.ndarray, conv: PackedConv, stride: int) -> np.ndarray:
     """Patch matrix with columns ordered (ci, ky, kx), one matmul, bias, (f,co,ho,wo) layout.
 
     A 3x3 conv's patches come from the input zero-padded by 1; a 1x1 conv's
     patch matrix is the input's (f * pixels, ci) tokens."""
-    if gate is not None:
-        x = _apply_gate(x, gate)
     f, c_in, h, wid = x.shape
     k, r = conv.k, conv.k // 2
     pad = np.zeros((f, c_in, h + 2 * r, wid + 2 * r), dtype=np.float32)
@@ -207,10 +200,11 @@ def _conv_epilogue_np(y: np.ndarray, add: np.ndarray | None, base: np.ndarray | 
     return y
 
 
-def _rms_norm_np(x: np.ndarray, axis: int, gate: bool = False):
+def _rms_norm_np(x: np.ndarray, axis: int, silu: bool = False) -> np.ndarray:
+    """rms_norm(x, axis), or with ``silu`` silu(rms_norm(x, axis))."""
     ms = np.mean(np.square(x), axis=axis, keepdims=True, dtype=np.float32)
     out = x / np.sqrt(ms + np.float32(1e-5))
-    return (out, _silu_gate(out)) if gate else out
+    return _silu_np(out) if silu else out
 
 
 def _softmax_rows_np(e: np.ndarray) -> np.ndarray:
@@ -286,6 +280,14 @@ def _pad16(n: int) -> int:
     return -(-n // 16) * 16
 
 
+def _norm_ws(shape: tuple[int, ...], axis: int) -> int:
+    """SiLU's exp arguments of one block of the norm over ``axis`` of x of ``shape``: c
+    channels by kernels.c's norm_block(c) inner positions."""
+    c, inner = shape[axis], math.prod(shape[axis + 1 :])
+    block = min(max(2048 // max(c, 1) // 16 * 16, 16), 256)
+    return _r64(4 * c * min(inner, block))
+
+
 def _conv_ws(shape: tuple[int, ...], conv: PackedConv, stride: int = 1) -> int:
     """koff, pix and opix, then for x of ``shape`` (f, ci, h, w) under a 3x3 conv the
     zero-padded input; under a 1x1 conv, unless a frame's pixels fill whole vectors
@@ -320,8 +322,10 @@ def _self_check(lib) -> str | None:
     and on 8-wide ones, two rows per vector at 16 lanes.  The norm's rows of
     137 terms of a wide range take every branch of numpy's pairwise sum, as
     rows and as tokens on the lanes (19 of them: a full vector and a tail); its
-    channel case sums over a strided axis.  The conv's two store epilogues add
-    rows and a residual holding -0.0 and a subnormal.  1x1 convs (channel
+    channel cases sum over a strided axis, and with SiLU also run on 1024
+    channels, in blocks of 16 positions, three of them beyond SiLU's clip.  The
+    conv's two store epilogues add rows and a residual holding -0.0 and a
+    subnormal.  1x1 convs (channel
     mixes) run on 16-wide frames, read in place on the lanes, plain, with a
     residual and with 8 output channels (the 8-channel tile); on frames of 20
     pixels, which 8 and 16 lanes take in padded rows and copy out through the
@@ -342,7 +346,6 @@ def _self_check(lib) -> str | None:
     x[1, 2] = -0.0
     w = rng.standard_normal((6, 5, 3, 3), dtype=np.float32)
     conv = PackedConv(w, rng.standard_normal(6, dtype=np.float32))
-    gate = _silu_gate(x)
     t = rng.standard_normal((8, 137), dtype=np.float32)
     t *= np.exp2(rng.integers(-9, 9, 137)).astype(np.float32)
     t[1] = -0.0
@@ -368,18 +371,22 @@ def _self_check(lib) -> str | None:
     res[0, 3], res[1, 2, 1] = -0.0, 3e-39
     wide = rng.standard_normal((2, 5, 6, 16), dtype=np.float32)
     wide[1, 2], wide[0, 1, 2, 5] = -0.0, 3e-39
-    wide_gate = _silu_gate(wide)
     wide_base = rng.standard_normal((2, 6, 6, 16), dtype=np.float32)
     wide_base[0, 4], wide_base[1, 1, 3, 9] = -0.0, 3e-39
     few = PackedConv(w[:4], conv.bias[:4])
-    half, half_gate, half_base = (a[..., :8].copy() for a in (wide, wide_gate, wide_base))
+    half, half_base = (a[..., :8].copy() for a in (wide, wide_base))
     mix, eight, sliced = (PackedConv.mix(m) for m in (b21[:5], b21[:5, :8], b21[:, 3:19]))
     mix_res = rng.standard_normal((2, 21, 6, 16), dtype=np.float32)
     mix_res[1, 4], mix_res[0, 7, 2, 11] = -0.0, 3e-39
     pixels = a[:, :, None, None]  # 13 frames of one pixel
+    # blocks of 16 positions and a tail, 3 beyond the clip; kept below 128 KB, as
+    # every array here is, so that no temporary raises malloc's mmap threshold
+    deep = rng.standard_normal((1, 1024, 17), dtype=np.float32)
+    deep[0, 7], deep[0, 3, 2], deep[0, 5, 4] = -0.0, 3e-39, 1e4
+    deep[0, 9, 5], deep[0, 11, 16], deep[0, :, 8] = 1e4, -1e4, 0.0
     ws = max(_conv_ws(x.shape, conv), _conv_ws(wide.shape, conv), _conv_ws(x.shape, mix),
              _conv_ws(wide.shape, mix), _conv_ws(pixels.shape, sliced), _attention_ws(40, 5, 5),
-             _attention_ws(4, 5, 5, True))
+             _attention_ws(4, 5, 5, True), _norm_ws(deep.shape, 1))
 
     def differs(want, bound, *inputs, **kwargs) -> bool:
         """Whether the bound step writes other bytes than ``want`` (an array or a tuple)."""
@@ -429,8 +436,8 @@ def _self_check(lib) -> str | None:
     index = np.array([0, 2, 5], np.int64)
 
     with np.errstate(all="ignore"):  # the reference meets infinities
-        y = _conv2d_frames_np(x, conv, 1, gate)
-        y_wide = _conv2d_frames_np(wide, conv, 1, wide_gate)
+        y = _conv2d_frames_np(x, conv, 1)
+        y_wide = _conv2d_frames_np(wide, conv, 1)
         cases = [
             ("exp", glue_differs(bound_exp, swept)),
             ("copy of a permuted view", glue_differs(bound_copy, lambda: (
@@ -442,25 +449,22 @@ def _self_check(lib) -> str | None:
             *((f"conv2d_frames stride {s}", differs(
                 _conv2d_frames_np(x, conv, s), bound_conv2d_frames, x, conv, ws=ws, stride=s))
               for s in (1, 2)),
-            ("gated conv2d_frames", differs(y, bound_conv2d_frames, x, conv, ws=ws, gate=gate)),
             ("conv2d_frames add epilogue", differs(
-                _conv_epilogue_np(y, add, None), bound_conv2d_frames, x, conv, ws=ws, gate=gate,
-                add=add)),
+                _conv_epilogue_np(y, add, None), bound_conv2d_frames, x, conv, ws=ws, add=add)),
             ("conv2d_frames residual epilogue", differs(
-                _conv_epilogue_np(y, None, base), bound_conv2d_frames, x, conv, ws=ws, gate=gate,
-                base=base)),
+                _conv_epilogue_np(y, None, base), bound_conv2d_frames, x, conv, ws=ws, base=base)),
             ("conv2d_frames add epilogue on 16-wide frames", differs(
                 _conv_epilogue_np(y_wide, add, None), bound_conv2d_frames, wide, conv, ws=ws,
-                gate=wide_gate, add=add)),
+                add=add)),
             ("conv2d_frames residual epilogue on 16-wide frames", differs(
                 _conv_epilogue_np(y_wide, None, wide_base), bound_conv2d_frames, wide, conv,
-                ws=ws, gate=wide_gate, base=wide_base)),
+                ws=ws, base=wide_base)),
             ("conv2d_frames of few channels on 16-wide frames", differs(
-                _conv_epilogue_np(_conv2d_frames_np(wide, few, 1, wide_gate), add[:, :4], None),
-                bound_conv2d_frames, wide, few, ws=ws, gate=wide_gate, add=add[:, :4])),
+                _conv_epilogue_np(_conv2d_frames_np(wide, few, 1), add[:, :4], None),
+                bound_conv2d_frames, wide, few, ws=ws, add=add[:, :4])),
             ("conv2d_frames residual epilogue on 8-wide frames", differs(
-                _conv_epilogue_np(_conv2d_frames_np(half, conv, 1, half_gate), None, half_base),
-                bound_conv2d_frames, half, conv, ws=ws, gate=half_gate, base=half_base)),
+                _conv_epilogue_np(_conv2d_frames_np(half, conv, 1), None, half_base),
+                bound_conv2d_frames, half, conv, ws=ws, base=half_base)),
             ("1x1 conv on 16-wide frames", differs(
                 _conv2d_frames_np(wide, mix, 1), bound_conv2d_frames, wide, mix, ws=ws)),
             ("1x1 conv residual epilogue on 16-wide frames", differs(
@@ -475,7 +479,10 @@ def _self_check(lib) -> str | None:
             ("1x1 conv of one-pixel frames, weights a column slice", differs(
                 _conv2d_frames_np(pixels, sliced, 1), bound_conv2d_frames, pixels, sliced, ws=ws)),
             ("rms_norm rows", differs(_rms_norm_np(t, 1), bound_rms_norm, t, 1)),
-            ("rms_norm channels", differs(_rms_norm_np(x, 1, True), bound_rms_norm, x, 1)),
+            ("rms_norm channels", differs(_rms_norm_np(x, 1), bound_rms_norm, x, 1)),
+            *((f"rms_norm channels with SiLU, {a.shape[1]} of them", differs(
+                _rms_norm_np(a, 1, True), bound_rms_norm, a, 1, ws=ws, silu=True))
+              for a in (x, deep)),
             ("token norm", differs(_token_norm_np(tokens, 1), bound_rms_norm, tokens, 1,
                                    tokens=True)),
             ("attention", attention_differs(q, kv, kv, True, k2=extra, v2=extra)),
@@ -572,16 +579,12 @@ def matmul_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def conv2d_frames(
-    x: np.ndarray, conv: PackedConv, stride: int = 1, gate: np.ndarray | None = None
-) -> np.ndarray:
+def conv2d_frames(x: np.ndarray, conv: PackedConv, stride: int = 1) -> np.ndarray:
     """Apply the convolution (3x3, or 1x1: a channel mix) to each frame of a (f,c,h,w) stack.
 
     Per-element results are identical to one call per frame.  Zero padding
     is multiplied like any input element, so inf weights on the border give
-    NaN exactly as a naive loop does.  Given x's SiLU gate
-    exp(-clip(x, -30, 30)), the input is ``silu(x)``, with the bytes of
-    :func:`silu`; a 1x1 conv takes no gate and runs at stride 1.
+    NaN exactly as a naive loop does.  A 1x1 conv runs at stride 1.
     """
     x = _f32(x, "x", 4)
     if not isinstance(conv, PackedConv):
@@ -590,18 +593,12 @@ def conv2d_frames(
         raise ValueError(f"conv2d_frames channel mismatch: x {x.shape}, conv {conv.co}x{conv.ci}")
     if stride not in ((1, 2) if conv.k == 3 else (1,)):
         raise ValueError(f"conv2d_frames stride must be 1 or 2 (1 for 1x1), got {stride}")
-    if gate is not None and conv.k == 1:
-        raise ValueError("conv2d_frames takes a SiLU gate only with 3x3 kernels")
     if x.shape[2] < 1 or x.shape[3] < 1:
         raise ValueError(f"conv2d_frames needs a non-empty image, got x {x.shape}")
-    if gate is not None:
-        gate = _f32(gate, "gate", 4)
-        if gate.shape != x.shape:
-            raise ValueError(f"conv2d_frames gate {gate.shape} does not match x {x.shape}")
     f, ci, h, w = x.shape
     out = np.empty((f, conv.co, (h - 1) // stride + 1, (w - 1) // stride + 1), dtype=np.float32)
     _run(active_library(), bound_conv2d_frames, x, conv, out, ws=_conv_ws(x.shape, conv, stride),
-         stride=stride, gate=gate)
+         stride=stride)
     return out
 
 
@@ -615,7 +612,7 @@ def silu(x: np.ndarray) -> np.ndarray:
     At the clamp the sigmoid is within 1e-13 of its limit, stays a normal
     float32 and cannot overflow.
     """
-    return _apply_gate(x, _silu_gate(x))
+    return _silu_np(x)
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -720,9 +717,9 @@ def _run(lib, bound, *args, ws: int | None = None, **kwargs) -> None:
 
 def bound_conv2d_frames(
     lib, x: np.ndarray, conv: PackedConv, out: np.ndarray, ws: int, *, stride: int = 1,
-    gate: np.ndarray | None = None, add: np.ndarray | None = None, base: np.ndarray | None = None,
+    add: np.ndarray | None = None, base: np.ndarray | None = None,
 ) -> list:
-    """out = conv2d_frames(x, conv, stride, gate), then at most one epilogue.
+    """out = conv2d_frames(x, conv, stride), then at most one epilogue.
 
     ``add`` (samples, co), one row per run of ``f // samples`` frames, is
     added to ``acc + bias`` (a residual unit's time projection); ``base``,
@@ -735,50 +732,47 @@ def bound_conv2d_frames(
         raise ValueError("a conv takes one epilogue")
     if lib is None:
         return [lambda: np.copyto(
-            out, _conv_epilogue_np(_conv2d_frames_np(x, conv, stride, gate), add, base))]
+            out, _conv_epilogue_np(_conv2d_frames_np(x, conv, stride), add, base))]
     f, ci, h, wid = x.shape
     pa, lda = _rows_ptr(add) if add is not None else (None, 0)
     return [Op(
-        _OP_CONV, x, gate, conv.w, conv.w.shape[1], conv.bias, out, f, ci, h, wid, conv.co,
+        _OP_CONV, x, conv.w, conv.w.shape[1], conv.bias, out, f, ci, h, wid, conv.co,
         conv.k, stride, pa, lda, f // add.shape[0] if add is not None else 1, base, ws,
         refs=(add,),
     )]
 
 
-def _token_norm_np(x: np.ndarray, axis: int, gate: bool = False):
+def _token_norm_np(x: np.ndarray, axis: int) -> np.ndarray:
     """_rms_norm_np over ``axis`` as if it were the contiguous last axis: numpy's
     pairwise order over each token's channels, whatever x's layout."""
-    res = _rms_norm_np(np.ascontiguousarray(np.moveaxis(x, axis, -1)), -1, gate)
-    return tuple(np.moveaxis(r, -1, axis) for r in res) if gate else np.moveaxis(res, -1, axis)
+    return np.moveaxis(_rms_norm_np(np.ascontiguousarray(np.moveaxis(x, axis, -1)), -1), -1, axis)
 
 
 def bound_rms_norm(
-    lib, x: np.ndarray, axis: int, out: np.ndarray, gate: np.ndarray | None = None, *,
+    lib, x: np.ndarray, axis: int, out: np.ndarray, ws: int = 0, *, silu: bool = False,
     tokens: bool = False,
 ) -> list:
-    """out = rms_norm(x, axis), and with ``gate`` its SiLU gate, of a C-contiguous x.
+    """out = rms_norm(x, axis) of a C-contiguous x, or with ``silu`` silu(rms_norm(x, axis)).
 
     With ``tokens``, every other index of x is a token whose values along
     ``axis`` are summed in numpy's order for a contiguous axis (pairwise),
     the reference's token norm; the compiled op holds the tokens on its
-    lanes.  The compiled op writes the norm and -clip(out, -30, 30), then
-    applies numpy's exp to that in place, which makes it the gate.
+    lanes.  With ``silu``, ``ws`` is a scratch block of ``_norm_ws`` bytes:
+    the compiled op writes each block of the norm, -clip(out, -30, 30) of it
+    to ``ws``, applies numpy's exp there in place and writes
+    ``out * (1 / (1 + exp))``, the reference's sequence.  The token norm takes
+    no SiLU.
     """
+    if silu and tokens:
+        raise ValueError("the token norm takes no SiLU")
     axis %= x.ndim
     inner = math.prod(x.shape[axis + 1 :])
     if lib is None:
-        norm = _token_norm_np if tokens else _rms_norm_np
-
-        def run():
-            res = norm(x, axis, gate is not None)
-            if gate is None:
-                np.copyto(out, res)
-            else:
-                np.copyto(out, res[0])
-                np.copyto(gate, res[1])
-        return [run]
-    return [Op(_OP_NORM, x, out, gate, math.prod(x.shape[:axis]), x.shape[axis], inner,
-               int(tokens or inner == 1))]
+        if tokens:
+            return [lambda: np.copyto(out, _token_norm_np(x, axis))]
+        return [lambda: np.copyto(out, _rms_norm_np(x, axis, silu))]
+    return [Op(_OP_NORM, x, out, math.prod(x.shape[:axis]), x.shape[axis], inner,
+               int(tokens or inner == 1), int(silu), ws)]
 
 
 def bound_attention(

@@ -134,24 +134,24 @@ class Plan:
 
     # -- kernel steps
 
-    def norm(self, x: Buf, layer: str, axis: int = 1, copies: int = 1, gate: bool = False,
-             tokens: bool = False):
-        """rms_norm(x, axis), logged as ``copies`` norms; with ``gate`` also its SiLU gate,
-        logged as the SiLU that the conv reading it applies.  With ``tokens``, each token's
-        values along ``axis`` sum in numpy's order for a contiguous axis (see
-        :func:`kernels.bound_rms_norm`)."""
+    def norm(self, x: Buf, layer: str, axis: int = 1, copies: int = 1, silu: bool = False,
+             tokens: bool = False) -> Buf:
+        """rms_norm(x, axis), or with ``silu`` silu(rms_norm(x, axis)), logged as ``copies``
+        norms and SiLUs.  With ``tokens``, each token's values along ``axis`` sum in
+        numpy's order for a contiguous axis (see :func:`kernels.bound_rms_norm`)."""
         out = self.buf(x.shape)
-        g = self.buf(x.shape) if gate else None
+        if silu:
+            self.scratch(kernels._norm_ws(x.shape, axis))
         self.step(lambda lib: kernels.bound_rms_norm(
-            lib, x.a, axis, out.a, None if g is None else g.a, tokens=tokens), x, out, g)
+            lib, x.a, axis, out.a, self.ws, silu=silu, tokens=tokens), x, out)
         self.flop("elementwise", layer, (3 * copies * x.size,))
-        if gate:
+        if silu:
             self.flop("elementwise", layer, (4 * copies * x.size,))
-        return (out, g) if gate else out
+        return out
 
     def conv(
         self, x: Buf, conv: kernels.PackedConv, layer: str, *, stride: int = 1, copies: int = 1,
-        gate: Buf | None = None, add: tuple[Buf, int] | None = None, base: Buf | None = None,
+        add: tuple[Buf, int] | None = None, base: Buf | None = None,
     ) -> Buf:
         """conv2d_frames of x with an optional epilogue, logged at ``layer`` as ``copies``
         convs; ``add`` is (matrix, first column), and ``base`` gives base + 0.5 * conv.
@@ -162,9 +162,9 @@ class Plan:
         or shaped like ``base``, which must hold as many values.
         """
         f, c = x.shape[:2]
-        if c != conv.ci or (conv.k == 1 and (stride != 1 or gate is not None)):
+        if c != conv.ci or (conv.k == 1 and stride != 1):
             raise ValueError(f"conv shape mismatch: {x.shape} @ {conv.k}x{conv.k} {conv.ci} -> "
-                             f"{conv.co} (a 1x1 conv takes stride 1 and no gate)")
+                             f"{conv.co} (a 1x1 conv takes stride 1)")
         if conv.k == 3:
             frames = x.shape
             pixels = ho, wo = tuple((n - 1) // stride + 1 for n in frames[2:])
@@ -181,10 +181,9 @@ class Plan:
         tp, col = add if add is not None else (None, 0)
         self.step(lambda lib: kernels.bound_conv2d_frames(
             lib, x.a.reshape(frames), conv, out.a.reshape(shape), self.ws, stride=stride,
-            gate=None if gate is None else gate.a,
             add=None if tp is None else tp.a[:, col : col + conv.co],
             base=None if base is None else base.a.reshape(shape),
-        ), x, gate, tp, base, out)
+        ), x, tp, base, out)
         if add is not None or base is not None:  # one add, or a multiply and an add
             self.flop("elementwise", layer, ((1 if base is None else 2) * copies * out.size,))
         return out

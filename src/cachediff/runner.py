@@ -29,7 +29,7 @@ from .profiler import (
 )
 from .rng import Rng
 from .tensor_io import checksum
-from .unet import Conditioning, ForwardTrace, ToyUNet, UNetConfig, init_weights
+from .unet import SITES, Conditioning, ForwardTrace, ToyUNet, UNetConfig, init_weights
 
 
 @dataclass
@@ -57,8 +57,7 @@ def build_conditioning(rc: RunConfig) -> tuple[list[Conditioning], Rng]:
     )
     ref_root = root.child(1)
     ref = {}
-    for i, layer in enumerate(cfg.attention_layers):
-        c, h, w = cfg.attn_info()[layer]
+    for i, (layer, (c, h, w)) in enumerate(cfg.attn_info().items()):
         ref[layer] = ref_root.child(i).normal((h * w, c))
     mask = mask_from_spec(rc.mask, cfg.height, cfg.width)
     return segment_condition(cfg, audio, ref, mask), root
@@ -220,8 +219,6 @@ class DiagnosticsResult:
 def execute_diagnostics(rc: RunConfig) -> DiagnosticsResult:
     """Baseline single-clip run with every key step captured, reduced to series."""
     cfg = rc.unet
-    if "U32" not in cfg.attention_layers:
-        raise ConfigError("diagnostics require the final attention layer to be enabled")
     strat = dataclasses.replace(rc.strategy, variant="baseline")
     rcd = dataclasses.replace(
         rc,
@@ -234,11 +231,7 @@ def execute_diagnostics(rc: RunConfig) -> DiagnosticsResult:
     if len(steps) < 2:
         raise ConfigError("diagnostics need at least two sampled steps")
     feats = [s.f_u31 for s in steps]
-    bg_l2 = {}
-    for site in ("reference", "audio", "temporal"):
-        series = [s.bg.get(site) for s in steps]
-        if all(v is not None for v in series):
-            bg_l2[site] = l2_series(series)
+    bg_l2 = {site: l2_series([s.bg[site] for s in steps]) for site in SITES}
     mass_rows = [m for s in steps for m in s.mass]
     fg_mass = {}
     if mass_rows:

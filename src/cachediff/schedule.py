@@ -1,16 +1,15 @@
 """Noise schedule, deterministic sampler updates, and timestep planning.
 
-Coefficients are precomputed in float64 and cast to float32 at the point
-of use; latents stay float32 throughout.  The reverse update is the
-deterministic (eta = 0) rule
+Coefficients are computed in float64 and cast to float32 at the point of
+use; latents stay float32 throughout.  The reverse update from schedule
+position t to any earlier position s is the deterministic (eta = 0) rule
 
-    z_prev = lam_t * z_t + tau_t * eps
+    z_s = lam * z_t + tau * eps
 
-with ``lam_t = sqrt(abar_prev / abar_t)`` and
-``tau_t = sqrt(1 - abar_prev) - lam_t * sqrt(1 - abar_t)``, which keeps
-the identity ``lam_t * sqrt(1 - abar_t) + tau_t = sqrt(1 - abar_prev)``
-exact.  A skipping variant applies the same rule between two arbitrary
-schedule positions.
+with ``lam = sqrt(abar_s / abar_t)`` and
+``tau = sqrt(1 - abar_s) - lam * sqrt(1 - abar_t)``, which keeps the
+identity ``lam * sqrt(1 - abar_t) + tau = sqrt(1 - abar_s)`` exact; one
+DDIM step is s = t - 1.
 """
 
 from __future__ import annotations
@@ -30,12 +29,10 @@ class NoiseSchedule:
     T: int
     beta: np.ndarray
     alpha_bar: np.ndarray
-    lam: np.ndarray
-    tau: np.ndarray
 
 
 def build_schedule(T: int, beta_start: float, beta_end: float) -> NoiseSchedule:
-    """Linear-beta schedule with cumulative alpha products and step coefficients."""
+    """Linear-beta schedule with cumulative alpha products."""
     if T < 1:
         raise ConfigError(f"T must be >= 1, got {T}")
     if not (0.0 < beta_start <= beta_end < 1.0):
@@ -50,13 +47,7 @@ def build_schedule(T: int, beta_start: float, beta_end: float) -> NoiseSchedule:
         raise InvariantError("alpha_bar must be strictly decreasing")
     if alpha_bar[-1] <= 0.0:
         raise InvariantError("alpha_bar must stay positive")
-    lam = np.ones(T + 1, dtype=np.float64)
-    tau = np.zeros(T + 1, dtype=np.float64)
-    lam[1:] = np.sqrt(alpha_bar[:-1] / alpha_bar[1:])
-    tau[1:] = np.sqrt(1.0 - alpha_bar[:-1]) - lam[1:] * np.sqrt(1.0 - alpha_bar[1:])
-    if not (np.isfinite(lam).all() and np.isfinite(tau).all()):
-        raise InvariantError("step coefficients contain non-finite values")
-    return NoiseSchedule(T=T, beta=beta, alpha_bar=alpha_bar, lam=lam, tau=tau)
+    return NoiseSchedule(T=T, beta=beta, alpha_bar=alpha_bar)
 
 
 def _affine(z: np.ndarray, eps: np.ndarray, a: float, b: float) -> np.ndarray:
@@ -80,16 +71,11 @@ def forward_diffuse(z0: np.ndarray, t: int, eps: np.ndarray, sched: NoiseSchedul
     return _affine(z0, eps, math.sqrt(ab), math.sqrt(1.0 - ab))
 
 
-def ddim_step(z: np.ndarray, eps: np.ndarray, t: int, sched: NoiseSchedule) -> np.ndarray:
-    """One deterministic reverse step from t to t-1."""
-    _check_t(sched, t, 1)
-    return _affine(z, eps, sched.lam[t], sched.tau[t])
-
-
 def ddim_step_skipping(
     z: np.ndarray, eps: np.ndarray, t_from: int, t_to: int, sched: NoiseSchedule
 ) -> np.ndarray:
-    """Deterministic reverse step between arbitrary positions t_from > t_to."""
+    """Deterministic reverse step between arbitrary positions t_from > t_to (one DDIM
+    step when t_to = t_from - 1)."""
     _check_t(sched, t_from, 1)
     if not (0 <= t_to < t_from):
         raise ConfigError(f"need 0 <= t_to < t_from, got t_from={t_from}, t_to={t_to}")

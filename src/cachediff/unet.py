@@ -60,7 +60,6 @@ class UNetConfig:
     audio_dim: int = 8
     head_dim: int = 8
     time_dim: int = 64
-    attention_layers: tuple[str, ...] = ("M", "U2", "U32")
     removal_set: tuple[str, ...] = ("M", "U2")
 
     def __post_init__(self):
@@ -79,21 +78,18 @@ class UNetConfig:
                 raise ConfigError(f"{name} must be >= 1, got {v}")
         if self.time_dim % 2 or self.time_dim < 2:
             raise ConfigError(f"time_dim must be even and >= 2, got {self.time_dim}")
-        bad = set(self.attention_layers) - set(ATTN_LAYERS)
+        bad = set(self.removal_set) - set(ATTN_LAYERS)
         if bad:
-            raise ConfigError(f"attention_layers {sorted(bad)} not in {ATTN_LAYERS}")
-        if set(self.removal_set) - set(self.attention_layers):
-            raise ConfigError("removal_set must be a subset of attention_layers")
+            raise ConfigError(f"removal_set {sorted(bad)} not in {ATTN_LAYERS}")
 
     def attn_info(self) -> dict[str, tuple[int, int, int]]:
-        """(channels, height, width) for each attention layer."""
+        """(channels, height, width) for each attention layer, in ``ATTN_LAYERS`` order."""
         c0, c1, _, c3 = self.base_channels
-        table = {
+        return {
             "M": (c3, self.height // 8, self.width // 8),
             "U2": (c1, self.height // 2, self.width // 2),
             "U32": (c0, self.height, self.width),
         }
-        return {k: table[k] for k in self.attention_layers}
 
 
 @dataclass
@@ -128,7 +124,7 @@ DfaCache = dict[str, np.ndarray]
 @dataclass
 class ForwardTrace:
     """Outputs of a full forward pass; ``dfa`` (:data:`DfaCache`) only with ``keep_bg`` and
-    ``probs`` only with ``keep_probs``, both only when the model has a U32 attention layer."""
+    ``probs`` only with ``keep_probs``."""
 
     eps: np.ndarray
     f_u31: np.ndarray
@@ -183,21 +179,19 @@ def weight_spec(cfg: UNetConfig) -> list[tuple[str, tuple[int, ...], int | None]
         if i < 3:
             spec += _conv_spec(f"down{i}", c, cfg.base_channels[i + 1])
     spec += _res_spec("M.res0", c3, c3, td)
-    if "M" in cfg.attention_layers:
-        spec += _attn_spec("M", c3, d, da)
+    spec += _attn_spec("M", c3, d, da)
     spec += _res_spec("M.res1", c3, c3, td)
     dec = [("U0", c3, c2), ("U1", c2, c1), ("U2", c1, c0)]
     for i, (blk, c, cnext) in enumerate(dec):
         spec += _res_spec(f"{blk}.res0", 2 * c, c, td)
         spec += _res_spec(f"{blk}.res1", c, c, td)
-        if blk == "U2" and "U2" in cfg.attention_layers:
+        if blk == "U2":
             spec += _attn_spec("U2", c, d, da)
         spec += _conv_spec(f"up{i}", c, cnext)
     spec += _res_spec("U30.res", 2 * c0, c0, td)
     spec += _res_spec("U31.res", c0, c0, td)
     spec += _res_spec("U32.res", 2 * c0, c0, td)
-    if "U32" in cfg.attention_layers:
-        spec += _attn_spec("U32", c0, d, da)
+    spec += _attn_spec("U32", c0, d, da)
     spec += _conv_spec("head", c0, cl)
     return spec
 
@@ -336,15 +330,14 @@ class ToyUNet:
         if z.shape[0] != 1:
             raise ConfigError(f"forward takes one sample, got {z.shape[0]}")
         cond.validate(cfg)
-        u32 = "U32" in cfg.attention_layers
-        keep_probs = bool(keep_probs) and u32
+        keep_probs = bool(keep_probs)
         dfa = None
         with self._lock:  # also makes a timestep's time row once (_time_row)
             feeds = self._feeds(z[0].transpose(1, 0, 2, 3), [int(t)], cond)
             plan = self._plans.get(("forward", bool(removal_active), keep_probs),
                                    lambda: self._plan_forward(bool(removal_active), keep_probs))
             res = plan.run(active_library(), log, feeds)
-            if keep_bg and u32:
+            if keep_bg:
                 # The site outputs are views of the arena: gathered into new
                 # arrays before the next pass may overwrite them.
                 dfa = {site: attn.select_tokens(res[("U32", site)], cond.mask.bg_index, 2)
@@ -455,13 +448,12 @@ class ToyUNet:
             if i < 3:
                 x = p.conv(x, self.convs[f"down{i}"], f"down{i}", stride=2)
         x = res(x, "M.res0")
-        if "M" in cfg.attention_layers:
-            x, _ = self._plan_attn(p, x, "M", removal)
+        x, _ = self._plan_attn(p, x, "M", removal)
         x = res(x, "M.res1")
         for i, blk in enumerate(("U0", "U1", "U2")):
             x = res(_plan_concat(p, x, skips[3 - i]), f"{blk}.res0")
             x = res(x, f"{blk}.res1")
-            if blk == "U2" and "U2" in cfg.attention_layers:
+            if blk == "U2":
                 x, _ = self._plan_attn(p, x, "U2", removal)
             x = p.conv(_plan_upsample(p, x), self.convs[f"up{i}"], f"up{i}")
         x = res(_plan_concat(p, x, skips[0]), "U30.res")
@@ -500,10 +492,8 @@ class ToyUNet:
         return p.input("tproj", (samples, self._temb_w.shape[1]))
 
     def _plan_preact(self, p: Plan, x: Buf, layer: str, name: str, **epilogue) -> Buf:
-        """conv(silu(norm(x))) of the conv ``name``: the norm writes SiLU's gate and the
-        conv applies it."""
-        normed, gate = p.norm(x, layer, gate=True)
-        return p.conv(normed, self.convs[name], layer, gate=gate, **epilogue)
+        """conv(silu(norm(x))) of the conv ``name``: the norm writes silu(norm(x))."""
+        return p.conv(p.norm(x, layer, silu=True), self.convs[name], layer, **epilogue)
 
     def _plan_res(self, p: Plan, x: Buf, tproj: Buf, samples: int, prefix: str) -> Buf:
         """Residual unit on a stack of samples' frames, one time projection row per sample.
@@ -592,9 +582,7 @@ class ToyUNet:
         p.copy(half(0), lambda: fn.a.reshape(1, f, c, h * w), fn, fused)
         p.copy(half(1), lambda: sn.a.reshape(samples, f, c, h * w), sn, fused)
         x = self._plan_res(p, fused, tproj, samples, "U32.res")
-        outs = {}
-        if "U32" in self.cfg.attention_layers:
-            x, outs = self._plan_attn(p, x, "U32", removal, mask, keep_probs)
+        x, outs = self._plan_attn(p, x, "U32", removal, mask, keep_probs)
         return self._plan_preact(p, x, "head", "head"), outs
 
 

@@ -23,8 +23,7 @@ def build_conditioning_for(cfg: UNetConfig, seed: int = 0, mask: ForegroundMask 
     root = Rng(seed)
     audio = root.child(0).normal((cfg.frames, cfg.audio_tokens, cfg.audio_dim))
     ref = {}
-    for i, layer in enumerate(cfg.attention_layers):
-        c, h, w = cfg.attn_info()[layer]
+    for i, (layer, (c, h, w)) in enumerate(cfg.attn_info().items()):
         ref[layer] = root.child(1).child(i).normal((h * w, c))
     if mask is None:
         mask = ellipse_mask(cfg.height, cfg.width, 0.5)

@@ -23,7 +23,7 @@ from cachediff.runner import build_conditioning, compare_reports, execute_ablati
 from cachediff.schedule import (
     build_schedule,
     build_timestep_plan,
-    ddim_step,
+    ddim_step_skipping,
     forward_diffuse,
 )
 from cachediff.config import RunConfig
@@ -70,7 +70,7 @@ def test_criterion_01_ddim_step_retraces_forward_diffusion(default_sched):
         eps = rng.child(1000 + i).normal((2, 3, 4, 4))
         t = int(ts[i])
         z_t = forward_diffuse(z0, t, eps, default_sched)
-        stepped = ddim_step(z_t, eps, t, default_sched)
+        stepped = ddim_step_skipping(z_t, eps, t, t - 1, default_sched)
         want = forward_diffuse(z0, t - 1, eps, default_sched)
         assert rel_l2(stepped, want) <= 1e-6
     assert time.monotonic() - start < 5.0

@@ -253,6 +253,20 @@ def test_config_file_values_of_the_wrong_type_exit_one_in_one_line(tmp_path, cap
         assert f"{WRONG_TYPES[case][0]}.{WRONG_TYPES[case][1]}" in err
 
 
+def test_a_config_file_that_sets_attention_layers_exits_one_in_one_line(tmp_path, capsys):
+    """Every model has attention at M, U2 and U32; the key that once chose them is
+    unknown."""
+    cfg = write_small_config(tmp_path)
+    data = json.loads(cfg.read_text())
+    data.setdefault("unet", {})["attention_layers"] = ["M", "U2", "U32"]
+    cfg.write_text(json.dumps(data))
+    out_dir = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out_dir)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and not out_dir.exists()
+    assert err == "error: config: unknown key(s) in unet: ['attention_layers']\n"
+
+
 @pytest.mark.parametrize("flags", [
     ["--noise-seed", "-1"], ["--weights-seed", "-1"],
     ["--set", "seeds.noise=-1"], ["--set", "seeds.weights=-1"],

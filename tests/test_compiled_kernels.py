@@ -170,16 +170,16 @@ def norm_input(data, outer: int, c: int, inner: int, special: bool) -> np.ndarra
 
 @settings(max_examples=200, deadline=None)
 @given(st.data(), st.integers(0, 3), norm_len, st.integers(1, 5), st.booleans(), st.booleans())
-def test_rms_norm_matches_reference(data, outer, c, inner, special, gate):
+def test_rms_norm_matches_reference(data, outer, c, inner, special, silu):
     x = norm_input(data, outer, c, inner, special)
     axis = 1 if inner > 1 or data.draw(st.booleans()) else -1
     if axis == -1:
         x = x.reshape(outer, c)
     with np.errstate(all="ignore"):
-        want = kernels._rms_norm_np(x, axis % x.ndim, gate)
-        got = compiled(want, kernels.bound_rms_norm, x, axis)
-    for g, w in zip(got, want) if gate else [(got, want)]:
-        assert_same_nan_rule(g, w)
+        want = kernels._rms_norm_np(x, axis % x.ndim, silu)
+        got = compiled(want, kernels.bound_rms_norm, x, axis,
+                       ws=kernels._norm_ws(x.shape, axis % x.ndim), silu=silu)
+    assert_same_nan_rule(got, want)
 
 
 @settings(max_examples=100, deadline=None)
@@ -188,15 +188,16 @@ def test_rms_norm_matches_reference(data, outer, c, inner, special, gate):
     st.integers(1, 6), st.sampled_from([1, 4, 16, 17]), st.sampled_from([1, 2]), st.booleans(),
 )
 def test_preactivation_conv_matches_reference(data, f, ci, h, w, co, stride, special):
-    """conv(silu(rms_norm(x))) as the norm kernel, numpy's exp and the gated conv kernel."""
+    """conv(silu(rms_norm(x))) as the norm kernel with SiLU and the conv kernel."""
     x = norm_input(data, f, ci, h * w, special).reshape(f, ci, h, w)
     conv = kernels.PackedConv(data.draw(tensor((co, ci, 3, 3), False)),
                               data.draw(tensor((co,), False)))
     with np.errstate(all="ignore"):
         want = kernels._conv2d_frames_np(kernels.silu(kernels._rms_norm_np(x, 1)), conv, stride)
-        normed, gate = compiled((x, x), kernels.bound_rms_norm, x, 1)
-        got = compiled(want, kernels.bound_conv2d_frames, normed, conv,
-                       ws=kernels._conv_ws(x.shape, conv, stride), stride=stride, gate=gate)
+        act = compiled(x, kernels.bound_rms_norm, x, 1, ws=kernels._norm_ws(x.shape, 1),
+                       silu=True)
+        got = compiled(want, kernels.bound_conv2d_frames, act, conv,
+                       ws=kernels._conv_ws(x.shape, conv, stride), stride=stride)
     assert_same_nan_rule(got, want)
 
 
@@ -251,16 +252,16 @@ def sprinkle(rng, a: np.ndarray, special: bool) -> None:
 def test_conv_on_vector_wide_frames_matches_reference(w, stride):
     """Every h in (1, 2, 3, 6, 8, 16), co in (1, 4, 5, 16, 17, 33, 64) and ci in (0, 1,
     4, 16, 32), each on a stack of up to 8 frames with an epilogue (none, per-sample
-    add rows read as a column slice, or a residual base), with or without a SiLU gate,
-    and -0.0, subnormals and (every other case) infinities and NaNs in every operand.
-    The scratch block is exactly the bytes ``_conv_ws`` declares."""
+    add rows read as a column slice, or a residual base), and -0.0, subnormals and
+    (every other case) infinities and NaNs in every operand.  The scratch block is
+    exactly the bytes ``_conv_ws`` declares."""
     rng = np.random.default_rng(w * 10 + stride)
     cases = [(h, co, ci) for h in (1, 2, 3, 6, 8, 16) for co in (1, 4, 5, 16, 17, 33, 64)
              for ci in (0, 1, 4, 16, 32)]
     for i, (h, co, ci) in enumerate(cases):
         samples = int(rng.choice([1, 2, 4, 8]))
         f = samples * int(rng.integers(1, 8 // samples + 1))
-        epilogue, gated, special = i % 3, i % 4 < 2, i % 2 == 1
+        epilogue, special = i % 3, i % 2 == 1
         ho, wo = (h - 1) // stride + 1, (w - 1) // stride + 1
         x = rng.standard_normal((f, ci, h, w), dtype=np.float32)
         wt = rng.standard_normal((co, ci, 3, 3), dtype=np.float32)
@@ -271,19 +272,15 @@ def test_conv_on_vector_wide_frames_matches_reference(w, stride):
             sprinkle(rng, a, special)
         if ci:
             x[rng.integers(f), rng.integers(ci)] = -0.0  # a whole channel plane
-        gate = kernels._silu_gate(x) if gated else None
-        if gated:
-            sprinkle(rng, gate, special)
         add = wide[:, 3 : 3 + co] if epilogue == 1 else None
         base = base if epilogue == 2 else None
         conv = kernels.PackedConv(wt, bias)
         with np.errstate(all="ignore"):
-            want = kernels._conv_epilogue_np(kernels._conv2d_frames_np(x, conv, stride, gate),
-                                             add, base)
+            want = kernels._conv_epilogue_np(kernels._conv2d_frames_np(x, conv, stride), add, base)
         got = np.full_like(want, np.nan)
         run_with_canary(kernels.bound_conv2d_frames, x, conv, got,
-                        ws=kernels._conv_ws(x.shape, conv, stride), stride=stride, gate=gate,
-                        add=add, base=base)
+                        ws=kernels._conv_ws(x.shape, conv, stride), stride=stride, add=add,
+                        base=base)
         assert_same_nan_rule(got, want)
 
 
@@ -550,7 +547,7 @@ def test_attention_with_broadcast_and_shared_keys_matches_reference(kitems):
 def test_token_norm_matches_reference_on_transposed_tokens(c):
     """The token norm with the tokens on the lanes (37 of them: full vectors and a
     tail) gives the bytes of the reference's norm over each token's contiguous
-    channels, numpy's pairwise order; the SiLU gate too."""
+    channels, numpy's pairwise order."""
     rng = np.random.default_rng(c)
     x = rng.standard_normal((2, c, 37), dtype=np.float32)
     x *= np.exp2(rng.integers(-9, 9, (c, 1))).astype(np.float32)
@@ -559,18 +556,16 @@ def test_token_norm_matches_reference_on_transposed_tokens(c):
     x[1, :, 36] = np.inf
     tokens = np.ascontiguousarray(x.transpose(0, 2, 1))  # (2, 37, c)
     with np.errstate(all="ignore"):
-        want, want_gate = (np.ascontiguousarray(a.transpose(0, 2, 1))
-                           for a in kernels._rms_norm_np(tokens, -1, True))
-        got, gate = compiled((x, x), kernels.bound_rms_norm, x, 1, tokens=True)
+        want = np.ascontiguousarray(kernels._rms_norm_np(tokens, -1).transpose(0, 2, 1))
+        got = compiled(x, kernels.bound_rms_norm, x, 1, tokens=True)
     assert_same_nan_rule(got, want)
-    assert_same_nan_rule(gate, want_gate)
 
 
-def run_with_canary(bound, *args, ws: int, **kwargs) -> None:
-    """Run a bound step on the compiled library with a scratch block of exactly ``ws``
-    bytes, followed by 64 canary bytes that must come back untouched."""
+def run_with_canary(bound, *args, ws: int, lib=None, **kwargs) -> None:
+    """Run a bound step on ``lib`` (default: the compiled library) with a scratch block
+    of exactly ``ws`` bytes, followed by 64 canary bytes that must come back untouched."""
     block = np.full(ws + 64, 0xA5, np.uint8)
-    lib = kernels._compiled()
+    lib = lib or kernels._compiled()
     for call in kernels.program(lib, bound(lib, *args, block.ctypes.data, **kwargs)):
         call()
     assert (block[ws:] == 0xA5).all(), bound.__name__
@@ -688,28 +683,66 @@ def test_restricted_subnet_of_foregrounds_that_fill_no_vector_gives_reference_by
     assert runs[0] == runs[1]
 
 
-@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
-                    reason="the vector-width flags are x86's")
-@pytest.mark.parametrize("flag", ["-mno-avx512f", "-mno-avx"])
-def test_kernels_c_builds_without_warnings_at_narrower_vector_widths(tmp_path, monkeypatch, flag):
-    """With 8 lanes (no AVX-512) or 4 (no AVX) as the widest vector, kernels.c defines and
-    picks only the micro kernels that width's tiles reach, with every common warning as
-    an error.  The library passes the load-time check, and a default forward pass and
-    a two-sample restricted subnet give the default build's bytes: the tiles of each
-    width differ, the order of every sum does not."""
+# Flags that make 8 lanes (no AVX-512) or 4 (no AVX) the widest vector.
+NARROW = [pytest.param(flag, marks=pytest.mark.skipif(
+    platform.machine() not in ("x86_64", "AMD64"), reason="the vector-width flags are x86's"))
+    for flag in ("-mno-avx512f", "-mno-avx")]
+
+
+def narrow_library(tmp_path, flag: str):
+    """kernels.c built with ``flag`` and every common warning as an error, and loaded."""
     done = subprocess.run(
         [native.COMPILER, *native.FLAGS, flag, "-Wall", "-Wextra", "-Werror",
          "-o", str(tmp_path / "kernels.so"), str(native.SOURCE)],
         capture_output=True, text=True, timeout=native.BUILD_TIMEOUT_S,
     )
     assert done.returncode == 0, done.stderr
-    narrow = native.open_library(tmp_path / "kernels.so")
+    return native.open_library(tmp_path / "kernels.so")
+
+
+@pytest.mark.parametrize("flag", NARROW)
+def test_kernels_c_builds_without_warnings_at_narrower_vector_widths(tmp_path, monkeypatch, flag):
+    """With 8 lanes (no AVX-512) or 4 (no AVX) as the widest vector, kernels.c defines and
+    picks only the micro kernels that width's tiles reach, with every common warning as
+    an error.  The library passes the load-time check, and a default forward pass and
+    a two-sample restricted subnet give the default build's bytes: the tiles of each
+    width differ, the order of every sum does not."""
+    narrow = narrow_library(tmp_path, flag)
     assert kernels._self_check(narrow) is None
     cfg = UNetConfig()
     with on_compiled():
         want = restricted_passes(ToyUNet(cfg, init_weights(cfg, 0)[0]))
         monkeypatch.setattr(kernels, "_lib", narrow)
         assert restricted_passes(ToyUNet(cfg, init_weights(cfg, 0)[0])) == want
+
+
+@pytest.mark.parametrize("flag", [None, *NARROW])
+def test_rms_norm_with_silu_matches_reference_at_every_vector_width(tmp_path, flag):
+    """silu(rms_norm(x)) over the channels of (2, c, inner) maps, on the default build
+    (flag None) and at 8 and 4 lanes, gives the reference's bytes inside the scratch
+    bytes ``_norm_ws`` declares: inner sizes 1 (a pairwise sum), 4, 255, 256, 257 and
+    600 (one block or several, with tails), c in 1, 37, 128 and 1024 (norms beyond
+    SiLU's clip at +-30 need more than 900 channels), and -0.0 (a whole position of
+    it), a subnormal, inputs of +-30, +-inf and NaN."""
+    lib = kernels._compiled() if flag is None else narrow_library(tmp_path, flag)
+    rng = np.random.default_rng(25)
+    for c in (1, 37, 128, 1024):
+        for inner in (1, 4, 255, 256, 257, 600):
+            x = rng.standard_normal((2, c, inner), dtype=np.float32)
+            x[0, :, 0] = -0.0
+            x[1, 0, inner - 1] = 3e-39
+            x[0, c - 1, inner // 2], x[1, c // 2, inner // 3] = 30.0, -30.0
+            x[1, c - 1, inner // 2], x[0, c // 3, inner - 1] = np.inf, -np.inf
+            x[1, c // 2, inner // 4] = np.nan
+            x[0, c // 2, inner // 5], x[1, c // 3, inner // 6] = 1e4, -1e4  # beyond the clip
+            with np.errstate(all="ignore"):
+                want = kernels._rms_norm_np(x, 1, silu=True)
+            got = np.full_like(want, np.nan)
+            run_with_canary(kernels.bound_rms_norm, x, 1, got, ws=kernels._norm_ws(x.shape, 1),
+                            lib=lib, silu=True)
+            assert_same_nan_rule(got, want)
+    with np.errstate(all="ignore"):
+        assert (np.abs(kernels._rms_norm_np(x, 1)) > 30).sum() == 2  # c = 1024 reached it
 
 
 def test_kernels_refuse_strided_and_non_float32_arrays():
@@ -777,7 +810,7 @@ def test_load_time_check_refuses_a_library_that_differs_from_the_reference(monke
 # Bound steps of a plan and the arguments each writes.
 BOUND_OUTPUTS = {
     "bound_conv2d_frames": ("out",),
-    "bound_rms_norm": ("out", "gate"),
+    "bound_rms_norm": ("out",),
     "bound_attention": ("out", "probs"),
     "bound_copy": ("dst",),
 }
@@ -842,7 +875,8 @@ def test_default_forward_pass_kernel_calls_match_reference(monkeypatch):
     convs = [inputs for name, inputs, _ in steps if name == "bound_conv2d_frames"]
     # the channel mixes: 5 skips and 3 layers x 14 site projections
     assert sum(c["conv"].k == 1 for c in convs) == 47
-    assert sum(c.get("gate") is not None for c in convs) == 39  # 19 units x 2 and the head
+    norms = [inputs for name, inputs, _ in steps if name == "bound_rms_norm"]
+    assert sum(n.get("silu", False) for n in norms) == 39  # 19 units x 2 and the head
     assert sum(c.get("add") is not None for c in convs) == 19
     # each unit's conv2 and each site's output projection
     assert sum(c.get("base") is not None for c in convs) == 19 + 9
@@ -868,11 +902,10 @@ def test_concurrent_calls_from_more_threads_than_cores_give_reference_bytes():
         qkv = (rng.standard_normal((2, 30 + i, 8), dtype=np.float32),
                rng.standard_normal((2, 40 + 3 * i, 8), dtype=np.float32),
                rng.standard_normal((2, 40 + 3 * i, 8), dtype=np.float32), np.float32(0.25))
-        normed, gate = kernels._rms_norm_np(x, 1, True)
+        act = kernels._rms_norm_np(x, 1, True)
         want = [kernels._conv2d_frames_np(x, conv, 1 + i % 2),
                 kernels._matmul_np(a, b)[:, :, None, None],
-                *kernels._attention_np(*qkv), normed, gate,
-                kernels._conv2d_frames_np(normed, conv, 1, gate)]
+                *kernels._attention_np(*qkv), act, kernels._conv2d_frames_np(act, conv, 1)]
         jobs.append((x, conv, 1 + i % 2, a[:, :, None, None], kernels.PackedConv.mix(b), qkv,
                      want))
     bad = []
@@ -880,16 +913,17 @@ def test_concurrent_calls_from_more_threads_than_cores_give_reference_bytes():
     def work(job):
         x, conv, stride, a, mix, qkv, want = job
         for _ in range(30):
-            normed, gate = compiled((x, x), kernels.bound_rms_norm, x, 1)
+            act = compiled(x, kernels.bound_rms_norm, x, 1, ws=kernels._norm_ws(x.shape, 1),
+                           silu=True)
             got = [
                 compiled(want[0], kernels.bound_conv2d_frames, x, conv,
                          ws=kernels._conv_ws(x.shape, conv, stride), stride=stride),
                 compiled(want[1], kernels.bound_conv2d_frames, a, mix,
                          ws=kernels._conv_ws(a.shape, mix)),
                 *lane_attention(*qkv),
-                normed, gate,
-                compiled(want[6], kernels.bound_conv2d_frames, normed, conv,
-                         ws=kernels._conv_ws(x.shape, conv), gate=gate),
+                act,
+                compiled(want[5], kernels.bound_conv2d_frames, act, conv,
+                         ws=kernels._conv_ws(x.shape, conv)),
             ]
             if any(g.tobytes() != w.tobytes() for g, w in zip(got, want)):
                 bad.append(job)

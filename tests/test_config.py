@@ -54,7 +54,7 @@ def test_section_values_must_have_their_fields_types():
     for section, name, value in [
         ("schedule", "T", True), ("schedule", "beta_start", False), ("schedule", "steps", 6.0),
         ("strategy", "estimation", 0), ("strategy", "variant", None), ("seeds", "weights", "0"),
-        ("run", "out_dir", 3), ("unet", "attention_layers", "M"), ("unet", "base_channels", [4.0]),
+        ("run", "out_dir", 3), ("unet", "removal_set", "M"), ("unet", "base_channels", [4.0]),
     ]:
         with pytest.raises(ConfigError, match=f"{section}.{name} must be"):
             cf.config_from_dict({section: {name: value}})

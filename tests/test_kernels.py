@@ -145,8 +145,9 @@ def test_backends_agree_bitwise():
     conv = kernels.PackedConv(w, bias)
 
     def preact(x):
-        normed, gate = step(kernels.bound_rms_norm, [(1,) + x.shape] * 2, x[None], 1)
-        return kernels.conv2d_frames(normed, conv, 1, gate)
+        act, = step(kernels.bound_rms_norm, [(1,) + x.shape], x[None], 1,
+                    ws=kernels._norm_ws((1,) + x.shape, 1), silu=True)
+        return kernels.conv2d_frames(act, conv)
 
     def token_norm(x):
         return step(kernels.bound_rms_norm, [x.shape], x, -1)[0]
@@ -201,8 +202,9 @@ def test_kernel_bench_runs_from_a_clean_checkout(tmp_path):
     """The timing harness finds the package without PYTHONPATH; it exits 1 when the
     backends' bytes differ.  Its cases are the steps and passes plans run, among them
     both passes of a restricted block, the attention step at the shapes of the default
-    model's sites, single convs at the shapes of its layers and its channel mixes as
-    1x1 convs, and each gives the same bytes on both backends."""
+    model's sites, single convs at the shapes of its layers, the norms that write its
+    pre-activations and its channel mixes as 1x1 convs, and each gives the same bytes
+    on both backends."""
     script = Path(__file__).resolve().parents[1] / "benchmarks" / "kernel_bench.py"
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     done = subprocess.run([sys.executable, str(script), "--repeat", "1"], cwd=tmp_path, env=env,
@@ -215,7 +217,7 @@ def test_kernel_bench_runs_from_a_clean_checkout(tmp_path):
              "attention_temporal", "conv2d", "conv_d0", "conv_d1", "conv_d3", "conv_down0",
              "conv_head", "conv_in", "conv_u32", "dfa_subnet", "forward", "key_step",
              "mix_audio", "mix_kv_112", "mix_kv_124", "mix_m", "mix_out", "mix_q",
-             "preact_conv", "rms_norm", "subnet")
+             "norm_silu_d0", "norm_silu_u32", "preact_conv", "rms_norm", "subnet")
     assert {c: equal[c] for c in equal if c != "kernel"} == dict.fromkeys(cases, want)
 
 
@@ -339,18 +341,14 @@ def test_rms_norm_matches_numpy_formula(shape, axis):
     assert np.allclose(out, oracle, rtol=1e-5, atol=1e-6)
 
 
-def test_rms_norm_gate_is_silus_and_gated_conv_convolves_silu():
-    rng = Rng(18)
-    x = rng.normal((2, 3, 5, 5)) * np.float32(20.0)
-    w, bias = rng.normal((4, 3, 3, 3)), rng.normal((4,))
-    normed, gate = step(kernels.bound_rms_norm, [x.shape] * 2, x, 1)
-    assert normed.tobytes() == step(kernels.bound_rms_norm, [x.shape], x, 1)[0].tobytes()
-    assert (normed * (np.float32(1.0) / (np.float32(1.0) + gate))).tobytes() == (
-        kernels.silu(normed).tobytes()
-    )
-    conv = kernels.PackedConv(w, bias)
-    want = kernels.conv2d_frames(kernels.silu(normed), conv)
-    assert kernels.conv2d_frames(normed, conv, 1, gate).tobytes() == want.tobytes()
+def test_rms_norm_with_silu_is_silu_of_the_norm():
+    x = Rng(18).normal((2, 3, 5, 5)) * np.float32(20.0)
+    normed, = step(kernels.bound_rms_norm, [x.shape], x, 1)
+    act, = step(kernels.bound_rms_norm, [x.shape], x, 1, ws=kernels._norm_ws(x.shape, 1),
+                silu=True)
+    assert act.tobytes() == kernels.silu(normed).tobytes()
+    with pytest.raises(ValueError, match="token norm takes no SiLU"):
+        step(kernels.bound_rms_norm, [x.shape], x, 1, silu=True, tokens=True)
 
 
 def test_packed_conv_and_conv2d_frames_reject_bad_inputs():
@@ -362,8 +360,6 @@ def test_packed_conv_and_conv2d_frames_reject_bad_inputs():
     with pytest.raises(ValueError):
         kernels.conv2d_frames(x[:, :2], conv)
     with pytest.raises(ValueError):
-        kernels.conv2d_frames(x, conv, 1, np.zeros((2, 3, 4, 5), np.float32))
-    with pytest.raises(ValueError):
         kernels.conv2d_frames(x, np.zeros((5, 3, 3, 3), np.float32), np.zeros(5, np.float32))
     with pytest.raises(ValueError, match="3x3 or 1x1"):
         kernels.PackedConv(np.zeros((5, 3, 2, 2), np.float32))
@@ -374,8 +370,6 @@ def test_packed_conv_and_conv2d_frames_reject_bad_inputs():
     assert kernels.conv2d_frames(x, mix).tobytes() == np.zeros((2, 5, 4, 4), np.float32).tobytes()
     with pytest.raises(ValueError, match="stride"):
         kernels.conv2d_frames(x, mix, 2)
-    with pytest.raises(ValueError, match="gate"):
-        kernels.conv2d_frames(x, mix, 1, np.zeros_like(x))
 
 
 def test_upsample_nearest_replicates_blocks():

@@ -9,7 +9,7 @@ import pytest
 from cachediff import attention, kernels
 from cachediff import unet as un
 from cachediff.errors import ConfigError, InvariantError
-from cachediff.masks import ForegroundMask, ellipse_mask, rect_mask
+from cachediff.masks import ForegroundMask, ellipse_mask, mask_from_spec, rect_mask
 from cachediff.plan import Plan
 from cachediff.profiler import FlopLog
 from cachediff.tensor_io import tensor_bytes
@@ -26,8 +26,6 @@ def test_config_defaults_and_attn_geometry():
         "U2": (32, 8, 8),
         "U32": (16, 16, 16),
     }
-    trimmed = un.UNetConfig(attention_layers=("M",), removal_set=("M",))
-    assert tuple(trimmed.attn_info()) == ("M",)
 
 
 def test_config_rejects_bad_shapes():
@@ -39,10 +37,8 @@ def test_config_rejects_bad_shapes():
         un.UNetConfig(frames=0)
     with pytest.raises(ConfigError):
         un.UNetConfig(time_dim=7)
-    with pytest.raises(ConfigError):
-        un.UNetConfig(attention_layers=("M", "X"))
-    with pytest.raises(ConfigError):
-        un.UNetConfig(attention_layers=("M",), removal_set=("U2",))
+    with pytest.raises(ConfigError, match="removal_set"):
+        un.UNetConfig(removal_set=("M", "X"))
 
 
 def test_time_embedding_closed_form_at_zero():
@@ -274,15 +270,6 @@ def test_only_the_u32_sites_gather_background_rows(small_model, small_cond, smal
     assert len(calls) == 3
 
 
-def test_a_model_without_u32_attention_keeps_nothing(small_cfg, small_latent):
-    cfg = dataclasses.replace(small_cfg, attention_layers=("M", "U2"))
-    model = un.ToyUNet(cfg, un.init_weights(cfg, 0)[0])
-    cond = build_conditioning_for(cfg)
-    tr = model.forward(small_latent, 31, cond, keep_bg=True, keep_probs=True)
-    assert tr.dfa is None and tr.probs is None
-    assert tr.eps.tobytes() == model.forward(small_latent, 31, cond).eps.tobytes()
-
-
 @pytest.mark.parametrize("restricted", [False, True])
 def test_stacked_subnet_matches_single_calls(small_cfg, small_model, small_cond, restricted):
     """k samples in one subnet call give the bytes of k single calls and log the
@@ -504,6 +491,41 @@ def test_a_grown_arena_releases_the_one_it_replaces(small_cfg, small_cond, small
                  dfa=tr.dfa, removal_active=True)
     assert cache._arena.size > size
     assert [r() for r in old] == [None, None]
+
+
+# Arena floats and scratch bytes of each default plan kind: a forward pass by
+# (removal, keep_probs), and a subnet by its samples, plain or restricted to
+# frac:0.4 with removal.  A change that grows a plan's memory shows here, as a
+# change of its steps shows in the kernel census.
+PLAN_MEMORY = {
+    "forward": (("forward", False, False), 110_160, 184_576),
+    "forward removal": (("forward", True, False), 110_160, 184_576),
+    "forward keep_probs": (("forward", False, True), 626_256, 184_576),
+    "subnet 1": (("subnet", 1, False), 91_088, 184_576),
+    "subnet 2": (("subnet", 2, False), 210_656, 366_848),
+    "subnet 3": (("subnet", 3, False), 297_456, 549_120),
+    "subnet 1 frac:0.4 removal": (("subnet", 1, True), 104_912, 184_576),
+    "subnet 2 frac:0.4 removal": (("subnet", 2, True), 224_480, 366_848),
+    "subnet 3 frac:0.4 removal": (("subnet", 3, True), 311_280, 549_120),
+}
+
+
+@pytest.fixture(scope="module")
+def default_model():
+    cfg = un.UNetConfig()
+    return un.ToyUNet(cfg, un.init_weights(cfg, 0)[0])
+
+
+@pytest.mark.parametrize("kind", list(PLAN_MEMORY))
+def test_each_default_plan_kind_needs_its_pinned_arena_and_scratch(kind, default_model):
+    (pass_kind, arg, flag), floats, ws_bytes = PLAN_MEMORY[kind]
+    cfg = default_model.cfg
+    if pass_kind == "forward":
+        plan = default_model._plan_forward(arg, flag)
+    else:
+        mask = mask_from_spec("frac:0.4", cfg.height, cfg.width) if flag else None
+        plan = default_model._plan_subnet(arg, flag, mask)
+    assert (plan.floats, plan.ws_bytes) == (floats, ws_bytes)
 
 
 @pytest.mark.parametrize("backend", ["compiled", "numpy"])
